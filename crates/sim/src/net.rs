@@ -19,18 +19,33 @@
 //! Determinism: the partition plan is derived once from
 //! `(seed, spec)` via a dedicated RNG stream, so every per-party
 //! scheduler instance (the sharded backend builds one per party)
-//! resolves the identical cut and timing; arrival times are sampled from
-//! the scheduler RNG in arrival-order scan order, making the whole
-//! virtual schedule a pure function of `(seed, scenario string)`.
+//! resolves the identical cut and timing. A batch head is timed — its
+//! arrival sampled from the scheduler RNG — at the first pick after it
+//! becomes a head, heads waiting at the same pick in arrival order, so
+//! the whole virtual schedule is a pure function of
+//! `(seed, scenario string)`.
+//!
+//! Cost: the timed heads wait in a min-heap, so a pick costs
+//! O(new heads + log in-flight), not a pass over everything in flight.
+//!
+//! Fairness: every arrival time is finite and the earliest goes first,
+//! so no message waits forever — this family is fair by construction.
+//! The step-count fairness cap ([`SchedulerConfig::max_age`]) therefore
+//! does not apply to it: a cap-forced delivery would land at the
+//! current clock reading, before the envelope's own arrival time and
+//! straight through an un-healed partition.
+//!
+//! [`SchedulerConfig::max_age`]: crate::scheduler::SchedulerConfig::max_age
 
 use crate::ids::PartyId;
-use crate::queue::{MsgMeta, Pending};
+use crate::queue::{BatchSlot, MsgMeta, Pending};
 use crate::runtime::NetConfig;
 use crate::scheduler::Scheduler;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Virtual-time horizon standing in for "never": a partition with no
@@ -318,21 +333,50 @@ fn plan_seed(seed: u64, spec: &NetSpec) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(h)
 }
 
-/// The discrete-event virtual-clock scheduler (glitch-style: a priority
-/// order keyed by `(virtual_time, arrival_index)`).
+/// One timed batch in the event queue. The derived order is the
+/// delivery order: earliest `vt` first, ties to the earliest arrival
+/// (smallest creation `ordinal`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Arrival {
+    /// Virtual arrival time sampled for the batch's head.
+    vt: u64,
+    /// The batch's creation ordinal in its queue.
+    ordinal: u64,
+    /// Where the batch lives — with `ordinal`, what tells a queued
+    /// arrival whose batch is gone from a current one.
+    slot: BatchSlot,
+}
+
+/// The discrete-event virtual-clock scheduler (glitch-style: an event
+/// queue keyed by `(virtual_time, arrival order)`).
 ///
-/// Each unseen batch head is assigned a virtual arrival time when first
-/// scanned: `now + latency` (plus retransmission delay on a sampled
-/// link failure), re-timed past the heal when the link crosses an
-/// active partition cut. `pick` always returns the earliest arrival,
-/// ties broken by arrival order, and the clock advances monotonically
-/// to the delivered arrival's time.
+/// A batch head is *timed* at the first pick after it becomes a head:
+/// `now + latency` (plus retransmission delay on a sampled link
+/// failure), re-timed past the heal when the link crosses an active
+/// partition cut. That is every batch opened since the previous pick
+/// and — first, being older — the previously picked batch if it is
+/// still in flight (its run was truncated, a send merged into it while
+/// it drained, or the caller never took it): its arrival left the queue
+/// when it was picked, so whatever heads it now is timed afresh. Heads
+/// timed at the same pick draw from the RNG in arrival order.
+///
+/// `pick` returns the earliest arrival, ties broken by arrival order,
+/// and the clock advances monotonically to that arrival's time. Batches
+/// removed behind the scheduler's back (retraction) leave stale entries
+/// that are skipped when they surface. A pick costs
+/// O(heads timed + log in-flight).
 pub struct NetScheduler {
     spec: NetSpec,
     /// The virtual clock, in virtual milliseconds.
     now: u64,
-    /// Batch-head sequence number → assigned virtual arrival time.
-    arrivals: HashMap<u64, u64>,
+    /// Timed batches, earliest arrival on top. Every in-flight batch the
+    /// last pick saw and did not return has exactly one entry.
+    heap: BinaryHeap<Reverse<Arrival>>,
+    /// [`Pending::created`] at the last pick: batches from this ordinal
+    /// on are untimed.
+    seen: u64,
+    /// The arrival the last pick returned (no longer in `heap`).
+    picked: Option<Arrival>,
     /// Resolved partition (set by `configure`; `None` = latency only).
     plan: Option<PartitionPlan>,
     emitted_start: bool,
@@ -350,7 +394,9 @@ impl NetScheduler {
         NetScheduler {
             spec,
             now: 0,
-            arrivals: HashMap::new(),
+            heap: BinaryHeap::new(),
+            seen: 0,
+            picked: None,
             plan: None,
             emitted_start: false,
             emitted_heal: false,
@@ -383,7 +429,7 @@ impl NetScheduler {
         }
     }
 
-    /// Samples the virtual arrival time for a freshly scanned batch head.
+    /// Samples the virtual arrival time for a batch head.
     fn arrival_time(&self, m: &MsgMeta, rng: &mut ChaCha12Rng) -> u64 {
         let mut delay = self.sample_latency(rng);
         if self.spec.fail_pct > 0 && rng.gen_range(0..100u8) < self.spec.fail_pct {
@@ -422,41 +468,45 @@ impl NetScheduler {
         self.now = self.now.max(target);
     }
 
-    /// Garbage-collects arrival entries whose batch heads are gone
-    /// (delivered via a fairness-cap override, or retracted).
-    fn maybe_sweep(&mut self, pending: &Pending) {
-        if self.arrivals.len() > 2 * pending.len() + 32 {
-            let live: HashSet<u64> = pending.metas().map(|m| m.seq).collect();
-            self.arrivals.retain(|seq, _| live.contains(seq));
-        }
+    /// Times the head of the live batch `slot` and queues its arrival.
+    fn time(&mut self, pending: &Pending, slot: BatchSlot, ordinal: u64, rng: &mut ChaCha12Rng) {
+        let vt = self.arrival_time(&pending.meta_of_slot(slot), rng);
+        self.heap.push(Reverse(Arrival { vt, ordinal, slot }));
     }
+}
+
+/// Whether the batch a queued arrival was timed for is still in flight.
+fn is_current(pending: &Pending, a: &Arrival) -> bool {
+    pending.ordinal_of_slot(a.slot) == Some(a.ordinal)
 }
 
 impl Scheduler for NetScheduler {
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize {
-        let mut best = 0usize;
-        let mut best_seq = 0u64;
-        let mut best_vt = u64::MAX;
-        for (i, m) in pending.metas().enumerate() {
-            let vt = match self.arrivals.get(&m.seq) {
-                Some(&vt) => vt,
-                None => {
-                    let vt = self.arrival_time(&m, rng);
-                    self.arrivals.insert(m.seq, vt);
-                    vt
-                }
-            };
-            // Strict `<` keeps ties on the earliest arrival index.
-            if vt < best_vt {
-                best_vt = vt;
-                best = i;
-                best_seq = m.seq;
-            }
+        // Arrival order: the surviving pick predates every new batch.
+        if let Some(last) = self.picked.take().filter(|a| is_current(pending, a)) {
+            self.time(pending, last.slot, last.ordinal, rng);
         }
-        self.advance(best_vt);
-        self.arrivals.remove(&best_seq);
-        self.maybe_sweep(pending);
-        best
+        for (slot, ordinal) in pending.batches_since(self.seen) {
+            self.time(pending, slot, ordinal, rng);
+        }
+        self.seen = pending.created();
+        let next = loop {
+            let Reverse(a) = self
+                .heap
+                .pop()
+                .expect("every in-flight batch has a queued arrival");
+            if is_current(pending, &a) {
+                break a;
+            }
+        };
+        self.advance(next.vt);
+        self.picked = Some(next);
+        // Stale entries only come from removals behind the scheduler's
+        // back; should they ever outnumber the live ones, drop them.
+        if self.heap.len() > 2 * pending.len() + 32 {
+            self.heap.retain(|Reverse(a)| is_current(pending, a));
+        }
+        pending.index_of_slot(next.slot)
     }
 
     fn name(&self) -> &'static str {
@@ -490,17 +540,21 @@ mod tests {
     use crate::payload::Payload;
     use crate::scheduler::SchedulerConfig;
 
+    fn envelope(from: usize, to: usize, seq: u64) -> Envelope {
+        Envelope {
+            from: PartyId(from),
+            to: PartyId(to),
+            session: SessionId::root().child(SessionTag::new("x", 0)),
+            payload: Payload::new(0u8),
+            seq,
+            born_step: 0,
+        }
+    }
+
     fn pending(entries: &[(usize, usize)]) -> Pending {
         let mut q = Pending::new();
         for (seq, &(from, to)) in entries.iter().enumerate() {
-            q.push(Envelope {
-                from: PartyId(from),
-                to: PartyId(to),
-                session: SessionId::root().child(SessionTag::new("x", 0)),
-                payload: Payload::new(0u8),
-                seq: seq as u64,
-                born_step: 0,
-            });
+            q.push(envelope(from, to, seq as u64));
         }
         q
     }
@@ -608,7 +662,9 @@ mod tests {
         assert_eq!(plan.end, plan.start + 500);
 
         // Drive the clock into the partition window with intra-cut
-        // traffic, then check a cross-cut message lands after the heal.
+        // traffic, then check a cross-cut message sent into the same
+        // queue lands after the heal — behind the intra-cut traffic
+        // still in flight, which keeps its short latency.
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let mut q = pending(&[(0, 1); 70]);
         while s.virtual_now().unwrap() < plan.start {
@@ -616,9 +672,17 @@ mod tests {
             q.take(i);
             assert!(!q.is_empty(), "enough intra-cut traffic to reach start");
         }
-        let mut q2 = pending(&[(0, 2)]); // crosses the cut
-        let i = s.pick(&q2, &mut rng);
-        q2.take(i);
+        q.push(envelope(0, 2, 1_000)); // crosses the cut
+        loop {
+            let i = s.pick(&q, &mut rng);
+            if q.take(i).seq == 1_000 {
+                break;
+            }
+            assert!(
+                s.virtual_now().unwrap() < plan.end,
+                "intra-cut traffic is not held back"
+            );
+        }
         assert!(
             s.virtual_now().unwrap() > plan.end,
             "cross-cut delivery waits for the heal"
@@ -655,6 +719,33 @@ mod tests {
     }
 
     #[test]
+    fn stale_arrivals_are_swept_once_they_outnumber_the_live() {
+        let spec = NetSpec::parse("net:lat=64..64,partition=0+1").unwrap();
+        let mut s = NetScheduler::new(spec);
+        s.configure(&config(4, 2, 1));
+        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        // 200 batches stuck behind a cut that never heals, and one
+        // intra-side message that arrives at 64.
+        let mut q = Pending::new();
+        for seq in 0..200 {
+            q.push(envelope(0, 2 + seq as usize % 2, seq));
+        }
+        q.push(envelope(2, 3, 200));
+        let i = s.pick(&q, &mut rng);
+        assert_eq!(q.take(i).seq, 200);
+        assert_eq!(s.heap.len(), 200);
+        // The stuck sender's traffic is retracted behind the
+        // scheduler's back: its arrivals would sit in the queue until
+        // the clock reached `NEVER_HEAL`.
+        assert_eq!(q.retract_from(PartyId(0)).len(), 200);
+        q.push(envelope(3, 2, 201));
+        let i = s.pick(&q, &mut rng);
+        assert_eq!(q.take(i).seq, 201);
+        assert!(s.heap.is_empty(), "{} stale arrivals kept", s.heap.len());
+        assert_eq!(s.virtual_now(), Some(128));
+    }
+
+    #[test]
     fn exp_latency_mean_is_plausible() {
         let spec = NetSpec::parse("net:lat=exp:5").unwrap();
         let s = NetScheduler::new(spec);
@@ -688,6 +779,217 @@ mod tests {
             assert!(!plan.cut.is_empty() && plan.cut.len() <= 3, "cut ≤ t");
             assert!(plan.cut.windows(2).all(|w| w[0] < w[1]), "sorted cut");
             assert!(plan.cut.iter().all(|p| p.0 < 10), "ids < n");
+        }
+    }
+
+    /// The scheduler this event queue replaced, kept as its oracle:
+    /// every pick walks every in-flight batch in arrival order, times
+    /// the heads it has no arrival for, returns the earliest (ties to
+    /// the earliest index) and forgets that head's arrival. Clock,
+    /// sampling and partition plan are the real scheduler's own.
+    struct ScanNetScheduler {
+        inner: NetScheduler,
+        /// Batch-head sequence number → assigned virtual arrival time.
+        arrivals: std::collections::BTreeMap<u64, u64>,
+    }
+
+    impl ScanNetScheduler {
+        fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize {
+            let mut best = 0usize;
+            let mut best_seq = 0u64;
+            let mut best_vt = u64::MAX;
+            for (i, m) in pending.metas().enumerate() {
+                let vt = match self.arrivals.get(&m.seq) {
+                    Some(&vt) => vt,
+                    None => {
+                        let vt = self.inner.arrival_time(&m, rng);
+                        self.arrivals.insert(m.seq, vt);
+                        vt
+                    }
+                };
+                // Strict `<` keeps ties on the earliest arrival index.
+                if vt < best_vt {
+                    best_vt = vt;
+                    best = i;
+                    best_seq = m.seq;
+                }
+            }
+            self.inner.advance(best_vt);
+            self.arrivals.remove(&best_seq);
+            best
+        }
+    }
+
+    /// Differential test of the event queue against the retained scan:
+    /// both schedulers read one shared `Pending` driven by one op
+    /// stream, each with its own copy of the RNG, and must agree after
+    /// every pick on the index, the clock, the lifecycle events and
+    /// where the RNG stands.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+
+        const SPECS: &[&str] = &[
+            "net:lat=1..8",
+            "net:lat=1..1",
+            "net:lat=exp:5",
+            "net:lat=1..20,fail=p25",
+            "net:lat=exp:3,fail=p10,partition=p50,heal=40",
+            "net:lat=1..12,partition=p100",
+            "net:lat=2..6,partition=0+2,heal=25",
+            "net:lat=exp:9,partition=3",
+        ];
+        const N: usize = 7;
+
+        struct Pair {
+            queue: Pending,
+            new: NetScheduler,
+            new_rng: ChaCha12Rng,
+            scan: ScanNetScheduler,
+            scan_rng: ChaCha12Rng,
+            next_seq: u64,
+        }
+
+        impl Pair {
+            fn new(spec: &str, seed: u64) -> Pair {
+                let spec = NetSpec::parse(spec).expect(spec);
+                let configured = || {
+                    let mut s = NetScheduler::new(spec.clone());
+                    s.configure(&config(N, 2, seed));
+                    s
+                };
+                Pair {
+                    queue: Pending::new(),
+                    new: configured(),
+                    new_rng: ChaCha12Rng::seed_from_u64(seed),
+                    scan: ScanNetScheduler {
+                        inner: configured(),
+                        arrivals: Default::default(),
+                    },
+                    scan_rng: ChaCha12Rng::seed_from_u64(seed),
+                    next_seq: 0,
+                }
+            }
+
+            fn fresh(&mut self, from: usize, to: usize) -> Envelope {
+                self.next_seq += 1;
+                envelope(from, to, self.next_seq)
+            }
+
+            /// One pick by both schedulers; returns the agreed index.
+            fn pick(&mut self) -> usize {
+                let i = self.new.pick(&self.queue, &mut self.new_rng);
+                let j = self.scan.pick(&self.queue, &mut self.scan_rng);
+                assert_eq!(i, j, "picked index");
+                assert_eq!(self.new.virtual_now(), self.scan.inner.virtual_now());
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                self.new.drain_net_events(&mut a);
+                self.scan.inner.drain_net_events(&mut b);
+                assert_eq!(a, b, "lifecycle events");
+                assert_eq!(
+                    self.new_rng.clone().next_u64(),
+                    self.scan_rng.clone().next_u64(),
+                    "RNG position"
+                );
+                assert!(
+                    self.new.heap.len() <= 2 * self.queue.len() + 32,
+                    "heap {} entries for {} batches",
+                    self.new.heap.len(),
+                    self.queue.len()
+                );
+                i
+            }
+
+            /// Picks and takes until nothing is in flight.
+            fn drain(&mut self) {
+                while !self.queue.is_empty() {
+                    let i = self.pick();
+                    self.queue.take(i);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn event_queue_matches_the_scan(
+                spec in 0usize..SPECS.len(),
+                seed in any::<u64>(),
+                ops in proptest::collection::vec(any::<u64>(), 40..600),
+            ) {
+                let mut p = Pair::new(SPECS[spec], seed);
+                let mut last_pair = (0, 1);
+                for word in ops {
+                    let arg = (word >> 8) as usize;
+                    let (from, to) = (arg % N, (arg / N) % N);
+                    match word % 64 {
+                        // A send: fresh pair (self-sends included), or a
+                        // repeat of the last pair that merges while that
+                        // batch is still the tail.
+                        0..=19 => {
+                            last_pair = (from, to);
+                            let e = p.fresh(from, to);
+                            p.queue.push(e);
+                        }
+                        20..=25 => {
+                            let e = p.fresh(last_pair.0, last_pair.1);
+                            p.queue.push(e);
+                        }
+                        26..=29 => {
+                            last_pair = (from, to);
+                            let run = (0..1 + arg % 4).map(|_| p.fresh(from, to)).collect();
+                            p.queue.push_batch(run);
+                        }
+                        _ if p.queue.is_empty() => {}
+                        // Pick and deliver the whole run; every other
+                        // delivery answers with a send on the same link,
+                        // which merges into the draining batch if that is
+                        // the tail.
+                        30..=44 => {
+                            let i = p.pick();
+                            let slot = p.queue.slot_of(i);
+                            let m = p.queue.meta_of_slot(slot);
+                            for k in 0..m.count {
+                                p.queue.take_slot(slot);
+                                if (arg + k as usize).is_multiple_of(2) {
+                                    let e = p.fresh(m.from.0, m.to.0);
+                                    p.queue.push(e);
+                                }
+                            }
+                        }
+                        // Pick, deliver only part of the run (a step
+                        // budget running out).
+                        45..=50 => {
+                            let i = p.pick();
+                            let slot = p.queue.slot_of(i);
+                            let run = p.queue.run_len_of_slot(slot) as usize;
+                            for _ in 0..arg % run {
+                                p.queue.take_slot(slot);
+                            }
+                        }
+                        // Pick and take nothing.
+                        51..=54 => {
+                            p.pick();
+                        }
+                        // The front batch leaves without a pick (what
+                        // the fairness cap does to an order-only
+                        // scheduler).
+                        55..=59 => {
+                            for _ in 0..p.queue.meta(0).count {
+                                p.queue.take(0);
+                            }
+                        }
+                        60..=62 => {
+                            p.queue.retract_from(PartyId(from));
+                        }
+                        // Drain to empty — the queue resets — and go on.
+                        _ => p.drain(),
+                    }
+                }
+                p.drain();
+            }
         }
     }
 }

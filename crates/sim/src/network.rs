@@ -110,6 +110,12 @@ pub struct SimNetwork {
     nodes: Vec<Node>,
     pending: Pending,
     scheduler: Box<dyn Scheduler>,
+    /// Whether the scheduler keeps a virtual clock. A clocked scheduler
+    /// is fair by construction (every arrival time is finite and the
+    /// earliest goes first), and a cap-forced delivery would bypass its
+    /// clock — landing before the envelope's own arrival time and
+    /// through an un-healed partition — so the fairness cap is off.
+    clocked: bool,
     sched_rng: ChaCha12Rng,
     metrics: Metrics,
     seq: u64,
@@ -168,6 +174,7 @@ impl SimNetwork {
             config,
             nodes,
             pending: Pending::new(),
+            clocked: scheduler.virtual_now().is_some(),
             scheduler,
             sched_rng,
             metrics: Metrics::default(),
@@ -772,8 +779,9 @@ impl SimNetwork {
         }
     }
 
-    /// Applies the fairness cap, then the scheduler. Returns the stable
-    /// handle of the picked batch and the length of its run.
+    /// Applies the fairness cap (order-only schedulers), then the
+    /// scheduler. Returns the stable handle of the picked batch and the
+    /// length of its run.
     fn pick_next(&mut self) -> Option<(crate::queue::BatchSlot, u64)> {
         if self.pending.is_empty() {
             return None;
@@ -782,7 +790,7 @@ impl SimNetwork {
         let max_age = self.config.scheduler.max_age;
         // The queue mirrors the oldest batch's birth step inline, so the
         // per-pick age check costs a field read, not a slab access.
-        let idx = if now.saturating_sub(self.pending.head_born_step()) > max_age {
+        let idx = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > max_age {
             0
         } else {
             let i = self.scheduler.pick(&self.pending, &mut self.sched_rng);

@@ -93,6 +93,18 @@ impl LiveIndex {
         }
     }
 
+    /// Number of live entries at 0-based positions `< pos` — the inverse
+    /// of [`select`](LiveIndex::select).
+    fn prefix(&self, pos: usize) -> u32 {
+        let mut i = pos;
+        let mut sum = 0;
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
     /// 0-based position of the `k`-th live entry (`k ≥ 1`).
     fn select(&self, k: u32) -> usize {
         let cap = self.capacity();
@@ -133,6 +145,9 @@ enum Batch {
 struct Record {
     /// Envelopes remaining in the batch (≥ 1).
     count: u32,
+    /// Low 32 bits of the batch's creation ordinal (it sits in what was
+    /// padding next to `count`; [`Pending::ordinal_of`] widens it).
+    created: u32,
     /// Current arrival position (kept current by compaction, which is
     /// what makes [`BatchSlot`] handles stable).
     pos: usize,
@@ -159,7 +174,7 @@ impl Record {
 /// drains — unlike arrival indices, it survives pushes, compactions and
 /// removals of *other* batches, so a caller delivering a whole run
 /// resolves the arrival order once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BatchSlot(u32);
 
 /// The arrival-ordered in-flight queue.
@@ -189,6 +204,15 @@ pub struct Pending {
     live: usize,
     /// Number of in-flight envelopes across all batches.
     total: usize,
+    /// Number of batches ever opened: the creation ordinal of the next
+    /// one. Ordinals grow with arrival position and, unlike positions,
+    /// survive compaction — a clocked scheduler's arrival-order key.
+    created: u64,
+    /// `(position, ordinal)` of the first batch appended since arrival
+    /// positions were last renumbered (compaction, or the reset on a
+    /// full drain). Every append takes the next position *and* the next
+    /// ordinal, so from here on `ordinal - position` is constant.
+    appended: (usize, u64),
     /// Slot id of the most recently pushed batch while it is still live —
     /// the only merge target, so batching is a pure function of the
     /// push/take sequence (tombstone compaction cannot change it).
@@ -377,7 +401,13 @@ impl Pending {
             self.compact_and_grow();
         }
         let pos = self.arrival.len();
-        let record = Record { count, pos, batch };
+        let record = Record {
+            count,
+            created: self.created as u32,
+            pos,
+            batch,
+        };
+        self.created += 1;
         let (from, to, born) = {
             let head = record.head();
             (head.from, head.to, head.born_step)
@@ -475,6 +505,86 @@ impl Pending {
             .count
     }
 
+    /// Arrival index of the live batch `slot` — the inverse of
+    /// [`slot_of`](Pending::slot_of), one Fenwick prefix sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not refer to a live batch.
+    pub fn index_of_slot(&self, slot: BatchSlot) -> usize {
+        let pos = self.slots[slot.0 as usize]
+            .as_ref()
+            .expect("batch handle refers to a live batch")
+            .pos;
+        if pos == self.head {
+            0
+        } else {
+            self.index.prefix(pos) as usize
+        }
+    }
+
+    /// Number of batches ever opened in this queue — the creation
+    /// ordinal the next new batch will get.
+    pub fn created(&self) -> u64 {
+        self.created
+    }
+
+    /// The full creation ordinal of a live record, widened from its
+    /// stored low half. Exact while every live batch is less than 2³²
+    /// batch creations old.
+    fn ordinal_of(&self, record: &Record) -> u64 {
+        self.created - u64::from((self.created as u32).wrapping_sub(record.created))
+    }
+
+    /// Creation ordinal of the batch in `slot`, or `None` if the slot is
+    /// vacant. Slots are recycled but ordinals never repeat, so a
+    /// `(slot, ordinal)` pair names one batch for good: a holder of a
+    /// stale handle finds `None` or a different ordinal here.
+    pub fn ordinal_of_slot(&self, slot: BatchSlot) -> Option<u64> {
+        let record = self.slots.get(slot.0 as usize)?.as_ref()?;
+        Some(self.ordinal_of(record))
+    }
+
+    /// The live batches with creation ordinal `≥ since`, oldest first,
+    /// each with its ordinal — what a caller that last looked when
+    /// [`created`](Pending::created) returned `since` has not seen yet.
+    /// Costs O(batches yielded + tombstones among them), independent of
+    /// the queue's depth.
+    pub fn batches_since(&self, since: u64) -> impl Iterator<Item = (BatchSlot, u64)> + '_ {
+        let (base_pos, base_ordinal) = self.appended;
+        let start = if since >= base_ordinal {
+            // Appended since the last renumbering: position follows
+            // from the ordinal.
+            (base_pos + (since - base_ordinal) as usize).min(self.arrival.len())
+        } else {
+            // Renumbered since the caller last looked: the batches it
+            // has not seen end the survivor range `head..base_pos`.
+            let mut start = base_pos;
+            while start > self.head
+                && self
+                    .record_at(start - 1)
+                    .is_none_or(|r| self.ordinal_of(r) >= since)
+            {
+                start -= 1;
+            }
+            start
+        };
+        (start..self.arrival.len()).filter_map(|pos| {
+            let record = self.record_at(pos)?;
+            Some((BatchSlot(self.arrival[pos]), self.ordinal_of(record)))
+        })
+    }
+
+    /// The live record at arrival position `pos`, if that entry is not a
+    /// tombstone.
+    fn record_at(&self, pos: usize) -> Option<&Record> {
+        self.alive[pos].then(|| {
+            self.slots[self.arrival[pos] as usize]
+                .as_ref()
+                .expect("live arrival entry points at an occupied slot")
+        })
+    }
+
     /// Removes and returns the head envelope of the live batch `slot`
     /// (obtained from [`slot_of`](Pending::slot_of)) in O(1) while the
     /// batch survives.
@@ -527,6 +637,7 @@ impl Pending {
             self.arrival.clear();
             self.alive.clear();
             self.head = 0;
+            self.appended = (0, self.created);
         } else if pos == self.head {
             while !self.alive[self.head] {
                 self.head += 1;
@@ -591,6 +702,7 @@ impl Pending {
         std::mem::swap(&mut self.arrival, &mut lives);
         self.compact_scratch = lives;
         self.head = 0;
+        self.appended = (self.arrival.len(), self.created);
     }
 }
 
@@ -773,27 +885,57 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(42);
         let mut q = Pending::new();
-        // Model: batches of (from, to, seqs), plus whether the most
-        // recently pushed batch is still live (the only merge target).
-        let mut model: Vec<(usize, usize, Vec<u64>)> = Vec::new();
+        // Model: batches of (from, to, seqs, creation ordinal), plus
+        // whether the most recently pushed batch is still live (the only
+        // merge target).
+        let mut model: Vec<(usize, usize, Vec<u64>, u64)> = Vec::new();
         let mut tail_live = false;
         let mut next_seq = 0u64;
+        let mut created = 0u64;
+        // A reader that looks at the queue only now and then, so
+        // compactions and full drains fall between its looks.
+        let mut seen = 0u64;
+        // After every op: slot handles invert to their index, and the
+        // since-ordinal view is the model's suffix.
+        let check_views = |q: &Pending, model: &[(usize, usize, Vec<u64>, u64)], seen, at: &str| {
+            for (i, batch) in model.iter().enumerate() {
+                let slot = q.slot_of(i);
+                assert_eq!(q.index_of_slot(slot), i, "{at}");
+                assert_eq!(q.ordinal_of_slot(slot), Some(batch.3), "{at}");
+            }
+            for since in [0, seen, q.created()] {
+                let expect: Vec<(BatchSlot, u64)> = model
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| b.3 >= since)
+                    .map(|(i, b)| (q.slot_of(i), b.3))
+                    .collect();
+                let got: Vec<(BatchSlot, u64)> = q.batches_since(since).collect();
+                assert_eq!(got, expect, "{at}, since {since}");
+            }
+        };
         for round in 0..2_000 {
-            if model.is_empty() || rng.gen_bool(0.55) {
+            // Long fill and drain phases alternate, so the arrival list
+            // outgrows its capacity (compaction) and runs dry (reset).
+            let filling = (round / 250) % 2 == 0;
+            if model.is_empty() || rng.gen_bool(if filling { 0.65 } else { 0.35 }) {
                 let from = rng.gen_range(0..3usize);
                 let to = rng.gen_range(0..2usize);
                 q.push(env(from, to, next_seq));
                 match model.last_mut() {
-                    Some((f, t, seqs)) if tail_live && *f == from && *t == to => {
+                    Some((f, t, seqs, _)) if tail_live && *f == from && *t == to => {
                         seqs.push(next_seq)
                     }
-                    _ => model.push((from, to, vec![next_seq])),
+                    _ => {
+                        model.push((from, to, vec![next_seq], created));
+                        created += 1;
+                    }
                 }
                 tail_live = true;
                 next_seq += 1;
             } else {
                 let i = rng.gen_range(0..model.len());
-                let (f, t, seqs) = &mut model[i];
+                let (f, t, seqs, _) = &mut model[i];
                 let m = q.meta(i);
                 assert_eq!(
                     (m.from.0, m.to.0, m.seq, m.count as usize),
@@ -809,17 +951,22 @@ mod tests {
                 }
             }
             assert_eq!(q.len(), model.len());
+            assert_eq!(q.created(), created);
             assert_eq!(
                 q.messages(),
-                model.iter().map(|(_, _, s)| s.len()).sum::<usize>()
+                model.iter().map(|(_, _, s, _)| s.len()).sum::<usize>()
             );
             if !q.is_empty() {
                 // The inline head mirror tracks the oldest batch exactly.
                 assert_eq!(q.head_born_step(), q.meta(0).born_step, "round {round}");
             }
+            check_views(&q, &model, seen, &format!("round {round}"));
+            if rng.gen_bool(0.1) {
+                seen = q.created();
+            }
             if round % 97 == 0 {
                 let heads: Vec<u64> = q.metas().map(|m| m.seq).collect();
-                let expect: Vec<u64> = model.iter().map(|(_, _, s)| s[0]).collect();
+                let expect: Vec<u64> = model.iter().map(|(_, _, s, _)| s[0]).collect();
                 assert_eq!(heads, expect, "round {round}");
             }
         }
@@ -830,11 +977,31 @@ mod tests {
                 model.remove(i);
             }
             assert_eq!(q.take(i).seq, expect);
+            check_views(&q, &model, seen, "final drain");
         }
         assert!(q.is_empty());
         // Still usable after a full drain.
         q.push(env(1, 2, 12345));
         assert_eq!(q.meta(0).seq, 12345);
+        assert_eq!(q.batches_since(seen).count(), 1);
+    }
+
+    #[test]
+    fn ordinals_stay_monotone_across_the_u32_boundary() {
+        // Records keep only the low half of their ordinal; start the
+        // counter just below 2³² so the stored halves wrap mid-test.
+        let start = (1u64 << 32) - 3;
+        let mut q = Pending::new();
+        q.created = start;
+        q.appended = (0, start);
+        for s in 0..6 {
+            q.push(env(s, 9, s as u64));
+        }
+        q.take(1);
+        let ordinals: Vec<u64> = q.batches_since(start).map(|(_, o)| o).collect();
+        assert_eq!(ordinals, [0, 2, 3, 4, 5].map(|k| start + k));
+        assert_eq!(q.batches_since(start + 4).count(), 2);
+        assert_eq!(q.ordinal_of_slot(q.slot_of(4)), Some(start + 5));
     }
 
     /// Property test: `LiveIndex` add/select/tombstone agrees with a naive

@@ -6,7 +6,8 @@
 //! is *fair* — no message is deferred forever — which is the hypothesis of
 //! the paper's almost-sure-termination claims. The aging cap in
 //! [`SchedulerConfig::max_age`] enforces fairness even for adversarial
-//! policies.
+//! order-only policies; the virtual-time `net:` family is fair by
+//! construction and exempt from it.
 //!
 //! Schedulers see only the arrival-ordered [`MsgMeta`] view of the
 //! in-flight queue ([`Pending`]) — endpoints, sequence numbers, ages,
@@ -29,6 +30,15 @@ use crate::queue::MsgMeta;
 ///
 /// `pending` is never empty when `pick` is called. The returned index is
 /// an arrival-order position and must be `< pending.len()`.
+///
+/// An instance is bound to **one** [`Pending`] for its life: every call
+/// passes the same queue (each backend owns one queue per scheduler), so
+/// a scheduler may carry state about it from pick to pick. Between two
+/// picks the backend pushes and takes envelopes from the batch the last
+/// pick returned — all of its run, part of it, or none. Anything else
+/// that leaves the queue leaves as a whole batch (crash-before-run
+/// retraction), except under the fairness cap, which only order-only
+/// schedulers are subject to.
 pub trait Scheduler: Send {
     /// Chooses the arrival-order index of the next message to deliver.
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize;
@@ -274,6 +284,10 @@ pub struct SchedulerConfig {
     /// this many delivery steps, it is delivered regardless of the
     /// scheduler's preference. This enforces the "every message is
     /// eventually delivered" hypothesis of the asynchronous model.
+    ///
+    /// Applies to order-only schedulers. One that keeps a virtual clock
+    /// ([`Scheduler::virtual_now`]) delivers every message at a finite
+    /// time of its own choosing and is never overridden.
     pub max_age: u64,
 }
 
