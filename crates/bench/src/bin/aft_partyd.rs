@@ -4,9 +4,10 @@
 //! The daemon hosts exactly one [`Node`](aft_sim::Node), built with the
 //! same constructor (and per-party RNG derivation) as every in-process
 //! backend, and exchanges envelopes with its peers over loopback TCP
-//! using the `aft_sim::deploy` wire format inside length-prefixed
-//! frames. It is driven by `exp_deployment` (or any supervisor speaking
-//! the same control protocol — see `aft_bench::deployment`):
+//! through `aft_sim::deploy`'s peer links (envelope format, framing,
+//! `TCP_NODELAY`, burst writes and buffered reads all live there). It is
+//! driven by `exp_deployment` (or any supervisor speaking the same
+//! control protocol — see `aft_bench::deployment`):
 //!
 //! ```sh
 //! aft-partyd --party 2 --stack ba --seed 7 \
@@ -20,36 +21,39 @@
 //! outbox); print `meshed`; on `go`, spawn the scenario-assigned
 //! instance and run the delivery loop; on `shutdown` (or supervisor
 //! EOF), print final counters and exit.
+//!
+//! Threads: main loop, stdin reader, acceptor, and a reader and a writer
+//! per peer link (`3 + 2(n − 1)`), plus one short-lived dialer while the
+//! mesh forms.
 
-use aft_bench::deployment::{instance_for, read_frame, write_frame, DeployStack};
+use aft_bench::deployment::{instance_for, DeployStack};
 use aft_core::scenarios::standard_registry;
-use aft_sim::{decode_envelope, encode_envelope, party_node, Outgoing, PartyId, Scenario};
+use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
+use aft_sim::{encode_envelope, party_node, Outgoing, PartyId, Scenario};
 use std::collections::VecDeque;
-use std::io::{BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Peer-link hello: 4 bytes little-endian party id, 1 recovered flag.
-const HELLO_LEN: usize = 5;
 
 enum Event {
     /// A control line from the supervisor (stdin); `None` is EOF.
     Ctrl(Option<String>),
-    /// A peer link came up (dialed or accepted).
-    Link {
-        party: usize,
-        recovered: bool,
-        stream: TcpStream,
-    },
-    /// One envelope frame from an established link.
-    Frame {
-        from: usize,
-        gen: u64,
-        bytes: Vec<u8>,
-    },
-    /// A link died (read error or EOF).
-    PeerGone { party: usize, gen: u64 },
+    /// Something happened on the peer connection numbered `conn`.
+    Peer { conn: u64, event: LinkEvent },
+}
+
+/// The event sink of a new peer connection: tags everything the link
+/// reports with a number unique to that connection (the counter
+/// publishes no other data, hence `Relaxed`), so the main loop can tell
+/// the current link to a party from one it has since replaced.
+fn peer_sink(tx: &Sender<Event>) -> impl FnMut(LinkEvent) -> bool + Send + 'static {
+    static NEXT_CONN: AtomicU64 = AtomicU64::new(0);
+    let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
+    let tx = tx.clone();
+    move |event| tx.send(Event::Peer { conn, event }).is_ok()
 }
 
 fn fatal(msg: &str) -> ! {
@@ -115,11 +119,11 @@ fn parse_args() -> Args {
     }
 }
 
-/// One established peer link: a writer-thread queue plus the generation
-/// that keeps events from a replaced socket out of the current one.
+/// One established peer link: its sending half plus the connection
+/// number that keeps events from a replaced socket out of the current one.
 struct Link {
-    tx: Sender<Vec<u8>>,
-    gen: u64,
+    link: PeerLink,
+    conn: u64,
 }
 
 struct Daemon {
@@ -128,66 +132,62 @@ struct Daemon {
     session: aft_sim::SessionId,
     links: Vec<Option<Link>>,
     /// Every envelope ever sent to each peer, for replay when that peer
-    /// reconnects after a supervisor restart.
-    outbox: Vec<Vec<Vec<u8>>>,
+    /// reconnects after a supervisor restart. Shared with the writer
+    /// queues, not copied into them.
+    outbox: Vec<Vec<Arc<[u8]>>>,
+    /// Encoding scratch, reused across envelopes.
+    scratch: Vec<u8>,
     sent: u64,
     delivered: u64,
+    /// Envelopes dropped at a link: malformed routing header, or a
+    /// `from` other than the link's owner.
+    rejected: u64,
     output_reported: bool,
     stack: DeployStack,
 }
 
 impl Daemon {
-    /// Installs (or replaces) the link to `party` and spawns its reader
-    /// and writer threads. When the peer announced itself as recovered,
-    /// the full outbox is replayed ahead of new traffic.
-    fn add_link(&mut self, party: usize, recovered: bool, stream: TcpStream, tx: &Sender<Event>) {
-        let gen = self.links[party].as_ref().map_or(0, |l| l.gen + 1);
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("aft-partyd: clone link to {party}: {e}");
-                return;
-            }
-        };
-        let events = tx.clone();
-        std::thread::spawn(move || {
-            let mut reader = reader;
-            loop {
-                match read_frame(&mut reader) {
-                    Ok(Some(bytes)) => {
-                        if events
-                            .send(Event::Frame {
-                                from: party,
-                                gen,
-                                bytes,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        let _ = events.send(Event::PeerGone { party, gen });
-                        return;
-                    }
-                }
-            }
-        });
-        let (wtx, wrx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = channel();
-        std::thread::spawn(move || {
-            let mut stream = stream;
-            while let Ok(bytes) = wrx.recv() {
-                if write_frame(&mut stream, &bytes).is_err() {
-                    return; // reader side reports the loss
-                }
-            }
-        });
+    /// Installs (or replaces) the link to `party`. When the peer
+    /// announced itself as recovered, the full outbox is replayed ahead
+    /// of new traffic.
+    fn add_link(&mut self, party: usize, recovered: bool, link: PeerLink, conn: u64) {
         if recovered {
-            for frame in &self.outbox[party] {
-                let _ = wtx.send(frame.clone());
+            for envelope in &self.outbox[party] {
+                link.send(Arc::clone(envelope));
             }
         }
-        self.links[party] = Some(Link { tx: wtx, gen });
+        self.links[party] = Some(Link { link, conn });
+    }
+
+    /// The party whose current link is connection `conn`, if any —
+    /// `None` for events of a replaced or refused connection.
+    fn owner_of(&self, conn: u64) -> Option<usize> {
+        self.links
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| l.conn == conn))
+    }
+
+    /// Delivers one envelope that arrived on `party`'s link, or counts
+    /// it as rejected.
+    fn receive(&mut self, party: usize, envelope: &aft_sim::FrameBytes) {
+        let owner = PartyId(party);
+        let Some((session, payload)) = decode_link_envelope(owner, envelope) else {
+            self.rejected += 1;
+            // A peer can send these by the million: log at 1, 2, 4, …
+            if self.rejected.is_power_of_two() {
+                eprintln!(
+                    "aft-partyd: rejected envelope #{} on the link from {party} \
+                     (malformed header, or not from {party})",
+                    self.rejected
+                );
+            }
+            return;
+        };
+        let mut out = Vec::new();
+        if self.node.deliver(owner, session, payload, &mut out) {
+            self.delivered += 1;
+        }
+        self.dispatch(out);
     }
 
     fn links_up(&self) -> usize {
@@ -209,17 +209,18 @@ impl Daemon {
                 pending.extend(more);
                 continue;
             }
-            let mut buf = Vec::new();
-            if !encode_envelope(self.me, &o.session, &o.payload, &mut buf) {
+            self.scratch.clear();
+            if !encode_envelope(self.me, &o.session, &o.payload, &mut self.scratch) {
                 // Typed outputs never cross the wire; nothing honest
                 // emits one as a send, so just surface and drop.
                 eprintln!("aft-partyd: dropping non-wire payload to {}", o.to.0);
                 continue;
             }
-            self.outbox[o.to.0].push(buf.clone());
+            let envelope: Arc<[u8]> = self.scratch.as_slice().into();
             if let Some(link) = &self.links[o.to.0] {
-                let _ = link.tx.send(buf);
+                link.link.send(Arc::clone(&envelope));
             }
+            self.outbox[o.to.0].push(envelope);
         }
         self.report_output();
     }
@@ -256,13 +257,19 @@ fn main() {
 
     let (tx, rx) = channel::<Event>();
 
-    // Supervisor control lines.
-    let ctrl = tx.clone();
+    // Supervisor control lines. `shutdown` also raises a flag the main
+    // loop checks before every event, so that it takes effect at once
+    // and not behind whatever peer frames are queued ahead of the line.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (ctrl, stopping) = (tx.clone(), Arc::clone(&stop));
     std::thread::spawn(move || {
         let stdin = std::io::stdin();
         for line in stdin.lock().lines() {
             match line {
                 Ok(l) => {
+                    if l.trim() == "shutdown" {
+                        stopping.store(true, Ordering::SeqCst);
+                    }
                     if ctrl.send(Event::Ctrl(Some(l))).is_err() {
                         return;
                     }
@@ -273,26 +280,14 @@ fn main() {
         let _ = ctrl.send(Event::Ctrl(None));
     });
 
-    // Peer accept loop: hello is [u32 party][u8 recovered].
+    // Peer accept loop. Each link reads its own hello, so a connection
+    // that says nothing holds up no other.
     let accept = tx.clone();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let mut hello = [0u8; HELLO_LEN];
-            if stream.read_exact(&mut hello).is_err() {
-                continue;
-            }
-            let party = u32::from_le_bytes([hello[0], hello[1], hello[2], hello[3]]) as usize;
-            let recovered = hello[4] != 0;
-            if accept
-                .send(Event::Link {
-                    party,
-                    recovered,
-                    stream,
-                })
-                .is_err()
-            {
-                return;
+            let Ok(stream) = stream else { continue };
+            if let Err(e) = PeerLink::accept(stream, peer_sink(&accept)) {
+                eprintln!("aft-partyd: accepted connection unusable: {e}");
             }
         }
     });
@@ -303,8 +298,10 @@ fn main() {
         session: args.stack.session(),
         links: (0..n).map(|_| None).collect(),
         outbox: vec![Vec::new(); n],
+        scratch: Vec::new(),
         sent: 0,
         delivered: 0,
+        rejected: 0,
         output_reported: false,
         stack: args.stack,
     };
@@ -313,6 +310,9 @@ fn main() {
 
     loop {
         let Ok(event) = rx.recv() else { break };
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
         match event {
             Event::Ctrl(None) => break,
             Event::Ctrl(Some(line)) => {
@@ -329,33 +329,28 @@ fn main() {
                         let targets: Vec<usize> = (0..n)
                             .filter(|&i| i != args.party && (args.recovered || i < args.party))
                             .collect();
-                        for target in targets {
-                            let addr = book[target].clone();
-                            let hello_tx = tx.clone();
-                            let (my_id, recovered) = (args.party, args.recovered);
-                            std::thread::spawn(move || {
-                                // The peer printed `ready` before the
-                                // supervisor released the address book,
-                                // so a short retry loop is enough.
+                        let hello = Hello {
+                            party: args.party,
+                            recovered: args.recovered,
+                        };
+                        let dial_tx = tx.clone();
+                        std::thread::spawn(move || {
+                            // The peers printed `ready` before the
+                            // supervisor released the address book, so a
+                            // short retry loop is enough.
+                            'targets: for target in targets {
+                                let addr = &book[target];
                                 for _ in 0..250 {
-                                    if let Ok(mut stream) = TcpStream::connect(&addr) {
-                                        let mut hello = [0u8; HELLO_LEN];
-                                        hello[..4].copy_from_slice(&(my_id as u32).to_le_bytes());
-                                        hello[4] = recovered as u8;
-                                        if stream.write_all(&hello).is_ok() {
-                                            let _ = hello_tx.send(Event::Link {
-                                                party: target,
-                                                recovered: false,
-                                                stream,
-                                            });
-                                            return;
-                                        }
+                                    if PeerLink::dial(addr, hello, target, peer_sink(&dial_tx))
+                                        .is_ok()
+                                    {
+                                        continue 'targets;
                                     }
                                     std::thread::sleep(Duration::from_millis(20));
                                 }
                                 eprintln!("aft-partyd: cannot reach party {target} at {addr}");
-                            });
-                        }
+                            }
+                        });
                     }
                     Some("go") if !started => {
                         started = true;
@@ -374,49 +369,48 @@ fn main() {
                             Err(e) => fatal(&e),
                         }
                     }
-                    Some("shutdown") => break,
+                    // `shutdown` never gets here: the flag above ends
+                    // the loop first.
                     _ => {}
                 }
             }
-            Event::Link {
-                party,
-                recovered,
-                stream,
-            } => {
-                if party >= n || party == args.party {
-                    continue;
+            Event::Peer { conn, event } => match event {
+                LinkEvent::Up {
+                    peer,
+                    recovered,
+                    link,
+                } => {
+                    if peer >= n || peer == args.party {
+                        eprintln!("aft-partyd: refusing a link that claims to be party {peer}");
+                        continue;
+                    }
+                    daemon.add_link(peer, recovered, link, conn);
+                    if !meshed_reported && daemon.links_up() == n - 1 {
+                        meshed_reported = true;
+                        println!("meshed");
+                        let _ = std::io::stdout().flush();
+                    }
                 }
-                daemon.add_link(party, recovered, stream, &tx);
-                if !meshed_reported && daemon.links_up() == n - 1 {
-                    meshed_reported = true;
-                    println!("meshed");
-                    let _ = std::io::stdout().flush();
+                LinkEvent::Frame(envelope) => {
+                    // Frames of a replaced connection have no owner.
+                    if let Some(party) = daemon.owner_of(conn) {
+                        daemon.receive(party, &envelope);
+                    }
                 }
-            }
-            Event::Frame { from, gen, bytes } => {
-                if daemon.links[from].as_ref().is_none_or(|l| l.gen != gen) {
-                    continue; // stale link generation
+                LinkEvent::Down => {
+                    if let Some(party) = daemon.owner_of(conn) {
+                        daemon.links[party] = None;
+                    }
                 }
-                let Some((src, session, payload)) = decode_envelope(&bytes) else {
-                    eprintln!("aft-partyd: malformed envelope header from {from}");
-                    continue;
-                };
-                let mut out = Vec::new();
-                if daemon.node.deliver(src, session, payload, &mut out) {
-                    daemon.delivered += 1;
+                LinkEvent::NoHello(e) => {
+                    eprintln!("aft-partyd: dropped a connection that sent no hello: {e}");
                 }
-                daemon.dispatch(out);
-            }
-            Event::PeerGone { party, gen } => {
-                if daemon.links[party].as_ref().is_some_and(|l| l.gen == gen) {
-                    daemon.links[party] = None;
-                }
-            }
+            },
         }
     }
     println!(
-        "metrics sent={} delivered={}",
-        daemon.sent, daemon.delivered
+        "metrics sent={} delivered={} rejected={}",
+        daemon.sent, daemon.delivered, daemon.rejected
     );
     println!("bye");
     let _ = std::io::stdout().flush();

@@ -3,14 +3,16 @@
 //! Runs a reference stack with one `aft-partyd` OS process per party,
 //! wired into a loopback TCP mesh and supervised over stdin/stdout (see
 //! `aft_bench::deployment`). `corrupt=recover:<vt>@p` maps onto a real
-//! SIGKILL after `vt` milliseconds plus a `--recovered` respawn whose
-//! peers replay their outboxes.
+//! SIGKILL `vt` milliseconds after `go` plus a `--recovered` respawn
+//! whose peers replay their outboxes. Each row ends with the run's
+//! phases in milliseconds (`DeployPhases`: spawn, ready, mesh, first
+//! output, all outputs, bye, reap).
 //!
 //! ```sh
 //! # one scenario
 //! cargo run --release -p aft-bench --bin exp_deployment -- \
 //!     --scenario 'n=4,t=1,corrupt=recover:300@3,rt=proc' --stack ba --seed 2
-//! # the CI smoke suite (BA, common subset, and a kill/restart leg)
+//! # the CI smoke suite (BA, common subset, a late and a mid-run kill/restart leg)
 //! cargo run --release -p aft-bench --bin exp_deployment -- --smoke
 //! ```
 //!
@@ -94,6 +96,13 @@ fn main() {
                 DeployStack::Ba,
                 3,
             ),
+            (
+                // The same kill 2 ms in: before anyone has decided, so
+                // the restarted party's peers are mid-protocol too.
+                "n=4,t=1,corrupt=recover:2@3,rt=proc".into(),
+                DeployStack::Ba,
+                3,
+            ),
         ]
     } else {
         let Some(spec) = cli.scenario.clone() else {
@@ -144,7 +153,7 @@ fn main() {
                 eprintln!("error: cannot write {}: {e}", summary.display());
             }
         }
-        rows.push(vec![
+        let mut row = vec![
             stack.label().to_string(),
             spec,
             seed.to_string(),
@@ -152,12 +161,26 @@ fn main() {
             report.restarts.to_string(),
             report.sent.to_string(),
             report.delivered.to_string(),
+            report.rejected.to_string(),
             if report.violations.is_empty() {
                 "ok".into()
             } else {
                 format!("{} violation(s)", report.violations.len())
             },
-        ]);
+        ];
+        let p = report.phases;
+        for phase in [
+            p.spawn,
+            p.ready,
+            p.mesh,
+            p.first_output,
+            p.all_outputs,
+            p.bye,
+            p.reap,
+        ] {
+            row.push(format!("{:.1}", phase.as_secs_f64() * 1e3));
+        }
+        rows.push(row);
     }
     out.table(
         "E13 — process-per-party deployment",
@@ -169,7 +192,15 @@ fn main() {
             "restarts",
             "sent",
             "delivered",
+            "rejected",
             "verdict",
+            "spawn ms",
+            "ready ms",
+            "mesh ms",
+            "first-out ms",
+            "all-out ms",
+            "bye ms",
+            "reap ms",
         ],
         &rows,
     );

@@ -12,7 +12,7 @@
 //! | daemon → supervisor | `ready <addr>` | listening socket is bound |
 //! | daemon → supervisor | `meshed` | all `n − 1` peer links are up |
 //! | daemon → supervisor | `output <text>` | the root session produced an output |
-//! | daemon → supervisor | `metrics sent=<u64> delivered=<u64>` | final counters |
+//! | daemon → supervisor | `metrics sent=<u64> delivered=<u64> rejected=<u64>` | final counters |
 //! | daemon → supervisor | `bye` | clean exit imminent |
 //! | supervisor → daemon | `peers <addr0> … <addr(n−1)>` | the mesh address book |
 //! | supervisor → daemon | `go` | spawn the protocol instance |
@@ -21,8 +21,9 @@
 //! `corrupt=recover:<vt>@p` does not reach the daemons: the simulator's
 //! scheduled recovery needs a virtual clock, so [`split_recover_spec`]
 //! strips those entries and maps each onto a supervisor [`RestartPlan`] —
-//! a real SIGKILL (`Child::kill`) after `vt` milliseconds, followed by a
-//! respawn with `--recovered`. The restarted daemon redials every peer;
+//! a real SIGKILL (`Child::kill`) `vt` milliseconds after `go`, once,
+//! followed by a respawn with `--recovered` — mid-run when `vt` is
+//! shorter than the run. The restarted daemon redials every peer;
 //! each live peer replaces its link and replays its full per-peer outbox,
 //! the socket-world analogue of the simulator's early-buffer replay, so
 //! the fresh instance sees every message the mesh ever sent it.
@@ -41,44 +42,12 @@ use aft_sim::{
     MuteAfter, PartyId, Payload, Scenario, SessionId, SessionTag, SilentInstance,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Writes one length-prefixed frame (`u32` little-endian length, then the
-/// bytes) — the socket framing both `aft-partyd` link directions use.
-pub fn write_frame(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
-}
-
-/// Reads one frame written by [`write_frame`]. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary; errors on truncation mid-frame.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    Ok(Some(bytes))
-}
-
-/// Per-frame size cap on the peer links — far above any protocol frame,
-/// low enough that a corrupted length prefix cannot balloon allocation.
-pub const MAX_FRAME: usize = 16 << 20;
 
 /// Which reference stack a deployment runs. The SVSS chain needs carries
 /// handed between two episodes and is not deployable process-per-party,
@@ -390,6 +359,42 @@ pub struct DeployReport {
     pub sent: u64,
     /// Sum of the daemons' final `delivered` counters.
     pub delivered: u64,
+    /// Sum of the daemons' final `rejected` counters: envelopes dropped
+    /// at a peer link because their header was malformed or their `from`
+    /// was not the link's owner. Zero unless a daemon misbehaves.
+    pub rejected: u64,
+    /// Where the run's wall time went.
+    pub phases: DeployPhases,
+}
+
+/// The consecutive phases of one supervised run. A phase the run never
+/// completed (it timed out first) reads zero, as do the ones after it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeployPhases {
+    /// Start of [`run_deployment`] until every daemon process is spawned.
+    pub spawn: Duration,
+    /// … until every daemon has printed `ready` and got the address book.
+    pub ready: Duration,
+    /// … until every daemon has printed `meshed` and been told `go`.
+    pub mesh: Duration,
+    /// `go` until the first expected output.
+    pub first_output: Duration,
+    /// First output until every expected output is in (through any
+    /// kill/restart legs) and `shutdown` is sent.
+    pub all_outputs: Duration,
+    /// … until every daemon has said `bye` or closed its stdout.
+    pub bye: Duration,
+    /// … until every daemon process is reaped and its stdout reader
+    /// thread joined.
+    pub reap: Duration,
+}
+
+impl DeployPhases {
+    /// `go` until every expected output — the protocol's own latency on
+    /// the mesh, free of process set-up and tear-down.
+    pub fn go_to_all_outputs(&self) -> Duration {
+        self.first_output + self.all_outputs
+    }
 }
 
 /// Events from a daemon's stdout reader thread. `gen` is the spawn
@@ -414,6 +419,8 @@ struct Supervisor {
     log_dir: Option<PathBuf>,
     tx: mpsc::Sender<FromChild>,
     procs: Vec<PartyProc>,
+    /// The stdout reader thread of every daemon ever spawned.
+    readers: Vec<JoinHandle<()>>,
 }
 
 impl Supervisor {
@@ -452,7 +459,7 @@ impl Supervisor {
         let stdout = child.stdout.take().expect("stdout piped");
         let gen = self.procs.get(party).map_or(0, |p| p.gen + 1);
         let tx = self.tx.clone();
-        std::thread::spawn(move || {
+        self.readers.push(std::thread::spawn(move || {
             for line in BufReader::new(stdout).lines() {
                 match line {
                     Ok(l) => {
@@ -464,7 +471,7 @@ impl Supervisor {
                 }
             }
             let _ = tx.send(FromChild::Eof(party, gen));
-        });
+        }));
         let proc = PartyProc { child, stdin, gen };
         if party < self.procs.len() {
             self.procs[party] = proc;
@@ -481,10 +488,16 @@ impl Supervisor {
         let _ = self.procs[party].stdin.flush();
     }
 
+    /// Kills and reaps every daemon, then joins their stdout readers —
+    /// each has hit EOF by then — so that back-to-back runs do not pile
+    /// up threads.
     fn kill_all(&mut self) {
         for proc in &mut self.procs {
             let _ = proc.child.kill();
             let _ = proc.child.wait();
+        }
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
         }
     }
 }
@@ -513,7 +526,8 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
     let n = scenario.n;
-    let deadline = Instant::now() + opts.timeout;
+    let t_start = Instant::now();
+    let deadline = t_start + opts.timeout;
     let (tx, rx) = mpsc::channel();
     let mut sup = Supervisor {
         partyd: partyd_path(opts.partyd.as_deref())?,
@@ -523,21 +537,27 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         log_dir: opts.log_dir.clone(),
         tx,
         procs: Vec::with_capacity(n),
+        readers: Vec::with_capacity(n),
     };
     for p in 0..n {
         sup.spawn_party(p, false)?;
     }
+    // Phase boundaries, in order; `None` until the run gets there.
+    let t_spawned = Instant::now();
+    let mut t_ready = None;
+    let mut t_go = None;
+    let mut t_first_output = None;
+    let mut t_all_outputs = None;
 
     let mut addrs: Vec<Option<String>> = vec![None; n];
     let mut meshed = vec![false; n];
     let mut started = vec![false; n];
     let mut outputs: Vec<Option<String>> = vec![None; n];
-    let mut metrics: HashMap<usize, (u64, u64)> = HashMap::new();
+    let mut metrics: HashMap<usize, [u64; 3]> = HashMap::new();
     let mut violations = Vec::new();
-    // Kill deadlines are armed once every initial daemon has been told
-    // `go` (index into `pending_kills` marks the next one due).
-    let mut pending_kills: Vec<RestartPlan> = restarts.clone();
-    pending_kills.sort_by_key(|k| k.after);
+    // Kills still to execute, soonest first: `(due, party)`. Armed once,
+    // when the initial daemons are told `go` — a respawned party's own
+    // `go` must not arm them again.
     let mut kill_deadlines: Vec<(Instant, usize)> = Vec::new();
     let mut kills_done = 0usize;
     let mut restarts_done = 0usize;
@@ -549,22 +569,12 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
     let expected: Vec<usize> = scenario.honest_parties().map(|p| p.0).collect();
 
     loop {
-        let all_started = started.iter().all(|&s| s);
-        if all_started && kill_deadlines.is_empty() && !pending_kills.is_empty() {
-            let t0 = Instant::now();
-            kill_deadlines = pending_kills
-                .iter()
-                .enumerate()
-                .map(|(i, k)| (t0 + k.after, i))
-                .collect();
-        }
         // Fire due kills.
-        while let Some(&(due, idx)) = kill_deadlines.first() {
+        while let Some(&(due, party)) = kill_deadlines.first() {
             if Instant::now() < due {
                 break;
             }
             kill_deadlines.remove(0);
-            let party = pending_kills[idx].party;
             let _ = sup.procs[party].child.kill();
             let _ = sup.procs[party].child.wait();
             outputs[party] = None;
@@ -573,7 +583,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
             kills_done += 1;
             sup.spawn_party(party, true)?;
         }
-        let done = kills_done == pending_kills.len()
+        let done = kills_done == restarts.len()
             && started.iter().all(|&s| s)
             && expected.iter().all(|&p| outputs[p].is_some());
         if done && !shutdown_sent {
@@ -581,6 +591,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
                 sup.send(p, "shutdown");
             }
             shutdown_sent = true;
+            t_all_outputs = Some(Instant::now());
         }
         if shutdown_sent && bye.iter().all(|&b| b) {
             break;
@@ -596,7 +607,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
                  ({}/{} kills executed)",
                 opts.timeout.as_secs(),
                 kills_done,
-                pending_kills.len()
+                restarts.len()
             ));
             break;
         }
@@ -644,6 +655,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
                         for p in 0..n {
                             sup.send(p, &peers_line);
                         }
+                        t_ready = Some(Instant::now());
                     }
                 }
             }
@@ -660,24 +672,31 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
                         sup.send(p, "go");
                         *s = true;
                     }
+                    let go = Instant::now();
+                    t_go = Some(go);
+                    kill_deadlines = restarts.iter().map(|k| (go + k.after, k.party)).collect();
+                    kill_deadlines.sort();
                 }
             }
             Some("output") => {
                 if let Some(text) = words.next() {
                     outputs[party] = Some(text.to_string());
+                    if expected.contains(&party) {
+                        t_first_output.get_or_insert_with(Instant::now);
+                    }
                 }
             }
             Some("metrics") => {
-                let mut sent = 0;
-                let mut delivered = 0;
-                for w in words {
-                    if let Some(v) = w.strip_prefix("sent=") {
-                        sent = v.parse().unwrap_or(0);
-                    } else if let Some(v) = w.strip_prefix("delivered=") {
-                        delivered = v.parse().unwrap_or(0);
-                    }
-                }
-                metrics.insert(party, (sent, delivered));
+                // Parsed by prefix, so daemons may add counters.
+                let counter = |name: &str| {
+                    line.split_whitespace()
+                        .find_map(|w| w.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+                        .unwrap_or(0)
+                };
+                metrics.insert(
+                    party,
+                    [counter("sent"), counter("delivered"), counter("rejected")],
+                );
             }
             Some("bye") => {
                 bye[party] = true;
@@ -685,17 +704,44 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
             _ => {}
         }
     }
+    let t_bye = Instant::now();
     sup.kill_all();
+    let t_reaped = Instant::now();
     violations.extend(opts.stack.check_outputs(&scenario, opts.seed, &outputs));
-    let (sent, delivered) = metrics
-        .values()
-        .fold((0, 0), |(s, d), &(ms, md)| (s + ms, d + md));
+    let total = |i: usize| metrics.values().map(|m| m[i]).sum::<u64>();
+    // Consecutive boundaries; each one reached implies the one before.
+    let marks = [
+        Some(t_start),
+        Some(t_spawned),
+        t_ready,
+        t_go,
+        t_first_output,
+        t_all_outputs,
+        t_all_outputs.and(Some(t_bye)),
+        t_all_outputs.and(Some(t_reaped)),
+    ];
+    let phase = |i: usize| {
+        marks[i]
+            .zip(marks[i + 1])
+            .map_or(Duration::ZERO, |(a, b)| b.saturating_duration_since(a))
+    };
+    let phases = DeployPhases {
+        spawn: phase(0),
+        ready: phase(1),
+        mesh: phase(2),
+        first_output: phase(3),
+        all_outputs: phase(4),
+        bye: phase(5),
+        reap: phase(6),
+    };
     Ok(DeployReport {
         outputs,
         violations,
         restarts: restarts_done,
-        sent,
-        delivered,
+        sent: total(0),
+        delivered: total(1),
+        rejected: total(2),
+        phases,
     })
 }
 
@@ -810,18 +856,5 @@ mod tests {
             .check_outputs(&scenario, 9, &oob)
             .iter()
             .any(|v| v.contains("subset-members")));
-    }
-
-    #[test]
-    fn frames_round_trip_and_reject_oversize() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-        let huge = (u32::MAX).to_le_bytes();
-        assert!(read_frame(&mut &huge[..]).is_err());
     }
 }

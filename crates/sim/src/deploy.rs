@@ -25,15 +25,47 @@
 //! so a frame is self-describing given the process-global
 //! [`CodecRegistry`](crate::wire::CodecRegistry) — the same property the
 //! `garbage`/`equivocate` adversaries rely on.
+//!
+//! # Peer links
+//!
+//! The socket side of the deployment lives here too, once: a
+//! [`PeerLink`] is one TCP connection between two daemons, opened by a
+//! 5-byte [`Hello`] from the dialing side and carrying envelopes as
+//! `[len: u32][envelope]` frames ([`write_frame`] / [`FrameReader`]).
+//!
+//! * Both ends set `TCP_NODELAY`. Protocol traffic is hundreds of
+//!   envelopes of a few dozen bytes, each one waited for by the peer's
+//!   next step; with Nagle's algorithm on, every second small write sat
+//!   in the kernel until the receiver's delayed ACK (40 ms on Linux)
+//!   released it.
+//! * The writer thread blocks for one envelope, drains whatever else is
+//!   queued, and ships the burst with a single `write_all`, so an
+//!   outbox replay after a restart costs a
+//!   handful of syscalls, not two per envelope. A writer *thread* per
+//!   link stays: a Byzantine peer that stops reading must stall its own
+//!   link, never the owner's main loop.
+//! * The reader pulls through [`FrameReader`]'s buffer — one `read`
+//!   serves every frame it returned — and yields each envelope as a
+//!   [`FrameBytes`] slice of the burst it arrived in, which
+//!   [`decode_link_envelope`] turns into a payload without copying it
+//!   again.
+//! * An envelope's `from` must be the party the link belongs to:
+//!   [`decode_link_envelope`] refuses anything else, so a Byzantine
+//!   daemon can speak only for itself.
 
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::node::Node;
-use crate::payload::Payload;
+use crate::payload::{FrameBytes, Payload};
 use crate::runtime::{build_node, Metrics, NetConfig, RunReport, Runtime};
 use crate::threaded::ThreadedRuntime;
 use crate::trace::{TraceMode, TraceSink};
-use crate::wire::{get_session, put_session, WireReader, WireWriter};
+use crate::wire::{get_session, put_session, WireReader, WireWriter, FRAME_HEADER_LEN};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Builds party `party`'s [`Node`] for a configured system — the same
 /// constructor (and per-party RNG derivation) every in-process backend
@@ -65,6 +97,18 @@ pub fn encode_envelope(
     }
 }
 
+/// Splits an envelope into its routing header and the offset at which
+/// the payload frame starts; `None` when the header is malformed.
+fn split_envelope(bytes: &[u8]) -> Option<(PartyId, SessionId, usize)> {
+    let mut r = WireReader::new(bytes);
+    let from = PartyId(r.u32()? as usize);
+    let session = get_session(&mut r)?;
+    if r.remaining() < FRAME_HEADER_LEN {
+        return None;
+    }
+    Some((from, session, bytes.len() - r.remaining()))
+}
+
 /// Decodes one envelope produced by [`encode_envelope`].
 ///
 /// The payload comes back in its lazy wire representation (decoded on
@@ -72,16 +116,327 @@ pub fn encode_envelope(
 /// malformed body is charged to the receiving instance as a decode
 /// miss — exactly the `wire` backend's semantics — rather than failing
 /// here. Returns `None` only when the routing header itself is
-/// malformed.
+/// malformed. The claimed sender is returned as read: bytes that came
+/// off a peer link go through [`decode_link_envelope`], which checks it.
 pub fn decode_envelope(bytes: &[u8]) -> Option<(PartyId, SessionId, Payload)> {
-    let mut r = WireReader::new(bytes);
-    let from = PartyId(r.u32()? as usize);
-    let session = get_session(&mut r)?;
-    let frame = r.rest();
-    if frame.len() < crate::wire::FRAME_HEADER_LEN {
-        return None;
+    let (from, session, at) = split_envelope(bytes)?;
+    let frame = bytes[at..].to_vec();
+    Some((from, session, Payload::from_wire_global(frame)))
+}
+
+/// Decodes an envelope that arrived on the link owned by party `owner`,
+/// keeping the payload a slice of the burst [`FrameReader`] read it in.
+///
+/// Returns `None` — the envelope must be dropped and counted — when the
+/// routing header is malformed or names any sender but `owner`: a link
+/// speaks for the party that opened it and for nobody else, whatever
+/// its bytes claim (another party's id, or one past `n`).
+pub fn decode_link_envelope(owner: PartyId, envelope: &FrameBytes) -> Option<(SessionId, Payload)> {
+    let (from, session, at) = split_envelope(envelope)?;
+    (from == owner).then(|| {
+        let frame = envelope.slice_from(at);
+        (session, Payload::from_wire_global(frame))
+    })
+}
+
+/// Per-frame size cap on the peer links — far above any protocol frame,
+/// low enough that a corrupted length prefix cannot balloon allocation.
+pub const MAX_FRAME: usize = 16 << 20;
+
+/// Read-buffer size of a [`FrameReader`]: dozens of protocol envelopes
+/// per `read`, small enough that a link costs its daemon next to nothing.
+/// (A larger frame grows the buffer to its own size.)
+const READ_BUF: usize = 8 << 10;
+
+/// Most bytes a link's writer coalesces into one write, so that an
+/// outbox replay of any length holds a bounded buffer.
+const BURST_CAP: usize = 64 << 10;
+
+/// How long an accepted connection may take to send its [`Hello`].
+pub const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Appends one length-prefixed frame (`u32` little-endian length, then
+/// the bytes) to `out` — the framing both peer-link directions use.
+///
+/// # Panics
+///
+/// Panics if `bytes` is longer than [`MAX_FRAME`], which no reader
+/// would accept.
+pub fn write_frame(out: &mut Vec<u8>, bytes: &[u8]) {
+    assert!(bytes.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
+    WireWriter::u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+/// Drains `queue` into `w` until every sender is gone: blocks for one
+/// envelope, takes whatever else is already queued (up to
+/// [`BURST_CAP`] bytes), and writes the whole burst — each envelope
+/// framed by [`write_frame`] — with a single `write_all`.
+fn write_bursts(queue: &Receiver<Arc<[u8]>>, w: &mut impl Write) -> io::Result<()> {
+    let mut burst = Vec::new();
+    while let Ok(first) = queue.recv() {
+        burst.clear();
+        write_frame(&mut burst, &first);
+        while burst.len() < BURST_CAP {
+            match queue.try_recv() {
+                Ok(next) => write_frame(&mut burst, &next),
+                Err(_) => break,
+            }
+        }
+        w.write_all(&burst)?;
     }
-    Some((from, session, Payload::from_wire_global(frame.to_vec())))
+    Ok(())
+}
+
+/// Reads [`write_frame`] frames, many per `read`.
+///
+/// The socket is read into a private buffer; the whole frames a read
+/// completed are then moved, together, into one shared allocation of
+/// exactly their size, and each is returned as a [`FrameBytes`] range
+/// of it. So a burst of `k` envelopes costs one `read` and one
+/// allocation, and an envelope a protocol holds on to keeps alive the
+/// burst it arrived in, not a read buffer.
+pub struct FrameReader<R> {
+    inner: R,
+    /// Bytes received and not yet moved out live in `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Whole, length-checked frames; those before `next` are handed out.
+    burst: Arc<Vec<u8>>,
+    next: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; nothing is read until the first
+    /// [`read_frame`](FrameReader::read_frame).
+    pub fn new(inner: R) -> Self {
+        FrameReader {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            burst: Arc::new(Vec::new()),
+            next: 0,
+        }
+    }
+
+    /// The next frame. `Ok(None)` is a clean EOF at a frame boundary; an
+    /// EOF inside a frame and a length above [`MAX_FRAME`] are errors.
+    pub fn read_frame(&mut self) -> io::Result<Option<FrameBytes>> {
+        loop {
+            if let Some(prefix) = self.burst[self.next..].first_chunk::<4>() {
+                let start = self.next + 4;
+                self.next = start + u32::from_le_bytes(*prefix) as usize;
+                let frame = FrameBytes::from_shared(&self.burst, start, self.next);
+                return Ok(Some(frame));
+            }
+            // Measure the whole frames received; `need` is the size of
+            // the first one that is not whole yet.
+            let have = &self.buf[self.start..self.end];
+            let mut whole = 0;
+            let mut need = 4;
+            while let Some(prefix) = have[whole..].first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                if len > MAX_FRAME {
+                    if whole > 0 {
+                        break; // hand out the frames before it first
+                    }
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
+                    ));
+                }
+                if have.len() - whole < 4 + len {
+                    need = 4 + len;
+                    break;
+                }
+                whole += 4 + len;
+            }
+            if whole > 0 {
+                self.burst = Arc::new(have[..whole].to_vec());
+                self.next = 0;
+                self.start += whole;
+            } else if self.fill(need)? == 0 {
+                return if self.start == self.end {
+                    Ok(None)
+                } else {
+                    Err(io::ErrorKind::UnexpectedEof.into())
+                };
+            }
+        }
+    }
+
+    /// Reads once into the room behind the received bytes, after moving
+    /// them to the front and making room for a frame of `need` bytes.
+    fn fill(&mut self, need: usize) -> io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let size = need.max(READ_BUF);
+        if self.buf.len() < size {
+            self.buf.resize(size, 0);
+        }
+        loop {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// What the dialing side of a peer link says first: who it is, and
+/// whether it is a restarted daemon whose peer should replace its old
+/// link and replay its outbox.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hello {
+    /// The dialing party.
+    pub party: usize,
+    /// Set by a daemon respawned after a kill.
+    pub recovered: bool,
+}
+
+impl Hello {
+    /// Encoded size: `u32` little-endian party id, one flag byte.
+    pub const LEN: usize = 5;
+
+    /// The bytes the dialing side sends.
+    pub fn to_bytes(&self) -> [u8; Hello::LEN] {
+        let [a, b, c, d] = (self.party as u32).to_le_bytes();
+        [a, b, c, d, self.recovered as u8]
+    }
+
+    /// Inverse of [`to_bytes`](Hello::to_bytes). The party id is taken
+    /// as sent: range-check it against `n` before indexing with it.
+    pub fn from_bytes(bytes: [u8; Hello::LEN]) -> Hello {
+        let [a, b, c, d, flag] = bytes;
+        Hello {
+            party: u32::from_le_bytes([a, b, c, d]) as usize,
+            recovered: flag != 0,
+        }
+    }
+}
+
+/// What a link reports to its owner, in this order: one
+/// [`Up`](LinkEvent::Up), any number of [`Frame`](LinkEvent::Frame)s,
+/// one [`Down`](LinkEvent::Down) — or a lone
+/// [`NoHello`](LinkEvent::NoHello).
+pub enum LinkEvent {
+    /// The link is established; `link` is its sending half.
+    Up {
+        /// The party at the other end: the one dialed, or the one the
+        /// accepted connection's [`Hello`] names (not yet range-checked).
+        peer: usize,
+        /// The peer announced itself as restarted.
+        recovered: bool,
+        /// Handle for sending envelopes to the peer.
+        link: PeerLink,
+    },
+    /// One envelope from the peer, still undecoded.
+    Frame(FrameBytes),
+    /// The connection ended (EOF, I/O error, or a malformed frame).
+    Down,
+    /// An accepted connection sent no complete [`Hello`] within
+    /// [`HELLO_TIMEOUT`] and was dropped.
+    NoHello(io::Error),
+}
+
+/// The sending half of one peer link; dropping it closes the link.
+pub struct PeerLink {
+    queue: Sender<Arc<[u8]>>,
+}
+
+impl PeerLink {
+    /// Connects to `addr`, introduces this side as `me`, and starts the
+    /// link to party `peer`. Events go to `events`, called on the link's
+    /// reader thread until it returns `false` (the owner is gone).
+    pub fn dial(
+        addr: &str,
+        me: Hello,
+        peer: usize,
+        events: impl FnMut(LinkEvent) -> bool + Send + 'static,
+    ) -> io::Result<()> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.write_all(&me.to_bytes())?;
+        PeerLink::start(stream, Some(peer), events)
+    }
+
+    /// Starts the link on an accepted connection. The peer's [`Hello`]
+    /// is read on the link's own thread, so a connection that says
+    /// nothing holds up no other link.
+    pub fn accept(
+        stream: TcpStream,
+        events: impl FnMut(LinkEvent) -> bool + Send + 'static,
+    ) -> io::Result<()> {
+        stream.set_nodelay(true)?;
+        PeerLink::start(stream, None, events)
+    }
+
+    /// Queues one envelope for the peer. Never blocks; an envelope
+    /// queued on a dead link is dropped with it.
+    pub fn send(&self, envelope: Arc<[u8]>) {
+        let _ = self.queue.send(envelope);
+    }
+
+    /// Spawns the link's two threads. They are detached on purpose: the
+    /// writer may sit in `write_all` for as long as a peer refuses to
+    /// read, and nobody may wait for that. The writer ends when the
+    /// [`PeerLink`] is dropped or a write fails and shuts the socket
+    /// down, which ends the reader.
+    fn start(
+        mut stream: TcpStream,
+        dialed: Option<usize>,
+        mut events: impl FnMut(LinkEvent) -> bool + Send + 'static,
+    ) -> io::Result<()> {
+        let mut writer = stream.try_clone()?;
+        let (queue, queued) = channel();
+        std::thread::spawn(move || {
+            let _ = write_bursts(&queued, &mut writer);
+            let _ = writer.shutdown(Shutdown::Both);
+        });
+        let link = PeerLink { queue };
+        std::thread::spawn(move || {
+            let (peer, recovered) = match dialed {
+                Some(peer) => (peer, false),
+                None => match read_hello(&mut stream) {
+                    Ok(hello) => (hello.party, hello.recovered),
+                    Err(e) => {
+                        events(LinkEvent::NoHello(e));
+                        return;
+                    }
+                },
+            };
+            if !events(LinkEvent::Up {
+                peer,
+                recovered,
+                link,
+            }) {
+                return;
+            }
+            let mut frames = FrameReader::new(stream);
+            while let Ok(Some(frame)) = frames.read_frame() {
+                if !events(LinkEvent::Frame(frame)) {
+                    return;
+                }
+            }
+            events(LinkEvent::Down);
+        });
+        Ok(())
+    }
+}
+
+fn read_hello(stream: &mut TcpStream) -> io::Result<Hello> {
+    stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
+    let mut bytes = [0; Hello::LEN];
+    stream.read_exact(&mut bytes)?;
+    stream.set_read_timeout(None)?;
+    Ok(Hello::from_bytes(bytes))
 }
 
 /// The in-process stand-in for the process-per-party deployment
@@ -212,6 +567,236 @@ mod tests {
         }
     }
 
+    fn envelope(from: usize, msg: u8) -> Vec<u8> {
+        let mut buf = Vec::new();
+        assert!(encode_envelope(
+            PartyId(from),
+            &sid(),
+            &Payload::message(msg),
+            &mut buf
+        ));
+        buf
+    }
+
+    #[test]
+    fn link_envelope_must_come_from_the_link_owner() {
+        let from_two = FrameBytes::from(envelope(2, 7));
+        let (session, payload) =
+            decode_link_envelope(PartyId(2), &from_two).expect("owner's own envelope");
+        assert_eq!(session, sid());
+        assert_eq!(payload.to_msg::<u8>(), Some(7));
+        // Another party's id, and one no party has, are both refused —
+        // the bytes themselves are well-formed.
+        assert!(decode_link_envelope(PartyId(3), &from_two).is_none());
+        let from_nobody = FrameBytes::from(envelope(99, 7));
+        assert!(decode_envelope(&from_nobody).is_some());
+        assert!(decode_link_envelope(PartyId(3), &from_nobody).is_none());
+        // A malformed header is refused whoever owns the link.
+        let cut = FrameBytes::from(from_two[..5].to_vec());
+        assert!(decode_link_envelope(PartyId(2), &cut).is_none());
+    }
+
+    /// Counts `write` calls; hands out its bytes in reads of `chunk`.
+    struct Pipe {
+        bytes: Vec<u8>,
+        writes: usize,
+        reads: usize,
+        chunk: usize,
+    }
+
+    impl Pipe {
+        fn holding(bytes: Vec<u8>, chunk: usize) -> Pipe {
+            Pipe {
+                bytes,
+                writes: 0,
+                reads: 0,
+                chunk,
+            }
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn queued_envelopes_leave_in_one_write_in_order() {
+        let (tx, rx) = channel::<Arc<[u8]>>();
+        for i in 0..40u8 {
+            tx.send(envelope(1, i).into()).unwrap();
+        }
+        drop(tx);
+        let mut pipe = Pipe::holding(Vec::new(), usize::MAX);
+        write_bursts(&rx, &mut pipe).unwrap();
+        assert_eq!(pipe.writes, 1, "one burst, one write");
+
+        // ... and the reader gets all of them back from one read.
+        let mut frames = FrameReader::new(pipe);
+        for i in 0..40u8 {
+            let frame = frames.read_frame().unwrap().expect("a frame");
+            assert_eq!(&frame[..], &envelope(1, i)[..], "frame {i}");
+        }
+        assert!(frames.read_frame().unwrap().is_none(), "clean EOF");
+        assert_eq!(frames.inner.reads, 2, "one read for the data, one for EOF");
+    }
+
+    #[test]
+    fn bursts_are_capped() {
+        let (tx, rx) = channel::<Arc<[u8]>>();
+        let big: Arc<[u8]> = vec![0xEE; BURST_CAP / 2 + 1].into();
+        for _ in 0..4 {
+            tx.send(Arc::clone(&big)).unwrap();
+        }
+        drop(tx);
+        let mut pipe = Pipe::holding(Vec::new(), usize::MAX);
+        write_bursts(&rx, &mut pipe).unwrap();
+        assert_eq!(pipe.writes, 2, "two envelopes reach the cap");
+        assert_eq!(pipe.bytes.len(), 4 * (4 + big.len()));
+    }
+
+    #[test]
+    fn frames_survive_any_read_chunking_and_outlive_the_buffer() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, b"hello");
+        write_frame(&mut bytes, b"");
+        let long = vec![0x5A; 3 * READ_BUF];
+        write_frame(&mut bytes, &long);
+        write_frame(&mut bytes, b"tail");
+        for chunk in [1, 3, 7, READ_BUF, usize::MAX] {
+            let mut frames = FrameReader::new(Pipe::holding(bytes.clone(), chunk));
+            // Frames are kept alive across later reads: the reader must
+            // move on to a fresh buffer, not overwrite theirs.
+            let mut got = Vec::new();
+            while let Some(frame) = frames.read_frame().unwrap() {
+                got.push(frame);
+            }
+            let got: Vec<&[u8]> = got.iter().map(|f| &f[..]).collect();
+            assert_eq!(got, [b"hello", &b""[..], &long, b"tail"], "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn truncated_and_oversized_frames_are_errors() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, b"whole");
+        write_frame(&mut bytes, b"truncated");
+        for cut in [bytes.len() - 1, bytes.len() - 9, bytes.len() - 11] {
+            let mut frames = FrameReader::new(Pipe::holding(bytes[..cut].to_vec(), usize::MAX));
+            assert_eq!(&frames.read_frame().unwrap().unwrap()[..], b"whole");
+            let err = frames.read_frame().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+        // An oversized length is refused when its turn comes, not before.
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, b"whole");
+        bytes.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let mut frames = FrameReader::new(Pipe::holding(bytes, usize::MAX));
+        assert_eq!(&frames.read_frame().unwrap().unwrap()[..], b"whole");
+        let err = frames.read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn hello_round_trips() {
+        for hello in [
+            Hello {
+                party: 0,
+                recovered: false,
+            },
+            Hello {
+                party: 0x0102_0304,
+                recovered: true,
+            },
+        ] {
+            assert_eq!(Hello::from_bytes(hello.to_bytes()), hello);
+        }
+    }
+
+    #[test]
+    fn links_carry_envelopes_both_ways_and_report_silent_connections() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (tx, rx) = channel();
+        let sink = |side: &'static str| {
+            let tx = tx.clone();
+            move |ev| tx.send((side, ev)).is_ok()
+        };
+
+        // A connection that never says hello is reported and dropped ...
+        let silent = TcpStream::connect(&addr).unwrap();
+        PeerLink::accept(listener.accept().unwrap().0, sink("silent")).unwrap();
+        // ... and does not keep the next link from coming up meanwhile.
+        let me = Hello {
+            party: 1,
+            recovered: true,
+        };
+        PeerLink::dial(&addr, me, 0, sink("dialer")).unwrap();
+        PeerLink::accept(listener.accept().unwrap().0, sink("acceptor")).unwrap();
+
+        let mut up = Vec::new();
+        while up.len() < 2 {
+            match rx.recv().unwrap() {
+                (
+                    side,
+                    LinkEvent::Up {
+                        peer,
+                        recovered,
+                        link,
+                    },
+                ) => up.push((side, peer, recovered, link)),
+                (side, _) => panic!("unexpected event from {side} before the links are up"),
+            }
+        }
+        up.sort_by_key(|&(side, ..)| side);
+        let [(_, 1, true, to_dialer), (_, 0, false, to_acceptor)] = &up[..] else {
+            panic!("acceptor sees the hello, dialer the party it dialed");
+        };
+        to_acceptor.send(envelope(1, 10).into());
+        to_dialer.send(envelope(0, 20).into());
+        for _ in 0..2 {
+            match rx.recv().unwrap() {
+                ("acceptor", LinkEvent::Frame(f)) => assert_eq!(&f[..], &envelope(1, 10)[..]),
+                ("dialer", LinkEvent::Frame(f)) => assert_eq!(&f[..], &envelope(0, 20)[..]),
+                (side, _) => panic!("unexpected event from {side}"),
+            }
+        }
+        // Dropping one sending half closes the link at both ends.
+        drop(up);
+        let mut down = Vec::new();
+        for _ in 0..2 {
+            match rx.recv().unwrap() {
+                (side, LinkEvent::Down) => down.push(side),
+                (side, _) => panic!("unexpected event from {side}"),
+            }
+        }
+        down.sort();
+        assert_eq!(down, ["acceptor", "dialer"]);
+        // The silent connection times out on its own thread.
+        match rx.recv().unwrap() {
+            ("silent", LinkEvent::NoHello(_)) => {}
+            (side, _) => panic!("unexpected event from {side}"),
+        }
+        drop(silent);
+    }
+
     #[test]
     fn party_node_matches_backend_nodes() {
         // Same constructor ⇒ same identity and per-party RNG stream as
@@ -223,10 +808,10 @@ mod tests {
     }
 
     /// Greets everyone; outputs after hearing from all n parties.
-    struct Hello {
+    struct Greeter {
         heard: usize,
     }
-    impl Instance for Hello {
+    impl Instance for Greeter {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             ctx.send_all(1u8);
         }
@@ -243,7 +828,7 @@ mod tests {
         let mut rt = runtime_by_name("proc:4", NetConfig::new(4, 1, 7)).unwrap();
         assert_eq!(rt.backend_name(), "proc");
         for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
+            rt.spawn(PartyId(p), sid(), Box::new(Greeter { heard: 0 }));
         }
         let report = rt.run(1_000_000);
         assert_eq!(report.stop, StopReason::Quiescent);
@@ -253,6 +838,6 @@ mod tests {
         // No supervisor in-process: scheduled recovery is refused.
         let mut rt = runtime_by_name("proc", NetConfig::new(4, 1, 7)).unwrap();
         rt.crash(PartyId(3));
-        assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Hello { heard: 0 })));
+        assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Greeter { heard: 0 })));
     }
 }

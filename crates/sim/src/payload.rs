@@ -75,6 +75,16 @@ impl FrameBytes {
         }
     }
 
+    /// The sub-frame from byte `at` to the end, sharing the same buffer.
+    pub(crate) fn slice_from(&self, at: usize) -> Self {
+        assert!(at <= self.len(), "slice_from past the end of the frame");
+        FrameBytes {
+            buf: Arc::clone(&self.buf),
+            start: self.start + at as u32,
+            end: self.end,
+        }
+    }
+
     /// The frame's bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[self.start as usize..self.end as usize]
