@@ -353,38 +353,12 @@ fn bench_trace_off(c: &mut Criterion) {
     });
 }
 
-/// The virtual clock's per-delivery cost: the same BA run as
-/// `trace/off_overhead`, but under the `net:` discrete-event scheduler
-/// (uniform 1..8 virtual-ms latency, no partitions). The delta over the
-/// order-only schedulers is the price of arrival-time sampling, the
-/// earliest-arrival pick, and virtual-time metric accounting. Guarded by
-/// the bench regression gate as `net/clock_overhead`.
-fn bench_net_clock(c: &mut Criterion) {
-    c.bench_function("net/clock_overhead", |b| {
-        b.iter(|| {
-            let mut net = SimNetwork::new(
-                NetConfig::new(7, 2, 7),
-                scheduler_by_name("net:lat=1..8").unwrap(),
-            );
-            for p in 0..7 {
-                net.spawn(
-                    PartyId(p),
-                    sid(),
-                    Box::new(BinaryBa::new(p % 2 == 0, Box::new(OracleCoin::new(1)))),
-                );
-            }
-            net.run(u64::MAX);
-            net
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_acast, bench_svss, bench_ba, bench_common_subset,
               bench_coin_flip, bench_fair_choice, bench_fba,
               bench_ba_sweep_n64, bench_ba_sweep_n256, bench_delivery_queue,
-              bench_codec, bench_session_id, bench_trace_off, bench_net_clock
+              bench_codec, bench_session_id, bench_trace_off
 }
 criterion_main!(benches);

@@ -18,15 +18,16 @@
 //! `peers` address book; mesh (dial every lower-numbered party, accept
 //! the rest — a restarted daemon dials *everyone* with the `recovered`
 //! hello flag, prompting each peer to replace its link and replay its
-//! outbox); print `meshed`; on `go`, spawn the scenario-assigned
-//! instance and run the delivery loop; on `shutdown` (or supervisor
-//! EOF), print final counters and exit.
+//! outbox); print `meshed`; on `go`, spawn the instance
+//! `Scenario::party_instance` assigns this party — the function the
+//! simulator deploys every party with — and run the delivery loop; on
+//! `shutdown` (or supervisor EOF), print final counters and exit.
 //!
 //! Threads: main loop, stdin reader, acceptor, and a reader and a writer
 //! per peer link (`3 + 2(n − 1)`), plus one short-lived dialer while the
 //! mesh forms.
 
-use aft_bench::deployment::{instance_for, DeployStack};
+use aft_bench::deployment::DeployStack;
 use aft_core::scenarios::standard_registry;
 use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
 use aft_sim::{encode_envelope, party_node, Outgoing, PartyId, Scenario};
@@ -242,6 +243,11 @@ impl Daemon {
 
 fn main() {
     let args = parse_args();
+    // The stack's one episode: its name is what attacks are told they
+    // run in, its session where the instance is spawned.
+    let Ok([(episode, session)]) = <[_; 1]>::try_from(args.stack.episodes()) else {
+        fatal("--stack must be ba or common-subset: a daemon hosts a single episode");
+    };
     let registry = standard_registry();
     let config = args.scenario.config(args.seed);
     let me = PartyId(args.party);
@@ -295,7 +301,7 @@ fn main() {
     let mut daemon = Daemon {
         me,
         node: party_node(&config, args.party),
-        session: args.stack.session(),
+        session,
         links: (0..n).map(|_| None).collect(),
         outbox: vec![Vec::new(); n],
         scratch: Vec::new(),
@@ -354,7 +360,13 @@ fn main() {
                     }
                     Some("go") if !started => {
                         started = true;
-                        match instance_for(&args.scenario, &registry, args.stack, me, args.seed) {
+                        let (scenario, seed) = (&args.scenario, args.seed);
+                        let built =
+                            scenario.party_instance(&registry, episode, me, seed, None, || {
+                                args.stack
+                                    .honest_instance(episode, me, scenario, seed, None)
+                            });
+                        match built {
                             Ok((instance, crash)) => {
                                 let out = daemon.node.spawn(daemon.session.clone(), instance);
                                 if crash {

@@ -23,8 +23,7 @@
 
 use aft_bench::{output_arg, trials};
 use aft_core::scenarios::{
-    repro_dir, run_cell, run_cell_traced, standard_registry, write_repro_bundle, CellReport,
-    StackKind,
+    run_cell, run_cell_to_bundle, standard_registry, CellReport, StackKind, STEP_BUDGET,
 };
 use aft_sim::{MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
@@ -168,12 +167,8 @@ fn run_matrix(
         // so the replay reproduces the violation bit-for-bit) and
         // drop a repro bundle.
         if let Some(scenario) = Scenario::parse(&cell.spec) {
-            let (report, events) =
-                run_cell_traced(kind, &scenario, cell.seed, registry, TraceMode::Ring(4096));
-            match write_repro_bundle(&repro_dir(), kind, &scenario, cell.seed, &report, &events) {
-                Ok(bundle) => eprintln!("repro bundle: {}", bundle.display()),
-                Err(e) => eprintln!("repro bundle write failed: {e}"),
-            }
+            let ring = TraceMode::Ring(4096);
+            run_cell_to_bundle(kind, &scenario, cell.seed, registry, STEP_BUDGET, ring);
         }
     }
     // Reproducibility: re-sweep and compare the deterministic cells
@@ -224,12 +219,8 @@ fn run_single(spec: &str) {
         );
         if !report.violations.is_empty() {
             unsafe_cells += 1;
-            let (traced, events) =
-                run_cell_traced(kind, &scenario, 1, &registry, TraceMode::Ring(4096));
-            match write_repro_bundle(&repro_dir(), kind, &scenario, 1, &traced, &events) {
-                Ok(bundle) => eprintln!("repro bundle: {}", bundle.display()),
-                Err(e) => eprintln!("repro bundle write failed: {e}"),
-            }
+            let ring = TraceMode::Ring(4096);
+            run_cell_to_bundle(kind, &scenario, 1, &registry, STEP_BUDGET, ring);
         }
     }
     if unsafe_cells > 0 {

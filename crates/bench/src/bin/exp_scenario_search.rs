@@ -28,9 +28,7 @@
 //! determinism check fails.
 
 use aft_bench::{output_arg, trials};
-use aft_core::scenarios::{
-    repro_dir, run_cell_instrumented, standard_registry, write_repro_bundle,
-};
+use aft_core::scenarios::{run_cell_to_bundle, standard_registry};
 use aft_core::search::{
     search_round, shrink, spec_tokens, Corpus, FoundViolation, Shrunk, SEARCH_STEP_BUDGET,
 };
@@ -90,7 +88,7 @@ fn shrink_and_bundle(
     // Replay the minimized cell with the flight recorder for the bundle;
     // cells are pure functions of (scenario, seed), so this reproduces
     // the shrunk report bit-for-bit.
-    let replay = run_cell_instrumented(
+    run_cell_to_bundle(
         shrunk.entry.stack,
         &scenario,
         shrunk.entry.seed,
@@ -98,17 +96,6 @@ fn shrink_and_bundle(
         budget,
         TraceMode::Ring(4096),
     );
-    match write_repro_bundle(
-        &repro_dir(),
-        shrunk.entry.stack,
-        &scenario,
-        shrunk.entry.seed,
-        &replay.report,
-        &replay.events,
-    ) {
-        Ok(bundle) => eprintln!("repro bundle: {}", bundle.display()),
-        Err(e) => eprintln!("repro bundle write failed: {e}"),
-    }
     Some(shrunk)
 }
 

@@ -24,7 +24,7 @@
 
 use aft_bench::{output_arg, trace_arg, write_trace_files, Output};
 use aft_core::scenarios::{
-    repro_dir, run_cell_traced, standard_registry, write_repro_bundle, StackKind,
+    repro_dir, run_cell_to_bundle, standard_registry, StackKind, STEP_BUDGET,
 };
 use aft_sim::trace::depth_histograms;
 use aft_sim::{AttackRegistry, Scenario, TraceMode};
@@ -123,7 +123,8 @@ fn run_traced(
     registry: &AttackRegistry,
     path: &Path,
 ) -> bool {
-    let (report, events) = run_cell_traced(kind, scenario, seed, registry, TraceMode::Full);
+    let outcome = run_cell_to_bundle(kind, scenario, seed, registry, STEP_BUDGET, TraceMode::Full);
+    let (report, events) = (outcome.report, outcome.events);
     out.note(&format!(
         "{}: fingerprint={:#018x} sent={} delivered={} steps={} events={} violations={:?}",
         kind.label(),
@@ -176,12 +177,5 @@ fn run_traced(
         &rows,
     );
 
-    if report.violations.is_empty() {
-        return false;
-    }
-    match write_repro_bundle(&repro_dir(), kind, scenario, seed, &report, &events) {
-        Ok(bundle) => eprintln!("repro bundle: {}", bundle.display()),
-        Err(e) => eprintln!("repro bundle write failed: {e}"),
-    }
-    true
+    !report.violations.is_empty()
 }

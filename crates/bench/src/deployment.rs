@@ -28,19 +28,17 @@
 //! the socket-world analogue of the simulator's early-buffer replay, so
 //! the fresh instance sees every message the mesh ever sent it.
 //!
-//! Invariants are checked from the collected outputs exactly as
-//! `aft_core::scenarios` checks them in-process: termination and
-//! agreement for every party that is honest under the scenario (killed
-//! parties count as honest — they recover), validity for BA, and
-//! size/membership/consistency for common subset.
+//! The invariants *are* [`StackKind::check`](DeployStack::check), listed
+//! once in the `aft_core::scenarios` table: the supervisor parses every
+//! `output` line back into the payload it rendered and runs the same pure
+//! check the in-process cell runner does, over every scenario-honest
+//! party (killed parties count as honest — they recover). The stack's
+//! session, honest instance and `FaultSpec → instance` match are the
+//! simulator's own too; what is left here is processes, pipes and clocks.
 
-use aft_ba::{BinaryBa, OracleCoin};
-use aft_core::scenarios::register_standard_codecs;
-use aft_core::{CoinKind, CommonSubsetInstance};
-use aft_sim::{
-    AttackCtx, AttackRegistry, AttackRole, Equivocator, FaultSpec, GarbageInstance, Instance,
-    MuteAfter, PartyId, Payload, Scenario, SessionId, SessionTag, SilentInstance,
-};
+use aft_core::scenarios::standard_registry;
+use aft_sim::scenario::spec_fields;
+use aft_sim::{FaultSpec, PartyId, Payload, Scenario};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -49,172 +47,9 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which reference stack a deployment runs. The SVSS chain needs carries
-/// handed between two episodes and is not deployable process-per-party,
-/// so the deployment set is BA and the common subset built over the
-/// SVSS-backed machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeployStack {
-    /// Unanimous-input binary Byzantine agreement.
-    Ba,
-    /// Common subset over self-announcing predicates.
-    CommonSubset,
-}
-
-impl DeployStack {
-    /// Short label, also the `--stack` argument value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DeployStack::Ba => "ba",
-            DeployStack::CommonSubset => "common-subset",
-        }
-    }
-
-    /// Inverse of [`DeployStack::label`].
-    pub fn from_label(label: &str) -> Option<DeployStack> {
-        [DeployStack::Ba, DeployStack::CommonSubset]
-            .into_iter()
-            .find(|s| s.label() == label)
-    }
-
-    /// The root session id — identical to the in-process cell runners, so
-    /// a deployed run is the same protocol tree as a simulated one.
-    pub fn session(&self) -> SessionId {
-        let tag = match self {
-            DeployStack::Ba => "ba",
-            DeployStack::CommonSubset => "cs",
-        };
-        SessionId::root().child(SessionTag::new(tag, 0))
-    }
-
-    /// Builds the stack's honest root instance for one party — the same
-    /// constructions `aft_core::scenarios` deploys in-process.
-    pub fn honest_instance(&self, scenario: &Scenario, seed: u64) -> Box<dyn Instance> {
-        match self {
-            DeployStack::Ba => Box::new(BinaryBa::new(
-                seed.is_multiple_of(2),
-                Box::new(OracleCoin::new(seed)),
-            )),
-            DeployStack::CommonSubset => Box::new(CommonSubsetInstance::new(
-                scenario.n - scenario.t,
-                CoinKind::Oracle(seed),
-                true,
-            )),
-        }
-    }
-
-    /// Renders a root-session output as the single-token text the control
-    /// protocol carries (`true`/`false` for BA, `0+1+2` for a subset).
-    pub fn render_output(&self, payload: &Payload) -> Option<String> {
-        match self {
-            DeployStack::Ba => payload.downcast_ref::<bool>().map(|b| b.to_string()),
-            DeployStack::CommonSubset => payload.downcast_ref::<Vec<PartyId>>().map(|s| {
-                s.iter()
-                    .map(|p| p.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            }),
-        }
-    }
-
-    /// Checks the stack's invariants over the collected outputs
-    /// (`outputs[p]` is party `p`'s rendered output, `None` if it never
-    /// reported one). Returns the violations, empty iff the run is safe.
-    pub fn check_outputs(
-        &self,
-        scenario: &Scenario,
-        seed: u64,
-        outputs: &[Option<String>],
-    ) -> Vec<String> {
-        let mut violations = Vec::new();
-        let honest: Vec<usize> = scenario.honest_parties().map(|p| p.0).collect();
-        for &p in &honest {
-            if outputs[p].is_none() {
-                violations.push(format!("termination: honest party {p} produced no output"));
-            }
-        }
-        let decided: Vec<&String> = honest.iter().filter_map(|&p| outputs[p].as_ref()).collect();
-        if decided.windows(2).any(|w| w[0] != w[1]) {
-            violations.push(format!("agreement: honest outputs diverge: {decided:?}"));
-        }
-        match self {
-            DeployStack::Ba => {
-                let input = seed.is_multiple_of(2).to_string();
-                if decided.iter().any(|d| **d != input) {
-                    violations.push(format!(
-                        "validity: unanimous input {input} but outputs {decided:?}"
-                    ));
-                }
-            }
-            DeployStack::CommonSubset => {
-                let k = scenario.n - scenario.t;
-                for &p in &honest {
-                    let Some(d) = &outputs[p] else { continue };
-                    let members: Vec<Option<usize>> =
-                        d.split('+').map(|m| m.parse().ok()).collect();
-                    if members.len() < k {
-                        violations.push(format!(
-                            "subset-size: party {p} output {} members, need >= {k}",
-                            members.len()
-                        ));
-                    }
-                    if members.iter().any(|m| m.is_none_or(|m| m >= scenario.n)) {
-                        violations.push(format!("subset-members: party {p} output {d:?}"));
-                    }
-                }
-            }
-        }
-        violations
-    }
-}
-
-/// Builds party `party`'s root instance under `scenario`'s corruption
-/// plan — the per-party slice of `Scenario::deploy_episode`, for daemons
-/// that host exactly one party. Returns the instance plus whether the
-/// node must be crashed right after spawning (the `crash` fault).
-///
-/// `recover:` faults never reach this function (the supervisor strips
-/// them into [`RestartPlan`]s); hitting one here is an error.
-pub fn instance_for(
-    scenario: &Scenario,
-    registry: &AttackRegistry,
-    stack: DeployStack,
-    party: PartyId,
-    seed: u64,
-) -> Result<(Box<dyn Instance>, bool), String> {
-    let honest = || stack.honest_instance(scenario, seed);
-    let instance: Box<dyn Instance> = match scenario.fault_of(party) {
-        None => honest(),
-        Some(FaultSpec::Silent) => Box::new(SilentInstance),
-        Some(FaultSpec::Crash) => return Ok((honest(), true)),
-        Some(FaultSpec::Recover(_)) => {
-            return Err(format!(
-                "recover:@{} is supervisor-driven; split_recover_spec must strip it",
-                party.0
-            ))
-        }
-        Some(FaultSpec::MuteAfter(k)) => Box::new(MuteAfter::new(honest(), *k)),
-        Some(FaultSpec::Garbage(b)) => Box::new(GarbageInstance::new(*b)),
-        Some(FaultSpec::Equivocate(b)) => Box::new(Equivocator::new(*b)),
-        Some(FaultSpec::Attack { name, args }) => {
-            let ctx = AttackCtx {
-                party,
-                n: scenario.n,
-                t: scenario.t,
-                seed,
-                args,
-                episode: stack.label(),
-                carry: None,
-            };
-            match registry.build(name, &ctx) {
-                Some(AttackRole::Instance(inst)) => inst,
-                Some(AttackRole::Honest) => honest(),
-                None => return Err(format!("attack {name:?} (args {args:?}) failed to build")),
-            }
-        }
-    };
-    Ok((instance, false))
-}
+/// Which reference stack a deployment runs: the simulator's own
+/// description of it.
+pub use aft_core::scenarios::StackKind as DeployStack;
 
 /// One supervised kill/restart: SIGKILL party `party` this long after
 /// `go`, then respawn it with `--recovered`.
@@ -236,56 +71,30 @@ pub struct RestartPlan {
 /// because only this supervisor can honour it.
 pub fn split_recover_spec(spec: &str) -> Result<(String, Vec<RestartPlan>), String> {
     let mut restarts = Vec::new();
-    let mut fields: Vec<String> = Vec::new();
-    // Same field grammar as `Scenario::parse`: unknown tokens continue
-    // the previous value (scheduler specs contain commas).
-    const KEYS: [&str; 5] = ["n", "t", "corrupt", "sched", "rt"];
-    for tok in spec.strip_prefix("scenario:").unwrap_or(spec).split(',') {
-        match tok.split_once('=') {
-            Some((k, _)) if KEYS.contains(&k.trim()) => fields.push(tok.trim().to_string()),
-            _ => {
-                let last = fields
-                    .last_mut()
-                    .ok_or_else(|| format!("malformed scenario spec {spec:?}"))?;
-                last.push(',');
-                last.push_str(tok.trim());
-            }
-        }
-    }
-    for field in &mut fields {
-        let Some(plan) = field.strip_prefix("corrupt=") else {
-            continue;
-        };
+    let mut fields =
+        spec_fields(spec).ok_or_else(|| format!("malformed scenario spec {spec:?}"))?;
+    for (_, plan) in fields.iter_mut().filter(|(key, _)| *key == "corrupt") {
         let mut kept = Vec::new();
         for entry in plan.split(';') {
-            let recover = entry
+            let fault = entry
                 .split_once('@')
-                .and_then(|(fault, party)| match FaultSpec::parse(fault.trim())? {
-                    FaultSpec::Recover(vt) => Some((party.trim().parse::<usize>(), vt)),
-                    _ => None,
-                });
-            match recover {
-                Some((Ok(party), vt)) => restarts.push(RestartPlan {
-                    party,
+                .map(|(fault, party)| (FaultSpec::parse(fault.trim()), party));
+            match fault {
+                Some((Some(FaultSpec::Recover(vt)), party)) => restarts.push(RestartPlan {
+                    party: party
+                        .trim()
+                        .parse()
+                        .map_err(|_| format!("bad recover party in {entry:?}"))?,
                     after: Duration::from_millis(vt),
                 }),
-                Some((Err(_), _)) => return Err(format!("bad recover party in {entry:?}")),
-                None => kept.push(entry),
+                _ => kept.push(entry),
             }
         }
-        *field = if kept.is_empty() {
-            String::new()
-        } else {
-            format!("corrupt={}", kept.join(";"))
-        };
+        *plan = kept.join(";");
     }
-    let spec = fields
-        .iter()
-        .filter(|f| !f.is_empty())
-        .cloned()
-        .collect::<Vec<_>>()
-        .join(",");
-    Ok((spec, restarts))
+    fields.retain(|(_, value)| !value.is_empty());
+    let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    Ok((fields.join(","), restarts))
 }
 
 /// Locates the `aft-partyd` binary: an explicit path, the `AFT_PARTYD`
@@ -507,7 +316,15 @@ impl Supervisor {
 /// missing binary); protocol failures and timeouts come back as
 /// violations in the [`DeployReport`].
 pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
-    register_standard_codecs();
+    let registry = standard_registry();
+    // Episodes that hand carries to one another (the SVSS chain) would
+    // need them shipped between processes; one episode is what deploys.
+    let Ok([(episode, _)]) = <[_; 1]>::try_from(opts.stack.episodes()) else {
+        return Err(format!(
+            "stack {:?} runs more than one episode; a deployment runs ba or common-subset",
+            opts.stack.label()
+        ));
+    };
     let (clean_spec, restarts) = split_recover_spec(&opts.spec)?;
     let scenario = Scenario::parse(&clean_spec)
         .ok_or_else(|| format!("scenario {clean_spec:?} does not parse"))?;
@@ -521,6 +338,15 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         if plan.party >= scenario.n {
             return Err(format!("recover party {} out of range", plan.party));
         }
+    }
+    // Build every party's instance once, dry: a plan no daemon could
+    // build is a set-up error here, not n dead daemons later.
+    scenario.validate_attacks(&registry)?;
+    for p in (0..scenario.n).map(PartyId) {
+        scenario.party_instance(&registry, episode, p, opts.seed, None, || {
+            opts.stack
+                .honest_instance(episode, p, &scenario, opts.seed, None)
+        })?;
     }
     if let Some(dir) = &opts.log_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
@@ -564,9 +390,10 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
     let mut shutdown_sent = false;
     let mut bye = vec![false; n];
 
-    // Expected outputs: scenario-honest parties (stripped recover targets
-    // are honest — they come back).
-    let expected: Vec<usize> = scenario.honest_parties().map(|p| p.0).collect();
+    // The parties that owe an output and that the invariants bind: the
+    // scenario-honest ones (stripped recover targets are honest — they
+    // come back).
+    let honest: Vec<PartyId> = scenario.honest_parties().collect();
 
     loop {
         // Fire due kills.
@@ -585,7 +412,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         }
         let done = kills_done == restarts.len()
             && started.iter().all(|&s| s)
-            && expected.iter().all(|&p| outputs[p].is_some());
+            && honest.iter().all(|p| outputs[p.0].is_some());
         if done && !shutdown_sent {
             for p in 0..n {
                 sup.send(p, "shutdown");
@@ -597,9 +424,9 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
             break;
         }
         if Instant::now() >= deadline {
-            let missing: Vec<usize> = expected
+            let missing: Vec<usize> = honest
                 .iter()
-                .copied()
+                .map(|p| p.0)
                 .filter(|&p| outputs[p].is_none())
                 .collect();
             violations.push(format!(
@@ -624,14 +451,26 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         let (party, line) = match event {
             FromChild::Line(p, gen, l) if gen == sup.procs[p].gen => (p, l),
             FromChild::Eof(p, gen) if gen == sup.procs[p].gen => {
-                // Killed daemons EOF by design; anything else dying before
-                // shutdown is a violation surfaced by the timeout/output
-                // checks, so just record the mesh as down.
-                if !shutdown_sent {
-                    meshed[p] = false;
+                if shutdown_sent {
+                    bye[p] = true;
+                    continue;
                 }
-                bye[p] = true;
-                continue;
+                // Killed daemons EOF by design, in a generation since
+                // replaced. One that goes before `shutdown` in its
+                // current generation has died, and the run with it: say
+                // so at once, along with whoever else is already gone.
+                let _ = sup.procs[p].child.kill();
+                for (q, proc) in sup.procs.iter_mut().enumerate() {
+                    let status = if q == p {
+                        proc.child.wait().ok()
+                    } else {
+                        proc.child.try_wait().ok().flatten()
+                    };
+                    if let Some(status) = status {
+                        violations.push(format!("daemon-exit: party {q} ({status})"));
+                    }
+                }
+                break;
             }
             // Stale events from a replaced process generation.
             FromChild::Line(..) | FromChild::Eof(..) => continue,
@@ -679,11 +518,11 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
                 }
             }
             Some("output") => {
-                if let Some(text) = words.next() {
-                    outputs[party] = Some(text.to_string());
-                    if expected.contains(&party) {
-                        t_first_output.get_or_insert_with(Instant::now);
-                    }
+                // The whole rest of the line, so that `output 0 1` cannot
+                // pass for `output 0`; empty for the empty subset.
+                outputs[party] = Some(words.collect::<Vec<_>>().join(" "));
+                if honest.contains(&PartyId(party)) {
+                    t_first_output.get_or_insert_with(Instant::now);
                 }
             }
             Some("metrics") => {
@@ -707,7 +546,20 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
     let t_bye = Instant::now();
     sup.kill_all();
     let t_reaped = Instant::now();
-    violations.extend(opts.stack.check_outputs(&scenario, opts.seed, &outputs));
+    // Back from text to the payloads the daemons rendered, for the same
+    // check the in-process cell runner makes. Text the stack cannot have
+    // rendered goes in as itself, which the check calls `malformed-output:`.
+    let parsed: Vec<Option<Payload>> = outputs
+        .iter()
+        .map(|text| {
+            let text = text.as_deref()?;
+            let output = opts.stack.parse_output(text);
+            Some(output.unwrap_or_else(|| Payload::new(text.to_string())))
+        })
+        .collect();
+    // Daemons report no shun count, and no deployable stack's check reads it.
+    let (stack, seed) = (opts.stack, opts.seed);
+    violations.extend(stack.check(episode, &scenario, seed, &honest, &parsed, 0));
     let total = |i: usize| metrics.values().map(|m| m[i]).sum::<u64>();
     // Consecutive boundaries; each one reached implies the one before.
     let marks = [
@@ -748,7 +600,6 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_core::scenarios::standard_registry;
 
     #[test]
     fn split_recover_extracts_supervisor_legs() {
@@ -773,88 +624,5 @@ mod tests {
         assert_eq!(spec, "n=4,t=1,rt=proc");
         assert!(plans.is_empty());
         assert!(Scenario::parse(&spec).is_some());
-    }
-
-    #[test]
-    fn stack_labels_round_trip() {
-        for stack in [DeployStack::Ba, DeployStack::CommonSubset] {
-            assert_eq!(DeployStack::from_label(stack.label()), Some(stack));
-        }
-        assert_eq!(DeployStack::from_label("svss"), None);
-    }
-
-    #[test]
-    fn instance_for_covers_the_fault_plan() {
-        let registry = standard_registry();
-        for (plan, crashes) in [
-            ("silent@3", false),
-            ("mute-after:6@3", false),
-            ("crash@3", true),
-        ] {
-            let scenario = Scenario::parse(&format!("n=4,t=1,corrupt={plan},rt=proc")).unwrap();
-            for p in 0..4 {
-                let (_, crash) =
-                    instance_for(&scenario, &registry, DeployStack::Ba, PartyId(p), 7).unwrap();
-                assert_eq!(crash, p == 3 && crashes, "party {p} plan {plan}");
-            }
-        }
-        // A named protocol attack resolves through the registry.
-        let scenario = Scenario::parse("n=4,t=1,corrupt=random-voter@3,rt=proc").unwrap();
-        assert!(instance_for(&scenario, &registry, DeployStack::Ba, PartyId(3), 7).is_ok());
-        // A stray recover fault is a hard error, not a silent honest run.
-        let mut scenario = Scenario::parse("n=4,t=1,rt=proc").unwrap();
-        scenario.corruptions.push(aft_sim::Corruption {
-            party: PartyId(2),
-            fault: FaultSpec::Recover(50),
-        });
-        assert!(instance_for(&scenario, &registry, DeployStack::Ba, PartyId(2), 7).is_err());
-    }
-
-    #[test]
-    fn ba_outputs_check_validity_and_agreement() {
-        let scenario = Scenario::parse("n=4,t=1,corrupt=silent@3,rt=proc").unwrap();
-        let good: Vec<Option<String>> = vec![
-            Some("true".into()),
-            Some("true".into()),
-            Some("true".into()),
-            None, // silent party owes nothing
-        ];
-        assert!(DeployStack::Ba
-            .check_outputs(&scenario, 2, &good)
-            .is_empty());
-        let split = vec![
-            Some("true".into()),
-            Some("false".into()),
-            Some("true".into()),
-            None,
-        ];
-        let violations = DeployStack::Ba.check_outputs(&scenario, 2, &split);
-        assert!(violations.iter().any(|v| v.contains("agreement")));
-        let missing = vec![Some("true".into()), None, Some("true".into()), None];
-        let violations = DeployStack::Ba.check_outputs(&scenario, 2, &missing);
-        assert!(violations.iter().any(|v| v.contains("termination")));
-        // Odd seed means unanimous input `false`: all-true is a validity
-        // violation even though it agrees.
-        let violations = DeployStack::Ba.check_outputs(&scenario, 3, &good);
-        assert!(violations.iter().any(|v| v.contains("validity")));
-    }
-
-    #[test]
-    fn cs_outputs_check_size_members_consistency() {
-        let scenario = Scenario::parse("n=4,t=1,rt=proc").unwrap();
-        let good: Vec<Option<String>> = (0..4).map(|_| Some("0+1+2".into())).collect();
-        assert!(DeployStack::CommonSubset
-            .check_outputs(&scenario, 9, &good)
-            .is_empty());
-        let small: Vec<Option<String>> = (0..4).map(|_| Some("0+1".into())).collect();
-        assert!(DeployStack::CommonSubset
-            .check_outputs(&scenario, 9, &small)
-            .iter()
-            .any(|v| v.contains("subset-size")));
-        let oob: Vec<Option<String>> = (0..4).map(|_| Some("0+1+7".into())).collect();
-        assert!(DeployStack::CommonSubset
-            .check_outputs(&scenario, 9, &oob)
-            .iter()
-            .any(|v| v.contains("subset-members")));
     }
 }

@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn opts(spec: &str, stack: DeployStack, seed: u64) -> DeployOptions {
     let mut opts = DeployOptions::new(spec, stack, seed);
@@ -122,6 +122,90 @@ fn ba_decides_without_delayed_ack_stalls() {
     );
 }
 
+/// A plan no daemon could build is a set-up error, as it is for
+/// `exp_scenario_matrix --scenario`: nothing is spawned and nothing is
+/// reported as a clean run.
+#[test]
+fn unregistered_attack_is_a_setup_error() {
+    let spec = "n=4,t=1,corrupt=no-such-attack@3,rt=proc";
+    let err = run_deployment(&opts(spec, DeployStack::Ba, 2)).unwrap_err();
+    assert!(err.contains("no-such-attack"), "{err}");
+    // Registered, but with arguments its factory refuses.
+    let spec = "n=4,t=1,corrupt=fixed-voter:maybe@3,rt=proc";
+    let err = run_deployment(&opts(spec, DeployStack::Ba, 2)).unwrap_err();
+    assert!(err.contains("failed to build"), "{err}");
+}
+
+/// Daemons that die end the run at once, with the parties named — not
+/// after the whole timeout with every output "missing".
+#[test]
+fn dead_daemons_are_reported_at_once() {
+    let mut opts = opts("n=4,t=1,rt=proc", DeployStack::Ba, 2);
+    opts.partyd = Some(PathBuf::from("/bin/false"));
+    let started = Instant::now();
+    let report = run_deployment(&opts).unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "waited out the timeout"
+    );
+    let exits: Vec<&String> = report
+        .violations
+        .iter()
+        .filter(|v| v.starts_with("daemon-exit: party "))
+        .collect();
+    assert!(!exits.is_empty(), "{:?}", report.violations);
+    assert!(
+        exits.iter().all(|v| v.contains("exit status: 1")),
+        "{exits:?}"
+    );
+}
+
+/// The whole `output` line is parsed back into the stack's output type
+/// and goes through the simulator's own check: four daemons printing the
+/// same junk agree on nothing, and subsets that differ are a
+/// `consistency:` violation here as they are in-process. `stub-partyd.sh` speaks the control protocol and prints the
+/// canned output its seed selects.
+#[test]
+fn junk_output_lines_are_malformed_not_agreement() {
+    let stub = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/stub-partyd.sh");
+    for (seed, stack, output, class) in [
+        (1, DeployStack::Ba, "maybe", "malformed-output:"),
+        (2, DeployStack::Ba, "true false", "malformed-output:"),
+        (3, DeployStack::CommonSubset, "0+x+2", "malformed-output:"),
+        (4, DeployStack::CommonSubset, "0+1+99", "subset-members:"),
+        // Well-formed subsets, but party 2 reports another one.
+        (5, DeployStack::CommonSubset, "0+1+2", "consistency:"),
+    ] {
+        let mut opts = opts("n=4,t=1,rt=proc", stack, seed);
+        opts.partyd = Some(PathBuf::from(stub));
+        let report = run_deployment(&opts).unwrap();
+        assert_eq!(report.outputs[0].as_deref(), Some(output));
+        assert!(
+            report.violations.iter().any(|v| v.starts_with(class)),
+            "{output:?}: {:?}",
+            report.violations
+        );
+    }
+}
+
+/// The two-episode SVSS chain is refused with a message by the daemon
+/// (before `ready`) and by the supervisor (before anything is spawned).
+#[test]
+fn svss_chain_is_refused_with_a_message() {
+    let out = Command::new(env!("CARGO_BIN_EXE_aft-partyd"))
+        .args(["--party", "3", "--stack", "svss", "--seed", "2"])
+        .args(["--scenario", "n=4,t=1,rt=proc"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn aft-partyd");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no `ready` from a refusing daemon");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("single episode"), "{stderr}");
+    let err = run_deployment(&opts("n=4,t=1,rt=proc", DeployStack::SvssChain, 2)).unwrap_err();
+    assert!(err.contains("svss") && err.contains("episode"), "{err}");
+}
+
 /// One hand-supervised daemon: its control pipes and its listen address.
 struct Daemon {
     child: Child,
@@ -215,7 +299,7 @@ fn forged_senders_and_silent_connections_are_contained() {
         d.expect("meshed");
     }
 
-    let session = DeployStack::Ba.session();
+    let (_, session) = DeployStack::Ba.episodes().remove(0);
     let mut forged = Vec::new();
     for claimed in [0, 99] {
         let mut envelope = Vec::new();

@@ -3,14 +3,24 @@
 //!
 //! [`aft_sim::scenario`] defines *what* an adversary is (corruption plan,
 //! scheduler, backend); this module defines *what it attacks* and *what
-//! must survive*: the three reference protocol stacks, each with the
-//! safety invariants the paper claims for it:
+//! must survive*. [`StackKind`] is the only description of a reference
+//! stack: its episodes and root sessions ([`StackKind::episodes`]), each
+//! party's honest instance ([`StackKind::honest_instance`]), how a root
+//! output crosses the deployment's control protocol
+//! ([`StackKind::render_output`] / [`StackKind::parse_output`]), and the
+//! safety invariants the paper claims for it, stated once in the pure
+//! [`StackKind::check`] — the in-process cell runner, `aft-partyd` and the
+//! deployment supervisor all go through these:
 //!
-//! | stack | deployment | invariants checked per run |
-//! |---|---|---|
-//! | [`StackKind::Ba`] | unanimous-input [`BinaryBa`] | quiescence, termination, agreement, validity, message conservation |
-//! | [`StackKind::SvssChain`] | [`SvssShare`] → [`SvssRec`] | quiescence, share liveness & binding-to-dealt secret (honest dealer), binding-or-shun (faulty dealer), secrecy proxy (no single share reveals the secret), conservation |
-//! | [`StackKind::CommonSubset`] | [`CommonSubsetInstance`] | quiescence, termination, output-set consistency, `|S| ≥ k`, members in range, conservation |
+//! | stack | episodes | violation classes of `check` | deployable |
+//! |---|---|---|---|
+//! | [`StackKind::Ba`]: unanimous-input [`BinaryBa`] | `ba` | `termination:`, `agreement:`, `validity:` | yes |
+//! | [`StackKind::SvssChain`]: [`SvssShare`] → [`SvssRec`], dealer party 0 | `svss-share` → `svss-rec` | honest dealer: `share-liveness:`, `secrecy-proxy:` (no single share reveals the secret), `rec-termination:`, `binding:` to the dealt secret; faulty dealer: `binding-without-shun:` | no (carries between episodes) |
+//! | [`StackKind::CommonSubset`]: [`CommonSubsetInstance`] | `cs` | `termination:`, `subset-size:` (`|S| ≥ n − t`), `subset-members:` (in range), `consistency:` | yes |
+//!
+//! On every stack an honest output of the wrong type is
+//! `malformed-output:`, and the cell runner adds the bookkeeping
+//! invariants per episode: quiescence and message conservation.
 //!
 //! [`standard_registry`] assembles the named attacks the protocol crates
 //! export ([`aft_ba::attacks::register_attacks`],
@@ -25,7 +35,7 @@ use crate::CommonSubsetInstance;
 use aft_ba::{BinaryBa, OracleCoin};
 use aft_field::Fp;
 use aft_sim::{
-    AttackRegistry, Fingerprint, Metrics, PartyId, Runtime, RuntimeExt, Scenario, SessionId,
+    AttackRegistry, Fingerprint, Instance, Metrics, PartyId, Payload, Runtime, Scenario, SessionId,
     SessionTag, SilentInstance, StopReason, TraceEvent, TraceMode,
 };
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
@@ -131,6 +141,234 @@ impl StackKind {
             ],
         }
     }
+
+    /// The stack's episodes in run order, each with the root session it
+    /// runs at. An episode's name is its session's kind, and what attack
+    /// factories see as [`AttackCtx::episode`](aft_sim::AttackCtx); every
+    /// episode after the first gets the previous one's per-party outputs
+    /// as carries.
+    pub fn episodes(&self) -> Vec<(&'static str, SessionId)> {
+        let names: &[&'static str] = match self {
+            StackKind::Ba => &["ba"],
+            StackKind::SvssChain => &["svss-share", "svss-rec"],
+            StackKind::CommonSubset => &["cs"],
+        };
+        let root = |kind| SessionId::root().child(SessionTag::new(kind, 0));
+        names.iter().map(|&kind| (kind, root(kind))).collect()
+    }
+
+    /// Builds `party`'s honest root instance for `episode`. Inputs are a
+    /// function of `seed` alone: BA's unanimous input is its parity, the
+    /// SVSS dealer (party 0) deals `7·seed + 3`.
+    pub fn honest_instance(
+        &self,
+        episode: &str,
+        party: PartyId,
+        scenario: &Scenario,
+        seed: u64,
+        carry: Option<&Payload>,
+    ) -> Box<dyn Instance> {
+        match (self, episode) {
+            (StackKind::Ba, _) => Box::new(BinaryBa::new(
+                seed.is_multiple_of(2),
+                Box::new(OracleCoin::new(seed)),
+            )),
+            (StackKind::SvssChain, "svss-share") if party == DEALER => {
+                Box::new(SvssShare::dealer(DEALER, dealt_secret(seed)))
+            }
+            (StackKind::SvssChain, "svss-share") => Box::new(SvssShare::party(DEALER)),
+            (StackKind::SvssChain, _) => {
+                match carry.and_then(|c| c.downcast_ref::<ShareBundle>()) {
+                    Some(bundle) => Box::new(SvssRec::new(bundle.clone())),
+                    // No bundle (faulty dealer): the party cannot reconstruct.
+                    None => Box::new(SilentInstance),
+                }
+            }
+            (StackKind::CommonSubset, _) => Box::new(CommonSubsetInstance::new(
+                scenario.n - scenario.t,
+                CoinKind::Oracle(seed),
+                true,
+            )),
+        }
+    }
+
+    /// Renders a root-session output as the single token the deployment's
+    /// control protocol carries: `true`/`false` for BA, `0+1+2` for a
+    /// subset (nothing for the empty one). `None` for a payload of
+    /// another type, and for the SVSS chain, which is not deployed.
+    pub fn render_output(&self, payload: &Payload) -> Option<String> {
+        match self {
+            StackKind::Ba => payload.downcast_ref::<bool>().map(|b| b.to_string()),
+            StackKind::SvssChain => None,
+            StackKind::CommonSubset => payload.downcast_ref::<Vec<PartyId>>().map(|s| {
+                let members: Vec<String> = s.iter().map(|p| p.0.to_string()).collect();
+                members.join("+")
+            }),
+        }
+    }
+
+    /// Inverse of [`StackKind::render_output`]; `None` for text that it
+    /// cannot have produced.
+    pub fn parse_output(&self, text: &str) -> Option<Payload> {
+        match self {
+            StackKind::Ba => text.parse::<bool>().ok().map(Payload::new),
+            StackKind::SvssChain => None,
+            StackKind::CommonSubset if text.is_empty() => Some(Payload::new(Vec::<PartyId>::new())),
+            StackKind::CommonSubset => text
+                .split('+')
+                .map(|m| m.parse().ok().map(PartyId))
+                .collect::<Option<Vec<PartyId>>>()
+                .map(Payload::new),
+        }
+    }
+
+    /// The stack's invariants after `episode`, as a pure function of what
+    /// was collected — whoever hosted the parties: `outputs[p]` is party
+    /// `p`'s output at the episode's root session, `honest` the parties
+    /// the guarantees bind (scenario-honest, minus adaptive victims),
+    /// `shun_events` the run's shun count so far. Returns the violations
+    /// listed in the [module table](self), empty iff the episode is safe;
+    /// every message starts with its class (`termination:`, `agreement:`,
+    /// …), which is what [`violation_class`](crate::search::violation_class)
+    /// and persisted corpora match on.
+    pub fn check(
+        &self,
+        episode: &str,
+        scenario: &Scenario,
+        seed: u64,
+        honest: &[PartyId],
+        outputs: &[Option<Payload>],
+        shun_events: u64,
+    ) -> Vec<String> {
+        let mut violations = Vec::new();
+        let dealer_honest = honest.contains(&DEALER);
+        match (self, episode) {
+            (StackKind::Ba, _) => {
+                let input = seed.is_multiple_of(2);
+                let decided: Vec<bool> =
+                    typed_outputs(Some("termination"), honest, outputs, &mut violations)
+                        .into_iter()
+                        .map(|(_, d)| *d)
+                        .collect();
+                if decided.windows(2).any(|w| w[0] != w[1]) {
+                    violations.push(format!("agreement: honest decisions {decided:?}"));
+                }
+                if decided.iter().any(|&d| d != input) {
+                    violations.push(format!(
+                        "validity: unanimous input {input} but decisions {decided:?}"
+                    ));
+                }
+            }
+            // With a faulty dealer the share phase promises nothing.
+            (StackKind::SvssChain, "svss-share") if dealer_honest => {
+                let secret = dealt_secret(seed);
+                typed_outputs::<ShareBundle>(
+                    Some("share-liveness"),
+                    honest,
+                    outputs,
+                    &mut violations,
+                );
+                // Secrecy proxy: no *single* party's share-phase view
+                // determines the dealt secret — each σ_i = F(x_i, 0) and
+                // its column counterpart F(0, x_i) must differ from
+                // F(0, 0). Full t-collusion secrecy is information-theoretic
+                // and not directly checkable in one run, but a degenerate
+                // dealer polynomial (degree-0 sharing, secret embedded in
+                // every row) fails this for every party. A random degree-t
+                // bivariate hits equality only with probability ~n/2⁶¹ per
+                // run, and the runs are seed-deterministic, so the check
+                // never flakes. The dealer legitimately knows the secret.
+                for (p, output) in outputs.iter().enumerate().skip(1) {
+                    let Some(bundle) = output
+                        .as_ref()
+                        .and_then(|o| o.downcast_ref::<ShareBundle>())
+                    else {
+                        continue;
+                    };
+                    let leaks = [&bundle.row, &bundle.col]
+                        .into_iter()
+                        .flatten()
+                        .any(|poly| poly.eval(Fp::ZERO) == secret);
+                    if leaks {
+                        violations.push(format!(
+                            "secrecy-proxy: party {p}'s single share evaluates to the dealt secret"
+                        ));
+                    }
+                }
+            }
+            (StackKind::SvssChain, "svss-share") => {}
+            (StackKind::SvssChain, _) => {
+                let secret = dealt_secret(seed);
+                let missing = dealer_honest.then_some("rec-termination");
+                let values = typed_outputs::<Fp>(missing, honest, outputs, &mut violations);
+                if dealer_honest {
+                    for (p, v) in values.iter().filter(|(_, v)| **v != secret) {
+                        violations.push(format!(
+                            "binding: honest party {} reconstructed {v:?}, dealt {secret:?}",
+                            p.0
+                        ));
+                    }
+                } else if values.windows(2).any(|w| w[0].1 != w[1].1) && shun_events == 0 {
+                    // Faulty dealer: binding may fail, but only alongside
+                    // shuns (Definition 3.2's escape hatch).
+                    let values: Vec<&Fp> = values.iter().map(|(_, v)| *v).collect();
+                    violations.push(format!(
+                        "binding-without-shun: divergent reconstructions {values:?} with zero shun events"
+                    ));
+                }
+            }
+            (StackKind::CommonSubset, _) => {
+                let k = scenario.n - scenario.t;
+                let sets = typed_outputs::<Vec<PartyId>>(
+                    Some("termination"),
+                    honest,
+                    outputs,
+                    &mut violations,
+                );
+                for (p, s) in &sets {
+                    if s.len() < k {
+                        violations.push(format!(
+                            "subset-size: party {} output {} members, need >= {k}",
+                            p.0,
+                            s.len()
+                        ));
+                    }
+                    if s.iter().any(|m| m.0 >= scenario.n) {
+                        violations.push(format!("subset-members: party {} output {s:?}", p.0));
+                    }
+                }
+                if sets.windows(2).any(|w| w[0].1 != w[1].1) {
+                    let sets: Vec<_> = sets.iter().map(|(_, s)| *s).collect();
+                    violations.push(format!("consistency: honest subsets disagree: {sets:?}"));
+                }
+            }
+        }
+        violations
+    }
+
+    /// Folds every party's `episode` output into a cell fingerprint. The
+    /// share phase's bundles are left out: its metrics pin it already.
+    fn fingerprint_outputs(
+        &self,
+        episode: &str,
+        outputs: &[Option<Payload>],
+        fp: &mut Fingerprint,
+    ) {
+        match (self, episode) {
+            (StackKind::Ba, _) => fingerprint_as::<bool>(outputs, fp),
+            (StackKind::SvssChain, "svss-share") => {}
+            (StackKind::SvssChain, _) => fingerprint_as::<Fp>(outputs, fp),
+            (StackKind::CommonSubset, _) => fingerprint_as::<Vec<PartyId>>(outputs, fp),
+        }
+    }
+}
+
+/// The SVSS chain's dealer.
+const DEALER: PartyId = PartyId(0);
+
+/// The secret the SVSS chain's dealer deals in a run with `seed`.
+fn dealt_secret(seed: u64) -> Fp {
+    Fp::new(seed.wrapping_mul(7).wrapping_add(3))
 }
 
 /// The outcome of one `(scenario, seed)` cell: invariant violations (empty
@@ -150,6 +388,12 @@ pub struct CellReport {
     pub steps: u64,
 }
 
+/// The step budget per episode of [`run_cell`] and [`run_cell_traced`].
+/// The search loop passes [`run_cell_instrumented`] a small one instead,
+/// so a planted non-quiescing scenario (e.g. an adaptive storm) reports
+/// `StepLimit` + conservation violations quickly instead of spinning.
+pub const STEP_BUDGET: u64 = 2_000_000_000;
+
 /// Runs one cell of `kind`'s stack under `scenario` with `seed`.
 pub fn run_cell(
     kind: StackKind,
@@ -157,37 +401,7 @@ pub fn run_cell(
     seed: u64,
     registry: &AttackRegistry,
 ) -> CellReport {
-    run_cell_budgeted(kind, scenario, seed, registry, STEP_BUDGET)
-}
-
-/// [`run_cell`] with an explicit step budget per episode. The search loop
-/// uses a small budget so a planted non-quiescing scenario (e.g. an
-/// adaptive storm) reports `StepLimit` + conservation violations quickly
-/// instead of spinning for the full conformance budget.
-pub fn run_cell_budgeted(
-    kind: StackKind,
-    scenario: &Scenario,
-    seed: u64,
-    registry: &AttackRegistry,
-    budget: u64,
-) -> CellReport {
-    let mut rt = scenario.runtime(seed);
-    run_cell_on(kind, rt.as_mut(), scenario, seed, registry, budget)
-}
-
-fn run_cell_on(
-    kind: StackKind,
-    rt: &mut dyn Runtime,
-    scenario: &Scenario,
-    seed: u64,
-    registry: &AttackRegistry,
-    budget: u64,
-) -> CellReport {
-    match kind {
-        StackKind::Ba => run_ba_cell_on(rt, scenario, seed, registry, budget),
-        StackKind::SvssChain => run_svss_cell_on(rt, scenario, seed, registry, budget),
-        StackKind::CommonSubset => run_cs_cell_on(rt, scenario, seed, registry, budget),
-    }
+    run_cell_instrumented(kind, scenario, seed, registry, STEP_BUDGET, TraceMode::Off).report
 }
 
 /// [`run_cell`] with the flight recorder attached: returns the cell
@@ -223,9 +437,11 @@ pub struct CellOutcome {
     pub victims: Vec<PartyId>,
 }
 
-/// The full-observability cell runner behind the coverage-guided search:
-/// [`run_cell_budgeted`] plus the final [`Metrics`], the retained trace
-/// events and the adaptive victim set.
+/// The cell runner: deploys and runs `kind`'s episodes in order on one
+/// runtime, each with at most `budget` steps, and after each one checks
+/// the bookkeeping invariants and [`StackKind::check`] and folds metrics
+/// and outputs into the fingerprint. Returns the report plus the final
+/// [`Metrics`], the retained trace events and the adaptive victim set.
 pub fn run_cell_instrumented(
     kind: StackKind,
     scenario: &Scenario,
@@ -236,15 +452,68 @@ pub fn run_cell_instrumented(
 ) -> CellOutcome {
     let mut rt = scenario.runtime(seed);
     rt.set_trace(mode);
-    let report = run_cell_on(kind, rt.as_mut(), scenario, seed, registry, budget);
-    let metrics = rt.metrics();
-    let victims = adaptive_victims(rt.as_ref());
-    let events = rt.take_trace().map(|s| s.snapshot()).unwrap_or_default();
+    let mut violations = Vec::new();
+    let mut fp = Fingerprint::new();
+    let mut totals = Metrics::default();
+    // Each episode's per-party outputs, carried into the next one.
+    let mut outputs: Vec<Option<Payload>> = Vec::new();
+    for (episode, session) in kind.episodes() {
+        // Reports and fingerprints name an episode without its stack prefix.
+        let phase = episode.strip_prefix("svss-").unwrap_or(episode);
+        let deployed = scenario.deploy_episode(
+            rt.as_mut(),
+            registry,
+            episode,
+            &session,
+            &outputs,
+            |p, carry| kind.honest_instance(episode, p, scenario, seed, carry),
+        );
+        if let Err(e) = deployed {
+            violations.push(format!("deploy {phase}: {e}"));
+            break;
+        }
+        let run = rt.run(budget);
+        // Backend-independent bookkeeping: quiescence and conservation.
+        let m = &run.metrics;
+        if run.stop != StopReason::Quiescent {
+            violations.push(format!("{phase}: run did not quiesce ({:?})", run.stop));
+        }
+        if m.sent != m.delivered + m.dropped_shunned + m.dropped_crashed {
+            violations.push(format!(
+                "{phase}: message conservation broken (sent {} != delivered {} + shunned {} + crashed {})",
+                m.sent, m.delivered, m.dropped_shunned, m.dropped_crashed
+            ));
+        }
+        fp.write_str(phase);
+        fp.write_metrics(m);
+        // Adaptive corruptions happened *during* the run: parties the
+        // controller struck are Byzantine now, so the paper's guarantees
+        // only bind the parties that remain honest. Re-read after every
+        // episode — a dealer corrupted mid-share demotes the cell to the
+        // faulty-dealer invariants from that point on.
+        let victims = adaptive_victims(rt.as_ref());
+        let honest: Vec<PartyId> = scenario
+            .honest_parties()
+            .filter(|p| !victims.contains(p))
+            .collect();
+        outputs = (0..scenario.n)
+            .map(|p| rt.output(PartyId(p), &session).cloned())
+            .collect();
+        violations.extend(kind.check(episode, scenario, seed, &honest, &outputs, m.shun_events));
+        kind.fingerprint_outputs(episode, &outputs, &mut fp);
+        totals = run.metrics;
+    }
     CellOutcome {
-        report,
-        metrics,
-        events,
-        victims,
+        report: CellReport {
+            violations,
+            fingerprint: fp.finish(),
+            sent: totals.sent,
+            delivered: totals.delivered,
+            steps: totals.steps,
+        },
+        metrics: rt.metrics(),
+        victims: adaptive_victims(rt.as_ref()),
+        events: rt.take_trace().map(|s| s.snapshot()).unwrap_or_default(),
     }
 }
 
@@ -318,333 +587,69 @@ pub fn write_repro_bundle(
     Ok(bundle)
 }
 
-const STEP_BUDGET: u64 = 2_000_000_000;
-
-fn sid(kind: &'static str) -> SessionId {
-    SessionId::root().child(SessionTag::new(kind, 0))
+/// Runs the cell with the flight recorder on and, if it violates an
+/// invariant, drops a repro bundle under [`repro_dir`] and says where on
+/// stderr. Cells are pure functions of `(scenario, seed)`, so calling
+/// this on a cell that violated untraced reproduces the violation
+/// bit-for-bit.
+pub fn run_cell_to_bundle(
+    kind: StackKind,
+    scenario: &Scenario,
+    seed: u64,
+    registry: &AttackRegistry,
+    budget: u64,
+    mode: TraceMode,
+) -> CellOutcome {
+    let outcome = run_cell_instrumented(kind, scenario, seed, registry, budget, mode);
+    if !outcome.report.violations.is_empty() {
+        let written = write_repro_bundle(
+            &repro_dir(),
+            kind,
+            scenario,
+            seed,
+            &outcome.report,
+            &outcome.events,
+        );
+        match written {
+            Ok(bundle) => eprintln!("repro bundle: {}", bundle.display()),
+            Err(e) => eprintln!("repro bundle write failed: {e}"),
+        }
+    }
+    outcome
 }
 
-/// Appends the backend-independent bookkeeping violations (quiescence and
-/// message conservation) and folds the metrics into the fingerprint.
-fn check_run(
+/// The honest parties' outputs that are a `T`. One of another type is a
+/// `malformed-output:` violation; a missing one is a `<missing>:`
+/// violation when the episode owes the party an output.
+fn typed_outputs<'a, T: 'static>(
+    missing: Option<&str>,
+    honest: &[PartyId],
+    outputs: &'a [Option<Payload>],
     violations: &mut Vec<String>,
-    fp: &mut Fingerprint,
-    stop: StopReason,
-    metrics: &Metrics,
-    phase: &str,
-) {
-    if stop != StopReason::Quiescent {
-        violations.push(format!("{phase}: run did not quiesce ({stop:?})"));
-    }
-    if metrics.sent != metrics.delivered + metrics.dropped_shunned + metrics.dropped_crashed {
-        violations.push(format!(
-            "{phase}: message conservation broken (sent {} != delivered {} + shunned {} + crashed {})",
-            metrics.sent, metrics.delivered, metrics.dropped_shunned, metrics.dropped_crashed
-        ));
-    }
-    fp.write_str(phase);
-    fp.write_metrics(metrics);
-}
-
-/// Unanimous-input binary BA: termination, agreement and validity must
-/// hold for the honest parties under any ≤ t corruption plan.
-pub fn run_ba_cell(scenario: &Scenario, seed: u64, registry: &AttackRegistry) -> CellReport {
-    let mut rt = scenario.runtime(seed);
-    run_ba_cell_on(rt.as_mut(), scenario, seed, registry, STEP_BUDGET)
-}
-
-fn run_ba_cell_on(
-    rt: &mut dyn Runtime,
-    scenario: &Scenario,
-    seed: u64,
-    registry: &AttackRegistry,
-    budget: u64,
-) -> CellReport {
-    let session = sid("ba");
-    let input = seed.is_multiple_of(2);
-    let mut violations = Vec::new();
-    let mut fp = Fingerprint::new();
-    if let Err(e) = scenario.deploy_episode(rt, registry, "ba", &session, &[], |_, _| {
-        Box::new(BinaryBa::new(input, Box::new(OracleCoin::new(seed))))
-    }) {
-        violations.push(format!("deploy: {e}"));
-        return CellReport {
-            violations,
-            fingerprint: fp.finish(),
-            sent: 0,
-            delivered: 0,
-            steps: 0,
-        };
-    }
-    let report = rt.run(budget);
-    check_run(&mut violations, &mut fp, report.stop, &report.metrics, "ba");
-
-    // Adaptive corruptions happened *during* the run: parties the
-    // controller struck are Byzantine now, so the paper's guarantees only
-    // bind the parties that remain honest.
-    let victims = adaptive_victims(rt);
-    let honest: Vec<Option<bool>> = scenario
-        .honest_parties()
-        .filter(|p| !victims.contains(p))
-        .map(|p| rt.output_as::<bool>(p, &session).copied())
-        .collect();
-    if honest.iter().any(|o| o.is_none()) {
-        violations.push(format!("termination: honest outputs {honest:?}"));
-    }
-    let decided: Vec<bool> = honest.iter().flatten().copied().collect();
-    if decided.windows(2).any(|w| w[0] != w[1]) {
-        violations.push(format!("agreement: honest decisions {decided:?}"));
-    }
-    if decided.iter().any(|&d| d != input) {
-        violations.push(format!(
-            "validity: unanimous input {input} but decisions {decided:?}"
-        ));
-    }
-    for p in (0..scenario.n).map(PartyId) {
-        fp.write_str(&format!("{:?}", rt.output_as::<bool>(p, &session)));
-    }
-    CellReport {
-        violations,
-        fingerprint: fp.finish(),
-        sent: report.metrics.sent,
-        delivered: report.metrics.delivered,
-        steps: report.metrics.steps,
-    }
-}
-
-/// SVSS share→rec chain (dealer at party 0). With an honest dealer the
-/// dealt secret must come back exactly; with a corrupt dealer every
-/// binding divergence must be accompanied by shun events (Definition
-/// 3.2's escape hatch). In between, the secrecy proxy: no single
-/// non-dealer share evaluates to the dealt secret.
-pub fn run_svss_cell(scenario: &Scenario, seed: u64, registry: &AttackRegistry) -> CellReport {
-    let mut rt = scenario.runtime(seed);
-    run_svss_cell_on(rt.as_mut(), scenario, seed, registry, STEP_BUDGET)
-}
-
-fn run_svss_cell_on(
-    rt: &mut dyn Runtime,
-    scenario: &Scenario,
-    seed: u64,
-    registry: &AttackRegistry,
-    budget: u64,
-) -> CellReport {
-    let share_sid = sid("svss-share");
-    let rec_sid = sid("svss-rec");
-    let secret = Fp::new(seed.wrapping_mul(7).wrapping_add(3));
-    let mut violations = Vec::new();
-    let mut fp = Fingerprint::new();
-
-    let deployed = scenario.deploy_episode(rt, registry, "svss-share", &share_sid, &[], |p, _| {
-        if p == PartyId(0) {
-            Box::new(SvssShare::dealer(PartyId(0), secret))
-        } else {
-            Box::new(SvssShare::party(PartyId(0)))
-        }
-    });
-    if let Err(e) = deployed {
-        violations.push(format!("deploy share: {e}"));
-        return CellReport {
-            violations,
-            fingerprint: fp.finish(),
-            sent: 0,
-            delivered: 0,
-            steps: 0,
-        };
-    }
-    let share_report = rt.run(budget);
-    check_run(
-        &mut violations,
-        &mut fp,
-        share_report.stop,
-        &share_report.metrics,
-        "share",
-    );
-
-    // Victims are re-read after each run() — the adaptive adversary may
-    // strike in either episode, and a dealer corrupted mid-share demotes
-    // the cell to the faulty-dealer invariants from that point on.
-    let victims = adaptive_victims(rt);
-    let dealer_honest = !scenario.is_corrupt(PartyId(0)) && !victims.contains(&PartyId(0));
-
-    let carries: Vec<Option<aft_sim::Payload>> = (0..scenario.n)
-        .map(|p| rt.output(PartyId(p), &share_sid).cloned())
-        .collect();
-    // Secrecy proxy: no *single* party's share-phase view determines the
-    // dealt secret — each σ_i = F(x_i, 0) and its column counterpart
-    // F(0, x_i) must differ from F(0, 0). Full t-collusion secrecy is
-    // information-theoretic and not directly checkable in one run, but a
-    // degenerate dealer polynomial (degree-0 sharing, secret embedded in
-    // every row) fails this for every party. A random degree-t bivariate
-    // hits equality only with probability ~n/2⁶¹ per run, and the runs
-    // are seed-deterministic, so the check never flakes.
-    if dealer_honest {
-        for (p, carry) in carries.iter().enumerate() {
-            let Some(bundle) = carry.as_ref().and_then(|c| c.downcast_ref::<ShareBundle>()) else {
-                continue;
-            };
-            if p == 0 {
-                continue; // the dealer legitimately knows the secret
-            }
-            let leaks = bundle
-                .row
-                .as_ref()
-                .is_some_and(|r| r.eval(Fp::ZERO) == secret)
-                || bundle
-                    .col
-                    .as_ref()
-                    .is_some_and(|c| c.eval(Fp::ZERO) == secret);
-            if leaks {
-                violations.push(format!(
-                    "secrecy-proxy: party {p}'s single share evaluates to the dealt secret"
-                ));
-            }
+) -> Vec<(PartyId, &'a T)> {
+    let mut typed = Vec::new();
+    for &p in honest {
+        match outputs.get(p.0).and_then(Option::as_ref) {
+            None => violations.extend(
+                missing.map(|class| format!("{class}: honest party {} has no output", p.0)),
+            ),
+            Some(output) => match output.downcast_ref::<T>() {
+                Some(value) => typed.push((p, value)),
+                None => violations.push(format!(
+                    "malformed-output: party {} output {output:?}, want {}",
+                    p.0,
+                    std::any::type_name::<T>()
+                )),
+            },
         }
     }
-    if dealer_honest {
-        for p in scenario.honest_parties().filter(|p| !victims.contains(p)) {
-            if carries[p.0].is_none() {
-                violations.push(format!(
-                    "share-liveness: honest party {} has no bundle under an honest dealer",
-                    p.0
-                ));
-            }
-        }
-    }
-
-    let deployed = scenario.deploy_episode(
-        rt,
-        registry,
-        "svss-rec",
-        &rec_sid,
-        &carries,
-        |_, carry| match carry.and_then(|c| c.downcast_ref::<ShareBundle>()) {
-            Some(bundle) => Box::new(SvssRec::new(bundle.clone())),
-            // No bundle (faulty dealer): the party cannot reconstruct.
-            None => Box::new(SilentInstance),
-        },
-    );
-    if let Err(e) = deployed {
-        violations.push(format!("deploy rec: {e}"));
-    } else {
-        let rec_report = rt.run(budget);
-        let total = rt.metrics();
-        check_run(&mut violations, &mut fp, rec_report.stop, &total, "rec");
-
-        let victims = adaptive_victims(rt);
-        let dealer_honest = dealer_honest && !victims.contains(&PartyId(0));
-        let outputs: Vec<(PartyId, Option<Fp>)> = scenario
-            .honest_parties()
-            .filter(|p| !victims.contains(p))
-            .map(|p| (p, rt.output_as::<Fp>(p, &rec_sid).copied()))
-            .collect();
-        if dealer_honest {
-            for (p, out) in &outputs {
-                match out {
-                    None => violations.push(format!(
-                        "rec-termination: honest party {} never reconstructed",
-                        p.0
-                    )),
-                    Some(v) if *v != secret => violations.push(format!(
-                        "binding: honest party {} reconstructed {v:?}, dealt {secret:?}",
-                        p.0
-                    )),
-                    Some(_) => {}
-                }
-            }
-        } else {
-            // Faulty dealer: binding may fail, but only alongside shuns.
-            let values: Vec<Fp> = outputs.iter().filter_map(|(_, o)| *o).collect();
-            let divergent = values.windows(2).any(|w| w[0] != w[1]);
-            if divergent && total.shun_events == 0 {
-                violations.push(format!(
-                    "binding-without-shun: divergent reconstructions {values:?} with zero shun events"
-                ));
-            }
-        }
-        for p in (0..scenario.n).map(PartyId) {
-            fp.write_str(&format!("{:?}", rt.output_as::<Fp>(p, &rec_sid)));
-        }
-    }
-    let total = rt.metrics();
-    CellReport {
-        violations,
-        fingerprint: fp.finish(),
-        sent: total.sent,
-        delivered: total.delivered,
-        steps: total.steps,
-    }
+    typed
 }
 
-/// Common subset with self-announcing predicates: every honest party must
-/// terminate with the *same* set of at least `n − t` valid party ids.
-pub fn run_cs_cell(scenario: &Scenario, seed: u64, registry: &AttackRegistry) -> CellReport {
-    let mut rt = scenario.runtime(seed);
-    run_cs_cell_on(rt.as_mut(), scenario, seed, registry, STEP_BUDGET)
-}
-
-fn run_cs_cell_on(
-    rt: &mut dyn Runtime,
-    scenario: &Scenario,
-    seed: u64,
-    registry: &AttackRegistry,
-    budget: u64,
-) -> CellReport {
-    let session = sid("cs");
-    let k = scenario.n - scenario.t;
-    let mut violations = Vec::new();
-    let mut fp = Fingerprint::new();
-    if let Err(e) = scenario.deploy_episode(rt, registry, "cs", &session, &[], |_, _| {
-        Box::new(CommonSubsetInstance::new(k, CoinKind::Oracle(seed), true))
-    }) {
-        violations.push(format!("deploy: {e}"));
-        return CellReport {
-            violations,
-            fingerprint: fp.finish(),
-            sent: 0,
-            delivered: 0,
-            steps: 0,
-        };
-    }
-    let report = rt.run(budget);
-    check_run(&mut violations, &mut fp, report.stop, &report.metrics, "cs");
-
-    let victims = adaptive_victims(rt);
-    let outputs: Vec<(PartyId, Option<Vec<PartyId>>)> = scenario
-        .honest_parties()
-        .filter(|p| !victims.contains(p))
-        .map(|p| (p, rt.output_as::<Vec<PartyId>>(p, &session).cloned()))
-        .collect();
-    for (p, out) in &outputs {
-        match out {
-            None => violations.push(format!("termination: honest party {} has no subset", p.0)),
-            Some(s) => {
-                if s.len() < k {
-                    violations.push(format!(
-                        "subset-size: party {} output {} members, need >= {k}",
-                        p.0,
-                        s.len()
-                    ));
-                }
-                if s.iter().any(|m| m.0 >= scenario.n) {
-                    violations.push(format!("subset-members: party {} output {s:?}", p.0));
-                }
-            }
-        }
-    }
-    let sets: Vec<&Vec<PartyId>> = outputs.iter().filter_map(|(_, o)| o.as_ref()).collect();
-    if sets.windows(2).any(|w| w[0] != w[1]) {
-        violations.push(format!("consistency: honest subsets disagree: {sets:?}"));
-    }
-    for p in (0..scenario.n).map(PartyId) {
-        fp.write_str(&format!("{:?}", rt.output_as::<Vec<PartyId>>(p, &session)));
-    }
-    CellReport {
-        violations,
-        fingerprint: fp.finish(),
-        sent: report.metrics.sent,
-        delivered: report.metrics.delivered,
-        steps: report.metrics.steps,
+fn fingerprint_as<T: std::fmt::Debug + 'static>(outputs: &[Option<Payload>], fp: &mut Fingerprint) {
+    for output in outputs {
+        let typed = output.as_ref().and_then(|o| o.downcast_ref::<T>());
+        fp.write_str(&format!("{typed:?}"));
     }
 }
 
@@ -719,7 +724,7 @@ mod tests {
                 fault: aft_sim::FaultSpec::Silent,
             })
             .collect();
-        let report = run_ba_cell(&scenario, 1, &registry);
+        let report = run_cell(StackKind::Ba, &scenario, 1, &registry);
         assert!(
             report.violations.iter().any(|v| v.contains("termination")),
             "{:?}",
@@ -732,7 +737,108 @@ mod tests {
         let registry = standard_registry();
         let scenario =
             Scenario::parse("n=4,t=1,corrupt=equivocal-reveal@3,sched=random,rt=sim").unwrap();
-        let report = run_svss_cell(&scenario, 5, &registry);
+        let report = run_cell(StackKind::SvssChain, &scenario, 5, &registry);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    /// The stack's final-episode `check` over hand-made outputs.
+    fn check_of<T: Clone + Send + Sync + 'static>(
+        kind: StackKind,
+        spec: &str,
+        seed: u64,
+        outputs: &[Option<T>],
+    ) -> Vec<String> {
+        let scenario = Scenario::parse(spec).unwrap();
+        let honest: Vec<PartyId> = scenario.honest_parties().collect();
+        let outputs: Vec<_> = outputs
+            .iter()
+            .map(|o| o.clone().map(Payload::new))
+            .collect();
+        let (episode, _) = kind.episodes().pop().unwrap();
+        kind.check(episode, &scenario, seed, &honest, &outputs, 0)
+    }
+
+    fn has(violations: &[String], class: &str) -> bool {
+        violations.iter().any(|v| v.starts_with(class))
+    }
+
+    #[test]
+    fn ba_check_covers_termination_agreement_validity() {
+        let spec = "n=4,t=1,corrupt=silent@3,rt=proc";
+        let check =
+            |seed, outputs: [Option<bool>; 4]| check_of(StackKind::Ba, spec, seed, &outputs);
+        // The silent party owes nothing.
+        let good = [Some(true), Some(true), Some(true), None];
+        assert!(check(2, good).is_empty());
+        assert!(has(
+            &check(2, [Some(true), Some(false), Some(true), None]),
+            "agreement:"
+        ));
+        assert!(has(
+            &check(2, [Some(true), None, Some(true), None]),
+            "termination:"
+        ));
+        // Odd seed means unanimous input `false`: all-true is a validity
+        // violation even though it agrees.
+        let violations = check(3, good);
+        assert!(has(&violations, "validity:") && !has(&violations, "agreement:"));
+        // An output of another type is neither a decision nor silence.
+        let violations = check_of(StackKind::Ba, spec, 2, &[Some("true"); 4]);
+        assert!(has(&violations, "malformed-output:"), "{violations:?}");
+    }
+
+    #[test]
+    fn cs_check_covers_size_members_consistency() {
+        let set = |ids: &[usize]| Some(ids.iter().copied().map(PartyId).collect::<Vec<_>>());
+        let check = |outputs: &[Option<Vec<PartyId>>]| {
+            check_of(StackKind::CommonSubset, "n=4,t=1,rt=proc", 9, outputs)
+        };
+        assert!(check(&vec![set(&[0, 1, 2]); 4]).is_empty());
+        assert!(has(&check(&vec![set(&[0, 1]); 4]), "subset-size:"));
+        assert!(has(&check(&vec![set(&[0, 1, 7]); 4]), "subset-members:"));
+        let mut differ = vec![set(&[0, 1, 2]); 4];
+        differ[2] = set(&[1, 2, 3]);
+        assert!(has(&check(&differ), "consistency:"));
+        differ[2] = None;
+        assert!(has(&check(&differ), "termination:"));
+    }
+
+    #[test]
+    fn control_protocol_outputs_round_trip_and_junk_is_refused() {
+        let (ba, cs) = (StackKind::Ba, StackKind::CommonSubset);
+        for b in [true, false] {
+            let text = ba.render_output(&Payload::new(b)).unwrap();
+            assert_eq!(ba.parse_output(&text).unwrap().downcast_ref(), Some(&b));
+        }
+        for ids in [vec![], vec![2], vec![0, 1, 3]] {
+            let set: Vec<PartyId> = ids.into_iter().map(PartyId).collect();
+            let text = cs.render_output(&Payload::new(set.clone())).unwrap();
+            assert!(
+                !text.contains(' '),
+                "one token on the control line: {text:?}"
+            );
+            assert_eq!(cs.parse_output(&text).unwrap().downcast_ref(), Some(&set));
+        }
+        assert!(ba.parse_output("maybe").is_none());
+        for junk in ["maybe", "0+x+2", "0++2", "+", "0+1+"] {
+            assert!(cs.parse_output(junk).is_none(), "{junk}");
+        }
+        // Out of range is well-formed text: `check` reports it.
+        assert!(cs.parse_output("0+1+99").is_some());
+    }
+
+    #[test]
+    fn labels_round_trip_and_episodes_are_their_session_kinds() {
+        for kind in StackKind::all() {
+            assert_eq!(StackKind::from_label(kind.label()), Some(kind));
+            for (episode, session) in kind.episodes() {
+                assert_eq!(session.last().map(|tag| tag.kind), Some(episode));
+            }
+        }
+        assert_eq!(StackKind::from_label("nope"), None);
+        // What the cell runner and a daemon both hand attacks as
+        // `AttackCtx::episode`.
+        assert_eq!(StackKind::Ba.episodes()[0].0, "ba");
+        assert_eq!(StackKind::CommonSubset.episodes()[0].0, "cs");
     }
 }

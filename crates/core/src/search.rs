@@ -18,9 +18,7 @@
 //! function of `(scenario, seed)`, so a search round replays bit-for-bit
 //! — the property the `exp_scenario_search --smoke` gate asserts.
 
-use crate::scenarios::{
-    run_cell_budgeted, run_cell_instrumented, CellOutcome, CellReport, StackKind,
-};
+use crate::scenarios::{run_cell_instrumented, CellOutcome, CellReport, StackKind};
 use aft_sim::{
     AdaptiveSpec, AttackRegistry, Corruption, FaultSpec, Fingerprint, PartyId, Scenario, TraceMode,
 };
@@ -546,7 +544,8 @@ pub fn shrink(
     budget: u64,
 ) -> Option<Shrunk> {
     let scenario = Scenario::parse(spec)?;
-    let report = run_cell_budgeted(stack, &scenario, seed, registry, budget);
+    let report =
+        run_cell_instrumented(stack, &scenario, seed, registry, budget, TraceMode::Off).report;
     if report.violations.is_empty() {
         return None;
     }
@@ -566,7 +565,9 @@ pub fn shrink(
                 continue;
             }
             attempts += 1;
-            let cand_report = run_cell_budgeted(stack, &parsed, seed, registry, budget);
+            let cand_report =
+                run_cell_instrumented(stack, &parsed, seed, registry, budget, TraceMode::Off)
+                    .report;
             if cand_report.violations.is_empty()
                 || violation_signature(stack, &cand_report) != signature
             {
@@ -709,13 +710,15 @@ mod tests {
             shrunk.entry.spec
         );
         // Replay: the shrunk spec reproduces the same signature.
-        let replay = run_cell_budgeted(
+        let replay = run_cell_instrumented(
             StackKind::Ba,
             &Scenario::parse(&shrunk.entry.spec).unwrap(),
             5,
             &registry,
             200_000,
-        );
+            TraceMode::Off,
+        )
+        .report;
         assert_eq!(
             violation_signature(StackKind::Ba, &replay),
             shrunk.signature

@@ -168,7 +168,7 @@ proptest! {
 /// scenario string of a failing case is printed by the harness, giving a
 /// replayable minimal-ish counterexample for free.)
 mod scenario_safety {
-    use aft_core::scenarios::{run_ba_cell, standard_registry};
+    use aft_core::scenarios::{run_cell, standard_registry, StackKind};
     use aft_sim::{Corruption, FaultSpec, PartyId, Scenario, ALL_SCHEDULERS};
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -235,7 +235,7 @@ mod scenario_safety {
             let parsed = Scenario::parse(&spec);
             prop_assert_eq!(parsed.as_ref(), Some(&scenario), "{}", spec);
             // (b) safety invariants hold when the parsed spec runs.
-            let report = run_ba_cell(&parsed.unwrap(), seed, &standard_registry());
+            let report = run_cell(StackKind::Ba, &parsed.unwrap(), seed, &standard_registry());
             prop_assert!(
                 report.violations.is_empty(),
                 "scenario {} seed {}: {:?}",
@@ -341,9 +341,9 @@ mod adaptive_safety {
 /// violation signature at the same step budget, and (c) never exceed the
 /// input's token count.
 mod shrinker_props {
-    use aft_core::scenarios::{run_cell_budgeted, StackKind};
+    use aft_core::scenarios::{run_cell_instrumented, StackKind};
     use aft_core::search::{shrink, spec_tokens, violation_signature};
-    use aft_sim::Scenario;
+    use aft_sim::{Scenario, TraceMode};
     use proptest::prelude::*;
 
     const BUDGET: u64 = 60_000;
@@ -382,9 +382,10 @@ mod shrinker_props {
                 "{} grew to {}", spec, shrunk.entry.spec
             );
             // (b) replays to a violation with the identical signature.
-            let replay = run_cell_budgeted(
-                StackKind::Ba, &parsed.unwrap(), shrunk.entry.seed, &registry, BUDGET,
-            );
+            let replay = run_cell_instrumented(
+                StackKind::Ba, &parsed.unwrap(), shrunk.entry.seed, &registry, BUDGET, TraceMode::Off,
+            )
+            .report;
             prop_assert!(!replay.violations.is_empty(), "{}", shrunk.entry.spec);
             prop_assert_eq!(
                 violation_signature(StackKind::Ba, &replay),

@@ -196,6 +196,30 @@ impl fmt::Display for Corruption {
     }
 }
 
+/// Splits a scenario string into its `key=value` fields, in order; `None`
+/// if it starts with something other than a field. Only the known field
+/// keys start a new field; any other token — even one containing an `=` —
+/// is a continuation of the previous value, so scheduler specs like
+/// `starve:1,3` and `net:lat=1..20,partition=p50,heal=200` survive the
+/// comma split unescaped.
+pub fn spec_fields(spec: &str) -> Option<Vec<(&str, String)>> {
+    const KEYS: [&str; 5] = ["n", "t", "corrupt", "sched", "rt"];
+    let mut fields: Vec<(&str, String)> = Vec::new();
+    for tok in spec.strip_prefix("scenario:").unwrap_or(spec).split(',') {
+        match tok.split_once('=') {
+            Some((k, v)) if KEYS.contains(&k.trim()) => {
+                fields.push((k.trim(), v.trim().to_string()))
+            }
+            _ => {
+                let last = fields.last_mut()?;
+                last.1.push(',');
+                last.1.push_str(tok.trim());
+            }
+        }
+    }
+    Some(fields)
+}
+
 /// A declarative adversarial scenario: system size, corruption plan,
 /// scheduler and backend. See the [module docs](self) for the grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,32 +257,12 @@ impl Scenario {
     /// Parses and validates a scenario string. Returns `None` on grammar
     /// errors or failed validation (see [`Scenario::validate`]).
     pub fn parse(spec: &str) -> Option<Scenario> {
-        let body = spec.strip_prefix("scenario:").unwrap_or(spec);
-        // Split into `key=value` fields. Only the known field keys start
-        // a new field; any other token — even one containing an `=` — is
-        // a continuation of the previous value, so scheduler specs like
-        // `starve:1,3` and `net:lat=1..20,partition=p50,heal=200` survive
-        // the comma split unescaped.
-        const KEYS: [&str; 5] = ["n", "t", "corrupt", "sched", "rt"];
-        let mut fields: Vec<(&str, String)> = Vec::new();
-        for tok in body.split(',') {
-            match tok.split_once('=') {
-                Some((k, v)) if KEYS.contains(&k.trim()) => {
-                    fields.push((k.trim(), v.trim().to_string()))
-                }
-                _ => {
-                    let last = fields.last_mut()?;
-                    last.1.push(',');
-                    last.1.push_str(tok.trim());
-                }
-            }
-        }
         let mut n = None;
         let mut t = None;
         let mut corrupt = String::new();
         let mut sched = "random".to_string();
         let mut rt = "sim".to_string();
-        for (k, v) in fields {
+        for (k, v) in spec_fields(spec)? {
             match k {
                 "n" => n = Some(v.parse().ok()?),
                 "t" => t = Some(v.parse().ok()?),
@@ -555,14 +559,15 @@ impl Scenario {
     /// Deploys one episode of a protocol stack under this scenario's
     /// corruption plan.
     ///
-    /// For every party, spawns at `session` either the stack's honest
-    /// instance (from `honest(party, carry)`) or the fault's instance:
+    /// For every party, spawns at `session` what
+    /// [`Scenario::party_instance`] builds for it: the stack's honest
+    /// instance (from `honest(party, carry)`) or the fault's instance —
     /// generic faults use the behaviours of [`crate::behaviors`]
     /// (`mute-after` wraps the honest instance), named attacks are built
     /// by `registry` with an episode-aware [`AttackCtx`]. `crash` spawns
     /// the honest instance and then crashes the party (idempotent across
     /// episodes; a crash before the first run retracts initial sends on
-    /// every backend).
+    /// every backend); `recover:` does the same and schedules the revival.
     ///
     /// `carries[p]` is party `p`'s output from the previous episode (pass
     /// `&[]` for the first); it is forwarded both to `honest` and to
@@ -633,68 +638,99 @@ impl Scenario {
         };
         for p in (0..self.n).map(PartyId) {
             let carry = carries.get(p.0).and_then(|c| c.as_ref());
-            let instance: Box<dyn Instance> = match self.fault_of(p) {
-                None => match &adaptive_ctrl {
-                    // Every honest party is wrapped in a transparent shell:
-                    // it passes through untouched until the controller
-                    // corrupts the party, then acts out the assigned mode.
-                    Some(ctrl) => Box::new(crate::adaptive::AdaptiveShell::new(
-                        honest(p, carry),
-                        ctrl.clone(),
-                        p,
-                    )),
-                    None => honest(p, carry),
-                },
-                Some(FaultSpec::Silent) => Box::new(SilentInstance),
-                Some(FaultSpec::Crash) => {
-                    rt.spawn(p, session.clone(), honest(p, carry));
-                    rt.crash(p);
-                    continue;
-                }
-                Some(FaultSpec::Recover(at)) => {
-                    // Crash like above, but leave a recovery plan with a
-                    // fresh honest instance: at virtual time `at` the node
-                    // revives with its session state retired, and the
-                    // instance respawns after the rejoin grace period.
-                    rt.spawn(p, session.clone(), honest(p, carry));
-                    rt.crash(p);
-                    if !rt.schedule_recover(p, *at, session.clone(), honest(p, carry)) {
-                        return Err(format!(
-                            "backend {:?} does not support crash-recovery (recover@{})",
-                            rt.backend_name(),
-                            p.0
-                        ));
-                    }
-                    continue;
-                }
-                Some(FaultSpec::MuteAfter(k)) => Box::new(MuteAfter::new(honest(p, carry), *k)),
-                Some(FaultSpec::Garbage(b)) => Box::new(GarbageInstance::new(*b)),
-                Some(FaultSpec::Equivocate(b)) => Box::new(Equivocator::new(*b)),
-                Some(FaultSpec::Attack { name, args }) => {
-                    let ctx = AttackCtx {
-                        party: p,
-                        n: self.n,
-                        t: self.t,
-                        seed: config.seed,
-                        args,
-                        episode,
-                        carry,
-                    };
-                    match registry.build(name, &ctx) {
-                        Some(AttackRole::Instance(inst)) => inst,
-                        Some(AttackRole::Honest) => honest(p, carry),
-                        None => {
-                            return Err(format!(
-                                "attack {name:?} (args {args:?}) failed to build for \
-                                 episode {episode:?}"
-                            ))
-                        }
-                    }
-                }
+            let fault = self.fault_of(p);
+            let (mut instance, crash) = match fault {
+                // Crashed like `crash`, until the recovery scheduled below.
+                Some(FaultSpec::Recover(_)) => (honest(p, carry), true),
+                _ => self.party_instance(registry, episode, p, config.seed, carry, || {
+                    honest(p, carry)
+                })?,
             };
+            if let (None, Some(ctrl)) = (fault, &adaptive_ctrl) {
+                // Every honest party is wrapped in a transparent shell:
+                // it passes through untouched until the controller
+                // corrupts the party, then acts out the assigned mode.
+                instance = Box::new(crate::adaptive::AdaptiveShell::new(
+                    instance,
+                    ctrl.clone(),
+                    p,
+                ));
+            }
             rt.spawn(p, session.clone(), instance);
+            if crash {
+                rt.crash(p);
+            }
+            if let Some(FaultSpec::Recover(at)) = fault {
+                // Leave a recovery plan with a fresh honest instance: at
+                // virtual time `at` the node revives with its session
+                // state retired, and the instance respawns after the
+                // rejoin grace period.
+                if !rt.schedule_recover(p, *at, session.clone(), honest(p, carry)) {
+                    return Err(format!(
+                        "backend {:?} does not support crash-recovery (recover@{})",
+                        rt.backend_name(),
+                        p.0
+                    ));
+                }
+            }
         }
         Ok(())
+    }
+
+    /// Builds `party`'s instance for one episode under this scenario's
+    /// corruption plan — the only place a [`FaultSpec`] turns into
+    /// behaviour, shared by [`Scenario::deploy_episode`] and by daemons
+    /// that host a single party. Returns the instance plus whether the
+    /// party must be crashed right after it is spawned (the `crash`
+    /// fault). Touches no runtime, so a supervisor can call it dry to vet
+    /// a plan. `recover:` is not an instance but a schedule, kept by
+    /// whoever owns the clock (a runtime's virtual one, a supervisor's
+    /// wall clock): meeting one here is an error.
+    pub fn party_instance(
+        &self,
+        registry: &AttackRegistry,
+        episode: &str,
+        party: PartyId,
+        seed: u64,
+        carry: Option<&Payload>,
+        honest: impl FnOnce() -> Box<dyn Instance>,
+    ) -> Result<(Box<dyn Instance>, bool), String> {
+        let instance: Box<dyn Instance> = match self.fault_of(party) {
+            None => honest(),
+            Some(FaultSpec::Silent) => Box::new(SilentInstance),
+            Some(FaultSpec::Crash) => return Ok((honest(), true)),
+            Some(FaultSpec::Recover(_)) => {
+                return Err(format!(
+                    "recover:@{} is a schedule for a clock's owner, not an instance",
+                    party.0
+                ))
+            }
+            Some(FaultSpec::MuteAfter(k)) => Box::new(MuteAfter::new(honest(), *k)),
+            Some(FaultSpec::Garbage(b)) => Box::new(GarbageInstance::new(*b)),
+            Some(FaultSpec::Equivocate(b)) => Box::new(Equivocator::new(*b)),
+            Some(FaultSpec::Attack { name, args }) => {
+                let ctx = AttackCtx {
+                    party,
+                    n: self.n,
+                    t: self.t,
+                    seed,
+                    args,
+                    episode,
+                    carry,
+                };
+                match registry.build(name, &ctx) {
+                    Some(AttackRole::Instance(inst)) => inst,
+                    Some(AttackRole::Honest) => honest(),
+                    None => {
+                        return Err(format!(
+                            "attack {name:?} (args {args:?}) failed to build for \
+                             episode {episode:?}"
+                        ))
+                    }
+                }
+            }
+        };
+        Ok((instance, false))
     }
 }
 
@@ -1399,6 +1435,46 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.contains("pinger-stutter"), "{err}");
+    }
+
+    #[test]
+    fn party_instance_covers_the_fault_plan() {
+        // Usable dry, one party at a time: the crash flag is set for
+        // exactly the party a runtime (or a daemon) must take down.
+        let honest = || -> Box<dyn Instance> { Box::new(Pinger { heard: 0 }) };
+        let mut reg = AttackRegistry::new();
+        for (plan, crashes) in [
+            ("silent@3", false),
+            ("mute-after:6@3", false),
+            ("garbage:4@3", false),
+            ("equivocate:4@3", false),
+            ("crash@3", true),
+        ] {
+            let s = Scenario::parse(&format!("n=4,t=1,corrupt={plan},rt=proc")).unwrap();
+            for p in (0..4).map(PartyId) {
+                let (_, crash) = s.party_instance(&reg, "ping", p, 7, None, honest).unwrap();
+                assert_eq!(crash, p.0 == 3 && crashes, "party {p:?} plan {plan}");
+            }
+        }
+        // A named attack is told the episode, party and seed it is built for.
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        reg.register("spy", move |ctx| {
+            log.lock()
+                .unwrap()
+                .push((ctx.episode.to_string(), ctx.party, ctx.seed));
+            Some(AttackRole::Honest)
+        });
+        let s = Scenario::parse("n=4,t=1,corrupt=spy@2,rt=proc").unwrap();
+        assert!(s
+            .party_instance(&reg, "cs", PartyId(2), 7, None, honest)
+            .is_ok());
+        assert_eq!(*seen.lock().unwrap(), [("cs".to_string(), PartyId(2), 7)]);
+        // A stray recover fault is a hard error, not a silent honest run.
+        let s = Scenario::parse("n=4,t=1,corrupt=recover:50@2,sched=net:lat=1..4").unwrap();
+        assert!(s
+            .party_instance(&reg, "ba", PartyId(2), 7, None, honest)
+            .is_err());
     }
 
     #[test]

@@ -50,10 +50,6 @@ GUARDED_PREFIXES = (
     # fully instrumented pipeline with tracing off must stay within the
     # gate, pinning "tracing costs ~nothing when disabled".
     "trace/off_overhead",
-    # The virtual clock: the same BA run under the `net:` discrete-event
-    # scheduler, pinning the cost of arrival-time sampling and
-    # earliest-arrival picks over the order-only schedulers.
-    "net/clock_overhead",
 )
 
 
