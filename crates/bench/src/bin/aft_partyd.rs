@@ -94,10 +94,10 @@ fn parse_args() -> Args {
             }
             "--scenario" => {
                 let spec = value("--scenario");
-                scenario = Some(
-                    Scenario::parse(&spec)
-                        .unwrap_or_else(|| fatal(&format!("scenario {spec:?} does not parse"))),
-                );
+                scenario =
+                    Some(Scenario::try_parse(&spec).unwrap_or_else(|e| {
+                        fatal(&format!("scenario {spec:?} does not parse: {e}"))
+                    }));
             }
             "--recovered" => recovered = true,
             other => fatal(&format!("unknown argument {other:?}")),

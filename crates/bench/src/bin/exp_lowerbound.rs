@@ -12,7 +12,7 @@ fn main() {
     let out = output_arg();
     out.note("# E1 — Lower bound (Theorem 2.2)");
     let rt = runtime_arg();
-    if rt.label() != "sim" {
+    if rt.label() != aft_sim::DEFAULT_BACKEND {
         out.note(&format!(
             "note: --runtime {} ignored — the lower-bound attacks are exhaustive local \
              computations with no message-passing runtime",

@@ -25,7 +25,7 @@ use aft_bench::{output_arg, trials};
 use aft_core::scenarios::{
     run_cell, run_cell_to_bundle, standard_registry, CellReport, StackKind, STEP_BUDGET,
 };
-use aft_sim::{MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
+use aft_sim::{Backend, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,7 +109,7 @@ fn main() {
         t: 1,
         backends: backends
             .iter()
-            .filter(|b| !b.starts_with("threaded"))
+            .filter(|b| Backend::parse_rt(b).is_ok_and(|b| b.is_deterministic()))
             .cloned()
             .collect(),
         schedulers: vec!["net:lat=1..12,partition=p50,heal=200".into()],
@@ -174,7 +174,9 @@ fn run_matrix(
     // Reproducibility: re-sweep and compare the deterministic cells
     // bit-for-bit (threaded cells are exempt by design).
     let again = sweep();
-    let deterministic = |c: &MatrixCell<CellReport>| !c.spec.contains("rt=threaded");
+    let deterministic = |c: &MatrixCell<CellReport>| {
+        Scenario::parse(&c.spec).is_some_and(|s| s.backend().is_ok_and(|b| b.is_deterministic()))
+    };
     let repro = cells
         .iter()
         .zip(&again)
@@ -196,8 +198,8 @@ fn run_matrix(
 
 /// Runs one scenario spec on every stack and prints the cell reports.
 fn run_single(spec: &str) {
-    let scenario = Scenario::parse(spec).unwrap_or_else(|| {
-        eprintln!("error: invalid scenario spec {spec:?}");
+    let scenario = Scenario::try_parse(spec).unwrap_or_else(|e| {
+        eprintln!("error: invalid scenario spec {spec:?}: {e}");
         std::process::exit(2);
     });
     let registry = standard_registry();

@@ -10,7 +10,7 @@
 //!
 //! The same deployment runs on the deterministic simulator (`sim`), the
 //! sharded deterministic simulator (`sharded:<k>`), and the OS-thread
-//! backend (`threaded`) via [`runtime_by_name`] — on the deterministic
+//! backend (`threaded`) via [`Scenario::runtime`] — on the deterministic
 //! backends the whole sweep is reproducible seed-for-seed; `threaded`
 //! shows the tail under genuine OS nondeterminism.
 
@@ -60,7 +60,8 @@ fn main() {
         let backend = backend.as_str();
         // The threaded backend spawns n OS threads per episode; keep the
         // outer trial parallelism modest there.
-        let workers = if backend == "threaded" { 4 } else { 16 };
+        let deterministic = scenario.backend().is_ok_and(|b| b.is_deterministic());
+        let workers = if deterministic { 16 } else { 4 };
         let outcomes = run_trials(0..n_trials, workers, |seed| {
             let mut rt = scenario.runtime(seed);
             let sid = session("ba");

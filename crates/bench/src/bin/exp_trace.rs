@@ -54,8 +54,8 @@ fn main() {
         );
         std::process::exit(2);
     });
-    let scenario = Scenario::parse(&spec).unwrap_or_else(|| {
-        eprintln!("error: invalid scenario spec {spec:?}");
+    let scenario = Scenario::try_parse(&spec).unwrap_or_else(|e| {
+        eprintln!("error: invalid scenario spec {spec:?}: {e}");
         std::process::exit(2);
     });
     let registry = standard_registry();

@@ -326,9 +326,9 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
         ));
     };
     let (clean_spec, restarts) = split_recover_spec(&opts.spec)?;
-    let scenario = Scenario::parse(&clean_spec)
-        .ok_or_else(|| format!("scenario {clean_spec:?} does not parse"))?;
-    if scenario.rt != "proc" && !scenario.rt.starts_with("proc:") {
+    let scenario = Scenario::try_parse(&clean_spec)
+        .map_err(|e| format!("scenario {clean_spec:?} does not parse: {e}"))?;
+    if !scenario.backend()?.is_process_per_party() {
         return Err(format!(
             "deployment needs rt=proc, scenario says rt={}",
             scenario.rt

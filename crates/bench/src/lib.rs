@@ -23,8 +23,8 @@ use aft_core::{
     CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoice, FairChoiceParams, Fba,
 };
 use aft_sim::{
-    runtime_by_name, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId,
-    SessionTag, SilentInstance, StopReason, TraceMode,
+    Backend, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, StopReason, TraceMode, DEFAULT_BACKEND,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,34 +39,16 @@ pub fn trials(base: u64) -> u64 {
 }
 
 /// Which execution backend an experiment runs on, from its `--runtime`
-/// flag.
+/// flag: any [`aft_sim::Backend`] spec, `<family>[:<arg>][:<scheduler>]`
+/// over the families of [`aft_sim::ALL_BACKENDS`] (default
+/// [`aft_sim::DEFAULT_BACKEND`]).
 ///
-/// * `--runtime sim` (default) — the deterministic simulator; each row's
-///   scheduler column picks the adversary.
-/// * `--runtime sim:<sched>` — the simulator pinned to one scheduler,
-///   overriding per-row schedulers.
-/// * `--runtime sharded:<k>` — the sharded deterministic simulator with
-///   `k` worker shards; each row's scheduler column picks the per-party
-///   delivery policy.
-/// * `--runtime sharded:<k>:<sched>` — the sharded simulator pinned to
-///   one per-party scheduler, overriding per-row schedulers.
-/// * `--runtime wire` — the wire-serialized deterministic backend
-///   (envelopes round-trip through the byte codec and per-party OS
-///   sockets); each row's scheduler column picks the adversary, exactly
-///   as on `sim`.
-/// * `--runtime wire:<sched>` — the wire backend pinned to one
-///   scheduler.
-/// * `--runtime async` — the deterministic event-loop backend (one
-///   executor task per party on the vendored `tokio` stand-in); each
-///   row's scheduler column picks the adversary, exactly as on `sim`.
-/// * `--runtime async:<sched>` — the event-loop backend pinned to one
-///   scheduler.
-/// * `--runtime threaded[:<poll_ms>]` — the OS-thread backend; scheduler
-///   columns are ignored (the OS is the scheduler).
-/// * `--runtime proc[:<n>]` — the process-per-party stand-in (one OS
-///   thread per party in this process; scheduler columns are ignored).
-///   The real one-OS-process-per-party deployment is driven by
-///   `exp_deployment`.
+/// On a deterministic family (`sim`, `wire`, `async`, `sharded:<k>`) each
+/// row's scheduler column picks the adversary, unless the flag pins one
+/// scheduler for every row (`sim:lifo`, `sharded:4:fifo`). On `threaded`
+/// and `proc` scheduler columns are ignored — the OS is the scheduler.
+/// (`proc` here is one OS thread per party in this process; the real
+/// one-OS-process-per-party deployment is driven by `exp_deployment`.)
 #[derive(Debug)]
 pub struct RuntimeSpec {
     name: String,
@@ -135,49 +117,41 @@ impl RuntimeSpec {
         &self.name
     }
 
-    /// Whether this is a bare `sharded:<k>` (no pinned scheduler).
-    fn bare_sharded(&self) -> bool {
-        self.name
-            .strip_prefix("sharded:")
-            .is_some_and(|rest| rest.parse::<usize>().is_ok())
+    /// The parsed spec, or why it does not parse.
+    fn backend(&self) -> Result<Backend, String> {
+        Backend::parse(&self.name)
     }
 
     /// Whether rows parameterized by scheduler are meaningful.
     pub fn honors_schedulers(&self) -> bool {
-        self.name == "sim" || self.name == "wire" || self.name == "async" || self.bare_sharded()
+        self.backend().is_ok_and(|b| b.honors_schedulers())
     }
 
     /// Resolves the backend name for a row that wants scheduler `sched`.
     pub fn backend_for(&self, sched: &str) -> String {
-        if self.honors_schedulers() {
-            format!("{}:{sched}", self.name)
-        } else {
-            self.name.clone()
-        }
+        self.backend()
+            .map_or_else(|_| self.name.clone(), |b| b.with_sched(sched).to_string())
     }
 
     /// Builds the runtime for a row with scheduler `sched`.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown backend or scheduler name.
+    /// Panics on an unknown backend or scheduler name. A `proc:<k>` that
+    /// disagrees with the row's `n` is a usage error (experiments sweep
+    /// `n` per row) and exits 2 instead.
     pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
-        let name = self.backend_for(sched);
-        runtime_by_name(&name, config).unwrap_or_else(|| {
-            // `proc:<k>` pins the party count; experiments sweep n per
-            // row, so a mismatch is a usage error, not a backend bug.
-            if let Some(k) = self.name.strip_prefix("proc:") {
-                if k.parse::<usize>().is_ok_and(|k| k != config.n) {
-                    eprintln!(
-                        "error: --runtime {} pins the party count to {k}, but this \
-                         experiment row needs n={}; use --runtime proc to adapt per row",
-                        self.name, config.n
-                    );
-                    std::process::exit(2);
-                }
-            }
-            panic!("unknown runtime or scheduler: {name}")
-        })
+        let backend = self
+            .backend()
+            .unwrap_or_else(|e| panic!("--runtime {}: {e}", self.name));
+        if let Err(e) = backend.check_parties(config.n) {
+            eprintln!("error: --runtime {}: {e}", self.name);
+            std::process::exit(2);
+        }
+        backend
+            .with_sched(sched)
+            .build(config)
+            .unwrap_or_else(|e| panic!("--runtime {}, scheduler {sched}: {e}", self.name))
     }
 
     /// Prints the standard one-line backend banner.
@@ -197,11 +171,12 @@ impl RuntimeSpec {
 }
 
 /// Parses `--runtime <name>` / `--runtime=<name>` from the command line
-/// (default `"sim"`). Every `exp_*` binary accepts this flag; an unknown
-/// backend name exits immediately with a usage message instead of
-/// panicking mid-experiment.
+/// (default [`DEFAULT_BACKEND`]). Every `exp_*` binary accepts this flag;
+/// a spec that does not parse exits immediately with the reason instead
+/// of panicking mid-experiment (per-row schedulers and party counts are
+/// resolved later, per row).
 pub fn runtime_arg() -> RuntimeSpec {
-    let mut picked = RuntimeSpec::named("sim");
+    let mut picked = RuntimeSpec::named(DEFAULT_BACKEND);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--runtime" {
@@ -212,22 +187,8 @@ pub fn runtime_arg() -> RuntimeSpec {
             picked = RuntimeSpec::named(name);
         }
     }
-    // Validate eagerly (per-row schedulers are resolved later, so probe
-    // with a plain scheduler; `proc:<n>` pins the party count, so the
-    // probe adopts it).
-    let probe_n = picked
-        .label()
-        .strip_prefix("proc:")
-        .and_then(|k| k.parse::<usize>().ok())
-        .filter(|&k| k >= 4)
-        .unwrap_or(4);
-    if runtime_by_name(&picked.backend_for("random"), NetConfig::new(probe_n, 1, 0)).is_none() {
-        eprintln!(
-            "error: unknown --runtime {:?} (expected sim[:<scheduler>], \
-             wire[:<scheduler>], async[:<scheduler>], sharded:<k>[:<scheduler>], \
-             threaded[:<poll_ms>], or proc[:<n>])",
-            picked.label()
-        );
+    if let Err(e) = picked.backend() {
+        eprintln!("error: --runtime: {e}");
         std::process::exit(2);
     }
     picked.with_trace(trace_arg())
@@ -697,36 +658,21 @@ mod tests {
     }
 
     #[test]
-    fn runtime_spec_backend_resolution() {
-        let sim = RuntimeSpec::named("sim");
-        assert!(sim.honors_schedulers());
-        assert_eq!(sim.backend_for("lifo"), "sim:lifo");
-        let pinned = RuntimeSpec::named("sim:fifo");
-        assert!(!pinned.honors_schedulers());
-        assert_eq!(pinned.backend_for("lifo"), "sim:fifo");
-        let threaded = RuntimeSpec::named("threaded");
-        assert_eq!(threaded.backend_for("lifo"), "threaded");
-        let sharded = RuntimeSpec::named("sharded:4");
-        assert!(sharded.honors_schedulers());
-        assert_eq!(sharded.backend_for("lifo"), "sharded:4:lifo");
-        let sharded_pinned = RuntimeSpec::named("sharded:4:fifo");
-        assert!(!sharded_pinned.honors_schedulers());
-        assert_eq!(sharded_pinned.backend_for("lifo"), "sharded:4:fifo");
-        let wire = RuntimeSpec::named("wire");
-        assert!(wire.honors_schedulers());
-        assert_eq!(wire.backend_for("lifo"), "wire:lifo");
-        let wire_pinned = RuntimeSpec::named("wire:fifo");
-        assert!(!wire_pinned.honors_schedulers());
-        assert_eq!(wire_pinned.backend_for("lifo"), "wire:fifo");
-        let event_loop = RuntimeSpec::named("async");
-        assert!(event_loop.honors_schedulers());
-        assert_eq!(event_loop.backend_for("lifo"), "async:lifo");
-        let event_loop_pinned = RuntimeSpec::named("async:fifo");
-        assert!(!event_loop_pinned.honors_schedulers());
-        assert_eq!(event_loop_pinned.backend_for("lifo"), "async:fifo");
-        let proc = RuntimeSpec::named("proc");
-        assert!(!proc.honors_schedulers());
-        assert_eq!(proc.backend_for("lifo"), "proc");
+    fn runtime_spec_backend_resolution_follows_the_table() {
+        for family in aft_sim::ALL_BACKENDS {
+            let bare = RuntimeSpec::named(family.example);
+            assert_eq!(bare.honors_schedulers(), family.deterministic);
+            let pinned = format!("{}:fifo", family.example);
+            if family.deterministic {
+                assert_eq!(bare.backend_for("lifo"), format!("{}:lifo", family.example));
+                let pinned = RuntimeSpec::named(&pinned);
+                assert!(!pinned.honors_schedulers());
+                assert_eq!(pinned.backend_for("lifo"), pinned.label());
+            } else {
+                assert_eq!(bare.backend_for("lifo"), family.example);
+                assert!(RuntimeSpec::named(&pinned).backend().is_err());
+            }
+        }
         let proc_sized = RuntimeSpec::named("proc:4");
         assert!(!proc_sized.honors_schedulers());
         assert_eq!(proc_sized.backend_for("lifo"), "proc:4");

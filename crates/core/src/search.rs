@@ -21,6 +21,7 @@
 use crate::scenarios::{run_cell_instrumented, CellOutcome, CellReport, StackKind};
 use aft_sim::{
     AdaptiveSpec, AttackRegistry, Corruption, FaultSpec, Fingerprint, PartyId, Scenario, TraceMode,
+    DEFAULT_BACKEND,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -616,9 +617,9 @@ fn shrink_candidates(spec: &str) -> Vec<String> {
         s.sched = "random".to_string();
         candidates.push(s.to_string());
     }
-    if scenario.rt != "sim" {
+    if scenario.rt != DEFAULT_BACKEND {
         let mut s = scenario.clone();
-        s.rt = "sim".to_string();
+        s.rt = DEFAULT_BACKEND.to_string();
         candidates.push(s.to_string());
     }
     for n in 4..scenario.n {

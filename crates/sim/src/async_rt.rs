@@ -1,30 +1,32 @@
-//! The async event-loop backend: every party runs as a task on a
+//! The event-loop host behind `rt=async`: every party runs as a task on a
 //! single-threaded executor.
 //!
-//! [`AsyncRuntime`] keeps the *entire* deterministic machinery of
-//! [`SimNetwork`] — scheduler, pending slab, metrics, flight recorder,
+//! An `rt=async` [`SimNetwork`] keeps the *entire* deterministic
+//! machinery — scheduler, pending slab, metrics, flight recorder,
 //! crash/recovery plumbing, adaptive-adversary observation — and moves
-//! only the node-side dispatch onto an event loop: each party's
-//! [`Node`] lives inside a task spawned on a `tokio` current-thread
+//! only the node-side dispatch onto an event loop: for the duration of
+//! every [`Runtime::run`] each party's [`Node`] lives inside a task
+//! spawned on a `tokio` current-thread
 //! [`LocalSet`](tokio::task::LocalSet), and every delivery round-trips
-//! through that party's command/response channel pair. The network
-//! drives the loop through the [`StepHost`] seam, so the step sequence
-//! (and therefore every metric, trace and fingerprint) is bit-for-bit
-//! identical to `rt=sim` under the same `(seed, scheduler)`.
+//! through that party's command/response channel pair. Outside of `run`
+//! (spawns, crashes, output reads) the nodes live in the network, exactly
+//! like `rt=sim`. Scheduling decisions never leave the network, so the
+//! step sequence (and therefore every metric, trace and fingerprint) is
+//! bit-for-bit identical to `rt=sim` under the same `(seed, scheduler)`.
 //!
 //! The executor is the offline API-compatible stand-in vendored at
 //! `vendor/tokio`; swapping in real tokio is a one-line
 //! `[workspace.dependencies]` change (see `vendor/README.md`).
+//!
+//! [`SimNetwork`]: crate::SimNetwork
+//! [`Runtime::run`]: crate::Runtime::run
 
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::network::{Envelope, SimNetwork, StepHost};
+use crate::network::Envelope;
 use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
-use crate::runtime::{deliver_raw, DeliveryOutcome, Metrics, NetConfig, RunReport, Runtime};
-use crate::scheduler::Scheduler;
-use crate::trace::{TraceMode, TraceSink};
-use crate::SharedAdaptive;
+use crate::runtime::{deliver_raw, DeliveryOutcome};
 use tokio::sync::mpsc::{unbounded_channel, UnboundedReceiver, UnboundedSender};
 
 /// One request to a party task.
@@ -96,17 +98,18 @@ async fn party_loop(mut node: Node, mut rx: UnboundedReceiver<Cmd>, tx: Unbounde
     }
 }
 
-/// The [`StepHost`] that routes node operations onto the event loop:
-/// one command/response channel pair per party task.
-struct AsyncHost {
+/// Routes a network's node operations onto the event loop: one
+/// command/response channel pair per party task.
+pub(crate) struct EventLoopHost {
     rt: tokio::runtime::Runtime,
     local: tokio::task::LocalSet,
     cmds: Vec<UnboundedSender<Cmd>>,
     rsps: Vec<UnboundedReceiver<Rsp>>,
 }
 
-impl AsyncHost {
-    fn new(nodes: Vec<Node>) -> Self {
+impl EventLoopHost {
+    /// Moves `nodes` into one task each.
+    pub(crate) fn new(nodes: Vec<Node>) -> Self {
         let rt = tokio::runtime::Builder::new_current_thread()
             .enable_all()
             .build()
@@ -120,7 +123,7 @@ impl AsyncHost {
             cmds.push(cmd_tx);
             rsps.push(rsp_rx);
         }
-        AsyncHost {
+        EventLoopHost {
             rt,
             local,
             cmds,
@@ -138,10 +141,10 @@ impl AsyncHost {
             .block_on(&self.rt, self.rsps[p].recv())
             .expect("async backend: party task dropped its response channel")
     }
-}
 
-impl StepHost for AsyncHost {
-    fn deliver(&mut self, env: Envelope) -> (DeliveryOutcome, Vec<Outgoing>) {
+    /// Dispatches `env` to its destination party, returning the
+    /// delivery's outcome and the envelopes it emitted.
+    pub(crate) fn deliver(&mut self, env: Envelope) -> (DeliveryOutcome, Vec<Outgoing>) {
         let p = env.to.0;
         match self.roundtrip(
             p,
@@ -156,21 +159,25 @@ impl StepHost for AsyncHost {
         }
     }
 
-    fn crash(&mut self, party: PartyId) {
+    /// Crashes `party`'s node.
+    pub(crate) fn crash(&mut self, party: PartyId) {
         match self.roundtrip(party.0, Cmd::Crash) {
             Rsp::Done => {}
             _ => unreachable!("Crash answered with a non-Done response"),
         }
     }
 
-    fn revive(&mut self, party: PartyId, session: &SessionId) {
+    /// Recovery phase 1: un-crashes `party` and retires its stale
+    /// `session` slot.
+    pub(crate) fn revive(&mut self, party: PartyId, session: &SessionId) {
         match self.roundtrip(party.0, Cmd::Revive(session.clone())) {
             Rsp::Done => {}
             _ => unreachable!("Revive answered with a non-Done response"),
         }
     }
 
-    fn spawn(
+    /// Spawns `instance` on `party`, returning its initial sends.
+    pub(crate) fn spawn(
         &mut self,
         party: PartyId,
         session: SessionId,
@@ -182,7 +189,8 @@ impl StepHost for AsyncHost {
         }
     }
 
-    fn finish(mut self: Box<Self>) -> Vec<Node> {
+    /// Tears the host down and hands the nodes back, in party order.
+    pub(crate) fn finish(mut self) -> Vec<Node> {
         let mut nodes = Vec::with_capacity(self.cmds.len());
         for p in 0..self.cmds.len() {
             match self.roundtrip(p, Cmd::Finish) {
@@ -194,117 +202,12 @@ impl StepHost for AsyncHost {
     }
 }
 
-/// The async event-loop backend (`rt=async[:sched]`).
-///
-/// A [`SimNetwork`] whose node-side dispatch runs on an event loop: for
-/// the duration of every [`run`](Runtime::run) the nodes move into
-/// per-party tasks on a current-thread executor, and each delivery is a
-/// command/response round-trip into the destination party's task.
-/// Outside of `run` (spawns, crashes, output reads) the nodes live in
-/// the network as usual, exactly like `rt=sim`.
-///
-/// Determinism: scheduling decisions never leave [`SimNetwork`], so for
-/// any deterministic scheduler family the backend produces bit-for-bit
-/// the schedule, metrics and fingerprint of `rt=sim` — it participates
-/// in the all-backend conformance matrix on those rows.
-///
-/// # Examples
-///
-/// ```
-/// use aft_sim::{runtime_by_name, NetConfig};
-/// let rt = runtime_by_name("async:fifo", NetConfig::new(4, 1, 7)).unwrap();
-/// assert_eq!(rt.backend_name(), "async");
-/// ```
-pub struct AsyncRuntime {
-    net: SimNetwork,
-}
-
-impl AsyncRuntime {
-    /// Builds the backend for `config` with the given scheduler.
-    pub fn new(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        AsyncRuntime {
-            net: SimNetwork::new(config, scheduler),
-        }
-    }
-}
-
-impl Runtime for AsyncRuntime {
-    fn config(&self) -> &NetConfig {
-        self.net.config()
-    }
-
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.net.spawn(party, session, instance);
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.net.crash(party);
-    }
-
-    fn run(&mut self, max_steps: u64) -> RunReport {
-        let nodes = self.net.take_nodes();
-        self.net.set_host(Box::new(AsyncHost::new(nodes)));
-        let report = SimNetwork::run(&mut self.net, max_steps);
-        let host = self
-            .net
-            .clear_host()
-            .expect("host installed for the duration of run");
-        self.net.put_nodes(host.finish());
-        report
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.net.output(party, session)
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.net.retire_session(party, session)
-    }
-
-    fn schedule_recover(
-        &mut self,
-        party: PartyId,
-        at_vtime: u64,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> bool {
-        self.net
-            .schedule_recover(party, at_vtime, session, instance);
-        true
-    }
-
-    fn metrics(&self) -> Metrics {
-        Runtime::metrics(&self.net)
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.net.set_trace(mode);
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.net.take_trace()
-    }
-
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        self.net.install_adaptive(ctrl);
-        true
-    }
-
-    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.net.adaptive_handle()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "async"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::SessionTag;
     use crate::instance::Context;
-    use crate::runtime::{runtime_by_name, StopReason};
+    use crate::runtime::{runtime_by_name, NetConfig, Runtime, StopReason};
     use crate::RuntimeExt;
 
     fn sid() -> SessionId {

@@ -316,15 +316,12 @@ mod tests {
     }
 
     // Cross-backend conformance of the generic behaviours: the same
-    // deployment must quiesce and preserve honest outputs on the
-    // deterministic simulator, the sharded simulator, and the OS-thread
-    // runtime alike.
-
-    const BACKENDS: &[&str] = &["sim", "sharded:2", "threaded", "wire"];
+    // deployment must quiesce and preserve honest outputs on every family
+    // of the backend table alike.
 
     fn on_every_backend(seed: u64, byzantine: impl Fn() -> Box<dyn Instance>) {
         use crate::runtime::{runtime_by_name, RuntimeExt};
-        for backend in BACKENDS {
+        for backend in crate::ALL_BACKENDS.iter().map(|f| f.example) {
             let mut rt = runtime_by_name(backend, NetConfig::new(4, 1, seed)).unwrap();
             for p in 0..3 {
                 rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
@@ -370,11 +367,12 @@ mod tests {
     #[test]
     fn garbage_deliveries_are_observable_as_decode_misses() {
         // Satellite invariant: a type-confused delivery is not silently
-        // dropped — it increments the per-kind miss counter. On the wire
-        // backend the junk arrives as malformed/spoofed bytes, so the
-        // misses land under the wire diagnostic kinds instead.
+        // dropped — it increments the per-kind miss counter. Where
+        // envelopes cross the wire the junk arrives as malformed/spoofed
+        // bytes, so the misses land under the wire diagnostic kinds instead.
         use crate::runtime::{runtime_by_name, RuntimeExt};
-        for backend in ["sim", "sharded:2", "wire"] {
+        let deterministic = crate::ALL_BACKENDS.iter().filter(|f| f.deterministic);
+        for backend in deterministic.map(|f| f.example) {
             let mut rt = runtime_by_name(backend, NetConfig::new(4, 1, 43)).unwrap();
             for p in 0..3 {
                 rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
@@ -384,7 +382,7 @@ mod tests {
             let m = rt.metrics();
             let misses: u64 = m.decode_misses().map(|(_, c)| c).sum();
             assert!(misses > 0, "backend {backend}: no miss recorded: {m:?}");
-            if backend == "wire" {
+            if m.wire_frames > 0 {
                 assert!(
                     m.decode_miss_by_kind("wire:malformed")
                         + m.decode_miss_by_kind("wire:unknown")

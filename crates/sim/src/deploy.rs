@@ -1,19 +1,18 @@
 //! Process-per-party deployment support.
 //!
-//! Two consumers share this module:
+//! `aft-partyd` / `exp_deployment` (in `aft-bench`) are the real
+//! one-OS-process-per-party deployment, asked for with `rt=proc`. Each
+//! daemon builds its own [`Node`] with [`party_node`] and exchanges
+//! envelopes over sockets using [`encode_envelope`] /
+//! [`decode_envelope`], which frame the routing header around the exact
+//! wire representation the `wire` backend already round-trips
+//! in-process. (Built in-process — [`runtime_by_name`]`("proc")` in an
+//! `exp_*` binary or a test — `rt=proc` is a
+//! [`ThreadedRuntime`](crate::ThreadedRuntime) reporting that name:
+//! [`Instance`](crate::Instance)s are trait objects and cannot cross a
+//! process boundary, so one OS *thread* per party stands in.)
 //!
-//! * **`rt=proc[:<n>]`** — [`ProcRuntime`], the in-process stand-in for
-//!   the real deployment. Protocol instances ([`Instance`]) are plain
-//!   trait objects and cannot cross a process boundary, so the string
-//!   spec builds one OS *thread* per party over the same dispatch core
-//!   (a thin wrapper around [`ThreadedRuntime`]); every `exp_*` binary
-//!   and cross-backend test accepts it like any other `--runtime` name.
-//! * **`aft-partyd` / `exp_deployment`** (in `aft-bench`) — the real
-//!   one-OS-process-per-party deployment. Each daemon builds its own
-//!   [`Node`] with [`party_node`] and exchanges envelopes over sockets
-//!   using [`encode_envelope`] / [`decode_envelope`], which frame the
-//!   routing header around the exact wire representation the `wire`
-//!   backend already round-trips in-process.
+//! [`runtime_by_name`]: crate::runtime_by_name
 //!
 //! The envelope layout (all little-endian) is
 //!
@@ -54,12 +53,9 @@
 //!   daemon can speak only for itself.
 
 use crate::ids::{PartyId, SessionId};
-use crate::instance::Instance;
 use crate::node::Node;
 use crate::payload::{FrameBytes, Payload};
-use crate::runtime::{build_node, Metrics, NetConfig, RunReport, Runtime};
-use crate::threaded::ThreadedRuntime;
-use crate::trace::{TraceMode, TraceSink};
+use crate::runtime::{build_node, NetConfig};
 use crate::wire::{get_session, put_session, WireReader, WireWriter, FRAME_HEADER_LEN};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -439,95 +435,10 @@ fn read_hello(stream: &mut TcpStream) -> io::Result<Hello> {
     Ok(Hello::from_bytes(bytes))
 }
 
-/// The in-process stand-in for the process-per-party deployment
-/// (`rt=proc` / `rt=proc:<n>`).
-///
-/// One OS thread per party over the shared dispatch core — real OS
-/// scheduling, no determinism, no virtual clock. It exists so an
-/// unmodified `Scenario` string marked `rt=proc` runs in every `exp_*`
-/// binary and test harness; the *real* multi-process deployment
-/// (one `aft-partyd` OS process per party, supervised crash/restart)
-/// is driven by `exp_deployment` in `aft-bench`, which spawns daemons
-/// from the same scenario string instead of building a `Runtime`.
-///
-/// Scheduled recovery needs a virtual clock and a supervisor, neither
-/// of which exists in-process: [`schedule_recover`](Runtime::schedule_recover)
-/// reports `false` (the party stays crashed), while `exp_deployment`
-/// maps `corrupt=recover:<vt>@p` onto a real SIGKILL + respawn.
-///
-/// # Examples
-///
-/// ```
-/// use aft_sim::{runtime_by_name, NetConfig};
-/// let rt = runtime_by_name("proc:4", NetConfig::new(4, 1, 7)).unwrap();
-/// assert_eq!(rt.backend_name(), "proc");
-/// ```
-pub struct ProcRuntime {
-    inner: ThreadedRuntime,
-}
-
-impl ProcRuntime {
-    /// Builds the stand-in: one worker thread per party.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n < 3t + 1` (see [`ThreadedRuntime::new`]).
-    pub fn new(config: NetConfig) -> Self {
-        ProcRuntime {
-            inner: ThreadedRuntime::new(config),
-        }
-    }
-}
-
-impl Runtime for ProcRuntime {
-    fn config(&self) -> &NetConfig {
-        self.inner.config()
-    }
-
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.inner.spawn(party, session, instance);
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.inner.crash(party);
-    }
-
-    fn run(&mut self, max_steps: u64) -> RunReport {
-        self.inner.run(max_steps)
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.inner.output(party, session)
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.inner.retire_session(party, session)
-    }
-
-    fn metrics(&self) -> Metrics {
-        Runtime::metrics(&self.inner)
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.inner.set_trace(mode);
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.inner.take_trace()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "proc"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::SessionTag;
-    use crate::instance::Context;
-    use crate::runtime::{runtime_by_name, StopReason};
-    use crate::RuntimeExt;
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("dep", 0))
@@ -594,6 +505,45 @@ mod tests {
         // A malformed header is refused whoever owns the link.
         let cut = FrameBytes::from(from_two[..5].to_vec());
         assert!(decode_link_envelope(PartyId(2), &cut).is_none());
+    }
+
+    /// An envelope from party 2 whose session path is `tags`, written
+    /// without interning anything.
+    fn raw_envelope(tags: &[(&str, u64)]) -> FrameBytes {
+        let mut buf = Vec::new();
+        WireWriter::u32(&mut buf, 2);
+        WireWriter::u8(&mut buf, tags.len() as u8);
+        for (kind, index) in tags {
+            WireWriter::bytes(&mut buf, kind.as_bytes());
+            WireWriter::u64(&mut buf, *index);
+        }
+        assert!(Payload::message(7u8).encode_wire_frame(&mut buf));
+        FrameBytes::from(buf)
+    }
+
+    #[test]
+    fn session_ids_over_the_bounds_are_refused_before_they_are_interned() {
+        use crate::ids::SessionTag;
+        use crate::wire::{MAX_KIND_LEN, MAX_SESSION_DEPTH};
+        let long = "k".repeat(MAX_KIND_LEN + 1);
+        let fits = "k".repeat(MAX_KIND_LEN);
+        // At the bounds an id decodes (and its kinds are interned) ...
+        let at_bounds = raw_envelope(&vec![(fits.as_str(), 3); MAX_SESSION_DEPTH]);
+        let (session, _) = decode_link_envelope(PartyId(2), &at_bounds).expect("within bounds");
+        assert_eq!(session.depth(), MAX_SESSION_DEPTH);
+        assert!(SessionTag::kind_is_interned(&fits));
+        // ... one past either bound it is a malformed header, and nothing
+        // of it — not even the well-formed tags before the bad one —
+        // reaches the interner, which never forgets.
+        let too_deep = raw_envelope(&vec![("deploy-too-deep", 0); MAX_SESSION_DEPTH + 1]);
+        let too_long = raw_envelope(&[("deploy-before-long", 0), (long.as_str(), 0)]);
+        for bad in [&too_deep, &too_long] {
+            assert!(decode_link_envelope(PartyId(2), bad).is_none());
+            assert!(decode_envelope(bad).is_none());
+        }
+        for kind in ["deploy-too-deep", "deploy-before-long", long.as_str()] {
+            assert!(!SessionTag::kind_is_interned(kind), "{kind} was interned");
+        }
     }
 
     /// Counts `write` calls; hands out its bytes in reads of `chunk`.
@@ -805,39 +755,5 @@ mod tests {
         let node = party_node(&config, 2);
         assert_eq!(node.id(), PartyId(2));
         assert!(!node.is_crashed());
-    }
-
-    /// Greets everyone; outputs after hearing from all n parties.
-    struct Greeter {
-        heard: usize,
-    }
-    impl Instance for Greeter {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.send_all(1u8);
-        }
-        fn on_message(&mut self, _f: PartyId, _p: &Payload, ctx: &mut Context<'_>) {
-            self.heard += 1;
-            if self.heard == ctx.n() {
-                ctx.output(self.heard);
-            }
-        }
-    }
-
-    #[test]
-    fn proc_runtime_runs_like_threaded() {
-        let mut rt = runtime_by_name("proc:4", NetConfig::new(4, 1, 7)).unwrap();
-        assert_eq!(rt.backend_name(), "proc");
-        for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Greeter { heard: 0 }));
-        }
-        let report = rt.run(1_000_000);
-        assert_eq!(report.stop, StopReason::Quiescent);
-        for p in 0..4 {
-            assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4), "{p}");
-        }
-        // No supervisor in-process: scheduled recovery is refused.
-        let mut rt = runtime_by_name("proc", NetConfig::new(4, 1, 7)).unwrap();
-        rt.crash(PartyId(3));
-        assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Greeter { heard: 0 })));
     }
 }

@@ -81,8 +81,7 @@ impl SessionTag {
     /// assert!(std::ptr::eq(a, b));
     /// ```
     pub fn intern_kind(kind: &str) -> &'static str {
-        static KINDS: OnceLock<RwLock<HashMap<String, &'static str>>> = OnceLock::new();
-        let table = KINDS.get_or_init(|| RwLock::new(HashMap::new()));
+        let table = kinds();
         if let Some(&hit) = table.read().expect("kind interner poisoned").get(kind) {
             return hit;
         }
@@ -94,6 +93,20 @@ impl SessionTag {
         table.insert(kind.to_owned(), leaked);
         leaked
     }
+
+    /// Whether `kind` has been interned — lets tests show that refused
+    /// input left the table alone.
+    #[cfg(test)]
+    pub(crate) fn kind_is_interned(kind: &str) -> bool {
+        let table = kinds().read().expect("kind interner poisoned");
+        table.contains_key(kind)
+    }
+}
+
+/// The kind intern table behind [`SessionTag::intern_kind`].
+fn kinds() -> &'static RwLock<HashMap<String, &'static str>> {
+    static KINDS: OnceLock<RwLock<HashMap<String, &'static str>>> = OnceLock::new();
+    KINDS.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 impl fmt::Display for SessionTag {

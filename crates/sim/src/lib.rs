@@ -27,32 +27,29 @@
 //!
 //! ## The runtime seam
 //!
-//! Every execution backend implements the [`Runtime`] trait, so the same
-//! deployment runs unchanged on:
+//! Three engines implement the [`Runtime`] trait, so the same deployment
+//! runs unchanged on each; the `rt=` names configure them (the
+//! [`backend`] table is the one place that knows how):
 //!
 //! * [`SimNetwork`] — the deterministic simulator (adversarial schedulers,
-//!   traces, replay);
-//! * [`ShardedSimRuntime`] — the sharded deterministic simulator: parties
-//!   partitioned across worker threads, epoch-barrier merge, schedules
-//!   that are a pure function of `(seed, scheduler)` for *every* shard
-//!   count;
-//! * [`WireRuntime`] — the wire-serialized deterministic runtime: every
-//!   envelope is encoded to a self-describing byte frame (see the
-//!   [`wire`] codec module), round-tripped through a per-party OS socket
-//!   pair, and decoded lazily at the receiver — the byte-level seam the
+//!   traces, replay). `rt=sim` is the bare engine; `rt=wire` has it encode
+//!   every envelope to a self-describing byte frame (see the [`wire`]
+//!   codec module), round-trip it through a per-party OS socket pair and
+//!   decode it lazily at the receiver — the byte-level seam the
 //!   `garbage`/`equivocate` adversaries fuzz with malformed frames;
-//! * [`AsyncRuntime`] — the async event-loop backend: every party runs
-//!   as a task on a single-threaded executor and each delivery
-//!   round-trips through per-party channels, while all scheduling stays
-//!   in the deterministic network — bit-for-bit the simulator's
-//!   schedule under any deterministic scheduler family;
-//! * [`ThreadedRuntime`] — real OS threads and channels (genuine
-//!   asynchrony, no determinism);
-//! * [`ProcRuntime`] — the in-process stand-in for the process-per-party
-//!   deployment (`rt=proc`); the real one-OS-process-per-party
-//!   deployment with supervised crash/restart lives in `aft-bench`
-//!   (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s envelope
-//!   codec.
+//!   `rt=async` has it run every party as a task on a single-threaded
+//!   executor, each delivery a channel round-trip, while all scheduling
+//!   stays in the network. Both are bit-for-bit the simulator's schedule;
+//! * [`ShardedSimRuntime`] (`rt=sharded:<k>`) — the sharded deterministic
+//!   simulator: parties partitioned across worker threads, epoch-barrier
+//!   merge, schedules that are a pure function of `(seed, scheduler)` for
+//!   *every* shard count;
+//! * [`ThreadedRuntime`] (`rt=threaded`) — real OS threads and channels
+//!   (genuine asynchrony, no determinism). `rt=proc` is the same engine
+//!   in-process; it is the name the real one-OS-process-per-party
+//!   deployment with supervised crash/restart is asked for, which lives in
+//!   `aft-bench` (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s
+//!   envelope codec.
 //!
 //! [`runtime_by_name`] builds any of them from a string, which is what the
 //! `exp_*` binaries' `--runtime` flags and the cross-backend test suites
@@ -64,6 +61,7 @@
 
 pub mod adaptive;
 mod async_rt;
+pub mod backend;
 mod behaviors;
 pub mod cluster;
 pub mod deploy;
@@ -88,9 +86,9 @@ pub use adaptive::{
     AdaptiveAttack, AdaptiveController, AdaptiveShell, CorruptMode, CorruptionPlan, ObsEvent,
     PinPolicy, SharedAdaptive,
 };
-pub use async_rt::AsyncRuntime;
+pub use backend::{Backend, BackendFamily, ALL_BACKENDS, DEFAULT_BACKEND};
 pub use behaviors::{Equivocator, Garbage, GarbageInstance, MuteAfter, SilentInstance};
-pub use deploy::{decode_envelope, encode_envelope, party_node, ProcRuntime};
+pub use deploy::{decode_envelope, encode_envelope, party_node};
 pub use ids::{PartyId, SessionId, SessionTag};
 pub use instance::{Context, Instance};
 pub use montecarlo::{run_trials, Bernoulli};
@@ -117,7 +115,6 @@ pub use trace::{
     TraceSummary,
 };
 pub use wire::{CodecRegistry, WireMessage};
-pub use wire_rt::WireRuntime;
 
 /// Builds a boxed scheduler by name — convenience for experiment sweeps.
 ///
@@ -145,6 +142,27 @@ pub use wire_rt::WireRuntime;
 /// ```
 pub fn scheduler_by_name(name: &str) -> Option<Box<dyn Scheduler>> {
     ALL_SCHEDULERS.iter().find_map(|family| family.parse(name))
+}
+
+/// Why `spec` did not resolve through [`scheduler_by_name`]: a known
+/// family with malformed arguments gets that family's grammar example,
+/// an unknown family the list of families.
+pub(crate) fn scheduler_error(spec: &str) -> String {
+    let family = spec.split(':').next().unwrap_or(spec);
+    match ALL_SCHEDULERS.iter().find(|f| f.name == family) {
+        Some(f) => format!(
+            "scheduler {spec:?} has malformed arguments for the {:?} family \
+             (grammar example: sched={})",
+            f.name, f.example
+        ),
+        None => {
+            let names: Vec<&str> = ALL_SCHEDULERS.iter().map(|f| f.name).collect();
+            format!(
+                "unknown scheduler {spec:?} (families: {})",
+                names.join(", ")
+            )
+        }
+    }
 }
 
 /// One scheduler family known to [`scheduler_by_name`].

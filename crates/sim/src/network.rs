@@ -1,6 +1,7 @@
 //! The deterministic asynchronous network simulator.
 
 use crate::adaptive::{ObsEvent, SharedAdaptive};
+use crate::async_rt::EventLoopHost;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::net::NetEvent;
@@ -8,8 +9,8 @@ use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
-    account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, DeliveryOutcome, Metrics,
-    NetConfig, RecoverPlan, RunReport, Runtime, StopReason, REJOIN_GRACE,
+    account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, Metrics, NetConfig,
+    RecoverPlan, RunReport, Runtime, StopReason, REJOIN_GRACE,
 };
 use crate::scheduler::Scheduler;
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -34,36 +35,6 @@ pub struct Envelope {
     pub born_step: u64,
 }
 
-/// Where the network's node-side work actually executes.
-///
-/// Normally `SimNetwork` owns its [`Node`]s and dispatches inline. A
-/// backend that wants the *same* schedule but different execution (the
-/// async event-loop backend runs each party as a task) takes the nodes
-/// out, installs a host, and the network routes every node operation —
-/// delivery dispatch, crash, recovery revival, spawn — through it while
-/// keeping all scheduling, metrics and tracing itself. The step
-/// sequence is therefore bit-for-bit identical with and without a host.
-pub(crate) trait StepHost {
-    /// Dispatches `env` to its destination party, returning the
-    /// delivery's outcome and the envelopes it emitted.
-    fn deliver(&mut self, env: Envelope) -> (DeliveryOutcome, Vec<Outgoing>);
-    /// Crashes `party`'s node.
-    fn crash(&mut self, party: PartyId);
-    /// Recovery phase 1: un-crashes `party` and retires its stale
-    /// `session` slot.
-    fn revive(&mut self, party: PartyId, session: &SessionId);
-    /// Spawns `instance` on `party`, returning its initial sends.
-    fn spawn(
-        &mut self,
-        party: PartyId,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> Vec<Outgoing>;
-    /// Tears the host down and hands the nodes back, in party order, so
-    /// the network can resume inline dispatch (and serve outputs).
-    fn finish(self: Box<Self>) -> Vec<Node>;
-}
-
 /// The deterministic discrete-event network: `n` nodes, a slab of in-flight
 /// envelopes, and a [`Scheduler`] choosing the delivery order.
 ///
@@ -74,7 +45,14 @@ pub(crate) trait StepHost {
 /// `SimNetwork` implements [`Runtime`], so deployments written against the
 /// trait run identically here and on the [`ThreadedRuntime`]; the inherent
 /// methods additionally expose simulator-only power (step-by-step
-/// execution, delivery traces, scheduled crashes, mid-run inspection).
+/// execution, scheduled crashes, mid-run inspection).
+///
+/// The engine also hosts two more `rt=` names (see
+/// [`backend`](crate::backend)), each a construction-time setting that
+/// leaves the schedule bit-for-bit alone: `wire` routes every send
+/// through the byte codec and a per-party OS socket pair before it is
+/// queued, and `async` has [`Runtime::run`] move the nodes onto per-party
+/// event-loop tasks for the duration of the run.
 ///
 /// [`ThreadedRuntime`]: crate::ThreadedRuntime
 ///
@@ -123,8 +101,6 @@ pub struct SimNetwork {
     muted: Vec<bool>,
     /// Optional per-party crash step: at this delivery step the party stops.
     crash_at: HashMap<PartyId, u64>,
-    /// Trace of (seq, from, to) for determinism checks, if enabled.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Structured flight recorder (see [`crate::trace`]), if enabled.
     /// Observational only: consulted behind one `Option` check and never
     /// allowed to perturb schedules, RNGs or metrics.
@@ -138,17 +114,21 @@ pub struct SimNetwork {
     /// Reusable dispatch-output buffer (empty between steps).
     scratch: Vec<Outgoing>,
     /// When present, every enqueued envelope round-trips through the
-    /// byte-level wire boundary (the [`WireRuntime`](crate::WireRuntime)
-    /// runs a `SimNetwork` in this mode).
+    /// byte-level wire boundary (`rt=wire`).
     codec: Option<Box<crate::wire_rt::WireLink>>,
     /// Adaptive-adversary controller, if an adaptive scenario installed
     /// one: fed schedule-stable observation events at each delivery.
     adaptive: Option<SharedAdaptive>,
-    /// When installed, node-side work (dispatch, crash, revive, spawn)
-    /// executes through this host instead of `self.nodes` — see
-    /// [`StepHost`]. The async backend installs one for the duration of
-    /// each `run`.
-    host: Option<Box<dyn StepHost>>,
+    /// Whether [`Runtime::run`] hosts the nodes on an event loop
+    /// (`rt=async`).
+    event_loop: bool,
+    /// While installed, node-side work (dispatch, crash, revive, spawn)
+    /// executes on the host's per-party tasks instead of `self.nodes`,
+    /// which it holds; scheduling, metrics and tracing stay here, so the
+    /// step sequence is bit-for-bit the same with and without a host.
+    host: Option<EventLoopHost>,
+    /// What [`Runtime::backend_name`] reports.
+    label: &'static str,
 }
 
 impl SimNetwork {
@@ -181,42 +161,20 @@ impl SimNetwork {
             seq: 0,
             muted: vec![false; config.n],
             crash_at: HashMap::new(),
-            trace: None,
             sink: None,
             started: false,
             recoveries: Vec::new(),
             scratch: Vec::new(),
             codec: None,
             adaptive: None,
+            event_loop: false,
             host: None,
+            label: "sim",
         }
     }
 
-    /// Takes the nodes out, leaving the network node-less — pair with
-    /// [`set_host`](SimNetwork::set_host) so node work still has
-    /// somewhere to run, and [`put_nodes`](SimNetwork::put_nodes) after.
-    pub(crate) fn take_nodes(&mut self) -> Vec<Node> {
-        std::mem::take(&mut self.nodes)
-    }
-
-    /// Puts nodes taken by [`take_nodes`](SimNetwork::take_nodes) back.
-    pub(crate) fn put_nodes(&mut self, nodes: Vec<Node>) {
-        self.nodes = nodes;
-    }
-
-    /// Routes subsequent node-side work through `host`.
-    pub(crate) fn set_host(&mut self, host: Box<dyn StepHost>) {
-        self.host = Some(host);
-    }
-
-    /// Removes the installed host, returning it for teardown.
-    pub(crate) fn clear_host(&mut self) -> Option<Box<dyn StepHost>> {
-        self.host.take()
-    }
-
     /// Creates a network whose envelopes round-trip through the wire
-    /// codec and a per-party OS socket pair — the engine behind
-    /// [`WireRuntime`](crate::WireRuntime).
+    /// codec and a per-party OS socket pair — the engine behind `rt=wire`.
     pub(crate) fn with_codec(
         config: NetConfig,
         scheduler: Box<dyn Scheduler>,
@@ -227,23 +185,23 @@ impl SimNetwork {
         net
     }
 
+    /// Creates a network whose [`Runtime::run`] dispatches on per-party
+    /// event-loop tasks — the engine behind `rt=async`.
+    pub(crate) fn on_event_loop(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
+        let mut net = SimNetwork::new(config, scheduler);
+        net.event_loop = true;
+        net
+    }
+
+    /// Sets the name [`Runtime::backend_name`] reports.
+    pub(crate) fn labelled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
+    }
+
     /// The network's static configuration.
     pub fn config(&self) -> &NetConfig {
         &self.config
-    }
-
-    /// Enables recording of `(seq, from, to)` delivery tuples, for
-    /// determinism tests.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded delivery trace (empty unless [`enable_trace`] was
-    /// called).
-    ///
-    /// [`enable_trace`]: SimNetwork::enable_trace
-    pub fn trace(&self) -> &[(u64, PartyId, PartyId)] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Spawns `instance` for `party` at `session` and injects its initial
@@ -255,28 +213,6 @@ impl SimNetwork {
         };
         // Spawn-phase sends have no causal parent: they are DAG roots.
         self.enqueue(party, &mut out, None);
-    }
-
-    /// Enables the structured flight recorder for subsequent runs (see
-    /// [`crate::trace`]); [`TraceMode::Off`] disables it.
-    pub fn set_trace(&mut self, mode: TraceMode) {
-        self.sink = mode.build();
-    }
-
-    /// Detaches and returns the flight recorder's sink, if any.
-    pub fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
-    /// Installs an adaptive-adversary controller; subsequent deliveries
-    /// and scheduler picks are fed to it as observation events.
-    pub fn install_adaptive(&mut self, ctrl: SharedAdaptive) {
-        self.adaptive = Some(ctrl);
-    }
-
-    /// The installed adaptive controller, if any.
-    pub fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.adaptive.clone()
     }
 
     /// Crashes `party` immediately: it stops processing and sending.
@@ -402,9 +338,6 @@ impl SimNetwork {
                 }
             }
             let env = self.pending.take_slot(slot);
-            if let Some(trace) = &mut self.trace {
-                trace.push((env.seq, env.from, env.to));
-            }
             if let Some(vt) = vnow {
                 let kind = env.session.last().map_or("root", |t| t.kind);
                 self.metrics.on_virtual_delivery(kind, vt);
@@ -552,14 +485,6 @@ impl SimNetwork {
         m
     }
 
-    /// Releases all of `party`'s local state for a completed `session`
-    /// (output, early buffer, arena slot) — see
-    /// [`Runtime::retire_session`]. Returns `true` when a slot was
-    /// freed.
-    pub fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.nodes[party.0].retire_session(session)
-    }
-
     /// Counts and enqueues one dispatch's outgoing envelopes, grouped by
     /// destination (a stable sort, so per-destination order is emission
     /// order): a multi-send dispatch becomes one batch per destination in
@@ -651,26 +576,6 @@ impl SimNetwork {
                 }
             }
         }
-    }
-
-    /// Schedules `party` to recover at virtual time `at_vtime` — see
-    /// [`Runtime::schedule_recover`]. Fires against the scheduler's
-    /// virtual clock (the `net:` family); with an order-only scheduler
-    /// the recovery still fires once traffic drains.
-    pub fn schedule_recover(
-        &mut self,
-        party: PartyId,
-        at_vtime: u64,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) {
-        self.recoveries.push(RecoverPlan {
-            party,
-            at: at_vtime,
-            session,
-            instance: Some(instance),
-            revived: false,
-        });
     }
 
     /// Fires due recovery phases against the virtual clock. Phase 1 at
@@ -817,7 +722,17 @@ impl Runtime for SimNetwork {
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
-        SimNetwork::run(self, max_steps)
+        if !self.event_loop {
+            return SimNetwork::run(self, max_steps);
+        }
+        // Once per run, never per delivery: the nodes move onto the event
+        // loop, and come back so that outputs are readable between runs.
+        let nodes = std::mem::take(&mut self.nodes);
+        self.host = Some(EventLoopHost::new(nodes));
+        let report = SimNetwork::run(self, max_steps);
+        let host = self.host.take().expect("installed above");
+        self.nodes = host.finish();
+        report
     }
 
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
@@ -829,9 +744,12 @@ impl Runtime for SimNetwork {
     }
 
     fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        SimNetwork::retire_session(self, party, session)
+        self.nodes[party.0].retire_session(session)
     }
 
+    /// Fires against the scheduler's virtual clock (the `net:` family);
+    /// with an order-only scheduler the recovery still fires once traffic
+    /// drains.
     fn schedule_recover(
         &mut self,
         party: PartyId,
@@ -839,29 +757,35 @@ impl Runtime for SimNetwork {
         session: SessionId,
         instance: Box<dyn Instance>,
     ) -> bool {
-        SimNetwork::schedule_recover(self, party, at_vtime, session, instance);
+        self.recoveries.push(RecoverPlan {
+            party,
+            at: at_vtime,
+            session,
+            instance: Some(instance),
+            revived: false,
+        });
         true
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
-        SimNetwork::set_trace(self, mode);
+        self.sink = mode.build();
     }
 
     fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        SimNetwork::take_trace(self)
+        self.sink.take()
     }
 
     fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        SimNetwork::install_adaptive(self, ctrl);
+        self.adaptive = Some(ctrl);
         true
     }
 
     fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        SimNetwork::adaptive_handle(self)
+        self.adaptive.clone()
     }
 
     fn backend_name(&self) -> &'static str {
-        "sim"
+        self.label
     }
 }
 
@@ -941,9 +865,9 @@ mod tests {
     fn deterministic_replay_same_seed() {
         let trace = |seed| {
             let mut net = flood_net(seed, Box::new(RandomScheduler));
-            net.enable_trace();
+            net.set_trace(TraceMode::Full);
             net.run(1_000_000);
-            net.trace().to_vec()
+            net.take_trace().expect("tracing on").snapshot()
         };
         assert_eq!(trace(9), trace(9));
         assert_ne!(trace(9), trace(10), "different seeds should differ");

@@ -169,8 +169,9 @@ impl Clone for Repr {
     }
 }
 
-/// A protocol message payload or instance output. See the
-/// [module docs](self) for the three representations.
+/// A protocol message payload or instance output, in one of three
+/// representations: an inline frame, a shared typed value, or lazily
+/// decoded wire bytes.
 ///
 /// ```
 /// use aft_sim::Payload;
@@ -270,7 +271,7 @@ impl Payload {
 
     /// Wraps a protocol message, keeping its wire identity.
     ///
-    /// Small messages (encoded body ≤ [`INLINE_BODY_CAP`] bytes) are
+    /// Small messages (encoded body ≤ `INLINE_BODY_CAP` bytes) are
     /// stored as inline frames — no allocation; larger ones share an
     /// `Arc` and encode lazily at the wire boundary. Messages with an
     /// adversarial [`raw_frame`](WireMessage::raw_frame) stay typed so

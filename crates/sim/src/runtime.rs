@@ -1,19 +1,22 @@
-//! The runtime seam: one [`Runtime`] trait over every execution backend.
+//! The runtime seam: one [`Runtime`] trait over every execution engine.
 //!
 //! Protocol code is written once against [`Instance`] and runs unchanged on
-//! any backend implementing [`Runtime`]: today the deterministic
-//! [`SimNetwork`] and the OS-thread [`ThreadedRuntime`], tomorrow sharded
-//! or wire-serialized backends. The trait captures the full lifecycle an
-//! experiment needs — deploy instances, inject crashes, run to quiescence,
-//! read outputs and metrics — so cross-backend suites and `--runtime`
-//! experiment flags are one `Box<dyn Runtime>` away.
+//! any engine implementing [`Runtime`]: the deterministic [`SimNetwork`]
+//! (which also hosts the `wire` and `async` names), the
+//! [`ShardedSimRuntime`] and the OS-thread [`ThreadedRuntime`]. The trait
+//! captures the full lifecycle an experiment needs — deploy instances,
+//! inject crashes, run to quiescence, read outputs and metrics — so
+//! cross-backend suites and `--runtime` experiment flags are one
+//! `Box<dyn Runtime>` away. Which `rt=` name builds which engine is the
+//! [`backend`](crate::backend) table's business, not this module's.
 //!
-//! This module also owns the backend-shared pieces: the static
+//! This module also owns the engine-shared pieces: the static
 //! [`NetConfig`], the [`Metrics`] counters (with interned per-kind send
 //! counts), run reports, per-party RNG derivation, and the
-//! deliver-with-accounting core both backends route every message through.
+//! deliver-with-accounting core every engine routes every message through.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
+//! [`ShardedSimRuntime`]: crate::ShardedSimRuntime
 //! [`ThreadedRuntime`]: crate::ThreadedRuntime
 
 use crate::adaptive::SharedAdaptive;
@@ -575,9 +578,11 @@ pub(crate) struct RecoverPlan {
     pub revived: bool,
 }
 
-/// One execution backend: deploy [`Instance`]s, run, read outputs.
+/// One execution engine: deploy [`Instance`]s, run, read outputs.
 ///
-/// Both backends implement the same deploy-run-inspect lifecycle:
+/// Every engine implements the same deploy-run-inspect lifecycle, and
+/// every method states its own answer — there are no default bodies, so
+/// a new engine cannot silently inherit "unsupported":
 ///
 /// 1. [`spawn`](Runtime::spawn) the protocol instances (and optionally
 ///    [`crash`](Runtime::crash) parties);
@@ -590,7 +595,7 @@ pub(crate) struct RecoverPlan {
 ///
 /// # Examples
 ///
-/// The identical deployment on both backends:
+/// The identical deployment on two backends:
 ///
 /// ```
 /// use aft_sim::{runtime_by_name, Context, Instance, NetConfig, PartyId, Payload,
@@ -658,13 +663,7 @@ pub trait Runtime {
     /// instances may keep participating (e.g. echoing for laggards)
     /// after producing an output, and reclaiming them implicitly would
     /// change schedules. Returns `true` when a session slot was freed.
-    /// Backends without per-party arenas (e.g. the threaded runtime,
-    /// whose nodes live on worker threads) may not support it and return
-    /// `false`.
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        let _ = (party, session);
-        false
-    }
+    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool;
 
     /// Schedules `party` — crashed or about to be crashed — to recover at
     /// virtual time `at_vtime`: its stale `session` state is retired via
@@ -675,55 +674,41 @@ pub trait Runtime {
     /// Recovery needs a virtual clock: backends honor it only when their
     /// scheduler is the `net:` family (recoveries still fire at
     /// quiescence otherwise, but without meaningful timing). Returns
-    /// `false` when the backend does not support scheduled recovery —
-    /// the party then simply stays crashed.
+    /// `false` when the backend has no clock to schedule against (the
+    /// threaded engine) — the party then simply stays crashed.
     fn schedule_recover(
         &mut self,
         party: PartyId,
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool {
-        let _ = (party, at_vtime, session, instance);
-        false
-    }
+    ) -> bool;
 
     /// Snapshot of the run metrics so far.
     fn metrics(&self) -> Metrics;
 
     /// Configures the flight recorder (see [`trace`](crate::trace)) for
     /// subsequent runs. Off by default; tracing is observational only
-    /// and never perturbs schedules, RNGs or fingerprints. The default
-    /// implementation ignores the call, so backends without a recorder
-    /// stay valid.
-    fn set_trace(&mut self, mode: TraceMode) {
-        let _ = mode;
-    }
+    /// and never perturbs schedules, RNGs or fingerprints.
+    fn set_trace(&mut self, mode: TraceMode);
 
     /// Detaches and returns the active trace sink, if any, leaving
     /// tracing off.
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        None
-    }
+    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>>;
 
     /// Installs an adaptive-adversary controller (see
     /// [`adaptive`](crate::adaptive)): the backend feeds it schedule-stable
     /// observation events (deliveries, scheduler picks) as the run
     /// progresses, and [`AdaptiveShell`](crate::AdaptiveShell)s consult its
     /// victim ledger on every activation. Returns `false` when the backend
-    /// cannot feed observations deterministically (e.g. the threaded
-    /// runtime) — adaptive scenarios are rejected there.
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        let _ = ctrl;
-        false
-    }
+    /// cannot feed observations deterministically (the threaded engine)
+    /// — adaptive scenarios are rejected there.
+    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool;
 
     /// The installed adaptive controller, if any — lets multi-episode
     /// deployments reuse one victim ledger across episodes and lets
     /// invariant checkers read the final victim set.
-    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        None
-    }
+    fn adaptive_handle(&self) -> Option<SharedAdaptive>;
 
     /// The backend's name (`"sim"`, `"threaded"`, …) for reports.
     fn backend_name(&self) -> &'static str;
@@ -746,147 +731,26 @@ pub trait RuntimeExt: Runtime {
 
 impl<R: Runtime + ?Sized> RuntimeExt for R {}
 
-/// Builds a boxed runtime by name — the experiment-sweep counterpart of
-/// [`scheduler_by_name`](crate::scheduler_by_name).
+/// Builds a boxed runtime from a backend spec
+/// (`<family>[:<arg>][:<scheduler>]`) — the experiment-sweep counterpart
+/// of [`scheduler_by_name`](crate::scheduler_by_name). The names, their
+/// grammar and what each builds are the [`backend`](crate::backend)
+/// table; this is [`Backend::parse`] then [`Backend::build`] for callers
+/// that do not report why a spec was refused.
 ///
-/// Supported names:
-///
-/// * `"sim"` — deterministic simulator with the random scheduler;
-/// * `"sim:<scheduler>"` — simulator with any
-///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler
-///   (e.g. `"sim:lifo"`, `"sim:window8"`, `"sim:starve:1,3"`);
-/// * `"sharded:<k>"` — sharded deterministic simulator
-///   ([`ShardedSimRuntime`](crate::ShardedSimRuntime)) with `k` worker
-///   shards and the random per-party scheduler (`k ≥ 1`);
-/// * `"sharded:<k>:<scheduler>"` — sharded simulator with every party
-///   running the named [`scheduler_by_name`](crate::scheduler_by_name)
-///   policy (e.g. `"sharded:4:lifo"`);
-/// * `"wire"` — the wire-serialized deterministic runtime
-///   ([`WireRuntime`](crate::WireRuntime)): every envelope is encoded to
-///   a length-prefixed byte frame, round-tripped through a per-party OS
-///   socket pair, and decoded lazily through the process-global
-///   [`CodecRegistry`](crate::wire::CodecRegistry) snapshot;
-/// * `"wire:<scheduler>"` — the wire runtime with any
-///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler;
-/// * `"async"` — the event-loop runtime
-///   ([`AsyncRuntime`](crate::AsyncRuntime)): every party runs as a task
-///   on a single-threaded executor and deliveries round-trip through
-///   per-party channels, with the random scheduler picking the order;
-/// * `"async:<scheduler>"` — the event-loop runtime with any
-///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler;
-/// * `"proc"` / `"proc:<n>"` — the in-process stand-in for the
-///   process-per-party deployment ([`ProcRuntime`](crate::ProcRuntime)):
-///   one OS thread per party, OS scheduling, `<n>` (when given) must
-///   equal the configured party count. The *real* multi-process
-///   deployment is driven by the `aft-partyd` binary and the
-///   `exp_deployment` supervisor in `aft-bench`;
-/// * `"threaded"` — OS-thread runtime with the default poll interval;
-/// * `"threaded:<millis>"` — OS-thread runtime with an explicit idle-poll
-///   interval in milliseconds.
+/// [`Backend::parse`]: crate::Backend::parse
+/// [`Backend::build`]: crate::Backend::build
 ///
 /// # Examples
 ///
 /// ```
 /// use aft_sim::{runtime_by_name, NetConfig};
 /// let config = NetConfig::new(4, 1, 1);
-/// assert_eq!(runtime_by_name("sim", config).unwrap().backend_name(), "sim");
-/// assert_eq!(runtime_by_name("threaded", config).unwrap().backend_name(), "threaded");
-/// assert_eq!(runtime_by_name("sharded:4", config).unwrap().backend_name(), "sharded");
-/// assert_eq!(runtime_by_name("wire", config).unwrap().backend_name(), "wire");
-/// assert_eq!(runtime_by_name("async", config).unwrap().backend_name(), "async");
-/// assert_eq!(runtime_by_name("proc", config).unwrap().backend_name(), "proc");
-/// assert!(runtime_by_name("sim:window8", config).is_some());
-/// assert!(runtime_by_name("wire:lifo", config).is_some());
-/// assert!(runtime_by_name("async:lifo", config).is_some());
-/// assert!(runtime_by_name("sharded:2:lifo", config).is_some());
-/// assert!(runtime_by_name("proc:4", config).is_some());
-/// assert!(runtime_by_name("proc:5", config).is_none(), "party-count mismatch");
-/// assert!(runtime_by_name("sharded:0", config).is_none());
+/// assert_eq!(runtime_by_name("sharded:2:lifo", config).unwrap().backend_name(), "sharded");
 /// assert!(runtime_by_name("hovercraft", config).is_none());
 /// ```
 pub fn runtime_by_name(name: &str, config: NetConfig) -> Option<Box<dyn Runtime>> {
-    use crate::network::SimNetwork;
-    use crate::shard::ShardedSimRuntime;
-    use crate::threaded::ThreadedRuntime;
-    use crate::wire_rt::WireRuntime;
-    if name == "sim" {
-        return Some(Box::new(SimNetwork::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-        )));
-    }
-    if let Some(sched) = name.strip_prefix("sim:") {
-        return Some(Box::new(SimNetwork::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-        )));
-    }
-    if name == "wire" {
-        return Some(Box::new(WireRuntime::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-            crate::wire::global_registry(),
-        )));
-    }
-    if let Some(sched) = name.strip_prefix("wire:") {
-        return Some(Box::new(WireRuntime::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-            crate::wire::global_registry(),
-        )));
-    }
-    if let Some(rest) = name.strip_prefix("sharded:") {
-        let (k, sched) = match rest.split_once(':') {
-            Some((k, sched)) => (k, Some(sched)),
-            None => (rest, None),
-        };
-        let k: usize = k.parse().ok()?;
-        if k == 0 {
-            return None;
-        }
-        return Some(match sched {
-            None => Box::new(ShardedSimRuntime::new(config, k)),
-            Some(sched) => {
-                crate::scheduler_by_name(sched)?; // validate the name once
-                Box::new(ShardedSimRuntime::with_scheduler_factory(config, k, |_| {
-                    crate::scheduler_by_name(sched).expect("validated above")
-                }))
-            }
-        });
-    }
-    if name == "async" {
-        return Some(Box::new(crate::async_rt::AsyncRuntime::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-        )));
-    }
-    if let Some(sched) = name.strip_prefix("async:") {
-        return Some(Box::new(crate::async_rt::AsyncRuntime::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-        )));
-    }
-    if name == "proc" {
-        return Some(Box::new(crate::deploy::ProcRuntime::new(config)));
-    }
-    if let Some(k) = name.strip_prefix("proc:") {
-        let k: usize = k.parse().ok()?;
-        if k != config.n {
-            return None;
-        }
-        return Some(Box::new(crate::deploy::ProcRuntime::new(config)));
-    }
-    if name == "threaded" {
-        return Some(Box::new(ThreadedRuntime::new(config)));
-    }
-    if let Some(ms) = name.strip_prefix("threaded:") {
-        let ms: u64 = ms.parse().ok()?;
-        return Some(Box::new(ThreadedRuntime::with_poll(
-            config,
-            std::time::Duration::from_millis(ms.max(1)),
-        )));
-    }
-    None
+    crate::Backend::parse(name).ok()?.build(config).ok()
 }
 
 #[cfg(test)]
@@ -1016,14 +880,6 @@ mod tests {
         );
         assert_eq!(metrics.dropped_crashed, 1);
         assert_eq!(metrics.steps, 3);
-    }
-
-    #[test]
-    fn runtime_by_name_rejects_garbage() {
-        let config = NetConfig::new(4, 1, 0);
-        assert!(runtime_by_name("sim:bogus", config).is_none());
-        assert!(runtime_by_name("threaded:abc", config).is_none());
-        assert!(runtime_by_name("", config).is_none());
     }
 
     /// One randomized bookkeeping op against a `Metrics`.

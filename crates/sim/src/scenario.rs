@@ -31,9 +31,11 @@
 //! observation hook and decides who to corrupt mid-run, capped at `t`
 //! distinct victims (statically corrupted parties count against the cap).
 //! At most one adaptive entry per scenario; adaptive plans require a
-//! deterministic backend (`rt=threaded` and `rt=proc` are rejected).
+//! deterministic backend (see [`crate::backend`]; `rt=threaded` and
+//! `rt=proc` are rejected).
 //!
-//! `t` defaults to `⌊(n−1)/3⌋`, `sched` to `random`, `rt` to `sim`. Only
+//! `t` defaults to `⌊(n−1)/3⌋`, `sched` to `random`, `rt` to
+//! [`DEFAULT_BACKEND`]. Only
 //! the five field keys above start a new field: any other comma-separated
 //! token — with or without an `=` — is glued back onto the preceding
 //! value, so scheduler specs need no escaping (`sched=starve:1,3` and
@@ -41,9 +43,12 @@
 //! everything it can without a registry: `n ≥ 3t + 1`, at most `t` distinct
 //! corrupted parties, all ids in range, scheduler and runtime specs
 //! resolvable; [`Scenario::validate_attacks`] additionally checks named
-//! attacks against an [`AttackRegistry`].
+//! attacks against an [`AttackRegistry`]. [`Scenario::try_parse`] says why
+//! a string was refused, in one line that names the fix.
 //!
-//! Generic faults map onto the behaviours of [`crate::behaviors`]; named
+//! Generic faults map onto the crate's generic behaviours
+//! ([`SilentInstance`], [`MuteAfter`], [`GarbageInstance`],
+//! [`Equivocator`]); named
 //! attacks are protocol-specific and resolved through an
 //! [`AttackRegistry`] that protocol crates populate (`aft-ba`, `aft-svss`
 //! export `register_attacks`; `aft-core` assembles the standard registry).
@@ -61,11 +66,12 @@
 //! [`scheduler_by_name`]: crate::scheduler_by_name
 //! [`runtime_by_name`]: crate::runtime_by_name
 
+use crate::backend::{Backend, DEFAULT_BACKEND};
 use crate::behaviors::{Equivocator, GarbageInstance, MuteAfter, SilentInstance};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::payload::Payload;
-use crate::runtime::{runtime_by_name, Metrics, NetConfig, Runtime};
+use crate::runtime::{Metrics, NetConfig, Runtime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -235,9 +241,9 @@ pub struct Scenario {
     pub adaptive: Option<AdaptiveSpec>,
     /// Scheduler spec, resolvable by [`scheduler_by_name`](crate::scheduler_by_name).
     pub sched: String,
-    /// Backend spec: `sim`, `wire`, `sharded:<k>`, or
-    /// `threaded[:<poll_ms>]` (the scheduler is carried separately in
-    /// `sched`).
+    /// Backend spec without a scheduler (which `sched` carries): the
+    /// grammar of a [`crate::ALL_BACKENDS`] family, e.g. `sim`,
+    /// `sharded:4`, `threaded`.
     pub rt: String,
 }
 
@@ -250,60 +256,80 @@ impl Scenario {
             corruptions: Vec::new(),
             adaptive: None,
             sched: "random".to_string(),
-            rt: "sim".to_string(),
+            rt: DEFAULT_BACKEND.to_string(),
         }
     }
 
-    /// Parses and validates a scenario string. Returns `None` on grammar
-    /// errors or failed validation (see [`Scenario::validate`]).
+    /// Parses and validates a scenario string; `None` on any error
+    /// [`Scenario::try_parse`] would report.
     pub fn parse(spec: &str) -> Option<Scenario> {
+        Scenario::try_parse(spec).ok()
+    }
+
+    /// Parses and validates a scenario string. Grammar errors name the
+    /// offending field; validation errors are [`Scenario::validate`]'s.
+    pub fn try_parse(spec: &str) -> Result<Scenario, String> {
+        let fields = spec_fields(spec).ok_or_else(|| {
+            format!("scenario {spec:?} must start with one of n=, t=, corrupt=, sched=, rt=")
+        })?;
+        let number = |key: &str, v: &str| {
+            v.parse::<usize>()
+                .map_err(|_| format!("{key}={v}: expected a number"))
+        };
         let mut n = None;
         let mut t = None;
         let mut corrupt = String::new();
         let mut sched = "random".to_string();
-        let mut rt = "sim".to_string();
-        for (k, v) in spec_fields(spec)? {
+        let mut rt = DEFAULT_BACKEND.to_string();
+        for (k, v) in fields {
             match k {
-                "n" => n = Some(v.parse().ok()?),
-                "t" => t = Some(v.parse().ok()?),
+                "n" => n = Some(number(k, &v)?),
+                "t" => t = Some(number(k, &v)?),
                 "corrupt" => corrupt = v,
                 "sched" => sched = v,
-                "rt" => rt = v,
-                _ => return None,
+                _ => rt = v, // `spec_fields` yields only the five keys
             }
         }
-        let n: usize = n?;
-        let t: usize = match t {
-            Some(t) => t,
-            None => n.saturating_sub(1) / 3,
-        };
+        let n = n.ok_or("n= is required")?;
+        let t = t.unwrap_or(n.saturating_sub(1) / 3);
         let mut corruptions = Vec::new();
         let mut adaptive = None;
-        if !corrupt.is_empty() {
-            for part in corrupt.split(';') {
-                let (fault, party) = part.rsplit_once('@')?;
-                if party.trim() == "*" {
-                    // `adaptive:<name>[:args]@*` binds the adaptive
-                    // adversary to the whole system; at most one per plan.
-                    let rest = fault.trim().strip_prefix("adaptive:")?;
-                    let (name, args) = match rest.split_once(':') {
-                        Some((n, a)) => (n, a),
-                        None => (rest, ""),
-                    };
-                    if !valid_attack_name(name) || adaptive.is_some() {
-                        return None;
-                    }
-                    adaptive = Some(AdaptiveSpec {
-                        name: name.to_string(),
-                        args: args.to_string(),
-                    });
-                    continue;
+        // An empty plan is no entries, not one empty entry.
+        let entries = (!corrupt.is_empty()).then(|| corrupt.split(';'));
+        for part in entries.into_iter().flatten() {
+            let bad = |why: &str| format!("corrupt entry {part:?}: {why}");
+            let (fault, party) = part
+                .rsplit_once('@')
+                .ok_or_else(|| bad("expected <fault>@<party>"))?;
+            let (fault, party) = (fault.trim(), party.trim());
+            if party == "*" {
+                // `adaptive:<name>[:args]@*` binds the adaptive
+                // adversary to the whole system; at most one per plan.
+                let rest = fault
+                    .strip_prefix("adaptive:")
+                    .ok_or_else(|| bad("only adaptive:<name>[:args] binds to @*"))?;
+                let (name, args) = rest.split_once(':').unwrap_or((rest, ""));
+                if !valid_attack_name(name) {
+                    return Err(bad("adaptive attack names are lowercase kebab-case"));
                 }
-                corruptions.push(Corruption {
-                    party: PartyId(party.trim().parse().ok()?),
-                    fault: FaultSpec::parse(fault.trim())?,
+                if adaptive.is_some() {
+                    return Err(bad("at most one adaptive entry per plan"));
+                }
+                adaptive = Some(AdaptiveSpec {
+                    name: name.to_string(),
+                    args: args.to_string(),
                 });
+                continue;
             }
+            corruptions.push(Corruption {
+                party: PartyId(
+                    party
+                        .parse()
+                        .map_err(|_| bad("the party after @ must be a number"))?,
+                ),
+                fault: FaultSpec::parse(fault)
+                    .ok_or_else(|| bad("unknown fault or malformed arguments"))?,
+            });
         }
         corruptions.sort_by_key(|c| c.party.0);
         let scenario = Scenario {
@@ -314,8 +340,14 @@ impl Scenario {
             sched,
             rt,
         };
-        scenario.validate().ok()?;
-        Some(scenario)
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// The backend `rt` names, running `sched` where the family lets a
+    /// scenario choose (on the others the OS schedules).
+    pub fn backend(&self) -> Result<Backend, String> {
+        Ok(Backend::parse_rt(&self.rt)?.with_sched(&self.sched))
     }
 
     /// Checks everything checkable without an attack registry: resilience
@@ -356,46 +388,20 @@ impl Scenario {
                 }
             }
         }
+        let backend = self.backend()?;
+        backend.check_parties(self.n)?;
+        let recover = self
+            .corruptions
+            .iter()
+            .find(|c| matches!(c.fault, FaultSpec::Recover(_)));
         if let Some(spec) = &self.adaptive {
             if !valid_attack_name(&spec.name) {
                 return Err(format!("invalid adaptive attack name {:?}", spec.name));
             }
-            let nondeterministic = ["threaded", "proc"]
-                .iter()
-                .any(|family| self.rt == *family || self.rt.starts_with(&format!("{family}:")));
-            if nondeterministic {
-                return Err(format!(
-                    "adaptive:{}@* needs a deterministic backend to honor replay: use \
-                     rt=sim, rt=async, rt=sharded:<k> or rt=wire ({} schedules are \
-                     OS-timing dependent)",
-                    spec.name,
-                    self.rt.split(':').next().unwrap_or(&self.rt)
-                ));
-            }
+            backend.require_deterministic(&format!("adaptive:{}@*", spec.name))?;
         }
         if crate::scheduler_by_name(&self.sched).is_none() {
-            // Name the mistake: a known family with malformed arguments
-            // gets that family's grammar example; an unknown family gets
-            // the list of families. Mirrors the rt=wire:<args> hint below.
-            let family = self.sched.split(':').next().unwrap_or(&self.sched);
-            return Err(
-                match crate::ALL_SCHEDULERS.iter().find(|f| f.name == family) {
-                    Some(f) => format!(
-                        "scheduler {:?} has malformed arguments for the {:?} family \
-                         (grammar example: sched={})",
-                        self.sched, f.name, f.example
-                    ),
-                    None => {
-                        let names: Vec<&str> =
-                            crate::ALL_SCHEDULERS.iter().map(|f| f.name).collect();
-                        format!(
-                            "unknown scheduler {:?} (families: {})",
-                            self.sched,
-                            names.join(", ")
-                        )
-                    }
-                },
-            );
+            return Err(crate::scheduler_error(&self.sched));
         }
         if let Some(spec) = crate::net::NetSpec::parse(&self.sched) {
             if let Some(crate::net::PartitionSpec::Explicit(cut)) = &spec.partition {
@@ -414,78 +420,15 @@ impl Scenario {
                     ));
                 }
             }
-        } else if let Some(c) = self
-            .corruptions
-            .iter()
-            .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
-        {
+        } else if let Some(c) = recover {
             return Err(format!(
                 "recover@{} is measured in virtual time: use a sched=net: scheduler \
                  (e.g. sched=net:lat=1..8)",
                 c.party.0
             ));
         }
-        if self.rt == "proc" || self.rt.starts_with("proc:") {
-            if let Some(c) = self
-                .corruptions
-                .iter()
-                .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
-            {
-                return Err(format!(
-                    "recover:<vt>@{} on rt=proc is supervisor-driven: run the scenario \
-                     through exp_deployment (which maps it onto SIGKILL + respawn) — \
-                     the in-process proc stand-in has no virtual clock",
-                    c.party.0
-                ));
-            }
-        }
-        let rt_ok = match self.rt.as_str() {
-            "sim" | "threaded" | "wire" | "async" | "proc" => true,
-            other => {
-                if other.starts_with("wire:") || other == "wire:" {
-                    // The most likely authoring mistake on wire cells:
-                    // schedulers (and anything else) do not nest inside
-                    // `rt=`; reject with a targeted message instead of a
-                    // runtime panic deep inside a sweep.
-                    return Err(format!(
-                        "runtime {other:?} takes no arguments: write rt=wire and put the \
-                         scheduler in sched= (wire cells compose as wire:<sched> internally)"
-                    ));
-                }
-                if other.starts_with("async:") || other == "async:" {
-                    return Err(format!(
-                        "runtime {other:?} takes no arguments: write rt=async and put the \
-                         scheduler in sched= (async cells compose as async:<sched> internally)"
-                    ));
-                }
-                if let Some(k) = other.strip_prefix("proc:") {
-                    match k.parse::<usize>() {
-                        Ok(k) if k == self.n => true,
-                        Ok(k) => {
-                            return Err(format!(
-                                "rt=proc:{k} disagrees with n={}: the deployment runs \
-                                 exactly one process per party — write rt=proc (or \
-                                 rt=proc:{})",
-                                self.n, self.n
-                            ));
-                        }
-                        Err(_) => false,
-                    }
-                } else if let Some(k) = other.strip_prefix("sharded:") {
-                    k.parse::<usize>().is_ok_and(|k| k > 0)
-                } else if let Some(ms) = other.strip_prefix("threaded:") {
-                    ms.parse::<u64>().is_ok()
-                } else {
-                    false
-                }
-            }
-        };
-        if !rt_ok {
-            return Err(format!(
-                "unknown runtime {:?} (expected sim, wire, async, sharded:<k>, \
-                 proc[:<n>], or threaded[:<poll_ms>])",
-                self.rt
-            ));
+        if let Some(c) = recover {
+            backend.require_deterministic(&format!("recover:<vt>@{}", c.party.0))?;
         }
         Ok(())
     }
@@ -509,16 +452,11 @@ impl Scenario {
     }
 
     /// The full [`runtime_by_name`](crate::runtime_by_name) spec this
-    /// scenario runs on: `rt` composed with `sched` on the backends that
-    /// honor schedulers (`threaded` ignores them — the OS schedules).
+    /// scenario runs on: `rt` composed with `sched` on the deterministic
+    /// families (`rt` as written when it does not parse).
     pub fn backend_name(&self) -> String {
-        match self.rt.as_str() {
-            "sim" => format!("sim:{}", self.sched),
-            "wire" => format!("wire:{}", self.sched),
-            "async" => format!("async:{}", self.sched),
-            rt if rt.starts_with("sharded:") => format!("{rt}:{}", self.sched),
-            rt => rt.to_string(),
-        }
+        self.backend()
+            .map_or_else(|_| self.rt.clone(), |b| b.to_string())
     }
 
     /// The [`NetConfig`] of a run of this scenario with `seed`.
@@ -533,9 +471,9 @@ impl Scenario {
     /// Panics if the scenario was constructed by hand with specs that
     /// don't pass [`Scenario::validate`] (parsed scenarios always do).
     pub fn runtime(&self, seed: u64) -> Box<dyn Runtime> {
-        let name = self.backend_name();
-        runtime_by_name(&name, self.config(seed))
-            .unwrap_or_else(|| panic!("invalid scenario backend {name:?}"))
+        self.backend()
+            .and_then(|b| b.build(self.config(seed)))
+            .unwrap_or_else(|e| panic!("invalid scenario backend: {e}"))
     }
 
     /// The fault assigned to `party`, if corrupted.
@@ -562,7 +500,7 @@ impl Scenario {
     /// For every party, spawns at `session` what
     /// [`Scenario::party_instance`] builds for it: the stack's honest
     /// instance (from `honest(party, carry)`) or the fault's instance —
-    /// generic faults use the behaviours of [`crate::behaviors`]
+    /// generic faults use the crate's generic behaviours
     /// (`mute-after` wraps the honest instance), named attacks are built
     /// by `registry` with an episode-aware [`AttackCtx`]. `crash` spawns
     /// the honest instance and then crashes the party (idempotent across
@@ -925,7 +863,7 @@ pub struct ScenarioMatrix {
     pub n: usize,
     /// Fault threshold.
     pub t: usize,
-    /// Backend axis (`rt=` values: `sim`, `sharded:<k>`, `threaded`).
+    /// Backend axis (`rt=` values, e.g. `sim`, `sharded:2`, `threaded`).
     pub backends: Vec<String>,
     /// Scheduler axis (`sched=` values).
     pub schedulers: Vec<String>,
@@ -995,8 +933,8 @@ impl ScenarioMatrix {
         let cells = self.cells();
         let outcomes = crate::montecarlo::run_trials(0..cells.len() as u64, threads, |i| {
             let (spec, seed) = &cells[i as usize];
-            let scenario = Scenario::parse(spec)
-                .unwrap_or_else(|| panic!("matrix composed an invalid scenario {spec:?}"));
+            let scenario = Scenario::try_parse(spec)
+                .unwrap_or_else(|e| panic!("matrix composed an invalid scenario {spec:?}: {e}"));
             runner(&scenario, *seed)
         });
         cells
@@ -1205,73 +1143,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn async_and_proc_cells_parse_and_misuse_gets_a_clear_error() {
-        let s = Scenario::parse("n=4,t=1,corrupt=silent@2,sched=lifo,rt=async").unwrap();
-        assert_eq!(s.backend_name(), "async:lifo");
-        assert_eq!(
-            s.to_string(),
-            "n=4,t=1,corrupt=silent@2,sched=lifo,rt=async"
-        );
-        let s = Scenario::parse("n=4,t=1,rt=proc").unwrap();
-        assert_eq!(
-            s.backend_name(),
-            "proc",
-            "proc ignores sched= (OS schedules)"
-        );
-        let s = Scenario::parse("n=4,t=1,rt=proc:4").unwrap();
-        assert_eq!(s.backend_name(), "proc:4");
-
-        // Scheduler jammed into rt=async: the error names the fix.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "async:lifo".into();
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("sched="), "targeted message, got: {err}");
-        // Party-count mismatch on proc names both numbers.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc:7".into();
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("n=4"), "targeted message, got: {err}");
-        // recover: on proc points at the supervisor.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc".into();
-        bad.sched = "net:lat=1..4".into();
-        bad.corruptions = vec![Corruption {
-            party: PartyId(3),
-            fault: FaultSpec::Recover(50),
-        }];
-        let err = bad.validate().unwrap_err();
-        assert!(
-            err.contains("exp_deployment"),
-            "targeted message, got: {err}"
-        );
-        // Adaptive plans are rejected on proc like on threaded.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc".into();
-        bad.adaptive = Some(AdaptiveSpec {
-            name: "pin".into(),
-            args: "silent:3".into(),
-        });
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("deterministic"), "{err}");
-        assert!(err.contains("rt=async"), "lists the async backend: {err}");
+    /// The deterministic families' canonical specs, from the table.
+    fn deterministic_backends() -> impl Iterator<Item = &'static str> {
+        crate::ALL_BACKENDS
+            .iter()
+            .filter(|f| f.deterministic)
+            .map(|f| f.example)
     }
 
     #[test]
-    fn wire_cells_parse_and_misuse_gets_a_clear_error() {
-        let s = Scenario::parse("n=4,t=1,corrupt=garbage:9@3,sched=lifo,rt=wire").unwrap();
-        assert_eq!(s.rt, "wire");
-        assert_eq!(s.backend_name(), "wire:lifo");
-        assert_eq!(
-            s.to_string(),
-            "n=4,t=1,corrupt=garbage:9@3,sched=lifo,rt=wire"
-        );
-        // Hand-built scenario with scheduler jammed into rt=: validate()
-        // names the mistake instead of panicking at runtime() time.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "wire:lifo".into();
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("sched="), "targeted message, got: {err}");
+    fn backend_composition_and_misuse_follow_the_table() {
+        for family in crate::ALL_BACKENDS {
+            let rt = family.example;
+            let spec = format!("n=4,t=1,corrupt=silent@2,sched=lifo,rt={rt}");
+            let s = Scenario::try_parse(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(s.to_string(), spec, "canonical form is stable");
+            // `sched=` composes into the backend iff the family honours it.
+            let composed = if family.deterministic {
+                format!("{rt}:lifo")
+            } else {
+                rt.to_string()
+            };
+            assert_eq!(s.backend_name(), composed);
+            assert_eq!(s.runtime(1).backend_name(), family.name);
+
+            // A scheduler jammed into rt= gets the same hint on every
+            // deterministic family; the others take none at all.
+            let err = Scenario::try_parse(&format!("n=4,rt={rt}:lifo")).unwrap_err();
+            let hint = if family.deterministic {
+                "sched="
+            } else {
+                "takes no scheduler"
+            };
+            assert!(err.contains(hint), "{rt}: {err}");
+
+            // Adaptive and recover plans need replay and a virtual clock.
+            let adaptive = format!("n=4,t=1,corrupt=adaptive:pin:silent:3@*,rt={rt}");
+            let recover = format!("n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt={rt}");
+            if family.deterministic {
+                assert!(Scenario::parse(&adaptive).is_some(), "{adaptive}");
+                assert!(Scenario::parse(&recover).is_some(), "{recover}");
+            } else {
+                let err = Scenario::try_parse(&adaptive).unwrap_err();
+                assert!(err.contains("deterministic"), "{err}");
+                for fix in crate::ALL_BACKENDS.iter().filter(|f| f.deterministic) {
+                    assert!(err.contains(&format!("rt={}", fix.grammar)), "{err}");
+                }
+                let err = Scenario::try_parse(&recover).unwrap_err();
+                assert!(err.contains("exp_deployment"), "{err}");
+            }
+        }
+        // `proc:<n>` is checked against the scenario's n.
+        let s = Scenario::parse("n=4,t=1,rt=proc:4").unwrap();
+        assert_eq!(s.backend_name(), "proc:4");
+    }
+
+    #[test]
+    fn rejected_scenarios_say_why_in_one_line_that_names_the_fix() {
+        for (spec, fix) in [
+            (
+                "n=4,t=1,rt=sim:lifo",
+                "write rt=sim and put the scheduler in sched=",
+            ),
+            (
+                "n=4,t=1,rt=sharded:2:lifo",
+                "write rt=sharded:2 and put the scheduler in sched=",
+            ),
+            (
+                "n=4,t=1,rt=wire:lifo",
+                "write rt=wire and put the scheduler in sched=",
+            ),
+            (
+                "n=4,t=1,rt=async:lifo",
+                "write rt=async and put the scheduler in sched=",
+            ),
+            (
+                "n=4,t=1,rt=wire:",
+                "write rt=wire and put the scheduler in sched=",
+            ),
+            ("n=4,t=1,rt=proc:5", "write rt=proc (or rt=proc:4)"),
+            ("n=4,t=1,rt=proc:x", "proc[:<n>]"),
+            ("n=4,t=1,rt=sharded:0", "e.g. rt=sharded:2"),
+            (
+                "n=4,t=1,rt=hovercraft",
+                "expected rt=sim, rt=wire, rt=async, rt=sharded:<k>",
+            ),
+            (
+                "n=4,t=1,corrupt=adaptive:x@*,rt=threaded",
+                "use rt=sim, rt=wire, rt=async or rt=sharded:<k>",
+            ),
+            (
+                "n=4,t=1,corrupt=recover:50@3,rt=sim",
+                "use a sched=net: scheduler",
+            ),
+            ("n=4,sched=bogus", "families: fifo"),
+            // Grammar errors name the offending field.
+            ("", "must start with one of n="),
+            ("t=1", "n= is required"),
+            ("n=four", "n=four: expected a number"),
+            (
+                "n=4,t=1,corrupt=silent",
+                "\"silent\": expected <fault>@<party>",
+            ),
+            ("n=4,t=1,corrupt=silent@x", "party after @ must be a number"),
+            ("n=4,t=1,corrupt=silent@*", "only adaptive:"),
+            (
+                "n=4,t=1,corrupt=adaptive:a@*;adaptive:b@*",
+                "at most one adaptive",
+            ),
+            (
+                "n=4,t=1,corrupt=garbage:x@1",
+                "unknown fault or malformed arguments",
+            ),
+        ] {
+            let err = Scenario::try_parse(spec).expect_err(spec);
+            assert!(err.contains(fix), "{spec:?} -> {err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+            assert!(
+                Scenario::parse(spec).is_none(),
+                "parse is try_parse's .ok()"
+            );
+        }
     }
 
     #[test]
@@ -1312,7 +1304,7 @@ mod tests {
         // broadcast is retracted, the pre-recovery deliveries to it are
         // dropped-and-counted, and the respawned instance broadcasts after
         // rejoining — observable as 4 extra sends on every backend.
-        for rt_name in ["sim", "sharded:2", "wire", "async"] {
+        for rt_name in deterministic_backends() {
             let spec = format!("n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt={rt_name}");
             let s = Scenario::parse(&spec).unwrap();
             let mut rt = s.runtime(9);
@@ -1343,21 +1335,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn backend_name_composition() {
-        let mut s = Scenario::honest(4, 1);
-        s.sched = "lifo".into();
-        assert_eq!(s.backend_name(), "sim:lifo");
-        s.rt = "sharded:4".into();
-        assert_eq!(s.backend_name(), "sharded:4:lifo");
-        s.rt = "threaded".into();
-        assert_eq!(s.backend_name(), "threaded");
-        s.rt = "async".into();
-        assert_eq!(s.backend_name(), "async:lifo");
-        s.rt = "proc".into();
-        assert_eq!(s.backend_name(), "proc");
     }
 
     #[test]
@@ -1480,7 +1457,7 @@ mod tests {
     #[test]
     fn deploy_rejects_mismatched_runtime() {
         let s = Scenario::honest(4, 1);
-        let mut rt = runtime_by_name("sim", NetConfig::new(7, 2, 0)).unwrap();
+        let mut rt = Scenario::honest(7, 2).runtime(0);
         let err = s
             .deploy_episode(
                 rt.as_mut(),
@@ -1633,7 +1610,7 @@ mod tests {
     fn deploy_adaptive_pin_mutes_target() {
         // adaptive:pin:silent:3@* behaves exactly like silent@3: party 3
         // never outputs, everyone else does.
-        for rt_name in ["sim", "sharded:2", "wire", "async"] {
+        for rt_name in deterministic_backends() {
             let spec = format!("n=4,t=1,corrupt=adaptive:pin:silent:3@*,sched=fifo,rt={rt_name}");
             let s = Scenario::parse(&spec).unwrap();
             let reg = AttackRegistry::new();

@@ -80,8 +80,6 @@ struct PartyState {
     /// Per-party emission counter (`seq = emit * n + party` stays globally
     /// unique and per-sender monotone).
     emit: u64,
-    /// Delivered `(seq, from, to)` tuples this epoch, if tracing.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Flight-recorder events this epoch (flattened into the global sink
     /// at the barrier in party order, so the stream is a pure function of
     /// the logical schedule). `step` fields are party-local delivery
@@ -178,9 +176,6 @@ impl PartyState {
             }
             for _ in 0..run {
                 let env = self.inbox.take_slot(slot);
-                if let Some(trace) = &mut self.trace {
-                    trace.push((env.seq, env.from, env.to));
-                }
                 if let Some(vt) = vnow {
                     let kind = env.session.last().map_or("root", |t| t.kind);
                     self.metrics.on_virtual_delivery(kind, vt);
@@ -307,9 +302,6 @@ pub struct ShardedSimRuntime {
     epoch: u64,
     /// Total deliveries executed, across all shards and epochs.
     steps: u64,
-    /// Flattened delivery trace in logical `(epoch, party, index)` order,
-    /// if tracing.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Structured flight recorder (see [`crate::trace`]): per-party event
     /// buffers flatten into this sink at every barrier, in party order.
     /// Observational only — never consulted by the schedule.
@@ -373,7 +365,6 @@ impl ShardedSimRuntime {
                     metrics: Metrics::default(),
                     outbox: (0..config.n).map(|_| Vec::new()).collect(),
                     emit: 0,
-                    trace: None,
                     events: None,
                     obs: None,
                     scratch: Vec::new(),
@@ -390,7 +381,6 @@ impl ShardedSimRuntime {
             recoveries: Vec::new(),
             epoch: 0,
             steps: 0,
-            trace: None,
             sink: None,
             channels: (0..config.n)
                 .map(|_| (0..config.n).map(|_| Vec::new()).collect())
@@ -415,23 +405,6 @@ impl ShardedSimRuntime {
     /// The number of worker shards (after clamping to `n`).
     pub fn shards(&self) -> usize {
         self.k
-    }
-
-    /// Enables recording of `(seq, from, to)` delivery tuples in logical
-    /// `(epoch, party, delivery index)` order, for determinism tests.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        for ps in &mut self.parties {
-            ps.trace = Some(Vec::new());
-        }
-    }
-
-    /// The recorded delivery trace (empty unless [`enable_trace`] was
-    /// called).
-    ///
-    /// [`enable_trace`]: ShardedSimRuntime::enable_trace
-    pub fn trace(&self) -> &[(u64, PartyId, PartyId)] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Messages deliverable in the next epoch (diagnostics).
@@ -465,8 +438,8 @@ impl ShardedSimRuntime {
     /// senders in ascending party order, so the refill also moves O(n)
     /// handles per inbox rather than O(messages) envelopes. The merge
     /// itself runs shard-parallel: each worker refills only its own
-    /// parties' inboxes. Also flattens per-party traces into the logical
-    /// global trace.
+    /// parties' inboxes. Also flattens the per-party flight-recorder
+    /// buffers into the global sink.
     fn merge_barrier(&mut self) {
         let n = self.config.n;
         let mut moved = 0;
@@ -495,13 +468,6 @@ impl ShardedSimRuntime {
                     scope.spawn(move || merge_into_shard(shard, channels));
                 }
             });
-        }
-        if let Some(global) = &mut self.trace {
-            for ps in &mut self.parties {
-                if let Some(local) = &mut ps.trace {
-                    global.append(local);
-                }
-            }
         }
         if let Some(sink) = &mut self.sink {
             for ps in &mut self.parties {
@@ -858,7 +824,7 @@ mod tests {
     use super::*;
     use crate::ids::SessionTag;
     use crate::instance::Context;
-    use crate::runtime::{runtime_by_name, RuntimeExt};
+    use crate::runtime::RuntimeExt;
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("t", 0))
@@ -926,12 +892,12 @@ mod tests {
         // runs, regardless of thread interleaving.
         let trace = |seed: u64, k: usize| {
             let mut rt = ShardedSimRuntime::new(NetConfig::new(4, 1, seed), k);
-            rt.enable_trace();
+            rt.set_trace(TraceMode::Full);
             for p in 0..4 {
                 rt.spawn(PartyId(p), sid(), Box::new(Flood::new(3)));
             }
             rt.run(1_000_000);
-            rt.trace().to_vec()
+            rt.take_trace().expect("tracing on").snapshot()
         };
         let reference = trace(9, 1);
         assert!(!reference.is_empty());
@@ -1076,37 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn runtime_by_name_builds_sharded_variants() {
-        let config = NetConfig::new(4, 1, 0);
-        for name in ["sharded:1", "sharded:2", "sharded:4", "sharded:2:lifo"] {
-            let rt = runtime_by_name(name, config).unwrap_or_else(|| panic!("{name} must parse"));
-            assert_eq!(rt.backend_name(), "sharded", "{name}");
-        }
-        for name in [
-            "sharded",
-            "sharded:",
-            "sharded:0",
-            "sharded:abc",
-            "sharded:2:bogus",
-            "sharded:-1",
-        ] {
-            assert!(runtime_by_name(name, config).is_none(), "{name}");
-        }
-    }
-
-    #[test]
     fn per_party_schedulers_change_the_schedule() {
         let trace_with = |sched: &str| {
             let mut rt =
                 ShardedSimRuntime::with_scheduler_factory(NetConfig::new(4, 1, 2), 2, |_| {
                     crate::scheduler_by_name(sched).unwrap()
                 });
-            rt.enable_trace();
+            rt.set_trace(TraceMode::Full);
             for p in 0..4 {
                 rt.spawn(PartyId(p), sid(), Box::new(Flood::new(3)));
             }
             rt.run(1_000_000);
-            rt.trace().to_vec()
+            rt.take_trace().expect("tracing on").snapshot()
         };
         assert_ne!(trace_with("fifo"), trace_with("lifo"));
         assert_eq!(trace_with("fifo"), trace_with("fifo"));

@@ -28,6 +28,7 @@
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 
+use crate::adaptive::SharedAdaptive;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::node::{Node, Outgoing};
@@ -327,6 +328,8 @@ pub struct ThreadedRuntime {
     /// worker threads behind a mutex during episodes. Event order reflects
     /// real OS interleaving — unlike the deterministic backends.
     sink: Option<Box<dyn TraceSink>>,
+    /// What [`Runtime::backend_name`] reports.
+    label: &'static str,
 }
 
 impl ThreadedRuntime {
@@ -363,7 +366,15 @@ impl ThreadedRuntime {
             spawns: (0..config.n).map(|_| Vec::new()).collect(),
             metrics: Metrics::default(),
             sink: None,
+            label: "threaded",
         }
+    }
+
+    /// Sets the name [`Runtime::backend_name`] reports (`rt=proc` is this
+    /// engine under the name the real deployment is asked for).
+    pub(crate) fn labelled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
     }
 
     /// All recorded outputs per party, cloned out of the persistent nodes
@@ -458,6 +469,18 @@ impl Runtime for ThreadedRuntime {
         self.nodes[party.0].retire_session(session)
     }
 
+    /// Always `false`: there is no virtual clock to schedule against (a
+    /// real deployment restarts parties from its supervisor instead).
+    fn schedule_recover(
+        &mut self,
+        _party: PartyId,
+        _at_vtime: u64,
+        _session: SessionId,
+        _instance: Box<dyn Instance>,
+    ) -> bool {
+        false
+    }
+
     fn metrics(&self) -> Metrics {
         self.metrics.clone()
     }
@@ -470,8 +493,18 @@ impl Runtime for ThreadedRuntime {
         self.sink.take()
     }
 
+    /// Always `false`: observations would arrive in OS-timing order, so
+    /// an adaptive run could not be replayed.
+    fn install_adaptive(&mut self, _ctrl: SharedAdaptive) -> bool {
+        false
+    }
+
+    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
+        None
+    }
+
     fn backend_name(&self) -> &'static str {
-        "threaded"
+        self.label
     }
 }
 
@@ -752,6 +785,9 @@ mod tests {
         for p in 0..4 {
             assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4));
         }
+        // No clock and no replay: recovery and adaptive plans are refused.
+        rt.crash(PartyId(3));
+        assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Hello { heard: 0 })));
     }
 
     #[test]

@@ -70,6 +70,15 @@ pub const KIND_TEST_BASE: u16 = 0x7000;
 /// Bytes of a frame header: kind (2) + body length (4).
 pub const FRAME_HEADER_LEN: usize = 6;
 
+/// Deepest session path [`get_session`] accepts. The deepest path the
+/// reference stacks build — FBA down to an A-Cast inside SVSS inside the
+/// weak shared coin — has 7 tags.
+pub const MAX_SESSION_DEPTH: usize = 16;
+
+/// Longest tag kind, in bytes, [`get_session`] accepts. The longest kind
+/// in the workspace (`svss-share`) has 10.
+pub const MAX_KIND_LEN: usize = 32;
+
 /// Composes the kind of an A-Cast frame carrying an inner kind.
 ///
 /// The inner kind must be a plain kind (`< 0x8000`); wrappers do not
@@ -110,8 +119,7 @@ pub trait WireMessage: Any + Send + Sync + Sized {
     ///
     /// The contract: when `Some(max)`, **every** value of the type must
     /// encode to at most `max` body bytes (`Payload` debug-asserts it).
-    /// Types whose bound is at most
-    /// [`INLINE_BODY_CAP`](crate::payload::INLINE_BODY_CAP) are stored
+    /// Types whose bound is at most `INLINE_BODY_CAP` bytes are stored
     /// inline unconditionally — the typed fallback arm is statically
     /// dead — and types whose bound exceeds the cap skip the probe
     /// encode entirely and go straight to the shared typed
@@ -374,15 +382,31 @@ pub fn put_session(out: &mut Vec<u8>, session: &SessionId) {
 /// Reads a session id written by [`put_session`], re-interning the tag
 /// kinds (the interner guarantees a decoded id is pointer-equal to the
 /// locally constructed one, so routing works unchanged).
+///
+/// Interned kinds live for the life of the process, and these bytes may
+/// come off a socket: a path deeper than [`MAX_SESSION_DEPTH`] or a kind
+/// longer than [`MAX_KIND_LEN`] is malformed, and the whole path is
+/// checked before any of it is interned.
 pub fn get_session(r: &mut WireReader<'_>) -> Option<SessionId> {
     let depth = r.u8()? as usize;
-    let mut id = SessionId::root();
-    for _ in 0..depth {
-        let kind = std::str::from_utf8(r.bytes()?).ok()?;
-        let index = r.u64()?;
-        id = id.child(SessionTag::new(SessionTag::intern_kind(kind), index));
+    if depth > MAX_SESSION_DEPTH {
+        return None;
     }
-    Some(id)
+    let mut tags = [("", 0); MAX_SESSION_DEPTH];
+    for tag in &mut tags[..depth] {
+        let kind = std::str::from_utf8(r.bytes()?).ok()?;
+        if kind.len() > MAX_KIND_LEN {
+            return None;
+        }
+        *tag = (kind, r.u64()?);
+    }
+    Some(
+        tags[..depth]
+            .iter()
+            .fold(SessionId::root(), |id, &(kind, index)| {
+                id.child(SessionTag::new(SessionTag::intern_kind(kind), index))
+            }),
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-//! The wire-serialized runtime: every envelope crosses a byte boundary.
+//! The byte boundary behind `rt=wire`: every envelope is serialized.
 //!
-//! [`WireRuntime`] drives the same deterministic scheduling machinery as
-//! [`SimNetwork`](crate::SimNetwork), but parties exchange *bytes*, not
-//! values: each party owns an OS socket pair (a `UnixStream` loopback),
-//! and every same-destination run of envelopes it emits is
+//! An `rt=wire` [`SimNetwork`](crate::SimNetwork) is the same
+//! deterministic scheduling machinery as `rt=sim`, but parties exchange
+//! *bytes*, not values: each party owns an OS socket pair (a `UnixStream`
+//! loopback) inside the network's [`WireLink`], and every
+//! same-destination run of envelopes it emits is
 //!
 //! 1. **encoded as one batch** — the shared sender/receiver, then per
 //!    envelope the session path and the payload's self-describing frame
@@ -37,17 +38,13 @@
 //! [`Metrics`]: `wire_frames`, `wire_bytes`, `wire_malformed`.
 //!
 //! Build one with [`runtime_by_name`](crate::runtime_by_name)
-//! (`"wire"`, `"wire:<scheduler>"` — the process-global codec registry
-//! snapshot supplies kind names), or directly with
-//! [`WireRuntime::new`] for a custom per-run [`CodecRegistry`].
+//! (`"wire"`, `"wire:<scheduler>"`); the process-global codec registry
+//! snapshot supplies kind names.
 
 use crate::ids::{PartyId, SessionId};
-use crate::instance::Instance;
-use crate::network::SimNetwork;
 use crate::node::Outgoing;
 use crate::payload::{FrameBytes, Payload};
-use crate::runtime::{Metrics, NetConfig, RunReport, Runtime};
-use crate::scheduler::Scheduler;
+use crate::runtime::Metrics;
 use crate::wire::{get_session, parse_frame, put_session, CodecRegistry, WireReader, WireWriter};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -258,7 +255,13 @@ impl WireLink {
         let to = PartyId(r.u32().expect("envelope receiver") as usize);
         let decoded = r.read_batch(|item| {
             let mut ir = WireReader::new(item);
-            let session = get_session(&mut ir).expect("envelope session");
+            let Some(session) = get_session(&mut ir) else {
+                // The transport wrote these bytes from a live id, so only
+                // an id over the wire's session bounds lands here: it is
+                // refused, as a peer's socket would refuse it.
+                metrics.wire_malformed += 1;
+                return;
+            };
             let frame = ir.rest();
             if parse_frame(frame).is_none() {
                 metrics.wire_malformed += 1;
@@ -279,133 +282,13 @@ impl WireLink {
     }
 }
 
-/// The wire-serialized execution backend — see the [module docs](self).
-///
-/// # Examples
-///
-/// ```
-/// use aft_sim::{Context, Instance, NetConfig, PartyId, Payload, RuntimeExt,
-///               SessionId, SessionTag, runtime_by_name};
-///
-/// struct Hello { heard: usize }
-/// impl Instance for Hello {
-///     fn on_start(&mut self, ctx: &mut Context<'_>) { ctx.send_all(1u8); }
-///     fn on_message(&mut self, _f: PartyId, p: &Payload, ctx: &mut Context<'_>) {
-///         if p.to_msg::<u8>() == Some(1) {
-///             self.heard += 1;
-///             if self.heard == ctx.n() { ctx.output(self.heard); }
-///         }
-///     }
-/// }
-///
-/// let sid = SessionId::root().child(SessionTag::new("hello-wire", 0));
-/// let mut rt = runtime_by_name("wire", NetConfig::new(4, 1, 7)).unwrap();
-/// for p in 0..4 {
-///     rt.spawn(PartyId(p), sid.clone(), Box::new(Hello { heard: 0 }));
-/// }
-/// let report = rt.run(1_000_000);
-/// assert_eq!(report.stop, aft_sim::StopReason::Quiescent);
-/// assert!(report.metrics.wire_frames > 0, "bytes actually moved");
-/// for p in 0..4 {
-///     assert_eq!(rt.output_as::<usize>(PartyId(p), &sid), Some(&4));
-/// }
-/// ```
-pub struct WireRuntime {
-    net: SimNetwork,
-}
-
-impl WireRuntime {
-    /// Creates a wire runtime with an explicit per-run codec registry
-    /// (use [`runtime_by_name`](crate::runtime_by_name) for the global
-    /// snapshot).
-    pub fn new(
-        config: NetConfig,
-        scheduler: Box<dyn Scheduler>,
-        registry: Arc<CodecRegistry>,
-    ) -> Self {
-        WireRuntime {
-            net: SimNetwork::with_codec(config, scheduler, registry),
-        }
-    }
-
-    /// The first output of `party` in `session`, if recorded.
-    pub fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.net.output(party, session)
-    }
-
-    /// Run metrics so far (including the `wire_*` byte-level counters).
-    pub fn metrics(&self) -> &Metrics {
-        self.net.metrics()
-    }
-}
-
-impl Runtime for WireRuntime {
-    fn config(&self) -> &NetConfig {
-        self.net.config()
-    }
-
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.net.spawn(party, session, instance);
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.net.crash(party);
-    }
-
-    fn run(&mut self, max_steps: u64) -> RunReport {
-        self.net.run(max_steps)
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.net.output(party, session)
-    }
-
-    fn metrics(&self) -> Metrics {
-        Runtime::metrics(&self.net)
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.net.retire_session(party, session)
-    }
-
-    fn schedule_recover(
-        &mut self,
-        party: PartyId,
-        at_vtime: u64,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> bool {
-        Runtime::schedule_recover(&mut self.net, party, at_vtime, session, instance)
-    }
-
-    fn set_trace(&mut self, mode: crate::trace::TraceMode) {
-        self.net.set_trace(mode);
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn crate::trace::TraceSink>> {
-        self.net.take_trace()
-    }
-
-    fn install_adaptive(&mut self, ctrl: crate::adaptive::SharedAdaptive) -> bool {
-        self.net.install_adaptive(ctrl);
-        true
-    }
-
-    fn adaptive_handle(&self) -> Option<crate::adaptive::SharedAdaptive> {
-        self.net.adaptive_handle()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "wire"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::SessionTag;
-    use crate::instance::Context;
-    use crate::runtime::{runtime_by_name, RuntimeExt, StopReason};
+    use crate::instance::{Context, Instance};
+    use crate::network::SimNetwork;
+    use crate::runtime::{runtime_by_name, NetConfig, RuntimeExt, StopReason};
     use crate::scheduler::RandomScheduler;
 
     fn sid() -> SessionId {
@@ -432,7 +315,7 @@ mod tests {
 
     #[test]
     fn wire_run_delivers_through_bytes() {
-        let mut rt = WireRuntime::new(
+        let mut rt = SimNetwork::with_codec(
             NetConfig::new(4, 1, 5),
             Box::new(RandomScheduler),
             Arc::new(CodecRegistry::with_builtins()),
@@ -472,7 +355,7 @@ mod tests {
 
     #[test]
     fn read_buffers_recycle_through_the_pool() {
-        let mut rt = WireRuntime::new(
+        let mut rt = SimNetwork::with_codec(
             NetConfig::new(4, 1, 11),
             Box::new(RandomScheduler),
             Arc::new(CodecRegistry::with_builtins()),
@@ -551,6 +434,31 @@ mod tests {
     }
 
     #[test]
+    fn an_id_over_the_session_bounds_is_refused_at_the_byte_boundary() {
+        let kind: &'static str = Box::leak("k".repeat(crate::wire::MAX_KIND_LEN + 1).into());
+        let outgoing = |session: SessionId| Outgoing {
+            to: PartyId(1),
+            session,
+            payload: Payload::message(1u8),
+        };
+        let run = [
+            outgoing(sid()),
+            outgoing(SessionId::root().child(SessionTag::new(kind, 0))),
+        ];
+        let mut link = WireLink::new(2, Arc::new(CodecRegistry::with_builtins()));
+        let mut metrics = Metrics::default();
+        let mut arrived = Vec::new();
+        link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
+            arrived.push(session);
+        });
+        assert_eq!(arrived, [sid()]);
+        assert_eq!(
+            metrics.wire_malformed, 1,
+            "counted like any malformed header"
+        );
+    }
+
+    #[test]
     fn wire_matches_sim_bit_for_bit_on_honest_runs() {
         // Same seed, same scheduler family: the byte boundary must not
         // perturb the schedule or the outputs.
@@ -578,7 +486,7 @@ mod tests {
 
     #[test]
     fn crash_before_run_retracts_on_the_wire_backend() {
-        let mut rt = WireRuntime::new(
+        let mut rt = SimNetwork::with_codec(
             NetConfig::new(4, 1, 3),
             Box::new(RandomScheduler),
             Arc::new(CodecRegistry::with_builtins()),
@@ -599,7 +507,7 @@ mod tests {
     fn unregistered_kinds_still_deliver_with_fallback_name() {
         // An empty registry (no builtins): frames still round-trip and
         // decode lazily by type; only the diagnostic name degrades.
-        let mut rt = WireRuntime::new(
+        let mut rt = SimNetwork::with_codec(
             NetConfig::new(4, 1, 5),
             Box::new(RandomScheduler),
             Arc::new(CodecRegistry::new()),

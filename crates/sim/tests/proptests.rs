@@ -2,8 +2,8 @@
 //! determinism, and session routing under randomized configurations.
 
 use aft_sim::{
-    Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Scheduler, SessionId,
-    SessionTag, SimNetwork, StopReason, WindowScheduler,
+    Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime, Scheduler, SessionId,
+    SessionTag, SimNetwork, StopReason, TraceMode, WindowScheduler,
 };
 use proptest::prelude::*;
 
@@ -72,13 +72,13 @@ proptest! {
                 NetConfig::new(4, 1, s),
                 Box::new(WindowScheduler::new(window)),
             );
-            net.enable_trace();
+            net.set_trace(TraceMode::Full);
             for p in 0..4 {
                 let start = if p == 0 { Some((PartyId(3), 20)) } else { None };
                 net.spawn(PartyId(p), sid(), Box::new(PingPong { start, received: 0 }));
             }
             net.run(1_000_000);
-            net.trace().to_vec()
+            net.take_trace().expect("tracing on").snapshot()
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -298,7 +298,8 @@ mod scenario_props {
 mod net_props {
     use aft_sim::{
         scheduler_by_name, Context, Instance, LatencyDist, NetConfig, NetSpec, PartitionSpec,
-        PartyId, Payload, Scenario, SessionId, SessionTag, SimNetwork, StopReason,
+        PartyId, Payload, Runtime, Scenario, SessionId, SessionTag, SimNetwork, StopReason,
+        TraceMode,
     };
     use proptest::prelude::*;
 
@@ -404,13 +405,13 @@ mod net_props {
                     NetConfig::new(4, 1, seed),
                     scheduler_by_name(&spec).expect("spec resolves"),
                 );
-                net.enable_trace();
+                net.set_trace(TraceMode::Full);
                 for p in 0..4 {
                     net.spawn(PartyId(p), sid(), Box::new(Flood { rounds: 3, sent: 0, heard: 0 }));
                 }
                 let report = net.run(1_000_000);
                 (
-                    net.trace().to_vec(),
+                    net.take_trace().expect("tracing on").snapshot(),
                     report.metrics.virtual_time,
                     report.metrics.sent,
                     report.stop,

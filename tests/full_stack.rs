@@ -9,9 +9,10 @@
 //! which runs identical deployments on every `Runtime` backend.
 
 use aft::core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
+use aft::sim::wire::{MAX_KIND_LEN, MAX_SESSION_DEPTH};
 use aft::sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason, TraceMode,
 };
 
 fn sid(kind: &'static str) -> SessionId {
@@ -73,8 +74,21 @@ fn fba_full_stack_with_weak_shared_coins() {
             )),
         );
     }
+    net.set_trace(TraceMode::Full);
     let report = net.run(2_000_000_000);
     assert_eq!(report.stop, StopReason::Quiescent);
+    // The deepest stack the repo builds fits the bounds a socket-facing
+    // decoder puts on session ids twice over.
+    let events = net.take_trace().expect("tracing on").snapshot();
+    let sessions = events.iter().filter_map(|e| e.session());
+    let depth = sessions.clone().map(|s| s.depth()).max().unwrap();
+    let tags = sessions.flat_map(|s| s.path());
+    let kind = tags.map(|t| t.kind.len()).max().unwrap();
+    assert!(
+        depth >= 5 && 2 * depth <= MAX_SESSION_DEPTH,
+        "depth {depth}"
+    );
+    assert!(2 * kind <= MAX_KIND_LEN, "longest kind {kind} bytes");
     let outs: Vec<String> = (0..n)
         .map(|p| {
             net.output_as::<String>(PartyId(p), &sid("fba"))
@@ -171,7 +185,7 @@ fn whole_stack_deterministic_replay() {
             NetConfig::new(n, t, seed),
             scheduler_by_name("random").unwrap(),
         );
-        net.enable_trace();
+        net.set_trace(TraceMode::Full);
         for p in 0..n {
             net.spawn(
                 PartyId(p),
@@ -184,7 +198,7 @@ fn whole_stack_deterministic_replay() {
         }
         net.run(500_000_000);
         (
-            net.trace().to_vec(),
+            net.take_trace().expect("tracing on").snapshot(),
             net.output_as::<CoinFlipOutput>(PartyId(0), &sid("coin"))
                 .copied(),
         )
