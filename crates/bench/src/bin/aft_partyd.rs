@@ -21,40 +21,54 @@
 //! outbox); print `meshed`; on `go`, spawn the instance
 //! `Scenario::party_instance` assigns this party — the function the
 //! simulator deploys every party with — and run the delivery loop; on
-//! `shutdown` (or supervisor EOF), print final counters and exit.
+//! `shutdown` (or supervisor EOF), end the peer links from their dialing
+//! side, print final counters and exit.
 //!
 //! Threads: main loop, stdin reader, acceptor, and a reader and a writer
 //! per peer link (`3 + 2(n − 1)`), plus one short-lived dialer while the
 //! mesh forms.
 
+use aft_bench::cli::{Cli, Flag};
 use aft_bench::deployment::DeployStack;
 use aft_core::scenarios::standard_registry;
 use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
-use aft_sim::{encode_envelope, party_node, Outgoing, PartyId, Scenario};
+use aft_sim::{encode_envelope, party_node, Outgoing, PartyId};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 enum Event {
     /// A control line from the supervisor (stdin); `None` is EOF.
     Ctrl(Option<String>),
-    /// Something happened on the peer connection numbered `conn`.
-    Peer { conn: u64, event: LinkEvent },
+    /// Something happened on the peer connection numbered `conn`, which
+    /// this daemon `dialed` or accepted.
+    Peer {
+        conn: u64,
+        dialed: bool,
+        event: LinkEvent,
+    },
 }
 
 /// The event sink of a new peer connection: tags everything the link
 /// reports with a number unique to that connection (the counter
 /// publishes no other data, hence `Relaxed`), so the main loop can tell
 /// the current link to a party from one it has since replaced.
-fn peer_sink(tx: &Sender<Event>) -> impl FnMut(LinkEvent) -> bool + Send + 'static {
+fn peer_sink(tx: &Sender<Event>, dialed: bool) -> impl FnMut(LinkEvent) -> bool + Send + 'static {
     static NEXT_CONN: AtomicU64 = AtomicU64::new(0);
     let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
     let tx = tx.clone();
-    move |event| tx.send(Event::Peer { conn, event }).is_ok()
+    move |event| {
+        let event = Event::Peer {
+            conn,
+            dialed,
+            event,
+        };
+        tx.send(event).is_ok()
+    }
 }
 
 fn fatal(msg: &str) -> ! {
@@ -62,70 +76,18 @@ fn fatal(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-struct Args {
-    party: usize,
-    stack: DeployStack,
-    seed: u64,
-    scenario: Scenario,
-    recovered: bool,
-}
-
-fn parse_args() -> Args {
-    let mut party = None;
-    let mut stack = None;
-    let mut seed = None;
-    let mut scenario = None;
-    let mut recovered = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| fatal(&format!("{what} needs a value")))
-        };
-        match arg.as_str() {
-            "--party" => {
-                party = value("--party").parse().ok();
-            }
-            "--stack" => {
-                stack = DeployStack::from_label(&value("--stack"));
-            }
-            "--seed" => {
-                seed = value("--seed").parse().ok();
-            }
-            "--scenario" => {
-                let spec = value("--scenario");
-                scenario =
-                    Some(Scenario::try_parse(&spec).unwrap_or_else(|e| {
-                        fatal(&format!("scenario {spec:?} does not parse: {e}"))
-                    }));
-            }
-            "--recovered" => recovered = true,
-            other => fatal(&format!("unknown argument {other:?}")),
-        }
-    }
-    let scenario = scenario.unwrap_or_else(|| fatal("--scenario is required"));
-    let party = party.unwrap_or_else(|| fatal("--party is required"));
-    if party >= scenario.n {
-        fatal(&format!(
-            "--party {party} out of range for n={}",
-            scenario.n
-        ));
-    }
-    Args {
-        party,
-        stack: stack.unwrap_or_else(|| fatal("--stack must be ba or common-subset")),
-        seed: seed.unwrap_or_else(|| fatal("--seed is required")),
-        scenario,
-        recovered,
-    }
-}
-
-/// One established peer link: its sending half plus the connection
-/// number that keeps events from a replaced socket out of the current one.
+/// One established peer link: its sending half, the connection number
+/// that keeps events from a replaced socket out of the current one, and
+/// which side dialed it.
 struct Link {
     link: PeerLink,
     conn: u64,
+    dialed: bool,
 }
+
+/// How long a stopping daemon waits for its peers to close the links they
+/// dialed; only a peer that hangs on `shutdown` makes it wait that long.
+const LINK_CLOSE_TIMEOUT: Duration = Duration::from_millis(100);
 
 struct Daemon {
     me: PartyId,
@@ -151,13 +113,47 @@ impl Daemon {
     /// Installs (or replaces) the link to `party`. When the peer
     /// announced itself as recovered, the full outbox is replayed ahead
     /// of new traffic.
-    fn add_link(&mut self, party: usize, recovered: bool, link: PeerLink, conn: u64) {
+    fn add_link(&mut self, party: usize, recovered: bool, link: Link) {
         if recovered {
             for envelope in &self.outbox[party] {
-                link.send(Arc::clone(envelope));
+                link.link.send(Arc::clone(envelope));
             }
         }
-        self.links[party] = Some(Link { link, conn });
+        self.links[party] = Some(link);
+    }
+
+    /// Ends every peer link, the dialing side first: this daemon closes
+    /// the links it dialed and keeps those it accepted until the peer has
+    /// closed them. The side of a TCP connection that closes first holds
+    /// its port in `TIME_WAIT` for a minute; on the dialing side that is a
+    /// port `connect` shares freely, on the accepting side it is the
+    /// listener's, and a few thousand of those — some twenty seconds of
+    /// back-to-back deployments — are every port `bind(0)` tries first,
+    /// after which each daemon's `bind` scans the range for most of a
+    /// millisecond and a run's time depends on what ran before it.
+    fn close_links(&mut self, rx: &Receiver<Event>) {
+        for link in &mut self.links {
+            if link.as_ref().is_some_and(|l| l.dialed) {
+                *link = None;
+            }
+        }
+        let deadline = Instant::now() + LINK_CLOSE_TIMEOUT;
+        while self.links_up() > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match rx.recv_timeout(left) {
+                Ok(Event::Peer {
+                    conn,
+                    event: LinkEvent::Down,
+                    ..
+                }) => {
+                    if let Some(party) = self.owner_of(conn) {
+                        self.links[party] = None;
+                    }
+                }
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
     }
 
     /// The party whose current link is connection `conn`, if any —
@@ -242,16 +238,30 @@ impl Daemon {
 }
 
 fn main() {
-    let args = parse_args();
+    let cli = Cli::parse(&[
+        Flag::Party,
+        Flag::Stack,
+        Flag::Seed,
+        Flag::Scenario,
+        Flag::Recovered,
+    ]);
+    let party = cli.require(Flag::Party, cli.party);
+    let stack = cli.require(Flag::Stack, cli.stacks.as_ref())[0];
+    let seed = cli.require(Flag::Seed, cli.seed);
+    let scenario = cli.require(Flag::Scenario, cli.scenario.as_ref());
+    let recovered = cli.has(Flag::Recovered);
+    let n = scenario.n;
+    if party >= n {
+        cli.fail(&format!("--party {party} out of range for n={n}"));
+    }
     // The stack's one episode: its name is what attacks are told they
     // run in, its session where the instance is spawned.
-    let Ok([(episode, session)]) = <[_; 1]>::try_from(args.stack.episodes()) else {
-        fatal("--stack must be ba or common-subset: a daemon hosts a single episode");
+    let Ok([(episode, session)]) = <[_; 1]>::try_from(stack.episodes()) else {
+        cli.fail("--stack must be ba or common-subset: a daemon hosts a single episode");
     };
     let registry = standard_registry();
-    let config = args.scenario.config(args.seed);
-    let me = PartyId(args.party);
-    let n = args.scenario.n;
+    let config = scenario.config(seed);
+    let me = PartyId(party);
 
     let listener =
         TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| fatal(&format!("bind: {e}")));
@@ -292,7 +302,7 @@ fn main() {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
-            if let Err(e) = PeerLink::accept(stream, peer_sink(&accept)) {
+            if let Err(e) = PeerLink::accept(stream, peer_sink(&accept, false)) {
                 eprintln!("aft-partyd: accepted connection unusable: {e}");
             }
         }
@@ -300,7 +310,7 @@ fn main() {
 
     let mut daemon = Daemon {
         me,
-        node: party_node(&config, args.party),
+        node: party_node(&config, party),
         session,
         links: (0..n).map(|_| None).collect(),
         outbox: vec![Vec::new(); n],
@@ -309,16 +319,15 @@ fn main() {
         delivered: 0,
         rejected: 0,
         output_reported: false,
-        stack: args.stack,
+        stack,
     };
     let mut meshed_reported = false;
     let mut started = false;
 
-    loop {
+    // No event is taken and then dropped: `close_links` counts on every
+    // link's `Down`.
+    while !stop.load(Ordering::SeqCst) {
         let Ok(event) = rx.recv() else { break };
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
         match event {
             Event::Ctrl(None) => break,
             Event::Ctrl(Some(line)) => {
@@ -333,12 +342,9 @@ fn main() {
                         // and accept the rest; a restarted daemon dials
                         // everyone (its peers' dials are long gone).
                         let targets: Vec<usize> = (0..n)
-                            .filter(|&i| i != args.party && (args.recovered || i < args.party))
+                            .filter(|&i| i != party && (recovered || i < party))
                             .collect();
-                        let hello = Hello {
-                            party: args.party,
-                            recovered: args.recovered,
-                        };
+                        let hello = Hello { party, recovered };
                         let dial_tx = tx.clone();
                         std::thread::spawn(move || {
                             // The peers printed `ready` before the
@@ -347,9 +353,8 @@ fn main() {
                             'targets: for target in targets {
                                 let addr = &book[target];
                                 for _ in 0..250 {
-                                    if PeerLink::dial(addr, hello, target, peer_sink(&dial_tx))
-                                        .is_ok()
-                                    {
+                                    let sink = peer_sink(&dial_tx, true);
+                                    if PeerLink::dial(addr, hello, target, sink).is_ok() {
                                         continue 'targets;
                                     }
                                     std::thread::sleep(Duration::from_millis(20));
@@ -360,11 +365,9 @@ fn main() {
                     }
                     Some("go") if !started => {
                         started = true;
-                        let (scenario, seed) = (&args.scenario, args.seed);
                         let built =
                             scenario.party_instance(&registry, episode, me, seed, None, || {
-                                args.stack
-                                    .honest_instance(episode, me, scenario, seed, None)
+                                stack.honest_instance(episode, me, scenario, seed, None)
                             });
                         match built {
                             Ok((instance, crash)) => {
@@ -381,22 +384,25 @@ fn main() {
                             Err(e) => fatal(&e),
                         }
                     }
-                    // `shutdown` never gets here: the flag above ends
-                    // the loop first.
+                    // `shutdown` has raised the flag that ends the loop.
                     _ => {}
                 }
             }
-            Event::Peer { conn, event } => match event {
+            Event::Peer {
+                conn,
+                dialed,
+                event,
+            } => match event {
                 LinkEvent::Up {
                     peer,
                     recovered,
                     link,
                 } => {
-                    if peer >= n || peer == args.party {
+                    if peer >= n || peer == party {
                         eprintln!("aft-partyd: refusing a link that claims to be party {peer}");
                         continue;
                     }
-                    daemon.add_link(peer, recovered, link, conn);
+                    daemon.add_link(peer, recovered, Link { link, conn, dialed });
                     if !meshed_reported && daemon.links_up() == n - 1 {
                         meshed_reported = true;
                         println!("meshed");
@@ -420,6 +426,7 @@ fn main() {
             },
         }
     }
+    daemon.close_links(&rx);
     println!(
         "metrics sent={} delivered={} rejected={}",
         daemon.sent, daemon.delivered, daemon.rejected

@@ -6,9 +6,10 @@
 //! proportional to rounds) and steps for LocalCoin vs WeakSharedCoin vs
 //! OracleCoin under adversarially split inputs.
 
-use aft_ba::{BinaryBa, CoinSource, LocalCoin, OracleCoin, WeakSharedCoin};
-use aft_bench::{output_arg, record_run, runtime_arg, session, trials};
-use aft_sim::{run_trials, NetConfig, PartyId, RuntimeExt, StopReason};
+use aft_ba::{CoinSource, LocalCoin, OracleCoin, WeakCoinInstance, WeakSharedCoin};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{run_session, run_split_ba, session, STEP_BUDGET};
+use aft_sim::{run_trials, NetConfig};
 
 fn coin_source(name: &str, seed: u64) -> Box<dyn CoinSource> {
     match name {
@@ -20,10 +21,10 @@ fn coin_source(name: &str, seed: u64) -> Box<dyn CoinSource> {
 }
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E8 — BA baselines: local coin vs shared coin");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(60);
 
     let mut rows = Vec::new();
@@ -36,32 +37,11 @@ fn main() {
                 n_trials
             };
             let outcomes = run_trials(0..runs, 24, |seed| {
-                let mut net = rt.make(NetConfig::new(n, t, seed), "random");
-                let tracing = rt.attach_trace(net.as_mut());
-                let sid = session("ba");
-                for p in 0..n {
-                    net.spawn(
-                        PartyId(p),
-                        sid.clone(),
-                        Box::new(BinaryBa::new(p % 2 == 0, coin_source(coin, seed ^ 0xE8))),
-                    );
-                }
-                let report = net.run(4_000_000_000);
-                record_run(&report.metrics);
-                if tracing {
-                    rt.dump_trace(net.as_mut(), &format!("ba n={n} coin={coin} seed={seed}"));
-                }
-                assert_eq!(report.stop, StopReason::Quiescent);
-                let outs: Vec<bool> = (0..n)
-                    .filter_map(|p| net.output_as::<bool>(PartyId(p), &sid).copied())
-                    .collect();
-                assert_eq!(outs.len(), n, "termination");
-                assert!(outs.windows(2).all(|w| w[0] == w[1]), "agreement");
-                // Phase-1 A-Cast traffic is proportional to rounds run.
-                let v1 = report.metrics.sent_by_kind("bav1");
-                // one round of phase-1 for n parties ≈ n * (n + 2n^2) sends
-                let per_round = (n * (n + 2 * n * n)) as f64;
-                (v1 as f64 / per_round, report.steps)
+                let net = rt.make(NetConfig::new(n, t, seed), "random");
+                let label = format!("ba n={n} coin={coin} seed={seed}");
+                let coin = || coin_source(coin, seed ^ 0xE8);
+                let (rounds, o) = run_split_ba(Some(rt), net, &label, coin);
+                (rounds, o.steps)
             });
             let rounds: Vec<f64> = outcomes.iter().map(|o| o.0).collect();
             let mean_rounds = rounds.iter().sum::<f64>() / rounds.len() as f64;
@@ -95,23 +75,18 @@ fn main() {
 
     // Standalone weak-coin quality: how often do all parties see the same
     // bit (the δ that BA liveness multiplies by), and is it fair?
-    use aft_ba::WeakCoinInstance;
     let wc_trials = trials(60);
     let mut rows = Vec::new();
     for &(n, t) in &[(4usize, 1usize), (7, 2)] {
         let outcomes = run_trials(0..wc_trials, 24, |seed| {
-            let mut net = rt.make(NetConfig::new(n, t, seed), "random");
+            let net = rt.make(NetConfig::new(n, t, seed), "random");
+            let label = format!("wcoin n={n} seed={seed}");
             let sid = session("wcoin");
-            for p in 0..n {
-                net.spawn(PartyId(p), sid.clone(), Box::new(WeakCoinInstance::new()));
-            }
-            record_run(&net.run(4_000_000_000).metrics);
-            let bits: Vec<bool> = (0..n)
-                .filter_map(|p| net.output_as::<bool>(PartyId(p), &sid).copied())
-                .collect();
-            let terminated = bits.len() == n;
-            let agree = terminated && bits.windows(2).all(|w| w[0] == w[1]);
-            (terminated, agree, bits.first().copied())
+            let o = run_session::<bool>(None, net, &sid, STEP_BUDGET, &label, |_| {
+                Some(Box::new(WeakCoinInstance::new()))
+            });
+            let agree = o.all_terminated && o.agreement;
+            (o.all_terminated, agree, o.outputs.first().copied())
         });
         let total = outcomes.len();
         let term = outcomes.iter().filter(|o| o.0).count();

@@ -6,19 +6,17 @@
 //! thousands of sequential SVSS+CommonSubset rounds — exactly as
 //! Algorithm 1 prescribes.
 
-use aft_bench::{output_arg, record_run, run_coin, runtime_arg, trials, Adversary};
+use aft_bench::cli::{epsilon, trials, Cli, SIM_FLAGS};
+use aft_bench::{run_coin, run_session, session, Adversary, RuntimeSpec};
 use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
-use aft_sim::{
-    run_trials, scheduler_by_name, NetConfig, PartyId, SessionId, SessionTag, SimNetwork,
-    StopReason,
-};
+use aft_sim::{run_trials, NetConfig};
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E9 — Coin ablations");
-    let rt = runtime_arg();
-    rt.announce();
-    let n_trials = trials(30);
+    rt.announce(out);
+    let (n_trials, epsilon) = (trials(30), epsilon(0.4));
 
     // (a) substrate quality: oracle vs weak-shared inner coins.
     let mut rows = Vec::new();
@@ -28,7 +26,7 @@ fn main() {
                 CoinKind::Oracle(_) => CoinKind::Oracle(seed ^ 0xA11),
                 other => other,
             };
-            let o = run_coin(&rt, 4, 1, seed, 2, coin, "random", Adversary::None);
+            let o = run_coin(rt, 4, 1, seed, 2, coin, "random", Adversary::None);
             (o.agreement && o.all_terminated, o.metrics.sent, o.steps)
         });
         let ok = outcomes.iter().filter(|o| o.0).count();
@@ -61,7 +59,7 @@ fn main() {
     for &(n, t) in &[(4usize, 1usize), (7, 2), (10, 3)] {
         let outcomes = run_trials(0..n_trials.min(10), 24, |seed| {
             let o = run_coin(
-                &rt,
+                rt,
                 n,
                 t,
                 seed,
@@ -92,7 +90,7 @@ fn main() {
     for &k in &[1usize, 2, 4, 8, 16] {
         let outcomes = run_trials(0..n_trials.min(15), 24, |seed| {
             let o = run_coin(
-                &rt,
+                rt,
                 4,
                 1,
                 seed,
@@ -118,38 +116,20 @@ fn main() {
     );
 
     // (d) PAPER-EXACT mode: Algorithm 1 with the real k formula.
-    let epsilon = std::env::var("AFT_EPSILON")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.4f64);
     let params = CoinFlipParams::PaperExact { epsilon };
     let k = params.iterations(4);
     out.note(&format!(
         "\n(d) paper-exact run: n=4, ε={epsilon} ⇒ k = 4⌈(e/(επ))²·n⁴⌉ = {k} iterations…"
     ));
     let t0 = std::time::Instant::now();
-    let mut net = SimNetwork::new(
-        NetConfig::new(4, 1, 424242),
-        scheduler_by_name("random").unwrap(),
-    );
-    let sid = SessionId::root().child(SessionTag::new("paper-coin", 0));
-    for p in 0..4 {
-        net.spawn(
-            PartyId(p),
-            sid.clone(),
-            Box::new(CoinFlip::new(params, CoinKind::Oracle(0xF00D))),
-        );
-    }
-    let report = net.run(u64::MAX);
-    record_run(&report.metrics);
-    assert_eq!(report.stop, StopReason::Quiescent);
-    let outs: Vec<CoinFlipOutput> = (0..4)
-        .map(|p| {
-            *net.output_as::<CoinFlipOutput>(PartyId(p), &sid)
-                .expect("terminates")
-        })
-        .collect();
-    let agreed = outs.windows(2).all(|w| w[0].value == w[1].value);
+    // (d) runs on `sim` whatever `--runtime` says.
+    let net = RuntimeSpec::named("sim").make(NetConfig::new(4, 1, 424242), "random");
+    let sid = session("paper-coin");
+    let o = run_session::<CoinFlipOutput>(None, net, &sid, u64::MAX, "paper-exact", |_| {
+        Some(Box::new(CoinFlip::new(params, CoinKind::Oracle(0xF00D))))
+    });
+    assert!(o.all_terminated, "terminates");
+    let agreed = o.outputs.windows(2).all(|w| w[0].value == w[1].value);
     out.table(
         "(d) paper-exact Algorithm 1",
         &["ε", "k", "agreed", "coin", "messages", "steps", "wall time"],
@@ -157,9 +137,9 @@ fn main() {
             epsilon.to_string(),
             k.to_string(),
             agreed.to_string(),
-            (outs[0].value as u8).to_string(),
-            report.metrics.sent.to_string(),
-            report.steps.to_string(),
+            (o.outputs[0].value as u8).to_string(),
+            o.metrics.sent.to_string(),
+            o.steps.to_string(),
             format!("{:.1?}", t0.elapsed()),
         ]],
     );

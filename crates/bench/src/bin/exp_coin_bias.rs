@@ -4,15 +4,16 @@
 //! `Pr[all honest output 0]`, `Pr[all honest output 1]` (each must be
 //! ≥ 1/2 − ε) and the agreement rate (must be 1.0).
 
-use aft_bench::{fmt_prob, output_arg, run_coin, runtime_arg, trials, Adversary};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{fmt_prob, run_coin, Adversary};
 use aft_core::CoinKind;
 use aft_sim::run_trials;
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E2 — Strong common coin bias (Theorem 3.5)");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(200);
 
     let mut rows = Vec::new();
@@ -23,8 +24,12 @@ fn main() {
                     let outcomes = run_trials(0..n_trials, 24, |seed| {
                         // Decorrelate the oracle salt from the scheduler seed.
                         let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xABCD);
-                        let o = run_coin(&rt, n, t, seed, k, coin, sched, adversary);
-                        (o.all_terminated, o.agreement, o.outputs.first().copied())
+                        let o = run_coin(rt, n, t, seed, k, coin, sched, adversary);
+                        (
+                            o.all_terminated,
+                            o.agreement,
+                            o.outputs.first().map(|c| c.value),
+                        )
                     });
                     let total = outcomes.len();
                     let terminated = outcomes.iter().filter(|o| o.0).count();
@@ -73,8 +78,8 @@ fn main() {
     for &k in &[2usize, 8] {
         let outcomes = run_trials(0..n_trials, 24, |seed| {
             let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xABCD);
-            let o = run_coin(&rt, 4, 1, seed, k, coin, "random", Adversary::None);
-            (o.agreement, o.outputs.first().copied())
+            let o = run_coin(rt, 4, 1, seed, k, coin, "random", Adversary::None);
+            (o.agreement, o.outputs.first().map(|c| c.value))
         });
         let total = outcomes.len();
         let ones = outcomes.iter().filter(|o| o.0 && o.1 == Some(true)).count();
@@ -108,7 +113,7 @@ fn main() {
     let it_trials = trials(200).min(60);
     let outcomes = run_trials(0..it_trials, 24, |seed| {
         let o = run_coin(
-            &rt,
+            rt,
             4,
             1,
             seed,
@@ -117,7 +122,11 @@ fn main() {
             "random",
             Adversary::None,
         );
-        (o.all_terminated, o.agreement, o.outputs.first().copied())
+        (
+            o.all_terminated,
+            o.agreement,
+            o.outputs.first().map(|c| c.value),
+        )
     });
     let total = outcomes.len();
     let agreed = outcomes.iter().filter(|o| o.1).count();

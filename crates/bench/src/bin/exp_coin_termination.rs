@@ -4,7 +4,8 @@
 //! and schedulers: every run terminates, the tail is short, no scheduler
 //! starves the protocol past the fairness cap.
 
-use aft_bench::{output_arg, run_coin, runtime_arg, trials, Adversary};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{run_coin, Adversary};
 use aft_core::CoinKind;
 use aft_sim::run_trials;
 
@@ -15,10 +16,10 @@ fn quantiles(mut xs: Vec<u64>) -> (u64, u64, u64, u64) {
 }
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E3 — Coin termination distribution");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(100);
 
     let mut rows = Vec::new();
@@ -26,7 +27,7 @@ fn main() {
         for sched in ["fifo", "random", "lifo", "window4", "starve:0"] {
             let outcomes = run_trials(0..n_trials, 24, |seed| {
                 let o = run_coin(
-                    &rt,
+                    rt,
                     n,
                     t,
                     seed,

@@ -1,15 +1,16 @@
 //! E6 — Definition 3.4 / Theorem C.2: CommonSubset agreement, size, and
 //! soundness of membership.
 
-use aft_bench::{output_arg, run_protocol, runtime_arg, trials, Adversary};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{run_protocol, Adversary};
 use aft_core::{CoinKind, CommonSubsetInstance};
 use aft_sim::{run_trials, PartyId};
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E6 — CommonSubset (Algorithm 4 / Appendix C)");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(150);
 
     let mut rows = Vec::new();
@@ -18,7 +19,7 @@ fn main() {
             for sched in ["random", "lifo"] {
                 let outcomes = run_trials(0..n_trials, 24, |seed| {
                     let o =
-                        run_protocol::<Vec<PartyId>>(&rt, n, t, seed, sched, adversary, |_, _| {
+                        run_protocol::<Vec<PartyId>>(rt, n, t, seed, sched, adversary, |_, _| {
                             Box::new(CommonSubsetInstance::new(
                                 n - t,
                                 CoinKind::Oracle(seed ^ 0xC5),

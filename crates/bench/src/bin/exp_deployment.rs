@@ -20,71 +20,23 @@
 //! daemon stderr goes to `--log-dir` (default `target/deploy-logs`),
 //! where CI picks it up as an artifact on failure.
 
+use aft_bench::cli::{Cli, Flag};
 use aft_bench::deployment::{run_deployment, DeployOptions, DeployStack};
-use aft_bench::output_arg;
-use std::path::PathBuf;
-use std::time::Duration;
-
-struct Cli {
-    scenario: Option<String>,
-    stack: DeployStack,
-    seed: u64,
-    smoke: bool,
-    timeout: Duration,
-    log_dir: PathBuf,
-}
-
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        scenario: None,
-        stack: DeployStack::Ba,
-        seed: 2,
-        smoke: false,
-        timeout: Duration::from_secs(60),
-        log_dir: PathBuf::from("target/deploy-logs"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--scenario" => cli.scenario = Some(value("--scenario")),
-            "--stack" => {
-                let label = value("--stack");
-                cli.stack = DeployStack::from_label(&label).unwrap_or_else(|| {
-                    eprintln!("error: unknown --stack {label:?} (expected ba or common-subset)");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                cli.seed = value("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --seed must be a u64");
-                    std::process::exit(2);
-                });
-            }
-            "--timeout-secs" => {
-                cli.timeout = Duration::from_secs(value("--timeout-secs").parse().unwrap_or(60));
-            }
-            "--log-dir" => cli.log_dir = PathBuf::from(value("--log-dir")),
-            "--smoke" => cli.smoke = true,
-            "--json" => {} // handled by output_arg
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    cli
-}
 
 fn main() {
-    let cli = parse_cli();
-    let out = output_arg();
-    let runs: Vec<(String, DeployStack, u64)> = if cli.smoke {
+    let cli = Cli::parse(&[
+        Flag::DeploySpec,
+        Flag::Stack,
+        Flag::Seed,
+        Flag::Smoke,
+        Flag::TimeoutSecs,
+        Flag::LogDir,
+        Flag::Json,
+    ]);
+    let out = &cli.out;
+    let log_dir = cli.log_dir.clone();
+    let log_dir = log_dir.unwrap_or_else(|| "target/deploy-logs".into());
+    let runs: Vec<(String, DeployStack, u64)> = if cli.has(Flag::Smoke) {
         vec![
             ("n=4,t=1,rt=proc".into(), DeployStack::Ba, 2),
             ("n=4,t=1,rt=proc".into(), DeployStack::CommonSubset, 9),
@@ -105,23 +57,23 @@ fn main() {
             ),
         ]
     } else {
-        let Some(spec) = cli.scenario.clone() else {
-            eprintln!("error: pass --scenario '<spec with rt=proc>' or --smoke");
-            std::process::exit(2);
+        let Some(spec) = cli.spec.clone() else {
+            cli.fail("pass --scenario '<spec with rt=proc>' or --smoke");
         };
-        vec![(spec, cli.stack, cli.seed)]
+        let stack = cli.stacks.as_ref().map_or(DeployStack::Ba, |s| s[0]);
+        vec![(spec, stack, cli.seed.unwrap_or(2))]
     };
 
     out.note(&format!(
         "deployment: one aft-partyd process per party, logs in {}",
-        cli.log_dir.display()
+        log_dir.display()
     ));
     let mut rows = Vec::new();
     let mut failed = false;
     for (spec, stack, seed) in runs {
         let mut opts = DeployOptions::new(&spec, stack, seed);
-        opts.timeout = cli.timeout;
-        opts.log_dir = Some(cli.log_dir.clone());
+        opts.timeout = cli.timeout.unwrap_or(opts.timeout);
+        opts.log_dir = Some(log_dir.clone());
         let report = match run_deployment(&opts) {
             Ok(report) => report,
             Err(e) => {
@@ -139,16 +91,14 @@ fn main() {
             for v in &report.violations {
                 eprintln!("VIOLATION [{} {spec} seed={seed}]: {v}", stack.label());
             }
-            let summary = cli
-                .log_dir
-                .join(format!("violations-{}.txt", stack.label()));
+            let summary = log_dir.join(format!("violations-{}.txt", stack.label()));
             let body = format!(
                 "scenario: {spec}\nstack: {}\nseed: {seed}\noutputs: {outputs:?}\n{}\n",
                 stack.label(),
                 report.violations.join("\n")
             );
             if let Err(e) =
-                std::fs::create_dir_all(&cli.log_dir).and_then(|()| std::fs::write(&summary, body))
+                std::fs::create_dir_all(&log_dir).and_then(|()| std::fs::write(&summary, body))
             {
                 eprintln!("error: cannot write {}: {e}", summary.display());
             }

@@ -5,32 +5,26 @@
 //! *worst-case* majority subset G (the ⌈(m+1)/2⌉ least likely outcomes —
 //! the adversary's best choice of G).
 
-use aft_bench::{fmt_prob, output_arg, run_fair_choice, runtime_arg, trials, Adversary};
-use aft_core::CoinKind;
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{fmt_prob, run_protocol, Adversary};
+use aft_core::{CoinKind, FairChoice, FairChoiceParams};
 use aft_sim::run_trials;
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E4 — FairChoice validity (Theorem 4.3)");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(200);
 
     let mut rows = Vec::new();
     for &m in &[3usize, 5] {
         for adversary in [Adversary::None, Adversary::CrashOne] {
             let outcomes = run_trials(0..n_trials, 24, |seed| {
-                let o = run_fair_choice(
-                    &rt,
-                    4,
-                    1,
-                    seed,
-                    m,
-                    1,
-                    CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15)),
-                    "random",
-                    adversary,
-                );
+                let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15));
+                let o = run_protocol::<usize>(rt, 4, 1, seed, "random", adversary, |_, _| {
+                    Box::new(FairChoice::new(m, FairChoiceParams::FixedK { k: 1 }, coin))
+                });
                 assert!(o.agreement, "FairChoice must agree");
                 o.outputs.first().copied()
             });

@@ -5,15 +5,16 @@
 //!   probability ≥ 1/2 (fair validity), even with crashed parties and a
 //!   hostile scheduler.
 
-use aft_bench::{fmt_prob, output_arg, run_fba, runtime_arg, trials, Adversary};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{fmt_prob, run_fba, Adversary};
 use aft_core::CoinKind;
 use aft_sim::run_trials;
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt) = (&cli.out, &cli.runtime);
     out.note("# E5 — FBA fair validity (Theorem 4.5)");
-    let rt = runtime_arg();
-    rt.announce();
+    rt.announce(out);
     let n_trials = trials(150);
 
     // Validity: unanimous.
@@ -22,7 +23,7 @@ fn main() {
         let outcomes = run_trials(0..n_trials.min(60), 24, |seed| {
             let inputs: Vec<String> = (0..4).map(|_| "common".to_string()).collect();
             let o = run_fba(
-                &rt,
+                rt,
                 4,
                 1,
                 seed,
@@ -59,7 +60,7 @@ fn main() {
         let outcomes = run_trials(0..n_trials, 24, |seed| {
             let inputs: Vec<String> = (0..4).map(|p| format!("input-{p}")).collect();
             let o = run_fba(
-                &rt,
+                rt,
                 4,
                 1,
                 seed,
@@ -103,7 +104,7 @@ fn main() {
     let outcomes = run_trials(0..n_trials, 24, |seed| {
         use aft_bench::run_protocol;
         use aft_core::{FairChoiceParams, Fba};
-        let o = run_protocol::<String>(&rt, 4, 1, seed, "random", Adversary::None, move |p, _| {
+        let o = run_protocol::<String>(rt, 4, 1, seed, "random", Adversary::None, move |p, _| {
             let input = if p == 3 {
                 "PLANTED".to_string()
             } else {

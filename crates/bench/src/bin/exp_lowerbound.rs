@@ -4,21 +4,17 @@
 //! claimed properties, the Claim 1 view-indistinguishability, and the
 //! Claim 2 correctness violation.
 
-use aft_bench::{fmt_prob, output_arg, runtime_arg, trials};
+use aft_bench::cli::{trials, Cli, Flag};
+use aft_bench::fmt_prob;
 use aft_lowerbound::{claim2_exact, claim2_run, theorem_2_2_report, Claim2Randomness};
 use rand::SeedableRng;
 
 fn main() {
-    let out = output_arg();
+    // No --runtime: the lower-bound attacks are exhaustive local
+    // computations with no message-passing runtime.
+    let out = Cli::parse(&[Flag::Json]).out;
+    let n_trials = trials(100_000);
     out.note("# E1 — Lower bound (Theorem 2.2)");
-    let rt = runtime_arg();
-    if rt.label() != aft_sim::DEFAULT_BACKEND {
-        out.note(&format!(
-            "note: --runtime {} ignored — the lower-bound attacks are exhaustive local \
-             computations with no message-passing runtime",
-            rt.label()
-        ));
-    }
     let r = theorem_2_2_report();
 
     out.table(
@@ -67,7 +63,6 @@ fn main() {
 
     let c2 = claim2_exact();
     // Monte-Carlo cross-check of the exhaustive numbers.
-    let n_trials = trials(100_000);
     let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
     let mut wrong = 0usize;
     for _ in 0..n_trials {
@@ -129,5 +124,4 @@ fn main() {
         "\ncontradiction_established = {}",
         r.contradiction_established()
     ));
-    out.backend_counters();
 }

@@ -21,28 +21,22 @@
 //!
 //! Exits nonzero if any cell violates an invariant or fails to reproduce.
 
-use aft_bench::{output_arg, trials};
+use aft_bench::cli::{trials, Cli, Flag};
 use aft_core::scenarios::{
     run_cell, run_cell_to_bundle, standard_registry, CellReport, StackKind, STEP_BUDGET,
 };
 use aft_sim::{Backend, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let with_threaded = args.iter().any(|a| a == "--threaded");
-    if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        let spec = args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("error: --scenario needs a spec string");
-            std::process::exit(2);
-        });
-        run_single(spec);
+    let cli = Cli::parse(&[Flag::Smoke, Flag::Scenario, Flag::Threaded, Flag::Json]);
+    let registry = standard_registry();
+    if let Some(scenario) = &cli.scenario {
+        run_single(scenario, &registry);
         return;
     }
 
-    let out = output_arg();
+    let (out, smoke) = (&cli.out, cli.has(Flag::Smoke));
     out.note("# E11 — adversarial scenario matrix");
-    let registry = standard_registry();
     let mut backends: Vec<String> = if smoke {
         vec!["sim".into(), "sharded:2".into(), "wire".into()]
     } else {
@@ -53,7 +47,7 @@ fn main() {
             "wire".into(),
         ]
     };
-    if with_threaded {
+    if cli.has(Flag::Threaded) {
         backends.push("threaded".into());
     }
     let schedulers: Vec<String> = if smoke {
@@ -196,21 +190,12 @@ fn run_matrix(
     ]);
 }
 
-/// Runs one scenario spec on every stack and prints the cell reports.
-fn run_single(spec: &str) {
-    let scenario = Scenario::try_parse(spec).unwrap_or_else(|e| {
-        eprintln!("error: invalid scenario spec {spec:?}: {e}");
-        std::process::exit(2);
-    });
-    let registry = standard_registry();
-    if let Err(e) = scenario.validate_attacks(&registry) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+/// Runs one scenario on every stack and prints the cell reports.
+fn run_single(scenario: &Scenario, registry: &aft_sim::AttackRegistry) {
     println!("# scenario: {scenario}");
     let mut unsafe_cells = 0usize;
     for kind in StackKind::all() {
-        let report = run_cell(kind, &scenario, 1, &registry);
+        let report = run_cell(kind, scenario, 1, registry);
         println!(
             "{}: violations={:?} fingerprint={:#018x} sent={} steps={}",
             kind.label(),
@@ -222,7 +207,7 @@ fn run_single(spec: &str) {
         if !report.violations.is_empty() {
             unsafe_cells += 1;
             let ring = TraceMode::Ring(4096);
-            run_cell_to_bundle(kind, &scenario, 1, &registry, STEP_BUDGET, ring);
+            run_cell_to_bundle(kind, scenario, 1, registry, STEP_BUDGET, ring);
         }
     }
     if unsafe_cells > 0 {

@@ -27,13 +27,15 @@
 //! Exits nonzero if a violation resists shrinking or the smoke gate's
 //! determinism check fails.
 
-use aft_bench::{output_arg, trials};
+use aft_bench::cli::{trials, Cli, Flag};
+use aft_bench::Output;
 use aft_core::scenarios::{run_cell_to_bundle, standard_registry};
 use aft_core::search::{
-    search_round, shrink, spec_tokens, Corpus, FoundViolation, Shrunk, SEARCH_STEP_BUDGET,
+    search_round, shrink, spec_tokens, Corpus, FoundViolation, RoundOutcome, Shrunk,
+    SEARCH_STEP_BUDGET,
 };
 use aft_sim::{AttackRegistry, Scenario, TraceMode};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Corpus directory: `$AFT_CORPUS_DIR`, or `target/scenario-corpus`.
 fn corpus_dir() -> PathBuf {
@@ -52,17 +54,12 @@ const PLANTED: &str =
 const PLANTED_SEED: u64 = 5;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a != "--smoke" && a != "--json") {
-        eprintln!("usage: exp_scenario_search [--smoke] [--json]");
-        std::process::exit(2);
-    }
+    let cli = Cli::parse(&[Flag::Smoke, Flag::Json]);
     let registry = standard_registry();
-    if smoke {
-        run_smoke(&registry);
+    if cli.has(Flag::Smoke) {
+        run_smoke(&cli.out, &registry);
     } else {
-        run_soak(&registry);
+        run_soak(&cli.out, &registry);
     }
 }
 
@@ -100,8 +97,7 @@ fn shrink_and_bundle(
 }
 
 /// The bounded CI gate; see the module docs.
-fn run_smoke(registry: &AttackRegistry) {
-    let out = output_arg();
+fn run_smoke(out: &Output, registry: &AttackRegistry) {
     out.note("# E12 — coverage-guided scenario search (smoke)");
     let mut failures: Vec<String> = Vec::new();
 
@@ -113,14 +109,7 @@ fn run_smoke(registry: &AttackRegistry) {
         let mut violations = Vec::new();
         for round in 0..2u64 {
             let outcome = search_round(&mut corpus, registry, 42 + round, 16, SEARCH_STEP_BUDGET);
-            rows.push(vec![
-                round.to_string(),
-                outcome.executed.to_string(),
-                outcome.added.to_string(),
-                corpus.entries.len().to_string(),
-                corpus.feature_count().to_string(),
-                outcome.violations.len().to_string(),
-            ]);
+            rows.push(round_row(round, &outcome, &corpus));
             violations.extend(outcome.violations);
         }
         (corpus, rows, violations)
@@ -134,18 +123,8 @@ fn run_smoke(registry: &AttackRegistry) {
             corpus_b.fingerprint()
         ));
     }
-    out.table(
-        "Seeded search rounds (replayed twice, bit-identical)",
-        &[
-            "round",
-            "executed",
-            "added",
-            "corpus",
-            "features",
-            "violations",
-        ],
-        &rows,
-    );
+    let title = "Seeded search rounds (replayed twice, bit-identical)";
+    out.table(title, &ROUND_HEADERS, &rows);
     out.note(&format!(
         "corpus fingerprint: {:#018x} (replay identical: {})",
         corpus_a.fingerprint(),
@@ -229,23 +208,12 @@ fn run_smoke(registry: &AttackRegistry) {
     }
 
     // Persist the smoke corpus so CI uploads it as an artifact.
-    let path = corpus_dir().join("corpus.txt");
-    if let Err(e) = corpus_a.save(&path) {
-        eprintln!("corpus save failed: {e}");
-    } else {
-        out.note(&format!(
-            "corpus saved: {} entries -> {}",
-            corpus_a.entries.len(),
-            path.display()
-        ));
-    }
-
-    finish(&out, &failures);
+    save_corpus(out, &corpus_a, &corpus_dir().join("corpus.txt"));
+    finish(out, &failures);
 }
 
 /// The overnight soak loop; see the module docs.
-fn run_soak(registry: &AttackRegistry) {
-    let out = output_arg();
+fn run_soak(out: &Output, registry: &AttackRegistry) {
     out.note("# E12 — coverage-guided scenario search (soak)");
     let path = corpus_dir().join("corpus.txt");
     let mut corpus = match Corpus::load(&path) {
@@ -263,14 +231,7 @@ fn run_soak(registry: &AttackRegistry) {
     for round in 0..rounds {
         let outcome = search_round(&mut corpus, registry, round, 32, SEARCH_STEP_BUDGET);
         found_total += outcome.violations.len();
-        rows.push(vec![
-            round.to_string(),
-            outcome.executed.to_string(),
-            outcome.added.to_string(),
-            corpus.entries.len().to_string(),
-            corpus.feature_count().to_string(),
-            outcome.violations.len().to_string(),
-        ]);
+        rows.push(round_row(round, &outcome, &corpus));
         for found in &outcome.violations {
             match shrink_and_bundle(found, registry, SEARCH_STEP_BUDGET) {
                 Some(shrunk) => out.note(&format!(
@@ -281,35 +242,48 @@ fn run_soak(registry: &AttackRegistry) {
             }
         }
     }
-    out.table(
-        "Search rounds",
-        &[
-            "round",
-            "executed",
-            "added",
-            "corpus",
-            "features",
-            "violations",
-        ],
-        &rows,
-    );
+    out.table("Search rounds", &ROUND_HEADERS, &rows);
     out.note(&format!(
         "{found_total} violation(s) found across {rounds} round(s); corpus fingerprint {:#018x}",
         corpus.fingerprint()
     ));
-    if let Err(e) = corpus.save(&path) {
-        eprintln!("corpus save failed: {e}");
-    } else {
-        out.note(&format!(
+    save_corpus(out, &corpus, &path);
+    finish(out, &failures);
+}
+
+const ROUND_HEADERS: [&str; 6] = [
+    "round",
+    "executed",
+    "added",
+    "corpus",
+    "features",
+    "violations",
+];
+
+/// One row of the rounds table: what `round` did to `corpus`.
+fn round_row(round: u64, outcome: &RoundOutcome, corpus: &Corpus) -> Vec<String> {
+    vec![
+        round.to_string(),
+        outcome.executed.to_string(),
+        outcome.added.to_string(),
+        corpus.entries.len().to_string(),
+        corpus.feature_count().to_string(),
+        outcome.violations.len().to_string(),
+    ]
+}
+
+fn save_corpus(out: &Output, corpus: &Corpus, path: &Path) {
+    match corpus.save(path) {
+        Err(e) => eprintln!("corpus save failed: {e}"),
+        Ok(()) => out.note(&format!(
             "corpus saved: {} entries -> {}",
             corpus.entries.len(),
             path.display()
-        ));
+        )),
     }
-    finish(&out, &failures);
 }
 
-fn finish(out: &aft_bench::Output, failures: &[String]) {
+fn finish(out: &Output, failures: &[String]) {
     if failures.is_empty() {
         out.note("\nsearch gate clean: every violation shrunk and bundled");
     } else {

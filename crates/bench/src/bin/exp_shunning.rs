@@ -11,7 +11,8 @@
 //! default), `--runtime sharded:<k>` and `--runtime threaded` all run the
 //! full chain.
 
-use aft_bench::{output_arg, record_run, runtime_arg, trials};
+use aft_bench::cli::{trials, Cli, SIM_FLAGS};
+use aft_bench::{dump_trace, record_run};
 use aft_core::scenarios::standard_registry;
 use aft_field::Fp;
 use aft_sim::{
@@ -21,10 +22,10 @@ use aft_sim::{
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(SIM_FLAGS);
+    let (out, rt_spec) = (&cli.out, &cli.runtime);
     out.note("# E7 — Shunning dynamics (Definition 3.2's escape hatch)");
-    let rt_spec = runtime_arg();
-    rt_spec.announce();
+    rt_spec.announce(out);
     let registry = standard_registry();
     let instances = trials(40) as usize;
 
@@ -82,8 +83,8 @@ fn main() {
             shun_curve.push(net.metrics().shun_events);
         }
         record_run(&net.metrics());
-        if tracing {
-            rt_spec.dump_trace(net.as_mut(), &format!("shunning campaign n={n}"));
+        if let Some(path) = tracing {
+            dump_trace(net.as_mut(), &path, &format!("shunning campaign n={n}"));
         }
         let final_shuns = *shun_curve.last().unwrap();
         let saturation_at = shun_curve

@@ -14,9 +14,10 @@
 //! backends the whole sweep is reproducible seed-for-seed; `threaded`
 //! shows the tail under genuine OS nondeterminism.
 
-use aft_ba::{BinaryBa, LocalCoin};
-use aft_bench::{output_arg, record_run, session, trials};
-use aft_sim::{run_trials, Bernoulli, PartyId, RuntimeExt, Scenario, StopReason};
+use aft_ba::LocalCoin;
+use aft_bench::cli::{trials, Cli, Flag};
+use aft_bench::run_split_ba;
+use aft_sim::{run_trials, Bernoulli, Scenario};
 
 /// Round thresholds whose exceedance probability is reported.
 const TAILS: &[u64] = &[2, 3, 5, 8];
@@ -40,7 +41,8 @@ const ROWS: &[&str] = &[
 ];
 
 fn main() {
-    let out = output_arg();
+    let cli = Cli::parse(&[Flag::Trace, Flag::Json]);
+    let out = &cli.out;
     out.note("# E10 — almost-sure-termination tails of BA across backends");
     let n_trials = trials(200);
     out.note(&format!(
@@ -49,9 +51,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut vrows = Vec::new();
-    for spec in ROWS {
+    for (row, spec) in ROWS.iter().enumerate() {
         let scenario = Scenario::parse(spec).expect("row scenarios are valid");
-        let n = scenario.n;
         let backend = if scenario.sched.starts_with("net") {
             format!("{}:{}", scenario.rt, scenario.sched)
         } else {
@@ -63,31 +64,13 @@ fn main() {
         let deterministic = scenario.backend().is_ok_and(|b| b.is_deterministic());
         let workers = if deterministic { 16 } else { 4 };
         let outcomes = run_trials(0..n_trials, workers, |seed| {
-            let mut rt = scenario.runtime(seed);
-            let sid = session("ba");
-            for p in 0..n {
-                rt.spawn(
-                    PartyId(p),
-                    sid.clone(),
-                    Box::new(BinaryBa::new(p % 2 == 0, Box::new(LocalCoin))),
-                );
-            }
-            let report = rt.run(4_000_000_000);
-            record_run(&report.metrics);
-            assert_eq!(report.stop, StopReason::Quiescent, "{backend} seed={seed}");
-            let outs: Vec<bool> = (0..n)
-                .filter_map(|p| rt.output_as::<bool>(PartyId(p), &sid).copied())
-                .collect();
-            assert_eq!(outs.len(), n, "termination ({backend} seed={seed})");
-            assert!(
-                outs.windows(2).all(|w| w[0] == w[1]),
-                "agreement ({backend} seed={seed})"
-            );
-            // Phase-1 A-Cast traffic is proportional to rounds run.
-            let v1 = report.metrics.sent_by_kind("bav1");
-            let per_round = (n * (n + 2 * n * n)) as f64;
-            let rounds = (v1 as f64 / per_round).round() as u64;
-            (rounds, report.metrics.virtual_time)
+            // --trace <path> records one representative cell: the first
+            // row at seed 0.
+            let trace = (row == 0 && seed == 0).then_some(&cli.runtime);
+            let label = format!("{spec} seed={seed}");
+            let coin = || Box::new(LocalCoin) as _;
+            let (rounds, o) = run_split_ba(trace, scenario.runtime(seed), &label, coin);
+            (rounds.round() as u64, o.metrics.virtual_time)
         });
         let rounds_per_trial: Vec<u64> = outcomes.iter().map(|&(r, _)| r).collect();
         let mean =
@@ -134,25 +117,5 @@ fn main() {
     out.note("seed-for-seed; `threaded` samples the same protocol under genuine OS");
     out.note("scheduling. The geometric tail is the price of local coins — the");
     out.note("paper's strong common coin removes it (see exp_ba_baselines).");
-
-    // --trace <path>: replay one representative cell (first row, seed 0)
-    // with the flight recorder attached and export it.
-    if let Some(path) = aft_bench::trace_arg() {
-        let scenario = Scenario::parse(ROWS[0]).expect("row scenarios are valid");
-        let mut rt = scenario.runtime(0);
-        rt.set_trace(aft_sim::TraceMode::Full);
-        let sid = session("ba");
-        for p in 0..scenario.n {
-            rt.spawn(
-                PartyId(p),
-                sid.clone(),
-                Box::new(BinaryBa::new(p % 2 == 0, Box::new(LocalCoin))),
-            );
-        }
-        rt.run(4_000_000_000);
-        if let Some(sink) = rt.take_trace() {
-            aft_bench::write_trace_files(&path, &sink.snapshot(), &format!("{} seed=0", ROWS[0]));
-        }
-    }
     out.backend_counters();
 }

@@ -22,7 +22,8 @@
 //!   sibling is always written alongside;
 //! * `--json` — machine-readable tables on stdout.
 
-use aft_bench::{output_arg, trace_arg, write_trace_files, Output};
+use aft_bench::cli::{Cli, Flag};
+use aft_bench::{write_trace_files, Output};
 use aft_core::scenarios::{
     repro_dir, run_cell_to_bundle, standard_registry, StackKind, STEP_BUDGET,
 };
@@ -30,68 +31,24 @@ use aft_sim::trace::depth_histograms;
 use aft_sim::{AttackRegistry, Scenario, TraceMode};
 use std::path::{Path, PathBuf};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    let mut found = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            found = it.next().cloned();
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            found = Some(v.to_string());
-        }
-    }
-    found
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = output_arg();
-    let spec = arg_value(&args, "--scenario").unwrap_or_else(|| {
-        eprintln!(
-            "usage: exp_trace --scenario '<spec>' [--stack ba|svss|common-subset|all] \
-             [--seed N] [--trace <path>] [--json]"
-        );
-        std::process::exit(2);
-    });
-    let scenario = Scenario::try_parse(&spec).unwrap_or_else(|e| {
-        eprintln!("error: invalid scenario spec {spec:?}: {e}");
-        std::process::exit(2);
-    });
+    let cli = Cli::parse(&[
+        Flag::Scenario,
+        Flag::Stacks,
+        Flag::Seed,
+        Flag::Trace,
+        Flag::Json,
+    ]);
+    let out = &cli.out;
+    let scenario = cli.require(Flag::Scenario, cli.scenario.as_ref());
     let registry = standard_registry();
-    if let Err(e) = scenario.validate_attacks(&registry) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let seed: u64 = arg_value(&args, "--seed")
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --seed wants a u64, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1);
-    let stack_flag = arg_value(&args, "--stack").unwrap_or_else(|| "ba".into());
-    let stacks: Vec<StackKind> = if stack_flag == "all" {
-        StackKind::all().to_vec()
-    } else {
-        match StackKind::all()
-            .into_iter()
-            .find(|k| k.label() == stack_flag)
-        {
-            Some(k) => vec![k],
-            None => {
-                eprintln!("error: unknown --stack {stack_flag:?} (ba|svss|common-subset|all)");
-                std::process::exit(2);
-            }
-        }
-    };
+    let seed = cli.seed.unwrap_or(1);
+    let stacks = cli.stacks.clone().unwrap_or(vec![StackKind::Ba]);
 
     out.note(&format!("# exp_trace — scenario: {scenario} seed={seed}"));
-    let trace_base = trace_arg();
     let mut violated = false;
     for kind in &stacks {
-        let path = match &trace_base {
+        let path = match &cli.trace {
             // With --stack all, keep one file per stack under the asked-for path.
             Some(p) if stacks.len() > 1 => {
                 let mut os = p.clone().into_os_string();
@@ -101,7 +58,7 @@ fn main() {
             Some(p) => p.clone(),
             None => PathBuf::from(format!("target/trace/{}-seed{seed}.jsonl", kind.label())),
         };
-        violated |= run_traced(&out, *kind, &scenario, seed, &registry, &path);
+        violated |= run_traced(out, *kind, scenario, seed, &registry, &path);
     }
     if violated {
         eprintln!(

@@ -16,7 +16,11 @@
 //! | daemon → supervisor | `bye` | clean exit imminent |
 //! | supervisor → daemon | `peers <addr0> … <addr(n−1)>` | the mesh address book |
 //! | supervisor → daemon | `go` | spawn the protocol instance |
-//! | supervisor → daemon | `shutdown` | report metrics and exit |
+//! | supervisor → daemon | `shutdown` | end the peer links, report metrics and exit |
+//!
+//! Tell every daemon `shutdown` before waiting for a `bye`: a daemon keeps
+//! the links it accepted until the peer that dialed them has closed them
+//! (at most 100 ms), so that no listener port ends up in `TIME_WAIT`.
 //!
 //! `corrupt=recover:<vt>@p` does not reach the daemons: the simulator's
 //! scheduled recovery needs a virtual clock, so [`split_recover_spec`]

@@ -1,42 +1,57 @@
 //! # aft-bench
 //!
-//! Experiment harness for the `aft` reproduction: shared runners, table
-//! formatting, and statistics used by the `exp_*` binaries (one per
-//! experiment E1–E9 of DESIGN.md §5) and the Criterion benchmarks.
+//! Experiment harness for the `aft` reproduction: one command line
+//! ([`cli`]), one session runner ([`run_session`], under
+//! [`run_protocol`]), the table/JSON printer ([`Output`]) and the
+//! process-per-party supervisor ([`deployment`]) shared by the binaries
+//! below — one per experiment, each turning a statement of the paper
+//! into a table:
 //!
-//! Run an experiment with e.g.
+//! | binary | experiment | paper statement | flags |
+//! |---|---|---|---|
+//! | `exp_lowerbound` | E1 | Thm 2.2: no AVSS at n ≤ 4t — Claim 1 view equality, Claim 2 wrong output w.p. 2/5 | `--json` |
+//! | `exp_coin_bias` | E2 | Thm 3.5: CoinFlip(ε) is ε-biased and always agreed | `--runtime` `--trace` `--json` |
+//! | `exp_coin_termination` | E3 | Thm 3.5: CoinFlip terminates almost surely under every scheduler | `--runtime` `--trace` `--json` |
+//! | `exp_fair_choice` | E4 | Thm 4.3: FairChoice(m) lands in any majority subset w.p. > 1/2 | `--runtime` `--trace` `--json` |
+//! | `exp_fba_fairness` | E5 | Thm 4.5: FBA validity and fair validity ≥ 1/2 | `--runtime` `--trace` `--json` |
+//! | `exp_common_subset` | E6 | Def 3.4 / Thm C.2: CommonSubset agreement, size, membership | `--runtime` `--trace` `--json` |
+//! | `exp_shunning` | E7 | Def 3.2: fewer than n² shun events; no binding failure without one | `--runtime` `--trace` `--json` |
+//! | `exp_ba_baselines` | E8 | §1: local-coin BA rounds grow with n, shared-coin rounds do not | `--runtime` `--trace` `--json` |
+//! | `exp_coin_ablation` | E9 | Alg 1 ablations: coin substrate, cost vs n, k sweep, paper-exact k | `--runtime` `--trace` `--json` |
+//! | `exp_termination_tail` | E10 | almost-sure termination: the round tail of local-coin BA per backend | `--trace` `--json` |
+//! | `exp_scenario_matrix` | E11 | safety invariants of BA / SVSS / CommonSubset over the adversarial matrix | `--smoke` `--scenario` `--threaded` `--json` |
+//! | `exp_scenario_search` | E12 | the same invariants under coverage-guided scenario search | `--smoke` `--json` |
+//! | `exp_deployment` | E13 | BA / CommonSubset invariants on one OS process per party | `--scenario` `--stack` `--seed` `--smoke` `--timeout-secs` `--log-dir` `--json` |
+//! | `exp_trace` | — | flight-recorder replay of one `(stack, scenario, seed)` cell | `--scenario` `--stack` `--seed` `--trace` `--json` |
+//! | `aft-partyd` | — | one party of `exp_deployment`, in its own process | `--party` `--stack` `--seed` `--scenario` `--recovered` |
+//!
+//! (`tests/cli.rs` checks the flags column against what each binary
+//! accepts.) Run one with e.g.
 //!
 //! ```sh
-//! cargo run --release -p aft-bench --bin exp_coin_bias
+//! AFT_TRIALS=4 cargo run --release -p aft-bench --bin exp_coin_bias -- --runtime sim:lifo
 //! ```
 //!
-//! Every binary prints a Markdown table whose rows are recorded in
-//! `EXPERIMENTS.md`. Trial counts scale with the `AFT_TRIALS` environment
-//! variable (default noted per experiment).
+//! `AFT_TRIALS` replaces every row's trial count (defaults are 30–200 per
+//! row), `AFT_EPSILON` the ε of `exp_coin_ablation`'s paper-exact run;
+//! `--runtime <family>[:<arg>][:<scheduler>]` picks a backend of
+//! [`aft_sim::ALL_BACKENDS`], `--trace <path>` dumps a flight-recorder
+//! trace of the first run, `--json` prints tables as JSON lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod deployment;
 
-use aft_core::{
-    CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoice, FairChoiceParams, Fba,
-};
+use aft_ba::{BinaryBa, CoinSource};
+use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
 use aft_sim::{
     Backend, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
-    SilentInstance, StopReason, TraceMode, DEFAULT_BACKEND,
+    SilentInstance, StopReason, TraceMode,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Reads the trial multiplier from `AFT_TRIALS` (default `base`).
-pub fn trials(base: u64) -> u64 {
-    std::env::var("AFT_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(base)
-}
+use std::sync::{LazyLock, Mutex};
 
 /// Which execution backend an experiment runs on, from its `--runtime`
 /// flag: any [`aft_sim::Backend`] spec, `<family>[:<arg>][:<scheduler>]`
@@ -52,64 +67,39 @@ pub fn trials(base: u64) -> u64 {
 #[derive(Debug)]
 pub struct RuntimeSpec {
     name: String,
-    /// Where to dump a flight-recorder trace of the first run, if asked
-    /// (`--trace <path>`).
-    trace: Option<PathBuf>,
-    /// Whether the trace dump is still pending (only the first run built
-    /// through this spec is traced — one representative execution).
-    trace_pending: AtomicBool,
-}
-
-impl Clone for RuntimeSpec {
-    fn clone(&self) -> Self {
-        RuntimeSpec {
-            name: self.name.clone(),
-            trace: self.trace.clone(),
-            // A clone does not inherit the trace obligation: exactly one
-            // run per `--trace` flag is recorded, via the original spec.
-            trace_pending: AtomicBool::new(false),
-        }
-    }
+    backend: Backend,
+    /// The `--trace <path>` dump this spec still owes. The first run
+    /// built through it takes the path — one representative execution.
+    trace: Mutex<Option<PathBuf>>,
 }
 
 impl RuntimeSpec {
-    /// Builds a spec from an explicit backend name.
-    pub fn named(name: &str) -> Self {
-        RuntimeSpec {
+    /// Parses a backend spec, or says why it does not parse.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Ok(RuntimeSpec {
             name: name.to_string(),
-            trace: None,
-            trace_pending: AtomicBool::new(false),
-        }
+            backend: Backend::parse(name)?,
+            trace: Mutex::new(None),
+        })
     }
 
-    /// Asks the spec to dump a flight-recorder trace of the first run it
-    /// builds to `path` (JSONL; a `.perfetto.json` sibling is written
-    /// alongside).
-    pub fn with_trace(mut self, path: Option<PathBuf>) -> Self {
-        self.trace_pending = AtomicBool::new(self.trace.is_none() && path.is_some());
-        self.trace = path;
-        self
+    /// Builds a spec from a backend name the caller knows to parse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it does not; names from outside go through
+    /// [`RuntimeSpec::parse`], as [`cli::Cli::parse`] does.
+    pub fn named(name: &str) -> Self {
+        Self::parse(name).unwrap_or_else(|e| panic!("backend {name:?}: {e}"))
     }
 
-    /// Enables the flight recorder on `rt` if this spec still owes a
-    /// trace dump. Returns whether tracing was attached (pair with
-    /// [`RuntimeSpec::dump_trace`] after the run).
-    pub fn attach_trace(&self, rt: &mut dyn Runtime) -> bool {
-        if self.trace_pending.swap(false, Ordering::Relaxed) {
-            rt.set_trace(TraceMode::Full);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Detaches `rt`'s recorder and writes the JSONL trace plus its
-    /// Perfetto sibling; `label` identifies the traced run on stderr.
-    pub fn dump_trace(&self, rt: &mut dyn Runtime, label: &str) {
-        let Some(path) = &self.trace else { return };
-        let Some(sink) = rt.take_trace() else { return };
-        let events = sink.snapshot();
-        write_trace_files(path, &events, label);
+    /// If this spec still owes its trace dump, turns the flight recorder
+    /// of `rt` on and hands over the path to dump to after the run
+    /// ([`dump_trace`]).
+    pub fn attach_trace(&self, rt: &mut dyn Runtime) -> Option<PathBuf> {
+        let path = self.trace.lock().expect("trace path poisoned").take()?;
+        rt.set_trace(TraceMode::Full);
+        Some(path)
     }
 
     /// The backend name as given (`"sim"`, `"threaded"`, …).
@@ -117,103 +107,50 @@ impl RuntimeSpec {
         &self.name
     }
 
-    /// The parsed spec, or why it does not parse.
-    fn backend(&self) -> Result<Backend, String> {
-        Backend::parse(&self.name)
-    }
-
     /// Whether rows parameterized by scheduler are meaningful.
     pub fn honors_schedulers(&self) -> bool {
-        self.backend().is_ok_and(|b| b.honors_schedulers())
+        self.backend.honors_schedulers()
     }
 
     /// Resolves the backend name for a row that wants scheduler `sched`.
     pub fn backend_for(&self, sched: &str) -> String {
-        self.backend()
-            .map_or_else(|_| self.name.clone(), |b| b.with_sched(sched).to_string())
+        self.backend.clone().with_sched(sched).to_string()
     }
 
     /// Builds the runtime for a row with scheduler `sched`.
     ///
+    /// A `proc:<k>` that disagrees with the row's `n` is a usage error
+    /// (experiments sweep `n` per row) and exits 2.
+    ///
     /// # Panics
     ///
-    /// Panics on an unknown backend or scheduler name. A `proc:<k>` that
-    /// disagrees with the row's `n` is a usage error (experiments sweep
-    /// `n` per row) and exits 2 instead.
+    /// Panics on a scheduler name no row of this crate uses.
     pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
-        let backend = self
-            .backend()
-            .unwrap_or_else(|e| panic!("--runtime {}: {e}", self.name));
-        if let Err(e) = backend.check_parties(config.n) {
+        if let Err(e) = self.backend.check_parties(config.n) {
             eprintln!("error: --runtime {}: {e}", self.name);
             std::process::exit(2);
         }
+        let backend = self.backend.clone().with_sched(sched);
         backend
-            .with_sched(sched)
             .build(config)
             .unwrap_or_else(|e| panic!("--runtime {}, scheduler {sched}: {e}", self.name))
     }
 
     /// Prints the standard one-line backend banner.
-    pub fn announce(&self) {
-        let banner = |line: &str| {
-            if json_arg() {
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
-        };
-        banner(&format!("runtime backend: {}", self.name));
+    pub fn announce(&self, out: &Output) {
+        out.note(&format!("runtime backend: {}", self.name));
         if !self.honors_schedulers() {
-            banner("(scheduler columns are ignored on this backend)");
+            out.note("(scheduler columns are ignored on this backend)");
         }
     }
 }
 
-/// Parses `--runtime <name>` / `--runtime=<name>` from the command line
-/// (default [`DEFAULT_BACKEND`]). Every `exp_*` binary accepts this flag;
-/// a spec that does not parse exits immediately with the reason instead
-/// of panicking mid-experiment (per-row schedulers and party counts are
-/// resolved later, per row).
-pub fn runtime_arg() -> RuntimeSpec {
-    let mut picked = RuntimeSpec::named(DEFAULT_BACKEND);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--runtime" {
-            if let Some(name) = args.next() {
-                picked = RuntimeSpec::named(&name);
-            }
-        } else if let Some(name) = arg.strip_prefix("--runtime=") {
-            picked = RuntimeSpec::named(name);
-        }
+/// Detaches the recorder [`RuntimeSpec::attach_trace`] turned on and
+/// writes its events to `path`; `label` identifies the run on stderr.
+pub fn dump_trace(rt: &mut dyn Runtime, path: &Path, label: &str) {
+    if let Some(sink) = rt.take_trace() {
+        write_trace_files(path, &sink.snapshot(), label);
     }
-    if let Err(e) = picked.backend() {
-        eprintln!("error: --runtime: {e}");
-        std::process::exit(2);
-    }
-    picked.with_trace(trace_arg())
-}
-
-/// Parses `--trace <path>` / `--trace=<path>` from the command line:
-/// where to write a flight-recorder trace (JSONL, plus a
-/// `.perfetto.json` sibling) of one representative run.
-pub fn trace_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    let mut picked = None;
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            picked = args.next().map(PathBuf::from);
-        } else if let Some(path) = arg.strip_prefix("--trace=") {
-            picked = Some(PathBuf::from(path));
-        }
-    }
-    picked
-}
-
-/// Whether `--json` was passed: tables become JSON objects on stdout
-/// (one per table) and banners move to stderr.
-pub fn json_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--json")
 }
 
 /// Writes `events` as JSONL to `path` and as a Chrome/Perfetto trace to
@@ -246,11 +183,6 @@ pub fn write_trace_files(path: &Path, events: &[aft_sim::TraceEvent], label: &st
 #[derive(Debug, Clone, Copy)]
 pub struct Output {
     json: bool,
-}
-
-/// Builds the [`Output`] from the command line (`--json`).
-pub fn output_arg() -> Output {
-    Output { json: json_arg() }
 }
 
 fn push_json_escaped(out: &mut String, s: &str) {
@@ -290,7 +222,12 @@ impl Output {
     /// mode.
     pub fn table(&self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
         if !self.json {
-            print_table(title, headers, rows);
+            println!("\n### {title}\n");
+            println!("| {} |", headers.join(" | "));
+            println!("|{}|", vec!["---"; headers.len()].join("|"));
+            for row in rows {
+                println!("| {} |", row.join(" | "));
+            }
             return;
         }
         let mut out = String::from("{\"table\":");
@@ -315,121 +252,64 @@ impl Output {
         println!("{out}");
     }
 
-    /// Prints the process-wide backend counter totals accumulated by
-    /// [`run_protocol`] — the uniform pool/wire/decode-miss exposure
-    /// every experiment binary ends with.
+    /// Prints the process-wide backend counter totals — the uniform
+    /// pool/wire/decode-miss exposure every experiment binary ends with.
     pub fn backend_counters(&self) {
         let totals = TOTALS.lock().expect("totals poisoned");
-        if totals.runs == 0 {
-            return;
+        if totals.runs > 0 {
+            let title = format!("backend counters ({} runs)", totals.runs);
+            let headers = COUNTER_COLUMNS.map(|(header, _)| header);
+            self.table(&title, &headers, &[totals.row()]);
         }
-        self.table(
-            &format!("backend counters ({} runs)", totals.runs),
-            &[
-                "sent",
-                "delivered",
-                "dropped_shunned",
-                "dropped_crashed",
-                "shun_events",
-                "steps",
-                "pool_reused",
-                "pool_alloc",
-                "wire_frames",
-                "wire_bytes",
-                "wire_malformed",
-                "decode_misses",
-            ],
-            &[vec![
-                totals.sent.to_string(),
-                totals.delivered.to_string(),
-                totals.dropped_shunned.to_string(),
-                totals.dropped_crashed.to_string(),
-                totals.shun_events.to_string(),
-                totals.steps.to_string(),
-                totals.pool_reused.to_string(),
-                totals.pool_alloc.to_string(),
-                totals.wire_frames.to_string(),
-                totals.wire_bytes.to_string(),
-                totals.wire_malformed.to_string(),
-                totals.decode_misses.to_string(),
-            ]],
-        );
     }
 }
 
-/// Process-wide backend counter totals, summed over every
-/// [`run_protocol`] call (all public [`Metrics`] counters plus the
-/// decode-miss total) — what [`Output::backend_counters`] reports.
-#[derive(Debug, Default)]
-struct BackendTotals {
+type Counter = fn(&Metrics) -> u64;
+
+/// The columns of the backend-counter table: every public [`Metrics`]
+/// counter plus the decode-miss total.
+const COUNTER_COLUMNS: [(&str, Counter); 12] = [
+    ("sent", |m| m.sent),
+    ("delivered", |m| m.delivered),
+    ("dropped_shunned", |m| m.dropped_shunned),
+    ("dropped_crashed", |m| m.dropped_crashed),
+    ("shun_events", |m| m.shun_events),
+    ("steps", |m| m.steps),
+    ("pool_reused", |m| m.pool_reused),
+    ("pool_alloc", |m| m.pool_alloc),
+    ("wire_frames", |m| m.wire_frames),
+    ("wire_bytes", |m| m.wire_bytes),
+    ("wire_malformed", |m| m.wire_malformed),
+    ("decode_misses", |m| m.decode_misses().map(|(_, c)| c).sum()),
+];
+
+/// How many runs were folded, and the column-wise sum of their metrics.
+#[derive(Default)]
+struct Totals {
     runs: u64,
-    sent: u64,
-    delivered: u64,
-    dropped_shunned: u64,
-    dropped_crashed: u64,
-    shun_events: u64,
-    steps: u64,
-    pool_reused: u64,
-    pool_alloc: u64,
-    wire_frames: u64,
-    wire_bytes: u64,
-    wire_malformed: u64,
-    decode_misses: u64,
+    sum: Metrics,
 }
 
-static TOTALS: Mutex<BackendTotals> = Mutex::new(BackendTotals {
-    runs: 0,
-    sent: 0,
-    delivered: 0,
-    dropped_shunned: 0,
-    dropped_crashed: 0,
-    shun_events: 0,
-    steps: 0,
-    pool_reused: 0,
-    pool_alloc: 0,
-    wire_frames: 0,
-    wire_bytes: 0,
-    wire_malformed: 0,
-    decode_misses: 0,
-});
-
-/// Folds one finished run's metrics into the process-wide backend
-/// counter totals that [`Output::backend_counters`] reports. Experiment
-/// binaries that build runtimes directly (instead of going through
-/// [`run_protocol`], which records automatically) call this after each
-/// `run`.
-pub fn record_run(metrics: &Metrics) {
-    record_totals(metrics);
-}
-
-fn record_totals(m: &Metrics) {
-    let mut t = TOTALS.lock().expect("totals poisoned");
-    t.runs += 1;
-    t.sent += m.sent;
-    t.delivered += m.delivered;
-    t.dropped_shunned += m.dropped_shunned;
-    t.dropped_crashed += m.dropped_crashed;
-    t.shun_events += m.shun_events;
-    t.steps += m.steps;
-    t.pool_reused += m.pool_reused;
-    t.pool_alloc += m.pool_alloc;
-    t.wire_frames += m.wire_frames;
-    t.wire_bytes += m.wire_bytes;
-    t.wire_malformed += m.wire_malformed;
-    t.decode_misses += m.decode_misses().map(|(_, c)| c).sum::<u64>();
-}
-
-/// Prints a Markdown table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}\n");
-    println!("| {} |", headers.join(" | "));
-    println!(
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
+impl Totals {
+    fn fold(&mut self, metrics: &Metrics) {
+        self.runs += 1;
+        self.sum.merge(metrics);
     }
+
+    fn row(&self) -> Vec<String> {
+        let cells = COUNTER_COLUMNS.map(|(_, counter)| counter(&self.sum).to_string());
+        cells.to_vec()
+    }
+}
+
+/// What [`Output::backend_counters`] reports.
+static TOTALS: LazyLock<Mutex<Totals>> = LazyLock::new(Mutex::default);
+
+/// Folds one finished run's metrics into the process-wide totals, once
+/// per execution. [`run_session`] does so itself; a binary that drives a
+/// runtime directly calls this after its last `run`.
+pub fn record_run(metrics: &Metrics) {
+    TOTALS.lock().expect("totals poisoned").fold(metrics);
 }
 
 /// The standard session id used by the runners.
@@ -494,28 +374,9 @@ pub fn run_coin(
     coin: CoinKind,
     sched: &str,
     adversary: Adversary,
-) -> RunOutcome<bool> {
+) -> RunOutcome<CoinFlipOutput> {
     run_protocol(rt, n, t, seed, sched, adversary, |_, _| {
         Box::new(CoinFlip::new(CoinFlipParams::FixedK { k }, coin))
-    })
-    .map_outputs(|o: CoinFlipOutput| o.value)
-}
-
-/// Runs one `FairChoice(m)` execution.
-#[allow(clippy::too_many_arguments)] // mirrors the experiment parameter grid
-pub fn run_fair_choice(
-    rt: &RuntimeSpec,
-    n: usize,
-    t: usize,
-    seed: u64,
-    m: usize,
-    k: usize,
-    coin: CoinKind,
-    sched: &str,
-    adversary: Adversary,
-) -> RunOutcome<usize> {
-    run_protocol(rt, n, t, seed, sched, adversary, |_, _| {
-        Box::new(FairChoice::new(m, FairChoiceParams::FixedK { k }, coin))
     })
 }
 
@@ -554,58 +415,80 @@ pub fn run_protocol<T: Clone + PartialEq + 'static>(
     adversary: Adversary,
     mk: impl Fn(usize, bool) -> Box<dyn Instance>,
 ) -> RunOutcome<T> {
-    let mut net = rt.make(NetConfig::new(n, t, seed), sched);
-    let tracing = rt.attach_trace(net.as_mut());
-    let sid = session("exp");
-    for p in 0..n {
-        let inst: Box<dyn Instance> = if adversary.is_byz(p, n, t) {
-            Box::new(SilentInstance)
-        } else {
-            mk(p, false)
-        };
-        net.spawn(PartyId(p), sid.clone(), inst);
+    let net = rt.make(NetConfig::new(n, t, seed), sched);
+    let label = format!("n={n} t={t} seed={seed} sched={sched} rt={}", rt.label());
+    run_session(Some(rt), net, &session("exp"), STEP_BUDGET, &label, |p| {
+        (!adversary.is_byz(p, n, t)).then(|| mk(p, false))
+    })
+}
+
+/// The step budget of every experiment run that is expected to quiesce.
+pub const STEP_BUDGET: u64 = 4_000_000_000;
+
+/// The one spawn → run → collect loop. On the built runtime `net`, spawns
+/// `instance(p)` in session `sid` for every party — `None` is a Byzantine
+/// party, played by a [`SilentInstance`] — runs at most `budget` steps,
+/// folds the metrics into the process totals ([`record_run`]) and gathers
+/// the honest parties' outputs of type `T`, in party order. If `trace`
+/// names the spec that still owes its `--trace` dump, this run pays it.
+/// `label` identifies the run in that dump and when it fails to quiesce.
+pub fn run_session<T: Clone + PartialEq + 'static>(
+    trace: Option<&RuntimeSpec>,
+    mut net: Box<dyn Runtime>,
+    sid: &SessionId,
+    budget: u64,
+    label: &str,
+    instance: impl Fn(usize) -> Option<Box<dyn Instance>>,
+) -> RunOutcome<T> {
+    let trace = trace.and_then(|rt| rt.attach_trace(net.as_mut()));
+    let mut honest = Vec::new();
+    for p in 0..net.config().n {
+        let instance = instance(p).inspect(|_| honest.push(p));
+        let instance = instance.unwrap_or_else(|| Box::new(SilentInstance));
+        net.spawn(PartyId(p), sid.clone(), instance);
     }
-    let report = net.run(4_000_000_000);
-    record_totals(&report.metrics);
-    if tracing {
-        rt.dump_trace(
-            net.as_mut(),
-            &format!("n={n} t={t} seed={seed} sched={sched} rt={}", rt.label()),
-        );
+    let report = net.run(budget);
+    record_run(&report.metrics);
+    if let Some(path) = trace {
+        dump_trace(net.as_mut(), &path, label);
     }
     assert_eq!(
         report.stop,
         StopReason::Quiescent,
-        "run must quiesce (n={n} seed={seed} sched={sched} rt={})",
-        rt.label()
+        "run must quiesce ({label})"
     );
-    let honest: Vec<usize> = (0..n).filter(|&p| !adversary.is_byz(p, n, t)).collect();
     let outputs: Vec<T> = honest
         .iter()
-        .filter_map(|&p| net.output_as::<T>(PartyId(p), &sid).cloned())
+        .filter_map(|&p| net.output_as::<T>(PartyId(p), sid).cloned())
         .collect();
-    let all_terminated = outputs.len() == honest.len();
-    let agreement = outputs.windows(2).all(|w| w[0] == w[1]);
     RunOutcome {
+        all_terminated: outputs.len() == honest.len(),
+        agreement: outputs.windows(2).all(|w| w[0] == w[1]),
         outputs,
-        all_terminated,
-        agreement,
-        metrics: report.metrics.clone(),
+        metrics: report.metrics,
         steps: report.steps,
     }
 }
 
-impl<T> RunOutcome<T> {
-    /// Maps the output type (e.g. project a field out of a richer output).
-    pub fn map_outputs<U>(self, f: impl Fn(T) -> U) -> RunOutcome<U> {
-        RunOutcome {
-            outputs: self.outputs.into_iter().map(f).collect(),
-            all_terminated: self.all_terminated,
-            agreement: self.agreement,
-            metrics: self.metrics,
-            steps: self.steps,
-        }
-    }
+/// Binary BA on split inputs (even parties propose 1), every party
+/// honest, its coin from `coin()`: asserts termination and agreement and
+/// returns the outcome with the estimated number of rounds it took.
+pub fn run_split_ba(
+    trace: Option<&RuntimeSpec>,
+    net: Box<dyn Runtime>,
+    label: &str,
+    coin: impl Fn() -> Box<dyn CoinSource>,
+) -> (f64, RunOutcome<bool>) {
+    let n = net.config().n;
+    let o = run_session::<bool>(trace, net, &session("ba"), STEP_BUDGET, label, |p| {
+        Some(Box::new(BinaryBa::new(p % 2 == 0, coin())))
+    });
+    assert!(o.all_terminated, "termination ({label})");
+    assert!(o.agreement, "agreement ({label})");
+    // Phase-1 A-Cast traffic is proportional to rounds run: one round of
+    // phase 1 for n parties is n · (n + 2n²) sends.
+    let per_round = (n * (n + 2 * n * n)) as f64;
+    (o.metrics.sent_by_kind("bav1") as f64 / per_round, o)
 }
 
 /// Formats a probability with a 95% binomial confidence half-width.
@@ -622,19 +505,15 @@ pub fn fmt_prob(successes: usize, trials: usize) -> String {
 mod tests {
     use super::*;
 
+    fn flip(rt: &RuntimeSpec) -> RunOutcome<CoinFlipOutput> {
+        let coin = CoinKind::Oracle(1);
+        run_coin(rt, 4, 1, 0, 1, coin, "random", Adversary::None)
+    }
+
     #[test]
     fn coin_runner_smoke() {
         let rt = RuntimeSpec::named("sim");
-        let out = run_coin(
-            &rt,
-            4,
-            1,
-            0,
-            1,
-            CoinKind::Oracle(1),
-            "random",
-            Adversary::None,
-        );
+        let out = flip(&rt);
         assert!(out.all_terminated);
         assert!(out.agreement);
         assert_eq!(out.outputs.len(), 4);
@@ -643,16 +522,7 @@ mod tests {
     #[test]
     fn coin_runner_on_threaded_backend() {
         let rt = RuntimeSpec::named("threaded");
-        let out = run_coin(
-            &rt,
-            4,
-            1,
-            0,
-            1,
-            CoinKind::Oracle(1),
-            "random",
-            Adversary::None,
-        );
+        let out = flip(&rt);
         assert!(out.all_terminated);
         assert!(out.agreement);
     }
@@ -670,7 +540,7 @@ mod tests {
                 assert_eq!(pinned.backend_for("lifo"), pinned.label());
             } else {
                 assert_eq!(bare.backend_for("lifo"), family.example);
-                assert!(RuntimeSpec::named(&pinned).backend().is_err());
+                assert!(RuntimeSpec::parse(&pinned).is_err());
             }
         }
         let proc_sized = RuntimeSpec::named("proc:4");
@@ -682,16 +552,7 @@ mod tests {
     fn coin_runner_on_wire_backend() {
         aft_core::scenarios::register_standard_codecs();
         let rt = RuntimeSpec::named("wire");
-        let out = run_coin(
-            &rt,
-            4,
-            1,
-            0,
-            1,
-            CoinKind::Oracle(1),
-            "random",
-            Adversary::None,
-        );
+        let out = flip(&rt);
         assert!(out.all_terminated);
         assert!(out.agreement);
         assert!(out.metrics.wire_frames > 0, "bytes moved on the wire");
@@ -701,16 +562,7 @@ mod tests {
     fn coin_runner_on_async_and_proc_backends() {
         for name in ["async", "proc:4"] {
             let rt = RuntimeSpec::named(name);
-            let out = run_coin(
-                &rt,
-                4,
-                1,
-                0,
-                1,
-                CoinKind::Oracle(1),
-                "random",
-                Adversary::None,
-            );
+            let out = flip(&rt);
             assert!(out.all_terminated, "{name}");
             assert!(out.agreement, "{name}");
         }
@@ -719,18 +571,53 @@ mod tests {
     #[test]
     fn coin_runner_on_sharded_backend() {
         let rt = RuntimeSpec::named("sharded:2");
-        let out = run_coin(
-            &rt,
-            4,
-            1,
-            0,
-            1,
-            CoinKind::Oracle(1),
-            "random",
-            Adversary::None,
-        );
+        let out = flip(&rt);
         assert!(out.all_terminated);
         assert!(out.agreement);
+    }
+
+    #[test]
+    fn counter_table_is_the_column_wise_sum_of_the_folded_runs() {
+        use aft_core::scenarios::{run_cell_instrumented, standard_registry, StackKind};
+        let registry = standard_registry();
+        let runs = [
+            "n=4,t=1",
+            "n=4,t=1,corrupt=garbage:40@3,sched=starve:1,rt=wire",
+            "n=4,t=1,corrupt=silent@3,sched=lifo",
+        ]
+        .map(|spec| {
+            let scenario = aft_sim::Scenario::parse(spec).expect("valid spec");
+            let mode = TraceMode::Off;
+            run_cell_instrumented(StackKind::Ba, &scenario, 1, &registry, STEP_BUDGET, mode).metrics
+        });
+        let mut totals = Totals::default();
+        runs.iter().for_each(|m| totals.fold(m));
+        assert_eq!(totals.runs, 3);
+        let sum = |counter: Counter| runs.iter().map(counter).sum::<u64>();
+        let misses = sum(|m| m.decode_misses().map(|(_, c)| c).sum());
+        assert!(
+            misses > 0 && sum(|m| m.wire_bytes) > 0,
+            "the garbage run shows"
+        );
+        let expected = [
+            ("sent", sum(|m| m.sent)),
+            ("delivered", sum(|m| m.delivered)),
+            ("dropped_shunned", sum(|m| m.dropped_shunned)),
+            ("dropped_crashed", sum(|m| m.dropped_crashed)),
+            ("shun_events", sum(|m| m.shun_events)),
+            ("steps", sum(|m| m.steps)),
+            ("pool_reused", sum(|m| m.pool_reused)),
+            ("pool_alloc", sum(|m| m.pool_alloc)),
+            ("wire_frames", sum(|m| m.wire_frames)),
+            ("wire_bytes", sum(|m| m.wire_bytes)),
+            ("wire_malformed", sum(|m| m.wire_malformed)),
+            ("decode_misses", misses),
+        ];
+        assert_eq!(
+            COUNTER_COLUMNS.map(|(header, _)| header),
+            expected.map(|e| e.0)
+        );
+        assert_eq!(totals.row(), expected.map(|e| e.1.to_string()));
     }
 
     #[test]

@@ -1,0 +1,171 @@
+//! The command line of every binary of this crate, driven end to end:
+//! what a binary does not accept or cannot parse ends the process with
+//! exit 2 and one `error:` line naming it — never a run on a default the
+//! user did not ask for — and the flags table of the crate docs lists
+//! exactly what each binary accepts.
+
+use std::process::{Command, Output};
+
+macro_rules! bins {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, env!(concat!("CARGO_BIN_EXE_", $name)))),*]
+    };
+}
+
+/// Every binary of the crate: its name and where cargo built it.
+const BINS: [(&str, &str); 15] = bins!(
+    "aft-partyd",
+    "exp_ba_baselines",
+    "exp_coin_ablation",
+    "exp_coin_bias",
+    "exp_coin_termination",
+    "exp_common_subset",
+    "exp_deployment",
+    "exp_fair_choice",
+    "exp_fba_fairness",
+    "exp_lowerbound",
+    "exp_scenario_matrix",
+    "exp_scenario_search",
+    "exp_shunning",
+    "exp_termination_tail",
+    "exp_trace",
+);
+
+fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let path = BINS
+        .iter()
+        .find(|(name, _)| *name == bin)
+        .expect("a listed binary")
+        .1;
+    let mut cmd = Command::new(path);
+    cmd.args(args)
+        .env_remove("AFT_TRIALS")
+        .env_remove("AFT_EPSILON");
+    cmd.envs(env.iter().copied());
+    cmd.output().expect("spawn the binary")
+}
+
+/// Asserts that the invocation is refused: exit 2, nothing measured on
+/// stdout, and a one-line `error:` that names `culprit`.
+fn assert_refused(bin: &str, args: &[&str], env: &[(&str, &str)], culprit: &str) {
+    let out = run(bin, args, env);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains('|'),
+        "{bin} {args:?} printed a table"
+    );
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: "))
+        .collect();
+    assert_eq!(errors.len(), 1, "{bin} {args:?}: {stderr}");
+    assert!(errors[0].contains(culprit), "{bin} {args:?}: {stderr}");
+}
+
+#[test]
+fn a_mistyped_flag_value_or_variable_is_refused_not_ignored() {
+    const PARTYD: &str = "--stack ba --seed 2 --scenario n=4,t=1,rt=proc";
+    let flags: [(&str, &str, &str); 12] = [
+        ("exp_coin_termination", "--runtme threaded", "--runtme"),
+        ("exp_fair_choice", "--runtime", "--runtime needs a value"),
+        (
+            "exp_fair_choice",
+            "--runtime --json",
+            "--runtime needs a value",
+        ),
+        ("exp_coin_bias", "--json=yes", "--json takes no value"),
+        ("exp_trace", "--scenario n=4,t=1 --sed 5", "--sed"),
+        ("exp_trace", "--scenario n=4,t=9", "--scenario \"n=4,t=9\""),
+        (
+            "exp_deployment",
+            "--scenario n=4,t=1,rt=proc --timeout-secs abc",
+            "--timeout-secs \"abc\"",
+        ),
+        (
+            "exp_deployment",
+            "--scenario n=4,t=1,rt=proc --stack all",
+            "--stack \"all\"",
+        ),
+        (
+            "aft-partyd",
+            &format!("--party x {PARTYD}"),
+            "--party \"x\"",
+        ),
+        ("aft-partyd", PARTYD, "--party is required"),
+        // The two binaries that never ran on a backend no longer pretend to.
+        ("exp_lowerbound", "--runtime threaded", "--runtime"),
+        ("exp_termination_tail", "--runtime=threaded", "--runtime"),
+    ];
+    for (bin, argv, culprit) in flags {
+        assert_refused(bin, &argv.split(' ').collect::<Vec<_>>(), &[], culprit);
+    }
+    assert_refused(
+        "exp_fair_choice",
+        &[],
+        &[("AFT_TRIALS", "abc")],
+        "AFT_TRIALS",
+    );
+    let env = [("AFT_TRIALS", "1"), ("AFT_EPSILON", "x")];
+    assert_refused("exp_coin_ablation", &[], &env, "AFT_EPSILON");
+}
+
+#[test]
+fn the_equals_form_is_honoured_like_the_spaced_one() {
+    let out = run("exp_scenario_matrix", &["--scenario=n=4,t=1"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with("# scenario: n=4,t=1,"),
+        "not the single-scenario report: {stdout}"
+    );
+
+    let args = ["--runtime=sim:lifo", "--json"];
+    let out = run("exp_coin_termination", &args, &[("AFT_TRIALS", "1")]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("runtime backend: sim:lifo"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.lines().count(),
+        2,
+        "the result table and the counters: {stdout}"
+    );
+    for line in stdout.lines() {
+        assert!(
+            line.starts_with("{\"table\":\"") && line.ends_with("}]}"),
+            "{line}"
+        );
+    }
+}
+
+/// Every binary refuses a flag it does not know, and the list it prints
+/// then is the flags column of its row in the crate docs.
+#[test]
+fn the_crate_docs_table_lists_what_each_binary_accepts() {
+    let docs = include_str!("../src/lib.rs");
+    let sources = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin")).unwrap();
+    assert_eq!(sources.count(), BINS.len(), "a binary is missing from BINS");
+    for (bin, _) in BINS {
+        let out = run(bin, &["--no-such-flag"], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        let accepted = stderr
+            .trim_end()
+            .strip_prefix(&format!(
+                "error: unknown argument --no-such-flag ({bin} accepts: "
+            ))
+            .and_then(|rest| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("{bin}: {stderr}"));
+        let accepted: Vec<&str> = accepted
+            .split(", ")
+            .map(|flag| flag.split(' ').next().unwrap())
+            .collect();
+        let row = docs
+            .lines()
+            .find(|line| line.starts_with(&format!("//! | `{bin}` |")))
+            .unwrap_or_else(|| panic!("no row for {bin} in the crate docs"));
+        let cell = row.trim_end_matches(" |").rsplit(" | ").next().unwrap();
+        let documented: Vec<&str> = cell.split(' ').map(|f| f.trim_matches('`')).collect();
+        assert_eq!(documented, accepted, "{bin}");
+    }
+}

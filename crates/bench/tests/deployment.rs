@@ -338,3 +338,55 @@ fn forged_senders_and_silent_connections_are_contained() {
     }
     drop(silent);
 }
+
+/// A run must leave none of its listener ports in `TIME_WAIT`: those are
+/// the ports the next daemons' `bind(0)` tries first, and once some
+/// thousands of them are held, every `bind` scans for most of a
+/// millisecond and a deployment's time depends on what ran before it. So
+/// each link is closed by the daemon that dialed it; the accepting side
+/// waits for that and closes second.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_run_leaves_no_listener_port_in_time_wait() {
+    let mut daemons: Vec<Daemon> = (0..4)
+        .map(|p| Daemon::spawn(p, "n=4,t=1,rt=proc"))
+        .collect();
+    let book: Vec<&str> = daemons.iter().map(|d| d.addr.as_str()).collect();
+    let peers = format!("peers {}", book.join(" "));
+    for d in &mut daemons {
+        d.tell(&peers);
+    }
+    for d in &mut daemons {
+        d.expect("meshed");
+    }
+    for d in &mut daemons {
+        d.tell("go");
+    }
+    for d in &mut daemons {
+        d.expect("output");
+    }
+    for d in &mut daemons {
+        d.tell("shutdown");
+    }
+    for d in &mut daemons {
+        d.expect("bye");
+    }
+    let listeners: Vec<String> = daemons
+        .iter()
+        .map(|d| {
+            let port: u16 = d.addr.rsplit(':').next().unwrap().parse().unwrap();
+            format!("0100007F:{port:04X}")
+        })
+        .collect();
+    drop(daemons);
+    // Columns: slot, local address, remote address, state (06 = TIME_WAIT).
+    let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
+    let held: Vec<&str> = table
+        .lines()
+        .filter(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            cols.len() > 3 && cols[3] == "06" && listeners.iter().any(|l| l == cols[1])
+        })
+        .collect();
+    assert!(held.is_empty(), "listener ports in TIME_WAIT: {held:#?}");
+}

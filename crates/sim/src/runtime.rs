@@ -200,9 +200,10 @@ impl Metrics {
         }
     }
 
-    /// Folds `other`'s counters into `self` (threaded workers merge their
-    /// thread-local metrics at quiescence).
-    pub(crate) fn merge(&mut self, other: &Metrics) {
+    /// Folds `other`'s counters into `self`: counts add, virtual clocks
+    /// take the later one. Threaded workers merge their thread-local
+    /// metrics at quiescence; the experiment harness sums whole runs.
+    pub fn merge(&mut self, other: &Metrics) {
         self.sent += other.sent;
         self.delivered += other.delivered;
         self.dropped_shunned += other.dropped_shunned;
