@@ -23,7 +23,7 @@
 //!
 //! | names | engine | what the name configures |
 //! |---|---|---|
-//! | `sim`, `wire`, `async` | [`SimNetwork`] | nothing / every envelope through the wire codec and a socket pair / node dispatch on per-party event-loop tasks |
+//! | `sim`, `wire`, `async` | [`SimNetwork`] | nothing / every envelope encoded by the wire codec and decoded from a copy of the bytes / node dispatch on per-party event-loop tasks |
 //! | `sharded:<k>` | [`ShardedSimRuntime`] | `k` worker shards |
 //! | `threaded[:<poll_ms>]`, `proc[:<n>]` | [`ThreadedRuntime`] | the idle-poll interval / nothing — `proc` is the name the real `aft-partyd` deployment is asked for, and in-process it is one thread per party |
 

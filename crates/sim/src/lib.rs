@@ -34,8 +34,8 @@
 //! * [`SimNetwork`] — the deterministic simulator (adversarial schedulers,
 //!   traces, replay). `rt=sim` is the bare engine; `rt=wire` has it encode
 //!   every envelope to a self-describing byte frame (see the [`wire`]
-//!   codec module), round-trip it through a per-party OS socket pair and
-//!   decode it lazily at the receiver — the byte-level seam the
+//!   codec module), hand the receiver a copy of exactly those bytes and
+//!   decode it lazily there — the byte-level seam the
 //!   `garbage`/`equivocate` adversaries fuzz with malformed frames;
 //!   `rt=async` has it run every party as a task on a single-threaded
 //!   executor, each delivery a channel round-trip, while all scheduling

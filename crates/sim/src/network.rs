@@ -49,9 +49,9 @@ pub struct Envelope {
 ///
 /// The engine also hosts two more `rt=` names (see
 /// [`backend`](crate::backend)), each a construction-time setting that
-/// leaves the schedule bit-for-bit alone: `wire` routes every send
-/// through the byte codec and a per-party OS socket pair before it is
-/// queued, and `async` has [`Runtime::run`] move the nodes onto per-party
+/// leaves the schedule bit-for-bit alone: `wire` encodes every send
+/// with the byte codec and queues only what decodes from a copy of those
+/// bytes, and `async` has [`Runtime::run`] move the nodes onto per-party
 /// event-loop tasks for the duration of the run.
 ///
 /// [`ThreadedRuntime`]: crate::ThreadedRuntime
@@ -173,15 +173,16 @@ impl SimNetwork {
         }
     }
 
-    /// Creates a network whose envelopes round-trip through the wire
-    /// codec and a per-party OS socket pair — the engine behind `rt=wire`.
+    /// Creates a network whose envelopes cross the `wire_rt` byte
+    /// boundary — encoded, handed over as bytes, lazily decoded — the
+    /// engine behind `rt=wire`.
     pub(crate) fn with_codec(
         config: NetConfig,
         scheduler: Box<dyn Scheduler>,
         registry: std::sync::Arc<crate::wire::CodecRegistry>,
     ) -> Self {
         let mut net = SimNetwork::new(config, scheduler);
-        net.codec = Some(Box::new(crate::wire_rt::WireLink::new(config.n, registry)));
+        net.codec = Some(Box::new(crate::wire_rt::WireLink::new(registry)));
         net
     }
 
@@ -474,9 +475,9 @@ impl SimNetwork {
 
     /// Metrics snapshot folding in the in-flight queue's buffer-pool
     /// counters (the queue recycles its batch deques internally and
-    /// reports reuse through the same `pool_*` metrics as the wire
-    /// link). The borrowed [`metrics`](SimNetwork::metrics) accessor
-    /// exposes the raw counters without that fold.
+    /// reports reuse through the `pool_*` metrics). The borrowed
+    /// [`metrics`](SimNetwork::metrics) accessor exposes the raw counters
+    /// without that fold.
     fn metrics_snapshot(&self) -> Metrics {
         let mut m = self.metrics.clone();
         let (reused, allocated) = self.pending.pool_stats();

@@ -12,12 +12,12 @@
 //!   protocol control messages (votes, acks, gather sets) take this
 //!   path.
 //! * **Wire** — a received byte frame, held as a [`FrameBytes`] range of
-//!   a shared (possibly pooled) read buffer and decoded *lazily*:
+//!   a shared receive buffer and decoded *lazily*:
 //!   [`Payload::view`] decodes through the expected type's own decoder,
 //!   so a malformed or kind-spoofed frame simply fails to view — exactly
 //!   like an in-memory type-confused value fails to downcast. The
-//!   wire-serialized runtime slices these straight out of its per-party
-//!   socket read buffers (no per-frame copy), resolving the kind's
+//!   wire-serialized runtime slices these straight out of the buffer a
+//!   batch arrived in (no per-frame copy), resolving the kind's
 //!   diagnostic name through its per-run [`CodecRegistry`].
 //!
 //! Honest receivers read messages with [`Payload::view`] /
@@ -55,8 +55,8 @@ const MALFORMED_KIND: u16 = u16::MAX;
 ///
 /// The wire transport reads a whole envelope batch into one contiguous
 /// buffer and hands each payload its frame as a range of that buffer —
-/// no per-frame `Vec`. Cloning bumps the `Arc`; the buffer returns to
-/// the transport's pool once every frame sliced from it is dropped.
+/// no per-frame `Vec`. Cloning bumps the `Arc`; the buffer is freed
+/// once every frame sliced from it is dropped.
 #[derive(Clone)]
 pub struct FrameBytes {
     buf: Arc<Vec<u8>>,
@@ -344,13 +344,24 @@ impl Payload {
         Self::from_wire_named(frame, crate::wire::global_kind_name)
     }
 
-    pub(crate) fn from_wire_named(
+    fn from_wire_named(
         frame: impl Into<FrameBytes>,
         resolve: impl FnOnce(u16) -> Option<&'static str>,
     ) -> Self {
         let frame: FrameBytes = frame.into();
-        let (kind, name) = match parse_frame(&frame) {
-            Some((kind, _)) => (kind, resolve(kind).unwrap_or(UNKNOWN_WIRE_KIND)),
+        let header = parse_frame(&frame).map(|(kind, _)| (kind, resolve(kind)));
+        Self::from_parsed_wire(frame, header)
+    }
+
+    /// Wraps a received frame whose header the caller already parsed:
+    /// `Some((kind, registered name))` from a successful
+    /// [`parse_frame`], `None` when it refused the header.
+    pub(crate) fn from_parsed_wire(
+        frame: FrameBytes,
+        header: Option<(u16, Option<&'static str>)>,
+    ) -> Self {
+        let (kind, name) = match header {
+            Some((kind, name)) => (kind, name.unwrap_or(UNKNOWN_WIRE_KIND)),
             None => (MALFORMED_KIND, MALFORMED_WIRE_FRAME),
         };
         Payload(Repr::Wire { frame, kind, name })

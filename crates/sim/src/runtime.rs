@@ -84,8 +84,9 @@ pub struct Metrics {
     /// Payload frames whose header was malformed on arrival — the
     /// byte-level adversary's fingerprint (wire backend only).
     pub wire_malformed: u64,
-    /// Delivery-path buffers (batch deques, outbox vectors, wire read
-    /// buffers) reacquired from a recycling pool instead of allocated.
+    /// Delivery-path buffers (the in-flight queue's batch deques, a
+    /// shard's outbox vectors) reacquired from a recycling pool instead
+    /// of allocated. The `wire` byte boundary pools nothing.
     /// Diagnostic only: never folded into scenario fingerprints.
     pub pool_reused: u64,
     /// Delivery-path buffers allocated fresh because no recycled buffer

@@ -2,30 +2,30 @@
 //!
 //! An `rt=wire` [`SimNetwork`](crate::SimNetwork) is the same
 //! deterministic scheduling machinery as `rt=sim`, but parties exchange
-//! *bytes*, not values: each party owns an OS socket pair (a `UnixStream`
-//! loopback) inside the network's [`WireLink`], and every
-//! same-destination run of envelopes it emits is
+//! *bytes*, not values: every same-destination run of envelopes a party
+//! emits goes through the network's [`WireLink`], where it is
 //!
 //! 1. **encoded as one batch** — the shared sender/receiver, then per
 //!    envelope the session path and the payload's self-describing frame
 //!    (`kind`, `len`, body), serialized little-endian through
 //!    [`WireWriter::write_batch`];
-//! 2. **written** to the party's socket and **read back** through the
-//!    kernel (the byte-stream seam a process-per-party deployment
-//!    crosses; instance state stays in-process so deployments remain
-//!    `Box<dyn Instance>`-generic) into a pooled, reusable read buffer;
+//! 2. **handed over as bytes**: the receiving side gets a copy of exactly
+//!    the encoded bytes, in a buffer of its own, and reads nothing else
+//!    (instance state stays in-process so deployments remain
+//!    `Box<dyn Instance>`-generic). The copy stays in memory — the real
+//!    kernel round trip is the `aft-partyd` mesh's to prove, over TCP
+//!    between processes ([`deploy`](crate::deploy));
 //! 3. **re-framed** from the stream (outer length prefix — stream
 //!    transports do not preserve message boundaries) and **decoded
 //!    lazily**: each receiver gets a [`Payload`] wire frame *sliced*
-//!    out of the shared read buffer (no per-frame copy) that only
-//!    becomes a typed message when an instance [`view`](Payload::view)s
-//!    it through its own kind-checked decoder.
+//!    out of the received buffer (no per-frame copy) that only becomes a
+//!    typed message when an instance [`view`](Payload::view)s it through
+//!    its own kind-checked decoder.
 //!
-//! Steady-state delivery is allocation-free: read buffers recycle
-//! through a pool once their frames are dropped ([`Metrics`]'s
-//! `pool_reused`/`pool_alloc` counters prove the reuse), and the
-//! batch framing plus a one-entry kind-name cache amortize the
-//! per-message registry lookups across each run.
+//! A run costs one buffer, sized to it and freed when its last frame is
+//! dropped; the batch framing, a one-entry kind-name cache and
+//! [`get_session`]'s decoded-path cache amortize the per-message registry
+//! and interner lookups across runs.
 //!
 //! Because the schedule depends only on envelope *metadata* (never on
 //! payload representation), a wire run is bit-for-bit identical to the
@@ -46,136 +46,28 @@ use crate::node::Outgoing;
 use crate::payload::{FrameBytes, Payload};
 use crate::runtime::Metrics;
 use crate::wire::{get_session, parse_frame, put_session, CodecRegistry, WireReader, WireWriter};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Transport chunk size: batches are written and read back through the
-/// kernel socket in alternating chunks of at most this many bytes, so an
-/// arbitrarily large envelope batch cannot deadlock the synchronous
-/// write-then-read loopback. The chunk must stay below the smallest
-/// default unix-socket buffer pair among supported platforms — macOS
-/// defaults to ~8 KiB per direction (Linux ~208 KiB), so 4 KiB leaves
-/// comfortable headroom everywhere.
-const SOCKET_CHUNK: usize = 4 * 1024;
-
-/// Read buffers kept for reuse per link. Buffers released while their
-/// frames are still referenced by in-flight payloads age out of the pool
-/// naturally (an acquire that finds them still shared skips them).
-const READBACK_POOL_CAP: usize = 64;
-
-/// How many pooled buffers one acquire inspects before giving up and
-/// allocating — bounds the per-run scan when the whole pool is pinned by
-/// in-flight payloads.
-const READBACK_SCAN: usize = 4;
-
-/// One party's byte transport: a connected OS socket pair on Unix, an
-/// in-memory loopback elsewhere.
-struct Pipe {
-    #[cfg(unix)]
-    tx: std::os::unix::net::UnixStream,
-    #[cfg(unix)]
-    rx: std::os::unix::net::UnixStream,
-    #[cfg(not(unix))]
-    buf: std::collections::VecDeque<u8>,
-}
-
-impl Pipe {
-    fn new() -> Pipe {
-        #[cfg(unix)]
-        {
-            let (tx, rx) = std::os::unix::net::UnixStream::pair()
-                .expect("wire runtime: socketpair unavailable");
-            Pipe { tx, rx }
-        }
-        #[cfg(not(unix))]
-        {
-            Pipe {
-                buf: std::collections::VecDeque::new(),
-            }
-        }
-    }
-
-    /// Writes `bytes` and reads them back through the transport,
-    /// alternating per [`SOCKET_CHUNK`]-sized chunk so batches of any
-    /// size fit the kernel's socket buffers.
-    fn round_trip(&mut self, bytes: &[u8], readback: &mut Vec<u8>) {
-        readback.clear();
-        #[cfg(unix)]
-        {
-            use std::io::{Read, Write};
-            readback.resize(bytes.len(), 0);
-            for (w, r) in bytes
-                .chunks(SOCKET_CHUNK)
-                .zip(readback.chunks_mut(SOCKET_CHUNK))
-            {
-                self.tx
-                    .write_all(w)
-                    .expect("wire runtime: socket write failed");
-                self.rx
-                    .read_exact(r)
-                    .expect("wire runtime: socket read failed");
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            self.buf.extend(bytes);
-            readback.extend(self.buf.drain(..));
-        }
-    }
-}
-
-/// The per-run byte boundary [`SimNetwork`] routes sends through when it
-/// runs in wire mode: per-party pipes, the codec registry for kind-name
-/// resolution, a pool of reusable read buffers and a one-entry kind-name
-/// cache that amortizes the registry map hit across a batch.
+/// The byte boundary [`SimNetwork`] routes sends through when it runs
+/// in wire mode: the codec registry for kind-name resolution, the encode
+/// buffer and a one-entry kind-name cache that amortizes the registry
+/// map hit across a batch.
 pub(crate) struct WireLink {
     registry: Arc<CodecRegistry>,
-    pipes: Vec<Pipe>,
+    /// Encode buffer, reused across runs; the receiving side never sees
+    /// it, only an exact copy of its bytes.
     scratch: Vec<u8>,
-    /// Recycled read buffers: a released buffer becomes reacquirable
-    /// once every [`FrameBytes`] sliced from it has been dropped.
-    pool: VecDeque<Arc<Vec<u8>>>,
     /// Last `(kind, name)` resolved — same-kind frames dominate a batch,
     /// so most lookups within a run hit this instead of the registry.
     kind_cache: Option<(u16, Option<&'static str>)>,
 }
 
 impl WireLink {
-    pub(crate) fn new(n: usize, registry: Arc<CodecRegistry>) -> Self {
+    pub(crate) fn new(registry: Arc<CodecRegistry>) -> Self {
         WireLink {
             registry,
-            pipes: (0..n).map(|_| Pipe::new()).collect(),
             scratch: Vec::new(),
-            pool: VecDeque::new(),
             kind_cache: None,
-        }
-    }
-
-    /// A cleared read buffer: recycled from the pool when one of the
-    /// first [`READBACK_SCAN`] pooled buffers is no longer referenced by
-    /// any in-flight frame, freshly allocated otherwise. Hits and misses
-    /// land in the pool-stats metrics.
-    fn acquire_buffer(&mut self, metrics: &mut Metrics) -> Arc<Vec<u8>> {
-        for _ in 0..self.pool.len().min(READBACK_SCAN) {
-            let mut buf = self.pool.pop_front().expect("len-bounded loop");
-            match Arc::get_mut(&mut buf) {
-                Some(v) => {
-                    v.clear();
-                    metrics.pool_reused += 1;
-                    return buf;
-                }
-                // Still pinned by in-flight payloads: rotate to the back
-                // and try an older (more likely free) buffer.
-                None => self.pool.push_back(buf),
-            }
-        }
-        metrics.pool_alloc += 1;
-        Arc::new(Vec::new())
-    }
-
-    fn release_buffer(&mut self, buf: Arc<Vec<u8>>) {
-        if self.pool.len() < READBACK_POOL_CAP {
-            self.pool.push_back(buf);
         }
     }
 
@@ -193,13 +85,13 @@ impl WireLink {
     }
 
     /// Serializes a run of same-destination outgoing envelopes as one
-    /// framed batch, round-trips the bytes through the sender's socket,
-    /// and hands each reconstructed `(to, session, payload)` to
-    /// `deliver` in order. The payloads are lazily decoded wire frames
-    /// sliced straight out of the shared read buffer — no per-frame
-    /// copy. Malformed payload frames (the byte-level adversary)
-    /// survive as payloads no honest view will ever match — counted,
-    /// never panicking.
+    /// framed batch, hands the receiving side a copy of exactly those
+    /// bytes, and passes each `(to, session, payload)` reconstructed from
+    /// the copy to `deliver` in order. The payloads are lazily decoded
+    /// wire frames sliced straight out of the received buffer — no
+    /// per-frame copy. Malformed payload frames (the byte-level
+    /// adversary) survive as payloads no honest view will ever match —
+    /// counted, never panicking.
     pub(crate) fn round_trip_run(
         &mut self,
         from: PartyId,
@@ -231,23 +123,21 @@ impl WireLink {
         let total = (self.scratch.len() - 4) as u32;
         self.scratch[..4].copy_from_slice(&total.to_le_bytes());
 
-        let mut readback = self.acquire_buffer(metrics);
-        {
-            let buf = Arc::get_mut(&mut readback).expect("buffer acquired unshared");
-            self.pipes[from.0].round_trip(&self.scratch, buf);
-        }
-        metrics.wire_bytes += readback.len() as u64;
+        // The hand-over: everything below reads the received bytes only.
+        // The buffer is sized to the run and freed with its last frame.
+        let received = Arc::new(self.scratch.clone());
+        metrics.wire_bytes += received.len() as u64;
         metrics.wire_frames += run.len() as u64;
 
         // Re-frame from the stream: outer length first, then the batch
         // the transport wrote (always well-formed — only the payload
         // frame regions are adversary-controlled).
-        let base = readback.as_ptr() as usize;
-        let mut r = WireReader::new(&readback);
+        let base = received.as_ptr() as usize;
+        let mut r = WireReader::new(&received);
         let declared = r.u32().expect("wire transport lost the length prefix") as usize;
         assert_eq!(
             declared + 4,
-            readback.len(),
+            received.len(),
             "wire transport desynchronized"
         );
         let decoded_from = PartyId(r.u32().expect("envelope sender") as usize);
@@ -263,22 +153,21 @@ impl WireLink {
                 return;
             };
             let frame = ir.rest();
-            if parse_frame(frame).is_none() {
+            let header = parse_frame(frame).map(|(kind, _)| (kind, self.kind_name_cached(kind)));
+            if header.is_none() {
                 metrics.wire_malformed += 1;
             }
-            // Slice the frame out of the shared read buffer by offset —
-            // the zero-copy handoff to the payload layer.
+            // Slice the frame out of the received buffer by offset — the
+            // zero-copy handoff to the payload layer.
             let start = frame.as_ptr() as usize - base;
-            let frame = FrameBytes::from_shared(&readback, start, start + frame.len());
-            let payload = Payload::from_wire_named(frame, |kind| self.kind_name_cached(kind));
-            deliver(to, session, payload);
+            let frame = FrameBytes::from_shared(&received, start, start + frame.len());
+            deliver(to, session, Payload::from_parsed_wire(frame, header));
         });
         assert_eq!(
             decoded,
             Some(run.len() as u32),
             "wire transport lost part of the batch"
         );
-        self.release_buffer(readback);
     }
 }
 
@@ -335,62 +224,24 @@ mod tests {
         assert_eq!(m.sent, m.delivered + m.dropped_shunned + m.dropped_crashed);
     }
 
-    /// Chatters: every received ping is answered to its sender until a
-    /// budget runs out — sustained bounded-depth traffic (the protocol
-    /// steady state the read-buffer pool is sized for).
-    struct Chatter {
-        budget: usize,
-    }
-    impl Instance for Chatter {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.send_all(1u8);
-        }
-        fn on_message(&mut self, from: PartyId, p: &Payload, ctx: &mut Context<'_>) {
-            if p.to_msg::<u8>().is_some() && self.budget > 0 {
-                self.budget -= 1;
-                ctx.send(from, 1u8);
-            }
-        }
-    }
-
-    #[test]
-    fn read_buffers_recycle_through_the_pool() {
-        let mut rt = SimNetwork::with_codec(
-            NetConfig::new(4, 1, 11),
-            Box::new(RandomScheduler),
-            Arc::new(CodecRegistry::with_builtins()),
-        );
-        let sid = SessionId::root().child(SessionTag::new("wirepool", 0));
-        for p in 0..4 {
-            rt.spawn(PartyId(p), sid.clone(), Box::new(Chatter { budget: 50 }));
-        }
-        let report = rt.run(1_000_000);
-        assert_eq!(report.stop, StopReason::Quiescent);
-        let m = report.metrics;
-        assert!(
-            m.pool_reused > 0,
-            "sustained traffic must recycle read buffers (reused {}, alloc {})",
-            m.pool_reused,
-            m.pool_alloc
-        );
-        assert!(
-            m.pool_reused > m.pool_alloc,
-            "steady state should mostly hit the pool (reused {}, alloc {})",
-            m.pool_reused,
-            m.pool_alloc
-        );
-        assert_eq!(m.wire_malformed, 0);
+    /// One message per body, all to party 0, in session `session`.
+    fn run_of(session: &SessionId, bodies: &[Vec<u8>]) -> Vec<Outgoing> {
+        let outgoing = |body: &Vec<u8>| Outgoing {
+            to: PartyId(0),
+            session: session.clone(),
+            payload: Payload::message(body.clone()),
+        };
+        bodies.iter().map(outgoing).collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// Differential no-leak property: a link whose read buffers
-        /// recycle through the pool decodes every run identically to a
-        /// fresh (never-pooled) link — so a reused buffer can never
-        /// surface bytes from a prior message, across shrinking and
-        /// growing variable-length bodies.
+        /// One link carries runs of shrinking and growing variable-length
+        /// bodies: every decoded body equals its input, so nothing of an
+        /// earlier, longer run left in the encode buffer ever reaches a
+        /// receiver.
         #[test]
-        fn recycled_read_buffers_never_leak_prior_bytes(
+        fn decoded_bodies_equal_the_inputs_across_shrinking_and_growing_runs(
             runs in proptest::collection::vec(
                 proptest::collection::vec(
                     proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
@@ -399,38 +250,52 @@ mod tests {
                 2..8,
             ),
         ) {
-            let registry = Arc::new(CodecRegistry::with_builtins());
             let session = SessionId::root().child(SessionTag::new("leak", 0));
-            let mut pooled = WireLink::new(1, Arc::clone(&registry));
+            let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
             let mut metrics = Metrics::default();
             for bodies in &runs {
-                let run: Vec<Outgoing> = bodies
-                    .iter()
-                    .map(|body| Outgoing {
-                        to: PartyId(0),
-                        session: session.clone(),
-                        payload: Payload::message(body.clone()),
-                    })
-                    .collect();
                 let mut decoded: Vec<Option<Vec<u8>>> = Vec::new();
-                pooled.round_trip_run(PartyId(0), &run, &mut metrics, |_, _, p| {
+                link.round_trip_run(PartyId(0), &run_of(&session, bodies), &mut metrics, |_, _, p| {
                     decoded.push(p.to_msg::<Vec<u8>>());
                 });
-                let mut fresh = WireLink::new(1, Arc::clone(&registry));
-                let mut fresh_metrics = Metrics::default();
-                let mut reference: Vec<Option<Vec<u8>>> = Vec::new();
-                fresh.round_trip_run(PartyId(0), &run, &mut fresh_metrics, |_, _, p| {
-                    reference.push(p.to_msg::<Vec<u8>>());
-                });
-                proptest::prop_assert_eq!(&decoded, &reference);
                 let expect: Vec<Option<Vec<u8>>> =
                     bodies.iter().map(|b| Some(b.clone())).collect();
                 proptest::prop_assert_eq!(decoded, expect);
             }
-            // Payloads are dropped inside the closure, so every run after
-            // the first must find the previous buffer free.
-            proptest::prop_assert!(metrics.pool_reused > 0);
+            proptest::prop_assert_eq!(metrics.wire_malformed, 0);
         }
+    }
+
+    #[test]
+    fn runs_of_five_kib_and_over_a_mib_round_trip_byte_exact() {
+        let session = SessionId::root().child(SessionTag::new("big", 0));
+        let pattern = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| (i * 31 + i / 251 + salt) as u8).collect()
+        };
+        // One body of 5 KiB; then 64 KiB bodies adding up to over 1 MiB,
+        // followed by an empty and a one-byte one.
+        let small = vec![pattern(5 * 1024, 1)];
+        let mut large: Vec<Vec<u8>> = (0..17).map(|i| pattern(64 * 1024, i)).collect();
+        large.extend([Vec::new(), vec![0xA5]]);
+        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+        let mut metrics = Metrics::default();
+        for bodies in [&large, &small, &large] {
+            let before = metrics.wire_bytes;
+            let mut decoded = Vec::new();
+            link.round_trip_run(
+                PartyId(0),
+                &run_of(&session, bodies),
+                &mut metrics,
+                |_, _, p| {
+                    decoded.push(p.to_msg::<Vec<u8>>().expect("well-formed frame"));
+                },
+            );
+            assert!(decoded == *bodies, "bodies differ after the round trip");
+            let carried: usize = bodies.iter().map(Vec::len).sum();
+            assert!(metrics.wire_bytes - before > carried as u64);
+        }
+        assert!(metrics.wire_bytes > 2 * 1024 * 1024);
+        assert_eq!(metrics.wire_malformed, 0);
     }
 
     #[test]
@@ -445,7 +310,7 @@ mod tests {
             outgoing(sid()),
             outgoing(SessionId::root().child(SessionTag::new(kind, 0))),
         ];
-        let mut link = WireLink::new(2, Arc::new(CodecRegistry::with_builtins()));
+        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
         let mut metrics = Metrics::default();
         let mut arrived = Vec::new();
         link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
@@ -456,6 +321,29 @@ mod tests {
             metrics.wire_malformed, 1,
             "counted like any malformed header"
         );
+    }
+
+    #[test]
+    fn an_id_deeper_than_a_depth_byte_is_refused_not_wrapped() {
+        // Depth 256 used to encode as depth 0 (the root) and depth 257 as
+        // depth 1: different, valid sessions. All three must be refused.
+        let deep = |depth: u64| (0..depth).map(|i| SessionTag::new("deep", i)).collect();
+        let run: Vec<Outgoing> = [17, 256, 257, 1]
+            .into_iter()
+            .map(|depth| Outgoing {
+                to: PartyId(1),
+                session: SessionId::from_path(deep(depth)),
+                payload: Payload::message(1u8),
+            })
+            .collect();
+        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+        let mut metrics = Metrics::default();
+        let mut arrived = Vec::new();
+        link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
+            arrived.push(session);
+        });
+        assert_eq!(arrived, [SessionId::from_path(deep(1))]);
+        assert_eq!(metrics.wire_malformed, 3);
     }
 
     #[test]

@@ -100,6 +100,36 @@ fn fba_full_stack_with_weak_shared_coins() {
     assert!(inputs.contains(&outs[0].as_str()));
 }
 
+/// Codec drift guard: the byte, frame and malformed counts of one fixed
+/// `rt=wire` execution (the repo benchmark's `fba-n4-wire` execution 1,
+/// seed 1001). A change to an encoding, to the batch framing or to what
+/// the byte boundary refuses moves them; a change to the transport behind
+/// the boundary must not.
+#[test]
+fn fba_wire_byte_counts_are_pinned() {
+    let (n, t) = (4usize, 1usize);
+    aft::core::scenarios::register_standard_codecs();
+    let mut net = aft::sim::runtime_by_name("wire:random", NetConfig::new(n, t, 1001)).unwrap();
+    for p in 0..n {
+        net.spawn(
+            PartyId(p),
+            sid("exp"),
+            Box::new(Fba::new(
+                format!("v{p}"),
+                FairChoiceParams::FixedK { k: 1 },
+                CoinKind::WeakShared,
+            )),
+        );
+    }
+    let report = net.run(2_000_000_000);
+    assert_eq!(report.stop, StopReason::Quiescent);
+    let m = report.metrics;
+    assert_eq!(
+        (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
+        (39_512, 39_512, 5_112_556, 0)
+    );
+}
+
 #[test]
 fn coin_flip_under_every_scheduler() {
     for sched in ["fifo", "random", "lifo", "window4", "window16", "starve:0"] {

@@ -7,10 +7,9 @@
 //!
 //! * **backends** — `sim`, `sharded:1`, `sharded:4`, `wire`, `async`
 //!   (the deterministic set — `wire` round-trips every envelope through
-//!   the byte codec and per-party OS sockets, `async` dispatches every
-//!   delivery into per-party event-loop tasks; the threaded backend is
-//!   exercised separately below, since its schedules are not
-//!   reproducible);
+//!   the byte codec, `async` dispatches every delivery into per-party
+//!   event-loop tasks; the threaded backend is exercised separately
+//!   below, since its schedules are not reproducible);
 //! * **schedulers** — every family in [`ALL_SCHEDULERS`], so a newly
 //!   registered scheduler automatically joins the matrix;
 //! * **fault plans** — each stack's [`StackKind::standard_plans`]:
