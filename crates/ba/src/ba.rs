@@ -4,8 +4,8 @@
 use crate::coin::{Coin, CoinSource};
 use aft_broadcast::Acast;
 use aft_sim::wire::{WireReader, WireWriter, KIND_BA_BASE};
-use aft_sim::{Context, Instance, PartyId, Payload, SessionTag, WireMessage};
-use std::collections::{HashMap, HashSet};
+use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag, WireMessage};
+use std::collections::HashMap;
 
 /// Phase-1 vote value (A-Cast payload/output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,11 +102,17 @@ enum PhaseState {
     AwaitCoin,
 }
 
+/// How many recorded votes carry `w`.
+fn tally<T: PartialEq>(votes: &PartyMap<T>, w: T) -> usize {
+    votes.values().filter(|&v| *v == w).count()
+}
+
 #[derive(Default)]
 struct RoundVotes {
-    v1: HashMap<PartyId, bool>,
-    v2: HashMap<PartyId, bool>,
-    v3: HashMap<PartyId, Option<bool>>,
+    /// Accepted votes per phase, by voter (a voter's first vote stands).
+    v1: PartyMap<bool>,
+    v2: PartyMap<bool>,
+    v3: PartyMap<Option<bool>>,
     /// Votes delivered but not yet validated.
     pending2: Vec<(PartyId, bool)>,
     pending3: Vec<(PartyId, Option<bool>)>,
@@ -155,7 +161,8 @@ pub struct BinaryBa {
     coin: Box<dyn CoinSource>,
     decided: Option<bool>,
     decide_sent: bool,
-    decide_votes: HashMap<bool, HashSet<PartyId>>,
+    /// Who sent `Decide(false)` / `Decide(true)`.
+    decide_votes: [PartySet; 2],
     halted: bool,
     output_done: bool,
 }
@@ -173,7 +180,7 @@ impl BinaryBa {
             coin,
             decided: None,
             decide_sent: false,
-            decide_votes: HashMap::new(),
+            decide_votes: Default::default(),
             halted: false,
             output_done: false,
         }
@@ -244,10 +251,9 @@ impl BinaryBa {
             let mut i = 0;
             while i < votes.pending2.len() {
                 let (voter, w) = votes.pending2[i];
-                let support = votes.v1.values().filter(|&&v| v == w).count();
-                if support > t {
+                if tally(&votes.v1, w) > t {
                     votes.pending2.swap_remove(i);
-                    votes.v2.entry(voter).or_insert(w);
+                    votes.v2.insert(voter, w);
                     progressed = true;
                 } else {
                     i += 1;
@@ -258,12 +264,12 @@ impl BinaryBa {
             while i < votes.pending3.len() {
                 let (voter, d) = votes.pending3[i];
                 let ok = match d {
-                    Some(w) => votes.v2.values().filter(|&&v| v == w).count() >= n - t,
+                    Some(w) => tally(&votes.v2, w) >= n - t,
                     None => votes.v2.values().any(|&v| v) && votes.v2.values().any(|&v| !v),
                 };
                 if ok {
                     votes.pending3.swap_remove(i);
-                    votes.v3.entry(voter).or_insert(d);
+                    votes.v3.insert(voter, d);
                     progressed = true;
                 } else {
                     i += 1;
@@ -275,7 +281,7 @@ impl BinaryBa {
                     let votes = self.rounds.entry(r).or_default();
                     if votes.v1.len() >= n - t && !votes.sent2 {
                         votes.sent2 = true;
-                        let trues = votes.v1.values().filter(|&&v| v).count();
+                        let trues = tally(&votes.v1, true);
                         let falses = votes.v1.len() - trues;
                         let maj = match trues.cmp(&falses) {
                             std::cmp::Ordering::Greater => true,
@@ -296,7 +302,7 @@ impl BinaryBa {
                         votes.sent3 = true;
                         let cand = [true, false]
                             .into_iter()
-                            .find(|&w| votes.v2.values().filter(|&&v| v == w).count() >= n - t);
+                            .find(|&w| tally(&votes.v2, w) >= n - t);
                         self.state = PhaseState::Await3;
                         ctx.spawn(
                             Self::vote_tag(V3_TAG, r, me, n),
@@ -341,7 +347,7 @@ impl BinaryBa {
     fn finish_round(&mut self, coin_value: bool, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());
         let votes = self.rounds.entry(self.round).or_default();
-        let cand_count = |w: bool| votes.v3.values().filter(|&&d| d == Some(w)).count();
+        let cand_count = |w: bool| tally(&votes.v3, Some(w));
         let winner = [true, false].into_iter().find(|&w| cand_count(w) > 0);
         if let Some(w) = winner {
             let count = cand_count(w);
@@ -388,7 +394,7 @@ impl BinaryBa {
             return;
         }
         let (n, t) = (ctx.n(), ctx.t());
-        let set = self.decide_votes.entry(v).or_default();
+        let set = &mut self.decide_votes[v as usize];
         if !set.insert(from) {
             return;
         }
@@ -441,12 +447,7 @@ impl Instance for BinaryBa {
         match child.kind {
             V1_TAG => {
                 if let Some(V1(v)) = output.downcast_ref::<V1>() {
-                    self.rounds
-                        .entry(round)
-                        .or_default()
-                        .v1
-                        .entry(voter)
-                        .or_insert(*v);
+                    self.rounds.entry(round).or_default().v1.insert(voter, *v);
                 }
             }
             V2_TAG => {

@@ -16,13 +16,14 @@
 //!   exchange gather sets and output the parity of the union they adopt.
 //!   Parties may disagree on the output (that is what makes it *weak*),
 //!   but it is common-and-uniform often enough to make BA terminate in
-//!   expected O(1) rounds under the schedulers of `aft-sim`.
+//!   expected O(1) rounds under the schedulers of `aft-sim`. Its state is
+//!   indexed by dealer (`PartyMap` / `PartySet`): the gather set, the
+//!   union and the order reconstructions start in are party order.
 
 use aft_field::Fp;
-use aft_sim::{Context, Instance, PartyId, Payload, SessionTag};
+use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use rand::Rng;
-use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// What a [`CoinSource`] produces for a given round.
 pub enum Coin {
@@ -108,8 +109,10 @@ impl CoinSource for WeakSharedCoin {
 /// Messages of the weak shared coin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum WeakCoinMsg {
-    /// "These n − t dealers' share phases completed for me."
-    Gather(BTreeSet<usize>),
+    /// "These n − t dealers' share phases completed for me": dealer ids,
+    /// strictly ascending. A list, not a [`PartySet`] — an id off the wire
+    /// is not yet known to be a party, and must not size anything.
+    Gather(Vec<usize>),
 }
 
 impl aft_sim::WireMessage for WeakCoinMsg {
@@ -128,17 +131,15 @@ impl aft_sim::WireMessage for WeakCoinMsg {
             return None;
         }
         let mut r = aft_sim::wire::WireReader::new(bytes);
-        let mut set = BTreeSet::new();
-        let mut prev = None;
+        let mut set = Vec::with_capacity(bytes.len() / 8);
         while r.remaining() > 0 {
             let d = usize::try_from(r.u64()?).ok()?;
-            // Strictly ascending: the canonical (BTreeSet iteration)
-            // order is the only accepted one, so encode ∘ decode = id.
-            if prev.is_some_and(|p| p >= d) {
+            // Strictly ascending: the canonical order is the only
+            // accepted one, so encode ∘ decode = id.
+            if set.last().is_some_and(|&p| p >= d) {
                 return None;
             }
-            prev = Some(d);
-            set.insert(d);
+            set.push(d);
         }
         Some(WeakCoinMsg::Gather(set))
     }
@@ -166,45 +167,34 @@ const WREC_TAG: &str = "wc-rec";
 /// Section 3 closes. Unbiasedness-in-the-common-case comes from every
 /// union containing at least one honest dealer whose bit is hidden until
 /// the unions are fixed.
+#[derive(Default)]
 pub struct WeakCoinInstance {
-    bundles: HashMap<usize, ShareBundle>,
+    /// Completed dealings, by dealer.
+    bundles: PartyMap<ShareBundle>,
     gather_sent: bool,
-    gathers: HashMap<PartyId, BTreeSet<usize>>,
-    /// The adopted union, fixed once n − t gather sets arrived.
-    union: Option<BTreeSet<usize>>,
-    /// Dealers in the union whose reconstruction has been spawned.
-    rec_spawned: HashSet<usize>,
-    rec_values: HashMap<usize, Fp>,
+    /// Parties whose gather set arrived.
+    gathers: PartySet,
+    /// The adopted union: the first n − t gather sets, folded in as they
+    /// arrive and fixed with the last of them.
+    union: PartySet,
+    /// Dealers whose reconstruction has been spawned.
+    rec_spawned: PartySet,
+    rec_values: PartyMap<Fp>,
     done: bool,
 }
 
 impl WeakCoinInstance {
     /// Creates the instance.
     pub fn new() -> Self {
-        WeakCoinInstance {
-            bundles: HashMap::new(),
-            gather_sent: false,
-            gathers: HashMap::new(),
-            union: None,
-            rec_spawned: HashSet::new(),
-            rec_values: HashMap::new(),
-            done: false,
-        }
+        Self::default()
     }
 
     fn try_progress(&mut self, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());
         if !self.gather_sent && self.bundles.len() >= n - t {
             self.gather_sent = true;
-            let set: BTreeSet<usize> = self.bundles.keys().copied().collect();
+            let set = self.bundles.iter().map(|(d, _)| d.0).collect();
             ctx.send_all(WeakCoinMsg::Gather(set));
-        }
-        if self.union.is_none() && self.gathers.len() >= n - t {
-            let mut u = BTreeSet::new();
-            for set in self.gathers.values() {
-                u.extend(set.iter().copied());
-            }
-            self.union = Some(u);
         }
         // Once my own gather set is fixed, participate in the
         // reconstruction of EVERY completed dealing — not only my union's.
@@ -215,37 +205,22 @@ impl WeakCoinInstance {
         // forever. Universal participation keeps every reconstruction live;
         // my union only gates my own output.
         if self.gather_sent {
-            let mut available: Vec<usize> = self
-                .bundles
-                .keys()
-                .copied()
-                .filter(|d| !self.rec_spawned.contains(d))
-                .collect();
-            // Sorted: spawn order must not depend on HashMap iteration
-            // order, or deterministic replay breaks.
-            available.sort_unstable();
-            for dealer in available {
-                self.rec_spawned.insert(dealer);
-                let bundle = self.bundles[&dealer].clone();
-                ctx.spawn(
-                    SessionTag::new(WREC_TAG, dealer as u64),
-                    Box::new(SvssRec::new(bundle)),
-                );
+            for (dealer, bundle) in self.bundles.iter() {
+                if self.rec_spawned.insert(dealer) {
+                    ctx.spawn(
+                        SessionTag::new(WREC_TAG, dealer.0 as u64),
+                        Box::new(SvssRec::new(bundle.clone())),
+                    );
+                }
             }
         }
-        if let Some(union) = self.union.clone() {
-            if !self.done && union.iter().all(|d| self.rec_values.contains_key(d)) {
-                self.done = true;
-                let sum: Fp = union.iter().map(|d| self.rec_values[d]).sum();
-                ctx.output(sum.value() & 1 == 1);
-            }
+        let union_fixed = self.gathers.len() >= n - t;
+        if union_fixed && !self.done && self.union.iter().all(|d| self.rec_values.contains(d)) {
+            self.done = true;
+            let values = self.union.iter().filter_map(|d| self.rec_values.get(d));
+            let sum: Fp = values.copied().sum();
+            ctx.output(sum.value() & 1 == 1);
         }
-    }
-}
-
-impl Default for WeakCoinInstance {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -268,13 +243,18 @@ impl Instance for WeakCoinInstance {
             return;
         };
         let (n, t) = (ctx.n(), ctx.t());
-        if set.len() < n - t || set.iter().any(|&d| d >= n) {
+        // Ascending, so the last entry bounds them all: nothing at or
+        // beyond n may reach a party-indexed table.
+        if set.len() < n - t || set.last().is_some_and(|&d| d >= n) {
             return; // malformed gather
         }
-        if self.gathers.contains_key(&from) {
+        let union_fixed = self.gathers.len() >= n - t;
+        if !self.gathers.insert(from) {
             return;
         }
-        self.gathers.insert(from, set);
+        if !union_fixed {
+            self.union.extend(set.into_iter().map(PartyId));
+        }
         self.try_progress(ctx);
     }
 
@@ -282,13 +262,14 @@ impl Instance for WeakCoinInstance {
         match child.kind {
             WSHARE_TAG => {
                 if let Some(bundle) = output.downcast_ref::<ShareBundle>() {
-                    self.bundles.insert(child.index as usize, bundle.clone());
+                    self.bundles
+                        .insert(PartyId(child.index as usize), bundle.clone());
                     self.try_progress(ctx);
                 }
             }
             WREC_TAG => {
                 if let Some(v) = output.downcast_ref::<Fp>() {
-                    self.rec_values.insert(child.index as usize, *v);
+                    self.rec_values.insert(PartyId(child.index as usize), *v);
                     self.try_progress(ctx);
                 }
             }
@@ -305,7 +286,7 @@ mod codec_tests {
 
     #[test]
     fn gather_round_trips_in_canonical_order_only() {
-        let msg = WeakCoinMsg::Gather([3usize, 0, 7].into_iter().collect());
+        let msg = WeakCoinMsg::Gather(vec![0, 3, 7]);
         let mut frame = Vec::new();
         encode_frame(&msg, &mut frame);
         assert_eq!(decode_frame_as::<WeakCoinMsg>(&frame), Some(msg));
@@ -368,6 +349,42 @@ mod tests {
                     "seed={seed} p={p} no coin output"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn gather_naming_a_non_party_is_refused_before_it_sizes_anything() {
+        // Party 3 opens with gather sets whose last entry is no party — one
+        // just past n, one that as a bit position would be an eighth of an
+        // exabyte — then plays honestly. The coin terminates regardless.
+        struct JunkGather(WeakCoinInstance);
+        impl Instance for JunkGather {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.send_all(WeakCoinMsg::Gather(vec![0, 1, 2, ctx.n()]));
+                ctx.send_all(WeakCoinMsg::Gather(vec![0, 1, 2, 1 << 60]));
+                self.0.on_start(ctx);
+            }
+            fn on_message(&mut self, from: PartyId, payload: &Payload, ctx: &mut Context<'_>) {
+                self.0.on_message(from, payload, ctx);
+            }
+            fn on_child_output(&mut self, c: &SessionTag, out: &Payload, ctx: &mut Context<'_>) {
+                self.0.on_child_output(c, out, ctx);
+            }
+        }
+        let (n, t) = (4usize, 1usize);
+        let mut net = SimNetwork::new(NetConfig::new(n, t, 2), scheduler_by_name("fifo").unwrap());
+        let sid = SessionId::root().child(SessionTag::new("wcoin", 0));
+        for p in 0..n {
+            let inst: Box<dyn Instance> = match p {
+                3 => Box::new(JunkGather(WeakCoinInstance::new())),
+                _ => Box::new(WeakCoinInstance::new()),
+            };
+            net.spawn(PartyId(p), sid.clone(), inst);
+        }
+        let report = net.run(10_000_000);
+        assert_eq!(report.stop, aft_sim::StopReason::Quiescent);
+        for p in 0..n {
+            assert!(net.output_as::<bool>(PartyId(p), &sid).is_some(), "p={p}");
         }
     }
 

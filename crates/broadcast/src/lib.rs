@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 use aft_sim::wire::{acast_kind, CodecRegistry, WireReader, WireWriter};
-use aft_sim::{Context, Instance, PartyId, Payload, WireMessage};
+use aft_sim::{Context, Instance, PartyId, PartySet, Payload, WireMessage};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -117,36 +117,11 @@ pub fn register_codecs(registry: &mut CodecRegistry) {
     registry.register::<AcastMsg<Vec<usize>>>();
 }
 
-/// Which parties voted for one value: a bitset over party ids plus a
-/// popcount, lazily sized from the highest id seen.
-#[derive(Default)]
-struct PartySet {
-    words: Vec<u64>,
-    count: u32,
-}
-
-impl PartySet {
-    /// Inserts `p`; returns the new count, or `None` if already present.
-    fn insert(&mut self, p: PartyId) -> Option<u32> {
-        let (word, bit) = (p.0 / 64, p.0 % 64);
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let mask = 1u64 << bit;
-        if self.words[word] & mask != 0 {
-            return None;
-        }
-        self.words[word] |= mask;
-        self.count += 1;
-        Some(self.count)
-    }
-}
-
 /// Per-value vote tally. Honest executions see one distinct value (an
 /// equivocating sender at most a handful), so a linear scan over the
 /// entries beats hashing every message — and the [`PartySet`] bitsets
-/// never rehash, where a per-value `HashSet<PartyId>` grows (and
-/// reallocates) `O(log n)` times on its way to `n` voters. A-Cast
+/// never rehash, where a per-value hash set of voters grows (and
+/// reallocates) `O(log n)` times on its way to `n` of them. A-Cast
 /// tallies are the delivery hot path of every protocol built on
 /// broadcast, so this is where the per-message constant matters.
 struct Tally<V> {
@@ -163,7 +138,7 @@ impl<V: Value> Tally<V> {
     /// Records `from`'s vote for `v`; returns the value's new vote count,
     /// or `None` for a duplicate (vote changes count per value — A-Cast
     /// quorums are per-value, equivocators only split their weight).
-    fn record(&mut self, v: &V, from: PartyId) -> Option<u32> {
+    fn record(&mut self, v: &V, from: PartyId) -> Option<usize> {
         let entry = match self.entries.iter_mut().find(|(ev, _)| ev == v) {
             Some((_, set)) => set,
             None => {
@@ -171,7 +146,7 @@ impl<V: Value> Tally<V> {
                 &mut self.entries.last_mut().expect("just pushed").1
             }
         };
-        entry.insert(from)
+        entry.insert(from).then(|| entry.len())
     }
 }
 
@@ -195,13 +170,8 @@ impl<V: Value> Acast<V> {
     /// Creates the designated sender's instance, broadcasting `input`.
     pub fn sender(sender: PartyId, input: V) -> Self {
         Acast {
-            sender,
             input: Some(input),
-            echoed: false,
-            readied: false,
-            delivered: false,
-            echoes: Tally::new(),
-            readies: Tally::new(),
+            ..Self::receiver(sender)
         }
     }
 
@@ -250,7 +220,7 @@ impl<V: Value> Instance for Acast<V> {
             }
             AcastMsg::Echo(v) => {
                 if let Some(count) = self.echoes.record(v, from) {
-                    if count as usize >= n - t {
+                    if count >= n - t {
                         let v = v.clone();
                         self.maybe_ready(&v, ctx);
                     }
@@ -258,7 +228,6 @@ impl<V: Value> Instance for Acast<V> {
             }
             AcastMsg::Ready(v) => {
                 if let Some(count) = self.readies.record(v, from) {
-                    let count = count as usize;
                     let v = v.clone();
                     if count > t {
                         self.maybe_ready(&v, ctx);

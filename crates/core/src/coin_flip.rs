@@ -5,10 +5,9 @@ use crate::common_subset::CommonSubset;
 use crate::config::CoinKind;
 use aft_ba::BinaryBa;
 use aft_field::Fp;
-use aft_sim::{Context, Instance, PartyId, Payload, SessionTag};
+use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
 
 /// Session tag kinds of CoinFlip children (`index = round * n + dealer`
 /// for the per-dealer ones, `round` for the subset, `0` for the final BA).
@@ -94,11 +93,11 @@ pub struct CoinFlip {
     k: usize,
     round: usize,
     /// Share bundles completed this round (dealer → bundle).
-    bundles: HashMap<usize, ShareBundle>,
+    bundles: PartyMap<ShareBundle>,
     cs: CommonSubset,
     subset: Option<Vec<PartyId>>,
-    recs_spawned: HashSet<usize>,
-    rec_values: HashMap<usize, Fp>,
+    recs_spawned: PartySet,
+    rec_values: PartyMap<Fp>,
     /// Per-round XOR results.
     round_bits: Vec<bool>,
     final_started: bool,
@@ -115,11 +114,11 @@ impl CoinFlip {
             coin,
             k: 0,
             round: 0,
-            bundles: HashMap::new(),
+            bundles: PartyMap::new(),
             cs: CommonSubset::new(0, 0, coin), // re-built per round
             subset: None,
-            recs_spawned: HashSet::new(),
-            rec_values: HashMap::new(),
+            recs_spawned: PartySet::new(),
+            rec_values: PartyMap::new(),
             round_bits: Vec::new(),
             final_started: false,
             done: false,
@@ -151,13 +150,12 @@ impl CoinFlip {
 
     fn try_spawn_recs(&mut self, ctx: &mut Context<'_>) {
         let n = ctx.n();
-        let Some(subset) = self.subset.clone() else {
+        let Some(subset) = &self.subset else {
             return;
         };
-        for &j in &subset {
-            if !self.recs_spawned.contains(&j.0) {
-                if let Some(bundle) = self.bundles.get(&j.0) {
-                    self.recs_spawned.insert(j.0);
+        for &j in subset {
+            if let Some(bundle) = self.bundles.get(j) {
+                if self.recs_spawned.insert(j) {
                     ctx.spawn(
                         SessionTag::new(REC_TAG, self.idx(n, j.0)),
                         Box::new(SvssRec::new(bundle.clone())),
@@ -168,16 +166,15 @@ impl CoinFlip {
     }
 
     fn try_finish_round(&mut self, ctx: &mut Context<'_>) {
-        let Some(subset) = self.subset.clone() else {
+        let Some(subset) = &self.subset else {
             return;
         };
-        if !subset.iter().all(|j| self.rec_values.contains_key(&j.0)) {
+        // b'_r = XOR over the subset of (value mod 2), once all are in.
+        let Some(bit) = subset.iter().try_fold(false, |acc, &j| {
+            Some(acc ^ (self.rec_values.get(j)?.value() & 1 == 1))
+        }) else {
             return;
-        }
-        // b'_r = XOR over the subset of (value mod 2).
-        let bit = subset.iter().fold(false, |acc, j| {
-            acc ^ (self.rec_values[&j.0].value() & 1 == 1)
-        });
+        };
         self.round_bits.push(bit);
         self.round += 1;
         if self.round < self.k {
@@ -217,7 +214,7 @@ impl Instance for CoinFlip {
                     return;
                 }
                 if let Some(bundle) = output.downcast_ref::<ShareBundle>() {
-                    self.bundles.insert(dealer, bundle.clone());
+                    self.bundles.insert(PartyId(dealer), bundle.clone());
                     // Q_ir(dealer) := 1
                     self.cs.set_predicate(dealer, ctx);
                     self.try_spawn_recs(ctx);
@@ -230,7 +227,7 @@ impl Instance for CoinFlip {
                     return;
                 }
                 if let Some(v) = output.downcast_ref::<Fp>() {
-                    self.rec_values.insert(dealer, *v);
+                    self.rec_values.insert(PartyId(dealer), *v);
                     self.try_finish_round(ctx);
                 }
             }

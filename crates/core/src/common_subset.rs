@@ -2,8 +2,7 @@
 
 use crate::config::CoinKind;
 use aft_ba::BinaryBa;
-use aft_sim::{Context, PartyId, Payload, SessionTag};
-use std::collections::{HashMap, HashSet};
+use aft_sim::{Context, PartyId, PartyMap, PartySet, Payload, SessionTag};
 
 /// Session tag kind of the embedded per-party BA instances.
 pub const CS_BA_TAG: &str = "cs-ba";
@@ -31,9 +30,9 @@ pub struct CommonSubset {
     /// Base offset for child tags (lets one owner run several subsets).
     tag_base: u64,
     coin: CoinKind,
-    predicate: HashSet<usize>,
-    started: HashSet<usize>,
-    outputs: HashMap<usize, bool>,
+    predicate: PartySet,
+    started: PartySet,
+    outputs: PartyMap<bool>,
     ones: usize,
     /// Set once the count reached `k` and the zero-phase ran.
     zero_phase_done: bool,
@@ -49,9 +48,9 @@ impl CommonSubset {
             k,
             tag_base,
             coin,
-            predicate: HashSet::new(),
-            started: HashSet::new(),
-            outputs: HashMap::new(),
+            predicate: PartySet::new(),
+            started: PartySet::new(),
+            outputs: PartyMap::new(),
             ones: 0,
             zero_phase_done: false,
             result: None,
@@ -67,7 +66,7 @@ impl CommonSubset {
     ///
     /// Returns `true` if the call changed anything (idempotent otherwise).
     pub fn set_predicate(&mut self, j: usize, ctx: &mut Context<'_>) -> bool {
-        if !self.predicate.insert(j) {
+        if !self.predicate.insert(PartyId(j)) {
             return false;
         }
         if self.ones < self.k {
@@ -96,7 +95,7 @@ impl CommonSubset {
         }
         let j = (child.index - self.tag_base) as usize;
         let &b = output.downcast_ref::<bool>()?;
-        if self.outputs.insert(j, b).is_some() {
+        if !self.outputs.insert(PartyId(j), b) {
             return None;
         }
         if b {
@@ -105,14 +104,15 @@ impl CommonSubset {
         if self.ones >= self.k && !self.zero_phase_done {
             self.zero_phase_done = true;
             for m in 0..n {
-                if !self.started.contains(&m) {
-                    self.start_ba(m, false, ctx);
-                }
+                self.start_ba(m, false, ctx);
             }
         }
         if self.outputs.len() == n {
-            let mut s: Vec<PartyId> = (0..n).filter(|j| self.outputs[j]).map(PartyId).collect();
-            s.sort();
+            let s: Vec<PartyId> = self
+                .outputs
+                .iter()
+                .filter_map(|(j, &b)| b.then_some(j))
+                .collect();
             self.result = Some(s.clone());
             return Some(s);
         }
@@ -120,7 +120,7 @@ impl CommonSubset {
     }
 
     fn start_ba(&mut self, j: usize, input: bool, ctx: &mut Context<'_>) {
-        if !self.started.insert(j) {
+        if !self.started.insert(PartyId(j)) {
             return;
         }
         let idx = self.tag_base + j as u64;

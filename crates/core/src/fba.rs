@@ -5,7 +5,7 @@ use crate::common_subset::CommonSubset;
 use crate::config::CoinKind;
 use crate::fair_choice::{FairChoice, FairChoiceParams};
 use aft_broadcast::{Acast, Value};
-use aft_sim::{Context, Instance, PartyId, Payload, SessionTag};
+use aft_sim::{Context, Instance, PartyId, PartyMap, Payload, SessionTag};
 use std::collections::HashMap;
 
 /// Session tag kinds of FBA children.
@@ -34,7 +34,8 @@ pub struct Fba<V> {
     input: V,
     choice_params: FairChoiceParams,
     coin: CoinKind,
-    values: HashMap<usize, V>,
+    /// Delivered inputs, by the party that A-Cast them.
+    values: PartyMap<V>,
     cs: CommonSubset,
     subset: Option<Vec<PartyId>>,
     done: bool,
@@ -47,7 +48,7 @@ impl<V: Value> Fba<V> {
             input,
             choice_params,
             coin,
-            values: HashMap::new(),
+            values: PartyMap::new(),
             cs: CommonSubset::new(0, 0, coin), // k set in on_start
             subset: None,
             done: false,
@@ -63,14 +64,14 @@ impl<V: Value> Fba<V> {
         let Some(subset) = self.subset.clone() else {
             return;
         };
-        if !subset.iter().all(|j| self.values.contains_key(&j.0)) {
-            return;
-        }
         let m = subset.len();
-        // Strict majority among the subset's values?
+        // Strict majority among the subset's values (once all are in)?
         let mut counts: HashMap<&V, usize> = HashMap::new();
-        for j in &subset {
-            *counts.entry(&self.values[&j.0]).or_insert(0) += 1;
+        for &j in &subset {
+            let Some(value) = self.values.get(j) else {
+                return;
+            };
+            *counts.entry(value).or_insert(0) += 1;
         }
         if let Some((&value, _)) = counts.iter().find(|&(_, &c)| 2 * c > m) {
             let value = value.clone();
@@ -109,7 +110,7 @@ impl<V: Value> Instance for Fba<V> {
             INPUT_TAG => {
                 let j = child.index as usize;
                 if let Some(v) = output.downcast_ref::<V>() {
-                    self.values.entry(j).or_insert_with(|| v.clone());
+                    self.values.insert(PartyId(j), v.clone());
                     // Q(j) := 1 — j's A-Cast completed.
                     self.cs.set_predicate(j, ctx);
                     self.try_resolve(ctx);
@@ -128,7 +129,11 @@ impl<V: Value> Instance for Fba<V> {
                 let mut desc: Vec<PartyId> = subset.clone();
                 desc.sort_by(|a, b| b.cmp(a));
                 let j = desc[k];
-                let value = self.values[&j.0].clone();
+                let value = self
+                    .values
+                    .get(j)
+                    .expect("resolved before FairChoice")
+                    .clone();
                 self.done = true;
                 ctx.output(value);
             }

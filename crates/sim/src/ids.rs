@@ -44,6 +44,205 @@ impl From<usize> for PartyId {
     }
 }
 
+/// A set of parties: a bitset over party ids with its size kept beside
+/// it, sized lazily from the highest id inserted.
+///
+/// This is the one collection protocol handlers key by party. A vote is
+/// an `insert`, a quorum test a `len`, and iteration is in ascending
+/// party order *by construction* — so nothing an instance emits while
+/// walking a set can depend on a hasher, and deterministic replay needs
+/// no collect-and-sort. There is no upper bound on ids, but an id is a
+/// bit position: check a peer-named index against `n` before inserting
+/// it, or one junk message sizes the set.
+///
+/// ```
+/// use aft_sim::{PartyId, PartySet};
+/// let mut votes = PartySet::new();
+/// assert!(votes.insert(PartyId(70)));
+/// assert!(votes.insert(PartyId(3)));
+/// assert!(!votes.insert(PartyId(3)), "a duplicate vote");
+/// assert_eq!(votes.len(), 2);
+/// assert_eq!(votes.iter().collect::<Vec<_>>(), [PartyId(3), PartyId(70)]);
+/// ```
+// Nothing removes a single party, so the last word is never zero and the
+// derived equality is set equality.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct PartySet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PartySet {
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Inserts `p`; `false` if it was already a member.
+    pub fn insert(&mut self, p: PartyId) -> bool {
+        let (word, mask) = (p.0 / 64, 1u64 << (p.0 % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        self.len += fresh as usize;
+        fresh
+    }
+
+    /// Whether `p` is a member.
+    pub fn contains(&self, p: PartyId) -> bool {
+        self.words
+            .get(p.0 / 64)
+            .is_some_and(|w| w >> (p.0 % 64) & 1 == 1)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether every member of `other` is a member of `self`.
+    pub fn is_superset(&self, other: &PartySet) -> bool {
+        other.words.len() <= self.words.len()
+            && other
+                .words
+                .iter()
+                .zip(&self.words)
+                .all(|(o, s)| o & !s == 0)
+    }
+
+    /// Members in ascending party order.
+    pub fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            std::iter::successors((word != 0).then_some(word), |w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| PartyId(i * 64 + w.trailing_zeros() as usize))
+        })
+    }
+
+    /// Removes every member (the words' capacity is kept).
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+}
+
+impl Extend<PartyId> for PartySet {
+    fn extend<I: IntoIterator<Item = PartyId>>(&mut self, parties: I) {
+        for p in parties {
+            self.insert(p);
+        }
+    }
+}
+
+impl fmt::Debug for PartySet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// At most one value per party: a party-indexed `Vec<Option<T>>` with
+/// its number of entries kept beside it — [`PartySet`]'s companion for
+/// state that carries a value (a share bundle per dealer, a vote per
+/// voter). The **first** value recorded for a party stands, which is the
+/// rule every protocol table here follows; iteration is in ascending
+/// party order, and the index caveat of [`PartySet`] applies.
+///
+/// ```
+/// use aft_sim::{PartyId, PartyMap};
+/// let mut votes = PartyMap::new();
+/// assert!(votes.insert(PartyId(2), true));
+/// assert!(!votes.insert(PartyId(2), false), "the first vote stands");
+/// assert_eq!(votes.get(PartyId(2)), Some(&true));
+/// assert_eq!(votes.get(PartyId(5)), None);
+/// assert_eq!(votes.len(), 1);
+/// ```
+// Nothing removes a single entry, so the last slot is never `None` and the
+// derived equality is map equality.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PartyMap<T> {
+    slots: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T> Default for PartyMap<T> {
+    fn default() -> Self {
+        PartyMap {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> PartyMap<T> {
+    /// The empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `value` for `p` unless `p` already has one; `false` (and
+    /// `value` dropped) in that case.
+    pub fn insert(&mut self, p: PartyId, value: T) -> bool {
+        if p.0 >= self.slots.len() {
+            self.slots.resize_with(p.0 + 1, || None);
+        }
+        let slot = &mut self.slots[p.0];
+        let fresh = slot.is_none();
+        if fresh {
+            *slot = Some(value);
+            self.len += 1;
+        }
+        fresh
+    }
+
+    /// The value recorded for `p`.
+    pub fn get(&self, p: PartyId) -> Option<&T> {
+        self.slots.get(p.0)?.as_ref()
+    }
+
+    /// Whether `p` has a value.
+    pub fn contains(&self, p: PartyId) -> bool {
+        self.get(p).is_some()
+    }
+
+    /// Number of parties with a value.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no party has a value.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entries in ascending party order.
+    pub fn iter(&self) -> impl Iterator<Item = (PartyId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(p, slot)| Some((PartyId(p), slot.as_ref()?)))
+    }
+
+    /// Values in ascending party order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    /// Removes every entry (the slots' capacity is kept).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.len = 0;
+    }
+}
+
 /// One component of a hierarchical [`SessionId`]: a protocol kind plus an
 /// instance index (round number, dealer id, …).
 ///
@@ -462,6 +661,87 @@ mod tests {
             assert_eq!(pair[0], pair[1]);
             assert!(std::ptr::eq(pair[0].path(), pair[1].path()));
             assert_eq!(pair[0].arena_index(), pair[1].arena_index());
+        }
+    }
+    /// `PartySet` and `PartyMap` against the obvious models, across the
+    /// 64-bit word boundary.
+    mod party_tables {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        fn set_of(ids: &[usize]) -> (PartySet, BTreeSet<usize>) {
+            let mut set = PartySet::new();
+            set.extend(ids.iter().map(|&i| PartyId(i)));
+            (set, ids.iter().copied().collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn party_set_matches_btree_set(
+                ids in proptest::collection::vec(0usize..200, 0..80),
+                others in proptest::collection::vec(0usize..200, 0..6),
+            ) {
+                let mut set = PartySet::new();
+                let mut model = BTreeSet::new();
+                for &i in &ids {
+                    prop_assert_eq!(set.insert(PartyId(i)), model.insert(i), "insert {}", i);
+                    prop_assert_eq!(set.len(), model.len());
+                }
+                for i in 0..260 {
+                    prop_assert_eq!(set.contains(PartyId(i)), model.contains(&i), "contains {}", i);
+                }
+                let listed: Vec<usize> = set.iter().map(|p| p.0).collect();
+                prop_assert_eq!(listed, model.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert_eq!(format!("{set:?}"), format!("{:?}", set.iter().collect::<BTreeSet<_>>()));
+
+                let (other, other_model) = set_of(&others);
+                prop_assert_eq!(set.is_superset(&other), model.is_superset(&other_model));
+                prop_assert_eq!(other.is_superset(&set), other_model.is_superset(&model));
+                prop_assert!(set.is_superset(&set.clone()) && set.is_superset(&PartySet::new()));
+                // Equality is set equality, whatever order built the set.
+                let (rebuilt, _) = set_of(&model.iter().rev().copied().collect::<Vec<_>>());
+                prop_assert_eq!(&rebuilt, &set);
+                prop_assert_eq!(other == set, other_model == model);
+
+                set.clear();
+                prop_assert!(set.is_empty() && set.iter().next().is_none());
+                prop_assert_eq!(set, PartySet::new());
+            }
+
+            #[test]
+            fn party_map_matches_btree_map(
+                entries in proptest::collection::vec(
+                    any::<u32>().prop_map(|x| ((x % 150) as usize, x / 150 % 5)),
+                    0..60,
+                ),
+            ) {
+                let mut map = PartyMap::new();
+                let mut model = BTreeMap::new();
+                for &(i, v) in &entries {
+                    // The first value recorded for a party stands.
+                    let fresh = !model.contains_key(&i);
+                    model.entry(i).or_insert(v);
+                    prop_assert_eq!(map.insert(PartyId(i), v), fresh);
+                    prop_assert_eq!(map.len(), model.len());
+                }
+                for i in 0..200 {
+                    prop_assert_eq!(map.get(PartyId(i)), model.get(&i));
+                    prop_assert_eq!(map.contains(PartyId(i)), model.contains_key(&i));
+                }
+                let listed: Vec<(usize, u32)> = map.iter().map(|(p, &v)| (p.0, v)).collect();
+                prop_assert_eq!(listed, model.iter().map(|(&i, &v)| (i, v)).collect::<Vec<_>>());
+                prop_assert_eq!(
+                    map.values().copied().collect::<Vec<_>>(),
+                    model.values().copied().collect::<Vec<_>>()
+                );
+                map.clear();
+                prop_assert!(map.is_empty() && map.iter().next().is_none());
+                prop_assert_eq!(map, PartyMap::new());
+            }
         }
     }
 }

@@ -89,7 +89,7 @@ pub use adaptive::{
 pub use backend::{Backend, BackendFamily, ALL_BACKENDS, DEFAULT_BACKEND};
 pub use behaviors::{Equivocator, Garbage, GarbageInstance, MuteAfter, SilentInstance};
 pub use deploy::{decode_envelope, encode_envelope, party_node};
-pub use ids::{PartyId, SessionId, SessionTag};
+pub use ids::{PartyId, PartyMap, PartySet, SessionId, SessionTag};
 pub use instance::{Context, Instance};
 pub use montecarlo::{run_trials, Bernoulli};
 pub use net::{LatencyDist, NetEvent, NetScheduler, NetSpec, PartitionSpec};

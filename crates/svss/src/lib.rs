@@ -23,6 +23,12 @@
 //!   detectable self-contradiction triggers a shun. Outputs the secret as
 //!   an [`aft_field::Fp`].
 //!
+//! Both keep their per-party state dense — [`aft_sim::PartySet`] /
+//! [`aft_sim::PartyMap`] for who voted and what each peer sent, a
+//! [`BitMatrix`] for the OK and reveal-consistency graphs — so a vote is a
+//! bit operation, nothing is iterated in hash order, and an index a peer
+//! names is checked against `n` before it touches a table.
+//!
 //! Properties (Definition 3.2) and the adversary classes they are verified
 //! against are catalogued in `DESIGN.md` §4.3; the [`attacks`] module
 //! implements those adversaries.
@@ -69,7 +75,7 @@ mod msgs;
 mod rec;
 mod share;
 
-pub use clique::find_clique;
+pub use clique::{find_clique, BitMatrix};
 pub use msgs::{party_point, RecMsg, ShareBundle, ShareMsg};
 pub use rec::SvssRec;
 pub use share::{SvssShare, CORE_TAG};

@@ -2,8 +2,7 @@
 
 use aft_field::{Fp, Poly};
 use aft_sim::wire::{WireReader, WireWriter, KIND_SVSS_BASE};
-use aft_sim::{PartyId, WireMessage};
-use std::collections::HashMap;
+use aft_sim::{PartyId, PartyMap, WireMessage};
 
 /// Appends a field element's canonical 8-byte form.
 fn put_fp(out: &mut Vec<u8>, v: Fp) {
@@ -170,8 +169,9 @@ pub struct ShareBundle {
     /// Cross points received from each peer `j` during the share phase:
     /// `(a, b)` where `a` claims `F(x_j, x_me)` and `b` claims
     /// `F(x_me, x_j)`. Used by reconstruction to detect self-contradiction
-    /// (the shunning trigger).
-    pub crosses: HashMap<PartyId, (Fp, Fp)>,
+    /// (the shunning trigger). Party-indexed, so cloning a bundle (share
+    /// phase → coin → reconstruction) copies one flat vector.
+    pub crosses: PartyMap<(Fp, Fp)>,
 }
 
 impl ShareBundle {
@@ -199,7 +199,7 @@ mod tests {
             row: None,
             col: None,
             core: vec![PartyId(1), PartyId(2)],
-            crosses: HashMap::new(),
+            crosses: PartyMap::new(),
         };
         assert!(b.in_core());
         let b2 = ShareBundle {

@@ -1,10 +1,9 @@
 //! The SVSS reconstruction phase (`SVSS-Rec` of Definition 3.2).
 
-use crate::clique::find_clique;
+use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, RecMsg, ShareBundle};
 use aft_field::{interpolate_at_zero, Fp, OnlineDecoder, Poly};
-use aft_sim::{Context, Instance, PartyId, Payload};
-use std::collections::HashMap;
+use aft_sim::{Context, Instance, PartyId, PartyMap, Payload};
 
 /// One party's reconstruction instance, built from the [`ShareBundle`] the
 /// share phase produced. Outputs the reconstructed secret as an [`Fp`].
@@ -39,9 +38,13 @@ pub struct SvssRec {
     bundle: ShareBundle,
     decoder: OnlineDecoder,
     /// Reveals accepted from core members.
-    reveals: HashMap<PartyId, (Poly, Poly)>,
+    reveals: PartyMap<(Poly, Poly)>,
+    /// Which accepted reveals agree, as closed neighbourhoods: bit
+    /// `(u, v)` iff `u == v` or the two reveals are cross-consistent. Each
+    /// pair is evaluated once, when its second reveal arrives.
+    consistent: BitMatrix,
     /// Parties whose σ was received (duplicate detection).
-    sigma_seen: HashMap<PartyId, Fp>,
+    sigma_seen: PartyMap<Fp>,
     done: bool,
 }
 
@@ -53,8 +56,9 @@ impl SvssRec {
             // degree t, up to t adversarial points — set in on_start when t
             // is known; re-created there.
             decoder: OnlineDecoder::new(0, 0),
-            reveals: HashMap::new(),
-            sigma_seen: HashMap::new(),
+            reveals: PartyMap::new(),
+            consistent: BitMatrix::default(),
+            sigma_seen: PartyMap::new(),
             done: false,
         }
     }
@@ -66,42 +70,34 @@ impl SvssRec {
         }
     }
 
-    /// Clique track: find a `(t+1)`-clique of mutually consistent reveals
-    /// among core members and interpolate the secret.
-    fn try_clique(&mut self, ctx: &mut Context<'_>) {
+    /// Clique track: enter `from`'s just-accepted reveal into the
+    /// consistency graph, then look for a `(t+1)`-clique of mutually
+    /// consistent reveals among core members and interpolate the secret.
+    fn try_clique(&mut self, from: PartyId, ctx: &mut Context<'_>) {
         if self.done {
             return;
         }
-        let t = ctx.t();
-        let members: Vec<PartyId> = {
-            let mut m: Vec<PartyId> = self.reveals.keys().copied().collect();
-            m.sort();
-            m
-        };
-        if members.len() < t + 1 {
-            return;
+        let (n, t) = (ctx.n(), ctx.t());
+        if self.consistent.n() != n {
+            self.consistent = BitMatrix::new(n);
         }
         // Edge (u, v): u's row at x_v equals v's col at x_u, and vice
         // versa — both claim grid values of the same bivariate.
-        let k = members.len();
-        let mut adj = vec![vec![false; k]; k];
-        for a in 0..k {
-            for b in a + 1..k {
-                let (u, v) = (members[a], members[b]);
-                let (ru, cu) = &self.reveals[&u];
-                let (rv, cv) = &self.reveals[&v];
-                let (xu, xv) = (party_point(u), party_point(v));
-                let ok = ru.eval(xv) == cv.eval(xu) && rv.eval(xu) == cu.eval(xv);
-                adj[a][b] = ok;
-                adj[b][a] = ok;
+        let (ru, cu) = &self.reveals.get(from).expect("just accepted");
+        let xu = party_point(from);
+        for (v, (rv, cv)) in self.reveals.iter() {
+            let xv = party_point(v);
+            if v == from || (ru.eval(xv) == cv.eval(xu) && rv.eval(xu) == cu.eval(xv)) {
+                self.consistent.set(from.0, v.0);
+                self.consistent.set(v.0, from.0);
             }
         }
-        if let Some(clique) = find_clique(&adj, t + 1) {
+        if let Some(clique) = find_clique(&self.consistent, t + 1) {
             let pts: Vec<(Fp, Fp)> = clique
                 .iter()
-                .map(|&idx| {
-                    let u = members[idx];
-                    (party_point(u), self.reveals[&u].0.eval(Fp::ZERO))
+                .map(|&u| {
+                    let (row, _) = self.reveals.get(PartyId(u)).expect("revealed");
+                    (party_point(PartyId(u)), row.eval(Fp::ZERO))
                 })
                 .collect();
             let secret = interpolate_at_zero(&pts).expect("distinct party points");
@@ -131,7 +127,7 @@ impl Instance for SvssRec {
         let t = ctx.t();
         match &*msg {
             RecMsg::Sigma(v) => {
-                if let Some(prev) = self.sigma_seen.get(&from) {
+                if let Some(prev) = self.sigma_seen.get(from) {
                     if prev != v {
                         // An honest party never equivocates its σ.
                         ctx.shun(from);
@@ -142,7 +138,7 @@ impl Instance for SvssRec {
                 // A σ that contradicts the same party's reveal is a
                 // self-contradiction: shun (honest parties send
                 // σ = row(0) and reveal the same row).
-                if let Some((row, _)) = self.reveals.get(&from) {
+                if let Some((row, _)) = self.reveals.get(from) {
                     if row.eval(Fp::ZERO) != *v {
                         ctx.shun(from);
                         return;
@@ -160,7 +156,7 @@ impl Instance for SvssRec {
                 if !self.bundle.core.contains(&from) {
                     return; // only core members reveal
                 }
-                if self.reveals.contains_key(&from) {
+                if self.reveals.contains(from) {
                     return; // first reveal wins; repeats are harmless noise
                 }
                 if row.degree().unwrap_or(0) > t || col.degree().unwrap_or(0) > t {
@@ -171,21 +167,21 @@ impl Instance for SvssRec {
                 // Self-contradiction checks: the reveal must match the
                 // cross points this peer sent me during the share phase,
                 // and the σ it already sent (if any).
-                if let Some(&(a, b)) = self.bundle.crosses.get(&from) {
+                if let Some(&(a, b)) = self.bundle.crosses.get(from) {
                     let x_me = party_point(self.bundle.me);
                     if row.eval(x_me) != a || col.eval(x_me) != b {
                         ctx.shun(from);
                         return;
                     }
                 }
-                if let Some(&sigma) = self.sigma_seen.get(&from) {
+                if let Some(&sigma) = self.sigma_seen.get(from) {
                     if row.eval(Fp::ZERO) != sigma {
                         ctx.shun(from);
                         return;
                     }
                 }
                 self.reveals.insert(from, (row.clone(), col.clone()));
-                self.try_clique(ctx);
+                self.try_clique(from, ctx);
             }
         }
     }

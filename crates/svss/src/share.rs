@@ -1,11 +1,10 @@
 //! The SVSS share phase (`SVSS-Share` of Definition 3.2).
 
-use crate::clique::find_clique;
+use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, ShareBundle, ShareMsg};
 use aft_broadcast::Acast;
 use aft_field::{BivarPoly, Fp, Poly};
-use aft_sim::{Context, Instance, PartyId, Payload, SessionTag};
-use std::collections::{HashMap, HashSet};
+use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 
 /// Session tag kind under which the dealer's core proposal is A-Cast.
 pub const CORE_TAG: &str = "svss-core";
@@ -30,6 +29,12 @@ pub const CORE_TAG: &str = "svss-core";
 /// Termination properties (Definition 3.2, validated by tests):
 /// with an honest dealer all honest parties complete; if any honest party
 /// completes, every honest participant almost-surely completes.
+///
+/// All state is indexed by party: each of a dealing's `n²` `Ok` votes — a
+/// third of everything the full stack delivers — is two bit operations on
+/// a matrix allocated once, and whatever the instance emits while walking
+/// its state is emitted in party order.
+#[derive(Default)]
 pub struct SvssShare {
     dealer: PartyId,
     /// Dealer's secret (`Some` only at the dealer).
@@ -37,21 +42,21 @@ pub struct SvssShare {
     row: Option<Poly>,
     col: Option<Poly>,
     /// Cross points received from peers.
-    crosses: HashMap<PartyId, (Fp, Fp)>,
-    /// `oks[v]` = set of peers that `v` has publicly OK'd.
-    oks: HashMap<PartyId, HashSet<PartyId>>,
+    crosses: PartyMap<(Fp, Fp)>,
+    /// The OK graph: bit `(u, v)` iff `u == v` or `u` has publicly OK'd
+    /// `v`. Two parties are adjacent once both bits are set, so the graph
+    /// changes only when an `Ok` completes a pair.
+    oks: BitMatrix,
     /// Peers I have already OK'd (avoid duplicate votes).
-    my_oks: HashSet<PartyId>,
+    my_oks: PartySet,
     /// The agreed core, once the dealer's A-Cast delivers.
     core: Option<Vec<PartyId>>,
     /// Whether I already sent `Done`.
     done_sent: bool,
     /// Parties whose `Done` I received.
-    dones: HashSet<PartyId>,
+    dones: PartySet,
     /// Whether the bundle was output.
     completed: bool,
-    /// Dealer only: full sharing polynomial.
-    bivar: Option<BivarPoly>,
     /// Dealer only: whether `Core` was already proposed.
     core_proposed: bool,
 }
@@ -60,45 +65,29 @@ impl SvssShare {
     /// Creates the dealer's instance sharing `secret`.
     pub fn dealer(dealer: PartyId, secret: Fp) -> Self {
         SvssShare {
-            dealer,
             secret: Some(secret),
-            ..Self::empty(dealer)
+            ..Self::party(dealer)
         }
     }
 
     /// Creates a non-dealer participant's instance.
     pub fn party(dealer: PartyId) -> Self {
-        Self::empty(dealer)
-    }
-
-    fn empty(dealer: PartyId) -> Self {
         SvssShare {
             dealer,
-            secret: None,
-            row: None,
-            col: None,
-            crosses: HashMap::new(),
-            oks: HashMap::new(),
-            my_oks: HashSet::new(),
-            core: None,
-            done_sent: false,
-            dones: HashSet::new(),
-            completed: false,
-            bivar: None,
-            core_proposed: false,
+            ..Self::default()
         }
     }
 
     /// Checks the stored cross points from `j` against our own polynomials
     /// and issues a public `Ok(j)` vote on success.
     fn try_ok(&mut self, j: PartyId, ctx: &mut Context<'_>) {
-        if self.my_oks.contains(&j) {
+        if self.my_oks.contains(j) {
             return;
         }
         let (Some(row), Some(col)) = (&self.row, &self.col) else {
             return;
         };
-        let Some(&(a, b)) = self.crosses.get(&j) else {
+        let Some(&(a, b)) = self.crosses.get(j) else {
             return;
         };
         // a claims F(x_j, x_me) = my col at x_j; b claims F(x_me, x_j) =
@@ -110,26 +99,23 @@ impl SvssShare {
         }
     }
 
-    /// Mutual-OK edge test from this party's local view.
-    fn edge(&self, u: PartyId, v: PartyId) -> bool {
-        u != v
-            && self.oks.get(&u).is_some_and(|s| s.contains(&v))
-            && self.oks.get(&v).is_some_and(|s| s.contains(&u))
+    /// Allocates the OK graph, once, where it is first needed — not in
+    /// `on_start`, which an attack wrapping this instance need not call.
+    fn alloc_graph(&mut self, n: usize) {
+        if self.oks.n() != n {
+            self.oks = BitMatrix::identity(n);
+        }
     }
 
     /// Dealer: look for an `(n−t)`-clique in the mutual-OK graph and A-Cast
-    /// it as the core.
+    /// it as the core. Called when the graph gained an edge: until then
+    /// the last "no clique" still holds.
     fn dealer_try_core(&mut self, ctx: &mut Context<'_>) {
         if self.core_proposed || ctx.me() != self.dealer {
             return;
         }
-        let n = ctx.n();
-        let adj: Vec<Vec<bool>> = (0..n)
-            .map(|u| (0..n).map(|v| self.edge(PartyId(u), PartyId(v))).collect())
-            .collect();
-        if let Some(clique) = find_clique(&adj, n - ctx.t()) {
+        if let Some(core) = find_clique(&self.oks, ctx.n() - ctx.t()) {
             self.core_proposed = true;
-            let core: Vec<usize> = clique;
             ctx.spawn(
                 SessionTag::new(CORE_TAG, self.dealer.0 as u64),
                 Box::new(Acast::sender(self.dealer, core)),
@@ -148,8 +134,7 @@ impl SvssShare {
         };
         let verified = core
             .iter()
-            .enumerate()
-            .all(|(i, &u)| core[i + 1..].iter().all(|&v| self.edge(u, v)));
+            .all(|u| core.iter().all(|v| self.oks.get(u.0, v.0)));
         if verified {
             self.done_sent = true;
             ctx.send_all(ShareMsg::Done);
@@ -195,7 +180,6 @@ impl Instance for SvssShare {
                     },
                 );
             }
-            self.bivar = Some(bivar);
         } else {
             // Participate in the dealer's core A-Cast from the start so a
             // racing proposal is not lost.
@@ -210,7 +194,7 @@ impl Instance for SvssShare {
         let Some(msg) = payload.view::<ShareMsg>() else {
             return;
         };
-        let t = ctx.t();
+        let (n, t) = (ctx.n(), ctx.t());
         match &*msg {
             ShareMsg::Shares { row, col } => {
                 // Only the dealer's first share message, of valid degree.
@@ -223,37 +207,40 @@ impl Instance for SvssShare {
                 self.row = Some(row.clone());
                 self.col = Some(col.clone());
                 // Send cross points to every party.
-                let my_row = self.row.clone().expect("just set");
-                let my_col = self.col.clone().expect("just set");
-                for p in ctx.parties().collect::<Vec<_>>() {
+                for p in ctx.parties() {
                     let x = party_point(p);
                     ctx.send(
                         p,
                         ShareMsg::Cross {
-                            a: my_row.eval(x),
-                            b: my_col.eval(x),
+                            a: row.eval(x),
+                            b: col.eval(x),
                         },
                     );
                 }
                 // Re-check buffered cross points now that we can verify.
-                // (Sorted: emission order must not depend on HashMap
-                // iteration order, or deterministic replay breaks.)
-                let mut peers: Vec<PartyId> = self.crosses.keys().copied().collect();
-                peers.sort();
-                for j in peers {
+                for j in ctx.parties() {
                     self.try_ok(j, ctx);
                 }
             }
             ShareMsg::Cross { a, b } => {
                 // First cross from each peer counts.
-                if self.crosses.contains_key(&from) {
-                    return;
+                if self.crosses.insert(from, (*a, *b)) {
+                    self.try_ok(from, ctx);
                 }
-                self.crosses.insert(from, (*a, *b));
-                self.try_ok(from, ctx);
             }
             ShareMsg::Ok(peer) => {
-                if self.oks.entry(from).or_default().insert(*peer) {
+                // A vote may only name a party: anything else is refused
+                // before it touches a row (no state for junk to grow).
+                let (u, v) = (from.0, peer.0);
+                if u.max(v) >= n {
+                    return;
+                }
+                self.alloc_graph(n);
+                if !self.oks.set(u, v) {
+                    return;
+                }
+                // Only a vote that completes a pair changes the graph.
+                if self.oks.get(v, u) {
                     self.dealer_try_core(ctx);
                     self.try_done(ctx);
                 }
@@ -279,12 +266,14 @@ impl Instance for SvssShare {
         };
         let n = ctx.n();
         // Validate: exactly n − t distinct known parties.
-        let mut seen = HashSet::new();
-        let valid = core.len() == n - ctx.t() && core.iter().all(|&p| p < n && seen.insert(p));
+        let mut seen = PartySet::new();
+        let valid =
+            core.len() == n - ctx.t() && core.iter().all(|&p| p < n && seen.insert(PartyId(p)));
         if !valid {
             return; // a faulty dealer's junk proposal: ignore forever
         }
         self.core = Some(core.iter().map(|&p| PartyId(p)).collect());
+        self.alloc_graph(n);
         self.try_done(ctx);
         self.try_complete(ctx);
     }

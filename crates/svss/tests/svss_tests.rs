@@ -574,6 +574,61 @@ fn dealer_byzantine_junk_core_proposal_ignored() {
     }
 }
 
+/// A vote may only name a party. A Byzantine participant that floods
+/// `Ok(k)` for ten thousand `k ≥ n` — otherwise playing honestly — gets
+/// nothing for it: under `fifo` (where junk cannot reorder anything else)
+/// every party outputs the bundle it outputs without the flood, and not
+/// one message more is sent in answer.
+#[test]
+fn ok_votes_for_non_parties_change_nothing() {
+    use aft_sim::{Context, Payload};
+    use aft_svss::ShareMsg;
+    const JUNK: usize = 10_000;
+    struct Flooder {
+        inner: SvssShare,
+        junk: usize,
+    }
+    impl Instance for Flooder {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.inner.on_start(ctx);
+            for k in 0..self.junk {
+                ctx.send_all(ShareMsg::Ok(PartyId(ctx.n() + k)));
+            }
+        }
+        fn on_message(&mut self, from: PartyId, payload: &Payload, ctx: &mut Context<'_>) {
+            self.inner.on_message(from, payload, ctx);
+        }
+        fn on_child_output(&mut self, child: &SessionTag, out: &Payload, ctx: &mut Context<'_>) {
+            self.inner.on_child_output(child, out, ctx);
+        }
+    }
+    for (n, t) in [(4, 1), (7, 2)] {
+        let run = |junk: usize| {
+            let net = run_share(n, t, 8, "fifo", |p| match p {
+                0 => Box::new(SvssShare::dealer(PartyId(0), Fp::new(9))),
+                3 => Box::new(Flooder {
+                    inner: SvssShare::party(PartyId(0)),
+                    junk,
+                }),
+                _ => Box::new(SvssShare::party(PartyId(0))),
+            });
+            let bundles: Vec<String> = (0..n)
+                .map(|p| {
+                    let bundle = net.output_as::<ShareBundle>(PartyId(p), &share_sid());
+                    format!("{:?}", bundle.expect("share completes"))
+                })
+                .collect();
+            let m = net.metrics();
+            assert_eq!(m.sent, m.delivered, "every vote, junk too, is delivered");
+            (bundles, m.sent, m.sent_by_kind(aft_svss::CORE_TAG))
+        };
+        let (quiet, flooded) = (run(0), run(JUNK));
+        assert_eq!(flooded.0, quiet.0, "n={n}: the same bundles");
+        assert_eq!(flooded.1, quiet.1 + (JUNK * n) as u64, "n={n}: no answer");
+        assert_eq!(flooded.2, quiet.2);
+    }
+}
+
 /// The identical SVSS share phase driven through the `Runtime` trait on
 /// every backend: all parties complete with consistent bundles.
 #[test]

@@ -13,43 +13,59 @@
 //! check pins allocations *per delivered message* to a small constant
 //! instead, which still catches an accidental per-message regression
 //! (e.g. losing an inline or pool fast path) by an order of magnitude.
+//!
+//! The paper's full stack gets the same treatment, tighter: an FBA over
+//! the strong coin over SVSS keeps its per-party state in bit rows and
+//! party-indexed vectors, and the window pins what a delivered message
+//! then costs (1.32 allocations at n=4; 1.86 with hash tables). And a
+//! share-phase instance flooded with votes that name no party must not
+//! allocate at all — its state cannot grow with what a faulty peer sends.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use aft::ba::{BinaryBa, OracleCoin};
+use aft::core::{CoinKind, FairChoiceParams, Fba};
 use aft::sim::{
     Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, SessionId, SessionTag,
     SimNetwork,
 };
+use aft::svss::{ShareMsg, SvssShare};
 
-/// Counts heap acquisitions (alloc/realloc) while armed; frees are not
-/// counted — the property under test is "no new memory is requested".
+/// Counts heap acquisitions (alloc/realloc) by the thread that armed it;
+/// frees are not counted — the property under test is "no new memory is
+/// requested". Other threads (the harness starting the next test) do not
+/// count.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Const-initialised and without a destructor, so reading it from the
+    /// allocator neither allocates nor runs after thread teardown.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -65,13 +81,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// tests must not interleave.
 static WINDOW: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with the counter armed and returns how many allocations it
-/// performed.
+/// Runs `f` with the counter armed for this thread and returns how many
+/// allocations it performed.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     (ALLOCS.load(Ordering::SeqCst), out)
 }
 
@@ -147,4 +163,71 @@ fn ba_episode_allocates_a_bounded_constant_per_message() {
          ({per_message:.1}/msg) — the delivery path should be pool-backed, \
          with only protocol-state growth left"
     );
+}
+
+#[test]
+fn fba_episode_allocations_per_message_are_pinned() {
+    let _guard = WINDOW.lock().unwrap();
+    let sid = SessionId::root().child(SessionTag::new("alloc-fba", 0));
+    let episode = || {
+        let mut net = SimNetwork::new(NetConfig::new(4, 1, 1001), Box::new(RandomScheduler));
+        for p in 0..4 {
+            net.spawn(
+                PartyId(p),
+                sid.clone(),
+                Box::new(Fba::new(
+                    format!("v{p}"),
+                    FairChoiceParams::FixedK { k: 1 },
+                    CoinKind::WeakShared,
+                )),
+            );
+        }
+        net
+    };
+    // Intern the session tree with a throwaway episode of the same shape.
+    episode().run(u64::MAX);
+
+    let mut net = episode();
+    let (allocs, report) = count_allocs(|| net.run(u64::MAX));
+    let delivered = report.metrics.delivered.max(1);
+    let per_message = allocs as f64 / delivered as f64;
+    assert!(
+        per_message < FBA_ALLOCS_PER_MESSAGE,
+        "FBA episode allocated {allocs} times for {delivered} deliveries \
+         ({per_message:.3}/msg, bound {FBA_ALLOCS_PER_MESSAGE}) — with hash tables keyed by \
+         party in the SVSS / coin handlers this was {FBA_ALLOCS_PER_MESSAGE_HASHED}"
+    );
+}
+
+/// Allocations per delivered message of the n=4 FBA episode above: the
+/// bound, and what the same episode cost while `SvssShare`, `SvssRec`,
+/// the weak coin and `BinaryBa` kept `HashMap`s / `HashSet`s keyed by
+/// party (measured on the commit before they went).
+const FBA_ALLOCS_PER_MESSAGE: f64 = 1.4;
+const FBA_ALLOCS_PER_MESSAGE_HASHED: f64 = 1.86;
+
+#[test]
+fn junk_votes_allocate_nothing_in_a_share_instance() {
+    let _guard = WINDOW.lock().unwrap();
+    let n = 4;
+    let sid = SessionId::root().child(SessionTag::new("alloc-junk", 0));
+    let mut node = aft::sim::party_node(&NetConfig::new(n, 1, 3), 1);
+    let mut out = node.spawn(sid.clone(), Box::new(SvssShare::party(PartyId(0))));
+    // One real vote first, so the instance's tables exist and the node's
+    // buffers are warm.
+    let vote = |peer: usize| Payload::message(ShareMsg::Ok(PartyId(peer)));
+    node.deliver(PartyId(2), sid.clone(), vote(3), &mut out);
+    out.clear();
+    // Votes that name no party: `n`, and 10 000 ids past it, from a peer.
+    let junk: Vec<Payload> = (n..n + 10_000).map(vote).collect();
+    let (allocs, ()) = count_allocs(|| {
+        for payload in junk {
+            node.deliver(PartyId(3), sid.clone(), payload, &mut out);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "a refused vote must leave no trace to allocate for"
+    );
+    assert!(out.is_empty(), "and nothing to answer");
 }

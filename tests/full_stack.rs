@@ -11,7 +11,7 @@
 use aft::core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
 use aft::sim::wire::{MAX_KIND_LEN, MAX_SESSION_DEPTH};
 use aft::sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, SessionId, SessionTag,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
     SilentInstance, SimNetwork, StopReason, TraceMode,
 };
 
@@ -107,9 +107,41 @@ fn fba_full_stack_with_weak_shared_coins() {
 /// the boundary must not.
 #[test]
 fn fba_wire_byte_counts_are_pinned() {
-    let (n, t) = (4usize, 1usize);
+    let (m, _) = run_benchmark_fba("wire:random", 4, 1);
+    assert_eq!(
+        (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
+        (39_512, 39_512, 5_112_556, 0)
+    );
+}
+
+/// Schedule drift guard: execution 1 of the repo benchmark's `fba-n7-sim`
+/// (seed 1001, 502 586 deliveries). Under `random` every delivery draws
+/// from the scheduler's RNG, so one handler emitting one message more,
+/// fewer or earlier moves every count below — "the same messages in the
+/// same order" is what a change to protocol *state* (as opposed to the
+/// protocol) has to leave standing, and this is where `cargo test` says so.
+#[test]
+fn fba_n7_schedule_is_pinned() {
+    let (m, fingerprint) = run_benchmark_fba("sim:random", 7, 2);
+    assert_eq!(
+        (
+            m.sent,
+            m.steps,
+            m.sent_by_kind("wc-share"),
+            m.sent_by_kind("svss-core")
+        ),
+        (502_586, 502_586, 197_568, 51_450)
+    );
+    assert_eq!(fingerprint, 0xefc2_f512_ab16_afcd, "{fingerprint:#018x}");
+}
+
+/// One execution of the benchmark's FBA workloads (`aft_bench::run_fba`
+/// as `benchmark/` calls it: inputs `v0 … v(n-1)`, `k = 1`, the
+/// `WeakShared` coin, seed 1001) on backend `rt`: its metrics and the
+/// fingerprint the benchmark's determinism guard compares.
+fn run_benchmark_fba(rt: &str, n: usize, t: usize) -> (aft::sim::Metrics, u64) {
     aft::core::scenarios::register_standard_codecs();
-    let mut net = aft::sim::runtime_by_name("wire:random", NetConfig::new(n, t, 1001)).unwrap();
+    let mut net = aft::sim::runtime_by_name(rt, NetConfig::new(n, t, 1001)).unwrap();
     for p in 0..n {
         net.spawn(
             PartyId(p),
@@ -121,13 +153,16 @@ fn fba_wire_byte_counts_are_pinned() {
             )),
         );
     }
-    let report = net.run(2_000_000_000);
+    let report = net.run(4_000_000_000);
     assert_eq!(report.stop, StopReason::Quiescent);
-    let m = report.metrics;
-    assert_eq!(
-        (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
-        (39_512, 39_512, 5_112_556, 0)
-    );
+    let mut fp = aft::sim::Fingerprint::new();
+    fp.write_str("fba");
+    fp.write_metrics(&report.metrics);
+    for p in 0..n {
+        let out = net.output_as::<String>(PartyId(p), &sid("exp"));
+        fp.write_str(&format!("{:?}", Some(out.expect("terminates"))));
+    }
+    (report.metrics, fp.finish())
 }
 
 #[test]
