@@ -186,11 +186,6 @@ impl BinaryBa {
         }
     }
 
-    /// Number of rounds executed so far (diagnostics / experiments).
-    pub fn rounds_run(&self) -> u64 {
-        self.round
-    }
-
     fn vote_tag(kind: &'static str, round: u64, voter: PartyId, n: usize) -> SessionTag {
         SessionTag::new(kind, round * n as u64 + voter.0 as u64)
     }

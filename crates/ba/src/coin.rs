@@ -21,7 +21,7 @@
 //!   union and the order reconstructions start in are party order.
 
 use aft_field::Fp;
-use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
+use aft_sim::{mix, Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use rand::Rng;
 
@@ -73,14 +73,6 @@ impl OracleCoin {
     pub fn new(salt: u64) -> Self {
         OracleCoin { salt }
     }
-}
-
-/// SplitMix64 finalizer — a well-distributed integer hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl CoinSource for OracleCoin {

@@ -46,6 +46,7 @@ pub mod deployment;
 
 use aft_ba::{BinaryBa, CoinSource};
 use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
+use aft_sim::trace::push_json_str;
 use aft_sim::{
     Backend, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
     SilentInstance, StopReason, TraceMode,
@@ -185,22 +186,6 @@ pub struct Output {
     json: bool,
 }
 
-fn push_json_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl Output {
     /// Whether JSON mode is active.
     pub fn is_json(&self) -> bool {
@@ -231,7 +216,7 @@ impl Output {
             return;
         }
         let mut out = String::from("{\"table\":");
-        push_json_escaped(&mut out, title);
+        push_json_str(&mut out, title);
         out.push_str(",\"rows\":[");
         for (i, row) in rows.iter().enumerate() {
             if i > 0 {
@@ -242,9 +227,9 @@ impl Output {
                 if j > 0 {
                     out.push(',');
                 }
-                push_json_escaped(&mut out, h);
+                push_json_str(&mut out, h);
                 out.push(':');
-                push_json_escaped(&mut out, cell);
+                push_json_str(&mut out, cell);
             }
             out.push('}');
         }

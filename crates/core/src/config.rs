@@ -1,6 +1,7 @@
 //! Shared protocol configuration.
 
 use aft_ba::{CoinSource, LocalCoin, OracleCoin, WeakSharedCoin};
+use aft_sim::mix;
 
 /// Which common-coin source the embedded BA instances use.
 ///
@@ -17,14 +18,6 @@ pub enum CoinKind {
     /// SVSS-based weak shared coin (the information-theoretic
     /// configuration).
     WeakShared,
-}
-
-/// SplitMix64 finalizer, for decorrelating per-instance oracle salts.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl CoinKind {
@@ -48,14 +41,5 @@ mod tests {
         assert_eq!(CoinKind::Local.make(0).name(), "local");
         assert_eq!(CoinKind::Oracle(1).make(0).name(), "oracle");
         assert_eq!(CoinKind::WeakShared.make(0).name(), "weak-shared");
-    }
-
-    #[test]
-    fn mix_spreads_indices() {
-        // Adjacent indices must map to very different salts.
-        let a = mix(1);
-        let b = mix(2);
-        assert_ne!(a, b);
-        assert!(((a ^ b).count_ones()) > 8);
     }
 }

@@ -189,11 +189,6 @@ impl AdaptiveController {
     pub fn plan(&self) -> &CorruptionPlan {
         &self.plan
     }
-
-    /// Mutable access to the victim ledger (used to seed static victims).
-    pub fn plan_mut(&mut self) -> &mut CorruptionPlan {
-        &mut self.plan
-    }
 }
 
 /// Shared handle to the run's adaptive controller.

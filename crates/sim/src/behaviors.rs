@@ -6,6 +6,7 @@
 
 use crate::ids::PartyId;
 use crate::instance::{Context, Instance};
+use crate::mix;
 use crate::payload::Payload;
 use crate::wire::WireMessage;
 use rand::Rng;
@@ -87,14 +88,6 @@ impl Instance for MuteAfter {
 /// panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Garbage(pub u64);
-
-/// SplitMix64 step for deriving junk bytes deterministically.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl WireMessage for Garbage {
     const KIND: u16 = crate::wire::KIND_BEHAVIOR_BASE;

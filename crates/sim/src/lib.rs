@@ -116,6 +116,16 @@ pub use trace::{
 };
 pub use wire::{CodecRegistry, WireMessage};
 
+/// SplitMix64 finalizer — a well-distributed integer hash. Oracle-coin
+/// salts and the bytes of [`Garbage`] frames are derived with it, so its
+/// output is part of every recorded schedule.
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Builds a boxed scheduler by name — convenience for experiment sweeps.
 ///
 /// Supported names:
@@ -259,6 +269,15 @@ pub static ALL_SCHEDULERS: &[SchedulerFamily] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_spreads_indices() {
+        // Adjacent indices must map to very different salts.
+        let a = mix(1);
+        let b = mix(2);
+        assert_ne!(a, b);
+        assert!(((a ^ b).count_ones()) > 8);
+    }
 
     #[test]
     fn scheduler_by_name_covers_all() {

@@ -10,7 +10,7 @@ use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
     account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, Metrics, NetConfig,
-    RecoverPlan, RunReport, Runtime, StopReason, REJOIN_GRACE,
+    RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
 };
 use crate::scheduler::Scheduler;
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -110,7 +110,7 @@ pub struct SimNetwork {
     started: bool,
     /// Pending crash-recoveries, fired against the scheduler's virtual
     /// clock (see [`Runtime::schedule_recover`]).
-    recoveries: Vec<RecoverPlan>,
+    recoveries: Recoveries,
     /// Reusable dispatch-output buffer (empty between steps).
     scratch: Vec<Outgoing>,
     /// When present, every enqueued envelope round-trips through the
@@ -163,7 +163,7 @@ impl SimNetwork {
             crash_at: HashMap::new(),
             sink: None,
             started: false,
-            recoveries: Vec::new(),
+            recoveries: Recoveries::default(),
             scratch: Vec::new(),
             codec: None,
             adaptive: None,
@@ -291,7 +291,7 @@ impl SimNetwork {
         if limit == 0 {
             return 0;
         }
-        self.fire_recoveries();
+        self.fire_recoveries(false);
         let Some((slot, run)) = self.pick_next() else {
             return 0;
         };
@@ -425,10 +425,7 @@ impl SimNetwork {
                 break StopReason::StepLimit;
             }
             if self.step_bounded(remaining) == 0 {
-                // Out of traffic with recoveries still scheduled: jump
-                // the virtual clock to the last due time and fire them
-                // (each forcing empties plans, so this terminates).
-                if self.force_recoveries() {
+                if self.fire_recoveries(true) {
                     continue;
                 }
                 break StopReason::Quiescent;
@@ -443,21 +440,6 @@ impl SimNetwork {
             });
         }
         self.report(reason)
-    }
-
-    /// Convenience: runs until every listed party has an output for
-    /// `session` (or the budget runs out).
-    pub fn run_until_outputs(
-        &mut self,
-        max_steps: u64,
-        session: &SessionId,
-        parties: &[PartyId],
-    ) -> RunReport {
-        let session = session.clone();
-        let parties = parties.to_vec();
-        self.run_until(max_steps, move |net| {
-            parties.iter().all(|&p| net.output(p, &session).is_some())
-        })
     }
 
     fn report(&self, stop: StopReason) -> RunReport {
@@ -579,39 +561,36 @@ impl SimNetwork {
         }
     }
 
-    /// Fires due recovery phases against the virtual clock. Phase 1 at
-    /// `at`: the party un-crashes, un-mutes and retires its stale
-    /// session slot. Phase 2 at `at + REJOIN_GRACE`: the stored
-    /// instance respawns — deliveries that landed in the gap
-    /// early-buffered in the fresh slot and replay at spawn, making the
-    /// mid-episode rejoin observable.
-    fn fire_recoveries(&mut self) {
+    /// Applies the recovery phases that are due on the scheduler's virtual
+    /// clock (see [`Recoveries::due`]). With `force` — out of traffic with
+    /// recoveries still scheduled — the clock first jumps to the last
+    /// plan's horizon and everything fires; each forcing empties the
+    /// plans, so the caller's loop terminates. Returns whether anything
+    /// fired.
+    fn fire_recoveries(&mut self, force: bool) -> bool {
         if self.recoveries.is_empty() {
-            return;
+            return false;
         }
-        let Some(vnow) = self.scheduler.virtual_now() else {
-            return;
-        };
-        for i in 0..self.recoveries.len() {
-            if !self.recoveries[i].revived && self.recoveries[i].at <= vnow {
-                let party = self.recoveries[i].party;
-                let at = self.recoveries[i].at;
-                let session = self.recoveries[i].session.clone();
-                self.recoveries[i].revived = true;
-                self.revive(party, at, &session);
+        if force {
+            self.scheduler.fast_forward(self.recoveries.horizon());
+        }
+        let scheduler = &self.scheduler;
+        let phases = self.recoveries.due(|_| scheduler.virtual_now(), force);
+        let fired = !phases.is_empty();
+        for phase in phases {
+            match phase {
+                RecoverPhase::Revive { party, at, session } => self.revive(party, at, &session),
+                RecoverPhase::Respawn {
+                    party,
+                    session,
+                    instance,
+                } => SimNetwork::spawn(self, party, session, instance),
             }
         }
-        let mut i = 0;
-        while i < self.recoveries.len() {
-            if self.recoveries[i].revived && self.recoveries[i].at + REJOIN_GRACE <= vnow {
-                let plan = self.recoveries.remove(i);
-                if let Some(instance) = plan.instance {
-                    SimNetwork::spawn(self, plan.party, plan.session, instance);
-                }
-            } else {
-                i += 1;
-            }
+        if force {
+            self.drain_net_events_to_sink();
         }
+        fired
     }
 
     /// Recovery phase 1 for one party.
@@ -631,37 +610,6 @@ impl SimNetwork {
                 party,
             });
         }
-    }
-
-    /// Forces all scheduled recoveries at quiescence: fast-forwards the
-    /// virtual clock past the last due time and fires both phases (for
-    /// order-only schedulers, which cannot fast-forward, the plans fire
-    /// unconditionally). Returns whether anything fired — the caller
-    /// then re-enters the delivery loop.
-    fn force_recoveries(&mut self) -> bool {
-        if self.recoveries.is_empty() {
-            return false;
-        }
-        let target = self
-            .recoveries
-            .iter()
-            .map(|r| r.at.saturating_add(REJOIN_GRACE))
-            .max()
-            .expect("non-empty");
-        self.scheduler.fast_forward(target);
-        self.fire_recoveries();
-        self.drain_net_events_to_sink();
-        // Order-only schedulers report no clock: fire the plans directly.
-        let plans = std::mem::take(&mut self.recoveries);
-        for plan in plans {
-            if !plan.revived {
-                self.revive(plan.party, plan.at, &plan.session);
-            }
-            if let Some(instance) = plan.instance {
-                SimNetwork::spawn(self, plan.party, plan.session, instance);
-            }
-        }
-        true
     }
 
     /// Forwards the scheduler's queued partition lifecycle events to the
@@ -758,13 +706,7 @@ impl Runtime for SimNetwork {
         session: SessionId,
         instance: Box<dyn Instance>,
     ) -> bool {
-        self.recoveries.push(RecoverPlan {
-            party,
-            at: at_vtime,
-            session,
-            instance: Some(instance),
-            revived: false,
-        });
+        self.recoveries.schedule(party, at_vtime, session, instance);
         true
     }
 

@@ -138,15 +138,6 @@ impl Metrics {
             .map_or(0, |&(_, c)| c)
     }
 
-    /// Virtual time of the last delivery whose session's leaf kind is
-    /// `kind` (0 when no such delivery happened or no clock ran).
-    pub fn virtual_time_by_kind(&self, kind: &str) -> u64 {
-        self.vtime_by_kind
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map_or(0, |&(_, c)| c)
-    }
-
     /// All `(kind, virtual completion time)` pairs, in first-seen order —
     /// empty unless a virtual clock ran.
     pub fn virtual_times(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
@@ -563,21 +554,142 @@ pub(crate) fn deliver_counted(
 /// (phase 2: the fresh instance starts). Deliveries landing in the gap
 /// early-buffer in the fresh slot and replay at spawn, which is what
 /// makes a mid-episode rejoin observable end-to-end.
-pub(crate) const REJOIN_GRACE: u64 = 8;
+const REJOIN_GRACE: u64 = 8;
 
 /// One pending crash-recovery: at virtual time `at`, the crashed party
 /// revives; [`REJOIN_GRACE`] ticks later its stored instance respawns.
-pub(crate) struct RecoverPlan {
-    /// The recovering party.
-    pub party: PartyId,
+struct RecoverPlan {
+    party: PartyId,
     /// Virtual time of phase 1 (revival).
-    pub at: u64,
+    at: u64,
     /// Session to retire and respawn.
-    pub session: SessionId,
+    session: SessionId,
     /// The replacement instance, consumed at phase 2.
-    pub instance: Option<Box<dyn Instance>>,
+    instance: Box<dyn Instance>,
     /// Whether phase 1 has run.
-    pub revived: bool,
+    revived: bool,
+}
+
+impl RecoverPlan {
+    fn revive(&self) -> RecoverPhase {
+        RecoverPhase::Revive {
+            party: self.party,
+            at: self.at,
+            session: self.session.clone(),
+        }
+    }
+
+    fn respawn(self) -> RecoverPhase {
+        RecoverPhase::Respawn {
+            party: self.party,
+            session: self.session,
+            instance: self.instance,
+        }
+    }
+}
+
+/// One phase of a crash-recovery that has come due; the engine applies it.
+pub(crate) enum RecoverPhase {
+    /// Phase 1: the party un-crashes and its stale session slot is
+    /// retired — it rejoins with amnesia, and traffic arriving before the
+    /// respawn early-buffers for replay.
+    Revive {
+        party: PartyId,
+        /// The plan's revival time, for the trace.
+        at: u64,
+        session: SessionId,
+    },
+    /// Phase 2: the stored instance starts and the early buffer replays.
+    Respawn {
+        party: PartyId,
+        session: SessionId,
+        instance: Box<dyn Instance>,
+    },
+}
+
+/// An engine's scheduled crash-recoveries and the rule for when each of
+/// their two phases fires. The engines own the clocks and how a phase is
+/// applied; which phase is due, and in what order, is decided here.
+#[derive(Default)]
+pub(crate) struct Recoveries {
+    plans: Vec<RecoverPlan>,
+}
+
+impl Recoveries {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.plans.is_empty()
+    }
+
+    /// Schedules `party` to revive at virtual time `at` and to respawn
+    /// `instance` under `session` [`REJOIN_GRACE`] ticks later.
+    pub(crate) fn schedule(
+        &mut self,
+        party: PartyId,
+        at: u64,
+        session: SessionId,
+        instance: Box<dyn Instance>,
+    ) {
+        self.plans.push(RecoverPlan {
+            party,
+            at,
+            session,
+            instance,
+            revived: false,
+        });
+    }
+
+    /// The virtual time by which every plan has run both phases — where
+    /// an engine fast-forwards its clocks before forcing.
+    pub(crate) fn horizon(&self) -> u64 {
+        self.plans
+            .iter()
+            .map(|plan| plan.at.saturating_add(REJOIN_GRACE))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Takes the phases that are due, in the order they must be applied:
+    /// every due revival in plan order, then every due respawn in plan
+    /// order. `now(party)` is the virtual clock that party's deliveries
+    /// run on, `None` for an order-only scheduler.
+    ///
+    /// With `force` — at would-be quiescence, after the engine moved its
+    /// clocks to [`horizon`](Recoveries::horizon) — whatever is left fires
+    /// too, revival then respawn plan by plan: a scheduler without a clock
+    /// never reports a phase due, but the rejoin must still happen before
+    /// the run can be called quiescent.
+    pub(crate) fn due(
+        &mut self,
+        now: impl Fn(PartyId) -> Option<u64>,
+        force: bool,
+    ) -> Vec<RecoverPhase> {
+        let reached = |party, time: u64| now(party).is_some_and(|vnow| time <= vnow);
+        let mut phases = Vec::new();
+        for plan in &mut self.plans {
+            if !plan.revived && reached(plan.party, plan.at) {
+                plan.revived = true;
+                phases.push(plan.revive());
+            }
+        }
+        let mut i = 0;
+        while i < self.plans.len() {
+            let plan = &self.plans[i];
+            if plan.revived && reached(plan.party, plan.at.saturating_add(REJOIN_GRACE)) {
+                phases.push(self.plans.remove(i).respawn());
+            } else {
+                i += 1;
+            }
+        }
+        if force {
+            for plan in self.plans.drain(..) {
+                if !plan.revived {
+                    phases.push(plan.revive());
+                }
+                phases.push(plan.respawn());
+            }
+        }
+        phases
+    }
 }
 
 /// One execution engine: deploy [`Instance`]s, run, read outputs.
@@ -758,8 +870,75 @@ pub fn runtime_by_name(name: &str, config: NetConfig) -> Option<Box<dyn Runtime>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behaviors::SilentInstance;
     use crate::ids::SessionTag;
     use crate::instance::Context;
+
+    /// The phases `r` reports due with every clock at `now`, as
+    /// `(phase, party)` pairs.
+    fn due_at(r: &mut Recoveries, now: Option<u64>, force: bool) -> Vec<(&'static str, usize)> {
+        r.due(|_| now, force)
+            .iter()
+            .map(|phase| match phase {
+                RecoverPhase::Revive { party, .. } => ("revive", party.0),
+                RecoverPhase::Respawn { party, .. } => ("respawn", party.0),
+            })
+            .collect()
+    }
+
+    fn plan(r: &mut Recoveries, party: usize, at: u64) {
+        let session = SessionId::root().child(SessionTag::new("rejoin", 0));
+        r.schedule(PartyId(party), at, session, Box::new(SilentInstance));
+    }
+
+    #[test]
+    fn recovery_phases_fire_once_each_on_the_clock() {
+        let mut r = Recoveries::default();
+        plan(&mut r, 3, 80);
+        assert_eq!(r.horizon(), 80 + REJOIN_GRACE);
+        assert_eq!(due_at(&mut r, Some(79), false), []);
+        assert_eq!(due_at(&mut r, Some(80), false), [("revive", 3)]);
+        // Revived, not yet respawned: nothing more inside the grace gap.
+        assert_eq!(due_at(&mut r, Some(80 + REJOIN_GRACE - 1), false), []);
+        assert!(!r.is_empty());
+        assert_eq!(
+            due_at(&mut r, Some(80 + REJOIN_GRACE), false),
+            [("respawn", 3)]
+        );
+        assert!(r.is_empty(), "a respawned plan is gone");
+        assert_eq!(due_at(&mut r, Some(u64::MAX), true), []);
+    }
+
+    #[test]
+    fn a_clock_past_the_horizon_fires_revivals_before_respawns_in_plan_order() {
+        let mut r = Recoveries::default();
+        plan(&mut r, 2, 90);
+        plan(&mut r, 1, 40);
+        let horizon = r.horizon();
+        assert_eq!(horizon, 90 + REJOIN_GRACE);
+        assert_eq!(
+            due_at(&mut r, Some(horizon), false),
+            [("revive", 2), ("revive", 1), ("respawn", 2), ("respawn", 1)]
+        );
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn forcing_without_a_clock_rejoins_every_plan_in_plan_order() {
+        let mut r = Recoveries::default();
+        plan(&mut r, 2, 90);
+        plan(&mut r, 1, 40);
+        assert_eq!(due_at(&mut r, None, false), [], "no clock, nothing is due");
+        assert_eq!(
+            due_at(&mut r, None, true),
+            [("revive", 2), ("respawn", 2), ("revive", 1), ("respawn", 1)]
+        );
+        assert!(r.is_empty());
+        // A plan revived on the clock is not revived again when forced.
+        plan(&mut r, 3, 10);
+        assert_eq!(due_at(&mut r, Some(10), false), [("revive", 3)]);
+        assert_eq!(due_at(&mut r, None, true), [("respawn", 3)]);
+    }
 
     #[test]
     fn metrics_interned_kind_counting() {

@@ -52,8 +52,8 @@ use crate::node::Node;
 use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
-    build_node, deliver_counted, DeliverTrace, Metrics, NetConfig, RecoverPlan, RunReport, Runtime,
-    StopReason, REJOIN_GRACE,
+    build_node, deliver_counted, DeliverTrace, Metrics, NetConfig, RecoverPhase, Recoveries,
+    RunReport, Runtime, StopReason,
 };
 use crate::scheduler::{RandomScheduler, Scheduler};
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -297,7 +297,7 @@ pub struct ShardedSimRuntime {
     /// Scheduled crash-recoveries, fired when a party's virtual clock
     /// reaches the plan time (forced at would-be quiescence so order-only
     /// schedulers still observe the rejoin).
-    recoveries: Vec<RecoverPlan>,
+    recoveries: Recoveries,
     /// Completed epoch barriers (also the `born_step` stamp of emissions).
     epoch: u64,
     /// Total deliveries executed, across all shards and epochs.
@@ -378,7 +378,7 @@ impl ShardedSimRuntime {
             workers: k.min(cores),
             parties,
             pending_spawns: Vec::new(),
-            recoveries: Vec::new(),
+            recoveries: Recoveries::default(),
             epoch: 0,
             steps: 0,
             sink: None,
@@ -586,87 +586,43 @@ impl ShardedSimRuntime {
         }
     }
 
-    /// Fires due crash-recoveries against each plan party's own virtual
-    /// clock: phase 1 (revive) at the plan time, phase 2 (respawn the
-    /// stored instance, replaying the early buffer) after
-    /// [`REJOIN_GRACE`]. With `force`, fast-forwards every party's clock
-    /// past the last plan and fires everything — the would-be-quiescence
-    /// path, which also covers order-only schedulers with no clock.
-    /// Returns whether anything fired (the caller runs a barrier so the
-    /// respawn's sends become deliverable).
+    /// Applies the recovery phases that are due on each plan party's own
+    /// virtual clock (see [`Recoveries::due`]). With `force` — the
+    /// would-be-quiescence path — every party's clock first jumps to the
+    /// last plan's horizon and everything fires. Returns whether anything
+    /// fired (the caller runs a barrier so the respawn's sends become
+    /// deliverable).
     fn fire_recoveries(&mut self, force: bool) -> bool {
         if self.recoveries.is_empty() {
             return false;
         }
         if force {
-            let target = self
-                .recoveries
-                .iter()
-                .map(|r| r.at.saturating_add(REJOIN_GRACE))
-                .max()
-                .unwrap_or(0);
+            let target = self.recoveries.horizon();
             for ps in &mut self.parties {
                 ps.scheduler.fast_forward(target);
             }
         }
-        let mut changed = false;
-        for i in 0..self.recoveries.len() {
-            let plan = &self.recoveries[i];
-            let (party, at, revived) = (plan.party, plan.at, plan.revived);
-            if revived {
-                continue;
-            }
-            let due = self.parties[party.0]
-                .scheduler
-                .virtual_now()
-                .is_some_and(|vnow| at <= vnow);
-            if due {
-                let session = self.recoveries[i].session.clone();
-                self.revive(party, at, &session);
-                self.recoveries[i].revived = true;
-                changed = true;
-            }
-        }
+        let parties = &self.parties;
+        let phases = self
+            .recoveries
+            .due(|party| parties[party.0].scheduler.virtual_now(), force);
+        let fired = !phases.is_empty();
         let n = self.config.n as u64;
-        let epoch = self.epoch;
-        let mut i = 0;
-        while i < self.recoveries.len() {
-            let plan = &self.recoveries[i];
-            let due = plan.revived
-                && self.parties[plan.party.0]
-                    .scheduler
-                    .virtual_now()
-                    .is_some_and(|vnow| plan.at.saturating_add(REJOIN_GRACE) <= vnow);
-            if due {
-                let plan = self.recoveries.remove(i);
-                if let Some(instance) = plan.instance {
-                    let ps = &mut self.parties[plan.party.0];
-                    ps.scratch = ps.node.spawn(plan.session, instance);
-                    ps.flush_sends(plan.party, n, epoch, None);
+        for phase in phases {
+            match phase {
+                RecoverPhase::Revive { party, at, session } => self.revive(party, at, &session),
+                RecoverPhase::Respawn {
+                    party,
+                    session,
+                    instance,
+                } => {
+                    let ps = &mut self.parties[party.0];
+                    ps.scratch = ps.node.spawn(session, instance);
+                    ps.flush_sends(party, n, self.epoch, None);
                 }
-                changed = true;
-            } else {
-                i += 1;
             }
         }
-        if force {
-            // Unconditional fallback: schedulers without a virtual clock
-            // never report `due`, but the rejoin must still happen before
-            // the run can be called quiescent.
-            let plans = std::mem::take(&mut self.recoveries);
-            for plan in plans {
-                if !plan.revived {
-                    self.revive(plan.party, plan.at, &plan.session);
-                }
-                if let Some(instance) = plan.instance {
-                    let ps = &mut self.parties[plan.party.0];
-                    ps.scratch = ps.node.spawn(plan.session, instance);
-                    ps.flush_sends(plan.party, n, epoch, None);
-                }
-                changed = true;
-            }
-        }
-        changed
+        fired
     }
 
     fn report(&self, stop: StopReason) -> RunReport {
@@ -723,7 +679,7 @@ impl Runtime for ShardedSimRuntime {
                 self.merge_barrier();
             }
             if self.pending_len() == 0 {
-                if !self.recoveries.is_empty() && self.fire_recoveries(true) {
+                if self.fire_recoveries(true) {
                     self.merge_barrier();
                     continue;
                 }
@@ -777,13 +733,7 @@ impl Runtime for ShardedSimRuntime {
         session: SessionId,
         instance: Box<dyn Instance>,
     ) -> bool {
-        self.recoveries.push(RecoverPlan {
-            party,
-            at: at_vtime,
-            session,
-            instance: Some(instance),
-            revived: false,
-        });
+        self.recoveries.schedule(party, at_vtime, session, instance);
         true
     }
 

@@ -1,8 +1,9 @@
 //! The threaded runtime: the same [`Instance`] protocol code running over
 //! real OS threads and channels instead of the deterministic simulator.
 //!
-//! Each party is one thread owning its [`Node`]; links are unbounded
-//! channels; delivery order is whatever the OS scheduler produces — a
+//! Each party is one thread owning its [`Node`] and the receiving end of
+//! its inbox, an unbounded `std::sync::mpsc` channel made anew for every
+//! episode; delivery order is whatever the OS scheduler produces — a
 //! genuinely asynchronous (if benign) network. The runtime exists to
 //! demonstrate that the protocol implementations are not simulator-bound;
 //! quantitative experiments use [`SimNetwork`] for determinism and
@@ -37,9 +38,9 @@ use crate::runtime::{
     build_node, deliver_counted, DeliverTrace, Metrics, NetConfig, RunReport, Runtime, StopReason,
 };
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -146,7 +147,7 @@ fn run_episode(
     let mut senders: Vec<Sender<Wire>> = Vec::with_capacity(n);
     let mut receivers: Vec<Receiver<Wire>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -161,9 +162,10 @@ fn run_episode(
 
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for (p, (mut node, instances)) in nodes.into_iter().zip(spawns).enumerate() {
+        for (p, ((mut node, instances), rx)) in
+            nodes.into_iter().zip(spawns).zip(receivers).enumerate()
+        {
             let me = PartyId(p);
-            let rx = receivers[p].clone();
             let senders = senders.clone();
             let state = Arc::clone(&state);
             handles.push(scope.spawn(move || {
@@ -771,6 +773,19 @@ mod tests {
         let report = rt.run(500);
         assert_eq!(report.stop, StopReason::StepLimit);
         assert!(report.metrics.steps <= 501, "{}", report.metrics.steps);
+        // Every inbox died with its worker; the next episode on the same
+        // runtime builds new ones and is not fed the drained pings.
+        let other = SessionId::root().child(SessionTag::new("second", 0));
+        for p in 0..4 {
+            rt.spawn(PartyId(p), other.clone(), Box::new(Hello { heard: 0 }));
+        }
+        let steps_before = report.metrics.steps;
+        let report = rt.run(u64::MAX);
+        assert_eq!(report.stop, StopReason::Quiescent);
+        assert_eq!(report.metrics.steps, steps_before + 16);
+        for p in 0..4 {
+            assert_eq!(rt.output_as::<usize>(PartyId(p), &other), Some(&4));
+        }
     }
 
     #[test]

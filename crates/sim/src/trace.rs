@@ -551,7 +551,9 @@ impl fmt::Display for TraceSummary {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
