@@ -2,9 +2,10 @@
 
 use crate::ba::{V1, V2, V3};
 use aft_broadcast::Acast;
+use aft_sim::trace::session_kind;
 use aft_sim::{
-    AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance, ObsEvent, PartyId,
-    Payload, SessionTag,
+    AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance, PartyId, Payload,
+    SessionTag, TraceEvent,
 };
 use rand::Rng;
 
@@ -85,14 +86,14 @@ impl CoinFavorite {
 }
 
 impl aft_sim::AdaptiveAttack for CoinFavorite {
-    fn observe(&mut self, ev: &ObsEvent, plan: &mut CorruptionPlan) {
+    fn observe(&mut self, ev: &TraceEvent, plan: &mut CorruptionPlan) {
         // Only BA vote traffic (acast sessions tagged bav1/bav2/bav3)
-        // counts toward "favored": scheduler picks and other kinds say
-        // nothing about who the coin would elect.
-        let ObsEvent::Deliver { from, kind, .. } = ev else {
+        // counts toward "favored": other kinds say nothing about who the
+        // coin would elect.
+        let TraceEvent::Deliver { from, session, .. } = ev else {
             return;
         };
-        if !kind.starts_with("bav") {
+        if !session_kind(session).starts_with("bav") {
             return;
         }
         if self.counts.is_empty() {

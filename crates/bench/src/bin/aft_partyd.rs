@@ -1,11 +1,13 @@
 //! `aft-partyd` — one party of a deployed protocol run, in its own OS
 //! process.
 //!
-//! The daemon hosts exactly one [`Node`](aft_sim::Node), built with the
-//! same constructor (and per-party RNG derivation) as every in-process
-//! backend, and exchanges envelopes with its peers over loopback TCP
-//! through `aft_sim::deploy`'s peer links (envelope format, framing,
-//! `TCP_NODELAY`, burst writes and buffered reads all live there). It is
+//! The daemon drives exactly one [`PartyHost`] — the node, its metrics and
+//! its send numbering, the same per-party half of a delivery that a
+//! `sharded` party slot and a `threaded` worker drive — and what is its own
+//! is where the sends go: it exchanges envelopes with its peers over
+//! loopback TCP through `aft_sim::deploy`'s peer links (envelope format,
+//! framing, `TCP_NODELAY`, burst writes and buffered reads all live
+//! there). It is
 //! driven by `exp_deployment` (or any supervisor speaking the same
 //! control protocol — see `aft_bench::deployment`):
 //!
@@ -32,7 +34,7 @@ use aft_bench::cli::{Cli, Flag};
 use aft_bench::deployment::DeployStack;
 use aft_core::scenarios::standard_registry;
 use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
-use aft_sim::{encode_envelope, party_node, Outgoing, PartyId};
+use aft_sim::{encode_envelope, Outgoing, PartyHost, PartyId};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -90,8 +92,9 @@ struct Link {
 const LINK_CLOSE_TIMEOUT: Duration = Duration::from_millis(100);
 
 struct Daemon {
-    me: PartyId,
-    node: aft_sim::Node,
+    /// The party: its sent and delivered counts are `host.metrics()`,
+    /// full [`aft_sim::Metrics`] like any in-process party's.
+    host: PartyHost,
     session: aft_sim::SessionId,
     links: Vec<Option<Link>>,
     /// Every envelope ever sent to each peer, for replay when that peer
@@ -100,8 +103,6 @@ struct Daemon {
     outbox: Vec<Vec<Arc<[u8]>>>,
     /// Encoding scratch, reused across envelopes.
     scratch: Vec<u8>,
-    sent: u64,
-    delivered: u64,
     /// Envelopes dropped at a link: malformed routing header, or a
     /// `from` other than the link's owner.
     rejected: u64,
@@ -180,34 +181,41 @@ impl Daemon {
             }
             return;
         };
-        let mut out = Vec::new();
-        if self.node.deliver(owner, session, payload, &mut out) {
-            self.delivered += 1;
-        }
-        self.dispatch(out);
+        self.deliver(owner, session, payload);
+        self.dispatch();
+    }
+
+    /// A link envelope carries no send number and no daemon records a
+    /// trace yet, hence no `seq`, clock or sink.
+    fn deliver(&mut self, from: PartyId, session: aft_sim::SessionId, payload: aft_sim::Payload) {
+        self.host.deliver(from, session, payload, 0, None, None);
+    }
+
+    /// Moves the host's waiting sends to the back of `pending`.
+    fn take_sends(&mut self, pending: &mut VecDeque<Outgoing>) {
+        self.host
+            .drain_sends(None, None, |_, o| pending.push_back(o));
     }
 
     fn links_up(&self) -> usize {
         self.links.iter().filter(|l| l.is_some()).count()
     }
 
-    /// Routes a batch of sends: self-addressed envelopes are delivered
-    /// locally (breadth-first, like the simulator's queue), the rest are
-    /// encoded once and handed to the per-peer writer.
-    fn dispatch(&mut self, out: Vec<Outgoing>) {
-        let mut pending: VecDeque<Outgoing> = out.into();
+    /// Routes the host's waiting sends: self-addressed envelopes are
+    /// delivered locally (breadth-first, like the simulator's queue), the
+    /// rest are encoded once and handed to the per-peer writer.
+    fn dispatch(&mut self) {
+        let me = self.host.node().id();
+        let mut pending = VecDeque::new();
+        self.take_sends(&mut pending);
         while let Some(o) = pending.pop_front() {
-            self.sent += 1;
-            if o.to == self.me {
-                let mut more = Vec::new();
-                if self.node.deliver(self.me, o.session, o.payload, &mut more) {
-                    self.delivered += 1;
-                }
-                pending.extend(more);
+            if o.to == me {
+                self.deliver(me, o.session, o.payload);
+                self.take_sends(&mut pending);
                 continue;
             }
             self.scratch.clear();
-            if !encode_envelope(self.me, &o.session, &o.payload, &mut self.scratch) {
+            if !encode_envelope(me, &o.session, &o.payload, &mut self.scratch) {
                 // Typed outputs never cross the wire; nothing honest
                 // emits one as a send, so just surface and drop.
                 eprintln!("aft-partyd: dropping non-wire payload to {}", o.to.0);
@@ -227,7 +235,7 @@ impl Daemon {
         if self.output_reported {
             return;
         }
-        if let Some(payload) = self.node.output(&self.session) {
+        if let Some(payload) = self.host.node().output(&self.session) {
             if let Some(text) = self.stack.render_output(payload) {
                 println!("output {text}");
                 let _ = std::io::stdout().flush();
@@ -309,14 +317,11 @@ fn main() {
     });
 
     let mut daemon = Daemon {
-        me,
-        node: party_node(&config, party),
+        host: PartyHost::new(&config, party),
         session,
         links: (0..n).map(|_| None).collect(),
         outbox: vec![Vec::new(); n],
         scratch: Vec::new(),
-        sent: 0,
-        delivered: 0,
         rejected: 0,
         output_reported: false,
         stack,
@@ -371,14 +376,14 @@ fn main() {
                             });
                         match built {
                             Ok((instance, crash)) => {
-                                let out = daemon.node.spawn(daemon.session.clone(), instance);
+                                daemon.host.spawn(daemon.session.clone(), instance);
                                 if crash {
                                     // Whole-party crash at spawn: the
                                     // initial sends are retracted, as
                                     // on every in-process backend.
-                                    daemon.node.crash();
+                                    daemon.host.crash();
                                 } else {
-                                    daemon.dispatch(out);
+                                    daemon.dispatch();
                                 }
                             }
                             Err(e) => fatal(&e),
@@ -427,9 +432,10 @@ fn main() {
         }
     }
     daemon.close_links(&rx);
+    let metrics = daemon.host.metrics();
     println!(
         "metrics sent={} delivered={} rejected={}",
-        daemon.sent, daemon.delivered, daemon.rejected
+        metrics.sent, metrics.delivered, daemon.rejected
     );
     println!("bye");
     let _ = std::io::stdout().flush();

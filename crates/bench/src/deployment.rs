@@ -129,7 +129,7 @@ pub fn partyd_path(explicit: Option<&Path>) -> Result<PathBuf, String> {
 /// Everything [`run_deployment`] needs to supervise one run.
 #[derive(Debug, Clone)]
 pub struct DeployOptions {
-    /// The scenario string; must carry `rt=proc` (or `rt=proc:<n>`).
+    /// The scenario string; must carry `rt=proc`.
     pub spec: String,
     /// Which reference stack to run.
     pub stack: DeployStack,

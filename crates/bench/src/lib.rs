@@ -120,17 +120,10 @@ impl RuntimeSpec {
 
     /// Builds the runtime for a row with scheduler `sched`.
     ///
-    /// A `proc:<k>` that disagrees with the row's `n` is a usage error
-    /// (experiments sweep `n` per row) and exits 2.
-    ///
     /// # Panics
     ///
     /// Panics on a scheduler name no row of this crate uses.
     pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
-        if let Err(e) = self.backend.check_parties(config.n) {
-            eprintln!("error: --runtime {}: {e}", self.name);
-            std::process::exit(2);
-        }
         let backend = self.backend.clone().with_sched(sched);
         backend
             .build(config)
@@ -481,9 +474,8 @@ pub fn fmt_prob(successes: usize, trials: usize) -> String {
     if trials == 0 {
         return "n/a".into();
     }
-    let p = successes as f64 / trials as f64;
-    let ci = 1.96 * (p * (1.0 - p) / trials as f64).sqrt();
-    format!("{p:.3} ± {ci:.3}")
+    let b = aft_sim::Bernoulli { successes, trials };
+    format!("{:.3} ± {:.3}", b.estimate(), b.ci95())
 }
 
 #[cfg(test)]
@@ -528,9 +520,6 @@ mod tests {
                 assert!(RuntimeSpec::parse(&pinned).is_err());
             }
         }
-        let proc_sized = RuntimeSpec::named("proc:4");
-        assert!(!proc_sized.honors_schedulers());
-        assert_eq!(proc_sized.backend_for("lifo"), "proc:4");
     }
 
     #[test]
@@ -545,7 +534,7 @@ mod tests {
 
     #[test]
     fn coin_runner_on_async_and_proc_backends() {
-        for name in ["async", "proc:4"] {
+        for name in ["async", "proc"] {
             let rt = RuntimeSpec::named(name);
             let out = flip(&rt);
             assert!(out.all_terminated, "{name}");

@@ -2,57 +2,33 @@
 //!
 //! The paper's model grants the adversary *adaptive* corruption of up to t
 //! parties: it watches the run and picks victims based on what it sees (e.g.
-//! corrupt whoever the weak coin favors). This module supplies the machinery:
+//! corrupt whoever the weak coin favors). What it sees is the flight
+//! recorder's stream (see [`trace`](crate::trace)) and nothing else — there is
+//! one account of a run, and the adversary reads the same one a trace file
+//! holds. This module supplies the machinery:
 //!
-//! - [`ObsEvent`]: the observation stream an adaptive attack sees, fed by the
-//!   scheduler from the same `Deliver`/`SchedulerPick` facts the trace layer
-//!   records, so decisions are a pure function of `(seed, scenario string)`.
 //! - [`CorruptionPlan`]: the victim ledger. Enforces the ≤ t distinct-victims
 //!   cap; every refused corruption is counted so tests can assert the cap.
 //! - [`AdaptiveAttack`]: the policy trait protocol crates implement and
-//!   register under `corrupt=adaptive:<name>[:args]@*`.
+//!   register under `corrupt=adaptive:<name>[:args]@*`. A policy is shown
+//!   every [`TraceEvent::Deliver`] its engine records, in recording order —
+//!   receiver, sender, session, no payload bytes — so its decisions are a
+//!   pure function of `(seed, scenario string)`.
 //! - [`AdaptiveShell`]: a wrapper instance deployed around every honest party.
 //!   While the party is un-corrupted the shell is perfectly transparent; once
 //!   the controller marks the party corrupted the shell switches to the
 //!   selected byzantine behavior.
+//! - `Observer`: the one sink a deterministic engine records into — the
+//!   installed controller in front of the optional recorder.
 
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
 use crate::behaviors::Garbage;
 use crate::instance::{Context, Instance};
-use crate::{PartyId, Payload, SessionTag};
-
-/// One observation delivered to an adaptive attack.
-///
-/// Events mirror the trace subsystem's `Deliver` / `SchedulerPick` records but
-/// carry only schedule-stable facts (no payload bytes): adaptive decisions must
-/// replay bit-for-bit from `(seed, scenario string)`.
-#[derive(Debug, Clone)]
-pub enum ObsEvent {
-    /// A message was delivered to `party`.
-    Deliver {
-        /// Receiving party.
-        party: PartyId,
-        /// Sending party.
-        from: PartyId,
-        /// Session kind of the innermost session tag (`"root"` at the root).
-        kind: &'static str,
-        /// Delivery step counter on the observing runtime.
-        step: u64,
-    },
-    /// The scheduler picked a party's queue slot to run.
-    SchedulerPick {
-        /// Party whose traffic was picked.
-        party: PartyId,
-        /// Queue length at pick time.
-        queued: usize,
-        /// Number of envelopes in the picked batch.
-        run: usize,
-    },
-}
+use crate::trace::{TraceEvent, TraceMode, TraceSink, TraceSummary};
+use crate::{PartyId, PartySet, Payload, SessionTag};
 
 /// What a corrupted party does once the adversary flips it.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +53,7 @@ pub struct CorruptionPlan {
     n: usize,
     t: usize,
     modes: Vec<Option<CorruptMode>>,
-    victims: BTreeSet<usize>,
+    victims: PartySet,
     refused: u64,
 }
 
@@ -88,7 +64,7 @@ impl CorruptionPlan {
             n,
             t,
             modes: vec![None; n],
-            victims: BTreeSet::new(),
+            victims: PartySet::new(),
             refused: 0,
         }
     }
@@ -97,7 +73,7 @@ impl CorruptionPlan {
     /// the adaptive cap accounts for it without assigning a shell mode.
     pub fn seed_victim(&mut self, party: PartyId) {
         if party.0 < self.n {
-            self.victims.insert(party.0);
+            self.victims.insert(party);
         }
     }
 
@@ -106,11 +82,11 @@ impl CorruptionPlan {
     /// or the ledger already holds t distinct victims and `party` is not one
     /// of them. Re-corrupting an existing victim switches its mode.
     pub fn corrupt(&mut self, party: PartyId, mode: CorruptMode) -> bool {
-        if party.0 >= self.n || (!self.victims.contains(&party.0) && self.victims.len() >= self.t) {
+        if party.0 >= self.n || (!self.victims.contains(party) && self.victims.len() >= self.t) {
             self.refused += 1;
             return false;
         }
-        self.victims.insert(party.0);
+        self.victims.insert(party);
         self.modes[party.0] = Some(mode);
         true
     }
@@ -122,12 +98,12 @@ impl CorruptionPlan {
 
     /// Whether `party` counts against the victim cap (static or adaptive).
     pub fn is_victim(&self, party: PartyId) -> bool {
-        self.victims.contains(&party.0)
+        self.victims.contains(party)
     }
 
     /// All victims (static and adaptive), ascending.
     pub fn victims(&self) -> impl Iterator<Item = PartyId> + '_ {
-        self.victims.iter().map(|&p| PartyId(p))
+        self.victims.iter()
     }
 
     /// How many corruption attempts the cap refused.
@@ -158,12 +134,14 @@ pub trait AdaptiveAttack: Send {
         let _ = (episode, plan);
     }
 
-    /// Called for every observation event, in schedule order.
-    fn observe(&mut self, ev: &ObsEvent, plan: &mut CorruptionPlan);
+    /// Called for every [`TraceEvent::Deliver`] the engine records, in
+    /// recording order.
+    fn observe(&mut self, ev: &TraceEvent, plan: &mut CorruptionPlan);
 }
 
-/// Pairs a policy with its victim ledger; shared between the runtime (which
-/// feeds observations) and the per-party [`AdaptiveShell`]s (which read modes).
+/// Pairs a policy with its victim ledger; shared between the engine (whose
+/// sink shows it deliveries) and the per-party [`AdaptiveShell`]s (which read
+/// modes).
 pub struct AdaptiveController {
     policy: Box<dyn AdaptiveAttack>,
     plan: CorruptionPlan,
@@ -175,8 +153,8 @@ impl AdaptiveController {
         AdaptiveController { policy, plan }
     }
 
-    /// Feed one observation to the policy.
-    pub fn observe(&mut self, ev: &ObsEvent) {
+    /// Feed one recorded event to the policy.
+    pub fn observe(&mut self, ev: &TraceEvent) {
         self.policy.observe(ev, &mut self.plan);
     }
 
@@ -196,6 +174,76 @@ pub type SharedAdaptive = Arc<Mutex<AdaptiveController>>;
 
 fn lock(ctrl: &SharedAdaptive) -> std::sync::MutexGuard<'_, AdaptiveController> {
     ctrl.lock().expect("adaptive controller lock poisoned")
+}
+
+/// The one sink a deterministic engine holds: the flight recorder
+/// [`Runtime::set_trace`](crate::Runtime::set_trace) asked for, behind the
+/// controller [`Runtime::install_adaptive`](crate::Runtime::install_adaptive)
+/// installed — each optional. The controller is shown every `Deliver` on its
+/// way to the recorder, so what the adversary observed is by construction
+/// what a trace of the run says happened, in that order.
+#[derive(Default)]
+pub(crate) struct Observer {
+    ctrl: Option<SharedAdaptive>,
+    recorder: Option<Box<dyn TraceSink>>,
+}
+
+impl Observer {
+    /// Whether anyone listens: engines build events only then.
+    pub(crate) fn is_on(&self) -> bool {
+        self.recorder.is_some() || self.ctrl.is_some()
+    }
+
+    /// The sink to record into, while anyone listens.
+    pub(crate) fn active(&mut self) -> Option<&mut dyn TraceSink> {
+        if self.is_on() {
+            Some(self)
+        } else {
+            None
+        }
+    }
+
+    pub(crate) fn set_trace(&mut self, mode: TraceMode) {
+        self.recorder = mode.build();
+    }
+
+    pub(crate) fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.recorder.take()
+    }
+
+    pub(crate) fn install(&mut self, ctrl: SharedAdaptive) {
+        self.ctrl = Some(ctrl);
+    }
+
+    pub(crate) fn controller(&self) -> Option<SharedAdaptive> {
+        self.ctrl.clone()
+    }
+
+    /// The recorder's digest for a [`RunReport`](crate::RunReport).
+    pub(crate) fn summary(&self) -> Option<TraceSummary> {
+        self.recorder.as_deref().map(crate::trace::summarize)
+    }
+}
+
+impl TraceSink for Observer {
+    fn record(&mut self, event: TraceEvent) {
+        if let (Some(ctrl), TraceEvent::Deliver { .. }) = (&self.ctrl, &event) {
+            lock(ctrl).observe(&event);
+        }
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record(event);
+        }
+    }
+
+    fn snapshot(&self) -> Vec<TraceEvent> {
+        self.recorder
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.snapshot())
+    }
+
+    fn recorded(&self) -> u64 {
+        self.recorder.as_ref().map_or(0, |r| r.recorded())
+    }
 }
 
 /// Wrapper deployed around every honest instance in an adaptive scenario.
@@ -314,7 +362,7 @@ impl AdaptiveAttack for PinPolicy {
         }
     }
 
-    fn observe(&mut self, _ev: &ObsEvent, _plan: &mut CorruptionPlan) {}
+    fn observe(&mut self, _ev: &TraceEvent, _plan: &mut CorruptionPlan) {}
 }
 
 #[cfg(test)]
@@ -355,6 +403,52 @@ mod tests {
         let mut plan = CorruptionPlan::new(4, 3);
         assert!(!plan.corrupt(PartyId(9), CorruptMode::Mute));
         assert_eq!(plan.refused(), 1);
+    }
+
+    #[test]
+    fn observer_shows_the_policy_deliveries_and_the_recorder_everything() {
+        /// Corrupts whoever it sees receive a message.
+        struct StrikeReceivers;
+        impl AdaptiveAttack for StrikeReceivers {
+            fn observe(&mut self, ev: &TraceEvent, plan: &mut CorruptionPlan) {
+                let TraceEvent::Deliver { party, .. } = ev else {
+                    panic!("shown {ev:?}");
+                };
+                plan.corrupt(*party, CorruptMode::Mute);
+            }
+        }
+        let deliver = |party| TraceEvent::Deliver {
+            step: 1,
+            party: PartyId(party),
+            from: PartyId(1),
+            session: crate::SessionId::root(),
+            seq: 0,
+            vtime: None,
+        };
+        let mut observer = Observer::default();
+        assert!(observer.active().is_none(), "nobody listens");
+        let ctrl = Arc::new(Mutex::new(AdaptiveController::new(
+            Box::new(StrikeReceivers),
+            CorruptionPlan::new(4, 4),
+        )));
+        observer.install(ctrl.clone());
+        // The controller alone keeps the sink on: it observes untraced runs.
+        let sink = observer.active().expect("a controller listens");
+        sink.record(deliver(2));
+        observer.set_trace(TraceMode::Full);
+        let sink = observer.active().expect("both listen");
+        sink.record(TraceEvent::EpisodeStart { step: 1 });
+        sink.record(deliver(0));
+        let victims: Vec<PartyId> = lock(&ctrl).plan().victims().collect();
+        assert_eq!(victims, [PartyId(0), PartyId(2)]);
+        assert_eq!(observer.summary().map(|s| s.recorded), Some(2));
+        let recorder = observer.take_trace().expect("tracing on");
+        assert_eq!(
+            recorder.snapshot(),
+            [TraceEvent::EpisodeStart { step: 1 }, deliver(0)]
+        );
+        assert!(observer.summary().is_none() && observer.is_on());
+        assert!(observer.controller().is_some());
     }
 
     #[test]

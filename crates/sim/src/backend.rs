@@ -10,10 +10,9 @@
 //! ```
 //!
 //! where `family` is a row of [`ALL_BACKENDS`], `arg` is the number that
-//! row's grammar shows (`sharded:<k>`, `threaded[:<poll_ms>]`,
-//! `proc[:<n>]`) and the trailing scheduler — any
-//! [`scheduler_by_name`](crate::scheduler_by_name) spec — exists only on
-//! the **deterministic** families. That one capability is all that varies
+//! row's grammar shows — only `sharded:<k>` has one — and the trailing
+//! scheduler — any [`scheduler_by_name`](crate::scheduler_by_name) spec —
+//! exists only on the **deterministic** families. That one capability is all that varies
 //! between families from a caller's point of view: a deterministic family
 //! honours `sched=`, replays bit-for-bit from `(seed, spec)`, and so may
 //! host `corrupt=adaptive:…@*` and `corrupt=recover:<vt>@p`; the others
@@ -25,14 +24,17 @@
 //! |---|---|---|
 //! | `sim`, `wire`, `async` | [`SimNetwork`] | nothing / every envelope encoded by the wire codec and decoded from a copy of the bytes / node dispatch on per-party event-loop tasks |
 //! | `sharded:<k>` | [`ShardedSimRuntime`] | `k` worker shards |
-//! | `threaded[:<poll_ms>]`, `proc[:<n>]` | [`ThreadedRuntime`] | the idle-poll interval / nothing — `proc` is the name the real `aft-partyd` deployment is asked for, and in-process it is one thread per party |
+//! | `threaded`, `proc` | [`ThreadedRuntime`] | nothing — `proc` is the name the real `aft-partyd` deployment is asked for, and in-process it is one thread per party |
+//!
+//! The last two engines drive one [`PartyHost`](crate::PartyHost) per
+//! party, as an `aft-partyd` process does: the per-party half of a
+//! delivery is the same code under every name but the first three.
 
 use crate::network::SimNetwork;
 use crate::runtime::{NetConfig, Runtime};
 use crate::shard::ShardedSimRuntime;
 use crate::threaded::ThreadedRuntime;
 use std::fmt;
-use std::time::Duration;
 
 /// The backend a scenario or `--runtime` flag gets when it names none.
 pub const DEFAULT_BACKEND: &str = "sim";
@@ -46,9 +48,9 @@ enum Engine {
     EventLoop,
     /// The argument (required, `≥ 1`) is the shard count.
     Sharded,
-    /// The argument is the idle-poll interval in milliseconds.
     Threaded,
-    /// The argument, when given, must equal the party count.
+    /// One thread per party here, one OS process per party under
+    /// `exp_deployment`: either way as many as the scenario has parties.
     Proc,
 }
 
@@ -101,14 +103,14 @@ pub static ALL_BACKENDS: &[BackendFamily] = &[
     },
     BackendFamily {
         name: "threaded",
-        grammar: "threaded[:<poll_ms>]",
+        grammar: "threaded",
         example: "threaded",
         deterministic: false,
         engine: Engine::Threaded,
     },
     BackendFamily {
         name: "proc",
-        grammar: "proc[:<n>]",
+        grammar: "proc",
         example: "proc",
         deterministic: false,
         engine: Engine::Proc,
@@ -179,9 +181,13 @@ impl Backend {
             .ok_or_else(|| format!("unknown runtime {spec:?} (expected {})", grammars(|_| true)))?;
         let malformed = || {
             let note = if family.deterministic {
-                ""
+                String::new()
             } else {
-                ": it takes no scheduler, the OS picks the delivery order"
+                format!(
+                    ": the family takes no argument (it runs one thread or process per party) \
+                     and takes no scheduler (the OS picks the delivery order) — write rt={}",
+                    family.name
+                )
             };
             format!(
                 "runtime {spec:?} does not match the {} family's grammar {} (e.g. rt={}){note}",
@@ -189,18 +195,17 @@ impl Backend {
             )
         };
         let (arg, rest) = match (family.engine, rest) {
-            (Engine::Sim | Engine::Wire | Engine::EventLoop, rest) => (None, rest),
-            (_, None) => (None, None),
-            (_, Some(rest)) => {
-                let (arg, rest) = match rest.split_once(':') {
+            (Engine::Sharded, rest) => {
+                let (arg, rest) = match rest.and_then(|rest| rest.split_once(':')) {
                     Some((arg, rest)) => (arg, Some(rest)),
-                    None => (rest, None),
+                    None => (rest.unwrap_or(""), None),
                 };
-                (Some(arg.parse::<u64>().map_err(|_| malformed())?), rest)
+                let k = arg.parse::<u64>().ok().filter(|&k| k > 0);
+                (Some(k.ok_or_else(malformed)?), rest)
             }
+            (_, rest) => (None, rest),
         };
-        let no_shards = matches!(family.engine, Engine::Sharded) && arg.is_none_or(|k| k == 0);
-        if no_shards || (rest.is_some() && !family.deterministic) {
+        if rest.is_some() && !family.deterministic {
             return Err(malformed());
         }
         let backend = Backend {
@@ -238,17 +243,6 @@ impl Backend {
         self
     }
 
-    /// Checks `proc:<n>` against the number of parties it will host.
-    pub fn check_parties(&self, n: usize) -> Result<(), String> {
-        match (self.family.engine, self.arg) {
-            (Engine::Proc, Some(k)) if k != n as u64 => Err(format!(
-                "rt=proc:{k} disagrees with n={n}: the deployment runs exactly one process \
-                 per party — write rt=proc (or rt=proc:{n})"
-            )),
-            _ => Ok(()),
-        }
-    }
-
     /// Refuses the plan entry `what`, which only a deterministic backend
     /// can host, unless this backend is one.
     pub(crate) fn require_deterministic(&self, what: &str) -> Result<(), String> {
@@ -265,9 +259,8 @@ impl Backend {
     }
 
     /// Builds the runtime for one run. Fails on a scheduler that does not
-    /// resolve and on `proc:<n>` with another party count than `config.n`.
+    /// resolve.
     pub fn build(&self, config: NetConfig) -> Result<Box<dyn Runtime>, String> {
-        self.check_parties(config.n)?;
         let sched = self.sched.as_deref().unwrap_or("random");
         let scheduler =
             || crate::scheduler_by_name(sched).ok_or_else(|| crate::scheduler_error(sched));
@@ -290,12 +283,7 @@ impl Backend {
                     crate::scheduler_by_name(sched).expect("resolved above")
                 }))
             }
-            Engine::Threaded => {
-                let poll = self.arg.map_or(ThreadedRuntime::DEFAULT_POLL, |ms| {
-                    Duration::from_millis(ms.max(1))
-                });
-                Box::new(ThreadedRuntime::with_poll(config, poll))
-            }
+            Engine::Threaded => Box::new(ThreadedRuntime::new(config)),
             Engine::Proc => Box::new(ThreadedRuntime::new(config).labelled(family.name)),
         })
     }
@@ -357,7 +345,7 @@ mod tests {
     #[test]
     fn arguments_follow_each_family_grammar() {
         let config = NetConfig::new(4, 1, 1);
-        for spec in ["sharded:1", "sharded:4:lifo", "threaded:5", "proc:4"] {
+        for spec in ["sharded:1", "sharded:4:lifo"] {
             let b = Backend::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(b.to_string(), spec);
             assert!(b.build(config).is_ok(), "{spec}");
@@ -369,8 +357,8 @@ mod tests {
             ("sharded:0", "sharded"),
             ("sharded:abc", "sharded"),
             ("sharded:-1", "sharded"),
-            ("threaded:abc", "threaded"),
-            ("proc:x", "proc"),
+            ("threaded:5", "threaded"),
+            ("proc:4", "proc"),
         ] {
             let err = Backend::parse(spec).unwrap_err();
             let family = ALL_BACKENDS.iter().find(|f| f.name == family).unwrap();
@@ -379,12 +367,12 @@ mod tests {
                 "{err}"
             );
         }
-        let err = Backend::parse("proc:5")
-            .unwrap()
-            .build(config)
-            .err()
-            .unwrap();
-        assert!(err.contains("n=4") && err.contains("rt=proc "), "{err}");
+        for spec in ["threaded:5", "proc:4"] {
+            let err = Backend::parse(spec).unwrap_err();
+            assert!(err.contains("takes no argument"), "{err}");
+            let family = spec.split_once(':').unwrap().0;
+            assert!(err.ends_with(&format!("write rt={family}")), "{err}");
+        }
         for spec in ["", "hovercraft", "sim:", "wire:", "sharded:2:bogus"] {
             assert!(Backend::parse(spec).is_err(), "{spec:?}");
             assert!(crate::runtime_by_name(spec, config).is_none(), "{spec:?}");

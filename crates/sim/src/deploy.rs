@@ -2,7 +2,9 @@
 //!
 //! `aft-partyd` / `exp_deployment` (in `aft-bench`) are the real
 //! one-OS-process-per-party deployment, asked for with `rt=proc`. Each
-//! daemon builds its own [`Node`] with [`party_node`] and exchanges
+//! daemon drives its own [`PartyHost`](crate::PartyHost) — the node
+//! [`party_node`] builds, with the metrics and send numbering every
+//! in-process party has — and exchanges
 //! envelopes over sockets using [`encode_envelope`] /
 //! [`decode_envelope`], which frame the routing header around the exact
 //! wire representation the `wire` backend already round-trips

@@ -51,6 +51,11 @@
 //!   `aft-bench` (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s
 //!   envelope codec.
 //!
+//! The last two, and an `aft-partyd` process, run one party at a time and
+//! drive one [`PartyHost`] each: dispatch, accounting, send numbering and
+//! the party's trace events are written once, the engines differ in where
+//! a send goes next.
+//!
 //! [`runtime_by_name`] builds any of them from a string, which is what the
 //! `exp_*` binaries' `--runtime` flags and the cross-backend test suites
 //! use. See the crate-level example on [`SimNetwork`] and the trait
@@ -83,8 +88,8 @@ pub mod wire;
 mod wire_rt;
 
 pub use adaptive::{
-    AdaptiveAttack, AdaptiveController, AdaptiveShell, CorruptMode, CorruptionPlan, ObsEvent,
-    PinPolicy, SharedAdaptive,
+    AdaptiveAttack, AdaptiveController, AdaptiveShell, CorruptMode, CorruptionPlan, PinPolicy,
+    SharedAdaptive,
 };
 pub use backend::{Backend, BackendFamily, ALL_BACKENDS, DEFAULT_BACKEND};
 pub use behaviors::{Equivocator, Garbage, GarbageInstance, MuteAfter, SilentInstance};
@@ -98,7 +103,7 @@ pub use node::{Node, Outgoing, ShunRegistry};
 pub use payload::{FrameBytes, MsgView, Payload};
 pub use queue::{BatchSlot, MsgMeta, Pending};
 pub use runtime::{
-    runtime_by_name, Metrics, NetConfig, RunReport, Runtime, RuntimeExt, StopReason,
+    runtime_by_name, Metrics, NetConfig, PartyHost, RunReport, Runtime, RuntimeExt, StopReason,
 };
 pub use scenario::{
     AdaptiveCtx, AdaptiveSpec, AttackCtx, AttackRegistry, AttackRole, Corruption, FaultSpec,
@@ -109,10 +114,9 @@ pub use scheduler::{
     StarveScheduler, WindowScheduler,
 };
 pub use shard::ShardedSimRuntime;
-pub use threaded::{run_threaded, ThreadedOutputs, ThreadedRuntime};
+pub use threaded::ThreadedRuntime;
 pub use trace::{
-    DepthHistogram, DropReason, FullRecorder, RingRecorder, TraceEvent, TraceMode, TraceSink,
-    TraceSummary,
+    DepthHistogram, DropReason, RingRecorder, TraceEvent, TraceMode, TraceSink, TraceSummary,
 };
 pub use wire::{CodecRegistry, WireMessage};
 

@@ -1,22 +1,21 @@
 //! The deterministic asynchronous network simulator.
 
-use crate::adaptive::{ObsEvent, SharedAdaptive};
+use crate::adaptive::{Observer, SharedAdaptive};
 use crate::async_rt::EventLoopHost;
-use crate::ids::{PartyId, SessionId};
+use crate::ids::{PartyId, PartyMap, SessionId};
 use crate::instance::Instance;
 use crate::net::NetEvent;
 use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
-    account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, Metrics, NetConfig,
-    RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
+    account_delivery, build_node, deliver_raw, DeliverCtx, Metrics, NetConfig, RecoverPhase,
+    Recoveries, RunReport, Runtime, StopReason,
 };
 use crate::scheduler::Scheduler;
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::HashMap;
 
 /// An in-flight message.
 #[derive(Debug, Clone)]
@@ -33,6 +32,48 @@ pub struct Envelope {
     pub seq: u64,
     /// Delivery step at which the envelope was sent.
     pub born_step: u64,
+}
+
+/// What the envelopes of one dispatch share on their way into the
+/// in-flight queue: who sent them and when, what caused them, where they
+/// are numbered and recorded.
+struct Launch<'a> {
+    pending: &'a mut Pending,
+    sink: Option<&'a mut dyn TraceSink>,
+    seq: &'a mut u64,
+    from: PartyId,
+    born_step: u64,
+    causal: Option<u64>,
+}
+
+impl Launch<'_> {
+    /// Numbers, records and queues one envelope. A method forced inline
+    /// rather than a closure: the plain and the wire arm of
+    /// [`SimNetwork::enqueue`] both call it per message, and a closure with
+    /// two call sites was inlined into neither (2 % of `ba-n32-sim`).
+    #[inline(always)]
+    fn send(&mut self, to: PartyId, session: SessionId, payload: Payload) {
+        let (from, born_step, seq) = (self.from, self.born_step, *self.seq);
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(TraceEvent::Send {
+                step: born_step,
+                from,
+                to,
+                session: session.clone(),
+                seq,
+                causal_parent: self.causal,
+            });
+        }
+        self.pending.push(Envelope {
+            from,
+            to,
+            session,
+            payload,
+            seq,
+            born_step,
+        });
+        *self.seq += 1;
+    }
 }
 
 /// The deterministic discrete-event network: `n` nodes, a slab of in-flight
@@ -100,11 +141,12 @@ pub struct SimNetwork {
     /// Parties whose outgoing messages are silently discarded (full crash).
     muted: Vec<bool>,
     /// Optional per-party crash step: at this delivery step the party stops.
-    crash_at: HashMap<PartyId, u64>,
-    /// Structured flight recorder (see [`crate::trace`]), if enabled.
-    /// Observational only: consulted behind one `Option` check and never
-    /// allowed to perturb schedules, RNGs or metrics.
-    sink: Option<Box<dyn TraceSink>>,
+    crash_at: PartyMap<u64>,
+    /// Where events are recorded: the flight recorder (see
+    /// [`crate::trace`]), if enabled, behind the adaptive controller, if an
+    /// adaptive scenario installed one. Never allowed to perturb
+    /// schedules, RNGs or metrics; with neither, one check per event.
+    sink: Observer,
     /// Whether any delivery step has executed (gates the crash-before-run
     /// retraction of buffered sends).
     started: bool,
@@ -116,9 +158,6 @@ pub struct SimNetwork {
     /// When present, every enqueued envelope round-trips through the
     /// byte-level wire boundary (`rt=wire`).
     codec: Option<Box<crate::wire_rt::WireLink>>,
-    /// Adaptive-adversary controller, if an adaptive scenario installed
-    /// one: fed schedule-stable observation events at each delivery.
-    adaptive: Option<SharedAdaptive>,
     /// Whether [`Runtime::run`] hosts the nodes on an event loop
     /// (`rt=async`).
     event_loop: bool,
@@ -160,13 +199,12 @@ impl SimNetwork {
             metrics: Metrics::default(),
             seq: 0,
             muted: vec![false; config.n],
-            crash_at: HashMap::new(),
-            sink: None,
+            crash_at: PartyMap::new(),
+            sink: Observer::default(),
             started: false,
             recoveries: Recoveries::default(),
             scratch: Vec::new(),
             codec: None,
-            adaptive: None,
             event_loop: false,
             host: None,
             label: "sim",
@@ -233,7 +271,7 @@ impl SimNetwork {
                 self.metrics.on_retracted(&env.session);
             }
         }
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::Crash {
                 step: self.metrics.steps,
                 party,
@@ -241,7 +279,9 @@ impl SimNetwork {
         }
     }
 
-    /// Schedules `party` to crash at delivery step `step`.
+    /// Schedules `party` to crash at delivery step `step`; the first step
+    /// scheduled for a party stands. Parties due at the same step crash
+    /// in ascending party order.
     pub fn crash_at(&mut self, party: PartyId, step: u64) {
         self.crash_at.insert(party, step);
     }
@@ -300,24 +340,13 @@ impl SimNetwork {
         // whole batch run arrives at this virtual time.
         let vnow = self.scheduler.virtual_now();
         let run = run.min(limit);
-        if let Some(sink) = &mut self.sink {
-            let meta = self.pending.meta_of_slot(slot);
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::SchedulerPick {
                 step: self.metrics.steps,
-                party: meta.to,
-                queued: self.pending.len(),
-                run: run as usize,
-            });
-        }
-        if let Some(ctrl) = &self.adaptive {
-            let ev = ObsEvent::SchedulerPick {
                 party: self.pending.meta_of_slot(slot).to,
                 queued: self.pending.len(),
                 run: run as usize,
-            };
-            ctrl.lock()
-                .expect("adaptive controller lock poisoned")
-                .observe(&ev);
+            });
         }
         self.drain_net_events_to_sink();
         for _ in 0..run {
@@ -325,17 +354,14 @@ impl SimNetwork {
             // falling inside a batch run still fires exactly on time
             // (steps is incremented by the shared dispatch core below,
             // so "now" is steps + 1).
-            if !self.crash_at.is_empty() {
-                let step_now = self.metrics.steps + 1;
-                let due: Vec<PartyId> = self
-                    .crash_at
-                    .iter()
-                    .filter(|(_, &s)| s <= step_now)
-                    .map(|(&p, _)| p)
-                    .collect();
-                for p in due {
-                    self.crash_at.remove(&p);
-                    self.crash(p);
+            let step_now = self.metrics.steps + 1;
+            if self.crash_at.values().any(|&at| at <= step_now) {
+                for (p, &at) in std::mem::take(&mut self.crash_at).iter() {
+                    if at <= step_now {
+                        self.crash(p);
+                    } else {
+                        self.crash_at.insert(p, at);
+                    }
                 }
             }
             let env = self.pending.take_slot(slot);
@@ -343,12 +369,8 @@ impl SimNetwork {
                 let kind = env.session.last().map_or("root", |t| t.kind);
                 self.metrics.on_virtual_delivery(kind, vt);
             }
-            let obs_kind = self
-                .adaptive
-                .is_some()
-                .then(|| env.session.last().map_or("root", |t| t.kind));
             let (to, from, seq) = (env.to, env.from, env.seq);
-            let session_for_trace = self.sink.is_some().then(|| env.session.clone());
+            let session_for_trace = self.sink.is_on().then(|| env.session.clone());
             let (outcome, mut out, local) = if let Some(host) = &mut self.host {
                 let (outcome, out) = host.deliver(env);
                 (outcome, out, false)
@@ -373,24 +395,8 @@ impl SimNetwork {
                 },
                 &outcome,
                 &mut self.metrics,
-                self.sink.as_deref_mut(),
+                self.sink.active(),
             );
-            if let Some(kind) = obs_kind {
-                if outcome.status == DeliverStatus::Delivered {
-                    let ev = ObsEvent::Deliver {
-                        party: to,
-                        from,
-                        kind,
-                        step: self.metrics.steps,
-                    };
-                    self.adaptive
-                        .as_ref()
-                        .expect("obs_kind implies adaptive")
-                        .lock()
-                        .expect("adaptive controller lock poisoned")
-                        .observe(&ev);
-                }
-            }
             // Sends emitted by this handler are caused by the delivery
             // that just ran (its step index is the post-increment count).
             let parent = self.metrics.steps;
@@ -416,7 +422,7 @@ impl SimNetwork {
         mut stop: F,
     ) -> RunReport {
         let start = self.metrics.steps;
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::EpisodeStart { step: start });
         }
         let reason = loop {
@@ -434,7 +440,7 @@ impl SimNetwork {
                 break StopReason::Predicate;
             }
         };
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::EpisodeEnd {
                 step: self.metrics.steps,
             });
@@ -448,10 +454,7 @@ impl SimNetwork {
             stop,
             steps: metrics.steps,
             metrics,
-            trace: self
-                .sink
-                .as_ref()
-                .map(|s| crate::trace::summarize(s.as_ref())),
+            trace: self.sink.summary(),
         }
     }
 
@@ -495,7 +498,14 @@ impl SimNetwork {
             sink,
             ..
         } = self;
-        let born_step = metrics.steps;
+        let mut launch = Launch {
+            pending,
+            sink: sink.active(),
+            seq,
+            from,
+            born_step: metrics.steps,
+            causal,
+        };
         match codec {
             // Wire mode: each same-destination run crosses the byte
             // boundary as one framed batch before it is ever scheduled —
@@ -509,27 +519,7 @@ impl SimNetwork {
                         from,
                         &out[start..end],
                         &mut *metrics,
-                        |to, session, payload| {
-                            if let Some(s) = sink.as_deref_mut() {
-                                s.record(TraceEvent::Send {
-                                    step: born_step,
-                                    from,
-                                    to,
-                                    session: session.clone(),
-                                    seq: *seq,
-                                    causal_parent: causal,
-                                });
-                            }
-                            pending.push(Envelope {
-                                from,
-                                to,
-                                session,
-                                payload,
-                                seq: *seq,
-                                born_step,
-                            });
-                            *seq += 1;
-                        },
+                        |to, session, payload| launch.send(to, session, payload),
                     );
                     start = end;
                 }
@@ -537,25 +527,7 @@ impl SimNetwork {
             }
             None => {
                 for o in out.drain(..) {
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.record(TraceEvent::Send {
-                            step: born_step,
-                            from,
-                            to: o.to,
-                            session: o.session.clone(),
-                            seq: *seq,
-                            causal_parent: causal,
-                        });
-                    }
-                    pending.push(Envelope {
-                        from,
-                        to: o.to,
-                        session: o.session,
-                        payload: o.payload,
-                        seq: *seq,
-                        born_step,
-                    });
-                    *seq += 1;
+                    launch.send(o.to, o.session, o.payload);
                 }
             }
         }
@@ -603,7 +575,7 @@ impl SimNetwork {
             }
         }
         self.muted[party.0] = false;
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::Recover {
                 step: self.metrics.steps,
                 vtime: at,
@@ -616,13 +588,12 @@ impl SimNetwork {
     /// flight recorder (observational only; the scheduler queues at most
     /// one start and one heal per run).
     fn drain_net_events_to_sink(&mut self) {
-        if self.sink.is_none() {
+        let Some(sink) = self.sink.active() else {
             return;
-        }
+        };
         let mut events = Vec::new();
         self.scheduler.drain_net_events(&mut events);
         let step = self.metrics.steps;
-        let sink = self.sink.as_deref_mut().expect("checked above");
         for e in events {
             sink.record(match e {
                 NetEvent::PartitionStart { vtime, cut } => {
@@ -711,20 +682,20 @@ impl Runtime for SimNetwork {
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
-        self.sink = mode.build();
+        self.sink.set_trace(mode);
     }
 
     fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+        self.sink.take_trace()
     }
 
     fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        self.adaptive = Some(ctrl);
+        self.sink.install(ctrl);
         true
     }
 
     fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.adaptive.clone()
+        self.sink.controller()
     }
 
     fn backend_name(&self) -> &'static str {
@@ -860,6 +831,37 @@ mod tests {
         net.crash_at(PartyId(2), 5);
         net.run(1_000_000);
         assert!(net.node(PartyId(2)).is_crashed());
+    }
+
+    /// Parties due at the same step crash — and have their `Crash`
+    /// recorded — in ascending party order, so a replayed trace is
+    /// byte-identical.
+    #[test]
+    fn crash_at_ties_fire_in_party_order() {
+        let mut net = SimNetwork::new(NetConfig::new(10, 3, 1), Box::new(FifoScheduler));
+        net.set_trace(TraceMode::Full);
+        for p in 0..10 {
+            net.spawn(PartyId(p), sid(), Box::new(Flood::new(1)));
+        }
+        for p in [7, 2, 9, 4, 3, 8, 5, 6] {
+            net.crash_at(PartyId(p), 5);
+        }
+        net.run(1_000_000);
+        let crashed: Vec<(u64, usize)> = net
+            .take_trace()
+            .expect("tracing on")
+            .snapshot()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Crash { step, party } => Some((*step, party.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            crashed,
+            (2..10).map(|p| (4, p)).collect::<Vec<_>>(),
+            "all before delivery 5, in party order"
+        );
     }
 
     #[test]

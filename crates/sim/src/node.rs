@@ -8,11 +8,11 @@
 //! and effect buffers across deliveries, so a steady-state run allocates
 //! nothing per message.
 
-use crate::ids::{PartyId, SessionId, SessionTag};
+use crate::ids::{PartyId, PartyMap, SessionId, SessionTag};
 use crate::instance::{Context, Effect, Instance};
 use crate::payload::Payload;
 use rand_chacha::ChaCha12Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// An outgoing envelope produced by a node (delivery is the network's job).
 #[derive(Debug, Clone)]
@@ -36,18 +36,14 @@ pub struct Outgoing {
 #[derive(Debug, Default, Clone)]
 pub struct ShunRegistry {
     /// target -> session in which the shun was declared.
-    entries: HashMap<PartyId, SessionId>,
+    entries: PartyMap<SessionId>,
 }
 
 impl ShunRegistry {
     /// Records a shun of `target` declared inside `session`. Returns `true`
     /// if this is a *new* shun event (first for this ordered pair).
     pub fn record(&mut self, target: PartyId, session: SessionId) -> bool {
-        if self.entries.contains_key(&target) {
-            return false;
-        }
-        self.entries.insert(target, session);
-        true
+        self.entries.insert(target, session)
     }
 
     /// Whether a message from `from` addressed to `session` should be
@@ -58,7 +54,7 @@ impl ShunRegistry {
         if self.entries.is_empty() {
             return false;
         }
-        match self.entries.get(&from) {
+        match self.entries.get(from) {
             None => false,
             // Same invocation subtree (or an ancestor of it) still accepted.
             Some(declared_in) => {
@@ -67,9 +63,9 @@ impl ShunRegistry {
         }
     }
 
-    /// Parties currently shunned by this node.
+    /// Parties currently shunned by this node, in ascending order.
     pub fn shunned(&self) -> impl Iterator<Item = PartyId> + '_ {
-        self.entries.keys().copied()
+        self.entries.iter().map(|(party, _)| party)
     }
 
     /// Number of shun entries.

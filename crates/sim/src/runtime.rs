@@ -12,8 +12,12 @@
 //!
 //! This module also owns the engine-shared pieces: the static
 //! [`NetConfig`], the [`Metrics`] counters (with interned per-kind send
-//! counts), run reports, per-party RNG derivation, and the
-//! deliver-with-accounting core every engine routes every message through.
+//! counts), run reports, per-party RNG derivation, the
+//! deliver-with-accounting core every engine routes every message
+//! through, and [`PartyHost`] — that core plus the counting, numbering and
+//! recording of a party's sends, which every host that runs one party at a
+//! time (a `sharded` slot, a `threaded` worker, an `aft-partyd` process)
+//! drives instead of writing again.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 //! [`ShardedSimRuntime`]: crate::ShardedSimRuntime
@@ -549,6 +553,141 @@ pub(crate) fn deliver_counted(
     );
 }
 
+/// The per-party half of a delivery, written once for every host that
+/// runs one party at a time — a [`ShardedSimRuntime`] party slot, a
+/// [`ThreadedRuntime`] worker, an `aft-partyd` process. It owns the
+/// party's [`Node`], the [`Metrics`] of what that party sent and was
+/// delivered, the numbering of its sends and the buffer they wait in;
+/// the driver around it keeps only what is its own (an inbox and a
+/// scheduler, a channel, TCP links) and decides where each drained send
+/// goes. [`SimNetwork`] numbers sends globally and keeps its own books.
+///
+/// [`ShardedSimRuntime`]: crate::ShardedSimRuntime
+/// [`ThreadedRuntime`]: crate::ThreadedRuntime
+/// [`SimNetwork`]: crate::SimNetwork
+pub struct PartyHost {
+    node: Node,
+    metrics: Metrics,
+    /// The party count: the stride of the send numbering.
+    n: u64,
+    /// Sends numbered so far. The next is `emit * n + party` — unique
+    /// across parties and ascending per sender with no shared counter.
+    emit: u64,
+    /// What `spawn` and `deliver` emitted and `drain_sends` has not taken.
+    out: Vec<Outgoing>,
+}
+
+impl PartyHost {
+    /// Hosts party `party` of a configured system on a fresh [`Node`].
+    pub fn new(config: &NetConfig, party: usize) -> Self {
+        PartyHost {
+            node: build_node(config, party),
+            metrics: Metrics::default(),
+            n: config.n as u64,
+            emit: 0,
+            out: Vec::new(),
+        }
+    }
+
+    /// The hosted node (outputs, shun registry, …).
+    pub fn node(&self) -> &Node {
+        &self.node
+    }
+
+    /// What this party sent and was delivered so far.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Starts `instance` at `session`; its initial sends wait for
+    /// [`drain_sends`](PartyHost::drain_sends).
+    pub fn spawn(&mut self, session: SessionId, instance: Box<dyn Instance>) {
+        self.out.append(&mut self.node.spawn(session, instance));
+    }
+
+    /// Crashes the party. Sends it emitted and nobody drained yet are
+    /// retracted, uncounted.
+    pub fn crash(&mut self) {
+        self.node.crash();
+        self.out.clear();
+    }
+
+    /// Phase 1 of a crash-recovery: the party comes back up with its
+    /// state of `session` retired — it rejoins with amnesia, and traffic
+    /// arriving before the respawn early-buffers for replay.
+    pub fn revive(&mut self, session: &SessionId) {
+        self.node.recover();
+        self.node.retire_session(session);
+    }
+
+    /// See [`Runtime::retire_session`].
+    pub fn retire_session(&mut self, session: &SessionId) -> bool {
+        self.node.retire_session(session)
+    }
+
+    /// Delivers envelope number `seq`, arriving at virtual time `vtime`
+    /// where the driver keeps a clock, through the dispatch core every
+    /// backend shares: a crashed receiver counts `dropped_crashed`, a
+    /// shunned sender `dropped_shunned`, the rest `delivered`; the outcome
+    /// is recorded in `sink` and the handler's sends are left for
+    /// [`drain_sends`](PartyHost::drain_sends).
+    pub fn deliver(
+        &mut self,
+        from: PartyId,
+        session: SessionId,
+        payload: Payload,
+        seq: u64,
+        vtime: Option<u64>,
+        sink: Option<&mut dyn TraceSink>,
+    ) {
+        if let Some(vt) = vtime {
+            self.metrics
+                .on_virtual_delivery(crate::trace::session_kind(&session), vt);
+        }
+        deliver_counted(
+            &mut self.node,
+            from,
+            session,
+            payload,
+            &mut self.out,
+            &mut self.metrics,
+            sink.map(|sink| DeliverTrace { sink, seq, vtime }),
+        );
+    }
+
+    /// Hands the waiting sends to `hand_on` in emission order, each with
+    /// its number, each counted and recorded in `sink` as caused by the
+    /// delivery at this party's step `causal_parent` (`None`: the spawn
+    /// phase) before `hand_on` sees it — so the `Send` of an envelope is
+    /// on record before anyone can record its `Deliver`. (A callback, not
+    /// an iterator: yielding `(u64, Outgoing)` items one `next()` at a
+    /// time cost the `sharded` engine a fifth of its run time.)
+    pub fn drain_sends(
+        &mut self,
+        causal_parent: Option<u64>,
+        mut sink: Option<&mut dyn TraceSink>,
+        mut hand_on: impl FnMut(u64, Outgoing),
+    ) {
+        let from = self.node.id();
+        for o in self.out.drain(..) {
+            self.metrics.on_sent(&o.session);
+            let seq = self.emit * self.n + from.0 as u64;
+            self.emit += 1;
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.record(TraceEvent::Send {
+                    step: self.metrics.steps,
+                    from,
+                    to: o.to,
+                    session: o.session.clone(),
+                    seq,
+                    causal_parent,
+                });
+            }
+            hand_on(seq, o);
+        }
+    }
+}
+
 /// Virtual ticks between a recovery's state revival (phase 1: the party
 /// un-crashes and its stale session slot is retired) and its respawn
 /// (phase 2: the fresh instance starts). Deliveries landing in the gap
@@ -811,12 +950,12 @@ pub trait Runtime {
     fn take_trace(&mut self) -> Option<Box<dyn TraceSink>>;
 
     /// Installs an adaptive-adversary controller (see
-    /// [`adaptive`](crate::adaptive)): the backend feeds it schedule-stable
-    /// observation events (deliveries, scheduler picks) as the run
-    /// progresses, and [`AdaptiveShell`](crate::AdaptiveShell)s consult its
-    /// victim ledger on every activation. Returns `false` when the backend
-    /// cannot feed observations deterministically (the threaded engine)
-    /// — adaptive scenarios are rejected there.
+    /// [`adaptive`](crate::adaptive)) in front of the flight recorder: it
+    /// is shown every `Deliver` event the backend records from here on,
+    /// tracing on or off, and [`AdaptiveShell`](crate::AdaptiveShell)s
+    /// consult its victim ledger on every activation. Returns `false` when
+    /// the backend's recording order is not a function of the seed (the
+    /// threaded engine) — adaptive scenarios are rejected there.
     fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool;
 
     /// The installed adaptive controller, if any — lets multi-episode
@@ -1061,6 +1200,144 @@ mod tests {
         );
         assert_eq!(metrics.dropped_crashed, 1);
         assert_eq!(metrics.steps, 3);
+    }
+
+    /// The same scripted life — spawn, a delivery, a delivery from a
+    /// shunned party, a crash with sends still waiting, a delivery to the
+    /// crashed party — once through a [`PartyHost`] and once through
+    /// `deliver_counted` on a bare node with every send counted, numbered
+    /// and recorded by hand.
+    #[test]
+    fn party_host_matches_deliver_counted_and_hand_numbering() {
+        /// Greets everyone at start; on a message, shuns party 2 and
+        /// sends two back.
+        struct Chatty;
+        impl Instance for Chatty {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.send_all(0u8);
+            }
+            fn on_message(&mut self, from: PartyId, _p: &Payload, ctx: &mut Context<'_>) {
+                ctx.shun(PartyId(2));
+                ctx.send(from, 1u8);
+                ctx.send(from, 2u8);
+            }
+        }
+        let config = NetConfig::new(4, 1, 9);
+        let (me, n) = (PartyId(1), 4u64);
+        let sid = SessionId::root().child(SessionTag::new("x", 0));
+        let other = SessionId::root().child(SessionTag::new("y", 0));
+        // (from, session, seq, vtime) of the scripted deliveries.
+        let script = [
+            (PartyId(3), &sid, 7, Some(40)),
+            (PartyId(2), &other, 6, None),
+            (PartyId(0), &sid, 12, Some(55)),
+        ];
+
+        let mut host = PartyHost::new(&config, me.0);
+        let mut recorded: Vec<TraceEvent> = Vec::new();
+        let mut seqs: Vec<u64> = Vec::new();
+        let mut drain = |host: &mut PartyHost, causal, recorded: &mut Vec<TraceEvent>| {
+            host.drain_sends(causal, Some(recorded), |seq, _| seqs.push(seq));
+        };
+        host.spawn(sid.clone(), Box::new(Chatty));
+        drain(&mut host, None, &mut recorded);
+        for (i, &(from, session, seq, vtime)) in script.iter().enumerate() {
+            if i == 2 {
+                // Two sends are waiting again; the crash retracts them.
+                host.deliver(from, sid.clone(), Payload::new(0u8), 11, None, None);
+                host.crash();
+            }
+            let sink: &mut dyn TraceSink = &mut recorded;
+            host.deliver(
+                from,
+                session.clone(),
+                Payload::new(0u8),
+                seq,
+                vtime,
+                Some(sink),
+            );
+            let parent = host.metrics().steps;
+            drain(&mut host, Some(parent), &mut recorded);
+        }
+
+        let mut node = build_node(&config, me.0);
+        let mut metrics = Metrics::default();
+        let mut expected: Vec<TraceEvent> = Vec::new();
+        let mut expected_seqs: Vec<u64> = Vec::new();
+        let mut emit = 0;
+        let mut by_hand =
+            |out: &mut Vec<Outgoing>, metrics: &mut Metrics, causal, events: &mut Vec<_>| {
+                for o in out.drain(..) {
+                    metrics.on_sent(&o.session);
+                    let seq = emit * n + me.0 as u64;
+                    emit += 1;
+                    expected_seqs.push(seq);
+                    events.push(TraceEvent::Send {
+                        step: metrics.steps,
+                        from: me,
+                        to: o.to,
+                        session: o.session,
+                        seq,
+                        causal_parent: causal,
+                    });
+                }
+            };
+        let mut out = node.spawn(sid.clone(), Box::new(Chatty));
+        by_hand(&mut out, &mut metrics, None, &mut expected);
+        for (i, &(from, session, seq, vtime)) in script.iter().enumerate() {
+            let payload = Payload::new(0u8);
+            if i == 2 {
+                deliver_counted(
+                    &mut node,
+                    from,
+                    sid.clone(),
+                    payload.clone(),
+                    &mut out,
+                    &mut metrics,
+                    None,
+                );
+                node.crash();
+                out.clear();
+            }
+            if let Some(vt) = vtime {
+                metrics.on_virtual_delivery(session.last().unwrap().kind, vt);
+            }
+            let trace = DeliverTrace {
+                sink: &mut expected,
+                seq,
+                vtime,
+            };
+            deliver_counted(
+                &mut node,
+                from,
+                session.clone(),
+                payload,
+                &mut out,
+                &mut metrics,
+                Some(trace),
+            );
+            let parent = metrics.steps;
+            by_hand(&mut out, &mut metrics, Some(parent), &mut expected);
+        }
+
+        assert_eq!(seqs, expected_seqs);
+        assert_eq!(
+            seqs,
+            [1, 5, 9, 13, 17, 21],
+            "emit * n + party, in emission order"
+        );
+        assert_eq!(recorded, expected);
+        assert_eq!(canon(host.metrics()), canon(&metrics));
+        let m = host.metrics();
+        assert_eq!(
+            (m.sent, m.delivered, m.dropped_shunned, m.dropped_crashed),
+            (6, 2, 1, 1)
+        );
+        assert_eq!((m.steps, m.shun_events, m.virtual_time), (4, 1, 55));
+        assert_eq!(
+            m.virtual_times().collect::<Vec<_>>(),
+            metrics.virtual_times().collect::<Vec<_>>()
+        );
     }
 
     /// One randomized bookkeeping op against a `Metrics`.

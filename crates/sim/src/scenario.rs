@@ -389,7 +389,6 @@ impl Scenario {
             }
         }
         let backend = self.backend()?;
-        backend.check_parties(self.n)?;
         let recover = self
             .corruptions
             .iter()
@@ -1133,8 +1132,8 @@ mod tests {
             "n=4,rt=wire:",      // malformed wire spec
             "n=4,rt=async:lifo", // ditto for the async backend
             "n=4,rt=async:",     // malformed async spec
-            "n=4,rt=proc:5",     // party-count mismatch
-            "n=4,rt=proc:x",     // malformed party count
+            "n=4,rt=proc:4",     // proc takes no argument: n says how many
+            "n=4,rt=threaded:5", // nor does threaded
             "n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt=proc", // supervisor-only
             "n=4,zzz=1",         // unknown field
             "n=four",            // malformed n
@@ -1193,9 +1192,6 @@ mod tests {
                 assert!(err.contains("exp_deployment"), "{err}");
             }
         }
-        // `proc:<n>` is checked against the scenario's n.
-        let s = Scenario::parse("n=4,t=1,rt=proc:4").unwrap();
-        assert_eq!(s.backend_name(), "proc:4");
     }
 
     #[test]
@@ -1221,8 +1217,9 @@ mod tests {
                 "n=4,t=1,rt=wire:",
                 "write rt=wire and put the scheduler in sched=",
             ),
-            ("n=4,t=1,rt=proc:5", "write rt=proc (or rt=proc:4)"),
-            ("n=4,t=1,rt=proc:x", "proc[:<n>]"),
+            ("n=4,t=1,rt=proc:4", "takes no argument"),
+            ("n=4,t=1,rt=proc:4", "write rt=proc"),
+            ("n=4,t=1,rt=threaded:5", "takes no argument"),
             ("n=4,t=1,rt=sharded:0", "e.g. rt=sharded:2"),
             (
                 "n=4,t=1,rt=hovercraft",

@@ -17,11 +17,10 @@
 //! delivers its oldest envelope; the batch keeps its arrival position
 //! until its run drains.
 
-use crate::ids::PartyId;
+use crate::ids::{PartyId, PartySet};
 use crate::queue::Pending;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::HashSet;
 
 #[allow(unused_imports)] // doc links
 use crate::queue::MsgMeta;
@@ -104,7 +103,7 @@ impl Scheduler for RandomScheduler {
 /// most hostile.
 #[derive(Debug, Clone)]
 pub struct StarveScheduler {
-    victims: HashSet<PartyId>,
+    victims: PartySet,
     /// Scratch buffer of non-victim indices, reused across picks.
     clean: Vec<usize>,
 }
@@ -112,10 +111,12 @@ pub struct StarveScheduler {
 impl StarveScheduler {
     /// Starves messages touching any party in `victims`.
     pub fn new<I: IntoIterator<Item = PartyId>>(victims: I) -> Self {
-        StarveScheduler {
-            victims: victims.into_iter().collect(),
+        let mut starved = StarveScheduler {
+            victims: PartySet::new(),
             clean: Vec::new(),
-        }
+        };
+        starved.victims.extend(victims);
+        starved
     }
 }
 
@@ -123,7 +124,7 @@ impl Scheduler for StarveScheduler {
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize {
         self.clean.clear();
         for (i, m) in pending.metas().enumerate() {
-            if !self.victims.contains(&m.from) && !self.victims.contains(&m.to) {
+            if !self.victims.contains(m.from) && !self.victims.contains(m.to) {
                 self.clean.push(i);
             }
         }

@@ -36,14 +36,23 @@
 //! also give structural fairness: every message is delivered exactly one
 //! epoch after it was sent, so no aging cap is needed.
 //!
-//! Unlike [`ThreadedRuntime`] episodes, node state persists across
-//! [`run`](Runtime::run) calls: share→reconstruct chains and other
-//! multi-phase deployments run unchanged.
+//! What a party *is* — its node, its metrics, the numbering and recording
+//! of its sends, the accounting of a delivery — is a [`PartyHost`], the
+//! same one a `threaded` worker and an `aft-partyd` process drive; this
+//! module adds what is the shard's own: inboxes, per-party schedulers and
+//! RNGs, the per-pair channels and the barrier. Each party records into a
+//! buffer of its own, and the barrier flattens the buffers into the one
+//! sink in party order — which is also when an adaptive controller sitting
+//! in front of the recorder observes the epoch's deliveries, so its
+//! decisions are a function of the logical schedule and take effect from
+//! the next epoch on.
+//!
+//! Node state persists across [`run`](Runtime::run) calls: share→reconstruct
+//! chains and other multi-phase deployments run unchanged.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
-//! [`ThreadedRuntime`]: crate::ThreadedRuntime
 
-use crate::adaptive::{ObsEvent, SharedAdaptive};
+use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::net::NetEvent;
@@ -52,8 +61,7 @@ use crate::node::Node;
 use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
-    build_node, deliver_counted, DeliverTrace, Metrics, NetConfig, RecoverPhase, Recoveries,
-    RunReport, Runtime, StopReason,
+    Metrics, NetConfig, PartyHost, RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
 };
 use crate::scheduler::{RandomScheduler, Scheduler};
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -61,81 +69,79 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 /// Everything one party needs to process an epoch without touching any
-/// other party's state — the unit of shard parallelism.
+/// other party's state — the unit of shard parallelism. The party itself
+/// (node, metrics, send numbering) is the [`PartyHost`]; what is the
+/// shard's own is the inbox, who picks from it, and the channels out.
 struct PartyState {
-    node: Node,
+    host: PartyHost,
     /// Messages deliverable in the current epoch.
     inbox: Pending,
     /// This party's delivery-order policy over its own inbox.
     scheduler: Box<dyn Scheduler>,
     /// Scheduler randomness, derived from `(seed, party)`.
     rng: ChaCha12Rng,
-    /// Run metrics attributed to this party (sends it emitted, deliveries
-    /// it executed). Merged in party order for reports.
-    metrics: Metrics,
     /// The per-pair ordered channels, sender side: `outbox[dst]` holds
     /// this party's envelopes to `dst` emitted this epoch, in emission
     /// order; handed off whole at the barrier.
     outbox: Vec<Vec<Envelope>>,
-    /// Per-party emission counter (`seq = emit * n + party` stays globally
-    /// unique and per-sender monotone).
-    emit: u64,
-    /// Flight-recorder events this epoch (flattened into the global sink
-    /// at the barrier in party order, so the stream is a pure function of
-    /// the logical schedule). `step` fields are party-local delivery
-    /// counts: `(party, step)` uniquely names a delivery.
+    /// Outbox buffers refilled from the inbox's recycled deques, and
+    /// allocated because none was spare (the `pool_*` metrics).
+    pool_reused: u64,
+    pool_alloc: u64,
+    /// This epoch's events, while anyone listens (flattened into the
+    /// global sink at the barrier in party order, so the stream — and what
+    /// an adaptive controller in front of the recorder observes — is a pure
+    /// function of the logical schedule: shells only *read* the victim
+    /// ledger during parallel epochs, writes land at barriers). `step`
+    /// fields are party-local delivery counts: `(party, step)` uniquely
+    /// names a delivery.
     events: Option<Vec<TraceEvent>>,
-    /// Adaptive-adversary observation events this epoch (drained into the
-    /// shared controller at the barrier in party order, so adaptive
-    /// decisions are a pure function of the logical schedule — shells only
-    /// *read* the ledger during parallel epochs, writes land at barriers).
-    obs: Option<Vec<ObsEvent>>,
-    /// Scratch buffer for node dispatch output.
-    scratch: Vec<crate::node::Outgoing>,
+}
+
+/// A party's event buffer as the sink its [`PartyHost`] records into.
+fn as_sink(events: &mut Option<Vec<TraceEvent>>) -> Option<&mut dyn TraceSink> {
+    events.as_mut().map(|events| events as &mut dyn TraceSink)
 }
 
 impl PartyState {
-    /// Tags `self.scratch` as emissions of this party and appends them to
-    /// the per-pair channels (crashed nodes produce no outgoing work, so
+    /// Appends the host's waiting sends to the per-pair channels as
+    /// emissions of `epoch` (crashed nodes produce no outgoing work, so
     /// this never sees output from one).
-    fn flush_sends(&mut self, me: PartyId, n: u64, epoch: u64, causal: Option<u64>) {
-        for o in self.scratch.drain(..) {
-            self.metrics.on_sent(&o.session);
-            let out = &mut self.outbox[o.to.0];
+    fn flush_sends(&mut self, epoch: u64, causal: Option<u64>) {
+        let from = self.host.node().id();
+        let PartyState {
+            host,
+            inbox,
+            outbox,
+            pool_reused,
+            pool_alloc,
+            events,
+            ..
+        } = self;
+        host.drain_sends(causal, as_sink(events), |seq, o| {
+            let out = &mut outbox[o.to.0];
             if out.capacity() == 0 {
                 // The barrier handed this outbox's buffer away whole;
                 // refill it from the inbox's recycled batch deques, so
                 // the allocation loops outbox → cross-shard batch →
                 // drained deque → spare pool → outbox.
-                match self.inbox.take_spare_vec() {
+                match inbox.take_spare_vec() {
                     Some(spare) => {
                         *out = spare;
-                        self.metrics.pool_reused += 1;
+                        *pool_reused += 1;
                     }
-                    None => self.metrics.pool_alloc += 1,
+                    None => *pool_alloc += 1,
                 }
             }
-            let seq = self.emit * n + me.0 as u64;
-            if let Some(events) = &mut self.events {
-                events.push(TraceEvent::Send {
-                    step: self.metrics.steps,
-                    from: me,
-                    to: o.to,
-                    session: o.session.clone(),
-                    seq,
-                    causal_parent: causal,
-                });
-            }
             out.push(Envelope {
-                from: me,
+                from,
                 to: o.to,
                 session: o.session,
                 payload: o.payload,
                 seq,
                 born_step: epoch,
             });
-            self.emit += 1;
-        }
+        });
     }
 
     /// Delivers up to `limit` messages from the epoch inbox, buffering all
@@ -147,7 +153,7 @@ impl PartyState {
     /// the run read out of one contiguous buffer. The schedule stays a
     /// pure function of `(seed, scheduler)` — batching is defined by the
     /// logical send order, never by the shard partition.
-    fn drain_epoch(&mut self, me: PartyId, n: u64, epoch: u64, limit: u64) -> u64 {
+    fn drain_epoch(&mut self, epoch: u64, limit: u64) -> u64 {
         let mut done = 0;
         while !self.inbox.is_empty() && done < limit {
             let idx = self.scheduler.pick(&self.inbox, &mut self.rng);
@@ -161,71 +167,26 @@ impl PartyState {
             let vnow = self.scheduler.virtual_now();
             if let Some(events) = &mut self.events {
                 events.push(TraceEvent::SchedulerPick {
-                    step: self.metrics.steps,
-                    party: me,
-                    queued: self.inbox.len(),
-                    run: run as usize,
-                });
-            }
-            if let Some(obs) = &mut self.obs {
-                obs.push(ObsEvent::SchedulerPick {
-                    party: me,
+                    step: self.host.metrics().steps,
+                    party: self.host.node().id(),
                     queued: self.inbox.len(),
                     run: run as usize,
                 });
             }
             for _ in 0..run {
                 let env = self.inbox.take_slot(slot);
-                if let Some(vt) = vnow {
-                    let kind = env.session.last().map_or("root", |t| t.kind);
-                    self.metrics.on_virtual_delivery(kind, vt);
-                }
-                let obs_pre = self.obs.as_ref().map(|_| {
-                    (
-                        env.from,
-                        env.to,
-                        env.session.last().map_or("root", |t| t.kind),
-                        self.metrics.delivered,
-                    )
-                });
-                let PartyState {
-                    node,
-                    metrics,
-                    events,
-                    obs,
-                    scratch,
-                    ..
-                } = self;
-                let tctx = events.as_mut().map(|ev| DeliverTrace {
-                    sink: ev,
-                    seq: env.seq,
-                    vtime: vnow,
-                });
-                deliver_counted(
-                    node,
+                self.host.deliver(
                     env.from,
                     env.session,
                     env.payload,
-                    scratch,
-                    metrics,
-                    tctx,
+                    env.seq,
+                    vnow,
+                    as_sink(&mut self.events),
                 );
-                if let Some((from, to, kind, delivered_before)) = obs_pre {
-                    if metrics.delivered > delivered_before {
-                        obs.as_mut()
-                            .expect("obs_pre implies obs")
-                            .push(ObsEvent::Deliver {
-                                party: to,
-                                from,
-                                kind,
-                                step: metrics.steps,
-                            });
-                    }
-                }
                 // Party-local step of the delivery that just ran: the
                 // causal parent of everything it emitted.
-                let parent = self.metrics.steps;
-                self.flush_sends(me, n, epoch, Some(parent));
+                let parent = self.host.metrics().steps;
+                self.flush_sends(epoch, Some(parent));
             }
             done += run;
         }
@@ -302,16 +263,16 @@ pub struct ShardedSimRuntime {
     epoch: u64,
     /// Total deliveries executed, across all shards and epochs.
     steps: u64,
-    /// Structured flight recorder (see [`crate::trace`]): per-party event
-    /// buffers flatten into this sink at every barrier, in party order.
-    /// Observational only — never consulted by the schedule.
-    sink: Option<Box<dyn TraceSink>>,
+    /// Where events end up: the flight recorder (see [`crate::trace`]),
+    /// if enabled, behind the adaptive controller, if installed. Per-party
+    /// event buffers flatten into it at every barrier, in party order, so
+    /// a controller observes an epoch's deliveries after the epoch and its
+    /// decisions take effect from the next one on. Never consulted by the
+    /// schedule.
+    sink: Observer,
     /// The per-pair ordered channels, receiver side: `channels[dst][src]`
     /// is filled by the barrier handoff and drained by the merge.
     channels: Vec<Vec<Vec<Envelope>>>,
-    /// Adaptive-adversary controller, if installed: per-party observation
-    /// buffers drain into it at every barrier, in party order.
-    adaptive: Option<SharedAdaptive>,
 }
 
 impl ShardedSimRuntime {
@@ -358,16 +319,14 @@ impl ShardedSimRuntime {
                 let mut scheduler = factory(PartyId(p));
                 scheduler.configure(&config);
                 PartyState {
-                    node: build_node(&config, p),
+                    host: PartyHost::new(&config, p),
                     inbox: Pending::new(),
                     scheduler,
                     rng: shard_sched_rng(config.seed, p),
-                    metrics: Metrics::default(),
                     outbox: (0..config.n).map(|_| Vec::new()).collect(),
-                    emit: 0,
+                    pool_reused: 0,
+                    pool_alloc: 0,
                     events: None,
-                    obs: None,
-                    scratch: Vec::new(),
                 }
             })
             .collect();
@@ -381,11 +340,10 @@ impl ShardedSimRuntime {
             recoveries: Recoveries::default(),
             epoch: 0,
             steps: 0,
-            sink: None,
+            sink: Observer::default(),
             channels: (0..config.n)
                 .map(|_| (0..config.n).map(|_| Vec::new()).collect())
                 .collect(),
-            adaptive: None,
         }
     }
 
@@ -414,20 +372,17 @@ impl ShardedSimRuntime {
 
     /// Immutable access to a node (outputs, shun registry, …).
     pub fn node(&self, party: PartyId) -> &Node {
-        &self.parties[party.0].node
+        self.parties[party.0].host.node()
     }
 
     /// Runs the spawn phase: starts every buffered instance and buffers
     /// the initial sends as epoch emissions.
     fn apply_spawns(&mut self) {
-        let spawns = std::mem::take(&mut self.pending_spawns);
-        let n = self.config.n as u64;
-        let epoch = self.epoch;
-        for (party, session, instance) in spawns {
+        for (party, session, instance) in std::mem::take(&mut self.pending_spawns) {
             let ps = &mut self.parties[party.0];
-            ps.scratch = ps.node.spawn(session, instance);
+            ps.host.spawn(session, instance);
             // Spawn-phase sends have no causal parent: they are DAG roots.
-            ps.flush_sends(party, n, epoch, None);
+            ps.flush_sends(self.epoch, None);
         }
     }
 
@@ -469,7 +424,7 @@ impl ShardedSimRuntime {
                 }
             });
         }
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             for ps in &mut self.parties {
                 if let Some(local) = &mut ps.events {
                     for event in local.drain(..) {
@@ -497,20 +452,6 @@ impl ShardedSimRuntime {
                 });
             }
         }
-        if let Some(ctrl) = &self.adaptive {
-            // Epoch-delayed observation: the controller sees each epoch's
-            // events here, in party order — a pure function of the logical
-            // schedule, independent of shard count and thread timing.
-            // Decisions therefore take effect from the next epoch on.
-            let mut ctrl = ctrl.lock().expect("adaptive controller lock poisoned");
-            for ps in &mut self.parties {
-                if let Some(obs) = &mut ps.obs {
-                    for ev in obs.drain(..) {
-                        ctrl.observe(&ev);
-                    }
-                }
-            }
-        }
         self.epoch += 1;
     }
 
@@ -520,30 +461,22 @@ impl ShardedSimRuntime {
     /// never depends on how shards map to OS threads, so small epochs run
     /// inline and the worker pool is capped at the core count.
     fn deliver_epoch_parallel(&mut self) -> u64 {
-        let n = self.config.n as u64;
         let epoch = self.epoch;
+        let drain = |shard: &mut [PartyState]| -> u64 {
+            shard
+                .iter_mut()
+                .map(|ps| ps.drain_epoch(epoch, u64::MAX))
+                .sum()
+        };
         let workload: usize = self.parties.iter().map(|p| p.inbox.messages()).sum();
         if self.workers() == 1 || workload < 256 {
-            let mut done = 0;
-            for (p, ps) in self.parties.iter_mut().enumerate() {
-                done += ps.drain_epoch(PartyId(p), n, epoch, u64::MAX);
-            }
-            return done;
+            return drain(&mut self.parties);
         }
         let chunk = self.chunk_width();
-        let mut first = 0;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.k);
             for shard in self.parties.chunks_mut(chunk) {
-                let base = first;
-                first += shard.len();
-                handles.push(scope.spawn(move || {
-                    let mut done = 0;
-                    for (i, ps) in shard.iter_mut().enumerate() {
-                        done += ps.drain_epoch(PartyId(base + i), n, epoch, u64::MAX);
-                    }
-                    done
-                }));
+                handles.push(scope.spawn(move || drain(shard)));
             }
             handles
                 .into_iter()
@@ -557,11 +490,10 @@ impl ShardedSimRuntime {
     /// budget is smaller than the epoch, so `StepLimit` stops are exact
     /// and identical for every shard count.
     fn deliver_epoch_budgeted(&mut self, limit: u64) -> u64 {
-        let n = self.config.n as u64;
         let epoch = self.epoch;
         let mut done = 0;
-        for (p, ps) in self.parties.iter_mut().enumerate() {
-            done += ps.drain_epoch(PartyId(p), n, epoch, limit - done);
+        for ps in &mut self.parties {
+            done += ps.drain_epoch(epoch, limit - done);
             if done == limit {
                 break;
             }
@@ -574,10 +506,8 @@ impl ShardedSimRuntime {
     /// state is retired — a recovered party rejoins with amnesia, and
     /// traffic arriving before the respawn early-buffers for replay.
     fn revive(&mut self, party: PartyId, at: u64, session: &SessionId) {
-        let ps = &mut self.parties[party.0];
-        ps.node.recover();
-        ps.node.retire_session(session);
-        if let Some(sink) = &mut self.sink {
+        self.parties[party.0].host.revive(session);
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::Recover {
                 step: self.steps,
                 vtime: at,
@@ -607,7 +537,6 @@ impl ShardedSimRuntime {
             .recoveries
             .due(|party| parties[party.0].scheduler.virtual_now(), force);
         let fired = !phases.is_empty();
-        let n = self.config.n as u64;
         for phase in phases {
             match phase {
                 RecoverPhase::Revive { party, at, session } => self.revive(party, at, &session),
@@ -617,12 +546,23 @@ impl ShardedSimRuntime {
                     instance,
                 } => {
                     let ps = &mut self.parties[party.0];
-                    ps.scratch = ps.node.spawn(session, instance);
-                    ps.flush_sends(party, n, self.epoch, None);
+                    ps.host.spawn(session, instance);
+                    ps.flush_sends(self.epoch, None);
                 }
             }
         }
         fired
+    }
+
+    /// Gives every party an event buffer while anyone listens to the
+    /// sink, and none otherwise.
+    fn size_event_buffers(&mut self) {
+        let on = self.sink.is_on();
+        for ps in &mut self.parties {
+            if ps.events.is_some() != on {
+                ps.events = on.then(Vec::new);
+            }
+        }
     }
 
     fn report(&self, stop: StopReason) -> RunReport {
@@ -630,10 +570,7 @@ impl ShardedSimRuntime {
             stop,
             steps: self.steps,
             metrics: self.metrics(),
-            trace: self
-                .sink
-                .as_ref()
-                .map(|s| crate::trace::summarize(s.as_ref())),
+            trace: self.sink.summary(),
         }
     }
 }
@@ -658,8 +595,8 @@ impl Runtime for ShardedSimRuntime {
     }
 
     fn crash(&mut self, party: PartyId) {
-        self.parties[party.0].node.crash();
-        if let Some(sink) = &mut self.sink {
+        self.parties[party.0].host.crash();
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::Crash {
                 step: self.steps,
                 party,
@@ -668,7 +605,7 @@ impl Runtime for ShardedSimRuntime {
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::EpisodeStart { step: self.steps });
         }
         self.apply_spawns();
@@ -699,14 +636,14 @@ impl Runtime for ShardedSimRuntime {
             self.steps += done;
             self.merge_barrier();
         };
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::EpisodeEnd { step: self.steps });
         }
         self.report(reason)
     }
 
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.parties[party.0].node.output(session)
+        self.parties[party.0].host.node().output(session)
     }
 
     fn metrics(&self) -> Metrics {
@@ -714,16 +651,16 @@ impl Runtime for ShardedSimRuntime {
         // of the schedule — identical for every shard count.
         let mut merged = Metrics::default();
         for ps in &self.parties {
-            merged.merge(&ps.metrics);
+            merged.merge(ps.host.metrics());
             let (reused, allocated) = ps.inbox.pool_stats();
-            merged.pool_reused += reused;
-            merged.pool_alloc += allocated;
+            merged.pool_reused += reused + ps.pool_reused;
+            merged.pool_alloc += allocated + ps.pool_alloc;
         }
         merged
     }
 
     fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.parties[party.0].node.retire_session(session)
+        self.parties[party.0].host.retire_session(session)
     }
 
     fn schedule_recover(
@@ -738,30 +675,24 @@ impl Runtime for ShardedSimRuntime {
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
-        self.sink = mode.build();
-        let on = self.sink.is_some();
-        for ps in &mut self.parties {
-            ps.events = if on { Some(Vec::new()) } else { None };
-        }
+        self.sink.set_trace(mode);
+        self.size_event_buffers();
     }
 
     fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        for ps in &mut self.parties {
-            ps.events = None;
-        }
-        self.sink.take()
+        let recorder = self.sink.take_trace();
+        self.size_event_buffers();
+        recorder
     }
 
     fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        for ps in &mut self.parties {
-            ps.obs = Some(Vec::new());
-        }
-        self.adaptive = Some(ctrl);
+        self.sink.install(ctrl);
+        self.size_event_buffers();
         true
     }
 
     fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.adaptive.clone()
+        self.sink.controller()
     }
 
     fn backend_name(&self) -> &'static str {

@@ -1,274 +1,237 @@
 //! The threaded runtime: the same [`Instance`] protocol code running over
 //! real OS threads and channels instead of the deterministic simulator.
 //!
-//! Each party is one thread owning its [`Node`] and the receiving end of
+//! Each party is one thread driving its [`PartyHost`] — the per-party half
+//! of a delivery every message-passing host shares: dispatch, shunning,
+//! crash handling, accounting, send numbering — from the receiving end of
 //! its inbox, an unbounded `std::sync::mpsc` channel made anew for every
-//! episode; delivery order is whatever the OS scheduler produces — a
-//! genuinely asynchronous (if benign) network. The runtime exists to
-//! demonstrate that the protocol implementations are not simulator-bound;
+//! episode; what is this engine's own is that channel and who fills it.
+//! Delivery order is whatever the OS scheduler produces — a genuinely
+//! asynchronous (if benign) network. The runtime exists to demonstrate
+//! that the protocol implementations are not simulator-bound;
 //! quantitative experiments use [`SimNetwork`] for determinism and
 //! adversarial scheduling.
 //!
-//! [`ThreadedRuntime`] implements [`Runtime`], so deployments written
-//! against the trait run identically here and on the simulator. Messages
-//! route through the same [`Node`] dispatch core as the simulator
-//! (shunning, crash handling and metric accounting included); what differs
-//! is only who chooses the delivery order.
+//! **Hosts persist across episodes** (matching the simulator and the
+//! sharded backend): each [`run`](Runtime::run) call lends the long-lived
+//! hosts to the worker threads, so multi-phase deployments — SVSS
+//! share→reconstruct chains, shunning campaigns that interleave spawns and
+//! runs — carry session state, outputs, shun registries, metrics and send
+//! numbers from one episode to the next.
 //!
-//! **Nodes persist across episodes** (matching the simulator and the
-//! sharded backend): each [`run`](Runtime::run) call moves the long-lived
-//! nodes into the worker threads and moves them back at quiescence, so
-//! multi-phase deployments — SVSS share→reconstruct chains, shunning
-//! campaigns that interleave spawns and runs — carry session state,
-//! outputs and shun registries from one episode to the next.
-//!
-//! Termination uses a global in-flight counter: every send increments it,
-//! every completed delivery decrements it; once every party finished its
-//! spawn phase and the counter reads zero there are no messages anywhere
-//! (channels are empty and no handler is running), so all threads exit.
+//! Termination is exact and needs no clock. A global in-flight counter is
+//! incremented by every send and decremented by every completed delivery;
+//! once every party finished its spawn phase and the counter reads zero
+//! there are no messages anywhere (channels are empty and no handler is
+//! running). Each of those two things happens last for exactly one worker
+//! — the one whose decrement reaches zero, or the one that finishes
+//! spawning into an idle system — and that worker wakes every inbox with a
+//! stop message; everyone else is blocked in `recv()` until then.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 
 use crate::adaptive::SharedAdaptive;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::node::{Node, Outgoing};
+use crate::node::Node;
 use crate::payload::Payload;
-use crate::runtime::{
-    build_node, deliver_counted, DeliverTrace, Metrics, NetConfig, RunReport, Runtime, StopReason,
-};
+use crate::runtime::{Metrics, NetConfig, PartyHost, RunReport, Runtime, StopReason};
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
-struct Wire {
-    from: PartyId,
-    session: SessionId,
-    payload: Payload,
-    /// Globally-unique envelope number (`emit * n + sender`), joining the
-    /// flight recorder's `Send` and `Deliver` events.
-    seq: u64,
+/// What a worker finds in its inbox.
+enum Wire {
+    Envelope {
+        from: PartyId,
+        session: SessionId,
+        payload: Payload,
+        /// The sender's number for this envelope (see
+        /// [`PartyHost::drain_sends`]), joining the flight recorder's
+        /// `Send` and `Deliver` events.
+        seq: u64,
+    },
+    /// The episode is over; sent to every inbox at once.
+    Stop,
 }
 
-/// Per-party outputs of a threaded run.
-pub type ThreadedOutputs = Vec<HashMap<SessionId, Payload>>;
+/// The buffered spawns of one party.
+type Spawns = Vec<(SessionId, Box<dyn Instance>)>;
 
-/// One worker's episode result: the persistent node handed back, plus
-/// thread-local metrics.
-type WorkerResult = (Node, Metrics);
+/// The flight recorder as the workers share it.
+type SharedSink = Mutex<Box<dyn TraceSink>>;
 
 /// Shared bookkeeping for one threaded episode.
-struct EpisodeState {
+struct Episode {
+    /// Every party's inbox, sending side.
+    inboxes: Vec<Sender<Wire>>,
     in_flight: AtomicI64,
     /// Workers that completed their spawn phase (quiescence requires all).
     started: AtomicUsize,
     /// Total deliveries across all workers, for the step budget.
     steps: AtomicU64,
     limit_hit: AtomicBool,
-    /// Set when a worker panics: a dead worker never decrements
-    /// `in_flight`, so without this flag the survivors would wait for
-    /// quiescence forever instead of letting the panic propagate.
-    poisoned: AtomicBool,
     max_steps: u64,
 }
 
-/// Unwind guard: marks the episode poisoned if its worker dies before
-/// reaching the normal exit (i.e. unwinds through a protocol panic).
-struct PoisonOnUnwind {
-    state: Arc<EpisodeState>,
-    disarmed: bool,
-}
+impl Episode {
+    fn stop_all(&self) {
+        for inbox in &self.inboxes {
+            // A worker that is gone needs no waking.
+            let _ = inbox.send(Wire::Stop);
+        }
+    }
 
-impl Drop for PoisonOnUnwind {
-    fn drop(&mut self) {
-        if !self.disarmed {
-            self.state.poisoned.store(true, Ordering::SeqCst);
+    /// A worker finished its spawn phase. `SeqCst` orders this against
+    /// [`settled`](Episode::settled): of the last worker to start and the
+    /// last envelope to settle, whichever comes second sees the other.
+    fn spawned(&self) {
+        if self.started.fetch_add(1, Ordering::SeqCst) + 1 == self.inboxes.len()
+            && self.in_flight.load(Ordering::SeqCst) == 0
+        {
+            self.stop_all();
+        }
+    }
+
+    /// An envelope was dealt with, its sends already counted in flight.
+    fn settled(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.started.load(Ordering::SeqCst) == self.inboxes.len()
+        {
+            self.stop_all();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    from: PartyId,
-    out: &mut Vec<Outgoing>,
-    senders: &[Sender<Wire>],
-    state: &EpisodeState,
-    metrics: &mut Metrics,
-    n: u64,
-    emit: &mut u64,
-    sink: Option<&Mutex<Box<dyn TraceSink>>>,
-    causal: Option<u64>,
-) {
-    for o in out.drain(..) {
-        metrics.on_sent(&o.session);
-        let seq = *emit * n + from.0 as u64;
-        *emit += 1;
-        if let Some(shared) = sink {
-            let mut sink = shared.lock().expect("trace sink poisoned");
-            sink.record(TraceEvent::Send {
-                step: metrics.steps,
-                from,
-                to: o.to,
-                session: o.session.clone(),
-                seq,
-                causal_parent: causal,
-            });
+/// Unwind guard: ends the episode if its worker dies before reaching the
+/// normal exit (i.e. unwinds through a protocol panic). A dead worker
+/// never settles what is in its inbox, so the count would never reach
+/// zero and the survivors would wait forever instead of letting the panic
+/// propagate.
+struct PoisonOnUnwind<'a> {
+    episode: &'a Episode,
+    disarmed: bool,
+}
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if !self.disarmed {
+            self.episode.stop_all();
         }
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
-        // Receiver may only disappear after quiescence; ignore failures.
-        let _ = senders[o.to.0].send(Wire {
+    }
+}
+
+/// The shared recorder, locked for one delivery or one drain.
+type LockedSink<'a> = Option<MutexGuard<'a, Box<dyn TraceSink>>>;
+
+fn lock(sink: Option<&SharedSink>) -> LockedSink<'_> {
+    sink.map(|shared| shared.lock().expect("trace sink poisoned"))
+}
+
+/// The locked recorder as the sink a [`PartyHost`] records into.
+fn as_sink<'a>(locked: &'a mut LockedSink<'_>) -> Option<&'a mut dyn TraceSink> {
+    locked
+        .as_deref_mut()
+        .map(|boxed| &mut **boxed as &mut dyn TraceSink)
+}
+
+/// Hands the host's waiting sends to their inboxes. Each `Send` event is
+/// in the shared sink before its envelope is in the channel, so no
+/// `Deliver` can be recorded ahead of it.
+fn route(host: &mut PartyHost, causal: Option<u64>, episode: &Episode, sink: Option<&SharedSink>) {
+    let from = host.node().id();
+    let mut sink = lock(sink);
+    host.drain_sends(causal, as_sink(&mut sink), |seq, o| {
+        episode.in_flight.fetch_add(1, Ordering::SeqCst);
+        // Only a worker that panicked has dropped its inbox.
+        let _ = episode.inboxes[o.to.0].send(Wire::Envelope {
             from,
             session: o.session,
             payload: o.payload,
             seq,
         });
-    }
+    });
 }
 
-/// Runs one episode: every party's thread takes ownership of its
-/// persistent node, spawns its buffered instances, processes messages to
-/// quiescence (or the step budget), and hands the node back with its
-/// thread-local metrics.
-fn run_episode(
-    config: &NetConfig,
-    poll: Duration,
-    nodes: Vec<Node>,
-    spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>>,
-    max_steps: u64,
-    sink: Option<&Mutex<Box<dyn TraceSink>>>,
-) -> (Vec<WorkerResult>, StopReason) {
-    let n = config.n;
-    assert_eq!(spawns.len(), n, "one spawn list per party");
-    assert_eq!(nodes.len(), n, "one node per party");
-
-    let mut senders: Vec<Sender<Wire>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<Wire>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(rx);
+/// One party's thread for one episode: starts the buffered instances,
+/// then serves the inbox until the stop message.
+fn work(
+    host: &mut PartyHost,
+    spawns: Spawns,
+    inbox: Receiver<Wire>,
+    episode: &Episode,
+    sink: Option<&SharedSink>,
+) {
+    let mut guard = PoisonOnUnwind {
+        episode,
+        disarmed: false,
+    };
+    for (session, instance) in spawns {
+        host.spawn(session, instance);
     }
-    let state = Arc::new(EpisodeState {
+    // Spawn-phase sends are causal-DAG roots.
+    route(host, None, episode, sink);
+    episode.spawned();
+    while let Ok(Wire::Envelope {
+        from,
+        session,
+        payload,
+        seq,
+    }) = inbox.recv()
+    {
+        if episode.steps.fetch_add(1, Ordering::SeqCst) >= episode.max_steps {
+            // Budget exhausted: drain without processing so the system
+            // still quiesces.
+            episode.limit_hit.store(true, Ordering::SeqCst);
+        } else {
+            host.deliver(from, session, payload, seq, None, as_sink(&mut lock(sink)));
+            // Emissions are caused by the delivery that just ran (this
+            // party's step count).
+            route(host, Some(host.metrics().steps), episode, sink);
+        }
+        episode.settled();
+    }
+    guard.disarmed = true;
+}
+
+/// Runs one episode: every party's thread borrows its persistent host,
+/// spawns its buffered instances and processes messages to quiescence (or
+/// the step budget).
+fn run_episode(
+    hosts: &mut [PartyHost],
+    spawns: Vec<Spawns>,
+    max_steps: u64,
+    sink: Option<&SharedSink>,
+) -> StopReason {
+    let (inboxes, receivers): (Vec<_>, Vec<_>) = hosts.iter().map(|_| channel()).unzip();
+    let episode = Episode {
+        inboxes,
         in_flight: AtomicI64::new(0),
         started: AtomicUsize::new(0),
         steps: AtomicU64::new(0),
         limit_hit: AtomicBool::new(false),
-        poisoned: AtomicBool::new(false),
         max_steps,
-    });
-
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (p, ((mut node, instances), rx)) in
-            nodes.into_iter().zip(spawns).zip(receivers).enumerate()
-        {
-            let me = PartyId(p);
-            let senders = senders.clone();
-            let state = Arc::clone(&state);
-            handles.push(scope.spawn(move || {
-                let mut guard = PoisonOnUnwind {
-                    state: Arc::clone(&state),
-                    disarmed: false,
-                };
-                let mut metrics = Metrics::default();
-                let mut out = Vec::new();
-                let mut emit = 0u64;
-                let n_u64 = n as u64;
-                for (session, instance) in instances {
-                    out = node.spawn(session, instance);
-                    // Spawn-phase sends are causal-DAG roots.
-                    dispatch(
-                        me,
-                        &mut out,
-                        &senders,
-                        &state,
-                        &mut metrics,
-                        n_u64,
-                        &mut emit,
-                        sink,
-                        None,
-                    );
-                }
-                state.started.fetch_add(1, Ordering::SeqCst);
-                loop {
-                    // A dead worker never drains its queue or decrements
-                    // `in_flight`; stop waiting and let its panic surface.
-                    if state.poisoned.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match rx.recv_timeout(poll) {
-                        Ok(wire) => {
-                            if state.steps.fetch_add(1, Ordering::SeqCst) >= state.max_steps {
-                                // Budget exhausted: drain without
-                                // processing so the system still quiesces.
-                                state.limit_hit.store(true, Ordering::SeqCst);
-                                state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                                continue;
-                            }
-                            {
-                                let mut guard =
-                                    sink.map(|m| m.lock().expect("trace sink poisoned"));
-                                let tctx = guard.as_mut().map(|g| DeliverTrace {
-                                    sink: (**g).as_mut(),
-                                    seq: wire.seq,
-                                    vtime: None,
-                                });
-                                deliver_counted(
-                                    &mut node,
-                                    wire.from,
-                                    wire.session,
-                                    wire.payload,
-                                    &mut out,
-                                    &mut metrics,
-                                    tctx,
-                                );
-                            }
-                            // Emissions below are caused by the delivery
-                            // that just ran (this worker's step count).
-                            let parent = metrics.steps;
-                            dispatch(
-                                me,
-                                &mut out,
-                                &senders,
-                                &state,
-                                &mut metrics,
-                                n_u64,
-                                &mut emit,
-                                sink,
-                                Some(parent),
-                            );
-                            state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        Err(_) => {
-                            // Idle: once every party spawned and nothing is
-                            // in flight anywhere, the system is quiescent.
-                            if state.started.load(Ordering::SeqCst) == n
-                                && state.in_flight.load(Ordering::SeqCst) == 0
-                            {
-                                break;
-                            }
-                        }
-                    }
-                }
-                guard.disarmed = true;
-                (node, metrics)
-            }));
+    };
+    let episode = &episode;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = hosts
+            .iter_mut()
+            .zip(spawns)
+            .zip(receivers)
+            .map(|((host, spawns), inbox)| {
+                scope.spawn(move || work(host, spawns, inbox, episode, sink))
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker thread panicked");
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect::<Vec<_>>()
     });
-
-    let stop = if state.limit_hit.load(Ordering::SeqCst) {
+    if episode.limit_hit.load(Ordering::SeqCst) {
         StopReason::StepLimit
     } else {
         StopReason::Quiescent
-    };
-    (results, stop)
+    }
 }
 
 /// The OS-thread execution backend.
@@ -321,11 +284,9 @@ fn run_episode(
 /// ```
 pub struct ThreadedRuntime {
     config: NetConfig,
-    poll: Duration,
-    /// The persistent per-party nodes, kept across episodes.
-    nodes: Vec<Node>,
-    spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>>,
-    metrics: Metrics,
+    /// The persistent per-party hosts, kept across episodes.
+    hosts: Vec<PartyHost>,
+    spawns: Vec<Spawns>,
     /// Structured flight recorder (see [`crate::trace`]); shared with the
     /// worker threads behind a mutex during episodes. Event order reflects
     /// real OS interleaving — unlike the deterministic backends.
@@ -335,25 +296,13 @@ pub struct ThreadedRuntime {
 }
 
 impl ThreadedRuntime {
-    /// Default idle-poll interval for quiescence detection.
-    pub const DEFAULT_POLL: Duration = Duration::from_millis(2);
-
-    /// Creates a threaded runtime with the default poll interval.
+    /// Creates a threaded runtime.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
     /// every protocol in this workspace).
     pub fn new(config: NetConfig) -> Self {
-        Self::with_poll(config, Self::DEFAULT_POLL)
-    }
-
-    /// Creates a threaded runtime with an explicit idle-poll interval.
-    ///
-    /// # Panics
-    ///
-    /// See [`ThreadedRuntime::new`].
-    pub fn with_poll(config: NetConfig, poll: Duration) -> Self {
         assert!(config.n > 0, "need at least one party");
         assert!(
             config.n > 3 * config.t,
@@ -363,10 +312,8 @@ impl ThreadedRuntime {
         );
         ThreadedRuntime {
             config,
-            poll,
-            nodes: (0..config.n).map(|p| build_node(&config, p)).collect(),
+            hosts: (0..config.n).map(|p| PartyHost::new(&config, p)).collect(),
             spawns: (0..config.n).map(|_| Vec::new()).collect(),
-            metrics: Metrics::default(),
             sink: None,
             label: "threaded",
         }
@@ -379,23 +326,15 @@ impl ThreadedRuntime {
         self
     }
 
-    /// All recorded outputs per party, cloned out of the persistent nodes
-    /// (accumulated across episodes).
-    pub fn outputs(&self) -> ThreadedOutputs {
-        self.nodes
-            .iter()
-            .map(|node| {
-                node.outputs()
-                    .map(|(s, v)| (s.clone(), v.clone()))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Immutable access to a party's persistent node (outputs, shun
     /// registry, …).
     pub fn node(&self, party: PartyId) -> &Node {
-        &self.nodes[party.0]
+        self.hosts[party.0].node()
+    }
+
+    /// Deliveries executed so far, over all parties and episodes.
+    fn steps(&self) -> u64 {
+        self.hosts.iter().map(|host| host.metrics().steps).sum()
     }
 }
 
@@ -409,49 +348,35 @@ impl Runtime for ThreadedRuntime {
     }
 
     fn crash(&mut self, party: PartyId) {
-        self.nodes[party.0].crash();
+        self.hosts[party.0].crash();
+        let step = self.steps();
         if let Some(sink) = &mut self.sink {
-            sink.record(TraceEvent::Crash {
-                step: self.metrics.steps,
-                party,
-            });
+            sink.record(TraceEvent::Crash { step, party });
         }
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
+        let step = self.steps();
         if let Some(sink) = &mut self.sink {
-            sink.record(TraceEvent::EpisodeStart {
-                step: self.metrics.steps,
-            });
+            sink.record(TraceEvent::EpisodeStart { step });
         }
         let spawns = std::mem::replace(
             &mut self.spawns,
             (0..self.config.n).map(|_| Vec::new()).collect(),
         );
-        let nodes = std::mem::take(&mut self.nodes);
         let shared = self.sink.take().map(Mutex::new);
-        let (results, stop) = run_episode(
-            &self.config,
-            self.poll,
-            nodes,
-            spawns,
-            max_steps,
-            shared.as_ref(),
-        );
+        let stop = run_episode(&mut self.hosts, spawns, max_steps, shared.as_ref());
         self.sink = shared.map(|m| m.into_inner().expect("trace sink poisoned"));
-        for (node, metrics) in results {
-            self.metrics.merge(&metrics);
-            self.nodes.push(node);
-        }
+        let metrics = self.metrics();
         if let Some(sink) = &mut self.sink {
             sink.record(TraceEvent::EpisodeEnd {
-                step: self.metrics.steps,
+                step: metrics.steps,
             });
         }
         RunReport {
             stop,
-            steps: self.metrics.steps,
-            metrics: self.metrics.clone(),
+            steps: metrics.steps,
+            metrics,
             trace: self
                 .sink
                 .as_ref()
@@ -460,15 +385,15 @@ impl Runtime for ThreadedRuntime {
     }
 
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.nodes[party.0].output(session)
+        self.hosts[party.0].node().output(session)
     }
 
     fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        // Between episodes the nodes live here (workers only borrow them
+        // Between episodes the hosts live here (workers only borrow them
         // during `run`), so the arena GC works exactly as on the
         // simulator: the session's output, early buffer and arena slot
         // are released and a later spawn of the same id starts fresh.
-        self.nodes[party.0].retire_session(session)
+        self.hosts[party.0].retire_session(session)
     }
 
     /// Always `false`: there is no virtual clock to schedule against (a
@@ -484,7 +409,11 @@ impl Runtime for ThreadedRuntime {
     }
 
     fn metrics(&self) -> Metrics {
-        self.metrics.clone()
+        let mut merged = Metrics::default();
+        for host in &self.hosts {
+            merged.merge(host.metrics());
+        }
+        merged
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
@@ -495,7 +424,7 @@ impl Runtime for ThreadedRuntime {
         self.sink.take()
     }
 
-    /// Always `false`: observations would arrive in OS-timing order, so
+    /// Always `false`: deliveries would be recorded in OS-timing order, so
     /// an adaptive run could not be replayed.
     fn install_adaptive(&mut self, _ctrl: SharedAdaptive) -> bool {
         false
@@ -508,39 +437,6 @@ impl Runtime for ThreadedRuntime {
     fn backend_name(&self) -> &'static str {
         self.label
     }
-}
-
-/// Runs one protocol deployment over OS threads (function-style shorthand
-/// for [`ThreadedRuntime`]).
-///
-/// `spawns[p]` lists the `(session, instance)` pairs party `p` starts
-/// with. The function returns when the system is quiescent (no in-flight
-/// messages) — protocols that almost-surely terminate reach this state —
-/// and yields every party's recorded session outputs.
-///
-/// `poll` is the idle-polling interval used to detect quiescence
-/// (tests use a few milliseconds).
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `n < 3t + 1`, if `spawns.len() != n`, or if a
-/// worker thread panics (protocol assertion failures propagate).
-pub fn run_threaded(
-    n: usize,
-    t: usize,
-    seed: u64,
-    spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>>,
-    poll: Duration,
-) -> ThreadedOutputs {
-    assert_eq!(spawns.len(), n, "one spawn list per party");
-    let mut rt = ThreadedRuntime::with_poll(NetConfig::new(n, t, seed), poll);
-    for (p, instances) in spawns.into_iter().enumerate() {
-        for (session, instance) in instances {
-            rt.spawn(PartyId(p), session, instance);
-        }
-    }
-    rt.run(u64::MAX);
-    rt.outputs()
 }
 
 #[cfg(test)]
@@ -572,30 +468,54 @@ mod tests {
 
     #[test]
     fn hello_over_threads() {
-        let n = 4;
-        let spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>> = (0..n)
-            .map(|_| vec![(sid(), Box::new(Hello { heard: 0 }) as Box<dyn Instance>)])
-            .collect();
-        let outputs = run_threaded(n, 1, 7, spawns, Duration::from_millis(5));
-        for (p, out) in outputs.iter().enumerate() {
-            assert_eq!(
-                out.get(&sid()).and_then(|v| v.downcast_ref::<usize>()),
-                Some(&n),
-                "party {p}"
-            );
+        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 7));
+        for p in 0..4 {
+            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
+        }
+        assert_eq!(rt.run(u64::MAX).stop, StopReason::Quiescent);
+        for p in 0..4 {
+            assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4));
         }
     }
 
+    /// Nobody ever sends: the last worker through its (empty) spawn phase
+    /// is the one that finds the system idle and ends the episode — no
+    /// delivery will ever do it, and no timer exists to.
     #[test]
-    fn empty_system_quiesces() {
-        let outputs = run_threaded(
-            4,
-            1,
-            0,
-            (0..4).map(|_| Vec::new()).collect(),
-            Duration::from_millis(2),
-        );
-        assert!(outputs.iter().all(|o| o.is_empty()));
+    fn all_silent_system_quiesces() {
+        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 0));
+        let report = rt.run(u64::MAX);
+        assert_eq!(report.stop, StopReason::Quiescent);
+        assert_eq!(report.metrics.sent, 0);
+        // Silent instances are no different from no instances.
+        for p in 0..4 {
+            rt.spawn(PartyId(p), sid(), Box::new(crate::SilentInstance));
+        }
+        assert_eq!(rt.run(u64::MAX).stop, StopReason::Quiescent);
+        assert_eq!(rt.metrics().steps, 0);
+    }
+
+    /// One party sends, nobody answers: whichever worker settles the last
+    /// of the three envelopes ends the episode for the sender too, which
+    /// is blocked on an inbox nothing is ever put in.
+    #[test]
+    fn one_sender_system_quiesces() {
+        struct Herald;
+        impl Instance for Herald {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for p in 1..ctx.n() {
+                    ctx.send(PartyId(p), 1u8);
+                }
+            }
+            fn on_message(&mut self, _f: PartyId, _p: &Payload, _c: &mut Context<'_>) {}
+        }
+        for seed in 0..50 {
+            let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, seed));
+            rt.spawn(PartyId(0), sid(), Box::new(Herald));
+            let report = rt.run(u64::MAX);
+            assert_eq!(report.stop, StopReason::Quiescent);
+            assert_eq!((report.metrics.sent, report.metrics.steps), (3, 3));
+        }
     }
 
     /// Ping-pong volley across threads terminates and counts correctly.
@@ -623,24 +543,19 @@ mod tests {
 
     #[test]
     fn ping_pong_over_threads() {
-        let spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>> = (0..4)
-            .map(|p| {
-                vec![(
-                    sid(),
-                    Box::new(Volley {
-                        start: p == 0,
-                        bounces: 0,
-                    }) as Box<dyn Instance>,
-                )]
-            })
-            .collect();
-        let outputs = run_threaded(4, 1, 3, spawns, Duration::from_millis(5));
+        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 3));
+        for p in 0..4 {
+            let volley = Volley {
+                start: p == 0,
+                bounces: 0,
+            };
+            rt.spawn(PartyId(p), sid(), Box::new(volley));
+        }
+        assert_eq!(rt.run(u64::MAX).stop, StopReason::Quiescent);
         // 51 messages bounce between P0 and P1; the terminal catcher
         // outputs its bounce count.
-        let total: u32 = outputs
-            .iter()
-            .filter_map(|o| o.get(&sid()))
-            .filter_map(|v| v.downcast_ref::<u32>())
+        let total: u32 = (0..4)
+            .filter_map(|p| rt.output_as::<u32>(PartyId(p), &sid()))
             .sum();
         assert!(total > 0, "someone must have caught the last ball");
     }
@@ -834,8 +749,8 @@ mod tests {
         let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 1));
         rt.spawn(PartyId(0), sid(), Box::new(Poker));
         rt.spawn(PartyId(3), sid(), Box::new(Bomb));
-        // Keep the other parties listening so they would spin forever if
-        // the poison flag did not release them.
+        // Keep the other parties listening: blocked in `recv()`, they
+        // would wait forever if the dying worker did not stop them.
         rt.spawn(PartyId(1), sid(), Box::new(Hello { heard: 0 }));
         rt.spawn(PartyId(2), sid(), Box::new(Hello { heard: 0 }));
         rt.run(u64::MAX);

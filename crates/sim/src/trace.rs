@@ -286,8 +286,9 @@ pub trait TraceSink: Send {
     fn recorded(&self) -> u64;
 }
 
-/// Plain buffers work as sinks (the sharded backend records into
-/// per-party `Vec`s and flattens them at merge barriers).
+/// A plain buffer is the unbounded recorder: [`TraceMode::Full`] builds
+/// one, and the sharded backend records into one per party and flattens
+/// them at merge barriers.
 impl TraceSink for Vec<TraceEvent> {
     fn record(&mut self, event: TraceEvent) {
         self.push(event);
@@ -354,32 +355,6 @@ impl TraceSink for RingRecorder {
     }
 }
 
-/// Unbounded recorder: keeps every event. Use for exports and the causal
-/// DAG; prefer [`RingRecorder`] for always-on forensics.
-#[derive(Debug, Clone, Default)]
-pub struct FullRecorder {
-    events: Vec<TraceEvent>,
-}
-
-impl FullRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        FullRecorder::default()
-    }
-}
-
-impl TraceSink for FullRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.clone()
-    }
-    fn recorded(&self) -> u64 {
-        self.events.len() as u64
-    }
-}
-
 /// How a backend should trace, set via
 /// [`Runtime::set_trace`](crate::Runtime::set_trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -390,7 +365,8 @@ pub enum TraceMode {
     Off,
     /// Bounded last-K ring buffer ([`RingRecorder`]).
     Ring(usize),
-    /// Unbounded recorder ([`FullRecorder`]).
+    /// Every event, in a plain `Vec<TraceEvent>`: for exports and the
+    /// causal DAG. Prefer [`TraceMode::Ring`] for always-on forensics.
     Full,
 }
 
@@ -400,7 +376,7 @@ impl TraceMode {
         match self {
             TraceMode::Off => None,
             TraceMode::Ring(k) => Some(Box::new(RingRecorder::new(k))),
-            TraceMode::Full => Some(Box::new(FullRecorder::new())),
+            TraceMode::Full => Some(Box::new(Vec::new())),
         }
     }
 }

@@ -235,7 +235,7 @@ mod scenario_props {
             "sharded:2",
             "sharded:4",
             "threaded",
-            "threaded:5",
+            "proc",
         ];
         Scenario {
             n,

@@ -5,8 +5,8 @@ use crate::msgs::{party_point, RecMsg, ShareBundle, ShareMsg};
 use crate::share::SvssShare;
 use aft_field::{BivarPoly, Fp, Poly};
 use aft_sim::{
-    AttackCtx, AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance,
-    ObsEvent, PartyId, Payload,
+    AttackCtx, AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance, PartyId,
+    Payload, TraceEvent,
 };
 
 /// Registers this crate's attacks with a scenario [`AttackRegistry`].
@@ -184,8 +184,8 @@ impl aft_sim::AdaptiveAttack for CoreCandidates {
         self.episode = episode.to_string();
     }
 
-    fn observe(&mut self, ev: &ObsEvent, plan: &mut CorruptionPlan) {
-        let ObsEvent::Deliver { party, .. } = ev else {
+    fn observe(&mut self, ev: &TraceEvent, plan: &mut CorruptionPlan) {
+        let TraceEvent::Deliver { party, .. } = ev else {
             return;
         };
         if self.counts.is_empty() {

@@ -9,7 +9,7 @@
 
 use aft::ba::{BinaryBa, OracleCoin};
 use aft::sim::{NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag, ThreadedRuntime};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     let iterations: u32 = std::env::args()
@@ -23,8 +23,7 @@ fn main() {
 
     for i in 0..iterations {
         let sid = SessionId::root().child(SessionTag::new("ba", 0));
-        let mut rt =
-            ThreadedRuntime::with_poll(NetConfig::new(n, 1, i as u64), Duration::from_millis(3));
+        let mut rt = ThreadedRuntime::new(NetConfig::new(n, 1, i as u64));
         for p in 0..n {
             rt.spawn(
                 PartyId(p),

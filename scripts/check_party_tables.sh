@@ -5,21 +5,37 @@
 # protocol crates is that state creeping back: a SipHash probe per vote, and
 # an emission order that has to be repaired by collect-and-sort.
 #
-# Fails on any such collection in crates/{svss,ba,broadcast,core}/src. One
-# that is legitimately not keyed by a party is listed in `allowed` by
-# file:line-content — by name, so that a second one is a conscious edit
-# here, not a pattern that happened to match.
+# Fails on any such collection in crates/{svss,ba,broadcast,core,sim,bench}/src.
+# One that is legitimately not keyed by a party is listed in `allowed` by
+# the text of its declaration — by name, so that a second one is a
+# conscious edit here, not a pattern that happened to match.
+#
+# The same goes for the per-party half of a delivery: counting a send
+# (`on_sent(`), numbering it and recording its `TraceEvent::Send` is
+# `aft_sim::PartyHost::drain_sends`, and the three hosts that run one
+# party at a time drive it. Either string in the non-test code of
+# shard.rs, threaded.rs or aft_partyd.rs is that half being written again.
 #
 # usage: scripts/check_party_tables.sh   (from the repository root)
 set -euo pipefail
 
-# None today. (`WeakCoinMsg::Gather` is a strictly ascending `Vec<usize>`;
+# (`WeakCoinMsg::Gather` is a strictly ascending `Vec<usize>`;
 # `BinaryBa::rounds` is keyed by round number, a `u64`; `Fba`'s majority
 # count is keyed by value.)
-allowed=()
+allowed=(
+    # cluster.rs: keyed by *inner* party of the Appendix-B reduction, a
+    # sparse subset.
+    'nodes: HashMap<usize, Node>,'
+    # deployment.rs: the supervisor's table of `metrics` lines, keyed by
+    # who printed one.
+    'let mut metrics: HashMap<usize, [u64; 3]> = HashMap::new();'
+    # ids.rs: the model a proptest holds `PartySet` against.
+    'fn set_of(ids: &[usize]) -> (PartySet, BTreeSet<usize>) {'
+)
 
 hits=$(grep -rnE 'Hash(Map|Set)<(PartyId|usize)|BTreeSet<usize>' --include='*.rs' \
-    crates/svss/src crates/ba/src crates/broadcast/src crates/core/src || true)
+    crates/svss/src crates/ba/src crates/broadcast/src crates/core/src \
+    crates/sim/src crates/bench/src || true)
 for entry in "${allowed[@]}"; do
     hits=$(grep -vF -- "$entry" <<<"$hits" || true)
 done
@@ -29,3 +45,13 @@ if [[ -n $hits ]]; then
     exit 1
 fi
 echo "party-tables: none"
+
+for driver in crates/sim/src/shard.rs crates/sim/src/threaded.rs \
+    crates/bench/src/bin/aft_partyd.rs; do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$driver" |
+        grep -E 'on_sent\(|TraceEvent::Send \{' >&2; then
+        echo "party-host: $driver accounts for sends itself (drive aft_sim::PartyHost)" >&2
+        exit 1
+    fi
+done
+echo "party-host: the drivers drive it"

@@ -769,6 +769,238 @@ fn adaptive_cells_are_safe_and_reproducible() {
     }
 }
 
+/// One adaptive cell's pin: stack, policy, backend, seed, then the cell
+/// fingerprint and the victim set.
+type AdaptivePin = (
+    StackKind,
+    &'static str,
+    &'static str,
+    u64,
+    u64,
+    &'static [usize],
+);
+
+/// A policy that is shown deliveries in another order, or at another
+/// point of a step, strikes another party at another time and moves both
+/// columns.
+const ADAPTIVE_PINS: &[AdaptivePin] = &[
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "sim",
+        5,
+        0xe779b8db45c34bc5,
+        &[2],
+    ),
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "sim",
+        6,
+        0x5350d5fba409870c,
+        &[3],
+    ),
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "sharded:4",
+        5,
+        0x6a2a3376dbf65e15,
+        &[0],
+    ),
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "sharded:4",
+        6,
+        0x9e3aa4bc36f2419a,
+        &[0],
+    ),
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "wire",
+        5,
+        0xe779b8db45c34bc5,
+        &[2],
+    ),
+    (
+        StackKind::Ba,
+        "coin-favorite",
+        "wire",
+        6,
+        0x5350d5fba409870c,
+        &[3],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "sim",
+        5,
+        0xe6fec807767b807e,
+        &[0],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "sim",
+        6,
+        0x69ba786f1a36a5d6,
+        &[0],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "sharded:4",
+        5,
+        0xe6fec807767b807e,
+        &[0],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "sharded:4",
+        6,
+        0x69ba786f1a36a5d6,
+        &[0],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "wire",
+        5,
+        0xe6fec807767b807e,
+        &[0],
+    ),
+    (
+        StackKind::SvssChain,
+        "core-candidates",
+        "wire",
+        6,
+        0x69ba786f1a36a5d6,
+        &[0],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "sim",
+        5,
+        0x58d4734c02f42e42,
+        &[3],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "sim",
+        6,
+        0x551a16bbf70592d3,
+        &[2],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "sharded:4",
+        5,
+        0xa65c0e7957c34d2b,
+        &[0],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "sharded:4",
+        6,
+        0xa65c0e7957c34d2b,
+        &[0],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "wire",
+        5,
+        0x58d4734c02f42e42,
+        &[3],
+    ),
+    (
+        StackKind::CommonSubset,
+        "core-candidates",
+        "wire",
+        6,
+        0x551a16bbf70592d3,
+        &[2],
+    ),
+];
+
+/// The adaptive cells above, held to absolute values: the policies read
+/// the flight recorder's `Deliver` events, so the order and the moment
+/// in which an engine records them is part of the schedule.
+#[test]
+fn adaptive_cells_match_their_absolute_pins() {
+    use aft::core::scenarios::run_cell_instrumented;
+    use aft::sim::TraceMode;
+    let registry = standard_registry();
+    let mut wrong = Vec::new();
+    for &(kind, policy, backend, seed, fingerprint, victims) in ADAPTIVE_PINS {
+        let spec = format!("n=4,t=1,corrupt=adaptive:{policy}@*,sched=random,rt={backend}");
+        let scenario = Scenario::parse(&spec).unwrap_or_else(|| panic!("{spec:?} must parse"));
+        let out = run_cell_instrumented(kind, &scenario, seed, &registry, u64::MAX, TraceMode::Off);
+        let struck: Vec<usize> = out.victims.iter().map(|p| p.0).collect();
+        if (out.report.fingerprint, struck.as_slice()) != (fingerprint, victims) {
+            wrong.push(format!(
+                "    (StackKind::{kind:?}, {policy:?}, {backend:?}, {seed}, 0x{:016x}, &{struck:?}),",
+                out.report.fingerprint
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "moved pins, now:\n{}", wrong.join("\n"));
+}
+
+/// The flight recorder's JSONL, byte for byte, as one digest per engine:
+/// an adaptive cell on `sim` and on `sharded:2` (the controller sits in
+/// front of the recorder there) and a crash-recovery cell on each.
+#[test]
+fn flight_recorder_jsonl_matches_its_pinned_digests() {
+    use aft::core::scenarios::run_cell_traced;
+    use aft::sim::{trace::to_jsonl, Fingerprint, TraceMode};
+    const PINS: &[(&str, u64, usize)] = &[
+        (
+            "n=4,t=1,corrupt=adaptive:coin-favorite@*,sched=random,rt=sim",
+            0x6e410fb78d0f2f74,
+            1407,
+        ),
+        (
+            "n=4,t=1,corrupt=adaptive:coin-favorite@*,sched=random,rt=sharded:2",
+            0xd3fb30218ab7f01f,
+            1135,
+        ),
+        (
+            "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sim",
+            0xa7183b5b717b08dd,
+            1076,
+        ),
+        (
+            "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sharded:2",
+            0xf8a654f2708a46e2,
+            992,
+        ),
+    ];
+    let registry = standard_registry();
+    let mut wrong = Vec::new();
+    for &(spec, digest, lines) in PINS {
+        let scenario = Scenario::parse(spec).unwrap_or_else(|| panic!("{spec:?} must parse"));
+        let (_, events) = run_cell_traced(StackKind::Ba, &scenario, 5, &registry, TraceMode::Full);
+        let mut fp = Fingerprint::new();
+        fp.write_str(&to_jsonl(&events));
+        if (fp.finish(), events.len()) != (digest, lines) {
+            wrong.push(format!(
+                "        ({spec:?}, 0x{:016x}, {}),",
+                fp.finish(),
+                events.len()
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "moved pins, now:\n{}", wrong.join("\n"));
+}
+
 /// Differential: an adaptive plan whose decision policy is *constant*
 /// (`pin`, which corrupts a fixed target at episode start and ignores
 /// all observations) is byte-identical to the equivalent static plan.
