@@ -24,6 +24,7 @@ use aft_field::Fp;
 use aft_sim::{mix, Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use rand::Rng;
+use std::sync::Arc;
 
 /// What a [`CoinSource`] produces for a given round.
 pub enum Coin {
@@ -161,8 +162,9 @@ const WREC_TAG: &str = "wc-rec";
 /// the unions are fixed.
 #[derive(Default)]
 pub struct WeakCoinInstance {
-    /// Completed dealings, by dealer.
-    bundles: PartyMap<ShareBundle>,
+    /// Completed dealings, by dealer: each the share phase's own output,
+    /// handed on to the dealing's reconstruction.
+    bundles: PartyMap<Arc<ShareBundle>>,
     gather_sent: bool,
     /// Parties whose gather set arrived.
     gathers: PartySet,
@@ -201,7 +203,7 @@ impl WeakCoinInstance {
                 if self.rec_spawned.insert(dealer) {
                     ctx.spawn(
                         SessionTag::new(WREC_TAG, dealer.0 as u64),
-                        Box::new(SvssRec::new(bundle.clone())),
+                        Box::new(SvssRec::new(Arc::clone(bundle))),
                     );
                 }
             }
@@ -219,6 +221,8 @@ impl WeakCoinInstance {
 impl Instance for WeakCoinInstance {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let me = ctx.me();
+        self.bundles.reserve(ctx.n());
+        self.rec_values.reserve(ctx.n());
         let bit = Fp::from(ctx.rng().gen::<bool>());
         for d in ctx.parties().collect::<Vec<_>>() {
             let inst: Box<dyn Instance> = if d == me {
@@ -253,9 +257,8 @@ impl Instance for WeakCoinInstance {
     fn on_child_output(&mut self, child: &SessionTag, output: &Payload, ctx: &mut Context<'_>) {
         match child.kind {
             WSHARE_TAG => {
-                if let Some(bundle) = output.downcast_ref::<ShareBundle>() {
-                    self.bundles
-                        .insert(PartyId(child.index as usize), bundle.clone());
+                if let Some(bundle) = output.downcast_arc::<ShareBundle>() {
+                    self.bundles.insert(PartyId(child.index as usize), bundle);
                     self.try_progress(ctx);
                 }
             }
@@ -340,6 +343,18 @@ mod tests {
                     net.output_as::<bool>(PartyId(p), &sid).is_some(),
                     "seed={seed} p={p} no coin output"
                 );
+                // One bundle per completed dealing, never copied: the share
+                // phase's output, the coin's table and the reconstruction
+                // all hold the allocation this handle is the fourth on.
+                for d in 0..n {
+                    let share = sid.child(SessionTag::new(WSHARE_TAG, d as u64));
+                    let bundle = net
+                        .output(PartyId(p), &share)
+                        .and_then(|out| out.downcast_arc::<ShareBundle>());
+                    if let Some(bundle) = bundle {
+                        assert_eq!(Arc::strong_count(&bundle), 4, "seed={seed} p={p} d={d}");
+                    }
+                }
             }
         }
     }

@@ -65,8 +65,8 @@ fn main() {
                     "svss-rec",
                     &rsid,
                     &carries,
-                    |_, c| match c.and_then(|c| c.downcast_ref::<ShareBundle>()) {
-                        Some(b) => Box::new(SvssRec::new(b.clone())),
+                    |_, c| match c.and_then(|c| c.downcast_arc::<ShareBundle>()) {
+                        Some(b) => Box::new(SvssRec::new(b)),
                         None => Box::new(SilentInstance),
                     },
                 )

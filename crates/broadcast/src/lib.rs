@@ -117,21 +117,27 @@ pub fn register_codecs(registry: &mut CodecRegistry) {
     registry.register::<AcastMsg<Vec<usize>>>();
 }
 
-/// Per-value vote tally. Honest executions see one distinct value (an
-/// equivocating sender at most a handful), so a linear scan over the
-/// entries beats hashing every message — and the [`PartySet`] bitsets
-/// never rehash, where a per-value hash set of voters grows (and
+/// Per-value vote tally. Honest executions see one distinct value, and
+/// that first value and its voters are held inline — with [`PartySet`]'s
+/// inline word for `n ≤ 64`, a tally then owns no heap memory at all, so
+/// an honest [`Acast`] is its own box and nothing else. Only a second
+/// distinct value (an equivocating sender; at most a handful) spills to a
+/// `Vec`, scanned linearly: that beats hashing every message, and the
+/// bitsets never rehash, where a per-value hash set of voters grows (and
 /// reallocates) `O(log n)` times on its way to `n` of them. A-Cast
 /// tallies are the delivery hot path of every protocol built on
 /// broadcast, so this is where the per-message constant matters.
 struct Tally<V> {
-    entries: Vec<(V, PartySet)>,
+    first: Option<(V, PartySet)>,
+    /// Every further distinct value, in order of first vote.
+    rest: Vec<(V, PartySet)>,
 }
 
 impl<V: Value> Tally<V> {
     fn new() -> Self {
         Tally {
-            entries: Vec::new(),
+            first: None,
+            rest: Vec::new(),
         }
     }
 
@@ -139,14 +145,22 @@ impl<V: Value> Tally<V> {
     /// or `None` for a duplicate (vote changes count per value — A-Cast
     /// quorums are per-value, equivocators only split their weight).
     fn record(&mut self, v: &V, from: PartyId) -> Option<usize> {
-        let entry = match self.entries.iter_mut().find(|(ev, _)| ev == v) {
-            Some((_, set)) => set,
-            None => {
-                self.entries.push((v.clone(), PartySet::default()));
-                &mut self.entries.last_mut().expect("just pushed").1
-            }
+        let first = self
+            .first
+            .get_or_insert_with(|| (v.clone(), PartySet::new()));
+        let voters = if first.0 == *v {
+            &mut first.1
+        } else {
+            let at = match self.rest.iter().position(|(ev, _)| ev == v) {
+                Some(at) => at,
+                None => {
+                    self.rest.push((v.clone(), PartySet::new()));
+                    self.rest.len() - 1
+                }
+            };
+            &mut self.rest[at].1
         };
-        entry.insert(from).then(|| entry.len())
+        voters.insert(from).then(|| voters.len())
     }
 }
 
@@ -221,20 +235,18 @@ impl<V: Value> Instance for Acast<V> {
             AcastMsg::Echo(v) => {
                 if let Some(count) = self.echoes.record(v, from) {
                     if count >= n - t {
-                        let v = v.clone();
-                        self.maybe_ready(&v, ctx);
+                        self.maybe_ready(v, ctx);
                     }
                 }
             }
             AcastMsg::Ready(v) => {
                 if let Some(count) = self.readies.record(v, from) {
-                    let v = v.clone();
                     if count > t {
-                        self.maybe_ready(&v, ctx);
+                        self.maybe_ready(v, ctx);
                     }
                     if count >= n - t && !self.delivered {
                         self.delivered = true;
-                        ctx.output(v);
+                        ctx.output(v.clone());
                     }
                 }
             }
@@ -311,6 +323,27 @@ mod tests {
         }
         net.run(2_000_000);
         net
+    }
+
+    #[test]
+    fn tally_counts_per_value_and_keeps_the_first_inline() {
+        let mut tally = Tally::<u8>::new();
+        assert_eq!(tally.record(&7, PartyId(0)), Some(1));
+        assert_eq!(tally.record(&7, PartyId(3)), Some(2));
+        assert_eq!(tally.record(&7, PartyId(0)), None, "a duplicate vote");
+        assert!(tally.rest.is_empty(), "one value: nothing spilled");
+        // Two more values, interleaved: each counts its own voters, and a
+        // party that changes its vote counts once per value.
+        assert_eq!(tally.record(&8, PartyId(0)), Some(1));
+        assert_eq!(tally.record(&9, PartyId(5)), Some(1));
+        assert_eq!(tally.record(&8, PartyId(70)), Some(2));
+        assert_eq!(tally.record(&8, PartyId(70)), None);
+        assert_eq!(tally.record(&9, PartyId(5)), None);
+        assert_eq!(tally.record(&7, PartyId(70)), Some(3));
+        let first = tally.first.as_ref().expect("the first value");
+        assert_eq!((first.0, first.1.len()), (7, 3));
+        let rest: Vec<(u8, usize)> = tally.rest.iter().map(|(v, s)| (*v, s.len())).collect();
+        assert_eq!(rest, [(8, 2), (9, 1)]);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use aft_field::Fp;
 use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload, SessionTag};
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Session tag kinds of CoinFlip children (`index = round * n + dealer`
 /// for the per-dealer ones, `round` for the subset, `0` for the final BA).
@@ -92,8 +93,9 @@ pub struct CoinFlip {
     coin: CoinKind,
     k: usize,
     round: usize,
-    /// Share bundles completed this round (dealer → bundle).
-    bundles: PartyMap<ShareBundle>,
+    /// Share bundles completed this round (dealer → the share phase's own
+    /// output, handed on to the dealing's reconstruction).
+    bundles: PartyMap<Arc<ShareBundle>>,
     cs: CommonSubset,
     subset: Option<Vec<PartyId>>,
     recs_spawned: PartySet,
@@ -158,7 +160,7 @@ impl CoinFlip {
                 if self.recs_spawned.insert(j) {
                     ctx.spawn(
                         SessionTag::new(REC_TAG, self.idx(n, j.0)),
-                        Box::new(SvssRec::new(bundle.clone())),
+                        Box::new(SvssRec::new(Arc::clone(bundle))),
                     );
                 }
             }
@@ -194,6 +196,8 @@ impl CoinFlip {
 impl Instance for CoinFlip {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.k = self.params.iterations(ctx.n());
+        self.bundles.reserve(ctx.n());
+        self.rec_values.reserve(ctx.n());
         self.start_round(ctx);
     }
 
@@ -213,8 +217,8 @@ impl Instance for CoinFlip {
                 if round != self.round {
                     return;
                 }
-                if let Some(bundle) = output.downcast_ref::<ShareBundle>() {
-                    self.bundles.insert(PartyId(dealer), bundle.clone());
+                if let Some(bundle) = output.downcast_arc::<ShareBundle>() {
+                    self.bundles.insert(PartyId(dealer), bundle);
                     // Q_ir(dealer) := 1
                     self.cs.set_predicate(dealer, ctx);
                     self.try_spawn_recs(ctx);

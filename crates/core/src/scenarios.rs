@@ -178,8 +178,8 @@ impl StackKind {
             }
             (StackKind::SvssChain, "svss-share") => Box::new(SvssShare::party(DEALER)),
             (StackKind::SvssChain, _) => {
-                match carry.and_then(|c| c.downcast_ref::<ShareBundle>()) {
-                    Some(bundle) => Box::new(SvssRec::new(bundle.clone())),
+                match carry.and_then(|c| c.downcast_arc::<ShareBundle>()) {
+                    Some(bundle) => Box::new(SvssRec::new(bundle)),
                     // No bundle (faulty dealer): the party cannot reconstruct.
                     None => Box::new(SilentInstance),
                 }

@@ -78,7 +78,8 @@ impl BivarPoly {
     /// The row polynomial `f_i(y) = F(i, y)` handed to party `i`.
     pub fn row(&self, i: Fp) -> Poly {
         // Collapse the x-dimension at x = i.
-        let mut out = vec![Fp::ZERO; self.deg + 1];
+        let mut poly = Poly::zeroed(self.deg + 1);
+        let out = poly.coeffs_mut();
         let mut xpow = Fp::ONE;
         for row in &self.coeffs {
             for (j, &c) in row.iter().enumerate() {
@@ -86,12 +87,14 @@ impl BivarPoly {
             }
             xpow *= i;
         }
-        Poly::from_coeffs(out)
+        poly.normalize();
+        poly
     }
 
     /// The column polynomial `g_j(x) = F(x, j)` handed to party `j`.
     pub fn col(&self, j: Fp) -> Poly {
-        let mut out = vec![Fp::ZERO; self.deg + 1];
+        let mut poly = Poly::zeroed(self.deg + 1);
+        let out = poly.coeffs_mut();
         for (i, row) in self.coeffs.iter().enumerate() {
             let mut ypow = Fp::ONE;
             for &c in row {
@@ -99,7 +102,8 @@ impl BivarPoly {
                 ypow *= j;
             }
         }
-        Poly::from_coeffs(out)
+        poly.normalize();
+        poly
     }
 
     /// Reconstructs the unique degree-(t,t) bivariate polynomial from a

@@ -85,8 +85,11 @@ pub fn interpolate(points: &[(Fp, Fp)]) -> Result<Poly, InterpolateError> {
             basis = basis.mul_linear(xj);
         }
         let scale = yi * denoms[i];
-        let scaled = Poly::from_coeffs(basis.coeffs().iter().map(|&c| c * scale).collect());
-        acc = &acc + &scaled;
+        for c in basis.coeffs_mut() {
+            *c *= scale;
+        }
+        basis.normalize(); // `yi` may be zero
+        acc = &acc + &basis;
     }
     Ok(acc)
 }

@@ -45,7 +45,9 @@ impl From<usize> for PartyId {
 }
 
 /// A set of parties: a bitset over party ids with its size kept beside
-/// it, sized lazily from the highest id inserted.
+/// it. Parties `0..64` live in one inline word, so a set over any `n ≤ 64`
+/// never touches the allocator; ids from 64 up fall back to a `Vec` of
+/// further words, sized lazily from the highest id inserted.
 ///
 /// This is the one collection protocol handlers key by party. A vote is
 /// an `insert`, a quorum test a `len`, and iteration is in ascending
@@ -64,11 +66,14 @@ impl From<usize> for PartyId {
 /// assert_eq!(votes.len(), 2);
 /// assert_eq!(votes.iter().collect::<Vec<_>>(), [PartyId(3), PartyId(70)]);
 /// ```
-// Nothing removes a single party, so the last word is never zero and the
-// derived equality is set equality.
+// Nothing removes a single party, so the last word of `high` is never zero
+// and the derived equality is set equality.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct PartySet {
-    words: Vec<u64>,
+    /// Parties `0..64`.
+    low: u64,
+    /// Parties from 64 up: word `i` holds ids `64 (i + 1)..64 (i + 2)`.
+    high: Vec<u64>,
     len: usize,
 }
 
@@ -80,21 +85,37 @@ impl PartySet {
 
     /// Inserts `p`; `false` if it was already a member.
     pub fn insert(&mut self, p: PartyId) -> bool {
-        let (word, mask) = (p.0 / 64, 1u64 << (p.0 % 64));
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
+        let mask = 1u64 << (p.0 % 64);
+        // Keep both arms written out: with a shared `&mut u64` accessor in
+        // their place an -O build was reported to lose the `len` update
+        // (rustc 1.95; not reproduced since). CI runs these tests in the
+        // release profile as well.
+        let fresh = match (p.0 / 64).checked_sub(1) {
+            None => {
+                let fresh = self.low & mask == 0;
+                self.low |= mask;
+                fresh
+            }
+            Some(word) => {
+                if word >= self.high.len() {
+                    self.high.resize(word + 1, 0);
+                }
+                let fresh = self.high[word] & mask == 0;
+                self.high[word] |= mask;
+                fresh
+            }
+        };
         self.len += fresh as usize;
         fresh
     }
 
     /// Whether `p` is a member.
     pub fn contains(&self, p: PartyId) -> bool {
-        self.words
-            .get(p.0 / 64)
-            .is_some_and(|w| w >> (p.0 % 64) & 1 == 1)
+        let word = match (p.0 / 64).checked_sub(1) {
+            None => self.low,
+            Some(word) => self.high.get(word).copied().unwrap_or(0),
+        };
+        word >> (p.0 % 64) & 1 == 1
     }
 
     /// Number of members.
@@ -109,17 +130,15 @@ impl PartySet {
 
     /// Whether every member of `other` is a member of `self`.
     pub fn is_superset(&self, other: &PartySet) -> bool {
-        other.words.len() <= self.words.len()
-            && other
-                .words
-                .iter()
-                .zip(&self.words)
-                .all(|(o, s)| o & !s == 0)
+        other.low & !self.low == 0
+            && other.high.len() <= self.high.len()
+            && other.high.iter().zip(&self.high).all(|(o, s)| o & !s == 0)
     }
 
     /// Members in ascending party order.
     pub fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
+        let words = std::iter::once(self.low).chain(self.high.iter().copied());
+        words.enumerate().flat_map(|(i, word)| {
             std::iter::successors((word != 0).then_some(word), |w| {
                 let rest = w & (w - 1);
                 (rest != 0).then_some(rest)
@@ -128,9 +147,10 @@ impl PartySet {
         })
     }
 
-    /// Removes every member (the words' capacity is kept).
+    /// Removes every member (the capacity of the words past 64 is kept).
     pub fn clear(&mut self) {
-        self.words.clear();
+        self.low = 0;
+        self.high.clear();
         self.len = 0;
     }
 }
@@ -154,7 +174,9 @@ impl fmt::Debug for PartySet {
 /// state that carries a value (a share bundle per dealer, a vote per
 /// voter). The **first** value recorded for a party stands, which is the
 /// rule every protocol table here follows; iteration is in ascending
-/// party order, and the index caveat of [`PartySet`] applies.
+/// party order, and the index caveat of [`PartySet`] applies. The table
+/// grows to the highest party recorded; an instance that knows `n`
+/// [`reserve`](PartyMap::reserve)s once instead.
 ///
 /// ```
 /// use aft_sim::{PartyId, PartyMap};
@@ -186,6 +208,13 @@ impl<T> PartyMap<T> {
     /// The empty map.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes room for parties `0..n` in one allocation, so inserts in any
+    /// order never re-grow the table — for an instance that learns `n` at
+    /// `on_start`. Contents and equality are untouched.
+    pub fn reserve(&mut self, n: usize) {
+        self.slots.reserve_exact(n.saturating_sub(self.slots.len()));
     }
 
     /// Records `value` for `p` unless `p` already has one; `false` (and
@@ -721,13 +750,18 @@ mod tests {
             ) {
                 let mut map = PartyMap::new();
                 let mut model = BTreeMap::new();
+                // Room made up front changes no answer, equality included.
+                let mut reserved = PartyMap::new();
+                reserved.reserve(150);
                 for &(i, v) in &entries {
                     // The first value recorded for a party stands.
                     let fresh = !model.contains_key(&i);
                     model.entry(i).or_insert(v);
                     prop_assert_eq!(map.insert(PartyId(i), v), fresh);
+                    prop_assert_eq!(reserved.insert(PartyId(i), v), fresh);
                     prop_assert_eq!(map.len(), model.len());
                 }
+                prop_assert_eq!(&reserved, &map);
                 for i in 0..200 {
                     prop_assert_eq!(map.get(PartyId(i)), model.get(&i));
                     prop_assert_eq!(map.contains(PartyId(i)), model.contains_key(&i));

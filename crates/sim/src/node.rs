@@ -408,13 +408,22 @@ impl Node {
                         payload,
                     }),
                     Effect::SendAll { session, payload } => {
-                        for p in 0..self.n {
+                        // The last envelope takes the originals.
+                        let Some(last) = self.n.checked_sub(1) else {
+                            continue;
+                        };
+                        for p in 0..last {
                             out.push(Outgoing {
                                 to: PartyId(p),
                                 session: session.clone(),
                                 payload: payload.clone(),
                             });
                         }
+                        out.push(Outgoing {
+                            to: PartyId(last),
+                            session,
+                            payload,
+                        });
                     }
                     Effect::Spawn { session, instance } => {
                         let slot = self.slot_mut(&session);

@@ -435,6 +435,18 @@ impl Payload {
         }
     }
 
+    /// A handle on the `T` a *typed* payload holds: the payload's own
+    /// allocation, shared rather than copied — how a parent keeps a child's
+    /// large output. Misses are answered and recorded as by
+    /// [`downcast_ref`](Payload::downcast_ref).
+    pub fn downcast_arc<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        self.downcast_ref::<T>()?;
+        let Repr::Typed { value, .. } = &self.0 else {
+            return None;
+        };
+        Arc::clone(value).downcast().ok()
+    }
+
     /// Whether a *typed* payload holds a `T`.
     pub fn is<T: Any>(&self) -> bool {
         match &self.0 {
@@ -548,6 +560,12 @@ mod tests {
         let p = Payload::new(A(9));
         let q = p.clone();
         assert_eq!(q.downcast_ref::<A>(), Some(&A(9)));
+        // A handle taken from either is the one allocation both hold.
+        let held = p.downcast_arc::<A>().expect("an A");
+        assert!(std::ptr::eq(&*held, q.downcast_ref::<A>().unwrap()));
+        assert!(p.downcast_arc::<B>().is_none());
+        assert!(Payload::message(7u64).downcast_arc::<u64>().is_none());
+        drain_misses(None);
     }
 
     #[test]

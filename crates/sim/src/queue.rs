@@ -190,8 +190,13 @@ pub struct Pending {
     slots: Vec<Option<Record>>,
     /// Free slot indices available for reuse.
     free: Vec<u32>,
-    /// Recycled (empty) deques from drained multi-envelope batches.
+    /// Recycled (empty) deques from drained multi-envelope batches. With
+    /// the runs now live they never number more than `runs_peak` — all
+    /// that this queue's own workload can ever hand out again.
     spare: Vec<VecDeque<Envelope>>,
+    /// Live multi-envelope batches, and the most there have been at once.
+    runs_live: usize,
+    runs_peak: usize,
     /// Arrival-ordered slot ids (append-only between compactions).
     arrival: Vec<u32>,
     /// Tombstones, parallel to `arrival`.
@@ -333,6 +338,8 @@ impl Pending {
         match &mut entry.batch {
             Batch::Many(run) => run.push_back(env),
             one => {
+                self.runs_live += 1;
+                self.runs_peak = self.runs_peak.max(self.runs_live);
                 let mut run = match self.spare.pop() {
                     Some(run) => {
                         self.reused += 1;
@@ -389,6 +396,8 @@ impl Pending {
         let batch = if envs.len() == 1 {
             Batch::One(envs.into_iter().next().expect("len checked"))
         } else {
+            self.runs_live += 1;
+            self.runs_peak = self.runs_peak.max(self.runs_live);
             Batch::Many(VecDeque::from(envs))
         };
         self.insert_batch(count, batch);
@@ -618,7 +627,8 @@ impl Pending {
             Batch::One(env) => env,
             Batch::Many(mut run) => {
                 let env = run.pop_front().expect("drained batch has its last");
-                if self.spare.len() < 32 {
+                self.runs_live -= 1;
+                if self.spare.len() + self.runs_live < self.runs_peak {
                     self.spare.push(run);
                 }
                 env
@@ -832,6 +842,38 @@ mod tests {
         assert!(v.is_empty());
         assert!(v.capacity() >= 2, "recycled capacity carries over");
         assert!(q.take_spare_vec().is_none());
+    }
+
+    #[test]
+    fn the_spare_pool_keeps_what_the_most_simultaneous_runs_needed() {
+        let mut q = Pending::new();
+        // 40 two-envelope runs live at once (distinct pairs, so none merge
+        // into each other), then all of them drained …
+        let wave = |q: &mut Pending| {
+            for pair in 0..40 {
+                q.push(env(pair, pair + 1, 0));
+                q.push(env(pair, pair + 1, 1));
+            }
+            while !q.is_empty() {
+                q.take(0);
+            }
+        };
+        wave(&mut q);
+        assert_eq!(q.pool_stats(), (0, 40));
+        assert_eq!(q.spare.len(), 40, "every drained deque was kept");
+        // … so the same wave again allocates nothing,
+        wave(&mut q);
+        assert_eq!(q.pool_stats(), (40, 40));
+        // and deques that arrive from outside (a sharded hand-over) do not
+        // pile up beyond that high-water mark.
+        for _ in 0..3 {
+            q.push_batch(vec![env(0, 1, 0), env(0, 1, 1)]);
+            q.push_batch(vec![env(2, 3, 0), env(2, 3, 1)]);
+            while !q.is_empty() {
+                q.take(0);
+            }
+        }
+        assert_eq!(q.spare.len(), 40);
     }
 
     #[test]

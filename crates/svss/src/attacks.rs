@@ -8,6 +8,7 @@ use aft_sim::{
     AttackCtx, AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance, PartyId,
     Payload, TraceEvent,
 };
+use std::sync::Arc;
 
 /// Registers this crate's attacks with a scenario [`AttackRegistry`].
 ///
@@ -31,16 +32,14 @@ use aft_sim::{
 /// * `silent-rec` — honest share phase; withholds everything in rec
 ///   ([`SilentRec`]), the adversary online error correction must absorb.
 pub fn register_attacks(registry: &mut AttackRegistry) {
-    fn carry_bundle(ctx: &AttackCtx<'_>) -> Option<ShareBundle> {
-        ctx.carry
-            .and_then(|c| c.downcast_ref::<ShareBundle>())
-            .cloned()
+    fn carry_bundle(ctx: &AttackCtx<'_>) -> Option<Arc<ShareBundle>> {
+        ctx.carry.and_then(|c| c.downcast_arc::<ShareBundle>())
     }
     /// Rec-phase role from the share-phase bundle: attack if the party
     /// holds one, stay silent if the share phase never completed for it.
     fn rec_role(
         ctx: &AttackCtx<'_>,
-        attack: impl FnOnce(ShareBundle) -> Box<dyn Instance>,
+        attack: impl FnOnce(Arc<ShareBundle>) -> Box<dyn Instance>,
     ) -> Option<AttackRole> {
         Some(AttackRole::Instance(match carry_bundle(ctx) {
             Some(bundle) => attack(bundle),
@@ -351,7 +350,7 @@ impl Instance for WrongCross {
 /// withholds the reveal, the wrong σ is absorbed by online error
 /// correction.
 pub struct WrongSigma {
-    bundle: ShareBundle,
+    bundle: Arc<ShareBundle>,
     delta: Fp,
     reveal_too: bool,
 }
@@ -359,9 +358,9 @@ pub struct WrongSigma {
 impl WrongSigma {
     /// Creates the attack; `reveal_too` controls whether the (honest)
     /// reveal is also sent, which exposes the contradiction.
-    pub fn new(bundle: ShareBundle, delta: Fp, reveal_too: bool) -> Self {
+    pub fn new(bundle: impl Into<Arc<ShareBundle>>, delta: Fp, reveal_too: bool) -> Self {
         WrongSigma {
-            bundle,
+            bundle: bundle.into(),
             delta,
             reveal_too,
         }
@@ -370,11 +369,14 @@ impl WrongSigma {
 
 impl Instance for WrongSigma {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if let Some(row) = self.bundle.row.clone() {
+        if let Some(row) = &self.bundle.row {
             ctx.send_all(RecMsg::Sigma(row.eval(Fp::ZERO) + self.delta));
             if self.reveal_too && self.bundle.in_core() {
-                if let Some(col) = self.bundle.col.clone() {
-                    ctx.send_all(RecMsg::Reveal { row, col });
+                if let Some(col) = &self.bundle.col {
+                    ctx.send_all(RecMsg::Reveal {
+                        row: row.clone(),
+                        col: col.clone(),
+                    });
                 }
             }
         }
@@ -388,26 +390,28 @@ impl Instance for WrongSigma {
 /// party's share-phase cross detects the contradiction and shuns it —
 /// the canonical shunning-event generator for experiment E7.
 pub struct EquivocalReveal {
-    bundle: ShareBundle,
+    bundle: Arc<ShareBundle>,
 }
 
 impl EquivocalReveal {
     /// Creates the attack instance.
-    pub fn new(bundle: ShareBundle) -> Self {
-        EquivocalReveal { bundle }
+    pub fn new(bundle: impl Into<Arc<ShareBundle>>) -> Self {
+        EquivocalReveal {
+            bundle: bundle.into(),
+        }
     }
 }
 
 impl Instance for EquivocalReveal {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if let (Some(row), Some(col)) = (self.bundle.row.clone(), self.bundle.col.clone()) {
+        if let (Some(row), Some(col)) = (&self.bundle.row, &self.bundle.col) {
             // Honest σ, lying reveal: shifted row/col.
             ctx.send_all(RecMsg::Sigma(row.eval(Fp::ZERO)));
             if self.bundle.in_core() {
                 let shift = Poly::constant(Fp::ONE);
                 ctx.send_all(RecMsg::Reveal {
-                    row: &row + &shift,
-                    col: &col + &shift,
+                    row: row + &shift,
+                    col: col + &shift,
                 });
             }
         }

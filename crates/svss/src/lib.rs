@@ -54,10 +54,12 @@
 //! }
 //! net.run(1_000_000);
 //!
-//! // Every party completed the share phase; now reconstruct.
+//! // Every party completed the share phase; now reconstruct, from the
+//! // bundle the share phase output (shared, not copied).
 //! let rec_sid = SessionId::root().child(SessionTag::new("svss-rec", 0));
 //! for p in 0..n {
-//!     let bundle = net.output_as::<ShareBundle>(PartyId(p), &share_sid).unwrap().clone();
+//!     let output = net.output(PartyId(p), &share_sid).unwrap();
+//!     let bundle = output.downcast_arc::<ShareBundle>().unwrap();
 //!     net.spawn(PartyId(p), rec_sid.clone(), Box::new(SvssRec::new(bundle)));
 //! }
 //! net.run(1_000_000);

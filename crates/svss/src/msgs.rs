@@ -151,7 +151,11 @@ impl WireMessage for RecMsg {
 }
 
 /// A party's state after completing the share phase — the input to
-/// [`SvssRec`](crate::SvssRec).
+/// [`SvssRec`](crate::SvssRec). Built once per dealing: the share phase's
+/// output payload *is* the bundle, and whoever consumes it (a coin, the
+/// reconstruction, an attack) holds that allocation as an `Arc`
+/// ([`Payload::downcast_arc`](aft_sim::Payload::downcast_arc)) instead of
+/// copying it.
 #[derive(Debug, Clone)]
 pub struct ShareBundle {
     /// The dealer of this SVSS instance.
@@ -169,8 +173,7 @@ pub struct ShareBundle {
     /// Cross points received from each peer `j` during the share phase:
     /// `(a, b)` where `a` claims `F(x_j, x_me)` and `b` claims
     /// `F(x_me, x_j)`. Used by reconstruction to detect self-contradiction
-    /// (the shunning trigger). Party-indexed, so cloning a bundle (share
-    /// phase → coin → reconstruction) copies one flat vector.
+    /// (the shunning trigger).
     pub crosses: PartyMap<(Fp, Fp)>,
 }
 

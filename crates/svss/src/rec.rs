@@ -4,6 +4,7 @@ use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, RecMsg, ShareBundle};
 use aft_field::{interpolate_at_zero, Fp, OnlineDecoder, Poly};
 use aft_sim::{Context, Instance, PartyId, PartyMap, Payload};
+use std::sync::Arc;
 
 /// One party's reconstruction instance, built from the [`ShareBundle`] the
 /// share phase produced. Outputs the reconstructed secret as an [`Fp`].
@@ -35,7 +36,8 @@ use aft_sim::{Context, Instance, PartyId, PartyMap, Payload};
 /// unavoidable for a terminating protocol at `n ≤ 4t`; DESIGN.md §4.3
 /// documents the boundary relative to full ADH08.
 pub struct SvssRec {
-    bundle: ShareBundle,
+    /// The dealing's one bundle, shared with whoever spawned this instance.
+    bundle: Arc<ShareBundle>,
     decoder: OnlineDecoder,
     /// Reveals accepted from core members.
     reveals: PartyMap<(Poly, Poly)>,
@@ -49,10 +51,12 @@ pub struct SvssRec {
 }
 
 impl SvssRec {
-    /// Creates the reconstruction instance for this party.
-    pub fn new(bundle: ShareBundle) -> Self {
+    /// Creates the reconstruction instance for this party. The bundle is
+    /// held as the `Arc` it arrives in (take it from the share phase's
+    /// output with [`Payload::downcast_arc`]); an owned bundle is wrapped.
+    pub fn new(bundle: impl Into<Arc<ShareBundle>>) -> Self {
         SvssRec {
-            bundle,
+            bundle: bundle.into(),
             // degree t, up to t adversarial points — set in on_start when t
             // is known; re-created there.
             decoder: OnlineDecoder::new(0, 0),
@@ -108,13 +112,18 @@ impl SvssRec {
 
 impl Instance for SvssRec {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let t = ctx.t();
+        let (n, t) = (ctx.n(), ctx.t());
         self.decoder = OnlineDecoder::new(t, t);
-        if let Some(row) = self.bundle.row.clone() {
+        self.reveals.reserve(n);
+        self.sigma_seen.reserve(n);
+        if let Some(row) = &self.bundle.row {
             ctx.send_all(RecMsg::Sigma(row.eval(Fp::ZERO)));
             if self.bundle.in_core() {
-                if let Some(col) = self.bundle.col.clone() {
-                    ctx.send_all(RecMsg::Reveal { row, col });
+                if let Some(col) = &self.bundle.col {
+                    ctx.send_all(RecMsg::Reveal {
+                        row: row.clone(),
+                        col: col.clone(),
+                    });
                 }
             }
         }
@@ -184,5 +193,39 @@ impl Instance for SvssRec {
                 self.try_clique(from, ctx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SvssShare;
+    use aft_sim::{NetConfig, RandomScheduler, SessionId, SessionTag, SimNetwork};
+
+    #[test]
+    fn reconstruction_holds_the_share_phases_own_bundle() {
+        let (n, t) = (4, 1);
+        let mut net = SimNetwork::new(NetConfig::new(n, t, 5), Box::new(RandomScheduler));
+        let sid = SessionId::root().child(SessionTag::new("svss-share", 0));
+        for p in 0..n {
+            let inst = if p == 0 {
+                SvssShare::dealer(PartyId(0), Fp::new(9))
+            } else {
+                SvssShare::party(PartyId(0))
+            };
+            net.spawn(PartyId(p), sid.clone(), Box::new(inst));
+        }
+        net.run(1_000_000);
+        let output = net.output(PartyId(2), &sid).expect("share completed");
+        let held = output.downcast_arc::<ShareBundle>().expect("a bundle");
+        let rec = SvssRec::new(Arc::clone(&held));
+        assert!(Arc::ptr_eq(&rec.bundle, &held));
+        // … which is the very value the output payload carries.
+        let in_output = output.downcast_ref::<ShareBundle>().expect("a bundle");
+        assert!(std::ptr::eq(&*rec.bundle, in_output));
+        // An owned bundle (a test's `.cloned()`) is wrapped, not shared.
+        let copy = SvssRec::new(in_output.clone());
+        assert!(!Arc::ptr_eq(&copy.bundle, &held));
+        assert_eq!(copy.bundle.core, held.core);
     }
 }

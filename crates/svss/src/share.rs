@@ -166,6 +166,7 @@ impl Instance for SvssShare {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let me = ctx.me();
         let (n, t) = (ctx.n(), ctx.t());
+        self.crosses.reserve(n);
         if me == self.dealer {
             let secret = self.secret.expect("dealer constructed with secret");
             let bivar = BivarPoly::random_with_secret(secret, t, ctx.rng());

@@ -77,6 +77,11 @@ def main():
         for side in order:
             runs[side].append(run_once(sides[side], args))
         print(f"pair {pair + 1}/{args.pairs} ({order[0]} first) done", file=sys.stderr)
+        if not args.trace:
+            # Every run of the measured pass, so a report can list them.
+            for name in runs["parent"][-1]["metrics"]:
+                a, b = (runs[side][-1]["metrics"][name]["value"] for side in sides)
+                print(f"  {name:<18} parent {a:.6g}  change {b:.6g}", file=sys.stderr)
 
     print(f"{args.workload}  seed {args.seed}  {args.seconds:g} s per pass  "
           f"trace {args.trace}  {args.pairs} pairs")
