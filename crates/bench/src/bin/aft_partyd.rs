@@ -167,7 +167,7 @@ impl Daemon {
 
     /// Delivers one envelope that arrived on `party`'s link, or counts
     /// it as rejected.
-    fn receive(&mut self, party: usize, envelope: &aft_sim::FrameBytes) {
+    fn receive(&mut self, party: usize, envelope: aft_sim::FrameBytes) {
         let owner = PartyId(party);
         let Some((session, payload)) = decode_link_envelope(owner, envelope) else {
             self.rejected += 1;
@@ -417,7 +417,7 @@ fn main() {
                 LinkEvent::Frame(envelope) => {
                     // Frames of a replaced connection have no owner.
                     if let Some(party) = daemon.owner_of(conn) {
-                        daemon.receive(party, &envelope);
+                        daemon.receive(party, envelope);
                     }
                 }
                 LinkEvent::Down => {

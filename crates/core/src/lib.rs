@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod beacon;
 mod coin_flip;
 mod common_subset;
 mod config;
@@ -57,7 +56,6 @@ mod fba;
 pub mod scenarios;
 pub mod search;
 
-pub use beacon::{Beacon, BeaconOutput};
 pub use coin_flip::{CoinFlip, CoinFlipOutput, CoinFlipParams};
 pub use common_subset::{CommonSubset, CommonSubsetInstance, PredicateMsg, CS_BA_TAG};
 pub use config::CoinKind;

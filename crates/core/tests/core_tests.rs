@@ -359,63 +359,6 @@ fn fba_deterministic_replay() {
     assert_eq!(go(5), go(5));
 }
 
-// ---------------------------------------------------------------- beacon
-
-#[test]
-fn beacon_epochs_agree_across_parties() {
-    use aft_core::{Beacon, BeaconOutput};
-    for seed in 0..3u64 {
-        let net = run(4, 1, seed, "random", "beacon", |_| {
-            Box::new(Beacon::new(
-                4,
-                CoinFlipParams::FixedK { k: 1 },
-                CoinKind::Oracle(seed ^ 0xBEAC),
-            ))
-        });
-        let outs: Vec<BeaconOutput> = (0..4)
-            .map(|p| {
-                net.output_as::<BeaconOutput>(PartyId(p), &sid("beacon"))
-                    .unwrap_or_else(|| panic!("seed={seed} p={p}"))
-                    .clone()
-            })
-            .collect();
-        assert!(outs.windows(2).all(|w| w[0] == w[1]), "seed={seed}");
-        assert_eq!(outs[0].bits.len(), 4);
-    }
-}
-
-#[test]
-fn beacon_tolerates_crash_mid_stream() {
-    use aft_core::{Beacon, BeaconOutput};
-    let mut net = SimNetwork::new(
-        NetConfig::new(4, 1, 9),
-        aft_sim::scheduler_by_name("random").unwrap(),
-    );
-    for p in 0..4 {
-        net.spawn(
-            PartyId(p),
-            sid("beacon"),
-            Box::new(Beacon::new(
-                3,
-                CoinFlipParams::FixedK { k: 1 },
-                CoinKind::Oracle(0xFEED),
-            )),
-        );
-    }
-    net.crash_at(PartyId(2), 2_000);
-    let report = net.run(1_000_000_000);
-    assert_eq!(report.stop, StopReason::Quiescent);
-    let outs: Vec<BeaconOutput> = [0usize, 1, 3]
-        .iter()
-        .map(|&p| {
-            net.output_as::<BeaconOutput>(PartyId(p), &sid("beacon"))
-                .expect("honest parties finish the stream")
-                .clone()
-        })
-        .collect();
-    assert!(outs.windows(2).all(|w| w[0] == w[1]));
-}
-
 /// The identical CoinFlip deployment driven through the `Runtime` trait on
 /// every backend: strong-coin agreement holds over real threads too.
 #[test]

@@ -268,10 +268,7 @@ impl Backend {
         Ok(match family.engine {
             Engine::Sim => Box::new(SimNetwork::new(config, scheduler()?)),
             Engine::Wire => {
-                let registry = crate::wire::global_registry();
-                Box::new(
-                    SimNetwork::with_codec(config, scheduler()?, registry).labelled(family.name),
-                )
+                Box::new(SimNetwork::with_codec(config, scheduler()?).labelled(family.name))
             }
             Engine::EventLoop => {
                 Box::new(SimNetwork::on_event_loop(config, scheduler()?).labelled(family.name))

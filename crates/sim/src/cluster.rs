@@ -19,7 +19,9 @@ use rand_chacha::ChaCha12Rng;
 use std::collections::HashMap;
 
 /// Wire format between clusters: an inner envelope carried by the outer
-/// network.
+/// network — `[to_inner: u32]`, then the one envelope every carrier
+/// writes ([`wire`](crate::wire), §The envelope) with the inner sender as
+/// its `from`.
 #[derive(Debug, Clone)]
 pub struct ClusterMsg {
     /// Inner sender id.
@@ -37,31 +39,23 @@ impl crate::wire::WireMessage for ClusterMsg {
     const KIND_NAME: &'static str = "cluster-msg";
 
     fn encode_body(&self, out: &mut Vec<u8>) {
-        crate::wire::WireWriter::u32(out, self.from_inner as u32);
         crate::wire::WireWriter::u32(out, self.to_inner as u32);
-        crate::wire::put_session(out, &self.session);
-        if !self.payload.encode_wire_frame(out) {
-            // Inner payload without a wire identity: emit a malformed
-            // marker so the frame is observably undecodable rather than
-            // silently truncated.
-            out.extend_from_slice(&u16::MAX.to_le_bytes());
-        }
+        // An inner payload without a wire identity travels as the
+        // envelope writer's malformed marker: observably undecodable
+        // rather than silently truncated.
+        let from = PartyId(self.from_inner);
+        crate::wire::put_envelope(out, from, &self.session, &self.payload);
     }
 
     fn decode_body(bytes: &[u8]) -> Option<Self> {
-        let mut r = crate::wire::WireReader::new(bytes);
-        let from_inner = r.u32()? as usize;
-        let to_inner = r.u32()? as usize;
-        let session = crate::wire::get_session(&mut r)?;
-        let frame = r.rest().to_vec();
+        let (to_inner, envelope) = bytes.split_first_chunk::<4>()?;
+        // The inner payload decodes lazily when an instance views it.
+        let (from, session, payload) = crate::wire::decode_envelope(envelope)?;
         Some(ClusterMsg {
-            from_inner,
-            to_inner,
+            from_inner: from.0,
+            to_inner: u32::from_le_bytes(*to_inner) as usize,
             session,
-            // Kind names resolve through the global registry (one lock
-            // read, no per-message snapshot); the inner payload decodes
-            // lazily when an instance views it.
-            payload: Payload::from_wire_global(frame),
+            payload,
         })
     }
 }

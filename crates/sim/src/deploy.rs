@@ -4,35 +4,26 @@
 //! one-OS-process-per-party deployment, asked for with `rt=proc`. Each
 //! daemon drives its own [`PartyHost`](crate::PartyHost) — the node
 //! [`party_node`] builds, with the metrics and send numbering every
-//! in-process party has — and exchanges
-//! envelopes over sockets using [`encode_envelope`] /
-//! [`decode_envelope`], which frame the routing header around the exact
-//! wire representation the `wire` backend already round-trips
-//! in-process. (Built in-process — [`runtime_by_name`]`("proc")` in an
-//! `exp_*` binary or a test — `rt=proc` is a
-//! [`ThreadedRuntime`](crate::ThreadedRuntime) reporting that name:
-//! [`Instance`](crate::Instance)s are trait objects and cannot cross a
-//! process boundary, so one OS *thread* per party stands in.)
+//! in-process party has — and exchanges envelopes over sockets in the
+//! workspace's one envelope format ([`wire`](crate::wire), §The
+//! envelope): [`encode_envelope`](crate::encode_envelope) writes them,
+//! [`decode_link_envelope`] reads them, and the bytes on a link are what
+//! `rt=wire` hands over in memory for the same sends. (Built in-process
+//! — [`runtime_by_name`]`("proc")` in an `exp_*` binary or a test —
+//! `rt=proc` is a [`ThreadedRuntime`](crate::ThreadedRuntime) reporting
+//! that name: [`Instance`](crate::Instance)s are trait objects and cannot
+//! cross a process boundary, so one OS *thread* per party stands in.)
 //!
 //! [`runtime_by_name`]: crate::runtime_by_name
-//!
-//! The envelope layout (all little-endian) is
-//!
-//! ```text
-//! [from: u32] [session: u8 depth, then per tag bytes(kind) + u64 index]
-//! [payload wire frame: kind u16, len u32, body]
-//! ```
-//!
-//! so a frame is self-describing given the process-global
-//! [`CodecRegistry`](crate::wire::CodecRegistry) — the same property the
-//! `garbage`/`equivocate` adversaries rely on.
 //!
 //! # Peer links
 //!
 //! The socket side of the deployment lives here too, once: a
 //! [`PeerLink`] is one TCP connection between two daemons, opened by a
 //! 5-byte [`Hello`] from the dialing side and carrying envelopes as
-//! `[len: u32][envelope]` frames ([`write_frame`] / [`FrameReader`]).
+//! `[len: u32][envelope]` link frames ([`write_frame`]; [`FrameReader`]
+//! assembles bursts of whole ones, the wire module's burst walker hands
+//! them out).
 //!
 //! * Both ends set `TCP_NODELAY`. Protocol traffic is hundreds of
 //!   envelopes of a few dozen bytes, each one waited for by the peer's
@@ -54,11 +45,11 @@
 //!   [`decode_link_envelope`] refuses anything else, so a Byzantine
 //!   daemon can speak only for itself.
 
-use crate::ids::{PartyId, SessionId};
 use crate::node::Node;
-use crate::payload::{FrameBytes, Payload};
+use crate::payload::FrameBytes;
 use crate::runtime::{build_node, NetConfig};
-use crate::wire::{get_session, put_session, WireReader, WireWriter, FRAME_HEADER_LEN};
+use crate::wire::Burst;
+pub use crate::wire::{decode_link_envelope, write_frame, MAX_FRAME};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -73,74 +64,6 @@ pub fn party_node(config: &NetConfig, party: usize) -> Node {
     build_node(config, party)
 }
 
-/// Appends one routed envelope (`from`, `session`, `payload`) to `out`.
-///
-/// Returns `false` — leaving `out` untouched — when `payload` has no
-/// wire identity (a typed output), which never legitimately crosses a
-/// process boundary.
-pub fn encode_envelope(
-    from: PartyId,
-    session: &SessionId,
-    payload: &Payload,
-    out: &mut Vec<u8>,
-) -> bool {
-    let mark = out.len();
-    WireWriter::u32(out, from.0 as u32);
-    put_session(out, session);
-    if payload.encode_wire_frame(out) {
-        true
-    } else {
-        out.truncate(mark);
-        false
-    }
-}
-
-/// Splits an envelope into its routing header and the offset at which
-/// the payload frame starts; `None` when the header is malformed.
-fn split_envelope(bytes: &[u8]) -> Option<(PartyId, SessionId, usize)> {
-    let mut r = WireReader::new(bytes);
-    let from = PartyId(r.u32()? as usize);
-    let session = get_session(&mut r)?;
-    if r.remaining() < FRAME_HEADER_LEN {
-        return None;
-    }
-    Some((from, session, bytes.len() - r.remaining()))
-}
-
-/// Decodes one envelope produced by [`encode_envelope`].
-///
-/// The payload comes back in its lazy wire representation (decoded on
-/// first typed access through the process-global codec registry), so a
-/// malformed body is charged to the receiving instance as a decode
-/// miss — exactly the `wire` backend's semantics — rather than failing
-/// here. Returns `None` only when the routing header itself is
-/// malformed. The claimed sender is returned as read: bytes that came
-/// off a peer link go through [`decode_link_envelope`], which checks it.
-pub fn decode_envelope(bytes: &[u8]) -> Option<(PartyId, SessionId, Payload)> {
-    let (from, session, at) = split_envelope(bytes)?;
-    let frame = bytes[at..].to_vec();
-    Some((from, session, Payload::from_wire_global(frame)))
-}
-
-/// Decodes an envelope that arrived on the link owned by party `owner`,
-/// keeping the payload a slice of the burst [`FrameReader`] read it in.
-///
-/// Returns `None` — the envelope must be dropped and counted — when the
-/// routing header is malformed or names any sender but `owner`: a link
-/// speaks for the party that opened it and for nobody else, whatever
-/// its bytes claim (another party's id, or one past `n`).
-pub fn decode_link_envelope(owner: PartyId, envelope: &FrameBytes) -> Option<(SessionId, Payload)> {
-    let (from, session, at) = split_envelope(envelope)?;
-    (from == owner).then(|| {
-        let frame = envelope.slice_from(at);
-        (session, Payload::from_wire_global(frame))
-    })
-}
-
-/// Per-frame size cap on the peer links — far above any protocol frame,
-/// low enough that a corrupted length prefix cannot balloon allocation.
-pub const MAX_FRAME: usize = 16 << 20;
-
 /// Read-buffer size of a [`FrameReader`]: dozens of protocol envelopes
 /// per `read`, small enough that a link costs its daemon next to nothing.
 /// (A larger frame grows the buffer to its own size.)
@@ -153,24 +76,11 @@ const BURST_CAP: usize = 64 << 10;
 /// How long an accepted connection may take to send its [`Hello`].
 pub const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Appends one length-prefixed frame (`u32` little-endian length, then
-/// the bytes) to `out` — the framing both peer-link directions use.
-///
-/// # Panics
-///
-/// Panics if `bytes` is longer than [`MAX_FRAME`], which no reader
-/// would accept.
-pub fn write_frame(out: &mut Vec<u8>, bytes: &[u8]) {
-    assert!(bytes.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    WireWriter::u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
 /// Drains `queue` into `w` until every sender is gone: blocks for one
 /// envelope, takes whatever else is already queued (up to
 /// [`BURST_CAP`] bytes), and writes the whole burst — each envelope
 /// framed by [`write_frame`] — with a single `write_all`.
-fn write_bursts(queue: &Receiver<Arc<[u8]>>, w: &mut impl Write) -> io::Result<()> {
+pub(crate) fn write_bursts(queue: &Receiver<Arc<[u8]>>, w: &mut impl Write) -> io::Result<()> {
     let mut burst = Vec::new();
     while let Ok(first) = queue.recv() {
         burst.clear();
@@ -190,8 +100,9 @@ fn write_bursts(queue: &Receiver<Arc<[u8]>>, w: &mut impl Write) -> io::Result<(
 ///
 /// The socket is read into a private buffer; the whole frames a read
 /// completed are then moved, together, into one shared allocation of
-/// exactly their size, and each is returned as a [`FrameBytes`] range
-/// of it. So a burst of `k` envelopes costs one `read` and one
+/// exactly their size — a burst — and each is returned as a
+/// [`FrameBytes`] range of it by the walker `rt=wire` reads its runs
+/// with. So a burst of `k` envelopes costs one `read` and one
 /// allocation, and an envelope a protocol holds on to keeps alive the
 /// burst it arrived in, not a read buffer.
 pub struct FrameReader<R> {
@@ -200,9 +111,8 @@ pub struct FrameReader<R> {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Whole, length-checked frames; those before `next` are handed out.
-    burst: Arc<Vec<u8>>,
-    next: usize,
+    /// Whole, length-checked frames, handed out one by one.
+    burst: Burst,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -214,8 +124,7 @@ impl<R: Read> FrameReader<R> {
             buf: Vec::new(),
             start: 0,
             end: 0,
-            burst: Arc::new(Vec::new()),
-            next: 0,
+            burst: Burst::new(Arc::default()),
         }
     }
 
@@ -223,10 +132,7 @@ impl<R: Read> FrameReader<R> {
     /// EOF inside a frame and a length above [`MAX_FRAME`] are errors.
     pub fn read_frame(&mut self) -> io::Result<Option<FrameBytes>> {
         loop {
-            if let Some(prefix) = self.burst[self.next..].first_chunk::<4>() {
-                let start = self.next + 4;
-                self.next = start + u32::from_le_bytes(*prefix) as usize;
-                let frame = FrameBytes::from_shared(&self.burst, start, self.next);
+            if let Some(frame) = self.burst.next() {
                 return Ok(Some(frame));
             }
             // Measure the whole frames received; `need` is the size of
@@ -252,8 +158,7 @@ impl<R: Read> FrameReader<R> {
                 whole += 4 + len;
             }
             if whole > 0 {
-                self.burst = Arc::new(have[..whole].to_vec());
-                self.next = 0;
+                self.burst = Burst::new(Arc::new(have[..whole].to_vec()));
                 self.start += whole;
             } else if self.fill(need)? == 0 {
                 return if self.start == self.end {
@@ -440,7 +345,9 @@ fn read_hello(stream: &mut TcpStream) -> io::Result<Hello> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SessionTag;
+    use crate::ids::{PartyId, SessionId, SessionTag};
+    use crate::payload::Payload;
+    use crate::wire::{decode_envelope, encode_envelope, parse_frame, WireWriter};
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("dep", 0))
@@ -468,16 +375,28 @@ mod tests {
         );
         assert!(buf.is_empty(), "failed encode leaves the buffer untouched");
 
+        // Truncation is refused where it makes the envelope unroutable —
+        // inside `from` or the session — and nowhere else: what is left
+        // of a cut payload frame is delivered for the instance to miss,
+        // on a link as on every other carrier.
         let mut ok = Vec::new();
-        assert!(encode_envelope(
-            PartyId(1),
-            &sid(),
-            &Payload::message(true),
-            &mut ok
-        ));
-        for cut in 0..ok.len().min(6) {
+        let payload = Payload::message(true);
+        assert!(encode_envelope(PartyId(1), &sid(), &payload, &mut ok));
+        let mut frame = Vec::new();
+        assert!(payload.encode_wire_frame(&mut frame));
+        let header = ok.len() - frame.len();
+        for cut in 0..header {
             assert!(decode_envelope(&ok[..cut]).is_none(), "cut={cut}");
+            let cut_frame = FrameBytes::from(ok[..cut].to_vec());
+            assert!(decode_link_envelope(PartyId(1), cut_frame).is_none());
         }
+        for cut in header..ok.len() {
+            let (from, session, payload) = decode_envelope(&ok[..cut]).expect("routable");
+            assert_eq!((from, session), (PartyId(1), sid()), "cut={cut}");
+            assert_eq!(payload.type_name(), "wire:malformed", "cut={cut}");
+            assert_eq!(payload.to_msg::<bool>(), None, "cut={cut}");
+        }
+        assert!(parse_frame(&ok[header..]).is_some());
     }
 
     fn envelope(from: usize, msg: u8) -> Vec<u8> {
@@ -495,18 +414,18 @@ mod tests {
     fn link_envelope_must_come_from_the_link_owner() {
         let from_two = FrameBytes::from(envelope(2, 7));
         let (session, payload) =
-            decode_link_envelope(PartyId(2), &from_two).expect("owner's own envelope");
+            decode_link_envelope(PartyId(2), from_two.clone()).expect("owner's own envelope");
         assert_eq!(session, sid());
         assert_eq!(payload.to_msg::<u8>(), Some(7));
         // Another party's id, and one no party has, are both refused —
         // the bytes themselves are well-formed.
-        assert!(decode_link_envelope(PartyId(3), &from_two).is_none());
+        assert!(decode_link_envelope(PartyId(3), from_two.clone()).is_none());
         let from_nobody = FrameBytes::from(envelope(99, 7));
         assert!(decode_envelope(&from_nobody).is_some());
-        assert!(decode_link_envelope(PartyId(3), &from_nobody).is_none());
+        assert!(decode_link_envelope(PartyId(3), from_nobody).is_none());
         // A malformed header is refused whoever owns the link.
         let cut = FrameBytes::from(from_two[..5].to_vec());
-        assert!(decode_link_envelope(PartyId(2), &cut).is_none());
+        assert!(decode_link_envelope(PartyId(2), cut).is_none());
     }
 
     /// An envelope from party 2 whose session path is `tags`, written
@@ -531,7 +450,7 @@ mod tests {
         let fits = "k".repeat(MAX_KIND_LEN);
         // At the bounds an id decodes (and its kinds are interned) ...
         let at_bounds = raw_envelope(&vec![(fits.as_str(), 3); MAX_SESSION_DEPTH]);
-        let (session, _) = decode_link_envelope(PartyId(2), &at_bounds).expect("within bounds");
+        let (session, _) = decode_link_envelope(PartyId(2), at_bounds).expect("within bounds");
         assert_eq!(session.depth(), MAX_SESSION_DEPTH);
         assert!(SessionTag::kind_is_interned(&fits));
         // ... one past either bound it is a malformed header, and nothing
@@ -540,7 +459,7 @@ mod tests {
         let too_deep = raw_envelope(&vec![("deploy-too-deep", 0); MAX_SESSION_DEPTH + 1]);
         let too_long = raw_envelope(&[("deploy-before-long", 0), (long.as_str(), 0)]);
         for bad in [&too_deep, &too_long] {
-            assert!(decode_link_envelope(PartyId(2), bad).is_none());
+            assert!(decode_link_envelope(PartyId(2), bad.clone()).is_none());
             assert!(decode_envelope(bad).is_none());
         }
         for kind in ["deploy-too-deep", "deploy-before-long", long.as_str()] {

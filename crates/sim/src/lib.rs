@@ -93,7 +93,7 @@ pub use adaptive::{
 };
 pub use backend::{Backend, BackendFamily, ALL_BACKENDS, DEFAULT_BACKEND};
 pub use behaviors::{Equivocator, Garbage, GarbageInstance, MuteAfter, SilentInstance};
-pub use deploy::{decode_envelope, encode_envelope, party_node};
+pub use deploy::party_node;
 pub use ids::{PartyId, PartyMap, PartySet, SessionId, SessionTag};
 pub use instance::{Context, Instance};
 pub use montecarlo::{run_trials, Bernoulli};
@@ -118,7 +118,7 @@ pub use threaded::ThreadedRuntime;
 pub use trace::{
     DepthHistogram, DropReason, RingRecorder, TraceEvent, TraceMode, TraceSink, TraceSummary,
 };
-pub use wire::{CodecRegistry, WireMessage};
+pub use wire::{decode_envelope, encode_envelope, CodecRegistry, WireMessage};
 
 /// SplitMix64 finalizer — a well-distributed integer hash. Oracle-coin
 /// salts and the bytes of [`Garbage`] frames are derived with it, so its

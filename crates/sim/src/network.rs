@@ -157,7 +157,7 @@ pub struct SimNetwork {
     scratch: Vec<Outgoing>,
     /// When present, every enqueued envelope round-trips through the
     /// byte-level wire boundary (`rt=wire`).
-    codec: Option<Box<crate::wire_rt::WireLink>>,
+    codec: Option<crate::wire_rt::WireLink>,
     /// Whether [`Runtime::run`] hosts the nodes on an event loop
     /// (`rt=async`).
     event_loop: bool,
@@ -214,13 +214,9 @@ impl SimNetwork {
     /// Creates a network whose envelopes cross the `wire_rt` byte
     /// boundary — encoded, handed over as bytes, lazily decoded — the
     /// engine behind `rt=wire`.
-    pub(crate) fn with_codec(
-        config: NetConfig,
-        scheduler: Box<dyn Scheduler>,
-        registry: std::sync::Arc<crate::wire::CodecRegistry>,
-    ) -> Self {
+    pub(crate) fn with_codec(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
         let mut net = SimNetwork::new(config, scheduler);
-        net.codec = Some(Box::new(crate::wire_rt::WireLink::new(registry)));
+        net.codec = Some(Default::default());
         net
     }
 
@@ -508,8 +504,9 @@ impl SimNetwork {
         };
         match codec {
             // Wire mode: each same-destination run crosses the byte
-            // boundary as one framed batch before it is ever scheduled —
-            // what the receiver will see is exactly what the bytes said.
+            // boundary as a burst of link frames before it is ever
+            // scheduled — what the receiver will see is exactly what the
+            // bytes said.
             Some(link) => {
                 let mut start = 0;
                 while start < out.len() {

@@ -79,13 +79,15 @@ pub struct Metrics {
     pub steps: u64,
     /// Shun events declared across all nodes.
     pub shun_events: u64,
-    /// Payload frames round-tripped through the wire codec (wire backend
+    /// Envelopes handed over as bytes, one link frame each (wire backend
     /// only).
     pub wire_frames: u64,
-    /// Envelope bytes round-tripped through the wire transport (wire
-    /// backend only).
+    /// Bytes of those link frames — `[len][from][session][payload
+    /// frame]` per envelope, what an `aft-partyd` link carries for the
+    /// same sends (wire backend only).
     pub wire_bytes: u64,
-    /// Payload frames whose header was malformed on arrival — the
+    /// Envelopes refused on arrival for their routing header, or
+    /// delivered with a payload frame whose header is malformed — the
     /// byte-level adversary's fingerprint (wire backend only).
     pub wire_malformed: u64,
     /// Delivery-path buffers (the in-flight queue's batch deques, a

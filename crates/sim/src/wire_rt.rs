@@ -5,27 +5,28 @@
 //! *bytes*, not values: every same-destination run of envelopes a party
 //! emits goes through the network's [`WireLink`], where it is
 //!
-//! 1. **encoded as one batch** — the shared sender/receiver, then per
-//!    envelope the session path and the payload's self-describing frame
-//!    (`kind`, `len`, body), serialized little-endian through
-//!    [`WireWriter::write_batch`];
+//! 1. **encoded as link frames** — per envelope one
+//!    `[len][from][session][payload frame]`, byte for byte what an
+//!    `aft-partyd` link's writer puts on its socket for the same sends
+//!    (the format is [`wire`](crate::wire)'s, §The envelope);
 //! 2. **handed over as bytes**: the receiving side gets a copy of exactly
 //!    the encoded bytes, in a buffer of its own, and reads nothing else
 //!    (instance state stays in-process so deployments remain
 //!    `Box<dyn Instance>`-generic). The copy stays in memory — the real
 //!    kernel round trip is the `aft-partyd` mesh's to prove, over TCP
 //!    between processes ([`deploy`](crate::deploy));
-//! 3. **re-framed** from the stream (outer length prefix — stream
-//!    transports do not preserve message boundaries) and **decoded
-//!    lazily**: each receiver gets a [`Payload`] wire frame *sliced*
-//!    out of the received buffer (no per-frame copy) that only becomes a
-//!    typed message when an instance [`view`](Payload::view)s it through
-//!    its own kind-checked decoder.
+//! 3. **read by the one reader**: the burst walker a socket's
+//!    [`FrameReader`](crate::deploy::FrameReader) hands frames out with,
+//!    then [`decode_link_envelope`] — owner check included — per frame.
+//!    Each receiver gets a [`Payload`] wire frame *sliced* out of the
+//!    received buffer (no per-frame copy) that only becomes a typed
+//!    message when an instance [`view`](Payload::view)s it through its
+//!    own kind-checked decoder.
 //!
 //! A run costs one buffer, sized to it and freed when its last frame is
-//! dropped; the batch framing, a one-entry kind-name cache and
-//! [`get_session`]'s decoded-path cache amortize the per-message registry
-//! and interner lookups across runs.
+//! dropped; [`get_session`](crate::wire::get_session)'s decoded-path
+//! cache amortizes the interner lookups across runs, and nothing is
+//! looked up per frame for a kind's name.
 //!
 //! Because the schedule depends only on envelope *metadata* (never on
 //! payload representation), a wire run is bit-for-bit identical to the
@@ -38,136 +39,88 @@
 //! [`Metrics`]: `wire_frames`, `wire_bytes`, `wire_malformed`.
 //!
 //! Build one with [`runtime_by_name`](crate::runtime_by_name)
-//! (`"wire"`, `"wire:<scheduler>"`); the process-global codec registry
-//! snapshot supplies kind names.
+//! (`"wire"`, `"wire:<scheduler>"`).
 
 use crate::ids::{PartyId, SessionId};
 use crate::node::Outgoing;
-use crate::payload::{FrameBytes, Payload};
+use crate::payload::Payload;
 use crate::runtime::Metrics;
-use crate::wire::{get_session, parse_frame, put_session, CodecRegistry, WireReader, WireWriter};
+use crate::wire::{decode_link_envelope, frame_with, put_envelope, Burst};
 use std::sync::Arc;
 
 /// The byte boundary [`SimNetwork`] routes sends through when it runs
-/// in wire mode: the codec registry for kind-name resolution, the encode
-/// buffer and a one-entry kind-name cache that amortizes the registry
-/// map hit across a batch.
+/// in wire mode: one sender's end of a link and the receiver's, with the
+/// hand-over in between.
+#[derive(Default)]
 pub(crate) struct WireLink {
-    registry: Arc<CodecRegistry>,
     /// Encode buffer, reused across runs; the receiving side never sees
     /// it, only an exact copy of its bytes.
     scratch: Vec<u8>,
-    /// Last `(kind, name)` resolved — same-kind frames dominate a batch,
-    /// so most lookups within a run hit this instead of the registry.
-    kind_cache: Option<(u16, Option<&'static str>)>,
 }
 
 impl WireLink {
-    pub(crate) fn new(registry: Arc<CodecRegistry>) -> Self {
-        WireLink {
-            registry,
-            scratch: Vec::new(),
-            kind_cache: None,
+    /// Serializes a run of same-destination outgoing envelopes as link
+    /// frames into the encode buffer — what a socket would carry.
+    fn encode_run(&mut self, from: PartyId, run: &[Outgoing]) -> &[u8] {
+        self.scratch.clear();
+        for o in run {
+            frame_with(&mut self.scratch, |out| {
+                // Without a wire identity the payload travels as a marker
+                // the receiver drops observably, instead of the runtime
+                // panicking.
+                let wire = put_envelope(out, from, &o.session, &o.payload);
+                debug_assert!(wire, "non-wire payload sent on the wire runtime");
+            });
         }
+        &self.scratch
     }
 
-    /// Resolves `kind`'s diagnostic name through the one-entry cache,
-    /// falling back to the registry's map on a kind change.
-    fn kind_name_cached(&mut self, kind: u16) -> Option<&'static str> {
-        match self.kind_cache {
-            Some((k, name)) if k == kind => name,
-            _ => {
-                let name = self.registry.kind_name(kind);
-                self.kind_cache = Some((kind, name));
-                name
-            }
-        }
-    }
-
-    /// Serializes a run of same-destination outgoing envelopes as one
-    /// framed batch, hands the receiving side a copy of exactly those
-    /// bytes, and passes each `(to, session, payload)` reconstructed from
-    /// the copy to `deliver` in order. The payloads are lazily decoded
-    /// wire frames sliced straight out of the received buffer — no
-    /// per-frame copy. Malformed payload frames (the byte-level
-    /// adversary) survive as payloads no honest view will ever match —
-    /// counted, never panicking.
+    /// Serializes a run of same-destination outgoing envelopes, hands the
+    /// receiving side a copy of exactly those bytes, and passes each
+    /// `(to, session, payload)` [`receive_run`] reads from the copy to
+    /// `deliver` in order.
     pub(crate) fn round_trip_run(
         &mut self,
         from: PartyId,
         run: &[Outgoing],
         metrics: &mut Metrics,
-        mut deliver: impl FnMut(PartyId, SessionId, Payload),
+        deliver: impl FnMut(PartyId, SessionId, Payload),
     ) {
         let to = run[0].to;
         debug_assert!(run.iter().all(|o| o.to == to), "mixed-destination run");
-        self.scratch.clear();
-        // Outer transport frame: u32 length prefix (patched below), the
-        // shared from/to, then the envelope batch (session + payload
-        // frame per item).
-        self.scratch.extend_from_slice(&[0; 4]);
-        WireWriter::u32(&mut self.scratch, from.0 as u32);
-        WireWriter::u32(&mut self.scratch, to.0 as u32);
-        WireWriter::write_batch(&mut self.scratch, run.len(), |out, i| {
-            put_session(out, &run[i].session);
-            if !run[i].payload.encode_wire_frame(out) {
-                // A payload without a wire identity (a plain
-                // `Payload::new` value leaking onto the network) cannot
-                // be serialized; emit an explicitly malformed frame so
-                // the receiver drops it observably instead of the
-                // runtime panicking.
-                debug_assert!(false, "non-wire payload sent on the wire runtime");
-                out.extend_from_slice(&u16::MAX.to_le_bytes());
-            }
-        });
-        let total = (self.scratch.len() - 4) as u32;
-        self.scratch[..4].copy_from_slice(&total.to_le_bytes());
-
-        // The hand-over: everything below reads the received bytes only.
-        // The buffer is sized to the run and freed with its last frame.
-        let received = Arc::new(self.scratch.clone());
-        metrics.wire_bytes += received.len() as u64;
+        // The hand-over: the receiving side reads the received bytes
+        // only. The buffer is sized to the run and freed with its last
+        // frame.
+        let received = Arc::new(self.encode_run(from, run).to_vec());
         metrics.wire_frames += run.len() as u64;
+        receive_run(received, from, to, metrics, deliver);
+    }
+}
 
-        // Re-frame from the stream: outer length first, then the batch
-        // the transport wrote (always well-formed — only the payload
-        // frame regions are adversary-controlled).
-        let base = received.as_ptr() as usize;
-        let mut r = WireReader::new(&received);
-        let declared = r.u32().expect("wire transport lost the length prefix") as usize;
-        assert_eq!(
-            declared + 4,
-            received.len(),
-            "wire transport desynchronized"
-        );
-        let decoded_from = PartyId(r.u32().expect("envelope sender") as usize);
-        debug_assert_eq!(decoded_from, from, "sender survives the round trip");
-        let to = PartyId(r.u32().expect("envelope receiver") as usize);
-        let decoded = r.read_batch(|item| {
-            let mut ir = WireReader::new(item);
-            let Some(session) = get_session(&mut ir) else {
-                // The transport wrote these bytes from a live id, so only
-                // an id over the wire's session bounds lands here: it is
-                // refused, as a peer's socket would refuse it.
-                metrics.wire_malformed += 1;
-                return;
-            };
-            let frame = ir.rest();
-            let header = parse_frame(frame).map(|(kind, _)| (kind, self.kind_name_cached(kind)));
-            if header.is_none() {
-                metrics.wire_malformed += 1;
-            }
-            // Slice the frame out of the received buffer by offset — the
-            // zero-copy handoff to the payload layer.
-            let start = frame.as_ptr() as usize - base;
-            let frame = FrameBytes::from_shared(&received, start, start + frame.len());
-            deliver(to, session, Payload::from_parsed_wire(frame, header));
-        });
-        assert_eq!(
-            decoded,
-            Some(run.len() as u32),
-            "wire transport lost part of the batch"
-        );
+/// The receiving end of the link from `from` to `to`: walks the received
+/// burst and decodes each link frame as a socket's reader does, owner
+/// check included. The payloads are lazily decoded wire frames sliced
+/// straight out of the received buffer — no per-frame copy. Malformed
+/// payload frames (the byte-level adversary) survive as payloads no
+/// honest view will ever match — counted, never panicking; an envelope
+/// whose routing header is refused, as a peer's socket would refuse it,
+/// is counted and not delivered.
+fn receive_run(
+    received: Arc<Vec<u8>>,
+    from: PartyId,
+    to: PartyId,
+    metrics: &mut Metrics,
+    mut deliver: impl FnMut(PartyId, SessionId, Payload),
+) {
+    metrics.wire_bytes += received.len() as u64;
+    for envelope in Burst::new(received) {
+        let decoded = decode_link_envelope(from, envelope);
+        if !matches!(&decoded, Some((_, payload)) if payload.wire_kind().is_some()) {
+            metrics.wire_malformed += 1;
+        }
+        if let Some((session, payload)) = decoded {
+            deliver(to, session, payload);
+        }
     }
 }
 
@@ -177,6 +130,7 @@ mod tests {
     use crate::ids::SessionTag;
     use crate::instance::{Context, Instance};
     use crate::network::SimNetwork;
+    use crate::payload::FrameBytes;
     use crate::runtime::{runtime_by_name, NetConfig, RuntimeExt, StopReason};
     use crate::scheduler::RandomScheduler;
 
@@ -204,11 +158,7 @@ mod tests {
 
     #[test]
     fn wire_run_delivers_through_bytes() {
-        let mut rt = SimNetwork::with_codec(
-            NetConfig::new(4, 1, 5),
-            Box::new(RandomScheduler),
-            Arc::new(CodecRegistry::with_builtins()),
-        );
+        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler));
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
         }
@@ -251,7 +201,7 @@ mod tests {
             ),
         ) {
             let session = SessionId::root().child(SessionTag::new("leak", 0));
-            let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+            let mut link = WireLink::default();
             let mut metrics = Metrics::default();
             for bodies in &runs {
                 let mut decoded: Vec<Option<Vec<u8>>> = Vec::new();
@@ -266,6 +216,144 @@ mod tests {
         }
     }
 
+    /// Hands out its bytes in reads of at most `.1`.
+    struct Chunked<'a>(&'a [u8], usize);
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.1).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// One envelope on the wire: the bytes `rt=wire` hands over for a
+        /// run are the bytes an `aft-partyd` link's writer puts on its
+        /// socket for the same sends, and a socket's reader — whatever the
+        /// reads it gets them in — yields the `(session, payload)`
+        /// sequence the in-memory walk yields.
+        #[test]
+        fn a_run_is_byte_for_byte_what_a_link_carries_and_reads_back_alike(
+            bodies in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+                1..12,
+            ),
+            picks in proptest::collection::vec(0u64..5, 12),
+        ) {
+            use crate::deploy::{write_bursts, FrameReader};
+            let (from, to) = (PartyId(2), PartyId(0));
+            let run: Vec<Outgoing> = bodies.iter().zip(&picks).map(|(body, &pick)| Outgoing {
+                to,
+                session: sid().child(SessionTag::new("stmt", pick)),
+                payload: match body.len() % 3 {
+                    0 => Payload::message(body.len() as u64),
+                    _ => Payload::message(body.clone()),
+                },
+            }).collect();
+            // The daemon's way: encode each envelope, queue it, let the
+            // link's writer frame and write the burst.
+            let (queue, queued) = std::sync::mpsc::channel::<Arc<[u8]>>();
+            for o in &run {
+                let mut envelope = Vec::new();
+                assert!(crate::encode_envelope(from, &o.session, &o.payload, &mut envelope));
+                queue.send(envelope.into()).unwrap();
+            }
+            drop(queue);
+            let mut on_socket = Vec::new();
+            write_bursts(&queued, &mut on_socket).unwrap();
+            proptest::prop_assert_eq!(WireLink::default().encode_run(from, &run), &on_socket[..]);
+
+            let flat = |session: SessionId, payload: Payload| {
+                let mut frame = Vec::new();
+                assert!(payload.encode_wire_frame(&mut frame));
+                (session, frame)
+            };
+            let mut in_memory = Vec::new();
+            let received = Arc::new(on_socket.clone());
+            receive_run(received, from, to, &mut Metrics::default(), |_, session, payload| {
+                in_memory.push(flat(session, payload));
+            });
+            proptest::prop_assert_eq!(in_memory.len(), run.len());
+            for chunk in [1, 7, 8192] {
+                let mut frames = FrameReader::new(Chunked(&on_socket, chunk));
+                let mut off_socket = Vec::new();
+                while let Some(frame) = frames.read_frame().unwrap() {
+                    let (session, payload) = decode_link_envelope(from, frame).expect("routable");
+                    off_socket.push(flat(session, payload));
+                }
+                proptest::prop_assert_eq!(&off_socket, &in_memory, "reads of {}", chunk);
+            }
+        }
+    }
+
+    #[test]
+    fn a_link_and_the_hand_over_refuse_and_deliver_the_same_cut_envelopes() {
+        let config = NetConfig::new(4, 1, 1);
+        let mut whole = Vec::new();
+        let ping = Payload::message(1u8);
+        assert!(crate::encode_envelope(
+            PartyId(1),
+            &sid(),
+            &ping,
+            &mut whole
+        ));
+        let header = whole.len() - (crate::wire::FRAME_HEADER_LEN + 1);
+        // What a payload without a wire identity travels as.
+        let mut marked = Vec::new();
+        assert!(!put_envelope(
+            &mut marked,
+            PartyId(1),
+            &sid(),
+            &Payload::new("an output")
+        ));
+        assert_eq!(marked[..header], whole[..header]);
+        let cases = [
+            (&whole[..2], false),          // cut inside `from`
+            (&whole[..header - 3], false), // cut inside the session
+            (&whole[..header], true),      // no payload bytes at all
+            (&whole[..header + 2], true),
+            (&whole[..header + 5], true),
+            (&marked[..], true),
+        ];
+        for (bytes, routable) in cases {
+            // As `aft-partyd` reads it off a link ...
+            let on_link = decode_link_envelope(PartyId(1), FrameBytes::from(bytes.to_vec()));
+            assert_eq!(on_link.is_some(), routable, "{bytes:?}");
+            // ... and as `rt=wire` reads it out of a run.
+            let mut burst = Vec::new();
+            crate::wire::write_frame(&mut burst, bytes);
+            let mut metrics = Metrics::default();
+            let mut handed_over = Vec::new();
+            receive_run(
+                Arc::new(burst),
+                PartyId(1),
+                PartyId(0),
+                &mut metrics,
+                |_, s, p| {
+                    handed_over.push((s, p));
+                },
+            );
+            assert_eq!(handed_over.len(), routable as usize, "{bytes:?}");
+            assert_eq!(
+                metrics.wire_malformed, 1,
+                "unroutable or malformed: counted"
+            );
+            // What is delivered is a payload no view matches: one decode
+            // miss at the instance, nothing more.
+            for (session, payload) in on_link.into_iter().chain(handed_over) {
+                assert_eq!(session, sid());
+                let mut host = crate::PartyHost::new(&config, 0);
+                host.spawn(sid(), Box::new(Pinger { heard: 0 }));
+                host.deliver(PartyId(1), session, payload, 0, None, None);
+                let misses: Vec<_> = host.metrics().decode_misses().collect();
+                assert_eq!(misses, [("wire:malformed", 1)], "{bytes:?}");
+                assert_eq!(host.metrics().delivered, 1);
+            }
+        }
+    }
+
     #[test]
     fn runs_of_five_kib_and_over_a_mib_round_trip_byte_exact() {
         let session = SessionId::root().child(SessionTag::new("big", 0));
@@ -277,7 +365,7 @@ mod tests {
         let small = vec![pattern(5 * 1024, 1)];
         let mut large: Vec<Vec<u8>> = (0..17).map(|i| pattern(64 * 1024, i)).collect();
         large.extend([Vec::new(), vec![0xA5]]);
-        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+        let mut link = WireLink::default();
         let mut metrics = Metrics::default();
         for bodies in [&large, &small, &large] {
             let before = metrics.wire_bytes;
@@ -310,7 +398,7 @@ mod tests {
             outgoing(sid()),
             outgoing(SessionId::root().child(SessionTag::new(kind, 0))),
         ];
-        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+        let mut link = WireLink::default();
         let mut metrics = Metrics::default();
         let mut arrived = Vec::new();
         link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
@@ -336,7 +424,7 @@ mod tests {
                 payload: Payload::message(1u8),
             })
             .collect();
-        let mut link = WireLink::new(Arc::new(CodecRegistry::with_builtins()));
+        let mut link = WireLink::default();
         let mut metrics = Metrics::default();
         let mut arrived = Vec::new();
         link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
@@ -374,11 +462,7 @@ mod tests {
 
     #[test]
     fn crash_before_run_retracts_on_the_wire_backend() {
-        let mut rt = SimNetwork::with_codec(
-            NetConfig::new(4, 1, 3),
-            Box::new(RandomScheduler),
-            Arc::new(CodecRegistry::with_builtins()),
-        );
+        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 3), Box::new(RandomScheduler));
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
         }
@@ -393,17 +477,43 @@ mod tests {
 
     #[test]
     fn unregistered_kinds_still_deliver_with_fallback_name() {
-        // An empty registry (no builtins): frames still round-trip and
-        // decode lazily by type; only the diagnostic name degrades.
-        let mut rt = SimNetwork::with_codec(
-            NetConfig::new(4, 1, 5),
-            Box::new(RandomScheduler),
-            Arc::new(CodecRegistry::new()),
+        // A kind no registry lists: frames still round-trip and decode
+        // lazily by type; only the diagnostic name degrades.
+        #[derive(Clone)]
+        struct Unlisted;
+        impl crate::wire::WireMessage for Unlisted {
+            const KIND: u16 = crate::wire::KIND_TEST_BASE + 0x40;
+            const KIND_NAME: &'static str = "unlisted";
+            fn encode_body(&self, _out: &mut Vec<u8>) {}
+            fn decode_body(bytes: &[u8]) -> Option<Self> {
+                bytes.is_empty().then_some(Unlisted)
+            }
+        }
+        struct UnlistedPinger(Pinger);
+        impl Instance for UnlistedPinger {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.send_all(Unlisted);
+            }
+            fn on_message(&mut self, from: PartyId, p: &Payload, ctx: &mut Context<'_>) {
+                if p.to_msg::<Unlisted>().is_some() {
+                    assert_eq!(p.type_name(), "wire:unknown");
+                    self.0.on_message(from, &Payload::message(1u8), ctx);
+                }
+            }
+        }
+        assert!(
+            crate::wire::global_kind_name(<Unlisted as crate::wire::WireMessage>::KIND).is_none()
         );
+        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler));
         for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
+            rt.spawn(
+                PartyId(p),
+                sid(),
+                Box::new(UnlistedPinger(Pinger { heard: 0 })),
+            );
         }
         rt.run(1_000_000);
+        assert_eq!(rt.metrics().wire_malformed, 0, "unknown is not malformed");
         for p in 0..4 {
             assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&3));
         }

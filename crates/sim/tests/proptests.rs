@@ -510,7 +510,7 @@ mod codec_props {
                 prop_assert_eq!(Some(payload.type_name()), registry.kind_name(kind));
             }
             // The lazy path is total too.
-            let lazy = Payload::from_wire(bytes.clone(), &registry);
+            let lazy = Payload::from_wire(bytes.clone());
             let _ = lazy.to_msg::<u64>();
             let _ = lazy.to_msg::<String>();
             let _ = lazy.type_name();

@@ -16,6 +16,9 @@
 # party at a time drive it. Either string in the non-test code of
 # shard.rs, threaded.rs or aft_partyd.rs is that half being written again.
 #
+# And for the bytes between parties: one envelope writer and one reader, in
+# crates/sim/src/wire.rs (the third leg, at the end, says what it greps for).
+#
 # usage: scripts/check_party_tables.sh   (from the repository root)
 set -euo pipefail
 
@@ -55,3 +58,23 @@ for driver in crates/sim/src/shard.rs crates/sim/src/threaded.rs \
     fi
 done
 echo "party-host: the drivers drive it"
+
+# And for the envelope: `put_session(` / `get_session(` lay out and read the
+# routing header, and crates/sim/src/wire.rs is where that is done — once,
+# by `encode_envelope` / `decode_envelope` / `decode_link_envelope`, for
+# `rt=wire`, the `aft-partyd` links and the cluster reduction alike. A call
+# in non-test code anywhere else is a second envelope format; the batch
+# framing and the per-link kind-name cache it replaced stay gone by name.
+for src in $(grep -rlE '(put|get)_session\(' --include='*.rs' crates/*/src src |
+    grep -vx crates/sim/src/wire.rs); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
+        grep -E '(put|get)_session\(' >&2; then
+        echo "one-envelope: $src lays out a routing header itself (use aft_sim::{encode_envelope, decode_envelope})" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'write_batch|read_batch|kind_name_cached' --include='*.rs' crates src tests >&2; then
+    echo "one-envelope: the batch framing / per-link kind cache is back (one link frame per envelope, names looked up on demand)" >&2
+    exit 1
+fi
+echo "one-envelope: one writer, one reader"

@@ -102,15 +102,16 @@ fn fba_full_stack_with_weak_shared_coins() {
 
 /// Codec drift guard: the byte, frame and malformed counts of one fixed
 /// `rt=wire` execution (the repo benchmark's `fba-n4-wire` execution 1,
-/// seed 1001). A change to an encoding, to the batch framing or to what
-/// the byte boundary refuses moves them; a change to the transport behind
-/// the boundary must not.
+/// seed 1001). A change to an encoding, to the envelope around it (one
+/// `[len][from][session][frame]` link frame per message, the bytes an
+/// `aft-partyd` link carries) or to what the byte boundary refuses moves
+/// them; a change to the transport behind the boundary must not.
 #[test]
 fn fba_wire_byte_counts_are_pinned() {
     let (m, _) = run_benchmark_fba("wire:random", 4, 1);
     assert_eq!(
         (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
-        (39_512, 39_512, 5_112_556, 0)
+        (39_512, 39_512, 4_737_804, 0)
     );
 }
 
