@@ -364,7 +364,10 @@ struct Arrival {
 /// and the clock advances monotonically to that arrival's time. Batches
 /// removed behind the scheduler's back (retraction) leave stale entries
 /// that are skipped when they surface. A pick costs
-/// O(heads timed + log in-flight).
+/// O(heads timed + log in-flight) and yields the batch's handle, which
+/// is what [`pick_slot`](Scheduler::pick_slot) hands the engines;
+/// [`pick`](Scheduler::pick) turns it into a rank for callers that want
+/// one.
 pub struct NetScheduler {
     spec: NetSpec,
     /// The virtual clock, in virtual milliseconds.
@@ -482,6 +485,11 @@ fn is_current(pending: &Pending, a: &Arrival) -> bool {
 
 impl Scheduler for NetScheduler {
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize {
+        let slot = self.pick_slot(pending, rng);
+        pending.index_of_slot(slot)
+    }
+
+    fn pick_slot(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> BatchSlot {
         // Arrival order: the surviving pick predates every new batch.
         if let Some(last) = self.picked.take().filter(|a| is_current(pending, a)) {
             self.time(pending, last.slot, last.ordinal, rng);
@@ -506,7 +514,7 @@ impl Scheduler for NetScheduler {
         if self.heap.len() > 2 * pending.len() + 32 {
             self.heap.retain(|Reverse(a)| is_current(pending, a));
         }
-        pending.index_of_slot(next.slot)
+        next.slot
     }
 
     fn name(&self) -> &'static str {
@@ -538,6 +546,7 @@ mod tests {
     use crate::ids::{SessionId, SessionTag};
     use crate::network::Envelope;
     use crate::payload::Payload;
+    use crate::queue::Parcel;
     use crate::scheduler::SchedulerConfig;
 
     fn envelope(from: usize, to: usize, seq: u64) -> Envelope {
@@ -939,8 +948,10 @@ mod tests {
                         }
                         26..=29 => {
                             last_pair = (from, to);
-                            let run = (0..1 + arg % 4).map(|_| p.fresh(from, to)).collect();
-                            p.queue.push_batch(run);
+                            let run = (0..1 + arg % 4)
+                                .map(|_| Parcel::split(p.fresh(from, to)).2)
+                                .collect();
+                            p.queue.push_batch(PartyId(from), PartyId(to), run);
                         }
                         _ if p.queue.is_empty() => {}
                         // Pick and deliver the whole run; every other

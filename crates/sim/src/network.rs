@@ -7,7 +7,7 @@ use crate::instance::Instance;
 use crate::net::NetEvent;
 use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
-use crate::queue::Pending;
+use crate::queue::{BatchSlot, Parcel, Pending};
 use crate::runtime::{
     account_delivery, build_node, deliver_raw, DeliverCtx, Metrics, NetConfig, RecoverPhase,
     Recoveries, RunReport, Runtime, StopReason,
@@ -64,14 +64,13 @@ impl Launch<'_> {
                 causal_parent: self.causal,
             });
         }
-        self.pending.push(Envelope {
-            from,
-            to,
+        let parcel = Parcel {
             session,
             payload,
             seq,
             born_step,
-        });
+        };
+        self.pending.push_parcel(from, to, parcel);
         *self.seq += 1;
     }
 }
@@ -604,7 +603,7 @@ impl SimNetwork {
     /// Applies the fairness cap (order-only schedulers), then the
     /// scheduler. Returns the stable handle of the picked batch and the
     /// length of its run.
-    fn pick_next(&mut self) -> Option<(crate::queue::BatchSlot, u64)> {
+    fn pick_next(&mut self) -> Option<(BatchSlot, u64)> {
         if self.pending.is_empty() {
             return None;
         }
@@ -612,14 +611,11 @@ impl SimNetwork {
         let max_age = self.config.scheduler.max_age;
         // The queue mirrors the oldest batch's birth step inline, so the
         // per-pick age check costs a field read, not a slab access.
-        let idx = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > max_age {
-            0
+        let slot = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > max_age {
+            self.pending.slot_of(0)
         } else {
-            let i = self.scheduler.pick(&self.pending, &mut self.sched_rng);
-            debug_assert!(i < self.pending.len(), "scheduler index out of range");
-            i.min(self.pending.len() - 1)
+            self.scheduler.pick_slot(&self.pending, &mut self.sched_rng)
         };
-        let slot = self.pending.slot_of(idx);
         let run = self.pending.run_len_of_slot(slot) as u64;
         Some((slot, run))
     }

@@ -1,34 +1,56 @@
 //! The in-flight message queue behind the simulator's delivery loop.
 //!
-//! Envelopes live in a slab of **batches** next to their scheduler-visible
-//! [`MsgMeta`]; what the [`Scheduler`] sees is an arrival-ordered view of
-//! those lightweight records (sender, receiver, head sequence number, age,
-//! kind, batch size). Schedulers index into that view and never touch
-//! payloads or session paths.
+//! What the [`Scheduler`] sees is an arrival-ordered view of in-flight
+//! **batches** — [`MsgMeta`] (sender, receiver, head sequence number,
+//! age, kind, batch size), derived on demand. Schedulers index into that
+//! view and never touch payloads or session paths.
 //!
 //! **Batching**: consecutive envelopes with the same `(sender, receiver)`
-//! pair collapse into a single slab record holding the run of envelopes in
-//! FIFO order. The scheduler's pick granularity is the batch; delivery
-//! granularity stays the single message — [`take`](Pending::take) pops the
-//! *head* of the picked batch and the record keeps its arrival position
-//! until the run is drained. The arrival list, the Fenwick index and the
-//! sharded backend's cross-shard channels therefore move O(batches)
-//! records instead of O(messages), and draining a batch walks one
-//! contiguous buffer instead of hopping across the slab.
+//! pair collapse into one batch holding the run in FIFO order. The
+//! scheduler's pick granularity is the batch; delivery granularity stays
+//! the single message — [`take`](Pending::take) pops the *head* of the
+//! picked batch and the batch keeps its arrival position until the run is
+//! drained. The arrival list, the live index and the sharded backend's
+//! cross-shard channels therefore move O(batches) records instead of
+//! O(messages).
 //!
-//! The live view is an append-only arrival list with tombstones indexed
-//! by a Fenwick tree, so removal at an arbitrary arrival position — a
-//! random scheduler's every pick — costs O(log len) instead of an O(len)
-//! shift, the front position (fairness-cap forced deliveries, FIFO) is
-//! O(1), and a queue that drains to empty (every sharded-simulator
-//! epoch) resets for free. Dead entries are compacted away when the list
-//! regrows. A pick that only shortens a batch does not touch the Fenwick
-//! tree at all.
+//! **Layout**: a batch is one slab record — `(from, to)` once, as `u32`s,
+//! its arrival position and the low half of its creation ordinal (16
+//! bytes), around either one inline [`Parcel`] (a 72-byte envelope
+//! without its endpoints: session, payload, `seq`, `born_step`) or a
+//! deque of them; a slab entry is 88 bytes. [`push`](Pending::push)
+//! splits an [`Envelope`] into its endpoints and its parcel and
+//! [`take`](Pending::take) puts one back together. The slab grows in
+//! bounded steps of an eighth plus 64 records, never by doubling, and a
+//! vacant entry links to the next one, so the free list costs nothing
+//! beside the slab.
+//!
+//! **The live view** is an append-only arrival list of slot ids and a
+//! [`LiveIndex`] over its positions — one bit per position and a Fenwick
+//! tree over 64-position words — so finding the `i`-th live batch (a
+//! random scheduler's every pick) and retiring one anywhere cost
+//! O(log(len / 64)) instead of an O(len) shift, and the front position
+//! (fairness-cap forced deliveries, FIFO) is O(1). When the list reaches
+//! the index's capacity it is compacted in place and both are sized to
+//! the new **compaction capacity** — twice the live batches, at least 64,
+//! in whole words — and no further: 4 bytes of list and a quarter byte
+//! of index per position. A pick that only shortens a batch does not
+//! touch the index at all. A queue that drains to empty — every sharded
+//! epoch — drops its index to nothing, so the next fill starts again at
+//! 64 positions and the descent is as deep as what is live, not as the
+//! deepest epoch before it; everything keeps its allocation across that
+//! reset.
+//!
+//! At the `ba-n32-sim` peak (33 088 envelopes in flight) that is 99 bytes
+//! per in-flight envelope, 3.3 MB in all: its 88-byte slab entry, the
+//! slack of the last growth step (at most an eighth of that), and up to
+//! 8.5 bytes of list and index.
 //!
 //! [`Scheduler`]: crate::Scheduler
 
-use crate::ids::PartyId;
+use crate::ids::{PartyId, SessionId};
 use crate::network::Envelope;
+use crate::payload::Payload;
 use std::collections::VecDeque;
 
 /// Scheduler-visible metadata of one in-flight batch (a FIFO run of
@@ -49,55 +71,114 @@ pub struct MsgMeta {
     pub count: u32,
 }
 
-impl MsgMeta {
-    /// Metadata for a batch headed by `env` with `count` envelopes.
-    fn of(env: &Envelope, count: u32) -> MsgMeta {
-        MsgMeta {
-            from: env.from,
-            to: env.to,
-            seq: env.seq,
-            born_step: env.born_step,
-            kind: env.session.last().map_or("root", |t| t.kind),
-            count,
+/// One in-flight envelope without its endpoints, which its batch keeps
+/// once for the whole run. The sharded backend's outboxes and channels
+/// carry these too, since each of them is one `(from, to)` pair already.
+pub(crate) struct Parcel {
+    pub(crate) session: SessionId,
+    pub(crate) payload: Payload,
+    pub(crate) seq: u64,
+    pub(crate) born_step: u64,
+}
+
+impl Parcel {
+    /// Splits an envelope into its endpoints and its parcel.
+    pub(crate) fn split(env: Envelope) -> (PartyId, PartyId, Parcel) {
+        let Envelope {
+            from,
+            to,
+            session,
+            payload,
+            seq,
+            born_step,
+        } = env;
+        let parcel = Parcel {
+            session,
+            payload,
+            seq,
+            born_step,
+        };
+        (from, to, parcel)
+    }
+
+    /// The envelope this parcel is, sent from `from` to `to`.
+    fn into_envelope(self, from: u32, to: u32) -> Envelope {
+        Envelope {
+            from: widen(from),
+            to: widen(to),
+            session: self.session,
+            payload: self.payload,
+            seq: self.seq,
+            born_step: self.born_step,
         }
     }
 }
 
-/// A Fenwick (binary indexed) tree of 0/1 counts over arrival positions:
-/// `select(k)` finds the position of the `k`-th live entry in
-/// O(log capacity).
+/// A party id as a batch record stores it.
+fn narrow(party: PartyId) -> u32 {
+    // A party id indexes `n`-sized tables, so one past `u32::MAX` was never built.
+    u32::try_from(party.0).expect("party ids fit in u32")
+}
+
+fn widen(party: u32) -> PartyId {
+    PartyId(party as usize)
+}
+
+/// An arrival position as a batch record stores it.
+fn narrow_pos(pos: usize) -> u32 {
+    // Positions stay below the compaction capacity, twice the live slab entries.
+    u32::try_from(pos).expect("arrival positions fit in u32")
+}
+
+/// Which arrival positions hold a live batch, and the order statistics
+/// over them: one bit per position, in 64-position words, and a Fenwick
+/// (binary indexed) tree over the words' live counts. `select(k)` finds
+/// the position of the `k`-th live entry — a descent over the words, then
+/// a select inside one — and `prefix(pos)` inverts it, both in
+/// O(log(capacity / 64)); marking a position live or retired flips its
+/// bit and updates the tree over words.
+///
+/// At 64 positions to a word, the tree is at most a 128th of a tree over
+/// positions: at the `ba-n32-sim` peak (66 176 positions) 8 KiB of tree
+/// and 8 KiB of bits, where a tree over positions is 259 KiB.
 #[derive(Default)]
 struct LiveIndex {
-    /// 1-based partial-sum tree; capacity is `tree.len() - 1`.
+    /// Bit `pos % 64` of word `pos / 64`: whether position `pos` is live.
+    words: Vec<u64>,
+    /// 1-based partial sums of the words' live counts, over a power of
+    /// two of words — those past `words` count zero — so every step of
+    /// the descent lands inside the tree.
     tree: Vec<u32>,
 }
 
 impl LiveIndex {
-    #[cfg(test)]
-    fn with_capacity(cap: usize) -> Self {
-        LiveIndex {
-            tree: vec![0; cap + 1],
-        }
-    }
-
+    /// Number of positions.
     fn capacity(&self) -> usize {
-        self.tree.len().saturating_sub(1)
+        self.words.len() * 64
     }
 
-    /// Adds `delta` at 0-based position `pos`.
-    fn add(&mut self, pos: usize, delta: i32) {
-        let mut i = pos + 1;
+    fn is_live(&self, pos: usize) -> bool {
+        self.words[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// Marks `pos` live (`live`) or retired; it must be the other now.
+    fn set(&mut self, pos: usize, live: bool) {
+        let word = pos / 64;
+        self.words[word] ^= 1 << (pos % 64);
+        let delta = if live { 1 } else { u32::MAX };
+        let mut i = word + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Number of live entries at 0-based positions `< pos` — the inverse
-    /// of [`select`](LiveIndex::select).
+    /// Number of live entries at positions `< pos` — the inverse of
+    /// [`select`](LiveIndex::select).
     fn prefix(&self, pos: usize) -> u32 {
-        let mut i = pos;
-        let mut sum = 0;
+        let word = pos / 64;
+        let mut sum = (self.words[word] & ((1 << (pos % 64)) - 1)).count_ones();
+        let mut i = word;
         while i > 0 {
             sum += self.tree[i];
             i &= i - 1;
@@ -105,69 +186,174 @@ impl LiveIndex {
         sum
     }
 
-    /// 0-based position of the `k`-th live entry (`k ≥ 1`).
+    /// Position of the `k`-th live entry (`1 ≤ k ≤` live). Branch-free:
+    /// each level of the descent reads one node and folds the comparison
+    /// into masks, so the only branch is the loop over `log₂` of the
+    /// tree's power-of-two width, and the select inside the word is
+    /// straight-line code.
     fn select(&self, k: u32) -> usize {
-        let cap = self.capacity();
-        let mut step = cap.next_power_of_two();
-        if step > cap {
-            step >>= 1;
-        }
-        let mut pos = 0;
+        let mut step = self.tree.len() / 2;
+        let mut word = 0;
         let mut remaining = k;
         while step > 0 {
-            let next = pos + step;
-            if next <= cap && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
+            let sum = self.tree[word + step];
+            let take = sum < remaining;
+            remaining -= sum & u32::from(take).wrapping_neg();
+            word += step & usize::from(take).wrapping_neg();
             step >>= 1;
         }
-        pos // prefix_sum(pos) < k ≤ prefix_sum(pos + 1): 0-based index `pos`
+        // Words before `word` hold fewer than `k` live entries, `word`
+        // included at least `k`.
+        word * 64 + select_in_word(self.words[word], remaining - 1) as usize
+    }
+
+    /// Resets the index to `cap` positions (a multiple of 64) of which
+    /// the first `live` are live, in one O(cap / 64) pass, allocating only
+    /// past the largest `cap` so far (and then exactly).
+    fn rebuild(&mut self, cap: usize, live: usize) {
+        let (full, rest) = (live / 64, live % 64);
+        let words = &mut self.words;
+        words.clear();
+        words.reserve_exact(cap / 64);
+        words.resize(full, u64::MAX);
+        if rest > 0 {
+            words.push((1 << rest) - 1);
+        }
+        words.resize(cap / 64, 0);
+        let width = words.len().next_power_of_two();
+        let tree = &mut self.tree;
+        tree.clear();
+        tree.reserve_exact(width + 1);
+        tree.resize(width + 1, 0);
+        for i in 1..=width {
+            tree[i] += words.get(i - 1).map_or(0, |w| w.count_ones());
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= width {
+                tree[parent] += tree[i];
+            }
+        }
+    }
+
+    /// Drops every position (the allocations stay).
+    fn clear(&mut self) {
+        self.words.clear();
+        self.tree.clear();
     }
 }
 
-/// Batched envelope storage of one slab record. Singletons — the common
-/// case on the single-queue simulator — hold their envelope inline; only
-/// a real run of same-pair envelopes pays for a deque (recycled through
-/// [`Pending::spare`], so steady-state batching does not allocate either).
-enum Batch {
-    /// Exactly one envelope, stored inline.
-    One(Envelope),
-    /// A FIFO run of two or more (until drained) envelopes.
-    Many(VecDeque<Envelope>),
+/// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit of byte
+/// `b`.
+static SELECT_IN_BYTE: [[u8; 8]; 256] = select_in_byte_table();
+
+const fn select_in_byte_table() -> [[u8; 8]; 256] {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut rank) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][rank] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
 }
 
-/// One slab record: a batch plus its remaining length and current
-/// arrival position. Scheduler-visible [`MsgMeta`] is *derived* from the
-/// batch head on demand rather than stored — the random scheduler never
-/// reads it, so the per-push hot path writes one small record instead of
-/// materializing (and later refreshing) full metadata.
+/// Position of the `r`-th (0-based) set bit of `word`, for
+/// `r < word.count_ones()`, without a branch: the bytes' popcounts by
+/// SWAR, their running sums by one multiply, the byte that holds the bit
+/// by comparing every running sum with `r` at once, and the bit inside
+/// that byte from a table.
+fn select_in_word(word: u64, r: u32) -> u32 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut counts = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    counts = (counts & 0x3333_3333_3333_3333) + ((counts >> 2) & 0x3333_3333_3333_3333);
+    counts = (counts + (counts >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte i: the set bits in bytes 0..=i (at most 64: no carry between
+    // bytes).
+    let running = counts.wrapping_mul(ONES);
+    // Byte i's high bit: whether running sum i ≤ r, i.e. byte i lies
+    // wholly before the bit (r ≤ 63, so `r + 128 - sum` never borrows).
+    let before = ((u64::from(r).wrapping_mul(ONES) | HIGHS) - running) & HIGHS;
+    let shift = 8 * ((before >> 7).wrapping_mul(ONES) >> 56) as u32;
+    let skipped = ((running << 8) >> shift) as u32 & 0xFF;
+    let byte = (word >> shift) as usize & 0xFF;
+    shift + u32::from(SELECT_IN_BYTE[byte][(r - skipped) as usize])
+}
+
+/// The parcels of one batch. Singletons — the common case on the
+/// single-queue simulator — hold theirs inline; only a real run of
+/// same-pair envelopes pays for a deque (recycled through
+/// [`Pending::spare`], so steady-state batching does not allocate either).
+enum Run {
+    /// Exactly one parcel, stored inline.
+    One(Parcel),
+    /// A FIFO run of two or more (until drained) parcels.
+    Many(VecDeque<Parcel>),
+}
+
+impl Run {
+    /// The oldest (next-delivered) parcel.
+    fn head(&self) -> &Parcel {
+        match self {
+            Run::One(parcel) => parcel,
+            Run::Many(run) => run.front().expect("live batch is non-empty"),
+        }
+    }
+
+    /// Parcels remaining (≥ 1).
+    fn len(&self) -> usize {
+        match self {
+            Run::One(_) => 1,
+            Run::Many(run) => run.len(),
+        }
+    }
+}
+
+/// One live batch: its endpoints, where it stands in arrival order, when
+/// it was opened, and its parcels. Scheduler-visible [`MsgMeta`] is
+/// *derived* from the head on demand — the random scheduler never reads
+/// it.
 struct Record {
-    /// Envelopes remaining in the batch (≥ 1).
-    count: u32,
-    /// Low 32 bits of the batch's creation ordinal (it sits in what was
-    /// padding next to `count`; [`Pending::ordinal_of`] widens it).
-    created: u32,
+    from: u32,
+    to: u32,
     /// Current arrival position (kept current by compaction, which is
     /// what makes [`BatchSlot`] handles stable).
-    pos: usize,
-    /// The batched envelopes.
-    batch: Batch,
+    pos: u32,
+    /// Low 32 bits of the batch's creation ordinal
+    /// ([`Pending::ordinal_of`] widens it).
+    created: u32,
+    run: Run,
 }
 
 impl Record {
-    /// The batch's oldest (next-delivered) envelope.
-    fn head(&self) -> &Envelope {
-        match &self.batch {
-            Batch::One(env) => env,
-            Batch::Many(run) => run.front().expect("live batch is non-empty"),
+    /// The derived scheduler-visible metadata.
+    fn meta(&self) -> MsgMeta {
+        let head = self.run.head();
+        MsgMeta {
+            from: widen(self.from),
+            to: widen(self.to),
+            seq: head.seq,
+            born_step: head.born_step,
+            kind: head.session.last().map_or("root", |t| t.kind),
+            count: self.run_len(),
         }
     }
 
-    /// The derived scheduler-visible metadata.
-    fn meta(&self) -> MsgMeta {
-        MsgMeta::of(self.head(), self.count)
+    fn run_len(&self) -> u32 {
+        u32::try_from(self.run.len()).unwrap_or(u32::MAX)
     }
+}
+
+/// A slab entry.
+enum Slot {
+    Live(Record),
+    /// Free; links to the next free entry.
+    Vacant(Option<u32>),
 }
 
 /// A stable handle to one live batch record, valid until the batch's run
@@ -186,22 +372,21 @@ pub struct BatchSlot(u32);
 /// the batch non-empty.
 #[derive(Default)]
 pub struct Pending {
-    /// Slab of batch records; `None` slots are free.
-    slots: Vec<Option<Record>>,
-    /// Free slot indices available for reuse.
-    free: Vec<u32>,
-    /// Recycled (empty) deques from drained multi-envelope batches. With
+    /// Slab of batch records.
+    slots: Vec<Slot>,
+    /// Most recently vacated slab entry, head of the free chain.
+    free: Option<u32>,
+    /// Recycled (empty) deques from drained multi-parcel batches. With
     /// the runs now live they never number more than `runs_peak` — all
     /// that this queue's own workload can ever hand out again.
-    spare: Vec<VecDeque<Envelope>>,
-    /// Live multi-envelope batches, and the most there have been at once.
+    spare: Vec<VecDeque<Parcel>>,
+    /// Live multi-parcel batches, and the most there have been at once.
     runs_live: usize,
     runs_peak: usize,
-    /// Arrival-ordered slot ids (append-only between compactions).
+    /// Arrival-ordered slot ids (append-only between compactions); an
+    /// entry whose batch has drained is stale.
     arrival: Vec<u32>,
-    /// Tombstones, parallel to `arrival`.
-    alive: Vec<bool>,
-    /// Fenwick tree of live counts over `arrival` positions.
+    /// Which `arrival` positions are live, with order statistics.
     index: LiveIndex,
     /// First possibly-live position in `arrival`.
     head: usize,
@@ -220,28 +405,22 @@ pub struct Pending {
     appended: (usize, u64),
     /// Slot id of the most recently pushed batch while it is still live —
     /// the only merge target, so batching is a pure function of the
-    /// push/take sequence (tombstone compaction cannot change it).
+    /// push/take sequence (compaction cannot change it).
     tail: Option<u32>,
     /// `(from, to)` of the live tail batch, mirrored inline (valid while
     /// `tail` is `Some`): the per-push merge probe reads this field
-    /// instead of chasing `tail` into the slot storage — a guaranteed
-    /// cache miss on workloads whose consecutive sends never merge.
-    tail_pair: (PartyId, PartyId),
+    /// instead of chasing `tail` into the slab — a guaranteed cache miss
+    /// on workloads whose consecutive sends never merge.
+    tail_pair: (u32, u32),
     /// `born_step` of the head batch's oldest envelope, mirrored inline
     /// (valid while `live > 0`): the per-pick fairness-age check reads
-    /// this field instead of resolving `arrival[head]` into the slots.
+    /// this field instead of resolving `arrival[head]` into the slab.
     head_born: u64,
     /// Batch deques recycled from [`spare`](Pending::spare) instead of
     /// allocated (pool-stats counter, folded into run metrics).
     reused: u64,
     /// Batch deques allocated because the spare pool was empty.
     allocated: u64,
-    /// Reusable survivor buffer for [`compact_and_grow`]: swapped with
-    /// `arrival` on every rebuild, so steady-state compaction allocates
-    /// nothing.
-    ///
-    /// [`compact_and_grow`]: Pending::compact_and_grow
-    compact_scratch: Vec<u32>,
 }
 
 impl Pending {
@@ -265,11 +444,26 @@ impl Pending {
         self.total
     }
 
+    /// The live record in slab entry `slot`.
+    fn record(&self, slot: u32) -> &Record {
+        match &self.slots[slot as usize] {
+            Slot::Live(record) => record,
+            Slot::Vacant(_) => panic!("batch handle refers to a live batch"),
+        }
+    }
+
+    fn record_mut(&mut self, slot: u32) -> &mut Record {
+        match &mut self.slots[slot as usize] {
+            Slot::Live(record) => record,
+            Slot::Vacant(_) => panic!("batch handle refers to a live batch"),
+        }
+    }
+
     /// Arrival position of the `i`-th oldest live batch.
     fn position(&self, i: usize) -> usize {
         assert!(i < self.live, "index {i} beyond live queue ({})", self.live);
         if i == 0 {
-            // The head skips tombstones eagerly, so it is live.
+            // The head skips retired entries eagerly, so it is live.
             self.head
         } else {
             self.index.select(i as u32 + 1)
@@ -282,25 +476,12 @@ impl Pending {
     ///
     /// Panics if `i >= len()`.
     pub fn meta(&self, i: usize) -> MsgMeta {
-        let slot = self.arrival[self.position(i)];
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("live arrival entry points at an occupied slot")
-            .meta()
+        self.record(self.arrival[self.position(i)]).meta()
     }
 
     /// All batch metadata in arrival order (oldest first).
     pub fn metas(&self) -> impl Iterator<Item = MsgMeta> + '_ {
-        self.arrival[self.head..]
-            .iter()
-            .zip(&self.alive[self.head..])
-            .filter(|&(_, &alive)| alive)
-            .map(|(&slot, _)| {
-                self.slots[slot as usize]
-                    .as_ref()
-                    .expect("live arrival entry points at an occupied slot")
-                    .meta()
-            })
+        (self.head..self.arrival.len()).filter_map(|pos| self.record_at(pos).map(Record::meta))
     }
 
     /// `(reused, allocated)` batch-deque recycling counts so far —
@@ -315,28 +496,27 @@ impl Pending {
     /// so the conversion is free). The sharded backend refills its
     /// per-destination outboxes from here, closing the loop: outbox →
     /// cross-shard batch → drained deque → spare → outbox.
-    pub(crate) fn take_spare_vec(&mut self) -> Option<Vec<Envelope>> {
+    pub(crate) fn take_spare_vec(&mut self) -> Option<Vec<Parcel>> {
         self.spare.pop().map(Vec::from)
     }
 
     /// Whether the most recently pushed batch is live and can absorb an
     /// envelope from `from` to `to`; returns its slot id if so. Reads
-    /// only the inline `tail_pair` mirror — no slot-storage access.
-    fn mergeable_tail(&self, from: PartyId, to: PartyId) -> Option<u32> {
+    /// only the inline `tail_pair` mirror — no slab access.
+    fn mergeable_tail(&self, from: u32, to: u32) -> Option<u32> {
         let slot = self.tail?;
         (self.tail_pair == (from, to)).then_some(slot)
     }
 
-    /// Extends the live tail batch in slot `slot` with one envelope,
+    /// Extends the live tail batch in slot `slot` with one parcel,
     /// promoting an inline singleton to a deque (recycled when possible).
-    fn extend_tail(&mut self, slot: u32, env: Envelope) {
-        let entry = self.slots[slot as usize]
-            .as_mut()
-            .expect("mergeable tail slot occupied");
-        entry.count += 1;
+    fn extend_tail(&mut self, slot: u32, parcel: Parcel) {
         self.total += 1;
-        match &mut entry.batch {
-            Batch::Many(run) => run.push_back(env),
+        let Slot::Live(record) = &mut self.slots[slot as usize] else {
+            unreachable!("the tail slot is live");
+        };
+        match &mut record.run {
+            Run::Many(run) => run.push_back(parcel),
             one => {
                 self.runs_live += 1;
                 self.runs_peak = self.runs_peak.max(self.runs_live);
@@ -350,13 +530,12 @@ impl Pending {
                         VecDeque::new()
                     }
                 };
-                let head = match std::mem::replace(one, Batch::Many(VecDeque::new())) {
-                    Batch::One(head) => head,
-                    Batch::Many(_) => unreachable!("matched above"),
+                let Run::One(head) = std::mem::replace(one, Run::Many(VecDeque::new())) else {
+                    unreachable!("matched above");
                 };
                 run.push_back(head);
-                run.push_back(env);
-                *one = Batch::Many(run);
+                run.push_back(parcel);
+                *one = Run::Many(run);
             }
         }
     }
@@ -364,76 +543,81 @@ impl Pending {
     /// Enqueues an envelope at the back: extends the youngest batch when
     /// the `(sender, receiver)` pair matches, otherwise opens a new batch.
     pub fn push(&mut self, env: Envelope) {
-        if let Some(slot) = self.mergeable_tail(env.from, env.to) {
-            self.extend_tail(slot, env);
-            return;
-        }
-        self.insert_batch(1, Batch::One(env));
+        let (from, to, parcel) = Parcel::split(env);
+        self.push_parcel(from, to, parcel);
     }
 
-    /// Enqueues a whole same-`(sender, receiver)` run as one batch record —
-    /// the sharded backend's cross-shard handoff, which thereby moves
+    /// [`push`](Pending::push) for an envelope already split.
+    pub(crate) fn push_parcel(&mut self, from: PartyId, to: PartyId, parcel: Parcel) {
+        let (from, to) = (narrow(from), narrow(to));
+        match self.mergeable_tail(from, to) {
+            Some(slot) => self.extend_tail(slot, parcel),
+            None => self.insert_batch(from, to, Run::One(parcel)),
+        }
+    }
+
+    /// Enqueues a whole run from `from` to `to` as one batch record — the
+    /// sharded backend's cross-shard handoff, which thereby moves
     /// O(batches) instead of O(messages). Empty runs are ignored.
-    ///
-    /// The envelopes must share one `(from, to)` pair and be in the
-    /// intended FIFO order.
-    pub fn push_batch(&mut self, envs: Vec<Envelope>) {
-        let Some(first) = envs.first() else {
+    pub(crate) fn push_batch(&mut self, from: PartyId, to: PartyId, run: Vec<Parcel>) {
+        if run.is_empty() {
             return;
-        };
-        debug_assert!(
-            envs.iter()
-                .all(|e| e.from == first.from && e.to == first.to),
-            "a batch must share one (from, to) pair"
-        );
-        if let Some(slot) = self.mergeable_tail(first.from, first.to) {
-            for env in envs {
-                self.extend_tail(slot, env);
+        }
+        let (from, to) = (narrow(from), narrow(to));
+        if let Some(slot) = self.mergeable_tail(from, to) {
+            for parcel in run {
+                self.extend_tail(slot, parcel);
             }
             return;
         }
-        let count = envs.len() as u32;
-        let batch = if envs.len() == 1 {
-            Batch::One(envs.into_iter().next().expect("len checked"))
+        let run = if run.len() == 1 {
+            Run::One(run.into_iter().next().expect("len checked"))
         } else {
             self.runs_live += 1;
             self.runs_peak = self.runs_peak.max(self.runs_live);
-            Batch::Many(VecDeque::from(envs))
+            Run::Many(VecDeque::from(run))
         };
-        self.insert_batch(count, batch);
+        self.insert_batch(from, to, run);
     }
 
     /// Installs a fresh batch record at the back of the arrival order.
-    fn insert_batch(&mut self, count: u32, batch: Batch) {
-        self.total += count as usize;
+    fn insert_batch(&mut self, from: u32, to: u32, run: Run) {
+        self.total += run.len();
         if self.arrival.len() == self.index.capacity() {
             self.compact_and_grow();
         }
         let pos = self.arrival.len();
-        let record = Record {
-            count,
+        let born = run.head().born_step;
+        let record = Slot::Live(Record {
+            from,
+            to,
+            pos: narrow_pos(pos),
             created: self.created as u32,
-            pos,
-            batch,
-        };
+            run,
+        });
         self.created += 1;
-        let (from, to, born) = {
-            let head = record.head();
-            (head.from, head.to, head.born_step)
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(record);
-                s
+        let slot = match self.free {
+            Some(slot) => {
+                let vacant = std::mem::replace(&mut self.slots[slot as usize], record);
+                let Slot::Vacant(next) = vacant else {
+                    unreachable!("the free chain links vacant entries");
+                };
+                self.free = next;
+                slot
             }
             None => {
-                self.slots.push(Some(record));
-                (self.slots.len() - 1) as u32
+                if self.slots.len() == self.slots.capacity() {
+                    // A bounded step, not a doubling: the slab is the
+                    // queue's one big allocation.
+                    self.slots.reserve_exact(self.slots.len() / 8 + 64);
+                }
+                self.slots.push(record);
+                u32::try_from(self.slots.len() - 1).expect("slab ids fit in u32")
             }
         };
+        // Compaction reserved room up to the index's capacity: no regrowth.
         self.arrival.push(slot);
-        self.alive.push(true);
-        self.index.add(pos, 1);
+        self.index.set(pos, true);
         self.live += 1;
         self.tail = Some(slot);
         self.tail_pair = (from, to);
@@ -479,15 +663,14 @@ impl Pending {
     ///
     /// Panics if `i >= len()`.
     pub fn take(&mut self, i: usize) -> Envelope {
-        let pos = self.position(i);
-        self.take_slot(BatchSlot(self.arrival[pos]))
+        self.take_slot(self.slot_of(i))
     }
 
     /// Stable handle of the `i`-th oldest live batch, for use with
     /// [`take_slot`](Pending::take_slot). The handle stays valid while
     /// the batch has envelopes left (`meta(i).count` of them, plus any
     /// concurrently merged into it), so a caller draining a whole run
-    /// resolves the Fenwick index once instead of once per envelope —
+    /// resolves the live index once instead of once per envelope —
     /// and, unlike a raw arrival position, the handle survives pushes
     /// and compactions happening between takes.
     pub fn slot_of(&self, i: usize) -> BatchSlot {
@@ -496,22 +679,16 @@ impl Pending {
 
     /// Metadata of the live batch `slot` — O(1), no arrival-order lookup
     /// (pair with [`slot_of`](Pending::slot_of) to resolve a pick's
-    /// handle and run length with a single Fenwick traversal).
+    /// handle and run length with a single index descent).
     pub fn meta_of_slot(&self, slot: BatchSlot) -> MsgMeta {
-        self.slots[slot.0 as usize]
-            .as_ref()
-            .expect("batch handle refers to a live batch")
-            .meta()
+        self.record(slot.0).meta()
     }
 
     /// Remaining run length of the live batch `slot` — what a delivery
     /// loop actually needs per pick, without deriving full [`MsgMeta`]
     /// (which reads the head envelope's session for its leaf kind).
     pub fn run_len_of_slot(&self, slot: BatchSlot) -> u32 {
-        self.slots[slot.0 as usize]
-            .as_ref()
-            .expect("batch handle refers to a live batch")
-            .count
+        self.record(slot.0).run_len()
     }
 
     /// Arrival index of the live batch `slot` — the inverse of
@@ -521,10 +698,7 @@ impl Pending {
     ///
     /// Panics if `slot` does not refer to a live batch.
     pub fn index_of_slot(&self, slot: BatchSlot) -> usize {
-        let pos = self.slots[slot.0 as usize]
-            .as_ref()
-            .expect("batch handle refers to a live batch")
-            .pos;
+        let pos = self.record(slot.0).pos as usize;
         if pos == self.head {
             0
         } else {
@@ -550,15 +724,17 @@ impl Pending {
     /// `(slot, ordinal)` pair names one batch for good: a holder of a
     /// stale handle finds `None` or a different ordinal here.
     pub fn ordinal_of_slot(&self, slot: BatchSlot) -> Option<u64> {
-        let record = self.slots.get(slot.0 as usize)?.as_ref()?;
-        Some(self.ordinal_of(record))
+        match self.slots.get(slot.0 as usize)? {
+            Slot::Live(record) => Some(self.ordinal_of(record)),
+            Slot::Vacant(_) => None,
+        }
     }
 
     /// The live batches with creation ordinal `≥ since`, oldest first,
     /// each with its ordinal — what a caller that last looked when
     /// [`created`](Pending::created) returned `since` has not seen yet.
-    /// Costs O(batches yielded + tombstones among them), independent of
-    /// the queue's depth.
+    /// Costs O(batches yielded + retired entries among them), independent
+    /// of the queue's depth.
     pub fn batches_since(&self, since: u64) -> impl Iterator<Item = (BatchSlot, u64)> + '_ {
         let (base_pos, base_ordinal) = self.appended;
         let start = if since >= base_ordinal {
@@ -584,14 +760,12 @@ impl Pending {
         })
     }
 
-    /// The live record at arrival position `pos`, if that entry is not a
-    /// tombstone.
+    /// The live record at arrival position `pos`, if that batch has not
+    /// drained.
     fn record_at(&self, pos: usize) -> Option<&Record> {
-        self.alive[pos].then(|| {
-            self.slots[self.arrival[pos] as usize]
-                .as_ref()
-                .expect("live arrival entry points at an occupied slot")
-        })
+        self.index
+            .is_live(pos)
+            .then(|| self.record(self.arrival[pos]))
     }
 
     /// Removes and returns the head envelope of the live batch `slot`
@@ -602,125 +776,93 @@ impl Pending {
     ///
     /// Panics if `slot` does not refer to a live batch.
     pub fn take_slot(&mut self, slot: BatchSlot) -> Envelope {
-        let slot = slot.0 as usize;
-        let entry = self.slots[slot]
-            .as_mut()
-            .expect("batch handle refers to a live batch");
+        let Slot::Live(record) = &mut self.slots[slot.0 as usize] else {
+            panic!("batch handle refers to a live batch");
+        };
         self.total -= 1;
-        if let Batch::Many(run) = &mut entry.batch {
+        if let Run::Many(run) = &mut record.run {
             if run.len() > 1 {
                 // The batch survives at its arrival position; only its
-                // count (and, at the head, the inline age mirror) moves.
-                let env = run.pop_front().expect("len checked");
-                entry.count -= 1;
-                if entry.pos == self.head {
+                // run (and, at the head, the inline age mirror) moves.
+                let parcel = run.pop_front().expect("len checked");
+                if record.pos as usize == self.head {
                     self.head_born = run.front().expect("len checked").born_step;
                 }
-                return env;
+                return parcel.into_envelope(record.from, record.to);
             }
         }
         // Batch drained: retire the record, recycling its deque.
-        let Record { pos, batch, .. } = self.slots[slot]
-            .take()
-            .expect("batch handle refers to a live batch");
-        let env = match batch {
-            Batch::One(env) => env,
-            Batch::Many(mut run) => {
-                let env = run.pop_front().expect("drained batch has its last");
+        let vacated = std::mem::replace(&mut self.slots[slot.0 as usize], Slot::Vacant(self.free));
+        self.free = Some(slot.0);
+        let Slot::Live(Record {
+            from, to, pos, run, ..
+        }) = vacated
+        else {
+            unreachable!("checked live above");
+        };
+        let parcel = match run {
+            Run::One(parcel) => parcel,
+            Run::Many(mut run) => {
+                let parcel = run.pop_front().expect("drained batch has its last");
                 self.runs_live -= 1;
                 if self.spare.len() + self.runs_live < self.runs_peak {
                     self.spare.push(run);
                 }
-                env
+                parcel
             }
         };
-        self.free.push(slot as u32);
-        if self.tail == Some(slot as u32) {
+        if self.tail == Some(slot.0) {
             self.tail = None;
         }
-        self.alive[pos] = false;
-        self.index.add(pos, -1);
+        let pos = pos as usize;
+        self.index.set(pos, false);
         self.live -= 1;
         if self.live == 0 {
-            // Fully drained (every sharded epoch ends here): the Fenwick
-            // tree is all zeros again, so resetting is free.
+            // Fully drained (every sharded epoch ends here): the next
+            // fill starts from the smallest index.
             self.arrival.clear();
-            self.alive.clear();
+            self.index.clear();
             self.head = 0;
             self.appended = (0, self.created);
         } else if pos == self.head {
-            while !self.alive[self.head] {
+            while !self.index.is_live(self.head) {
                 self.head += 1;
             }
-            self.head_born = self.slots[self.arrival[self.head] as usize]
-                .as_ref()
-                .expect("live arrival entry points at an occupied slot")
-                .head()
-                .born_step;
+            self.head_born = self.record(self.arrival[self.head]).run.head().born_step;
         }
-        env
+        parcel.into_envelope(from, to)
     }
 
-    /// Rebuilds `arrival`/`alive`/`index` with tombstones dropped and
-    /// capacity for growth (amortized against the removals that created
-    /// the tombstones).
+    /// Compacts `arrival` in place (retired entries dropped, survivors
+    /// renumbered from 0) and sizes it and the index to the compaction
+    /// capacity, twice the live batches — amortized against the removals
+    /// that retired the entries.
     fn compact_and_grow(&mut self) {
-        let mut lives = std::mem::take(&mut self.compact_scratch);
-        lives.clear();
-        lives.extend(
-            self.arrival[self.head..]
-                .iter()
-                .zip(&self.alive[self.head..])
-                .filter(|&(_, &alive)| alive)
-                .map(|(&slot, _)| slot),
-        );
-        debug_assert_eq!(lives.len(), self.live);
-        let cap = (self.live * 2).max(64);
-        // Reuse the Fenwick buffer: re-zeroing the kept allocation costs
-        // the same O(cap) pass as the bulk build below, without the
-        // allocation (once the tree has reached its high-water capacity).
-        let tree = &mut self.index.tree;
-        tree.clear();
-        tree.resize(cap + 1, 0);
-        // O(cap) bulk build: seed the leaves, then push sums upward.
-        for i in 1..=lives.len() {
-            tree[i] += 1;
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                tree[parent] += tree[i];
+        let mut kept = 0;
+        for read in self.head..self.arrival.len() {
+            if self.index.is_live(read) {
+                let slot = self.arrival[read];
+                self.arrival[kept] = slot;
+                // Refreshing every survivor's stored position is what
+                // keeps `BatchSlot` handles stable across the rebuild.
+                self.record_mut(slot).pos = narrow_pos(kept);
+                kept += 1;
             }
         }
-        // Finish propagation for positions past the seeded range.
-        for i in lives.len() + 1..=cap {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                tree[parent] += tree[i];
-            }
-        }
-        // Refresh every survivor's stored position (what keeps
-        // `BatchSlot` handles stable across the rebuild).
-        for (new_pos, &slot) in lives.iter().enumerate() {
-            self.slots[slot as usize]
-                .as_mut()
-                .expect("live arrival entry points at an occupied slot")
-                .pos = new_pos;
-        }
-        self.alive.clear();
-        self.alive.resize(lives.len(), true);
-        // The survivors become the new arrival list; the old list's
-        // allocation becomes the next rebuild's scratch.
-        std::mem::swap(&mut self.arrival, &mut lives);
-        self.compact_scratch = lives;
+        debug_assert_eq!(kept, self.live);
+        self.arrival.truncate(kept);
+        let cap = (self.live * 2).max(64).next_multiple_of(64);
+        self.arrival.reserve_exact(cap - kept);
+        self.index.rebuild(cap, kept);
         self.head = 0;
-        self.appended = (self.arrival.len(), self.created);
+        self.appended = (kept, self.created);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{SessionId, SessionTag};
-    use crate::payload::Payload;
+    use crate::ids::SessionTag;
 
     fn env(from: usize, to: usize, seq: u64) -> Envelope {
         Envelope {
@@ -731,6 +873,37 @@ mod tests {
             seq,
             born_step: seq,
         }
+    }
+
+    fn parcels(from: usize, to: usize, seqs: std::ops::Range<u64>) -> Vec<Parcel> {
+        seqs.map(|s| Parcel::split(env(from, to, s)).2).collect()
+    }
+
+    /// What one in-flight envelope costs is the queue's whole memory
+    /// story (a BA at n = 32 holds 33 088 of them at once), so its two
+    /// records have a byte budget.
+    #[test]
+    fn records_stay_within_their_byte_budget() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Parcel>() <= 72,
+            "an in-flight envelope is {} bytes, budget 72: shrink `Parcel` — \
+             its session, payload, seq and born_step; the endpoints live in the batch",
+            size_of::<Parcel>()
+        );
+        assert!(
+            size_of::<Slot>() <= 88,
+            "a slab entry is {} bytes, budget 88: shrink `Record`'s header \
+             (from, to, pos, created) or `Run` (one inline `Parcel`, or a deque)",
+            size_of::<Slot>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "party ids fit in u32")]
+    fn party_ids_past_u32_are_refused_not_truncated() {
+        let mut q = Pending::new();
+        q.push(env(1 << 32, 0, 0));
     }
 
     #[test]
@@ -785,8 +958,8 @@ mod tests {
     fn push_batch_installs_one_record() {
         let mut q = Pending::new();
         q.push(env(3, 1, 0));
-        q.push_batch((10..14).map(|s| env(2, 1, s)).collect());
-        q.push_batch(Vec::new()); // ignored
+        q.push_batch(PartyId(2), PartyId(1), parcels(2, 1, 10..14));
+        q.push_batch(PartyId(2), PartyId(1), Vec::new()); // ignored
         assert_eq!(q.len(), 2);
         assert_eq!(q.messages(), 5);
         let m = q.meta(1);
@@ -867,8 +1040,8 @@ mod tests {
         // and deques that arrive from outside (a sharded hand-over) do not
         // pile up beyond that high-water mark.
         for _ in 0..3 {
-            q.push_batch(vec![env(0, 1, 0), env(0, 1, 1)]);
-            q.push_batch(vec![env(2, 3, 0), env(2, 3, 1)]);
+            q.push_batch(PartyId(0), PartyId(1), parcels(0, 1, 0..2));
+            q.push_batch(PartyId(2), PartyId(3), parcels(2, 3, 0..2));
             while !q.is_empty() {
                 q.take(0);
             }
@@ -919,34 +1092,89 @@ mod tests {
         assert_eq!(seqs, vec![0, 2, 3]);
     }
 
-    /// Differential test of the batched Fenwick-indexed view against a
-    /// naive batch model, across interleaved pushes (merging and not),
-    /// arbitrary-index takes and full drains (compactions included).
-    #[test]
-    fn matches_naive_model_under_mixed_workload() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(42);
-        let mut q = Pending::new();
-        // Model: batches of (from, to, seqs, creation ordinal), plus
-        // whether the most recently pushed batch is still live (the only
-        // merge target).
-        let mut model: Vec<(usize, usize, Vec<u64>, u64)> = Vec::new();
-        let mut tail_live = false;
-        let mut next_seq = 0u64;
-        let mut created = 0u64;
-        // A reader that looks at the queue only now and then, so
-        // compactions and full drains fall between its looks.
-        let mut seen = 0u64;
-        // After every op: slot handles invert to their index, and the
-        // since-ordinal view is the model's suffix.
-        let check_views = |q: &Pending, model: &[(usize, usize, Vec<u64>, u64)], seen, at: &str| {
-            for (i, batch) in model.iter().enumerate() {
+    /// The naive batch model the differential test below runs against:
+    /// batches of `(from, to, seqs, creation ordinal)` in arrival order,
+    /// plus whether the most recently pushed batch is still live (the
+    /// only merge target).
+    #[derive(Default)]
+    struct Model {
+        batches: Vec<(usize, usize, Vec<u64>, u64)>,
+        tail_live: bool,
+        next_seq: u64,
+        created: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, q: &mut Pending, from: usize, to: usize) {
+            q.push(env(from, to, self.next_seq));
+            match self.batches.last_mut() {
+                Some((f, t, seqs, _)) if self.tail_live && *f == from && *t == to => {
+                    seqs.push(self.next_seq)
+                }
+                _ => {
+                    self.batches
+                        .push((from, to, vec![self.next_seq], self.created));
+                    self.created += 1;
+                }
+            }
+            self.tail_live = true;
+            self.next_seq += 1;
+        }
+
+        fn take(&mut self, q: &mut Pending, i: usize) {
+            let (f, t, seqs, _) = &mut self.batches[i];
+            let m = q.meta(i);
+            assert_eq!(
+                (m.from.0, m.to.0, m.seq, m.count as usize),
+                (*f, *t, seqs[0], seqs.len())
+            );
+            let e = q.take(i);
+            assert_eq!((e.from.0, e.to.0, e.seq), (*f, *t, seqs.remove(0)));
+            if seqs.is_empty() {
+                if self.tail_live && i == self.batches.len() - 1 {
+                    self.tail_live = false;
+                }
+                self.batches.remove(i);
+            }
+        }
+
+        /// A sender crashes before the run: everything it has in flight
+        /// leaves, oldest first.
+        fn retract(&mut self, q: &mut Pending, from: usize) {
+            let expect: Vec<u64> = self
+                .batches
+                .iter()
+                .filter(|b| b.0 == from)
+                .flat_map(|b| b.2.clone())
+                .collect();
+            let got: Vec<u64> = q
+                .retract_from(PartyId(from))
+                .iter()
+                .map(|e| e.seq)
+                .collect();
+            assert_eq!(got, expect);
+            if self.batches.last().is_some_and(|b| b.0 == from) {
+                self.tail_live = false;
+            }
+            self.batches.retain(|b| b.0 != from);
+        }
+
+        /// After every op: lengths agree, slot handles invert to their
+        /// index, the since-ordinal view is the model's suffix, and the
+        /// inline head mirror tracks the oldest batch exactly.
+        fn check(&self, q: &Pending, seen: u64, at: &str) {
+            assert_eq!(q.len(), self.batches.len(), "{at}");
+            assert_eq!(q.created(), self.created, "{at}");
+            let messages = self.batches.iter().map(|b| b.2.len()).sum::<usize>();
+            assert_eq!(q.messages(), messages, "{at}");
+            for (i, batch) in self.batches.iter().enumerate() {
                 let slot = q.slot_of(i);
                 assert_eq!(q.index_of_slot(slot), i, "{at}");
                 assert_eq!(q.ordinal_of_slot(slot), Some(batch.3), "{at}");
             }
             for since in [0, seen, q.created()] {
-                let expect: Vec<(BatchSlot, u64)> = model
+                let expect: Vec<(BatchSlot, u64)> = self
+                    .batches
                     .iter()
                     .enumerate()
                     .filter(|(_, b)| b.3 >= since)
@@ -955,71 +1183,102 @@ mod tests {
                 let got: Vec<(BatchSlot, u64)> = q.batches_since(since).collect();
                 assert_eq!(got, expect, "{at}, since {since}");
             }
-        };
-        for round in 0..2_000 {
-            // Long fill and drain phases alternate, so the arrival list
-            // outgrows its capacity (compaction) and runs dry (reset).
-            let filling = (round / 250) % 2 == 0;
-            if model.is_empty() || rng.gen_bool(if filling { 0.65 } else { 0.35 }) {
-                let from = rng.gen_range(0..3usize);
-                let to = rng.gen_range(0..2usize);
-                q.push(env(from, to, next_seq));
-                match model.last_mut() {
-                    Some((f, t, seqs, _)) if tail_live && *f == from && *t == to => {
-                        seqs.push(next_seq)
-                    }
-                    _ => {
-                        model.push((from, to, vec![next_seq], created));
-                        created += 1;
-                    }
-                }
-                tail_live = true;
-                next_seq += 1;
-            } else {
-                let i = rng.gen_range(0..model.len());
-                let (f, t, seqs, _) = &mut model[i];
-                let m = q.meta(i);
-                assert_eq!(
-                    (m.from.0, m.to.0, m.seq, m.count as usize),
-                    (*f, *t, seqs[0], seqs.len()),
-                    "round {round}"
-                );
-                assert_eq!(q.take(i).seq, seqs.remove(0), "round {round}");
-                if seqs.is_empty() {
-                    if tail_live && i == model.len() - 1 {
-                        tail_live = false;
-                    }
-                    model.remove(i);
-                }
-            }
-            assert_eq!(q.len(), model.len());
-            assert_eq!(q.created(), created);
-            assert_eq!(
-                q.messages(),
-                model.iter().map(|(_, _, s, _)| s.len()).sum::<usize>()
-            );
             if !q.is_empty() {
-                // The inline head mirror tracks the oldest batch exactly.
-                assert_eq!(q.head_born_step(), q.meta(0).born_step, "round {round}");
+                assert_eq!(q.head_born_step(), q.meta(0).born_step, "{at}");
             }
-            check_views(&q, &model, seen, &format!("round {round}"));
+        }
+    }
+
+    /// Differential test of the batched Fenwick-indexed view against
+    /// [`Model`], phase by phase (250 rounds each):
+    ///
+    /// * 0–3: fills and drains alternate over three senders and two
+    ///   receivers, so batches merge and the arrival list outgrows its
+    ///   capacity (compaction) — with a sender retracted every 131 rounds;
+    /// * 4–5: a long fill of distinct pairs, past several slab growth
+    ///   steps; 6: a drain;
+    /// * 7: drained to empty, then refilled to a shallow depth, which the
+    ///   index follows down.
+    ///
+    /// Party ids sit either side of 2¹⁶ and up to `u32::MAX`: a record
+    /// keeps its endpoints as `u32`s.
+    #[test]
+    fn matches_naive_model_under_mixed_workload() {
+        use rand::{Rng, SeedableRng};
+        const FROM: [usize; 3] = [0, 1 << 16, (1 << 31) + 5];
+        const TO: [usize; 2] = [3, u32::MAX as usize];
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(42);
+        let mut q = Pending::new();
+        let mut model = Model::default();
+        // A reader that looks at the queue only now and then, so
+        // compactions and full drains fall between its looks.
+        let mut seen = 0u64;
+        let mut slab_steps = Vec::new();
+        let mut refilling = false;
+        for round in 0..2_000 {
+            let phase = round / 250;
+            let at = format!("round {round}");
+            if phase == 7 {
+                if !refilling {
+                    while !model.batches.is_empty() {
+                        model.take(&mut q, 0);
+                    }
+                    assert_eq!(q.index.capacity(), 0, "a full drain drops the index");
+                    refilling = true;
+                } else if model.batches.len() < 20 {
+                    model.push(&mut q, FROM[round % 3], round);
+                } else {
+                    let i = rng.gen_range(0..model.batches.len());
+                    model.take(&mut q, i);
+                }
+            } else {
+                let push = match phase {
+                    4 | 5 => 0.95,
+                    6 => 0.35,
+                    _ if phase % 2 == 0 => 0.65,
+                    _ => 0.35,
+                };
+                if model.batches.is_empty() || rng.gen_bool(push) {
+                    let from = FROM[rng.gen_range(0..3usize)];
+                    let to = TO[rng.gen_range(0..2usize)];
+                    // Phases 4–5: a fresh receiver per push, so every push
+                    // opens a batch.
+                    let to = if phase >= 4 { round } else { to };
+                    model.push(&mut q, from, to);
+                } else {
+                    let i = rng.gen_range(0..model.batches.len());
+                    model.take(&mut q, i);
+                }
+                if phase < 4 && round % 131 == 0 && !model.batches.is_empty() {
+                    let from = model.batches[rng.gen_range(0..model.batches.len())].0;
+                    model.retract(&mut q, from);
+                }
+            }
+            model.check(&q, seen, &at);
             if rng.gen_bool(0.1) {
                 seen = q.created();
             }
             if round % 97 == 0 {
                 let heads: Vec<u64> = q.metas().map(|m| m.seq).collect();
-                let expect: Vec<u64> = model.iter().map(|(_, _, s, _)| s[0]).collect();
-                assert_eq!(heads, expect, "round {round}");
+                let expect: Vec<u64> = model.batches.iter().map(|b| b.2[0]).collect();
+                assert_eq!(heads, expect, "{at}");
+            }
+            if slab_steps.last() != Some(&q.slots.capacity()) {
+                slab_steps.push(q.slots.capacity());
             }
         }
-        while !model.is_empty() {
-            let i = model.len() / 2;
-            let expect = model[i].2.remove(0);
-            if model[i].2.is_empty() {
-                model.remove(i);
-            }
-            assert_eq!(q.take(i).seq, expect);
-            check_views(&q, &model, seen, "final drain");
+        // The slab grew step by step, each step an eighth plus 64.
+        assert!(slab_steps.len() >= 5, "slab steps {slab_steps:?}");
+        for w in slab_steps.windows(2) {
+            assert_eq!(w[1], w[0] + w[0] / 8 + 64, "slab steps {slab_steps:?}");
+        }
+        // The refill is shallow, and so is the index it descends.
+        assert!((19..=20).contains(&model.batches.len()));
+        assert_eq!(q.index.capacity(), 64, "index sized to what is live");
+        while !model.batches.is_empty() {
+            let i = model.batches.len() / 2;
+            model.take(&mut q, i);
+            model.check(&q, seen, "final drain");
         }
         assert!(q.is_empty());
         // Still usable after a full drain.
@@ -1046,12 +1305,14 @@ mod tests {
         assert_eq!(q.ordinal_of_slot(q.slot_of(4)), Some(start + 5));
     }
 
-    /// Property test: `LiveIndex` add/select/tombstone agrees with a naive
-    /// `Vec<bool>` model under arbitrary op sequences. Ops are decoded
-    /// from raw words: kind = word % 3 (set / clear / select), operand =
-    /// word / 3.
+    /// Property test: `LiveIndex` set/select/prefix agrees with a naive
+    /// `Vec<bool>` model under arbitrary op sequences, over word counts
+    /// that are powers of two (the descent's tree is exactly as wide) and
+    /// that are not (the tree's last words count zero), after a bulk
+    /// rebuild with some positions live. Ops are decoded from raw words:
+    /// kind = word % 3 (set / clear / select), operand = word / 3.
     mod liveindex_props {
-        use super::super::LiveIndex;
+        use super::super::{select_in_word, LiveIndex};
         use proptest::prelude::*;
 
         proptest! {
@@ -1059,26 +1320,28 @@ mod tests {
 
             #[test]
             fn matches_vec_bool_model(
-                cap in 1usize..96,
-                ops in proptest::collection::vec(any::<u64>(), 1..200),
+                power_of_two in any::<bool>(),
+                log in 0u32..5,
+                odd_words in 1usize..40,
+                rebuilt in 0usize..300,
+                ops in proptest::collection::vec(any::<u64>(), 1..400),
             ) {
-                let mut index = LiveIndex::with_capacity(cap);
+                let cap = 64 * if power_of_two { 1 << log } else { odd_words };
+                let live = rebuilt.min(cap);
+                let mut index = LiveIndex::default();
+                index.rebuild(cap, live);
+                prop_assert_eq!(index.capacity(), cap);
                 let mut model = vec![false; cap];
+                model[..live].fill(true);
                 for word in ops {
                     let operand = (word / 3) as usize;
                     match word % 3 {
-                        0 => {
+                        0 | 1 => {
                             let pos = operand % cap;
-                            if !model[pos] {
-                                model[pos] = true;
-                                index.add(pos, 1);
-                            }
-                        }
-                        1 => {
-                            let pos = operand % cap;
-                            if model[pos] {
-                                model[pos] = false;
-                                index.add(pos, -1);
+                            let live = word % 3 == 0;
+                            if model[pos] != live {
+                                model[pos] = live;
+                                index.set(pos, live);
                             }
                         }
                         _ => {
@@ -1099,15 +1362,27 @@ mod tests {
                         }
                     }
                 }
-                // Final sweep: every live rank selects to the model position.
-                let live: Vec<usize> = model
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b)
-                    .map(|(i, _)| i)
-                    .collect();
-                for (rank, &pos) in live.iter().enumerate() {
-                    prop_assert_eq!(index.select(rank as u32 + 1), pos);
+                // Final sweep: every position's liveness and prefix, and
+                // every live rank's select.
+                let mut rank = 0;
+                for (pos, &live) in model.iter().enumerate() {
+                    prop_assert_eq!(index.is_live(pos), live);
+                    prop_assert_eq!(index.prefix(pos) as usize, rank);
+                    if live {
+                        rank += 1;
+                        prop_assert_eq!(index.select(rank as u32), pos);
+                    }
+                }
+            }
+
+            #[test]
+            fn select_in_word_finds_every_set_bit(word in any::<u64>(), sparse in any::<u64>()) {
+                // Dense and sparse words alike, including all-ones.
+                for word in [word, word & sparse & (sparse >> 7), u64::MAX] {
+                    let bits: Vec<u32> = (0..64).filter(|b| word >> b & 1 == 1).collect();
+                    for (r, &bit) in bits.iter().enumerate() {
+                        prop_assert_eq!(select_in_word(word, r as u32), bit);
+                    }
                 }
             }
         }

@@ -18,7 +18,7 @@
 //! until its run drains.
 
 use crate::ids::{PartyId, PartySet};
-use crate::queue::Pending;
+use crate::queue::{BatchSlot, Pending};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
@@ -41,6 +41,16 @@ use crate::queue::MsgMeta;
 pub trait Scheduler: Send {
     /// Chooses the arrival-order index of the next message to deliver.
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize;
+
+    /// The same choice as [`pick`](Scheduler::pick), as the picked
+    /// batch's handle — what the engines deliver from. A scheduler that
+    /// finds its pick by handle overrides this, so that no rank is
+    /// computed only to be turned back into the handle.
+    fn pick_slot(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> BatchSlot {
+        let i = self.pick(pending, rng);
+        debug_assert!(i < pending.len(), "scheduler index out of range");
+        pending.slot_of(i.min(pending.len() - 1))
+    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str {

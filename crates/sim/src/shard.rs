@@ -56,10 +56,9 @@ use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::net::NetEvent;
-use crate::network::Envelope;
 use crate::node::Node;
 use crate::payload::Payload;
-use crate::queue::Pending;
+use crate::queue::{Parcel, Pending};
 use crate::runtime::{
     Metrics, NetConfig, PartyHost, RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
 };
@@ -82,8 +81,9 @@ struct PartyState {
     rng: ChaCha12Rng,
     /// The per-pair ordered channels, sender side: `outbox[dst]` holds
     /// this party's envelopes to `dst` emitted this epoch, in emission
-    /// order; handed off whole at the barrier.
-    outbox: Vec<Vec<Envelope>>,
+    /// order, as parcels (the pair is the channel's); handed off whole at
+    /// the barrier.
+    outbox: Vec<Vec<Parcel>>,
     /// Outbox buffers refilled from the inbox's recycled deques, and
     /// allocated because none was spare (the `pool_*` metrics).
     pool_reused: u64,
@@ -108,7 +108,6 @@ impl PartyState {
     /// emissions of `epoch` (crashed nodes produce no outgoing work, so
     /// this never sees output from one).
     fn flush_sends(&mut self, epoch: u64, causal: Option<u64>) {
-        let from = self.host.node().id();
         let PartyState {
             host,
             inbox,
@@ -133,9 +132,7 @@ impl PartyState {
                     None => *pool_alloc += 1,
                 }
             }
-            out.push(Envelope {
-                from,
-                to: o.to,
+            out.push(Parcel {
                 session: o.session,
                 payload: o.payload,
                 seq,
@@ -156,10 +153,7 @@ impl PartyState {
     fn drain_epoch(&mut self, epoch: u64, limit: u64) -> u64 {
         let mut done = 0;
         while !self.inbox.is_empty() && done < limit {
-            let idx = self.scheduler.pick(&self.inbox, &mut self.rng);
-            debug_assert!(idx < self.inbox.len(), "scheduler index out of range");
-            let idx = idx.min(self.inbox.len() - 1);
-            let slot = self.inbox.slot_of(idx);
+            let slot = self.scheduler.pick_slot(&self.inbox, &mut self.rng);
             let run = (self.inbox.run_len_of_slot(slot) as u64).min(limit - done);
             // Virtual arrival time of the picked batch, if this party's
             // scheduler models one (the `net:` family). Captured per pick:
@@ -200,11 +194,12 @@ impl PartyState {
 /// channel becomes one inbox batch, senders in ascending party order.
 /// Comparison-free and O(senders) per inbox: every channel `Vec` is moved
 /// wholesale, no envelope is touched individually.
-fn merge_into_shard(chunk: &mut [PartyState], channels: &mut [Vec<Vec<Envelope>>]) {
+fn merge_into_shard(chunk: &mut [PartyState], channels: &mut [Vec<Vec<Parcel>>]) {
     for (ps, pairs) in chunk.iter_mut().zip(channels.iter_mut()) {
-        for pair in pairs.iter_mut() {
+        let to = ps.host.node().id();
+        for (from, pair) in pairs.iter_mut().enumerate() {
             if !pair.is_empty() {
-                ps.inbox.push_batch(std::mem::take(pair));
+                ps.inbox.push_batch(PartyId(from), to, std::mem::take(pair));
             }
         }
     }
@@ -272,7 +267,7 @@ pub struct ShardedSimRuntime {
     sink: Observer,
     /// The per-pair ordered channels, receiver side: `channels[dst][src]`
     /// is filled by the barrier handoff and drained by the merge.
-    channels: Vec<Vec<Vec<Envelope>>>,
+    channels: Vec<Vec<Vec<Parcel>>>,
 }
 
 impl ShardedSimRuntime {

@@ -26,10 +26,15 @@
 //! instance owns no heap memory besides its own box, from spawn to
 //! delivery, and a polynomial of degree ≤ 3 is cloned, decoded and
 //! combined without the allocator.
+//!
+//! The shim also keeps the bytes the window holds and their peak, which
+//! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
+//! at its deepest, so its peak heap divided by its peak in-flight count
+//! moves with every byte of the queue's layout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use aft::ba::{BinaryBa, OracleCoin};
@@ -42,8 +47,9 @@ use aft::sim::{
 };
 use aft::svss::{ShareMsg, SvssShare};
 
-/// Counts heap acquisitions (alloc/realloc) by the thread that armed it;
-/// frees are not counted — the property under test is "no new memory is
+/// Counts heap acquisitions (alloc/realloc) by the thread that armed it
+/// and tracks the bytes that thread holds; frees are not counted as
+/// acquisitions — the property under test is "no new memory is
 /// requested". Other threads (the harness starting the next test) do not
 /// count.
 struct CountingAlloc;
@@ -54,30 +60,43 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
 }
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes the armed thread has acquired minus what it has freed since the
+/// window opened (negative once it frees older memory), and the most
+/// that has been at once.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
-fn count_if_armed() {
+/// One acquisition of `bytes` that gives `freed` back (the old block of
+/// a realloc), or a plain free when `acquired` is false.
+fn count_if_armed(acquired: bool, bytes: usize, freed: usize) {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if acquired {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        let delta = bytes as i64 - freed as i64;
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(true, layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(true, layout.size(), 0);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(true, new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_if_armed(false, 0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -90,9 +109,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static WINDOW: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with the counter armed for this thread and returns how many
-/// allocations it performed.
+/// allocations it performed (the peak bytes it held is left in `PEAK`).
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     ALLOCS.store(0, Ordering::SeqCst);
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
     ARMED.set(true);
     let out = f();
     ARMED.set(false);
@@ -223,6 +244,47 @@ fn fba_episode_allocations_per_message_are_pinned() {
 const FBA_ALLOCS_PER_MESSAGE: f64 = 0.623;
 const FBA_ALLOCS_PER_MESSAGE_HEAP_STATE: f64 = 1.31;
 const FBA_ALLOCS_PER_MESSAGE_HASHED: f64 = 1.86;
+
+#[test]
+fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
+    let _guard = WINDOW.lock().unwrap();
+    let sid = SessionId::root().child(SessionTag::new("alloc-ba32", 0));
+    // The benchmark's `ba-n32-sim` execution at seed 1, built inside the
+    // window, so everything the run holds at its peak counts.
+    let mut deepest = 0;
+    let (_, report) = count_allocs(|| {
+        let mut net = SimNetwork::new(NetConfig::new(32, 10, 1), Box::new(RandomScheduler));
+        for p in 0..32 {
+            net.spawn(
+                PartyId(p),
+                sid.clone(),
+                Box::new(BinaryBa::new(false, Box::new(OracleCoin::new(1)))),
+            );
+        }
+        net.run_until(u64::MAX, |net| {
+            deepest = deepest.max(net.pending_len());
+            false
+        })
+    });
+    assert_eq!(report.stop, aft::sim::StopReason::Quiescent);
+    let peak = PEAK.load(Ordering::SeqCst);
+    let per_envelope = peak as f64 / deepest as f64;
+    assert!(
+        per_envelope < BA_N32_PEAK_BYTES_PER_IN_FLIGHT,
+        "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
+         ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
+         queue's records or side arrays grew; on 104-byte records doubled in a slab it was \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
+    );
+}
+
+/// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
+/// bound (188.9 measured — 6 251 284 bytes at 33 088 in flight — plus a
+/// tenth), and what the same run cost while each batch was a 104-byte
+/// slab record in a doubling `Vec`, beside a tombstone list, a free list
+/// and a compaction scratch (measured on the commit before it went).
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 208.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED: f64 = 329.7;
 
 #[test]
 fn an_honest_acast_instance_owns_nothing_but_its_box() {
