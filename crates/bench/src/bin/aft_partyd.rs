@@ -34,7 +34,7 @@ use aft_bench::cli::{Cli, Flag};
 use aft_bench::deployment::DeployStack;
 use aft_core::scenarios::standard_registry;
 use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
-use aft_sim::{encode_envelope, Outgoing, PartyHost, PartyId};
+use aft_sim::{encode_envelope, Envelope, Outgoing, PartyHost, PartyId};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -95,6 +95,8 @@ struct Daemon {
     /// The party: its sent and delivered counts are `host.metrics()`,
     /// full [`aft_sim::Metrics`] like any in-process party's.
     host: PartyHost,
+    /// Where the host's sends wait to be numbered (empty between events).
+    sends: Vec<Outgoing>,
     session: aft_sim::SessionId,
     links: Vec<Option<Link>>,
     /// Every envelope ever sent to each peer, for replay when that peer
@@ -188,13 +190,22 @@ impl Daemon {
     /// A link envelope carries no send number and no daemon records a
     /// trace yet, hence no `seq`, clock or sink.
     fn deliver(&mut self, from: PartyId, session: aft_sim::SessionId, payload: aft_sim::Payload) {
-        self.host.deliver(from, session, payload, 0, None, None);
+        let to = self.host.node().id();
+        let env = Envelope {
+            from,
+            to,
+            session,
+            payload,
+            seq: 0,
+            born_step: 0,
+        };
+        self.host.deliver(env, None, None, &mut self.sends);
     }
 
     /// Moves the host's waiting sends to the back of `pending`.
     fn take_sends(&mut self, pending: &mut VecDeque<Outgoing>) {
         self.host
-            .drain_sends(None, None, |_, o| pending.push_back(o));
+            .drain_sends(&mut self.sends, None, None, |_, o| pending.push_back(o));
     }
 
     fn links_up(&self) -> usize {
@@ -318,6 +329,7 @@ fn main() {
 
     let mut daemon = Daemon {
         host: PartyHost::new(&config, party),
+        sends: Vec::new(),
         session,
         links: (0..n).map(|_| None).collect(),
         outbox: vec![Vec::new(); n],
@@ -376,15 +388,16 @@ fn main() {
                             });
                         match built {
                             Ok((instance, crash)) => {
-                                daemon.host.spawn(daemon.session.clone(), instance);
                                 if crash {
                                     // Whole-party crash at spawn: the
-                                    // initial sends are retracted, as
-                                    // on every in-process backend.
+                                    // party starts crashed and sends
+                                    // nothing, as on `sharded` and
+                                    // `threaded`.
                                     daemon.host.crash();
-                                } else {
-                                    daemon.dispatch();
                                 }
+                                let session = daemon.session.clone();
+                                daemon.host.spawn(session, instance, &mut daemon.sends);
+                                daemon.dispatch();
                             }
                             Err(e) => fatal(&e),
                         }

@@ -2,128 +2,118 @@
 //! single-threaded executor.
 //!
 //! An `rt=async` [`SimNetwork`] keeps the *entire* deterministic
-//! machinery — scheduler, pending slab, metrics, flight recorder,
+//! machinery — scheduler, in-flight queue, step clock, flight recorder,
 //! crash/recovery plumbing, adaptive-adversary observation — and moves
-//! only the node-side dispatch onto an event loop: for the duration of
-//! every [`Runtime::run`] each party's [`Node`] lives inside a task
-//! spawned on a `tokio` current-thread
-//! [`LocalSet`](tokio::task::LocalSet), and every delivery round-trips
-//! through that party's command/response channel pair. Outside of `run`
-//! (spawns, crashes, output reads) the nodes live in the network, exactly
-//! like `rt=sim`. Scheduling decisions never leave the network, so the
-//! step sequence (and therefore every metric, trace and fingerprint) is
-//! bit-for-bit identical to `rt=sim` under the same `(seed, scheduler)`.
+//! only the parties onto an event loop: for the duration of every run each
+//! party's [`PartyHost`] lives inside a task spawned on a `tokio`
+//! current-thread [`LocalSet`](tokio::task::LocalSet), and every act at a
+//! party — a delivery, a spawn, a crash, a revival — round-trips through
+//! that party's command/response channel pair. The task performs a
+//! delivery or a spawn exactly as a party of `rt=sim` is performed
+//! ([`perform`]) and answers with the party's numbered sends and the
+//! events it recorded, which the network records and queues in that
+//! order. Outside of a run (spawns, crashes, output reads) the hosts live
+//! in the network, exactly like `rt=sim`. Scheduling decisions never
+//! leave the network, so the step sequence (and therefore every metric,
+//! trace and fingerprint) is bit-for-bit identical to `rt=sim` under the
+//! same `(seed, scheduler)`.
 //!
 //! The executor is the offline API-compatible stand-in vendored at
 //! `vendor/tokio`; swapping in real tokio is a one-line
 //! `[workspace.dependencies]` change (see `vendor/README.md`).
 //!
 //! [`SimNetwork`]: crate::SimNetwork
-//! [`Runtime::run`]: crate::Runtime::run
 
 use crate::ids::{PartyId, SessionId};
-use crate::instance::Instance;
-use crate::network::Envelope;
-use crate::node::{Node, Outgoing};
-use crate::payload::Payload;
-use crate::runtime::{deliver_raw, DeliveryOutcome};
+use crate::network::{perform, Act};
+use crate::node::Outgoing;
+use crate::runtime::PartyHost;
+use crate::trace::{TraceEvent, TraceSink};
 use tokio::sync::mpsc::{unbounded_channel, UnboundedReceiver, UnboundedSender};
 
 /// One request to a party task.
 enum Cmd {
-    /// Dispatch a message to the party's node.
-    Deliver {
-        /// Sending party.
-        from: PartyId,
-        /// Destination session.
-        session: SessionId,
-        /// Message body.
-        payload: Payload,
-    },
-    /// Crash the node.
+    /// Perform an act, recording the party's events if the flag says
+    /// anyone listens.
+    Act(Act, bool),
+    /// Crash the party.
     Crash,
     /// Recovery phase 1: un-crash and retire the stale session slot.
     Revive(SessionId),
-    /// Deploy an instance.
-    Spawn(SessionId, Box<dyn Instance>),
-    /// Hand the node back and terminate the task.
+    /// Hand the host back and terminate the task.
     Finish,
 }
 
 /// One party task's answer to a [`Cmd`].
 enum Rsp {
-    /// Outcome and emitted envelopes of a `Deliver`.
-    Delivered(DeliveryOutcome, Vec<Outgoing>),
+    /// What an `Act` sent, numbered, and the events it recorded.
+    Sent(Vec<(u64, Outgoing)>, Vec<TraceEvent>),
     /// `Crash` / `Revive` acknowledged.
     Done,
-    /// Initial sends of a `Spawn`.
-    Spawned(Vec<Outgoing>),
-    /// The node, returned by `Finish`.
-    Node(Box<Node>),
+    /// The host, returned by `Finish`.
+    Host(Box<PartyHost>),
 }
 
 /// The event loop body of one party: receive commands, run them against
-/// the owned [`Node`], answer on the response channel. Terminates when
-/// told to [`Cmd::Finish`] (or when the command channel closes).
-async fn party_loop(mut node: Node, mut rx: UnboundedReceiver<Cmd>, tx: UnboundedSender<Rsp>) {
+/// the owned [`PartyHost`], answer on the response channel. Terminates
+/// when told to [`Cmd::Finish`] (or when the command channel closes).
+async fn party_loop(mut host: PartyHost, mut rx: UnboundedReceiver<Cmd>, tx: UnboundedSender<Rsp>) {
+    let mut out = Vec::new();
     while let Some(cmd) = rx.recv().await {
         let rsp = match cmd {
-            Cmd::Deliver {
-                from,
-                session,
-                payload,
-            } => {
-                let mut out = Vec::new();
-                let outcome = deliver_raw(&mut node, from, session, payload, &mut out);
-                Rsp::Delivered(outcome, out)
+            Cmd::Act(act, traced) => {
+                let (mut sends, mut events) = (Vec::new(), Vec::new());
+                let sink = traced.then_some(&mut events as &mut dyn TraceSink);
+                perform(&mut host, act, &mut out, sink, |seq, o| {
+                    sends.push((seq, o))
+                });
+                Rsp::Sent(sends, events)
             }
             Cmd::Crash => {
-                node.crash();
+                host.crash();
                 Rsp::Done
             }
             Cmd::Revive(session) => {
-                node.recover();
-                node.retire_session(&session);
+                host.revive(&session);
                 Rsp::Done
             }
-            Cmd::Spawn(session, instance) => Rsp::Spawned(node.spawn(session, instance)),
             Cmd::Finish => {
-                let _ = tx.send(Rsp::Node(Box::new(node)));
+                let _ = tx.send(Rsp::Host(Box::new(host)));
                 return;
             }
         };
         if tx.send(rsp).is_err() {
-            return; // host gone — run is over
+            return; // network gone — run is over
         }
     }
 }
 
-/// Routes a network's node operations onto the event loop: one
+/// Routes a network's acts at parties onto the event loop: one
 /// command/response channel pair per party task.
-pub(crate) struct EventLoopHost {
+pub(crate) struct EventLoop {
     rt: tokio::runtime::Runtime,
     local: tokio::task::LocalSet,
     cmds: Vec<UnboundedSender<Cmd>>,
     rsps: Vec<UnboundedReceiver<Rsp>>,
 }
 
-impl EventLoopHost {
-    /// Moves `nodes` into one task each.
-    pub(crate) fn new(nodes: Vec<Node>) -> Self {
+impl EventLoop {
+    /// Moves `hosts` into one task each.
+    pub(crate) fn new(hosts: Vec<PartyHost>) -> Self {
         let rt = tokio::runtime::Builder::new_current_thread()
             .enable_all()
             .build()
             .expect("current-thread runtime");
         let local = tokio::task::LocalSet::new();
         let (mut cmds, mut rsps) = (Vec::new(), Vec::new());
-        for node in nodes {
+        for host in hosts {
             let (cmd_tx, cmd_rx) = unbounded_channel();
             let (rsp_tx, rsp_rx) = unbounded_channel();
-            local.spawn_local(party_loop(node, cmd_rx, rsp_tx));
+            local.spawn_local(party_loop(host, cmd_rx, rsp_tx));
             cmds.push(cmd_tx);
             rsps.push(rsp_rx);
         }
-        EventLoopHost {
+        EventLoop {
             rt,
             local,
             cmds,
@@ -142,24 +132,21 @@ impl EventLoopHost {
             .expect("async backend: party task dropped its response channel")
     }
 
-    /// Dispatches `env` to its destination party, returning the
-    /// delivery's outcome and the envelopes it emitted.
-    pub(crate) fn deliver(&mut self, env: Envelope) -> (DeliveryOutcome, Vec<Outgoing>) {
-        let p = env.to.0;
-        match self.roundtrip(
-            p,
-            Cmd::Deliver {
-                from: env.from,
-                session: env.session,
-                payload: env.payload,
-            },
-        ) {
-            Rsp::Delivered(outcome, out) => (outcome, out),
-            _ => unreachable!("Deliver answered with a non-Delivered response"),
+    /// Performs `act` at `party`, returning what it sent, numbered, and —
+    /// when `traced` — the events it recorded.
+    pub(crate) fn perform(
+        &mut self,
+        party: PartyId,
+        act: Act,
+        traced: bool,
+    ) -> (Vec<(u64, Outgoing)>, Vec<TraceEvent>) {
+        match self.roundtrip(party.0, Cmd::Act(act, traced)) {
+            Rsp::Sent(sends, events) => (sends, events),
+            _ => unreachable!("Act answered with a non-Sent response"),
         }
     }
 
-    /// Crashes `party`'s node.
+    /// Crashes `party`.
     pub(crate) fn crash(&mut self, party: PartyId) {
         match self.roundtrip(party.0, Cmd::Crash) {
             Rsp::Done => {}
@@ -176,29 +163,14 @@ impl EventLoopHost {
         }
     }
 
-    /// Spawns `instance` on `party`, returning its initial sends.
-    pub(crate) fn spawn(
-        &mut self,
-        party: PartyId,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> Vec<Outgoing> {
-        match self.roundtrip(party.0, Cmd::Spawn(session, instance)) {
-            Rsp::Spawned(out) => out,
-            _ => unreachable!("Spawn answered with a non-Spawned response"),
-        }
-    }
-
-    /// Tears the host down and hands the nodes back, in party order.
-    pub(crate) fn finish(mut self) -> Vec<Node> {
-        let mut nodes = Vec::with_capacity(self.cmds.len());
-        for p in 0..self.cmds.len() {
-            match self.roundtrip(p, Cmd::Finish) {
-                Rsp::Node(node) => nodes.push(*node),
-                _ => unreachable!("Finish answered with a non-Node response"),
-            }
-        }
-        nodes
+    /// Tears the loop down and hands the hosts back, in party order.
+    pub(crate) fn finish(mut self) -> Vec<PartyHost> {
+        (0..self.cmds.len())
+            .map(|p| match self.roundtrip(p, Cmd::Finish) {
+                Rsp::Host(host) => *host,
+                _ => unreachable!("Finish answered with a non-Host response"),
+            })
+            .collect()
     }
 }
 
@@ -206,7 +178,8 @@ impl EventLoopHost {
 mod tests {
     use super::*;
     use crate::ids::SessionTag;
-    use crate::instance::Context;
+    use crate::instance::{Context, Instance};
+    use crate::payload::Payload;
     use crate::runtime::{runtime_by_name, NetConfig, Runtime, StopReason};
     use crate::RuntimeExt;
 

@@ -22,13 +22,14 @@
 //!
 //! | names | engine | what the name configures |
 //! |---|---|---|
-//! | `sim`, `wire`, `async` | [`SimNetwork`] | nothing / every envelope encoded by the wire codec and decoded from a copy of the bytes / node dispatch on per-party event-loop tasks |
+//! | `sim`, `wire`, `async` | [`SimNetwork`] | nothing / every envelope encoded by the wire codec and decoded from a copy of the bytes / the party hosts on per-party event-loop tasks |
 //! | `sharded:<k>` | [`ShardedSimRuntime`] | `k` worker shards |
 //! | `threaded`, `proc` | [`ThreadedRuntime`] | nothing — `proc` is the name the real `aft-partyd` deployment is asked for, and in-process it is one thread per party |
 //!
-//! The last two engines drive one [`PartyHost`](crate::PartyHost) per
-//! party, as an `aft-partyd` process does: the per-party half of a
-//! delivery is the same code under every name but the first three.
+//! Every engine drives one [`PartyHost`](crate::PartyHost) per party, as
+//! an `aft-partyd` process does: what happens at a party — dispatch,
+//! accounting, the send number `emit·n + party`, the party's trace events
+//! — is the same code under every name.
 
 use crate::network::SimNetwork;
 use crate::runtime::{NetConfig, Runtime};
@@ -336,6 +337,24 @@ mod tests {
                 assert_eq!(b.clone().with_sched("lifo"), b, "the OS schedules");
             }
             assert_eq!(b.is_process_per_party(), example == "proc");
+        }
+    }
+
+    /// One construction rule: every engine builds its parties through
+    /// `PartyHost::all`, so every family refuses `n < 3t + 1` in the same
+    /// words.
+    #[test]
+    fn every_family_refuses_too_few_parties_alike() {
+        for family in ALL_BACKENDS {
+            let backend = Backend::parse(family.example).unwrap();
+            let build = || backend.build(NetConfig::new(3, 1, 0)).map(|_| ());
+            let panic = std::panic::catch_unwind(build).expect_err(family.name);
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("optimal resilience requires n >= 3t + 1 (n=3, t=1)"),
+                "{}",
+                family.name
+            );
         }
     }
 

@@ -37,7 +37,7 @@
 //!   codec module), hand the receiver a copy of exactly those bytes and
 //!   decode it lazily there — the byte-level seam the
 //!   `garbage`/`equivocate` adversaries fuzz with malformed frames;
-//!   `rt=async` has it run every party as a task on a single-threaded
+//!   `rt=async` has it host every party on a task of a single-threaded
 //!   executor, each delivery a channel round-trip, while all scheduling
 //!   stays in the network. Both are bit-for-bit the simulator's schedule;
 //! * [`ShardedSimRuntime`] (`rt=sharded:<k>`) — the sharded deterministic
@@ -51,10 +51,10 @@
 //!   `aft-bench` (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s
 //!   envelope codec.
 //!
-//! The last two, and an `aft-partyd` process, run one party at a time and
-//! drive one [`PartyHost`] each: dispatch, accounting, send numbering and
-//! the party's trace events are written once, the engines differ in where
-//! a send goes next.
+//! Every engine, and an `aft-partyd` process, drives one [`PartyHost`] per
+//! party: dispatch, accounting, send numbering (`emit·n + party`, so an
+//! envelope has the same identity on every backend) and the party's trace
+//! events are written once; the engines differ in where a send goes next.
 //!
 //! [`runtime_by_name`] builds any of them from a string, which is what the
 //! `exp_*` binaries' `--runtime` flags and the cross-backend test suites

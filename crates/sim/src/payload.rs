@@ -208,26 +208,26 @@ fn record_miss(kind: &'static str) {
 }
 
 /// Drains this thread's miss counters into `sink` (pass `None` to
-/// discard). Called by the shared delivery core before and after each
-/// dispatch.
-pub(crate) fn drain_misses(mut sink: Option<&mut Vec<(&'static str, u64)>>) {
+/// discard) and returns how many misses that was. Called by the party host
+/// before and after each dispatch.
+pub(crate) fn drain_misses(mut sink: Option<&mut Vec<(&'static str, u64)>>) -> u64 {
     MISSES.with(|m| {
         let mut m = m.borrow_mut();
         if m.is_empty() {
-            return;
+            return 0;
         }
-        if let Some(sink) = &mut sink {
-            for (kind, count) in m.drain(..) {
-                if let Some(entry) = sink.iter_mut().find(|(k, _)| *k == kind) {
-                    entry.1 += count;
-                } else {
-                    sink.push((kind, count));
-                }
+        let mut total = 0;
+        for (kind, count) in m.drain(..) {
+            total += count;
+            let Some(sink) = &mut sink else { continue };
+            if let Some(entry) = sink.iter_mut().find(|(k, _)| *k == kind) {
+                entry.1 += count;
+            } else {
+                sink.push((kind, count));
             }
-        } else {
-            m.clear();
         }
-    });
+        total
+    })
 }
 
 impl Payload {

@@ -61,7 +61,7 @@ pub struct MsgMeta {
     pub from: PartyId,
     /// Receiver.
     pub to: PartyId,
-    /// Global send sequence number of the batch head (unique, monotone).
+    /// The sender's number for the batch head (see [`Envelope::seq`]).
     pub seq: u64,
     /// Delivery step at which the batch head was sent.
     pub born_step: u64,

@@ -12,12 +12,13 @@
 //!
 //! This module also owns the engine-shared pieces: the static
 //! [`NetConfig`], the [`Metrics`] counters (with interned per-kind send
-//! counts), run reports, per-party RNG derivation, the
-//! deliver-with-accounting core every engine routes every message
-//! through, and [`PartyHost`] — that core plus the counting, numbering and
-//! recording of a party's sends, which every host that runs one party at a
-//! time (a `sharded` slot, a `threaded` worker, an `aft-partyd` process)
-//! drives instead of writing again.
+//! counts), run reports, per-party RNG derivation, and [`PartyHost`] —
+//! everything that happens *at* a party: dispatch, the accounting of a
+//! delivery, the counting, numbering and recording of its sends. Every
+//! engine builds one per party ([`PartyHost::all`], which also checks the
+//! resilience bound) and drives it, as an `aft-partyd` process drives
+//! its one; an engine keeps only what is its own — a queue and who picks
+//! from it, channels, links — and decides where each send goes next.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 //! [`ShardedSimRuntime`]: crate::ShardedSimRuntime
@@ -26,10 +27,11 @@
 use crate::adaptive::SharedAdaptive;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
+use crate::network::Envelope;
 use crate::node::{Node, Outgoing};
-use crate::payload::Payload;
+use crate::payload::{drain_misses, Payload};
 use crate::scheduler::SchedulerConfig;
-use crate::trace::{DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
+use crate::trace::{session_kind, DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::fmt;
@@ -328,245 +330,22 @@ pub(crate) fn build_node(config: &NetConfig, party: usize) -> Node {
     )
 }
 
-/// Per-delivery flight-recorder context: the sink to record into plus
-/// the identity of the envelope being delivered. `None` (tracing off) is
-/// the statically-predictable fast path — one branch, no other cost.
-pub(crate) struct DeliverTrace<'a> {
-    /// Destination for the delivery's events.
-    pub sink: &'a mut dyn TraceSink,
-    /// Sequence number of the envelope being delivered.
-    pub seq: u64,
-    /// Virtual arrival time, when the scheduler keeps a virtual clock.
-    pub vtime: Option<u64>,
-}
-
-fn miss_total(misses: &[(&'static str, u64)]) -> u64 {
-    misses.iter().map(|&(_, c)| c).sum()
-}
-
-/// How one delivery resolved at the receiving node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeliverStatus {
-    /// The receiver is crashed; the envelope was dropped untouched.
-    Crashed,
-    /// The node accepted and dispatched the message.
-    Delivered,
-    /// The node's shun registry filtered the message out.
-    Shunned,
-}
-
-/// Everything a delivery changed at the node, reported back to whoever
-/// owns the metrics. Produced by [`deliver_raw`], consumed by
-/// [`account_delivery`] — splitting dispatch from accounting lets a
-/// backend run the node on another task or process while the network
-/// keeps the books.
-#[derive(Debug)]
-pub(crate) struct DeliveryOutcome {
-    /// How the delivery resolved.
-    pub status: DeliverStatus,
-    /// Shun declarations the dispatch caused.
-    pub new_shuns: u64,
-    /// Session outputs the dispatch recorded.
-    pub new_outputs: u64,
-    /// Per-kind decode/downcast misses the dispatch caused.
-    pub misses: Vec<(&'static str, u64)>,
-}
-
-/// Dispatches one message to `node` and reports what changed — no
-/// metrics, no tracing. Must run on the thread that performs the
-/// dispatch (miss accounting is thread-local).
-pub(crate) fn deliver_raw(
-    node: &mut Node,
-    from: PartyId,
-    session: SessionId,
-    payload: Payload,
-    out: &mut Vec<Outgoing>,
-) -> DeliveryOutcome {
-    if node.is_crashed() {
-        return DeliveryOutcome {
-            status: DeliverStatus::Crashed,
-            new_shuns: 0,
-            new_outputs: 0,
-            misses: Vec::new(),
-        };
-    }
-    // Discard stray miss records from outside deliveries (test probes,
-    // spawn-time output inspection), then attribute the dispatch's own
-    // failed views to this delivery.
-    crate::payload::drain_misses(None);
-    let shuns_before = node.shun_event_count();
-    let outputs_before = node.output_count();
-    let delivered = node.deliver(from, session, payload, out);
-    let mut misses = Vec::new();
-    crate::payload::drain_misses(Some(&mut misses));
-    DeliveryOutcome {
-        status: if delivered {
-            DeliverStatus::Delivered
-        } else {
-            DeliverStatus::Shunned
-        },
-        new_shuns: node.shun_event_count() - shuns_before,
-        new_outputs: node.output_count() - outputs_before,
-        misses,
-    }
-}
-
-/// Identity of the envelope being accounted by [`account_delivery`].
-pub(crate) struct DeliverCtx {
-    /// Receiving party.
-    pub to: PartyId,
-    /// Sending party.
-    pub from: PartyId,
-    /// The envelope's session — captured only when tracing (the
-    /// trace-off path pays nothing for the clone).
-    pub session: Option<SessionId>,
-    /// Sequence number of the envelope.
-    pub seq: u64,
-    /// Virtual arrival time, when the scheduler keeps a virtual clock.
-    pub vtime: Option<u64>,
-}
-
-/// Folds one [`DeliveryOutcome`] into the run's metrics and, when a
-/// sink is attached, records the `Deliver`/`Drop` event plus any
-/// `DecodeMiss`/`Shun`/`Output` events the dispatch caused. Tracing
-/// only *reads* what the untraced path already computes, so a traced
-/// run is bit-for-bit identical to an untraced one.
-pub(crate) fn account_delivery(
-    ctx: DeliverCtx,
-    outcome: &DeliveryOutcome,
-    metrics: &mut Metrics,
-    sink: Option<&mut (dyn TraceSink + '_)>,
-) {
-    metrics.steps += 1;
-    if outcome.status == DeliverStatus::Crashed {
-        metrics.dropped_crashed += 1;
-        if let Some(sink) = sink {
-            sink.record(TraceEvent::Drop {
-                step: metrics.steps,
-                party: ctx.to,
-                from: ctx.from,
-                session: ctx.session.expect("session captured when tracing"),
-                seq: ctx.seq,
-                reason: DropReason::Crashed,
-            });
-        }
-        return;
-    }
-    let delivered = outcome.status == DeliverStatus::Delivered;
-    if delivered {
-        metrics.delivered += 1;
-    } else {
-        metrics.dropped_shunned += 1;
-    }
-    for &(kind, count) in &outcome.misses {
-        if let Some(entry) = metrics.decode_miss.iter_mut().find(|(k, _)| *k == kind) {
-            entry.1 += count;
-        } else {
-            metrics.decode_miss.push((kind, count));
-        }
-    }
-    metrics.shun_events += outcome.new_shuns;
-    if let Some(sink) = sink {
-        let session = ctx.session.expect("session captured when tracing");
-        let step = metrics.steps;
-        let party = ctx.to;
-        if delivered {
-            sink.record(TraceEvent::Deliver {
-                step,
-                party,
-                from: ctx.from,
-                session: session.clone(),
-                seq: ctx.seq,
-                vtime: ctx.vtime,
-            });
-        } else {
-            sink.record(TraceEvent::Drop {
-                step,
-                party,
-                from: ctx.from,
-                session: session.clone(),
-                seq: ctx.seq,
-                reason: DropReason::Shunned,
-            });
-        }
-        let misses = miss_total(&outcome.misses);
-        if misses > 0 {
-            sink.record(TraceEvent::DecodeMiss {
-                step,
-                party,
-                session: session.clone(),
-                count: misses,
-            });
-        }
-        if outcome.new_shuns > 0 {
-            sink.record(TraceEvent::Shun {
-                step,
-                party,
-                session: session.clone(),
-                count: outcome.new_shuns,
-            });
-        }
-        if outcome.new_outputs > 0 {
-            sink.record(TraceEvent::Output {
-                step,
-                party,
-                session,
-                count: outcome.new_outputs,
-            });
-        }
-    }
-}
-
-/// Delivers one message to `node` with full metric accounting — the
-/// dispatch core shared by every backend: [`deliver_raw`] followed by
-/// [`account_delivery`]. Crashed receivers count as `dropped_crashed`,
-/// shun-filtered messages as `dropped_shunned`, the rest as
-/// `delivered`; new shun declarations are tallied.
-pub(crate) fn deliver_counted(
-    node: &mut Node,
-    from: PartyId,
-    session: SessionId,
-    payload: Payload,
-    out: &mut Vec<Outgoing>,
-    metrics: &mut Metrics,
-    trace: Option<DeliverTrace<'_>>,
-) {
-    let to = node.id();
-    let (session_for_trace, trace) = match trace {
-        Some(t) => (Some(session.clone()), Some(t)),
-        None => (None, None),
-    };
-    let outcome = deliver_raw(node, from, session, payload, out);
-    let (sink, seq, vtime) = match trace {
-        Some(t) => (Some(t.sink), t.seq, t.vtime),
-        None => (None, 0, None),
-    };
-    account_delivery(
-        DeliverCtx {
-            to,
-            from,
-            session: session_for_trace,
-            seq,
-            vtime,
-        },
-        &outcome,
-        metrics,
-        sink,
-    );
-}
-
-/// The per-party half of a delivery, written once for every host that
-/// runs one party at a time — a [`ShardedSimRuntime`] party slot, a
+/// Everything that happens *at* one party, written once for every host:
+/// a [`SimNetwork`] party, a [`ShardedSimRuntime`] party slot, a
 /// [`ThreadedRuntime`] worker, an `aft-partyd` process. It owns the
 /// party's [`Node`], the [`Metrics`] of what that party sent and was
-/// delivered, the numbering of its sends and the buffer they wait in;
-/// the driver around it keeps only what is its own (an inbox and a
-/// scheduler, a channel, TCP links) and decides where each drained send
-/// goes. [`SimNetwork`] numbers sends globally and keeps its own books.
+/// delivered, and the numbering of its sends; the driver around it owns
+/// the buffer those sends wait in and keeps only what else is its own (a
+/// queue and a scheduler, a channel, TCP links), deciding where each
+/// drained send goes.
 ///
+/// A party's own trace events — `Send`, `Deliver`, `Drop`, `Shun`,
+/// `Output`, `DecodeMiss` — carry its own step, the number of deliveries
+/// it has had, on every backend: `(party, step)` names a delivery.
+///
+/// [`SimNetwork`]: crate::SimNetwork
 /// [`ShardedSimRuntime`]: crate::ShardedSimRuntime
 /// [`ThreadedRuntime`]: crate::ThreadedRuntime
-/// [`SimNetwork`]: crate::SimNetwork
 pub struct PartyHost {
     node: Node,
     metrics: Metrics,
@@ -575,8 +354,6 @@ pub struct PartyHost {
     /// Sends numbered so far. The next is `emit * n + party` — unique
     /// across parties and ascending per sender with no shared counter.
     emit: u64,
-    /// What `spawn` and `deliver` emitted and `drain_sends` has not taken.
-    out: Vec<Outgoing>,
 }
 
 impl PartyHost {
@@ -587,8 +364,25 @@ impl PartyHost {
             metrics: Metrics::default(),
             n: config.n as u64,
             emit: 0,
-            out: Vec::new(),
         }
+    }
+
+    /// One host per party of `config`'s system, in party order — how every
+    /// engine starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
+    /// every protocol in this workspace).
+    pub(crate) fn all(config: &NetConfig) -> Vec<PartyHost> {
+        assert!(config.n > 0, "need at least one party");
+        assert!(
+            config.n > 3 * config.t,
+            "optimal resilience requires n >= 3t + 1 (n={}, t={})",
+            config.n,
+            config.t
+        );
+        (0..config.n).map(|p| PartyHost::new(config, p)).collect()
     }
 
     /// The hosted node (outputs, shun registry, …).
@@ -601,17 +395,21 @@ impl PartyHost {
         &self.metrics
     }
 
-    /// Starts `instance` at `session`; its initial sends wait for
-    /// [`drain_sends`](PartyHost::drain_sends).
-    pub fn spawn(&mut self, session: SessionId, instance: Box<dyn Instance>) {
-        self.out.append(&mut self.node.spawn(session, instance));
+    /// Starts `instance` at `session`, appending its initial sends to `out`
+    /// for [`drain_sends`](PartyHost::drain_sends). A crashed party starts
+    /// nothing.
+    pub fn spawn(
+        &mut self,
+        session: SessionId,
+        instance: Box<dyn Instance>,
+        out: &mut Vec<Outgoing>,
+    ) {
+        out.append(&mut self.node.spawn(session, instance));
     }
 
-    /// Crashes the party. Sends it emitted and nobody drained yet are
-    /// retracted, uncounted.
+    /// Crashes the party: it stops processing and sending.
     pub fn crash(&mut self) {
         self.node.crash();
-        self.out.clear();
     }
 
     /// Phase 1 of a crash-recovery: the party comes back up with its
@@ -622,56 +420,136 @@ impl PartyHost {
         self.node.retire_session(session);
     }
 
-    /// See [`Runtime::retire_session`].
-    pub fn retire_session(&mut self, session: &SessionId) -> bool {
-        self.node.retire_session(session)
+    /// Un-counts a drained send of `session` that its driver took back
+    /// before anyone could deliver it (`SimNetwork`'s crash before the
+    /// first delivery).
+    pub(crate) fn retract(&mut self, session: &SessionId) {
+        self.metrics.on_retracted(session);
     }
 
-    /// Delivers envelope number `seq`, arriving at virtual time `vtime`
-    /// where the driver keeps a clock, through the dispatch core every
-    /// backend shares: a crashed receiver counts `dropped_crashed`, a
-    /// shunned sender `dropped_shunned`, the rest `delivered`; the outcome
-    /// is recorded in `sink` and the handler's sends are left for
-    /// [`drain_sends`](PartyHost::drain_sends).
+    /// Delivers `env`, arriving at virtual time `vtime` where the driver
+    /// keeps a clock: a crashed party counts it `dropped_crashed`, a
+    /// shunned sender `dropped_shunned`, the rest `delivered`, together
+    /// with the shuns and decode misses the dispatch caused. The outcome —
+    /// `Deliver` or `Drop`, then any `DecodeMiss`, `Shun` and `Output` — is
+    /// recorded in `sink`, and the handler's sends are appended to `out`
+    /// for [`drain_sends`](PartyHost::drain_sends). Tracing only reads what
+    /// the untraced path computes, so a traced run is bit-for-bit an
+    /// untraced one.
     pub fn deliver(
         &mut self,
-        from: PartyId,
-        session: SessionId,
-        payload: Payload,
-        seq: u64,
+        env: Envelope,
         vtime: Option<u64>,
-        sink: Option<&mut dyn TraceSink>,
+        sink: Option<&mut (dyn TraceSink + '_)>,
+        out: &mut Vec<Outgoing>,
     ) {
-        if let Some(vt) = vtime {
-            self.metrics
-                .on_virtual_delivery(crate::trace::session_kind(&session), vt);
-        }
-        deliver_counted(
-            &mut self.node,
+        let Envelope {
             from,
             session,
             payload,
-            &mut self.out,
-            &mut self.metrics,
-            sink.map(|sink| DeliverTrace { sink, seq, vtime }),
-        );
+            seq,
+            ..
+        } = env;
+        let (m, party) = (&mut self.metrics, self.node.id());
+        m.steps += 1;
+        if let Some(vt) = vtime {
+            m.on_virtual_delivery(session_kind(&session), vt);
+        }
+        if self.node.is_crashed() {
+            m.dropped_crashed += 1;
+            if let Some(sink) = sink {
+                sink.record(TraceEvent::Drop {
+                    step: m.steps,
+                    party,
+                    from,
+                    session,
+                    seq,
+                    reason: DropReason::Crashed,
+                });
+            }
+            return;
+        }
+        // Discard stray miss records from outside deliveries (test probes,
+        // spawn-time output inspection), then attribute the dispatch's own
+        // failed views to this delivery.
+        drain_misses(None);
+        let (shuns, outputs) = (self.node.shun_event_count(), self.node.output_count());
+        let traced = sink.is_some().then(|| session.clone());
+        let delivered = self.node.deliver(from, session, payload, out);
+        let misses = drain_misses(Some(&mut m.decode_miss));
+        let new_shuns = self.node.shun_event_count() - shuns;
+        m.shun_events += new_shuns;
+        if delivered {
+            m.delivered += 1;
+        } else {
+            m.dropped_shunned += 1;
+        }
+        let (Some(sink), Some(session)) = (sink, traced) else {
+            return;
+        };
+        let step = m.steps;
+        sink.record(if delivered {
+            TraceEvent::Deliver {
+                step,
+                party,
+                from,
+                session: session.clone(),
+                seq,
+                vtime,
+            }
+        } else {
+            TraceEvent::Drop {
+                step,
+                party,
+                from,
+                session: session.clone(),
+                seq,
+                reason: DropReason::Shunned,
+            }
+        });
+        if misses > 0 {
+            sink.record(TraceEvent::DecodeMiss {
+                step,
+                party,
+                session: session.clone(),
+                count: misses,
+            });
+        }
+        if new_shuns > 0 {
+            sink.record(TraceEvent::Shun {
+                step,
+                party,
+                session: session.clone(),
+                count: new_shuns,
+            });
+        }
+        let new_outputs = self.node.output_count() - outputs;
+        if new_outputs > 0 {
+            sink.record(TraceEvent::Output {
+                step,
+                party,
+                session,
+                count: new_outputs,
+            });
+        }
     }
 
-    /// Hands the waiting sends to `hand_on` in emission order, each with
-    /// its number, each counted and recorded in `sink` as caused by the
-    /// delivery at this party's step `causal_parent` (`None`: the spawn
-    /// phase) before `hand_on` sees it — so the `Send` of an envelope is
+    /// Hands the sends waiting in `out` to `hand_on` in the order given,
+    /// each with its number, each counted and recorded in `sink` as caused
+    /// by the delivery at this party's step `causal_parent` (`None`: a
+    /// spawn) before `hand_on` sees it — so the `Send` of an envelope is
     /// on record before anyone can record its `Deliver`. (A callback, not
     /// an iterator: yielding `(u64, Outgoing)` items one `next()` at a
     /// time cost the `sharded` engine a fifth of its run time.)
     pub fn drain_sends(
         &mut self,
+        out: &mut Vec<Outgoing>,
         causal_parent: Option<u64>,
         mut sink: Option<&mut dyn TraceSink>,
         mut hand_on: impl FnMut(u64, Outgoing),
     ) {
         let from = self.node.id();
-        for o in self.out.drain(..) {
+        for o in out.drain(..) {
             self.metrics.on_sent(&o.session);
             let seq = self.emit * self.n + from.0 as u64;
             self.emit += 1;
@@ -908,23 +786,11 @@ pub trait Runtime {
     /// The first output of `party` in `session`, if recorded.
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload>;
 
-    /// Releases all per-party state of a completed `session` on `party`:
-    /// its recorded output, buffered early messages and arena slot. Long
-    /// multi-tenant runs call this after reading a session's output so
-    /// the per-party session arena stops growing monotonically; a fully
-    /// emptied arena page is returned to the allocator.
-    ///
-    /// Retiring is an *explicit* lifecycle step, never automatic —
-    /// instances may keep participating (e.g. echoing for laggards)
-    /// after producing an output, and reclaiming them implicitly would
-    /// change schedules. Returns `true` when a session slot was freed.
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool;
-
     /// Schedules `party` — crashed or about to be crashed — to recover at
-    /// virtual time `at_vtime`: its stale `session` state is retired via
-    /// the [`retire_session`](Runtime::retire_session) path and
-    /// `instance` is respawned shortly after, replaying any early-
-    /// buffered traffic, so a mid-episode rejoin is observable.
+    /// virtual time `at_vtime`: its stale `session` state is retired
+    /// ([`Node::retire_session`]) and `instance` is respawned shortly
+    /// after, replaying any early-buffered traffic, so a mid-episode
+    /// rejoin is observable.
     ///
     /// Recovery needs a virtual clock: backends honor it only when their
     /// scheduler is the `net:` family (recoveries still fire at
@@ -1146,71 +1012,12 @@ mod tests {
         assert_ne!(draw(1, 0), draw(2, 0));
     }
 
+    /// A scripted life through a [`PartyHost`] — spawn, a delivery, a
+    /// delivery from a shunned party, a crash while two sends wait in the
+    /// driver's buffer, a delivery to the crashed party — and every number,
+    /// counter and event it leaves.
     #[test]
-    fn deliver_counted_accounts_for_crash_shun_delivery() {
-        struct Shunner;
-        impl Instance for Shunner {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.shun(PartyId(2));
-            }
-            fn on_message(&mut self, _f: PartyId, _p: &Payload, _c: &mut Context<'_>) {}
-        }
-        let config = NetConfig::new(4, 1, 0);
-        let mut node = build_node(&config, 1);
-        let mut metrics = Metrics::default();
-        let mut out = Vec::new();
-        let sid = SessionId::root().child(SessionTag::new("x", 0));
-        let other = SessionId::root().child(SessionTag::new("y", 0));
-
-        node.spawn(sid.clone(), Box::new(Shunner));
-        assert_eq!(node.shun_event_count(), 1);
-
-        // Shunned sender outside the shun invocation: dropped_shunned.
-        deliver_counted(
-            &mut node,
-            PartyId(2),
-            other.clone(),
-            Payload::new(1u8),
-            &mut out,
-            &mut metrics,
-            None,
-        );
-        assert_eq!(metrics.dropped_shunned, 1);
-
-        // Ordinary delivery.
-        deliver_counted(
-            &mut node,
-            PartyId(3),
-            sid.clone(),
-            Payload::new(1u8),
-            &mut out,
-            &mut metrics,
-            None,
-        );
-        assert_eq!(metrics.delivered, 1);
-
-        // Crashed receiver.
-        node.crash();
-        deliver_counted(
-            &mut node,
-            PartyId(3),
-            sid,
-            Payload::new(1u8),
-            &mut out,
-            &mut metrics,
-            None,
-        );
-        assert_eq!(metrics.dropped_crashed, 1);
-        assert_eq!(metrics.steps, 3);
-    }
-
-    /// The same scripted life — spawn, a delivery, a delivery from a
-    /// shunned party, a crash with sends still waiting, a delivery to the
-    /// crashed party — once through a [`PartyHost`] and once through
-    /// `deliver_counted` on a bare node with every send counted, numbered
-    /// and recorded by hand.
-    #[test]
-    fn party_host_matches_deliver_counted_and_hand_numbering() {
+    fn party_host_numbers_counts_and_records_a_scripted_life() {
         /// Greets everyone at start; on a message, shuns party 2 and
         /// sends two back.
         struct Chatty;
@@ -1224,122 +1031,87 @@ mod tests {
                 ctx.send(from, 2u8);
             }
         }
-        let config = NetConfig::new(4, 1, 9);
-        let (me, n) = (PartyId(1), 4u64);
+        fn sink(events: &mut Vec<TraceEvent>) -> Option<&mut dyn TraceSink> {
+            Some(events)
+        }
+        let me = PartyId(1);
         let sid = SessionId::root().child(SessionTag::new("x", 0));
         let other = SessionId::root().child(SessionTag::new("y", 0));
-        // (from, session, seq, vtime) of the scripted deliveries.
-        let script = [
-            (PartyId(3), &sid, 7, Some(40)),
-            (PartyId(2), &other, 6, None),
-            (PartyId(0), &sid, 12, Some(55)),
-        ];
-
-        let mut host = PartyHost::new(&config, me.0);
-        let mut recorded: Vec<TraceEvent> = Vec::new();
-        let mut seqs: Vec<u64> = Vec::new();
-        let mut drain = |host: &mut PartyHost, causal, recorded: &mut Vec<TraceEvent>| {
-            host.drain_sends(causal, Some(recorded), |seq, _| seqs.push(seq));
+        let env = |from, session: &SessionId, seq| Envelope {
+            from: PartyId(from),
+            to: me,
+            session: session.clone(),
+            payload: Payload::new(0u8),
+            seq,
+            born_step: 0,
         };
-        host.spawn(sid.clone(), Box::new(Chatty));
-        drain(&mut host, None, &mut recorded);
-        for (i, &(from, session, seq, vtime)) in script.iter().enumerate() {
-            if i == 2 {
-                // Two sends are waiting again; the crash retracts them.
-                host.deliver(from, sid.clone(), Payload::new(0u8), 11, None, None);
-                host.crash();
-            }
-            let sink: &mut dyn TraceSink = &mut recorded;
-            host.deliver(
-                from,
-                session.clone(),
-                Payload::new(0u8),
-                seq,
-                vtime,
-                Some(sink),
-            );
-            let parent = host.metrics().steps;
-            drain(&mut host, Some(parent), &mut recorded);
-        }
+        let mut host = PartyHost::new(&NetConfig::new(4, 1, 9), me.0);
+        let (mut out, mut events, mut seqs) = (Vec::new(), Vec::new(), Vec::new());
 
-        let mut node = build_node(&config, me.0);
-        let mut metrics = Metrics::default();
-        let mut expected: Vec<TraceEvent> = Vec::new();
-        let mut expected_seqs: Vec<u64> = Vec::new();
-        let mut emit = 0;
-        let mut by_hand =
-            |out: &mut Vec<Outgoing>, metrics: &mut Metrics, causal, events: &mut Vec<_>| {
-                for o in out.drain(..) {
-                    metrics.on_sent(&o.session);
-                    let seq = emit * n + me.0 as u64;
-                    emit += 1;
-                    expected_seqs.push(seq);
-                    events.push(TraceEvent::Send {
-                        step: metrics.steps,
-                        from: me,
-                        to: o.to,
-                        session: o.session,
-                        seq,
-                        causal_parent: causal,
-                    });
-                }
-            };
-        let mut out = node.spawn(sid.clone(), Box::new(Chatty));
-        by_hand(&mut out, &mut metrics, None, &mut expected);
-        for (i, &(from, session, seq, vtime)) in script.iter().enumerate() {
-            let payload = Payload::new(0u8);
-            if i == 2 {
-                deliver_counted(
-                    &mut node,
-                    from,
-                    sid.clone(),
-                    payload.clone(),
-                    &mut out,
-                    &mut metrics,
-                    None,
-                );
-                node.crash();
-                out.clear();
-            }
-            if let Some(vt) = vtime {
-                metrics.on_virtual_delivery(session.last().unwrap().kind, vt);
-            }
-            let trace = DeliverTrace {
-                sink: &mut expected,
-                seq,
-                vtime,
-            };
-            deliver_counted(
-                &mut node,
-                from,
-                session.clone(),
-                payload,
-                &mut out,
-                &mut metrics,
-                Some(trace),
-            );
-            let parent = metrics.steps;
-            by_hand(&mut out, &mut metrics, Some(parent), &mut expected);
-        }
+        host.spawn(sid.clone(), Box::new(Chatty), &mut out);
+        host.drain_sends(&mut out, None, sink(&mut events), |seq, _| seqs.push(seq));
+        host.deliver(env(3, &sid, 7), Some(40), sink(&mut events), &mut out);
+        host.drain_sends(&mut out, Some(1), sink(&mut events), |seq, _| {
+            seqs.push(seq)
+        });
+        host.deliver(env(2, &other, 6), None, sink(&mut events), &mut out);
+        assert!(out.is_empty(), "a shunned sender reaches no handler");
+        host.deliver(env(0, &sid, 11), None, None, &mut out);
+        assert_eq!(out.len(), 2);
+        // The sends die with the party in the driver's buffer, uncounted.
+        host.crash();
+        out.clear();
+        host.deliver(env(0, &sid, 12), Some(55), sink(&mut events), &mut out);
+        assert!(out.is_empty(), "a crashed party sends nothing");
 
-        assert_eq!(seqs, expected_seqs);
-        assert_eq!(
-            seqs,
-            [1, 5, 9, 13, 17, 21],
-            "emit * n + party, in emission order"
-        );
-        assert_eq!(recorded, expected);
-        assert_eq!(canon(host.metrics()), canon(&metrics));
+        assert_eq!(seqs, [1, 5, 9, 13, 17, 21], "emit * n + party, in order");
         let m = host.metrics();
         assert_eq!(
             (m.sent, m.delivered, m.dropped_shunned, m.dropped_crashed),
             (6, 2, 1, 1)
         );
         assert_eq!((m.steps, m.shun_events, m.virtual_time), (4, 1, 55));
+        assert_eq!(m.virtual_times().collect::<Vec<_>>(), [("x", 55)]);
+        let stamps: Vec<(&str, u64)> = events.iter().map(|e| (e.label(), e.step())).collect();
+        let mut expected = vec![("send", 0); 4];
+        expected.extend([("deliver", 1), ("shun", 1), ("send", 1), ("send", 1)]);
+        expected.extend([("drop", 2), ("drop", 4)]);
+        assert_eq!(stamps, expected, "the party's own step on every event");
         assert_eq!(
-            m.virtual_times().collect::<Vec<_>>(),
-            metrics.virtual_times().collect::<Vec<_>>()
+            events[4],
+            TraceEvent::Deliver {
+                step: 1,
+                party: me,
+                from: PartyId(3),
+                session: sid.clone(),
+                seq: 7,
+                vtime: Some(40),
+            }
         );
+        assert!(matches!(
+            events[6],
+            TraceEvent::Send {
+                seq: 17,
+                to: PartyId(3),
+                causal_parent: Some(1),
+                ..
+            }
+        ));
+        assert!(matches!(
+            events[8..],
+            [
+                TraceEvent::Drop {
+                    seq: 6,
+                    reason: DropReason::Shunned,
+                    ..
+                },
+                TraceEvent::Drop {
+                    seq: 12,
+                    reason: DropReason::Crashed,
+                    ..
+                },
+            ]
+        ));
     }
 
     /// One randomized bookkeeping op against a `Metrics`.

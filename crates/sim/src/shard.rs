@@ -38,9 +38,9 @@
 //!
 //! What a party *is* — its node, its metrics, the numbering and recording
 //! of its sends, the accounting of a delivery — is a [`PartyHost`], the
-//! same one a `threaded` worker and an `aft-partyd` process drive; this
-//! module adds what is the shard's own: inboxes, per-party schedulers and
-//! RNGs, the per-pair channels and the barrier. Each party records into a
+//! same one every other backend drives; this module adds what is the
+//! shard's own: inboxes, per-party schedulers and RNGs, the per-pair
+//! channels and the barrier. Each party records into a
 //! buffer of its own, and the barrier flattens the buffers into the one
 //! sink in party order — which is also when an adaptive controller sitting
 //! in front of the recorder observes the epoch's deliveries, so its
@@ -56,7 +56,7 @@ use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::net::NetEvent;
-use crate::node::Node;
+use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::{Parcel, Pending};
 use crate::runtime::{
@@ -73,6 +73,8 @@ use rand_chacha::ChaCha12Rng;
 /// shard's own is the inbox, who picks from it, and the channels out.
 struct PartyState {
     host: PartyHost,
+    /// Where the host's sends wait to be numbered (empty between acts).
+    out: Vec<Outgoing>,
     /// Messages deliverable in the current epoch.
     inbox: Pending,
     /// This party's delivery-order policy over its own inbox.
@@ -110,6 +112,7 @@ impl PartyState {
     fn flush_sends(&mut self, epoch: u64, causal: Option<u64>) {
         let PartyState {
             host,
+            out: sends,
             inbox,
             outbox,
             pool_reused,
@@ -117,7 +120,7 @@ impl PartyState {
             events,
             ..
         } = self;
-        host.drain_sends(causal, as_sink(events), |seq, o| {
+        host.drain_sends(sends, causal, as_sink(events), |seq, o| {
             let out = &mut outbox[o.to.0];
             if out.capacity() == 0 {
                 // The barrier handed this outbox's buffer away whole;
@@ -169,14 +172,8 @@ impl PartyState {
             }
             for _ in 0..run {
                 let env = self.inbox.take_slot(slot);
-                self.host.deliver(
-                    env.from,
-                    env.session,
-                    env.payload,
-                    env.seq,
-                    vnow,
-                    as_sink(&mut self.events),
-                );
+                let sink = as_sink(&mut self.events);
+                self.host.deliver(env, vnow, sink, &mut self.out);
                 // Party-local step of the delivery that just ran: the
                 // causal parent of everything it emitted.
                 let parent = self.host.metrics().steps;
@@ -296,17 +293,13 @@ impl ShardedSimRuntime {
         k: usize,
         factory: impl Fn(PartyId) -> Box<dyn Scheduler>,
     ) -> Self {
-        assert!(config.n > 0, "need at least one party");
-        assert!(
-            config.n > 3 * config.t,
-            "optimal resilience requires n >= 3t + 1 (n={}, t={})",
-            config.n,
-            config.t
-        );
+        let hosts = PartyHost::all(&config);
         assert!(k > 0, "need at least one shard");
         let k = k.min(config.n);
-        let parties = (0..config.n)
-            .map(|p| {
+        let parties = hosts
+            .into_iter()
+            .enumerate()
+            .map(|(p, host)| {
                 // Every party gets its own scheduler instance; configuring
                 // each from the same `(seed, spec)` keeps virtual-time
                 // plans (partitions, latency) identical across parties and
@@ -314,7 +307,8 @@ impl ShardedSimRuntime {
                 let mut scheduler = factory(PartyId(p));
                 scheduler.configure(&config);
                 PartyState {
-                    host: PartyHost::new(&config, p),
+                    host,
+                    out: Vec::new(),
                     inbox: Pending::new(),
                     scheduler,
                     rng: shard_sched_rng(config.seed, p),
@@ -375,7 +369,7 @@ impl ShardedSimRuntime {
     fn apply_spawns(&mut self) {
         for (party, session, instance) in std::mem::take(&mut self.pending_spawns) {
             let ps = &mut self.parties[party.0];
-            ps.host.spawn(session, instance);
+            ps.host.spawn(session, instance, &mut ps.out);
             // Spawn-phase sends have no causal parent: they are DAG roots.
             ps.flush_sends(self.epoch, None);
         }
@@ -541,7 +535,7 @@ impl ShardedSimRuntime {
                     instance,
                 } => {
                     let ps = &mut self.parties[party.0];
-                    ps.host.spawn(session, instance);
+                    ps.host.spawn(session, instance, &mut ps.out);
                     ps.flush_sends(self.epoch, None);
                 }
             }
@@ -652,10 +646,6 @@ impl Runtime for ShardedSimRuntime {
             merged.pool_alloc += allocated + ps.pool_alloc;
         }
         merged
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.parties[party.0].host.retire_session(session)
     }
 
     fn schedule_recover(
@@ -903,12 +893,6 @@ mod tests {
     fn shard_count_clamps_to_n() {
         let rt = ShardedSimRuntime::new(NetConfig::new(4, 1, 0), 64);
         assert_eq!(rt.shards(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "optimal resilience")]
-    fn rejects_insufficient_n() {
-        let _ = ShardedSimRuntime::new(NetConfig::new(3, 1, 0), 2);
     }
 
     #[test]

@@ -33,7 +33,8 @@
 use crate::adaptive::SharedAdaptive;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::node::Node;
+use crate::network::Envelope;
+use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::runtime::{Metrics, NetConfig, PartyHost, RunReport, Runtime, StopReason};
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -43,15 +44,9 @@ use std::sync::{Mutex, MutexGuard};
 
 /// What a worker finds in its inbox.
 enum Wire {
-    Envelope {
-        from: PartyId,
-        session: SessionId,
-        payload: Payload,
-        /// The sender's number for this envelope (see
-        /// [`PartyHost::drain_sends`]), joining the flight recorder's
-        /// `Send` and `Deliver` events.
-        seq: u64,
-    },
+    /// An envelope, numbered by its sender (see
+    /// [`PartyHost::drain_sends`]); no engine step stamps its birth.
+    Envelope(Envelope),
     /// The episode is over; sent to every inbox at once.
     Stop,
 }
@@ -136,21 +131,29 @@ fn as_sink<'a>(locked: &'a mut LockedSink<'_>) -> Option<&'a mut dyn TraceSink> 
         .map(|boxed| &mut **boxed as &mut dyn TraceSink)
 }
 
-/// Hands the host's waiting sends to their inboxes. Each `Send` event is
-/// in the shared sink before its envelope is in the channel, so no
+/// Hands the sends waiting in `out` to their inboxes. Each `Send` event
+/// is in the shared sink before its envelope is in the channel, so no
 /// `Deliver` can be recorded ahead of it.
-fn route(host: &mut PartyHost, causal: Option<u64>, episode: &Episode, sink: Option<&SharedSink>) {
+fn route(
+    host: &mut PartyHost,
+    out: &mut Vec<Outgoing>,
+    causal: Option<u64>,
+    episode: &Episode,
+    sink: Option<&SharedSink>,
+) {
     let from = host.node().id();
     let mut sink = lock(sink);
-    host.drain_sends(causal, as_sink(&mut sink), |seq, o| {
+    host.drain_sends(out, causal, as_sink(&mut sink), |seq, o| {
         episode.in_flight.fetch_add(1, Ordering::SeqCst);
         // Only a worker that panicked has dropped its inbox.
-        let _ = episode.inboxes[o.to.0].send(Wire::Envelope {
+        let _ = episode.inboxes[o.to.0].send(Wire::Envelope(Envelope {
             from,
+            to: o.to,
             session: o.session,
             payload: o.payload,
             seq,
-        });
+            born_step: 0,
+        }));
     });
 }
 
@@ -167,28 +170,24 @@ fn work(
         episode,
         disarmed: false,
     };
+    let mut out = Vec::new();
     for (session, instance) in spawns {
-        host.spawn(session, instance);
+        host.spawn(session, instance, &mut out);
     }
     // Spawn-phase sends are causal-DAG roots.
-    route(host, None, episode, sink);
+    route(host, &mut out, None, episode, sink);
     episode.spawned();
-    while let Ok(Wire::Envelope {
-        from,
-        session,
-        payload,
-        seq,
-    }) = inbox.recv()
-    {
+    while let Ok(Wire::Envelope(env)) = inbox.recv() {
         if episode.steps.fetch_add(1, Ordering::SeqCst) >= episode.max_steps {
             // Budget exhausted: drain without processing so the system
             // still quiesces.
             episode.limit_hit.store(true, Ordering::SeqCst);
         } else {
-            host.deliver(from, session, payload, seq, None, as_sink(&mut lock(sink)));
+            host.deliver(env, None, as_sink(&mut lock(sink)), &mut out);
             // Emissions are caused by the delivery that just ran (this
             // party's step count).
-            route(host, Some(host.metrics().steps), episode, sink);
+            let parent = host.metrics().steps;
+            route(host, &mut out, Some(parent), episode, sink);
         }
         episode.settled();
     }
@@ -303,16 +302,9 @@ impl ThreadedRuntime {
     /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
     /// every protocol in this workspace).
     pub fn new(config: NetConfig) -> Self {
-        assert!(config.n > 0, "need at least one party");
-        assert!(
-            config.n > 3 * config.t,
-            "optimal resilience requires n >= 3t + 1 (n={}, t={})",
-            config.n,
-            config.t
-        );
         ThreadedRuntime {
             config,
-            hosts: (0..config.n).map(|p| PartyHost::new(&config, p)).collect(),
+            hosts: PartyHost::all(&config),
             spawns: (0..config.n).map(|_| Vec::new()).collect(),
             sink: None,
             label: "threaded",
@@ -386,14 +378,6 @@ impl Runtime for ThreadedRuntime {
 
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
         self.hosts[party.0].node().output(session)
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        // Between episodes the hosts live here (workers only borrow them
-        // during `run`), so the arena GC works exactly as on the
-        // simulator: the session's output, early buffer and arena slot
-        // are released and a later spawn of the same id starts fresh.
-        self.hosts[party.0].retire_session(session)
     }
 
     /// Always `false`: there is no virtual clock to schedule against (a
@@ -623,34 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_session_frees_slot_for_respawn() {
-        // Regression: retire_session used to be the trait's no-op default
-        // on this backend, so multi-tenant drivers leaked arena slots and
-        // a post-retire respawn was silently ignored. Retiring must free
-        // the slot (returning true) and a respawn of the SAME session id
-        // must start a fresh instance that sends again.
-        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 8));
-        for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
-        }
-        rt.run(u64::MAX);
-        assert_eq!(rt.metrics().sent, 16);
-        for p in 0..4 {
-            assert!(rt.retire_session(PartyId(p), &sid()), "party {p}");
-            assert!(rt.output(PartyId(p), &sid()).is_none(), "output released");
-        }
-        for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
-        }
-        let report = rt.run(u64::MAX);
-        assert_eq!(report.stop, StopReason::Quiescent);
-        assert_eq!(rt.metrics().sent, 32, "respawn after retire sends again");
-        for p in 0..4 {
-            assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4));
-        }
-    }
-
-    #[test]
     fn crash_persists_across_episodes() {
         let other = SessionId::root().child(SessionTag::new("second", 0));
         let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 9));
@@ -718,12 +674,6 @@ mod tests {
         // No clock and no replay: recovery and adaptive plans are refused.
         rt.crash(PartyId(3));
         assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Hello { heard: 0 })));
-    }
-
-    #[test]
-    #[should_panic(expected = "optimal resilience")]
-    fn rejects_insufficient_n() {
-        let _ = ThreadedRuntime::new(NetConfig::new(3, 1, 0));
     }
 
     /// A protocol panic in ONE worker must propagate out of `run` instead

@@ -10,14 +10,15 @@
 //!
 //! # The causal message DAG
 //!
-//! Each [`TraceEvent::Send`] carries a `causal_parent`: the step counter
-//! of the delivery whose handler emitted the send (`None` for sends made
-//! from the spawn phase — the roots of the DAG). A delivery's parent is
+//! Each [`TraceEvent::Send`] carries a `causal_parent`: the step of the
+//! delivery whose handler emitted the send (`None` for sends made from
+//! the spawn phase — the roots of the DAG). A delivery's parent is
 //! therefore recovered by joining its `seq` against the matching `Send`
-//! and looking up the delivery `(send.from, send.causal_parent)`. Step
-//! counters are global on `sim`/`wire` and per-party on `sharded:<k>` and
-//! `threaded`; in both regimes `(party, step)` uniquely names a delivery,
-//! so the same join works on every backend. [`depth_histograms`] folds
+//! and looking up the delivery `(send.from, send.causal_parent)`. A
+//! party's own events carry its own step — how many deliveries it has
+//! had — and its sends are numbered `emit·n + party`, on every backend, so
+//! `(party, step)` names a delivery and `seq` an envelope everywhere and
+//! the same join works on every backend. [`depth_histograms`] folds
 //! this DAG into per-kind critical-path depth ("virtual latency" in
 //! delivery steps, the paper-relevant unit: the adversary controls
 //! scheduling, so wall-clock time is meaningless but delivery depth is
@@ -55,10 +56,13 @@ impl DropReason {
 
 /// One structured flight-recorder event.
 ///
-/// `step` is the value of the recording backend's delivery-step counter
-/// when the event fired: global on `sim`/`wire`, per-party on
-/// `sharded:<k>` and `threaded`. `(party, step)` uniquely names a
-/// delivery in both regimes.
+/// `step` is a delivery count when the event fired. A party's own events
+/// — `Send`, `Deliver`, `Drop`, `Shun`, `Output`, `DecodeMiss` — carry
+/// that party's count on every backend, so `(party, step)` names a
+/// delivery; the engine's events — episodes, crashes, recoveries,
+/// scheduler picks, partitions — carry the engine's count of all
+/// deliveries (on `sharded:<k>`, where each party picks from its own
+/// inbox, a pick carries the picking party's).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A `run(..)` episode began.
@@ -81,8 +85,8 @@ pub enum TraceEvent {
         to: PartyId,
         /// Session the message belongs to.
         session: SessionId,
-        /// Backend-assigned envelope sequence number (joins with
-        /// [`TraceEvent::Deliver`]).
+        /// The sender's number for the envelope, `emit·n + from` on
+        /// every backend (joins with [`TraceEvent::Deliver`]).
         seq: u64,
         /// Step of the delivery whose handler emitted this send;
         /// `None` for spawn-phase roots.

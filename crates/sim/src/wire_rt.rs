@@ -3,7 +3,8 @@
 //! An `rt=wire` [`SimNetwork`](crate::SimNetwork) is the same
 //! deterministic scheduling machinery as `rt=sim`, but parties exchange
 //! *bytes*, not values: every same-destination run of envelopes a party
-//! emits goes through the network's [`WireLink`], where it is
+//! emits goes through the network's [`WireLink`], numbered by the party's
+//! host before it gets there, where it is
 //!
 //! 1. **encoded as link frames** — per envelope one
 //!    `[len][from][session][payload frame]`, byte for byte what an
@@ -21,7 +22,9 @@
 //!    Each receiver gets a [`Payload`] wire frame *sliced* out of the
 //!    received buffer (no per-frame copy) that only becomes a typed
 //!    message when an instance [`view`](Payload::view)s it through its
-//!    own kind-checked decoder.
+//!    own kind-checked decoder. The number travels by position: frame
+//!    `i` of the burst is the run's envelope `i`, and a refused frame
+//!    leaves its number unused.
 //!
 //! A run costs one buffer, sized to it and freed when its last frame is
 //! dropped; [`get_session`](crate::wire::get_session)'s decoded-path
@@ -50,56 +53,77 @@ use std::sync::Arc;
 
 /// The byte boundary [`SimNetwork`] routes sends through when it runs
 /// in wire mode: one sender's end of a link and the receiver's, with the
-/// hand-over in between.
+/// hand-over in between. A run — what one party sends one receiver in a
+/// row — crosses as one burst of link frames.
 #[derive(Default)]
 pub(crate) struct WireLink {
-    /// Encode buffer, reused across runs; the receiving side never sees
-    /// it, only an exact copy of its bytes.
+    /// The open run's link frames, back to back — what a socket would
+    /// carry; reused across runs. The receiving side never sees it, only
+    /// an exact copy of its bytes.
     scratch: Vec<u8>,
+    /// The sender's numbers for the open run's envelopes, frame `i`'s at
+    /// `i`.
+    seqs: Vec<u64>,
+    /// The open run's sender and receiver.
+    from: PartyId,
+    to: PartyId,
+    /// What crossed so far: frames, bytes, malformed arrivals.
+    pub(crate) metrics: Metrics,
 }
 
 impl WireLink {
-    /// Serializes a run of same-destination outgoing envelopes as link
-    /// frames into the encode buffer — what a socket would carry.
-    fn encode_run(&mut self, from: PartyId, run: &[Outgoing]) -> &[u8] {
-        self.scratch.clear();
-        for o in run {
-            frame_with(&mut self.scratch, |out| {
-                // Without a wire identity the payload travels as a marker
-                // the receiver drops observably, instead of the runtime
-                // panicking.
-                let wire = put_envelope(out, from, &o.session, &o.payload);
-                debug_assert!(wire, "non-wire payload sent on the wire runtime");
-            });
-        }
-        &self.scratch
-    }
-
-    /// Serializes a run of same-destination outgoing envelopes, hands the
-    /// receiving side a copy of exactly those bytes, and passes each
-    /// `(to, session, payload)` [`receive_run`] reads from the copy to
-    /// `deliver` in order.
-    pub(crate) fn round_trip_run(
+    /// Appends send number `seq` of `from` to the open run as a link
+    /// frame, first handing the open run over (see
+    /// [`flush`](WireLink::flush)) if it runs between other parties.
+    pub(crate) fn send(
         &mut self,
         from: PartyId,
-        run: &[Outgoing],
-        metrics: &mut Metrics,
-        deliver: impl FnMut(PartyId, SessionId, Payload),
+        seq: u64,
+        o: Outgoing,
+        deliver: impl FnMut(PartyId, u64, SessionId, Payload),
     ) {
-        let to = run[0].to;
-        debug_assert!(run.iter().all(|o| o.to == to), "mixed-destination run");
-        // The hand-over: the receiving side reads the received bytes
-        // only. The buffer is sized to the run and freed with its last
-        // frame.
-        let received = Arc::new(self.encode_run(from, run).to_vec());
-        metrics.wire_frames += run.len() as u64;
-        receive_run(received, from, to, metrics, deliver);
+        if (from, o.to) != (self.from, self.to) {
+            self.flush(deliver);
+            (self.from, self.to) = (from, o.to);
+        }
+        frame_with(&mut self.scratch, |out| {
+            // Without a wire identity the payload travels as a marker the
+            // receiver drops observably, instead of the runtime panicking.
+            let wire = put_envelope(out, from, &o.session, &o.payload);
+            debug_assert!(wire, "non-wire payload sent on the wire runtime");
+        });
+        self.seqs.push(seq);
+    }
+
+    /// Hands the open run over: the receiving side gets a copy of exactly
+    /// its bytes, in a buffer sized to the run and freed with its last
+    /// frame, and passes each `(to, seq, session, payload)` [`receive_run`]
+    /// reads from the copy to `deliver` in order — `seq` the number of the
+    /// frame's envelope.
+    pub(crate) fn flush(&mut self, mut deliver: impl FnMut(PartyId, u64, SessionId, Payload)) {
+        if self.seqs.is_empty() {
+            return;
+        }
+        let received = Arc::new(self.scratch.to_vec());
+        self.scratch.clear();
+        self.metrics.wire_frames += self.seqs.len() as u64;
+        let (to, seqs) = (self.to, &self.seqs);
+        receive_run(
+            received,
+            self.from,
+            &mut self.metrics,
+            |i, session, payload| {
+                deliver(to, seqs[i], session, payload);
+            },
+        );
+        self.seqs.clear();
     }
 }
 
-/// The receiving end of the link from `from` to `to`: walks the received
-/// burst and decodes each link frame as a socket's reader does, owner
-/// check included. The payloads are lazily decoded wire frames sliced
+/// The receiving end of the link from `from`: walks the received burst
+/// and decodes each link frame as a socket's reader does, owner check
+/// included, passing `deliver` the frame's position in the burst with
+/// what it read. The payloads are lazily decoded wire frames sliced
 /// straight out of the received buffer — no per-frame copy. Malformed
 /// payload frames (the byte-level adversary) survive as payloads no
 /// honest view will ever match — counted, never panicking; an envelope
@@ -108,18 +132,17 @@ impl WireLink {
 fn receive_run(
     received: Arc<Vec<u8>>,
     from: PartyId,
-    to: PartyId,
     metrics: &mut Metrics,
-    mut deliver: impl FnMut(PartyId, SessionId, Payload),
+    mut deliver: impl FnMut(usize, SessionId, Payload),
 ) {
     metrics.wire_bytes += received.len() as u64;
-    for envelope in Burst::new(received) {
+    for (i, envelope) in Burst::new(received).enumerate() {
         let decoded = decode_link_envelope(from, envelope);
         if !matches!(&decoded, Some((_, payload)) if payload.wire_kind().is_some()) {
             metrics.wire_malformed += 1;
         }
         if let Some((session, payload)) = decoded {
-            deliver(to, session, payload);
+            deliver(i, session, payload);
         }
     }
 }
@@ -184,6 +207,22 @@ mod tests {
         bodies.iter().map(outgoing).collect()
     }
 
+    /// Sends `run` over `link` as consecutive sends of `from`, numbered
+    /// from 0, and hands it over; passes `(seq, session, payload)` of
+    /// each envelope that arrives to `deliver`.
+    fn round_trip(
+        link: &mut WireLink,
+        from: PartyId,
+        run: Vec<Outgoing>,
+        mut deliver: impl FnMut(u64, SessionId, Payload),
+    ) {
+        let mut arrived = |_, seq, session, payload| deliver(seq, session, payload);
+        for (seq, o) in (0..).zip(run) {
+            link.send(from, seq, o, &mut arrived);
+        }
+        link.flush(&mut arrived);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
         /// One link carries runs of shrinking and growing variable-length
@@ -202,17 +241,16 @@ mod tests {
         ) {
             let session = SessionId::root().child(SessionTag::new("leak", 0));
             let mut link = WireLink::default();
-            let mut metrics = Metrics::default();
             for bodies in &runs {
                 let mut decoded: Vec<Option<Vec<u8>>> = Vec::new();
-                link.round_trip_run(PartyId(0), &run_of(&session, bodies), &mut metrics, |_, _, p| {
+                round_trip(&mut link, PartyId(0), run_of(&session, bodies), |_, _, p| {
                     decoded.push(p.to_msg::<Vec<u8>>());
                 });
                 let expect: Vec<Option<Vec<u8>>> =
                     bodies.iter().map(|b| Some(b.clone())).collect();
                 proptest::prop_assert_eq!(decoded, expect);
             }
-            proptest::prop_assert_eq!(metrics.wire_malformed, 0);
+            proptest::prop_assert_eq!(link.metrics.wire_malformed, 0);
         }
     }
 
@@ -263,7 +301,11 @@ mod tests {
             drop(queue);
             let mut on_socket = Vec::new();
             write_bursts(&queued, &mut on_socket).unwrap();
-            proptest::prop_assert_eq!(WireLink::default().encode_run(from, &run), &on_socket[..]);
+            let mut link = WireLink::default();
+            for (seq, o) in (0..).zip(run.iter().cloned()) {
+                link.send(from, seq, o, |_, _, _, _| unreachable!("one run"));
+            }
+            proptest::prop_assert_eq!(&link.scratch[..], &on_socket[..]);
 
             let flat = |session: SessionId, payload: Payload| {
                 let mut frame = Vec::new();
@@ -272,7 +314,7 @@ mod tests {
             };
             let mut in_memory = Vec::new();
             let received = Arc::new(on_socket.clone());
-            receive_run(received, from, to, &mut Metrics::default(), |_, session, payload| {
+            receive_run(received, from, &mut Metrics::default(), |_, session, payload| {
                 in_memory.push(flat(session, payload));
             });
             proptest::prop_assert_eq!(in_memory.len(), run.len());
@@ -326,15 +368,9 @@ mod tests {
             crate::wire::write_frame(&mut burst, bytes);
             let mut metrics = Metrics::default();
             let mut handed_over = Vec::new();
-            receive_run(
-                Arc::new(burst),
-                PartyId(1),
-                PartyId(0),
-                &mut metrics,
-                |_, s, p| {
-                    handed_over.push((s, p));
-                },
-            );
+            receive_run(Arc::new(burst), PartyId(1), &mut metrics, |_, s, p| {
+                handed_over.push((s, p));
+            });
             assert_eq!(handed_over.len(), routable as usize, "{bytes:?}");
             assert_eq!(
                 metrics.wire_malformed, 1,
@@ -344,9 +380,17 @@ mod tests {
             // miss at the instance, nothing more.
             for (session, payload) in on_link.into_iter().chain(handed_over) {
                 assert_eq!(session, sid());
-                let mut host = crate::PartyHost::new(&config, 0);
-                host.spawn(sid(), Box::new(Pinger { heard: 0 }));
-                host.deliver(PartyId(1), session, payload, 0, None, None);
+                let (mut host, mut out) = (crate::PartyHost::new(&config, 0), Vec::new());
+                host.spawn(sid(), Box::new(Pinger { heard: 0 }), &mut out);
+                let env = crate::Envelope {
+                    from: PartyId(1),
+                    to: PartyId(0),
+                    session,
+                    payload,
+                    seq: 0,
+                    born_step: 0,
+                };
+                host.deliver(env, None, None, &mut out);
                 let misses: Vec<_> = host.metrics().decode_misses().collect();
                 assert_eq!(misses, [("wire:malformed", 1)], "{bytes:?}");
                 assert_eq!(host.metrics().delivered, 1);
@@ -366,24 +410,23 @@ mod tests {
         let mut large: Vec<Vec<u8>> = (0..17).map(|i| pattern(64 * 1024, i)).collect();
         large.extend([Vec::new(), vec![0xA5]]);
         let mut link = WireLink::default();
-        let mut metrics = Metrics::default();
         for bodies in [&large, &small, &large] {
-            let before = metrics.wire_bytes;
+            let before = link.metrics.wire_bytes;
             let mut decoded = Vec::new();
-            link.round_trip_run(
+            round_trip(
+                &mut link,
                 PartyId(0),
-                &run_of(&session, bodies),
-                &mut metrics,
+                run_of(&session, bodies),
                 |_, _, p| {
                     decoded.push(p.to_msg::<Vec<u8>>().expect("well-formed frame"));
                 },
             );
             assert!(decoded == *bodies, "bodies differ after the round trip");
             let carried: usize = bodies.iter().map(Vec::len).sum();
-            assert!(metrics.wire_bytes - before > carried as u64);
+            assert!(link.metrics.wire_bytes - before > carried as u64);
         }
-        assert!(metrics.wire_bytes > 2 * 1024 * 1024);
-        assert_eq!(metrics.wire_malformed, 0);
+        assert!(link.metrics.wire_bytes > 2 * 1024 * 1024);
+        assert_eq!(link.metrics.wire_malformed, 0);
     }
 
     #[test]
@@ -394,19 +437,22 @@ mod tests {
             session,
             payload: Payload::message(1u8),
         };
-        let run = [
-            outgoing(sid()),
+        let run = vec![
             outgoing(SessionId::root().child(SessionTag::new(kind, 0))),
+            outgoing(sid()),
         ];
         let mut link = WireLink::default();
-        let mut metrics = Metrics::default();
         let mut arrived = Vec::new();
-        link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
-            arrived.push(session);
+        round_trip(&mut link, PartyId(0), run, |seq, session, _| {
+            arrived.push((seq, session));
         });
-        assert_eq!(arrived, [sid()]);
         assert_eq!(
-            metrics.wire_malformed, 1,
+            arrived,
+            [(1, sid())],
+            "the refused frame's number goes unused"
+        );
+        assert_eq!(
+            link.metrics.wire_malformed, 1,
             "counted like any malformed header"
         );
     }
@@ -425,13 +471,12 @@ mod tests {
             })
             .collect();
         let mut link = WireLink::default();
-        let mut metrics = Metrics::default();
         let mut arrived = Vec::new();
-        link.round_trip_run(PartyId(0), &run, &mut metrics, |_, session, _| {
-            arrived.push(session);
+        round_trip(&mut link, PartyId(0), run, |seq, session, _| {
+            arrived.push((seq, session));
         });
-        assert_eq!(arrived, [SessionId::from_path(deep(1))]);
-        assert_eq!(metrics.wire_malformed, 3);
+        assert_eq!(arrived, [(3, SessionId::from_path(deep(1)))]);
+        assert_eq!(link.metrics.wire_malformed, 3);
     }
 
     #[test]

@@ -10,11 +10,14 @@
 # the text of its declaration — by name, so that a second one is a
 # conscious edit here, not a pattern that happened to match.
 #
-# The same goes for the per-party half of a delivery: counting a send
-# (`on_sent(`), numbering it and recording its `TraceEvent::Send` is
-# `aft_sim::PartyHost::drain_sends`, and the three hosts that run one
-# party at a time drive it. Either string in the non-test code of
-# shard.rs, threaded.rs or aft_partyd.rs is that half being written again.
+# The same goes for what happens at a party: dispatching a delivery and
+# recording its `TraceEvent::Deliver` / `Drop` is `aft_sim::PartyHost::
+# deliver`, counting a send (`on_sent(`), numbering it and recording its
+# `TraceEvent::Send` is `PartyHost::drain_sends`, and every engine drives
+# them. Any of those strings in the non-test code of an engine (network.rs,
+# async_rt.rs, wire_rt.rs, shard.rs, threaded.rs) or of aft_partyd.rs is
+# that half being written again; the split it was once written as
+# (`deliver_raw` / `account_delivery`) stays gone by name.
 #
 # And for the bytes between parties: one envelope writer and one reader, in
 # crates/sim/src/wire.rs (the third leg, at the end, says what it greps for).
@@ -49,15 +52,19 @@ if [[ -n $hits ]]; then
 fi
 echo "party-tables: none"
 
-for driver in crates/sim/src/shard.rs crates/sim/src/threaded.rs \
+for driver in crates/sim/src/{network,async_rt,wire_rt,shard,threaded}.rs \
     crates/bench/src/bin/aft_partyd.rs; do
     if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$driver" |
-        grep -E 'on_sent\(|TraceEvent::Send \{' >&2; then
-        echo "party-host: $driver accounts for sends itself (drive aft_sim::PartyHost)" >&2
+        grep -E 'on_sent\(|TraceEvent::(Send|Deliver|Drop) \{' >&2; then
+        echo "party-host: $driver accounts for a party itself (drive aft_sim::PartyHost)" >&2
         exit 1
     fi
 done
-echo "party-host: the drivers drive it"
+if grep -rnE 'deliver_raw|account_delivery' --include='*.rs' crates src tests >&2; then
+    echo "party-host: the dispatch/accounting split is back (PartyHost::deliver is one function)" >&2
+    exit 1
+fi
+echo "party-host: every engine drives it"
 
 # And for the envelope: `put_session(` / `get_session(` lay out and read the
 # routing header, and crates/sim/src/wire.rs is where that is done — once,

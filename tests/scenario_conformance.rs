@@ -521,28 +521,33 @@ fn tracing_is_bit_invisible_to_conformance() {
     }
 }
 
-/// The recorded causal message DAG is well-formed. On `sim` (globally
-/// ordered stream): every `Send.causal_parent` names a `Deliver` of the
-/// sending party that already appeared in the stream; every `Deliver`
-/// consumes a previously recorded `Send` of the same `seq`; and
-/// parentless (root) sends occur only in the spawn phase — never after
-/// the current episode has started delivering. On `sharded:4` (events
-/// flattened in party order at each barrier) the per-edge properties
-/// must still hold; the spawn-phase ordering is checked per party
-/// implicitly by the parent-precedes-child rule.
+/// The recorded causal message DAG is well-formed, and an envelope is
+/// named the same way on every backend. On `sim`, `wire` and `async`
+/// (one globally ordered stream): every `Send.causal_parent` names a
+/// `Deliver` of the sending party that already appeared in the stream;
+/// every `Deliver` consumes a previously recorded `Send` of the same `seq`
+/// with the same `(from, to, session)`; and parentless (root) sends occur
+/// only in the spawn phase — never after the current episode has started
+/// delivering. On `sharded:4` (events flattened in party order at each
+/// barrier) and `threaded` (OS interleaving) the per-edge properties must
+/// still hold; the spawn-phase ordering is checked per party implicitly by
+/// the parent-precedes-child rule. On every backend a sender numbers its
+/// sends `from, from + n, from + 2n, …` in the order it records them.
 #[test]
 fn recorded_causal_dag_is_well_formed() {
     use aft::core::scenarios::run_cell_traced;
     use aft::sim::{TraceEvent, TraceMode};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     let registry = standard_registry();
+    let n = 4;
     for (backend, strict_roots) in [
         ("sim", true),
         ("wire", true),
         ("async", true),
         ("sharded:4", false),
+        ("threaded", false),
     ] {
-        let spec = format!("n=4,t=1,corrupt=equivocate:10@2,sched=random,rt={backend}");
+        let spec = format!("n={n},t=1,corrupt=equivocate:10@2,sched=random,rt={backend}");
         let scenario = Scenario::parse(&spec).unwrap();
         let (_, events) = run_cell_traced(
             StackKind::SvssChain,
@@ -553,7 +558,8 @@ fn recorded_causal_dag_is_well_formed() {
         );
         assert!(!events.is_empty(), "{backend}: no events recorded");
         let mut delivered: HashSet<(aft::sim::PartyId, u64)> = HashSet::new();
-        let mut sent_seqs: HashSet<u64> = HashSet::new();
+        let mut sent = HashMap::new();
+        let mut next_seq: Vec<u64> = (0..n as u64).collect();
         let mut episode_delivering = false;
         for (i, ev) in events.iter().enumerate() {
             match ev {
@@ -562,11 +568,20 @@ fn recorded_causal_dag_is_well_formed() {
                 }
                 TraceEvent::Send {
                     from,
+                    to,
+                    session,
                     seq,
                     causal_parent,
                     ..
                 } => {
-                    sent_seqs.insert(*seq);
+                    assert_eq!(
+                        (*seq % n as u64, *seq),
+                        (from.0 as u64, next_seq[from.0]),
+                        "{backend} event {i}: party {from:?}'s sends are numbered \
+                         from, from + n, from + 2n, … in recording order"
+                    );
+                    next_seq[from.0] += n as u64;
+                    sent.insert(*seq, (*from, *to, session.clone()));
                     match causal_parent {
                         Some(cp) => assert!(
                             delivered.contains(&(*from, *cp)),
@@ -581,11 +596,18 @@ fn recorded_causal_dag_is_well_formed() {
                     }
                 }
                 TraceEvent::Deliver {
-                    party, step, seq, ..
+                    party,
+                    from,
+                    session,
+                    step,
+                    seq,
+                    ..
                 } => {
-                    assert!(
-                        sent_seqs.contains(seq),
-                        "{backend} event {i}: Deliver of seq {seq} precedes its Send"
+                    assert_eq!(
+                        sent.get(seq),
+                        Some(&(*from, *party, session.clone())),
+                        "{backend} event {i}: Deliver of seq {seq} joins no earlier Send \
+                         of the same (from, to, session)"
                     );
                     delivered.insert((*party, *step));
                     episode_delivering = true;
@@ -594,7 +616,7 @@ fn recorded_causal_dag_is_well_formed() {
             }
         }
         assert!(
-            !delivered.is_empty() && !sent_seqs.is_empty(),
+            !delivered.is_empty() && !sent.is_empty(),
             "{backend}: DAG must be non-trivial"
         );
     }
@@ -964,7 +986,7 @@ fn flight_recorder_jsonl_matches_its_pinned_digests() {
     const PINS: &[(&str, u64, usize)] = &[
         (
             "n=4,t=1,corrupt=adaptive:coin-favorite@*,sched=random,rt=sim",
-            0x6e410fb78d0f2f74,
+            0xcc0dbe51b847714a,
             1407,
         ),
         (
@@ -974,7 +996,7 @@ fn flight_recorder_jsonl_matches_its_pinned_digests() {
         ),
         (
             "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sim",
-            0xa7183b5b717b08dd,
+            0x47bceadfe5fe1741,
             1076,
         ),
         (
