@@ -99,10 +99,10 @@ pub(crate) fn write_bursts(queue: &Receiver<Arc<[u8]>>, w: &mut impl Write) -> i
 /// Reads [`write_frame`] frames, many per `read`.
 ///
 /// The socket is read into a private buffer; the whole frames a read
-/// completed are then moved, together, into one shared allocation of
+/// completed are then copied, together, into one shared `Arc<[u8]>` of
 /// exactly their size — a burst — and each is returned as a
-/// [`FrameBytes`] range of it by the walker `rt=wire` reads its runs
-/// with. So a burst of `k` envelopes costs one `read` and one
+/// [`FrameBytes`] range of it by the walker `rt=wire` reads its acts
+/// with. So a burst of `k` envelopes costs one `read`, one copy and one
 /// allocation, and an envelope a protocol holds on to keeps alive the
 /// burst it arrived in, not a read buffer.
 pub struct FrameReader<R> {
@@ -158,7 +158,7 @@ impl<R: Read> FrameReader<R> {
                 whole += 4 + len;
             }
             if whole > 0 {
-                self.burst = Burst::new(Arc::new(have[..whole].to_vec()));
+                self.burst = Burst::new(Arc::from(&have[..whole]));
                 self.start += whole;
             } else if self.fill(need)? == 0 {
                 return if self.start == self.end {

@@ -456,9 +456,9 @@ impl SimNetwork {
             }),
             Some(link) => {
                 at_party(hosts, tasks, sink, out, party, act, |seq, o| {
-                    link.send(party, seq, o, &mut push)
+                    link.send(party, seq, o)
                 });
-                link.flush(&mut push);
+                link.flush(push);
             }
         }
     }

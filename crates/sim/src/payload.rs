@@ -1,14 +1,19 @@
 //! Message payloads: typed fast path, inline small-box, lazy wire frames.
 //!
-//! A [`Payload`] is one of three representations:
+//! A [`Payload`] is 32 bytes (`Option<Payload>` too) in one of three
+//! representations:
 //!
-//! * **Typed** — a shared `Arc<dyn Any>` value, optionally carrying its
+//! * **Typed** — a shared `Arc<dyn Value>`, optionally carrying its
 //!   [`WireMessage`] identity so the wire boundary can serialize it.
 //!   Outputs ([`Context::output`]) and large messages live here; cloning
-//!   is an `Arc` bump.
-//! * **Inline** — the *encoded frame* of a small message (body ≤ 24
-//!   bytes) stored inline in the payload itself: no allocation per
-//!   message on the send path, and cloning is a 30-byte copy. Most
+//!   is an `Arc` bump. The Rust type name is read from the value's own
+//!   vtable, not stored beside it.
+//! * **Inline** — the encoded *body* of a small message (≤
+//!   [`INLINE_BODY_CAP`] = 22 bytes) stored in the payload itself beside
+//!   its kind's vtable and its length: no allocation per message on the
+//!   send path, and cloning is a 32-byte copy. No frame header is kept —
+//!   [`encode_wire_frame`](Payload::encode_wire_frame) writes it from the
+//!   kind and the length, and a view decodes the body directly. Most
 //!   protocol control messages (votes, acks, gather sets) take this
 //!   path.
 //! * **Wire** — a received byte frame, held as a [`FrameBytes`] range of
@@ -39,10 +44,9 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Maximum encoded *body* size stored inline (frame = 6-byte header +
-/// body).
-pub const INLINE_BODY_CAP: usize = 24;
-const INLINE_FRAME_CAP: usize = crate::wire::FRAME_HEADER_LEN + INLINE_BODY_CAP;
+/// Maximum encoded *body* size stored inline: what fits beside the
+/// variant tag, the length byte and the vtable pointer in 32 bytes.
+pub const INLINE_BODY_CAP: usize = 22;
 
 /// Diagnostic name reported for wire frames whose kind no registry entry
 /// explains.
@@ -51,26 +55,35 @@ const UNKNOWN_WIRE_KIND: &str = "wire:unknown";
 const MALFORMED_WIRE_FRAME: &str = "wire:malformed";
 /// A received wire frame: a byte range of a shared read buffer.
 ///
-/// A receiver holds a whole burst of envelopes in one contiguous buffer
-/// and hands each payload its frame as a range of that buffer — no
-/// per-frame `Vec`. Cloning bumps the `Arc`; the buffer is freed once
-/// every frame sliced from it is dropped.
+/// A receiver holds a whole burst of envelopes in one contiguous buffer —
+/// one `Arc<[u8]>` allocation, count and bytes together — and hands each
+/// payload its frame as a range of that buffer: no per-frame `Vec`.
+/// Cloning bumps the `Arc`; the buffer is freed once every frame sliced
+/// from it is dropped.
 #[derive(Clone)]
 pub struct FrameBytes {
-    buf: Arc<Vec<u8>>,
+    buf: Arc<[u8]>,
     start: u32,
     end: u32,
 }
 
 impl FrameBytes {
     /// Slices `buf[start..end]` as a frame. The range must be in bounds.
-    pub(crate) fn from_shared(buf: &Arc<Vec<u8>>, start: usize, end: usize) -> Self {
+    pub(crate) fn from_shared(buf: &Arc<[u8]>, start: usize, end: usize) -> Self {
         debug_assert!(start <= end && end <= buf.len());
+        // A burst is one act's sends or one socket read's frames: far below 4 GiB.
+        let narrow = |at: usize| u32::try_from(at).expect("burst offsets fit in u32");
         FrameBytes {
             buf: Arc::clone(buf),
-            start: start as u32,
-            end: end as u32,
+            start: narrow(start),
+            end: narrow(end),
         }
+    }
+
+    /// Whether `self` and `other` are ranges of one buffer.
+    #[cfg(test)]
+    pub(crate) fn shares_buffer_with(&self, other: &FrameBytes) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
     }
 
     /// Narrows the frame to its bytes from `at` on, in place — the same
@@ -91,9 +104,9 @@ impl From<Vec<u8>> for FrameBytes {
     /// Wraps an owned frame (the whole vector) — the path for frames
     /// that were not sliced out of a transport read buffer.
     fn from(frame: Vec<u8>) -> Self {
-        let end = frame.len() as u32;
+        let end = u32::try_from(frame.len()).expect("a frame fits in u32");
         FrameBytes {
-            buf: Arc::new(frame),
+            buf: frame.into(),
             start: 0,
             end,
         }
@@ -119,19 +132,32 @@ impl fmt::Debug for FrameBytes {
     }
 }
 
+/// What a typed payload holds: any shareable value, which names its own
+/// type through its vtable.
+trait Value: Any + Send + Sync {
+    fn type_name(&self) -> &'static str;
+}
+
+impl<T: Any + Send + Sync> Value for T {
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
 #[derive(Clone)]
 enum Repr {
     Typed {
-        value: Arc<dyn Any + Send + Sync>,
-        type_name: &'static str,
+        value: Arc<dyn Value>,
         /// Wire identity when constructed from a [`WireMessage`]
         /// (`None` for plain outputs, which never cross the wire).
         vt: Option<&'static WireVtable>,
     },
+    /// A small message's encoded body, `body[..len]`; the frame header
+    /// is `vt.kind` and `len`.
     Inline {
         vt: &'static WireVtable,
         len: u8,
-        buf: [u8; INLINE_FRAME_CAP],
+        body: [u8; INLINE_BODY_CAP],
     },
     Wire {
         frame: FrameBytes,
@@ -142,7 +168,7 @@ enum Repr {
 }
 
 /// A protocol message payload or instance output, in one of three
-/// representations: an inline frame, a shared typed value, or lazily
+/// representations: an inline body, a shared typed value, or lazily
 /// decoded wire bytes.
 ///
 /// ```
@@ -167,7 +193,7 @@ pub struct Payload(Repr);
 pub enum MsgView<'a, T> {
     /// Borrowed from an in-memory typed payload.
     Borrowed(&'a T),
-    /// Decoded on the fly from an inline or wire frame.
+    /// Decoded on the fly from an inline body or a wire frame.
     Owned(T),
 }
 
@@ -236,7 +262,6 @@ impl Payload {
     pub fn new<T: Any + Send + Sync>(value: T) -> Self {
         Payload(Repr::Typed {
             value: Arc::new(value),
-            type_name: std::any::type_name::<T>(),
             vt: None,
         })
     }
@@ -244,7 +269,7 @@ impl Payload {
     /// Wraps a protocol message, keeping its wire identity.
     ///
     /// Small messages (encoded body ≤ `INLINE_BODY_CAP` bytes) are
-    /// stored as inline frames — no allocation; larger ones share an
+    /// stored as inline bodies — no allocation; larger ones share an
     /// `Arc` and encode lazily at the wire boundary. Messages with an
     /// adversarial [`raw_frame`](WireMessage::raw_frame) stay typed so
     /// in-memory backends observe the same junk *values* the wire
@@ -264,11 +289,11 @@ impl Payload {
             let inline = ENCODE_SCRATCH.with(|scratch| {
                 let mut scratch = scratch.borrow_mut();
                 scratch.clear();
-                crate::wire::encode_frame(&value, &mut scratch);
+                value.encode_body(&mut scratch);
                 if hinted_inline {
                     debug_assert!(
-                        scratch.len() <= INLINE_FRAME_CAP,
-                        "{}::MAX_BODY_HINT understates its encoding ({} frame bytes)",
+                        scratch.len() <= INLINE_BODY_CAP,
+                        "{}::MAX_BODY_HINT understates its encoding ({} body bytes)",
                         T::KIND_NAME,
                         scratch.len(),
                     );
@@ -278,13 +303,13 @@ impl Payload {
                 // bound that keeps the copy below a few fixed moves
                 // (folding it away regressed this path ~30% by forcing
                 // an unbounded memcpy call).
-                if scratch.len() <= INLINE_FRAME_CAP {
-                    let mut buf = [0u8; INLINE_FRAME_CAP];
-                    buf[..scratch.len()].copy_from_slice(&scratch);
+                if scratch.len() <= INLINE_BODY_CAP {
+                    let mut body = [0u8; INLINE_BODY_CAP];
+                    body[..scratch.len()].copy_from_slice(&scratch);
                     Some(Repr::Inline {
                         vt: &T::VTABLE,
                         len: scratch.len() as u8,
-                        buf,
+                        body,
                     })
                 } else {
                     None
@@ -296,7 +321,6 @@ impl Payload {
         }
         Payload(Repr::Typed {
             value: Arc::new(value),
-            type_name: std::any::type_name::<T>(),
             vt: Some(&T::VTABLE),
         })
     }
@@ -312,22 +336,32 @@ impl Payload {
         Payload(Repr::Wire { frame, kind })
     }
 
+    /// The received frame a wire payload is a range of.
+    #[cfg(test)]
+    pub(crate) fn wire_frame(&self) -> Option<&FrameBytes> {
+        match &self.0 {
+            Repr::Wire { frame, .. } => Some(frame),
+            _ => None,
+        }
+    }
+
     /// Views the payload as message type `T`, uniformly across
-    /// representations: typed payloads borrow, inline/wire frames decode
-    /// through `T`'s own decoder (kind-checked first). Returns `None` —
-    /// and records a per-kind decode miss — for type-confused values,
-    /// kind mismatches and malformed bytes.
+    /// representations: typed payloads borrow, inline bodies and wire
+    /// frames decode through `T`'s own decoder (kind-checked first).
+    /// Returns `None` — and records a per-kind decode miss — for
+    /// type-confused values, kind mismatches and malformed bytes.
     pub fn view<T: WireMessage>(&self) -> Option<MsgView<'_, T>> {
         // Hits return from inside the match: collecting them in a local
         // first moved every view once more (+1.5 % CPU on `fba-n7-sim`).
         match &self.0 {
             Repr::Typed { value, .. } => {
-                if let Some(v) = value.as_ref().downcast_ref::<T>() {
+                let value: &dyn Any = value.as_ref();
+                if let Some(v) = value.downcast_ref::<T>() {
                     return Some(MsgView::Borrowed(v));
                 }
             }
-            Repr::Inline { vt, len, buf } if vt.kind == T::KIND => {
-                if let Some(v) = crate::wire::decode_frame_as::<T>(&buf[..*len as usize]) {
+            Repr::Inline { vt, len, body } if vt.kind == T::KIND => {
+                if let Some(v) = T::decode_body(&body[..*len as usize]) {
                     return Some(MsgView::Owned(v));
                 }
             }
@@ -351,13 +385,14 @@ impl Payload {
         })
     }
 
-    /// Borrows a *typed* payload as `T`. Wire and inline frames always
+    /// Borrows a *typed* payload as `T`. Wire frames and inline bodies always
     /// return `None` (use [`view`](Payload::view) for messages); a failed
     /// downcast during a delivery is recorded as a decode miss.
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         match &self.0 {
             Repr::Typed { value, .. } => {
-                let hit = value.as_ref().downcast_ref::<T>();
+                let value: &dyn Any = value.as_ref();
+                let hit = value.downcast_ref::<T>();
                 if hit.is_none() {
                     record_miss(self.type_name());
                 }
@@ -379,29 +414,31 @@ impl Payload {
         let Repr::Typed { value, .. } = &self.0 else {
             return None;
         };
-        Arc::clone(value).downcast().ok()
+        let value: Arc<dyn Any + Send + Sync> = value.clone();
+        value.downcast().ok()
     }
 
     /// Whether a *typed* payload holds a `T`.
     pub fn is<T: Any>(&self) -> bool {
         match &self.0 {
-            Repr::Typed { value, .. } => value.as_ref().is::<T>(),
+            Repr::Typed { value, .. } => {
+                let value: &dyn Any = value.as_ref();
+                value.is::<T>()
+            }
             _ => false,
         }
     }
 
     /// The payload's diagnostic name: the *kind name* whenever the
-    /// payload has a wire identity (typed messages, inline frames, and
+    /// payload has a wire identity (typed messages, inline bodies, and
     /// received wire frames — `wire:unknown` / `wire:malformed` when no
     /// registry entry explains received bytes), the Rust type name for
     /// plain typed values (outputs).
     pub fn type_name(&self) -> &'static str {
         match &self.0 {
-            Repr::Typed {
-                type_name,
-                vt: None,
-                ..
-            } => type_name,
+            // On the `dyn Value`, not the `Arc`: the blanket impl covers
+            // the `Arc` itself too.
+            Repr::Typed { value, vt: None } => value.as_ref().type_name(),
             Repr::Typed { vt: Some(vt), .. } => vt.name,
             Repr::Inline { vt, .. } => vt.name,
             Repr::Wire { kind: None, .. } => MALFORMED_WIRE_FRAME,
@@ -426,15 +463,17 @@ impl Payload {
     /// legitimately reach a wire boundary.
     pub fn encode_wire_frame(&self, out: &mut Vec<u8>) -> bool {
         match &self.0 {
-            Repr::Typed { value, vt, .. } => match vt {
+            Repr::Typed { value, vt } => match vt {
                 Some(vt) => {
                     (vt.encode_frame)(value.as_ref(), out);
                     true
                 }
                 None => false,
             },
-            Repr::Inline { len, buf, .. } => {
-                out.extend_from_slice(&buf[..*len as usize]);
+            Repr::Inline { vt, len, body } => {
+                out.extend_from_slice(&vt.kind.to_le_bytes());
+                out.extend_from_slice(&u32::from(*len).to_le_bytes());
+                out.extend_from_slice(&body[..*len as usize]);
                 true
             }
             Repr::Wire { frame, .. } => {
@@ -521,9 +560,46 @@ mod tests {
         assert_eq!(p.to_msg::<u64>(), Some(0xFEED));
         assert_eq!(p.type_name(), "u64");
         assert_eq!(p.wire_kind(), Some(<u64 as WireMessage>::KIND));
-        // Inline frames are not typed values.
+        // The header is rebuilt from the kind and the length.
+        let (mut frame, mut expect) = (Vec::new(), Vec::new());
+        assert!(p.encode_wire_frame(&mut frame));
+        encode_frame(&0xFEEDu64, &mut expect);
+        assert_eq!(frame, expect);
+        // Inline bodies are not typed values.
         assert_eq!(p.downcast_ref::<u64>(), None);
         drain_misses(None);
+    }
+
+    /// A payload rides in every in-flight envelope, every outgoing send
+    /// and every effect, so its size is paid once per message in each.
+    #[test]
+    fn payloads_and_what_carries_them_stay_within_their_byte_budget() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Payload>() <= 32,
+            "a payload is {} bytes, budget 32: shrink `Repr`'s largest arm — the \
+             inline body (`INLINE_BODY_CAP`), the typed value's handle and vtable, \
+             or the wire frame's range and kind",
+            size_of::<Payload>()
+        );
+        assert!(
+            size_of::<Option<Payload>>() <= 32,
+            "an optional payload is {} bytes, budget 32: `Repr`'s tag lost the \
+             spare values `Option` keeps its `None` in",
+            size_of::<Option<Payload>>()
+        );
+        assert!(
+            size_of::<crate::network::Envelope>() <= 72,
+            "an envelope is {} bytes, budget 72: shrink `Payload`, or `Envelope`'s \
+             endpoints, session, seq and born_step",
+            size_of::<crate::network::Envelope>()
+        );
+        assert!(
+            size_of::<crate::node::Outgoing>() <= 48,
+            "an outgoing send is {} bytes, budget 48: shrink `Payload`, or \
+             `Outgoing`'s destination and session",
+            size_of::<crate::node::Outgoing>()
+        );
     }
 
     #[test]
@@ -600,7 +676,7 @@ mod tests {
         encode_frame(&0x11u64, &mut buf);
         let first_len = buf.len();
         encode_frame(&0x22u64, &mut buf);
-        let shared = Arc::new(buf);
+        let shared: Arc<[u8]> = buf.into();
         let a = Payload::from_wire(FrameBytes::from_shared(&shared, 0, first_len));
         let b = Payload::from_wire(FrameBytes::from_shared(&shared, first_len, shared.len()));
         assert_eq!(a.to_msg::<u64>(), Some(0x11));

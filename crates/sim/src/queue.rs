@@ -16,9 +16,9 @@
 //!
 //! **Layout**: a batch is one slab record — `(from, to)` once, as `u32`s,
 //! its arrival position and the low half of its creation ordinal (16
-//! bytes), around either one inline [`Parcel`] (a 72-byte envelope
-//! without its endpoints: session, payload, `seq`, `born_step`) or a
-//! deque of them; a slab entry is 88 bytes. [`push`](Pending::push)
+//! bytes), around either one inline [`Parcel`] (a 56-byte envelope
+//! without its endpoints: session, 32-byte payload, `seq`, `born_step`)
+//! or a deque of them; a slab entry is 72 bytes. [`push`](Pending::push)
 //! splits an [`Envelope`] into its endpoints and its parcel and
 //! [`take`](Pending::take) puts one back together. The slab grows in
 //! bounded steps of an eighth plus 64 records, never by doubling, and a
@@ -41,10 +41,11 @@
 //! deepest epoch before it; everything keeps its allocation across that
 //! reset.
 //!
-//! At the `ba-n32-sim` peak (33 088 envelopes in flight) that is 99 bytes
-//! per in-flight envelope, 3.3 MB in all: its 88-byte slab entry, the
+//! At the `ba-n32-sim` peak (33 088 envelopes in flight) that is 82 bytes
+//! per in-flight envelope, 2.7 MB in all: its 72-byte slab entry, the
 //! slack of the last growth step (at most an eighth of that), and up to
-//! 8.5 bytes of list and index.
+//! 8.5 bytes of list and index. (It was 99 bytes while a payload was 48
+//! bytes and a slab entry 88.)
 //!
 //! [`Scheduler`]: crate::Scheduler
 
@@ -886,14 +887,14 @@ mod tests {
     fn records_stay_within_their_byte_budget() {
         use std::mem::size_of;
         assert!(
-            size_of::<Parcel>() <= 72,
-            "an in-flight envelope is {} bytes, budget 72: shrink `Parcel` — \
+            size_of::<Parcel>() <= 56,
+            "an in-flight envelope is {} bytes, budget 56: shrink `Parcel` — \
              its session, payload, seq and born_step; the endpoints live in the batch",
             size_of::<Parcel>()
         );
         assert!(
-            size_of::<Slot>() <= 88,
-            "a slab entry is {} bytes, budget 88: shrink `Record`'s header \
+            size_of::<Slot>() <= 72,
+            "a slab entry is {} bytes, budget 72: shrink `Record`'s header \
              (from, to, pos, created) or `Run` (one inline `Parcel`, or a deque)",
             size_of::<Slot>()
         );

@@ -481,16 +481,17 @@ pub fn write_frame(out: &mut Vec<u8>, bytes: &[u8]) {
     frame_with(out, |out| out.extend_from_slice(bytes));
 }
 
-/// Walks a burst — whole link frames back to back in one shared buffer —
-/// yielding each frame's contents as a [`FrameBytes`] range of it. Ends
-/// at the first prefix that is short or promises more than is there.
+/// Walks a burst — whole link frames back to back in one shared buffer,
+/// one allocation — yielding each frame's contents as a [`FrameBytes`]
+/// range of it. Ends at the first prefix that is short or promises more
+/// than is there.
 pub(crate) struct Burst {
-    bytes: Arc<Vec<u8>>,
+    bytes: Arc<[u8]>,
     next: usize,
 }
 
 impl Burst {
-    pub(crate) fn new(bytes: Arc<Vec<u8>>) -> Self {
+    pub(crate) fn new(bytes: Arc<[u8]>) -> Self {
         Burst { bytes, next: 0 }
     }
 }

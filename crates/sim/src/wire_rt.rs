@@ -2,14 +2,16 @@
 //!
 //! An `rt=wire` [`SimNetwork`](crate::SimNetwork) is the same
 //! deterministic scheduling machinery as `rt=sim`, but parties exchange
-//! *bytes*, not values: every same-destination run of envelopes a party
-//! emits goes through the network's [`WireLink`], numbered by the party's
-//! host before it gets there, where it is
+//! *bytes*, not values: everything a party sends in one act — one
+//! delivery or one spawn — goes through the network's [`WireLink`],
+//! sorted by destination and numbered by the party's host before it gets
+//! there, where it is
 //!
 //! 1. **encoded as link frames** — per envelope one
 //!    `[len][from][session][payload frame]`, byte for byte what an
 //!    `aft-partyd` link's writer puts on its socket for the same sends
-//!    (the format is [`wire`](crate::wire)'s, §The envelope);
+//!    (the format is [`wire`](crate::wire)'s, §The envelope), so the act
+//!    is, in destination order, what each receiver's link would carry;
 //! 2. **handed over as bytes**: the receiving side gets a copy of exactly
 //!    the encoded bytes, in a buffer of its own, and reads nothing else
 //!    (instance state stays in-process so deployments remain
@@ -22,14 +24,18 @@
 //!    Each receiver gets a [`Payload`] wire frame *sliced* out of the
 //!    received buffer (no per-frame copy) that only becomes a typed
 //!    message when an instance [`view`](Payload::view)s it through its
-//!    own kind-checked decoder. The number travels by position: frame
-//!    `i` of the burst is the run's envelope `i`, and a refused frame
-//!    leaves its number unused.
+//!    own kind-checked decoder. Destination and number travel by
+//!    position: frame `i` of the act is its send `i`, and a refused
+//!    frame leaves its number unused.
 //!
-//! A run costs one buffer, sized to it and freed when its last frame is
-//! dropped; [`get_session`](crate::wire::get_session)'s decoded-path
-//! cache amortizes the interner lookups across runs, and nothing is
-//! looked up per frame for a kind's name.
+//! An act costs one buffer — one `Arc<[u8]>` allocation, sized to it and
+//! freed when its last frame is dropped. Receivers sharing that buffer
+//! still read exactly their own frames: a payload is a [`FrameBytes`]
+//! range that starts behind its own envelope's routing header and ends
+//! with its own frame, and nothing reads a byte outside it.
+//! [`get_session`](crate::wire::get_session)'s decoded-path cache
+//! amortizes the interner lookups across acts, and nothing is looked up
+//! per frame for a kind's name.
 //!
 //! Because the schedule depends only on envelope *metadata* (never on
 //! payload representation), a wire run is bit-for-bit identical to the
@@ -43,6 +49,8 @@
 //!
 //! Build one with [`runtime_by_name`](crate::runtime_by_name)
 //! (`"wire"`, `"wire:<scheduler>"`).
+//!
+//! [`FrameBytes`]: crate::FrameBytes
 
 use crate::ids::{PartyId, SessionId};
 use crate::node::Outgoing;
@@ -52,75 +60,70 @@ use crate::wire::{decode_link_envelope, frame_with, put_envelope, Burst};
 use std::sync::Arc;
 
 /// The byte boundary [`SimNetwork`] routes sends through when it runs
-/// in wire mode: one sender's end of a link and the receiver's, with the
-/// hand-over in between. A run — what one party sends one receiver in a
-/// row — crosses as one burst of link frames.
+/// in wire mode: one sender's ends of its links and the receivers', with
+/// the hand-over in between. An act — everything one party sends for one
+/// delivery or spawn, destination-sorted — crosses as one burst of link
+/// frames.
 #[derive(Default)]
 pub(crate) struct WireLink {
-    /// The open run's link frames, back to back — what a socket would
-    /// carry; reused across runs. The receiving side never sees it, only
-    /// an exact copy of its bytes.
+    /// The open act's link frames, back to back — what the sender's
+    /// sockets would carry, one receiver after the other; reused across
+    /// acts. The receiving side never sees it, only an exact copy of its
+    /// bytes.
     scratch: Vec<u8>,
-    /// The sender's numbers for the open run's envelopes, frame `i`'s at
-    /// `i`.
-    seqs: Vec<u64>,
-    /// The open run's sender and receiver.
+    /// Frame `i`'s receiver and the sender's number for it, at `i`.
+    sends: Vec<(PartyId, u64)>,
+    /// The open act's sender.
     from: PartyId,
-    to: PartyId,
     /// What crossed so far: frames, bytes, malformed arrivals.
     pub(crate) metrics: Metrics,
 }
 
 impl WireLink {
-    /// Appends send number `seq` of `from` to the open run as a link
-    /// frame, first handing the open run over (see
-    /// [`flush`](WireLink::flush)) if it runs between other parties.
-    pub(crate) fn send(
-        &mut self,
-        from: PartyId,
-        seq: u64,
-        o: Outgoing,
-        deliver: impl FnMut(PartyId, u64, SessionId, Payload),
-    ) {
-        if (from, o.to) != (self.from, self.to) {
-            self.flush(deliver);
-            (self.from, self.to) = (from, o.to);
-        }
+    /// Appends send number `seq` of `from` to the open act as a link
+    /// frame. Every send of an act is `from`'s.
+    pub(crate) fn send(&mut self, from: PartyId, seq: u64, o: Outgoing) {
+        debug_assert!(
+            self.sends.is_empty() || self.from == from,
+            "one act, one sender"
+        );
+        self.from = from;
         frame_with(&mut self.scratch, |out| {
             // Without a wire identity the payload travels as a marker the
             // receiver drops observably, instead of the runtime panicking.
             let wire = put_envelope(out, from, &o.session, &o.payload);
             debug_assert!(wire, "non-wire payload sent on the wire runtime");
         });
-        self.seqs.push(seq);
+        self.sends.push((o.to, seq));
     }
 
-    /// Hands the open run over: the receiving side gets a copy of exactly
-    /// its bytes, in a buffer sized to the run and freed with its last
-    /// frame, and passes each `(to, seq, session, payload)` [`receive_run`]
-    /// reads from the copy to `deliver` in order — `seq` the number of the
-    /// frame's envelope.
+    /// Hands the open act over: the receiving side gets a copy of exactly
+    /// its bytes, in one buffer sized to the act and freed with its last
+    /// frame, and passes each `(to, seq, session, payload)` [`receive_act`]
+    /// reads from the copy to `deliver` in order — `to` and `seq` those
+    /// of the frame's send.
     pub(crate) fn flush(&mut self, mut deliver: impl FnMut(PartyId, u64, SessionId, Payload)) {
-        if self.seqs.is_empty() {
+        if self.sends.is_empty() {
             return;
         }
-        let received = Arc::new(self.scratch.to_vec());
+        let received = Arc::from(&self.scratch[..]);
         self.scratch.clear();
-        self.metrics.wire_frames += self.seqs.len() as u64;
-        let (to, seqs) = (self.to, &self.seqs);
-        receive_run(
+        self.metrics.wire_frames += self.sends.len() as u64;
+        let sends = &self.sends;
+        receive_act(
             received,
             self.from,
             &mut self.metrics,
             |i, session, payload| {
-                deliver(to, seqs[i], session, payload);
+                let (to, seq) = sends[i];
+                deliver(to, seq, session, payload);
             },
         );
-        self.seqs.clear();
+        self.sends.clear();
     }
 }
 
-/// The receiving end of the link from `from`: walks the received burst
+/// The receiving ends of the links from `from`: walks the received burst
 /// and decodes each link frame as a socket's reader does, owner check
 /// included, passing `deliver` the frame's position in the burst with
 /// what it read. The payloads are lazily decoded wire frames sliced
@@ -129,8 +132,8 @@ impl WireLink {
 /// honest view will ever match — counted, never panicking; an envelope
 /// whose routing header is refused, as a peer's socket would refuse it,
 /// is counted and not delivered.
-fn receive_run(
-    received: Arc<Vec<u8>>,
+fn receive_act(
+    received: Arc<[u8]>,
     from: PartyId,
     metrics: &mut Metrics,
     mut deliver: impl FnMut(usize, SessionId, Payload),
@@ -208,19 +211,18 @@ mod tests {
     }
 
     /// Sends `run` over `link` as consecutive sends of `from`, numbered
-    /// from 0, and hands it over; passes `(seq, session, payload)` of
-    /// each envelope that arrives to `deliver`.
+    /// from 0, and hands it over as one act; passes `(seq, session,
+    /// payload)` of each envelope that arrives to `deliver`.
     fn round_trip(
         link: &mut WireLink,
         from: PartyId,
         run: Vec<Outgoing>,
         mut deliver: impl FnMut(u64, SessionId, Payload),
     ) {
-        let mut arrived = |_, seq, session, payload| deliver(seq, session, payload);
         for (seq, o) in (0..).zip(run) {
-            link.send(from, seq, o, &mut arrived);
+            link.send(from, seq, o);
         }
-        link.flush(&mut arrived);
+        link.flush(|_, seq, session, payload| deliver(seq, session, payload));
     }
 
     proptest::proptest! {
@@ -267,11 +269,12 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// One envelope on the wire: the bytes `rt=wire` hands over for a
-        /// run are the bytes an `aft-partyd` link's writer puts on its
-        /// socket for the same sends, and a socket's reader — whatever the
-        /// reads it gets them in — yields the `(session, payload)`
-        /// sequence the in-memory walk yields.
+        /// One envelope on the wire: the bytes `rt=wire` hands over for an
+        /// act are, receiver by receiver in destination order, the bytes
+        /// an `aft-partyd` link's writer puts on that receiver's socket for
+        /// the same sends, and a socket's reader — whatever the reads it
+        /// gets them in — yields the `(session, payload)` sequence the
+        /// in-memory walk yields.
         #[test]
         fn a_run_is_byte_for_byte_what_a_link_carries_and_reads_back_alike(
             bodies in proptest::collection::vec(
@@ -279,33 +282,41 @@ mod tests {
                 1..12,
             ),
             picks in proptest::collection::vec(0u64..5, 12),
+            receivers in proptest::collection::vec(0usize..4, 12),
         ) {
             use crate::deploy::{write_bursts, FrameReader};
-            let (from, to) = (PartyId(2), PartyId(0));
-            let run: Vec<Outgoing> = bodies.iter().zip(&picks).map(|(body, &pick)| Outgoing {
-                to,
-                session: sid().child(SessionTag::new("stmt", pick)),
-                payload: match body.len() % 3 {
-                    0 => Payload::message(body.len() as u64),
-                    _ => Payload::message(body.clone()),
-                },
-            }).collect();
-            // The daemon's way: encode each envelope, queue it, let the
-            // link's writer frame and write the burst.
-            let (queue, queued) = std::sync::mpsc::channel::<Arc<[u8]>>();
-            for o in &run {
-                let mut envelope = Vec::new();
-                assert!(crate::encode_envelope(from, &o.session, &o.payload, &mut envelope));
-                queue.send(envelope.into()).unwrap();
+            let from = PartyId(2);
+            let mut act: Vec<Outgoing> = bodies.iter().zip(&picks).zip(&receivers)
+                .map(|((body, &pick), &to)| Outgoing {
+                    to: PartyId(to),
+                    session: sid().child(SessionTag::new("stmt", pick)),
+                    payload: match body.len() % 3 {
+                        0 => Payload::message(body.len() as u64),
+                        _ => Payload::message(body.clone()),
+                    },
+                })
+                .collect();
+            // As a party's host hands an act on: stably sorted by receiver.
+            act.sort_by_key(|o| o.to.0);
+            // The daemon's way, one link per receiver: encode each
+            // envelope, queue it, let the link's writer frame and write
+            // the burst.
+            let mut on_sockets = Vec::new();
+            for to in 0..4 {
+                let (queue, queued) = std::sync::mpsc::channel::<Arc<[u8]>>();
+                for o in act.iter().filter(|o| o.to == PartyId(to)) {
+                    let mut envelope = Vec::new();
+                    assert!(crate::encode_envelope(from, &o.session, &o.payload, &mut envelope));
+                    queue.send(envelope.into()).unwrap();
+                }
+                drop(queue);
+                write_bursts(&queued, &mut on_sockets).unwrap();
             }
-            drop(queue);
-            let mut on_socket = Vec::new();
-            write_bursts(&queued, &mut on_socket).unwrap();
             let mut link = WireLink::default();
-            for (seq, o) in (0..).zip(run.iter().cloned()) {
-                link.send(from, seq, o, |_, _, _, _| unreachable!("one run"));
+            for (seq, o) in (0..).zip(act.iter().cloned()) {
+                link.send(from, seq, o);
             }
-            proptest::prop_assert_eq!(&link.scratch[..], &on_socket[..]);
+            proptest::prop_assert_eq!(&link.scratch[..], &on_sockets[..]);
 
             let flat = |session: SessionId, payload: Payload| {
                 let mut frame = Vec::new();
@@ -313,13 +324,15 @@ mod tests {
                 (session, frame)
             };
             let mut in_memory = Vec::new();
-            let received = Arc::new(on_socket.clone());
-            receive_run(received, from, &mut Metrics::default(), |_, session, payload| {
+            let mut arrived = Vec::new();
+            link.flush(|to, seq, session, payload| {
+                arrived.push((to, seq));
                 in_memory.push(flat(session, payload));
             });
-            proptest::prop_assert_eq!(in_memory.len(), run.len());
+            let sent: Vec<(PartyId, u64)> = (0..).zip(&act).map(|(seq, o)| (o.to, seq)).collect();
+            proptest::prop_assert_eq!(arrived, sent);
             for chunk in [1, 7, 8192] {
-                let mut frames = FrameReader::new(Chunked(&on_socket, chunk));
+                let mut frames = FrameReader::new(Chunked(&on_sockets, chunk));
                 let mut off_socket = Vec::new();
                 while let Some(frame) = frames.read_frame().unwrap() {
                     let (session, payload) = decode_link_envelope(from, frame).expect("routable");
@@ -363,12 +376,12 @@ mod tests {
             // As `aft-partyd` reads it off a link ...
             let on_link = decode_link_envelope(PartyId(1), FrameBytes::from(bytes.to_vec()));
             assert_eq!(on_link.is_some(), routable, "{bytes:?}");
-            // ... and as `rt=wire` reads it out of a run.
+            // ... and as `rt=wire` reads it out of an act.
             let mut burst = Vec::new();
             crate::wire::write_frame(&mut burst, bytes);
             let mut metrics = Metrics::default();
             let mut handed_over = Vec::new();
-            receive_run(Arc::new(burst), PartyId(1), &mut metrics, |_, s, p| {
+            receive_act(burst.into(), PartyId(1), &mut metrics, |_, s, p| {
                 handed_over.push((s, p));
             });
             assert_eq!(handed_over.len(), routable as usize, "{bytes:?}");
@@ -454,6 +467,68 @@ mod tests {
         assert_eq!(
             link.metrics.wire_malformed, 1,
             "counted like any malformed header"
+        );
+    }
+
+    #[test]
+    fn one_act_is_one_buffer_and_arrives_as_one_hand_over_per_run_did() {
+        let kind: &'static str = Box::leak("k".repeat(crate::wire::MAX_KIND_LEN + 1).into());
+        let send = |to: usize, session: SessionId, ping: u8| Outgoing {
+            to: PartyId(to),
+            session,
+            payload: Payload::message(ping),
+        };
+        // Three receivers, destination-sorted; the fourth frame's session
+        // is refused at the routing header.
+        let act = vec![
+            send(1, sid(), 1),
+            send(1, sid().child(SessionTag::new("sub", 1)), 2),
+            send(2, sid(), 3),
+            send(2, SessionId::root().child(SessionTag::new(kind, 0)), 4),
+            send(2, sid(), 5),
+            send(3, sid(), 6),
+        ];
+        let from = PartyId(0);
+        // One hand-over per same-receiver run, as before acts were whole.
+        let mut per_run = WireLink::default();
+        let mut run_arrivals = Vec::new();
+        let mut arrive = |to: PartyId, seq: u64, session: SessionId, _: Payload| {
+            run_arrivals.push((to, seq, session));
+        };
+        for (seq, o) in (0..).zip(act.clone()) {
+            if per_run.sends.last().is_some_and(|&(to, _)| to != o.to) {
+                per_run.flush(&mut arrive);
+            }
+            per_run.send(from, seq, o);
+        }
+        per_run.flush(&mut arrive);
+
+        let mut link = WireLink::default();
+        let (mut arrivals, mut payloads) = (Vec::new(), Vec::new());
+        for (seq, o) in (0..).zip(act) {
+            link.send(from, seq, o);
+        }
+        link.flush(|to, seq, session, payload| {
+            arrivals.push((to, seq, session));
+            payloads.push(payload);
+        });
+        assert_eq!(arrivals, run_arrivals);
+        let seqs: Vec<u64> = arrivals.iter().map(|&(_, seq, _)| seq).collect();
+        assert_eq!(
+            seqs,
+            [0, 1, 2, 4, 5],
+            "the refused frame's number goes unused"
+        );
+        let counts = |m: &Metrics| (m.wire_frames, m.wire_bytes, m.wire_malformed);
+        assert_eq!(counts(&link.metrics), counts(&per_run.metrics));
+        assert_eq!(counts(&link.metrics).0, 6);
+        let frames: Vec<&FrameBytes> = payloads
+            .iter()
+            .map(|p| p.wire_frame().expect("received bytes"))
+            .collect();
+        assert!(
+            frames.iter().all(|f| f.shares_buffer_with(frames[0])),
+            "every receiver's payload is a range of the act's one buffer"
         );
     }
 

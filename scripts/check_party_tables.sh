@@ -85,3 +85,16 @@ if grep -rnE 'write_batch|read_batch|kind_name_cached' --include='*.rs' crates s
     exit 1
 fi
 echo "one-envelope: one writer, one reader"
+
+# And for what a burst costs: a received burst — an `rt=wire` act, a socket
+# read's whole frames, a nested cluster envelope — is one `Arc<[u8]>`, count
+# and bytes in one allocation. An `Arc<Vec<u8>>` in the non-test code of
+# aft-sim or aft-bench is the second allocation per burst coming back.
+for src in $(grep -rlF 'Arc<Vec<u8>>' --include='*.rs' crates/sim/src crates/bench/src); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
+        grep -F 'Arc<Vec<u8>>' >&2; then
+        echo "one-allocation: $src holds bytes in an Arc<Vec<u8>> (use Arc<[u8]>: one allocation per burst)" >&2
+        exit 1
+    fi
+done
+echo "one-allocation: every burst is one Arc<[u8]>"

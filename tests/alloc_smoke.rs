@@ -18,7 +18,9 @@
 //! the strong coin over SVSS keeps its per-party state in inline party
 //! sets, tallies and small polynomials, and the window pins what a
 //! delivered message then costs (0.59 allocations at n=4; 1.31 while that
-//! state lived in `Vec`s, 1.86 with hash tables). And a share-phase
+//! state lived in `Vec`s, 1.86 with hash tables), and what it costs on
+//! `rt=wire`, where each act's sends cross in one buffer (0.93; 2.40 at
+//! two allocations per same-receiver run). And a share-phase
 //! instance flooded with votes that name no party must not allocate at
 //! all — its state cannot grow with what a faulty peer sends.
 //!
@@ -42,8 +44,8 @@ use aft::broadcast::{Acast, AcastMsg};
 use aft::core::{CoinKind, FairChoiceParams, Fba};
 use aft::field::{Fp, Poly};
 use aft::sim::{
-    Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, SessionId, SessionTag,
-    SimNetwork,
+    runtime_by_name, Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, SessionId,
+    SessionTag, SimNetwork,
 };
 use aft::svss::{ShareMsg, SvssShare};
 
@@ -235,7 +237,9 @@ fn fba_episode_allocations_per_message_are_pinned() {
 }
 
 /// Allocations per delivered message of the n=4 FBA episode above: the
-/// bound (0.593 measured — 23 434 for 39 512 deliveries — plus 5 %), what
+/// bound (0.593 measured — 23 434 for 39 512 deliveries — plus 5 %; 0.596
+/// since a payload's inline body holds 22 bytes, not 24, which an n=4
+/// `ba-gather` needs), what
 /// the same episode cost while every `PartySet`, `Tally` and `Poly` owned
 /// a `Vec` and each share bundle was copied three times (the bound then
 /// was 1.4), and what it cost while `SvssShare`, `SvssRec`, the weak coin
@@ -244,6 +248,55 @@ fn fba_episode_allocations_per_message_are_pinned() {
 const FBA_ALLOCS_PER_MESSAGE: f64 = 0.623;
 const FBA_ALLOCS_PER_MESSAGE_HEAP_STATE: f64 = 1.31;
 const FBA_ALLOCS_PER_MESSAGE_HASHED: f64 = 1.86;
+
+#[test]
+fn wire_fba_episode_allocations_per_message_are_pinned() {
+    let _guard = WINDOW.lock().unwrap();
+    let sid = SessionId::root().child(SessionTag::new("alloc-fba-wire", 0));
+    let episode = || {
+        let config = NetConfig::new(4, 1, 1001);
+        let mut net = runtime_by_name("wire:random", config).expect("a wire backend");
+        for p in 0..4 {
+            net.spawn(
+                PartyId(p),
+                sid.clone(),
+                Box::new(Fba::new(
+                    format!("v{p}"),
+                    FairChoiceParams::FixedK { k: 1 },
+                    CoinKind::WeakShared,
+                )),
+            );
+        }
+        net
+    };
+    // Intern the session tree and size the link's encode buffer with a
+    // throwaway episode of the same shape.
+    episode().run(u64::MAX);
+
+    let mut net = episode();
+    let (allocs, report) = count_allocs(|| net.run(u64::MAX));
+    assert_eq!(
+        report.metrics.wire_frames, report.metrics.sent,
+        "every send crossed"
+    );
+    let delivered = report.metrics.delivered.max(1);
+    let per_message = allocs as f64 / delivered as f64;
+    assert!(
+        per_message < WIRE_FBA_ALLOCS_PER_MESSAGE,
+        "the FBA episode on rt=wire allocated {allocs} times for {delivered} deliveries \
+         ({per_message:.3}/msg, bound {WIRE_FBA_ALLOCS_PER_MESSAGE}) — the hand-over should \
+         cost one buffer per act; with an `Arc` around a `Vec` per same-receiver run it \
+         was {WIRE_FBA_ALLOCS_PER_MESSAGE_PER_RUN}"
+    );
+}
+
+/// Allocations per delivered message of the n=4 FBA episode above on
+/// `rt=wire`: the bound (0.931 measured — 36 770 for 39 512 deliveries —
+/// plus 5 %), and what the same episode cost while every same-receiver
+/// run was handed over in an `Arc` around a `Vec` of its own, two
+/// allocations each (94 899, measured on the commit before it went).
+const WIRE_FBA_ALLOCS_PER_MESSAGE: f64 = 0.977;
+const WIRE_FBA_ALLOCS_PER_MESSAGE_PER_RUN: f64 = 2.402;
 
 #[test]
 fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
@@ -273,17 +326,21 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
         per_envelope < BA_N32_PEAK_BYTES_PER_IN_FLIGHT,
         "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
          ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
-         queue's records or side arrays grew; on 104-byte records doubled in a slab it was \
-         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
+         queue's records or side arrays, or the payload, grew; with a 48-byte payload in \
+         88-byte slab entries it was {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD}, on \
+         104-byte records doubled in a slab {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
     );
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (188.9 measured — 6 251 284 bytes at 33 088 in flight — plus a
-/// tenth), and what the same run cost while each batch was a 104-byte
-/// slab record in a doubling `Vec`, beside a tombstone list, a free list
-/// and a compaction scratch (measured on the commit before it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 208.0;
+/// bound (162.4 measured — 5 374 708 bytes at 33 088 in flight — plus a
+/// tenth); what the same run cost while a `Payload` was 48 bytes, so a
+/// slab entry 88 (188.9); and what it cost while each batch was a
+/// 104-byte slab record in a doubling `Vec`, beside a tombstone list, a
+/// free list and a compaction scratch (each measured on the commit before
+/// it went).
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 179.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD: f64 = 188.9;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED: f64 = 329.7;
 
 #[test]
