@@ -162,6 +162,7 @@ impl aft_sim::WireMessage for FakeDecide {
     }
 }
 
+// never retires: a Byzantine behaviour with no state to free.
 impl Instance for RandomVoter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let n = ctx.n();
@@ -209,6 +210,7 @@ impl FixedVoter {
     }
 }
 
+// never retires: a Byzantine behaviour with no state to free.
 impl Instance for FixedVoter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let n = ctx.n();

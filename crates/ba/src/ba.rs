@@ -417,6 +417,8 @@ impl BinaryBa {
     }
 }
 
+// never retires: once halted it drops messages without viewing them, where a
+// retired reader views each (a garbled frame would become a decode miss).
 impl Instance for BinaryBa {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.est = self.input;

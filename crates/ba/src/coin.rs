@@ -218,6 +218,8 @@ impl WeakCoinInstance {
     }
 }
 
+// never retires: it spawns a reconstruction for every dealing that completes,
+// however long after its own output.
 impl Instance for WeakCoinInstance {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let me = ctx.me();

@@ -170,6 +170,10 @@ impl<V: Value> Tally<V> {
 /// [`Acast::receiver`] for everyone else, then spawn on a
 /// [`aft_sim::SimNetwork`] under a common session id. The instance outputs
 /// the delivered value of type `V`.
+///
+/// Once it has echoed, readied and delivered it has no step left — each
+/// of the three happens once — so it [retires](Context::retire) then,
+/// and its tallies are freed mid-run.
 pub struct Acast<V> {
     sender: PartyId,
     input: Option<V>,
@@ -206,6 +210,14 @@ impl<V: Value> Acast<V> {
         if !self.readied {
             self.readied = true;
             ctx.send_all(AcastMsg::Ready(v.clone()));
+            self.retire_if_spent(ctx);
+        }
+    }
+
+    /// Called where a flag flips: the last of the three retires.
+    fn retire_if_spent(&self, ctx: &mut Context<'_>) {
+        if self.echoed && self.readied && self.delivered {
+            ctx.retire::<AcastMsg<V>>(self);
         }
     }
 }
@@ -230,6 +242,7 @@ impl<V: Value> Instance for Acast<V> {
                 if from == self.sender && !self.echoed {
                     self.echoed = true;
                     ctx.send_all(AcastMsg::Echo(v.clone()));
+                    self.retire_if_spent(ctx);
                 }
             }
             AcastMsg::Echo(v) => {
@@ -247,6 +260,7 @@ impl<V: Value> Instance for Acast<V> {
                     if count >= n - t && !self.delivered {
                         self.delivered = true;
                         ctx.output(v.clone());
+                        self.retire_if_spent(ctx);
                     }
                 }
             }
@@ -278,6 +292,8 @@ impl<V: Value> EquivocatingSender<V> {
     }
 }
 
+// never retires: a wrapper; the honest A-Cast it forwards to retires as
+// its own type, which is not this one.
 impl<V: Value> Instance for EquivocatingSender<V> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for p in ctx.parties().collect::<Vec<_>>() {
@@ -300,7 +316,8 @@ impl<V: Value> Instance for EquivocatingSender<V> {
 mod tests {
     use super::*;
     use aft_sim::{
-        scheduler_by_name, NetConfig, SessionId, SessionTag, SilentInstance, SimNetwork, StopReason,
+        party_node, scheduler_by_name, NetConfig, Outgoing, SessionId, SessionTag, SilentInstance,
+        SimNetwork, StopReason,
     };
 
     fn sid() -> SessionId {
@@ -565,6 +582,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Delivers `msgs` to `node` at `sid`, one by one.
+    fn feed(
+        node: &mut aft_sim::Node,
+        sid: &SessionId,
+        msgs: &[(usize, AcastMsg<u8>)],
+    ) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        for (from, msg) in msgs {
+            node.deliver(
+                PartyId(*from),
+                sid.clone(),
+                Payload::message(msg.clone()),
+                &mut out,
+            );
+        }
+        out
+    }
+
+    fn delivered(node: &aft_sim::Node) -> Option<u8> {
+        node.output(&sid())?.downcast_ref::<u8>().copied()
+    }
+
+    #[test]
+    fn an_acast_retires_after_its_last_obligation_not_its_output() {
+        let (n, t) = (7, 2);
+        let mut node = party_node(&NetConfig::new(n, t, 3), 1);
+        let _ = node.spawn(sid(), Box::new(Acast::<u8>::receiver(PartyId(0))));
+        // 2t + 1 readies before the sender's `Send`: ready and deliver …
+        let readies: Vec<_> = (2..2 * t + 3).map(|p| (p, AcastMsg::Ready(4))).collect();
+        let out = feed(&mut node, &sid(), &readies);
+        assert_eq!(out.len(), n, "its own ready, to everyone");
+        assert_eq!(delivered(&node), Some(4));
+        assert_eq!(node.retired_count(), 0, "an echo is still owed");
+        // … and the late `Send` is still echoed, after which it is spent.
+        let out = feed(&mut node, &sid(), &[(0, AcastMsg::Send(4))]);
+        assert_eq!(out.len(), n, "its echo, to everyone");
+        let echo = |o: &Outgoing| o.payload.to_msg::<AcastMsg<u8>>() == Some(AcastMsg::Echo(4));
+        assert!(out.iter().all(echo));
+        assert_eq!(node.retired_count(), 1);
+        assert!(feed(&mut node, &sid(), &[(0, AcastMsg::Send(4))]).is_empty());
+    }
+
+    #[test]
+    fn a_wrapper_is_not_retired_by_the_acast_it_wraps() {
+        /// Forwards to an honest A-Cast and, once that has delivered,
+        /// answers every message.
+        struct Answering(Acast<u8>);
+        impl Instance for Answering {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.0.on_start(ctx);
+            }
+            fn on_message(&mut self, from: PartyId, payload: &Payload, ctx: &mut Context<'_>) {
+                self.0.on_message(from, payload, ctx);
+                if self.0.delivered {
+                    ctx.send(from, 0u64);
+                }
+            }
+        }
+        let (n, t) = (4, 1);
+        let mut node = party_node(&NetConfig::new(n, t, 3), 1);
+        let wrapped = Box::new(Answering(Acast::receiver(PartyId(0))));
+        let _ = node.spawn(sid(), wrapped);
+        // The inner A-Cast's whole life: send, every echo, every ready.
+        let life: Vec<_> = [(0, AcastMsg::Send(4))]
+            .into_iter()
+            .chain((0..n).map(|p| (p, AcastMsg::Echo(4))))
+            .chain((0..n).map(|p| (p, AcastMsg::Ready(4))))
+            .collect();
+        feed(&mut node, &sid(), &life);
+        assert_eq!(delivered(&node), Some(4));
+        assert_eq!(node.retired_count(), 0, "the inner retired as its own type");
+        // One more message after that life is still answered.
+        let out = feed(&mut node, &sid(), &[(3, AcastMsg::Echo(4))]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            (out[0].to, out[0].payload.to_msg::<u64>()),
+            (PartyId(3), Some(0))
+        );
     }
 
     #[test]

@@ -193,6 +193,7 @@ impl CoinFlip {
     }
 }
 
+// never retires: it views no message, where a retired reader views each.
 impl Instance for CoinFlip {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.k = self.params.iterations(ctx.n());

@@ -165,6 +165,7 @@ impl CommonSubsetInstance {
     }
 }
 
+// never retires: its state is a few party tables, freed with the run.
 impl aft_sim::Instance for CommonSubsetInstance {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         if self.announce {

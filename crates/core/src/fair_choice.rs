@@ -115,6 +115,7 @@ impl FairChoice {
     }
 }
 
+// never retires: it views no message, where a retired reader views each.
 impl Instance for FairChoice {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.start_next_coin(ctx);

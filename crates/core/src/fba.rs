@@ -88,6 +88,7 @@ impl<V: Value> Fba<V> {
     }
 }
 
+// never retires: it views no message, where a retired reader views each.
 impl<V: Value> Instance for Fba<V> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());

@@ -452,6 +452,48 @@ mod tests {
     }
 
     #[test]
+    fn a_shell_is_not_retired_by_the_instance_it_wraps() {
+        /// Answers its first message, then retires: it has nothing left.
+        struct OneShot {
+            spent: bool,
+        }
+        impl Instance for OneShot {
+            fn on_start(&mut self, _ctx: &mut Context<'_>) {}
+            fn on_message(&mut self, from: PartyId, _p: &Payload, ctx: &mut Context<'_>) {
+                if !self.spent {
+                    self.spent = true;
+                    ctx.send(from, 1u64);
+                    ctx.retire::<u64>(self);
+                }
+            }
+        }
+        let ctrl: SharedAdaptive = Arc::new(Mutex::new(AdaptiveController::new(
+            Box::new(PinPolicy::parse("storm:1").expect("a policy")),
+            CorruptionPlan::new(4, 1),
+        )));
+        let me = PartyId(1);
+        let sid = crate::SessionId::root().child(SessionTag::new("shell", 0));
+        let mut node = crate::party_node(&crate::NetConfig::new(4, 1, 3), me.0);
+        let inner = Box::new(OneShot { spent: false });
+        node.spawn(
+            sid.clone(),
+            Box::new(AdaptiveShell::new(inner, ctrl.clone(), me)),
+        );
+        let mut out = Vec::new();
+        node.deliver(PartyId(0), sid.clone(), Payload::new(7u64), &mut out);
+        assert_eq!(out.len(), 1, "the honest instance answered");
+        assert_eq!(node.retired_count(), 0, "its retirement named its own type");
+        // The adversary strikes after the inner instance is spent: the
+        // shell is still in place to act out the corruption.
+        lock(&ctrl).on_episode("later");
+        out.clear();
+        node.deliver(PartyId(0), sid, Payload::new(7u64), &mut out);
+        assert_eq!(out.len(), 1, "a storming shell keeps one message in flight");
+        assert_eq!(out[0].to, me);
+        assert!(out[0].payload.view::<Garbage>().is_some());
+    }
+
+    #[test]
     fn pin_parse() {
         let p = PinPolicy::parse("silent:3").unwrap();
         assert_eq!(p.targets, vec![PartyId(3)]);

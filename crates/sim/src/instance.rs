@@ -3,7 +3,10 @@
 
 use crate::ids::{PartyId, SessionId, SessionTag};
 use crate::payload::Payload;
+use crate::wire::WireMessage;
 use rand_chacha::ChaCha12Rng;
+use std::any::{Any, TypeId};
+use std::marker::PhantomData;
 
 /// An event-driven protocol instance (one party's state machine for one
 /// protocol session).
@@ -15,7 +18,10 @@ use rand_chacha::ChaCha12Rng;
 ///
 /// Byzantine parties are modelled by substituting a different `Instance`
 /// implementation for the honest one; the framework is identical.
-pub trait Instance: Send {
+///
+/// The `Any` supertrait lets the node tell an instance's concrete type
+/// apart from a wrapper's (see [`Context::retire`]).
+pub trait Instance: Any + Send {
     /// Called once when the instance is spawned locally.
     fn on_start(&mut self, ctx: &mut Context<'_>);
 
@@ -48,11 +54,17 @@ pub(crate) enum Effect {
         session: SessionId,
         instance: Box<dyn Instance>,
     },
-    /// Produce the session's output (first output wins; instance stays
-    /// alive to keep participating, as the paper's protocols require).
+    /// Produce the session's output (first output wins).
     Output { session: SessionId, value: Payload },
     /// Record a shun event against `target` observed in `session`.
     Shun { target: PartyId, session: SessionId },
+    /// Hand `session` to `reader` if its occupant's concrete type is
+    /// still `owner` (see [`Context::retire`]).
+    Retire {
+        session: SessionId,
+        owner: TypeId,
+        reader: Box<dyn Instance>,
+    },
 }
 
 impl std::fmt::Debug for Effect {
@@ -87,6 +99,11 @@ impl std::fmt::Debug for Effect {
                 .field("target", target)
                 .field("session", session)
                 .finish(),
+            Effect::Retire { session, owner, .. } => f
+                .debug_struct("Retire")
+                .field("session", session)
+                .field("owner", owner)
+                .finish_non_exhaustive(),
         }
     }
 }
@@ -194,7 +211,9 @@ impl<'a> Context<'a> {
 
     /// Emits this session's output. The first output is recorded and routed
     /// to the parent instance (or to the top-level results for root
-    /// sessions); later outputs are ignored.
+    /// sessions); later outputs are ignored. Emitting it does not end the
+    /// instance: it keeps receiving its session's messages until it
+    /// [`retire`](Context::retire)s, if ever.
     pub fn output<T: Send + Sync + 'static>(&mut self, value: T) {
         self.effects.push(Effect::Output {
             session: self.session.clone(),
@@ -211,6 +230,46 @@ impl<'a> Context<'a> {
             target,
             session: self.session.clone(),
         });
+    }
+
+    /// Declares that `owner` — the instance running this callback — can
+    /// never act again. The node then drops it and hands its session to a
+    /// zero-sized reader that views every later message as `M`, so a
+    /// garbled one still counts as a decode miss, and ignores child
+    /// outputs. The session itself stays: its slot, its output and its
+    /// spawned flag, so a late message, a respawn and an output lookup
+    /// meet what they met before.
+    ///
+    /// The contract: from this callback on, every handler of `owner`
+    /// returns, whatever it is given, without sending, spawning,
+    /// outputting or shunning, and views a message as nothing but `M`.
+    /// Retiring is what frees a spent instance's state before the run
+    /// ends; nothing else changes.
+    ///
+    /// The swap happens only while the session's occupant *is* an
+    /// `owner`: a wrapper that forwards to an instance of that type (an
+    /// adaptive shell, an attack built on an honest instance) keeps the
+    /// session, and its inner instance keeps being called.
+    pub fn retire<M: WireMessage>(&mut self, owner: &impl Instance) {
+        self.effects.push(Effect::Retire {
+            session: self.session.clone(),
+            owner: Any::type_id(owner),
+            reader: Box::new(Retired::<M>(PhantomData)),
+        });
+    }
+}
+
+/// What occupies a session whose instance [retired](Context::retire): no
+/// state, so its box allocates nothing.
+struct Retired<M>(PhantomData<fn() -> M>);
+
+impl<M: WireMessage> Instance for Retired<M> {
+    fn on_start(&mut self, _ctx: &mut Context<'_>) {}
+
+    fn on_message(&mut self, _from: PartyId, payload: &Payload, _ctx: &mut Context<'_>) {
+        // The retired instance viewed every message as `M` first; a miss
+        // is recorded the same way.
+        let _ = payload.view::<M>();
     }
 }
 

@@ -7,11 +7,19 @@
 //! access instead of hashing, and the effect loop reuses its work queue
 //! and effect buffers across deliveries, so a steady-state run allocates
 //! nothing per message.
+//!
+//! A cell's occupant is the instance spawned there until that instance
+//! [retires](crate::Context::retire): from then on it is a zero-sized
+//! reader that views each late message and does nothing else, and the
+//! instance's state is freed at once rather than when the node is
+//! dropped. The cell itself — spawned flag, early buffer, output — is
+//! untouched by that swap.
 
 use crate::ids::{PartyId, PartyMap, SessionId, SessionTag};
 use crate::instance::{Context, Effect, Instance};
 use crate::payload::Payload;
 use rand_chacha::ChaCha12Rng;
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// An outgoing envelope produced by a node (delivery is the network's job).
@@ -100,9 +108,10 @@ type ArenaPage = [Option<SessionSlot>; ARENA_PAGE];
 struct SessionSlot {
     /// The session this cell belongs to (for iteration back to ids).
     session: SessionId,
-    /// The live instance. `None` while the instance is running a callback
-    /// (taken out to sidestep re-entrancy) or when the session was only
-    /// ever touched by early messages / outputs.
+    /// The live instance, or the reader it retired to. `None` while the
+    /// instance is running a callback (taken out to sidestep re-entrancy)
+    /// or when the session was only ever touched by early messages /
+    /// outputs.
     instance: Option<Box<dyn Instance>>,
     /// Whether an instance was ever spawned here (spawn idempotence).
     spawned: bool,
@@ -136,6 +145,8 @@ pub struct Node {
     slots: Vec<Option<Box<ArenaPage>>>,
     /// Number of sessions with a spawned instance (diagnostics).
     instances: usize,
+    /// Number of instances that retired (diagnostics).
+    retired: u64,
     /// Peers this node shuns.
     pub(crate) shun: ShunRegistry,
     /// True once the party has crashed (stops reacting entirely).
@@ -166,6 +177,7 @@ impl Node {
             rng,
             slots: Vec::new(),
             instances: 0,
+            retired: 0,
             shun: ShunRegistry::default(),
             crashed: false,
             shun_events: 0,
@@ -266,9 +278,20 @@ impl Node {
             })
     }
 
-    /// Number of live instances (diagnostics).
+    /// Number of sessions an instance was spawned at and not
+    /// [retired](Node::retire_session) since (diagnostics). A session
+    /// whose instance [retired](crate::Context::retire) still counts: its
+    /// spawned flag is what makes a later spawn there a no-op.
     pub fn instance_count(&self) -> usize {
         self.instances
+    }
+
+    /// Number of instances that [retired](crate::Context::retire) to a
+    /// stateless reader (monotonic; unaffected by
+    /// [`retire_session`](Node::retire_session), which forgets a whole
+    /// session instead).
+    pub fn retired_count(&self) -> u64 {
+        self.retired
     }
 
     /// Number of shun events declared by this node.
@@ -448,6 +471,21 @@ impl Node {
                     Effect::Shun { target, session } => {
                         if target != self.id && self.shun.record(target, session) {
                             self.shun_events += 1;
+                        }
+                    }
+                    Effect::Retire {
+                        session,
+                        owner,
+                        reader,
+                    } => {
+                        // Only the instance itself is swapped out, never a
+                        // wrapper forwarding to one of its type.
+                        if let Some(occupant) = &mut self.slot_mut(&session).instance {
+                            let concrete: &dyn Any = &**occupant;
+                            if concrete.type_id() == owner {
+                                *occupant = reader;
+                                self.retired += 1;
+                            }
                         }
                     }
                 }
@@ -663,6 +701,61 @@ mod tests {
         // different session: dropped
         n.spawn(sid("b"), Box::new(Doubler));
         assert!(!n.deliver(PartyId(2), sid("b"), Payload::new(5u32), &mut out));
+    }
+
+    /// Outputs on its first message and retires on its second; every
+    /// message before that is answered.
+    struct Spends {
+        heard: u32,
+    }
+    impl Instance for Spends {
+        fn on_start(&mut self, _ctx: &mut Context<'_>) {}
+        fn on_message(&mut self, from: PartyId, _p: &Payload, ctx: &mut Context<'_>) {
+            self.heard += 1;
+            ctx.send(from, self.heard);
+            match self.heard {
+                1 => ctx.output(self.heard),
+                2 => ctx.retire::<u32>(self),
+                _ => {}
+            }
+        }
+    }
+
+    /// Forwards everything to a `Spends`.
+    struct Wraps(Spends);
+    impl Instance for Wraps {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.0.on_start(ctx);
+        }
+        fn on_message(&mut self, from: PartyId, p: &Payload, ctx: &mut Context<'_>) {
+            self.0.on_message(from, p, ctx);
+        }
+    }
+
+    #[test]
+    fn a_retired_instance_leaves_its_session_to_a_reader() {
+        let mut n = node(1);
+        n.spawn(sid("x"), Box::new(Spends { heard: 0 }));
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            n.deliver(PartyId(2), sid("x"), Payload::new(0u32), &mut out);
+        }
+        assert_eq!((out.len(), n.retired_count()), (2, 1));
+        // The reader answers nothing, and the session keeps its output and
+        // its spawned flag.
+        out.clear();
+        assert!(n.deliver(PartyId(2), sid("x"), Payload::new(0u32), &mut out));
+        assert!(out.is_empty());
+        assert_eq!(n.output(&sid("x")).unwrap().downcast_ref::<u32>(), Some(&1));
+        assert!(n.spawn(sid("x"), Box::new(Spends { heard: 0 })).is_empty());
+        assert_eq!(n.instance_count(), 1);
+        // A wrapper keeps the session: its inner instance retired as its
+        // own type, not the wrapper's.
+        n.spawn(sid("w"), Box::new(Wraps(Spends { heard: 0 })));
+        for _ in 0..3 {
+            n.deliver(PartyId(2), sid("w"), Payload::new(0u32), &mut out);
+        }
+        assert_eq!((out.len(), n.retired_count()), (3, 1));
     }
 
     #[test]

@@ -238,6 +238,8 @@ impl TwoFacedDealer {
     }
 }
 
+// never retires: a wrapper; the honest share it forwards to retires as its
+// own type, which is not this one.
 impl Instance for TwoFacedDealer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let t = ctx.t();
@@ -305,6 +307,8 @@ impl WrongCross {
     }
 }
 
+// never retires: a wrapper; the honest share it forwards to retires as its
+// own type, which is not this one.
 impl Instance for WrongCross {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.inner.on_start(ctx);
@@ -367,6 +371,7 @@ impl WrongSigma {
     }
 }
 
+// never retires: a Byzantine behaviour holding only a shared bundle.
 impl Instance for WrongSigma {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         if let Some(row) = &self.bundle.row {
@@ -402,6 +407,7 @@ impl EquivocalReveal {
     }
 }
 
+// never retires: a Byzantine behaviour holding only a shared bundle.
 impl Instance for EquivocalReveal {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         if let (Some(row), Some(col)) = (&self.bundle.row, &self.bundle.col) {
@@ -425,6 +431,7 @@ impl Instance for EquivocalReveal {
 /// adversary that online error correction must tolerate.
 pub struct SilentRec;
 
+// never retires: a Byzantine behaviour with no state.
 impl Instance for SilentRec {
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
     fn on_message(&mut self, _from: PartyId, _payload: &Payload, _ctx: &mut Context<'_>) {}

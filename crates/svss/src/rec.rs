@@ -3,7 +3,7 @@
 use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, RecMsg, ShareBundle};
 use aft_field::{interpolate_at_zero, Fp, OnlineDecoder, Poly};
-use aft_sim::{Context, Instance, PartyId, PartyMap, Payload};
+use aft_sim::{Context, Instance, PartyId, PartyMap, PartySet, Payload};
 use std::sync::Arc;
 
 /// One party's reconstruction instance, built from the [`ShareBundle`] the
@@ -30,6 +30,11 @@ use std::sync::Arc;
 /// reveals of invalid degree. An honest party never trips these (it never
 /// contradicts itself), so honest parties never shun honest parties.
 ///
+/// Those checks are the instance's only duty after output, so it never
+/// retires; at output it drops the decoder's points, the consistency graph
+/// and the revealed polynomials, and keeps what the checks read (see
+/// `sigma_seen`).
+///
 /// Against adversaries that craft globally-consistent-but-wrong data a
 /// faulty dealer can still split the clique track between honest parties —
 /// the paper's own lower bound (Theorem 2.2) shows *some* such gap is
@@ -39,13 +44,19 @@ pub struct SvssRec {
     /// The dealing's one bundle, shared with whoever spawned this instance.
     bundle: Arc<ShareBundle>,
     decoder: OnlineDecoder,
-    /// Reveals accepted from core members.
+    /// Reveals accepted from core members, until output.
     reveals: PartyMap<(Poly, Poly)>,
+    /// Parties whose reveal was accepted (first reveal wins).
+    revealed: PartySet,
     /// Which accepted reveals agree, as closed neighbourhoods: bit
     /// `(u, v)` iff `u == v` or the two reveals are cross-consistent. Each
     /// pair is evaluated once, when its second reveal arrives.
     consistent: BitMatrix,
-    /// Parties whose σ was received (duplicate detection).
+    /// The σ each party is held to: the first it sent, and after output
+    /// also the `row(0)` of its accepted reveal where it sent none. A
+    /// later σ that differs from either is shunned, and once that party
+    /// is shunned a further σ can add no shun, so which of the two it is
+    /// compared with decides nothing.
     sigma_seen: PartyMap<Fp>,
     done: bool,
 }
@@ -61,16 +72,25 @@ impl SvssRec {
             // is known; re-created there.
             decoder: OnlineDecoder::new(0, 0),
             reveals: PartyMap::new(),
+            revealed: PartySet::new(),
             consistent: BitMatrix::default(),
             sigma_seen: PartyMap::new(),
             done: false,
         }
     }
 
+    /// Outputs `value` and lets go of everything only the two tracks
+    /// read, without allocating: `sigma_seen` was reserved for all `n`.
     fn output_once(&mut self, value: Fp, ctx: &mut Context<'_>) {
         if !self.done {
             self.done = true;
             ctx.output(value);
+            for (p, (row, _)) in self.reveals.iter() {
+                self.sigma_seen.insert(p, row.eval(Fp::ZERO));
+            }
+            self.reveals = PartyMap::new();
+            self.consistent = BitMatrix::default();
+            self.decoder = OnlineDecoder::new(0, 0);
         }
     }
 
@@ -110,6 +130,8 @@ impl SvssRec {
     }
 }
 
+// never retires: a σ or reveal after output can still contradict an earlier
+// one and must still be shunned; the decoding state goes at output instead.
 impl Instance for SvssRec {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());
@@ -165,7 +187,7 @@ impl Instance for SvssRec {
                 if !self.bundle.core.contains(&from) {
                     return; // only core members reveal
                 }
-                if self.reveals.contains(from) {
+                if self.revealed.contains(from) {
                     return; // first reveal wins; repeats are harmless noise
                 }
                 if row.degree().unwrap_or(0) > t || col.degree().unwrap_or(0) > t {
@@ -189,8 +211,13 @@ impl Instance for SvssRec {
                         return;
                     }
                 }
-                self.reveals.insert(from, (row.clone(), col.clone()));
-                self.try_clique(from, ctx);
+                self.revealed.insert(from);
+                if self.done {
+                    self.sigma_seen.insert(from, row.eval(Fp::ZERO));
+                } else {
+                    self.reveals.insert(from, (row.clone(), col.clone()));
+                    self.try_clique(from, ctx);
+                }
             }
         }
     }

@@ -34,6 +34,13 @@ pub const CORE_TAG: &str = "svss-core";
 /// third of everything the full stack delivers — is two bit operations on
 /// a matrix allocated once, and whatever the instance emits while walking
 /// its state is emitted in party order.
+///
+/// The instance [retires](Context::retire) once it has completed, sent
+/// `Done`, received its row, OK'd all `n` parties and — at the dealer —
+/// proposed a core. From then on every handler returns before acting:
+/// a second `Shares` finds the row, `Cross` and `Ok` find every vote cast
+/// and the core proposed, `Done` finds it sent and the bundle output, and
+/// the core is already known.
 #[derive(Default)]
 pub struct SvssShare {
     dealer: PartyId,
@@ -96,6 +103,20 @@ impl SvssShare {
         if col.eval(xj) == a && row.eval(xj) == b {
             self.my_oks.insert(j);
             ctx.send_all(ShareMsg::Ok(j));
+            self.retire_if_spent(ctx);
+        }
+    }
+
+    /// Called where one of the conditions in the type's docs comes true:
+    /// the last of them retires.
+    fn retire_if_spent(&self, ctx: &mut Context<'_>) {
+        if self.completed
+            && self.done_sent
+            && self.row.is_some()
+            && self.my_oks.len() == ctx.n()
+            && (ctx.me() != self.dealer || self.core_proposed)
+        {
+            ctx.retire::<ShareMsg>(self);
         }
     }
 
@@ -120,6 +141,7 @@ impl SvssShare {
                 SessionTag::new(CORE_TAG, self.dealer.0 as u64),
                 Box::new(Acast::sender(self.dealer, core)),
             );
+            self.retire_if_spent(ctx);
         }
     }
 
@@ -138,6 +160,7 @@ impl SvssShare {
         if verified {
             self.done_sent = true;
             ctx.send_all(ShareMsg::Done);
+            self.retire_if_spent(ctx);
         }
     }
 
@@ -158,6 +181,7 @@ impl SvssShare {
                 crosses: self.crosses.clone(),
             };
             ctx.output(bundle);
+            self.retire_if_spent(ctx);
         }
     }
 }
@@ -251,6 +275,7 @@ impl Instance for SvssShare {
                     if self.dones.len() > t && !self.done_sent {
                         self.done_sent = true;
                         ctx.send_all(ShareMsg::Done);
+                        self.retire_if_spent(ctx);
                     }
                     self.try_complete(ctx);
                 }

@@ -1,13 +1,14 @@
 //! Property tests for SVSS against Definition 3.2 of the paper:
 //! validity of termination, termination, binding-or-shun, validity, hiding.
 
+use aft_broadcast::AcastMsg;
 use aft_field::{BivarPoly, Fp};
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    party_node, scheduler_by_name, Instance, NetConfig, PartyId, Payload, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 use aft_svss::attacks::{EquivocalReveal, SilentRec, TwoFacedDealer, WrongCross, WrongSigma};
-use aft_svss::{party_point, ShareBundle, SvssRec, SvssShare};
+use aft_svss::{party_point, RecMsg, ShareBundle, ShareMsg, SvssRec, SvssShare, CORE_TAG};
 use rand::SeedableRng;
 
 fn share_sid() -> SessionId {
@@ -654,4 +655,108 @@ fn svss_share_through_runtime_trait_on_every_backend() {
             );
         }
     }
+}
+
+/// A share phase that completed before the dealer's `Shares` reached it
+/// still owes the dealing its cross points and its `Ok` votes: it sends
+/// them on the late `Shares`, and only then is it spent.
+#[test]
+fn a_share_completed_before_its_shares_still_crosses_and_votes() {
+    let (n, t) = (4, 1);
+    let (me, dealer) = (PartyId(1), PartyId(0));
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(7);
+    let f = BivarPoly::random_with_secret(Fp::new(5), t, &mut rng);
+    let x_me = party_point(me);
+    let mut node = party_node(&NetConfig::new(n, t, 7), me.0);
+    let _ = node.spawn(share_sid(), Box::new(SvssShare::party(dealer)));
+    let core_sid = share_sid().child(SessionTag::new(CORE_TAG, dealer.0 as u64));
+    let mut out = Vec::new();
+    // Every peer's cross point, the dealer's core and every `Done`.
+    for j in (0..n).map(PartyId) {
+        let x_j = party_point(j);
+        let (a, b) = (f.row(x_j).eval(x_me), f.col(x_j).eval(x_me));
+        let cross = Payload::message(ShareMsg::Cross { a, b });
+        node.deliver(j, share_sid(), cross, &mut out);
+    }
+    for j in (0..n).map(PartyId) {
+        let core = Payload::message(AcastMsg::Ready(vec![0usize, 1, 2]));
+        node.deliver(j, core_sid.clone(), core, &mut out);
+    }
+    for j in (0..n).map(PartyId) {
+        node.deliver(j, share_sid(), Payload::message(ShareMsg::Done), &mut out);
+    }
+    assert!(
+        node.output(&share_sid()).is_some(),
+        "completed without a row"
+    );
+    assert_eq!(node.retired_count(), 0);
+    out.clear();
+    let shares = ShareMsg::Shares {
+        row: f.row(x_me),
+        col: f.col(x_me),
+    };
+    node.deliver(dealer, share_sid(), Payload::message(shares), &mut out);
+    let sent: Vec<ShareMsg> = out.iter().filter_map(|o| o.payload.to_msg()).collect();
+    let crosses = sent
+        .iter()
+        .filter(|m| matches!(m, ShareMsg::Cross { .. }))
+        .count();
+    let oks = sent.iter().filter(|m| matches!(m, ShareMsg::Ok(_))).count();
+    assert_eq!(
+        (crosses, oks),
+        (n, n * n),
+        "a cross to each, an Ok for each, to all"
+    );
+    assert_eq!(node.retired_count(), 1, "spent once every vote is cast");
+}
+
+/// After its output reconstruction still shuns a party that contradicts
+/// itself — with a second, different σ, or with a σ that contradicts the
+/// reveal it had accepted before the output let go of the revealed rows.
+#[test]
+fn reconstruction_still_shuns_contradictions_after_output() {
+    let (n, t) = (4, 1);
+    let net = run_share(n, t, 5, "random", honest(0, Fp::new(9)));
+    let bundle = |p: usize| {
+        net.output_as::<ShareBundle>(PartyId(p), &share_sid())
+            .cloned()
+            .expect("completed")
+    };
+    let sigma = |p: usize| bundle(p).row.expect("a row").eval(Fp::ZERO);
+    let me = 1;
+    let mine = bundle(me);
+    let j = mine.core.iter().find(|p| p.0 != me).expect("a core peer").0;
+    let (row, col) = (bundle(j).row.expect("a row"), bundle(j).col.expect("a col"));
+    let mut node = party_node(&NetConfig::new(n, t, 5), me);
+    let _ = node.spawn(rec_sid(), Box::new(SvssRec::new(mine)));
+    let mut out = Vec::new();
+    let mut deliver = |from: usize, msg: RecMsg| {
+        node.deliver(PartyId(from), rec_sid(), Payload::message(msg), &mut out);
+        node.shun_event_count()
+    };
+    // `j`'s reveal is accepted; σ from everyone else decodes the secret.
+    assert_eq!(deliver(j, RecMsg::Reveal { row, col }), 0);
+    for p in (0..n).filter(|&p| p != j) {
+        assert_eq!(deliver(p, RecMsg::Sigma(sigma(p))), 0);
+    }
+    let others = (0..n).find(|&p| p != j && p != me).expect("a third party");
+    assert_eq!(
+        deliver(j, RecMsg::Sigma(sigma(j) + Fp::ONE)),
+        1,
+        "contradicts its reveal"
+    );
+    assert_eq!(
+        deliver(others, RecMsg::Sigma(sigma(others) + Fp::ONE)),
+        2,
+        "a second σ"
+    );
+    assert_eq!(
+        deliver(others, RecMsg::Sigma(sigma(others))),
+        2,
+        "already shunned"
+    );
+    assert_eq!(
+        node.output(&rec_sid()).and_then(|o| o.downcast_ref::<Fp>()),
+        Some(&Fp::new(9))
+    );
 }

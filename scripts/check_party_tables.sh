@@ -98,3 +98,41 @@ for src in $(grep -rlF 'Arc<Vec<u8>>' --include='*.rs' crates/sim/src crates/ben
     fi
 done
 echo "one-allocation: every burst is one Arc<[u8]>"
+
+# And for what an instance holds once it is spent: an instance that can never
+# act again calls `ctx.retire` (the node then frees it mid-run and leaves a
+# stateless reader in its session), or says why it never does. Every non-test
+# `impl Instance for T` in the protocol crates needs a `ctx.retire` call in
+# one of `T`'s impl blocks or a `// never retires: <reason>` comment directly
+# above it; a new instance without either is state kept to the end unasked.
+unexplained=$(for src in crates/{broadcast,svss,ba,core}/src/*.rs; do
+    awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^ *\/\// { comments = comments $0 "\n"; next }
+        /^impl/ {
+            self = $0
+            sub(/ *\{.*$/, "", self)
+            if (self ~ / for /) sub(/^.* for /, "", self)
+            else sub(/^impl(<[^>]*>)? */, "", self)
+            sub(/<.*$/, "", self)
+            sub(/^.*::/, "", self)
+            if ($0 ~ /Instance for /) {
+                line[self] = FNR
+                excused[self] = comments ~ /\/\/ never retires: [^ ]/
+            }
+        }
+        /^}/ { self = "" }
+        self != "" && /ctx\.retire/ { retires[self] = 1 }
+        { comments = "" }
+        END {
+            for (t in line) if (!retires[t] && !excused[t])
+                print FILENAME ":" line[t] ": " t
+        }
+    ' "$src"
+done)
+if [[ -n $unexplained ]]; then
+    echo "retire: instances that neither call ctx.retire nor say \`// never retires: <reason>\`:" >&2
+    echo "$unexplained" >&2
+    exit 1
+fi
+echo "retire: every instance retires or says why not"
