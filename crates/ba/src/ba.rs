@@ -413,12 +413,12 @@ impl BinaryBa {
                 self.output_done = true;
                 ctx.output(v);
             }
+            // Halted, every handler returns before looking at anything.
+            ctx.retire_unviewed(self);
         }
     }
 }
 
-// never retires: once halted it drops messages without viewing them, where a
-// retired reader views each (a garbled frame would become a decode miss).
 impl Instance for BinaryBa {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.est = self.input;
@@ -503,5 +503,53 @@ mod codec_tests {
         assert_eq!(V3::decode_body(&[3]), None);
         assert_eq!(V3::decode_body(&[]), None);
         assert_eq!(V3::decode_body(&[1, 1]), None);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coin::OracleCoin;
+    use aft_sim::wire::encode_frame;
+    use aft_sim::{Envelope, NetConfig, PartyHost, SessionId};
+
+    #[test]
+    fn a_halted_ba_leaves_a_reader_that_views_nothing() {
+        let (n, t) = (4, 1);
+        let sid = SessionId::root().child(SessionTag::new("ba-halt", 0));
+        let mut host = PartyHost::new(&NetConfig::new(n, t, 5), 1);
+        let mut out = Vec::new();
+        host.spawn(
+            sid.clone(),
+            Box::new(BinaryBa::new(true, Box::new(OracleCoin::new(5)))),
+            &mut out,
+        );
+        let deliver = |host: &mut PartyHost, from: usize, payload: Payload| {
+            let env = Envelope {
+                from: PartyId(from),
+                to: PartyId(1),
+                session: sid.clone(),
+                payload,
+                seq: 0,
+                born_step: 0,
+            };
+            let mut out = Vec::new();
+            host.deliver(env, None, None, &mut out);
+            out.len()
+        };
+        // n − t `Decide` votes halt it: it relays at t + 1, retires at n − t.
+        for from in 0..n - t {
+            deliver(&mut host, from, Payload::message(DecideMsg(true)));
+        }
+        assert_eq!(host.node().retired_count(), 1);
+        let misses: Vec<_> = host.metrics().decode_misses().collect();
+        // A garbled `Decide` frame and a valid one: the halted BA looked at
+        // neither, so its reader sends nothing and records no miss.
+        let mut frame = Vec::new();
+        encode_frame(&DecideMsg(true), &mut frame);
+        *frame.last_mut().expect("a one-byte body") = 7;
+        assert_eq!(deliver(&mut host, 3, Payload::from_wire(frame)), 0);
+        assert_eq!(deliver(&mut host, 3, Payload::message(DecideMsg(true))), 0);
+        assert_eq!(host.metrics().decode_misses().collect::<Vec<_>>(), misses);
     }
 }

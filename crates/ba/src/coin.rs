@@ -215,11 +215,14 @@ impl WeakCoinInstance {
             let sum: Fp = values.copied().sum();
             ctx.output(sum.value() & 1 == 1);
         }
+        // Output, and a reconstruction spawned for every dealer: a later
+        // gather, dealing or reconstruction changes nothing.
+        if self.done && self.rec_spawned.len() == n {
+            ctx.retire::<WeakCoinMsg>(self);
+        }
     }
 }
 
-// never retires: it spawns a reconstruction for every dealing that completes,
-// however long after its own output.
 impl Instance for WeakCoinInstance {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let me = ctx.me();
@@ -346,15 +349,17 @@ mod tests {
                     "seed={seed} p={p} no coin output"
                 );
                 // One bundle per completed dealing, never copied: the share
-                // phase's output, the coin's table and the reconstruction
-                // all hold the allocation this handle is the fourth on.
+                // phase's output and the reconstruction hold the allocation
+                // this handle is the third on. The coin's table went with
+                // the coin, which retired once it had output and spawned a
+                // reconstruction for every dealer.
                 for d in 0..n {
                     let share = sid.child(SessionTag::new(WSHARE_TAG, d as u64));
                     let bundle = net
                         .output(PartyId(p), &share)
                         .and_then(|out| out.downcast_arc::<ShareBundle>());
                     if let Some(bundle) = bundle {
-                        assert_eq!(Arc::strong_count(&bundle), 4, "seed={seed} p={p} d={d}");
+                        assert_eq!(Arc::strong_count(&bundle), 3, "seed={seed} p={p} d={d}");
                     }
                 }
             }

@@ -193,7 +193,6 @@ impl CoinFlip {
     }
 }
 
-// never retires: it views no message, where a retired reader views each.
 impl Instance for CoinFlip {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.k = self.params.iterations(ctx.n());
@@ -248,6 +247,11 @@ impl Instance for CoinFlip {
                         local_majority: ones * 2 > self.k,
                         iterations: self.k as u32,
                     });
+                    // The final BA runs only once every round's subset was
+                    // agreed, so every common-subset BA of every round is
+                    // spawned already, and every later child output is of
+                    // a past round: nothing is left to feed.
+                    ctx.retire_unviewed(self);
                 }
             }
             _ => {

@@ -165,7 +165,6 @@ impl CommonSubsetInstance {
     }
 }
 
-// never retires: its state is a few party tables, freed with the run.
 impl aft_sim::Instance for CommonSubsetInstance {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         if self.announce {
@@ -182,6 +181,9 @@ impl aft_sim::Instance for CommonSubsetInstance {
     fn on_child_output(&mut self, child: &SessionTag, output: &Payload, ctx: &mut Context<'_>) {
         if let Some(s) = self.cs.on_child_output(child, output, ctx) {
             ctx.output(s);
+            // The subset is agreed only once all n BAs output here, so
+            // each is spawned already: a late announcement starts nothing.
+            ctx.retire::<PredicateMsg>(self);
         }
     }
 }

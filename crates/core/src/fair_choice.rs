@@ -115,7 +115,6 @@ impl FairChoice {
     }
 }
 
-// never retires: it views no message, where a retired reader views each.
 impl Instance for FairChoice {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.start_next_coin(ctx);
@@ -144,6 +143,8 @@ impl Instance for FairChoice {
                 .fold(0usize, |acc, &b| (acc << 1) | usize::from(b));
             self.done = true;
             ctx.output(r % self.m);
+            // Every coin is spawned and heard: nothing is left to start.
+            ctx.retire_unviewed(self);
         }
     }
 }

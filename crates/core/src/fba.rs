@@ -75,8 +75,7 @@ impl<V: Value> Fba<V> {
         }
         if let Some((&value, _)) = counts.iter().find(|&(_, &c)| 2 * c > m) {
             let value = value.clone();
-            self.done = true;
-            ctx.output(value);
+            self.finish(value, ctx);
             return;
         }
         // FairChoice over the m members (spawned once; `done` is false and
@@ -86,9 +85,17 @@ impl<V: Value> Fba<V> {
             Box::new(FairChoice::new(m, self.choice_params, self.coin)),
         );
     }
+
+    /// Outputs `value` and retires. The subset is agreed only once all
+    /// `n` common-subset BAs output here, so each is spawned already: a
+    /// late input A-Cast sets a predicate that starts nothing.
+    fn finish(&mut self, value: V, ctx: &mut Context<'_>) {
+        self.done = true;
+        ctx.output(value);
+        ctx.retire_unviewed(self);
+    }
 }
 
-// never retires: it views no message, where a retired reader views each.
 impl<V: Value> Instance for Fba<V> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());
@@ -135,8 +142,7 @@ impl<V: Value> Instance for Fba<V> {
                     .get(j)
                     .expect("resolved before FairChoice")
                     .clone();
-                self.done = true;
-                ctx.output(value);
+                self.finish(value, ctx);
             }
             _ => {
                 if self.subset.is_none() {

@@ -403,10 +403,11 @@ type EdgeMap =
 /// child — the session-spawn hot path.
 fn children() -> &'static RwLock<EdgeMap> {
     static CHILDREN: OnceLock<RwLock<EdgeMap>> = OnceLock::new();
-    // Pre-sized so large deployments (n=256 interns thousands of per-party
-    // child sessions) never rehash the table under the write lock.
-    CHILDREN
-        .get_or_init(|| RwLock::new(EdgeMap::with_capacity_and_hasher(4096, Default::default())))
+    // Grows with what is interned: a process that interns a few dozen
+    // sessions holds a few dozen edges. A deployment that interns
+    // thousands rehashes a handful of times, under the write lock of a
+    // first derivation, which is already the slow path.
+    CHILDREN.get_or_init(|| RwLock::new(EdgeMap::default()))
 }
 
 /// The canonical root trie node.

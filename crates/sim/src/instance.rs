@@ -236,9 +236,9 @@ impl<'a> Context<'a> {
     /// never act again. The node then drops it and hands its session to a
     /// zero-sized reader that views every later message as `M`, so a
     /// garbled one still counts as a decode miss, and ignores child
-    /// outputs. The session itself stays: its slot, its output and its
-    /// spawned flag, so a late message, a respawn and an output lookup
-    /// meet what they met before.
+    /// outputs. The session itself stays: its cell and its output, and
+    /// the reader occupying the cell keeps a respawn a no-op, so a late
+    /// message, a respawn and an output lookup meet what they met before.
     ///
     /// The contract: from this callback on, every handler of `owner`
     /// returns, whatever it is given, without sending, spawning,
@@ -251,10 +251,24 @@ impl<'a> Context<'a> {
     /// adaptive shell, an attack built on an honest instance) keeps the
     /// session, and its inner instance keeps being called.
     pub fn retire<M: WireMessage>(&mut self, owner: &impl Instance) {
+        self.retire_to(owner, Box::new(Retired::<M>(PhantomData)));
+    }
+
+    /// [`retire`](Context::retire) for an `owner` whose handlers, from
+    /// this callback on, return without viewing the message at all: a
+    /// halted BA, or an instance that talks only through its children.
+    /// Its reader views nothing either, so a late garbled frame is no
+    /// decode miss now, as it was none before. The contract and the swap
+    /// are `retire`'s otherwise.
+    pub fn retire_unviewed(&mut self, owner: &impl Instance) {
+        self.retire_to(owner, Box::new(Unviewed));
+    }
+
+    fn retire_to(&mut self, owner: &impl Instance, reader: Box<dyn Instance>) {
         self.effects.push(Effect::Retire {
             session: self.session.clone(),
             owner: Any::type_id(owner),
-            reader: Box::new(Retired::<M>(PhantomData)),
+            reader,
         });
     }
 }
@@ -271,6 +285,17 @@ impl<M: WireMessage> Instance for Retired<M> {
         // is recorded the same way.
         let _ = payload.view::<M>();
     }
+}
+
+/// What occupies a session whose instance
+/// [retired unviewed](Context::retire_unviewed): it neither holds nor
+/// looks at anything.
+struct Unviewed;
+
+impl Instance for Unviewed {
+    fn on_start(&mut self, _ctx: &mut Context<'_>) {}
+
+    fn on_message(&mut self, _from: PartyId, _payload: &Payload, _ctx: &mut Context<'_>) {}
 }
 
 #[cfg(test)]

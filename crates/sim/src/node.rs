@@ -1,26 +1,28 @@
 //! A single party's runtime: session routing, child spawning, output
 //! propagation, shun enforcement.
 //!
-//! Per-session state (instance, early-message buffer, first output) lives
-//! in an **arena** indexed by the dense interning index of each
-//! [`SessionId`] — the delivery hot path does one bounds-checked array
-//! access instead of hashing, and the effect loop reuses its work queue
-//! and effect buffers across deliveries, so a steady-state run allocates
-//! nothing per message.
+//! Per-session state lives in an **arena** indexed by the dense interning
+//! index of each [`SessionId`] — the delivery hot path does one
+//! bounds-checked array access instead of hashing, and the effect loop
+//! reuses its work queue and effect buffers across deliveries, so a
+//! steady-state run allocates nothing per message.
 //!
-//! A cell's occupant is the instance spawned there until that instance
-//! [retires](crate::Context::retire): from then on it is a zero-sized
-//! reader that views each late message and does nothing else, and the
+//! A cell is 48 bytes and holds what nearly every session keeps: its
+//! occupant and its first output. The occupant is the instance spawned
+//! there until that instance [retires](crate::Context::retire): from then
+//! on it is a zero-sized reader that does nothing else, and the
 //! instance's state is freed at once rather than when the node is
-//! dropped. The cell itself — spawned flag, early buffer, output — is
-//! untouched by that swap.
+//! dropped. An occupant is taken out of its cell only for the span of its
+//! own callback, so an occupied cell *is* a spawned session. Messages
+//! that arrive before their session spawns wait in one node-level table
+//! beside the arena, since at quiescence almost no session has any.
 
 use crate::ids::{PartyId, PartyMap, SessionId, SessionTag};
 use crate::instance::{Context, Effect, Instance};
 use crate::payload::Payload;
 use rand_chacha::ChaCha12Rng;
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// An outgoing envelope produced by a node (delivery is the network's job).
 #[derive(Debug, Clone)]
@@ -104,33 +106,19 @@ const ARENA_PAGE: usize = 64;
 /// One lazily-allocated page of session slots.
 type ArenaPage = [Option<SessionSlot>; ARENA_PAGE];
 
-/// Arena cell holding everything the node tracks for one session.
+/// Arena cell of one touched session: its occupant and its first output.
+/// Messages that arrive before it spawns wait in [`Node`]'s early table.
+#[derive(Default)]
 struct SessionSlot {
-    /// The session this cell belongs to (for iteration back to ids).
-    session: SessionId,
-    /// The live instance, or the reader it retired to. `None` while the
-    /// instance is running a callback (taken out to sidestep re-entrancy)
-    /// or when the session was only ever touched by early messages /
-    /// outputs.
+    /// The live instance, or the reader it retired to; `Some` exactly
+    /// when an instance was spawned here, which is what makes a second
+    /// spawn a no-op. `None` also while the instance runs a callback
+    /// (taken out to sidestep re-entrancy), but nothing that asks whether
+    /// the session spawned runs then: a callback's own spawns are applied
+    /// once it is back.
     instance: Option<Box<dyn Instance>>,
-    /// Whether an instance was ever spawned here (spawn idempotence).
-    spawned: bool,
-    /// Messages that arrived before the session was spawned locally.
-    early: Vec<(PartyId, Payload)>,
     /// First output of the session.
     output: Option<Payload>,
-}
-
-impl SessionSlot {
-    fn new(session: SessionId, early: Vec<(PartyId, Payload)>) -> Self {
-        SessionSlot {
-            session,
-            instance: None,
-            spawned: false,
-            early,
-            output: None,
-        }
-    }
 }
 
 /// One party's local runtime: routes messages to protocol instances,
@@ -161,8 +149,12 @@ pub struct Node {
     work: VecDeque<Work>,
     /// Reusable effect buffer handed to instance callbacks.
     effects_pool: Vec<Effect>,
+    /// Messages that arrived before their session was spawned locally,
+    /// by the session's arena index; an entry goes when its session
+    /// spawns (the messages replay) or is retired.
+    early: HashMap<usize, Vec<(PartyId, Payload)>>,
     /// Recycled early-message buffer from the most recently retired
-    /// session, handed to the next freshly created slot.
+    /// session, handed to the next session that buffers one.
     early_pool: Vec<(PartyId, Payload)>,
 }
 
@@ -184,6 +176,7 @@ impl Node {
             outputs_recorded: 0,
             work: VecDeque::new(),
             effects_pool: Vec::new(),
+            early: HashMap::new(),
             early_pool: Vec::new(),
         }
     }
@@ -219,13 +212,11 @@ impl Node {
             self.slots.resize_with(page + 1, || None);
         }
         let cells = self.slots[page].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
-        cells[offset].get_or_insert_with(|| {
-            SessionSlot::new(session.clone(), std::mem::take(&mut self.early_pool))
-        })
+        cells[offset].get_or_insert_with(SessionSlot::default)
     }
 
     /// Retires `session`'s arena cell: drops its instance, output, and
-    /// early buffer, recycling the early buffer's allocation and freeing
+    /// early messages, recycling the early buffer's allocation and freeing
     /// the whole page once every cell on it is retired. Returns `true`
     /// if the session had a slot to free.
     ///
@@ -241,16 +232,19 @@ impl Node {
         let Some(slot) = cells[offset].take() else {
             return false;
         };
-        if slot.spawned {
+        if slot.instance.is_some() {
             self.instances -= 1;
-        }
-        let mut early = slot.early;
-        if early.capacity() > self.early_pool.capacity() {
-            early.clear();
-            self.early_pool = early;
         }
         if cells.iter().all(|c| c.is_none()) {
             self.slots[page] = None;
+        }
+        // Buffering a message makes its session's cell, so an early entry
+        // never outlives the cell it belongs to.
+        if let Some(mut early) = self.early.remove(&idx) {
+            if early.capacity() > self.early_pool.capacity() {
+                early.clear();
+                self.early_pool = early;
+            }
         }
         true
     }
@@ -266,22 +260,10 @@ impl Node {
         self.slot(session)?.output.as_ref()
     }
 
-    /// All recorded `(session, output)` pairs.
-    pub fn outputs(&self) -> impl Iterator<Item = (&SessionId, &Payload)> {
-        self.slots
-            .iter()
-            .filter_map(|page| page.as_deref())
-            .flatten()
-            .filter_map(|cell| {
-                let slot = cell.as_ref()?;
-                Some((&slot.session, slot.output.as_ref()?))
-            })
-    }
-
     /// Number of sessions an instance was spawned at and not
     /// [retired](Node::retire_session) since (diagnostics). A session
     /// whose instance [retired](crate::Context::retire) still counts: its
-    /// spawned flag is what makes a later spawn there a no-op.
+    /// reader is what makes a later spawn there a no-op.
     pub fn instance_count(&self) -> usize {
         self.instances
     }
@@ -318,10 +300,9 @@ impl Node {
             return out;
         }
         let slot = self.slot_mut(&session);
-        if slot.spawned {
+        if slot.instance.is_some() {
             return out; // idempotent
         }
-        slot.spawned = true;
         slot.instance = Some(instance);
         self.instances += 1;
         self.run_loop(Work::Start(session), &mut out);
@@ -372,11 +353,14 @@ impl Node {
                     inst.on_start(&mut ctx);
                     let effects = std::mem::take(&mut ctx.effects);
                     drop(ctx);
-                    let slot = self.slot_mut(&session);
-                    slot.instance = Some(inst);
+                    self.slot_mut(&session).instance = Some(inst);
                     // Drain any messages that raced ahead of the spawn.
-                    for (from, payload) in std::mem::take(&mut slot.early) {
-                        queue.push_back(Work::Msg(session.clone(), from, payload));
+                    if !self.early.is_empty() {
+                        if let Some(early) = self.early.remove(&session.arena_index()) {
+                            for (from, payload) in early {
+                                queue.push_back(Work::Msg(session.clone(), from, payload));
+                            }
+                        }
                     }
                     effects
                 }
@@ -384,7 +368,10 @@ impl Node {
                     let idx = session.arena_index();
                     let slot = self.slot_mut(&session);
                     let Some(mut inst) = slot.instance.take() else {
-                        slot.early.push((from, payload));
+                        self.early
+                            .entry(idx)
+                            .or_insert_with(|| std::mem::take(&mut self.early_pool))
+                            .push((from, payload));
                         continue;
                     };
                     let mut ctx =
@@ -450,8 +437,7 @@ impl Node {
                     }
                     Effect::Spawn { session, instance } => {
                         let slot = self.slot_mut(&session);
-                        if !slot.spawned {
-                            slot.spawned = true;
+                        if slot.instance.is_none() {
                             slot.instance = Some(instance);
                             self.instances += 1;
                             queue.push_back(Work::Start(session));
@@ -581,7 +567,7 @@ mod tests {
             Some(&99)
         );
         n.deliver(PartyId(0), sid("x"), Payload::new(99u32), &mut out);
-        assert_eq!(n.outputs().count(), 1);
+        assert_eq!(n.output_count(), 1);
     }
 
     /// Parent spawns a child on start; child outputs immediately; parent
@@ -647,10 +633,35 @@ mod tests {
             n.deliver(PartyId(2), sid("x"), Payload::new(s as u32), &mut out);
         }
         assert!(n.retire_session(&sid("x")));
-        // … and the next fresh slot inherits the allocation.
+        // … and the next session to buffer one inherits the allocation.
         n.deliver(PartyId(2), sid("y"), Payload::new(0u32), &mut out);
-        let slot = n.slot(&sid("y")).unwrap();
-        assert!(slot.early.capacity() >= 8, "early buffer was recycled");
+        let early = &n.early[&sid("y").arena_index()];
+        assert!(early.capacity() >= 8, "early buffer was recycled");
+    }
+
+    #[test]
+    fn early_messages_die_with_their_session() {
+        let mut n = node(1);
+        let mut out = Vec::new();
+        for v in [5u32, 6, 7] {
+            n.deliver(PartyId(2), sid("x"), Payload::new(v), &mut out);
+        }
+        assert!(n.retire_session(&sid("x")));
+        assert!(n.early.is_empty(), "the early table forgets the session");
+        // A spawn there starts fresh: nothing replays, only `on_start` sends.
+        let out = n.spawn(sid("x"), Box::new(Doubler));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].payload.to_msg::<u32>(), Some(1));
+    }
+
+    #[test]
+    fn a_session_cell_is_48_bytes() {
+        assert_eq!(
+            std::mem::size_of::<Option<SessionSlot>>(),
+            48,
+            "an arena cell is its occupant and its output (88 bytes while it \
+             also kept its session id, a spawned flag and an early buffer)"
+        );
     }
 
     #[test]
@@ -741,8 +752,8 @@ mod tests {
             n.deliver(PartyId(2), sid("x"), Payload::new(0u32), &mut out);
         }
         assert_eq!((out.len(), n.retired_count()), (2, 1));
-        // The reader answers nothing, and the session keeps its output and
-        // its spawned flag.
+        // The reader answers nothing, the session keeps its output, and a
+        // respawn there is still a no-op.
         out.clear();
         assert!(n.deliver(PartyId(2), sid("x"), Payload::new(0u32), &mut out));
         assert!(out.is_empty());

@@ -37,6 +37,9 @@ allowed=(
     'let mut metrics: HashMap<usize, [u64; 3]> = HashMap::new();'
     # ids.rs: the model a proptest holds `PartySet` against.
     'fn set_of(ids: &[usize]) -> (PartySet, BTreeSet<usize>) {'
+    # node.rs: messages waiting for their session to spawn, keyed by the
+    # session's arena index; almost always empty.
+    'early: HashMap<usize, Vec<(PartyId, Payload)>>,'
 )
 
 hits=$(grep -rnE 'Hash(Map|Set)<(PartyId|usize)|BTreeSet<usize>' --include='*.rs' \
@@ -100,11 +103,12 @@ done
 echo "one-allocation: every burst is one Arc<[u8]>"
 
 # And for what an instance holds once it is spent: an instance that can never
-# act again calls `ctx.retire` (the node then frees it mid-run and leaves a
-# stateless reader in its session), or says why it never does. Every non-test
-# `impl Instance for T` in the protocol crates needs a `ctx.retire` call in
-# one of `T`'s impl blocks or a `// never retires: <reason>` comment directly
-# above it; a new instance without either is state kept to the end unasked.
+# act again calls `ctx.retire` or `ctx.retire_unviewed` (the node then frees it
+# mid-run and leaves a stateless reader in its session), or says why it never
+# does. Every non-test `impl Instance for T` in the protocol crates needs such
+# a call in one of `T`'s impl blocks or a `// never retires: <reason>` comment
+# directly above it; a new instance without either is state kept to the end
+# unasked.
 unexplained=$(for src in crates/{broadcast,svss,ba,core}/src/*.rs; do
     awk '
         /^#\[cfg\(test\)\]/ { exit }
@@ -133,6 +137,13 @@ done)
 if [[ -n $unexplained ]]; then
     echo "retire: instances that neither call ctx.retire nor say \`// never retires: <reason>\`:" >&2
     echo "$unexplained" >&2
+    exit 1
+fi
+# Not viewing messages is no reason any more: `ctx.retire_unviewed` leaves a
+# reader that views nothing either.
+if grep -rnE 'never retires: .*(it views no message|drops messages without viewing them)' \
+    --include='*.rs' crates/{broadcast,svss,ba,core}/src >&2; then
+    echo "retire: an instance that views no message retires with ctx.retire_unviewed" >&2
     exit 1
 fi
 echo "retire: every instance retires or says why not"

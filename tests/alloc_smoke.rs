@@ -34,9 +34,11 @@
 //! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
 //! at its deepest, so its peak heap divided by its peak in-flight count
 //! moves with every byte of the queue's layout. And it pins what the full
-//! stack holds at once: an n = 7 FBA peaks at 8.7 MB, where it held
-//! 15.8 MB while every spent A-Cast, share phase and reconstruction kept
-//! its state until the run was dropped.
+//! stack holds: an n = 7 FBA peaks at 6.9 MB (8.7 MB with 88-byte session
+//! cells and a halted BA, a finished coin or FBA kept; 15.8 MB while every
+//! spent instance kept its state until the run was dropped), and at
+//! quiescence keeps 292 B of heap per recorded output at n = 7 and 683 B
+//! at n = 16 (369 and 749 before those let go).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -306,10 +308,8 @@ const WIRE_FBA_ALLOCS_PER_MESSAGE_PER_RUN: f64 = 2.402;
 fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
     let _guard = WINDOW.lock().unwrap();
     let sid = SessionId::root().child(SessionTag::new("alloc-ba32", 0));
-    // The benchmark's `ba-n32-sim` execution at seed 1, built inside the
-    // window, so everything the run holds at its peak counts.
-    let mut deepest = 0;
-    let (_, report) = count_allocs(|| {
+    // The benchmark's `ba-n32-sim` execution at seed 1.
+    let episode = || {
         let mut net = SimNetwork::new(NetConfig::new(32, 10, 1), Box::new(RandomScheduler));
         for p in 0..32 {
             net.spawn(
@@ -318,7 +318,15 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
                 Box::new(BinaryBa::new(false, Box::new(OracleCoin::new(1)))),
             );
         }
-        net.run_until(u64::MAX, |net| {
+        net
+    };
+    // Intern the session tree with a throwaway run, so the interner's
+    // growth stays out of the window; then build and run the measured one
+    // inside it, so everything the run holds at its peak counts.
+    episode().run(u64::MAX);
+    let mut deepest = 0;
+    let (_, report) = count_allocs(|| {
+        episode().run_until(u64::MAX, |net| {
             deepest = deepest.max(net.pending_len());
             false
         })
@@ -330,64 +338,117 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
         per_envelope < BA_N32_PEAK_BYTES_PER_IN_FLIGHT,
         "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
          ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
-         queue's records or side arrays, or the payload, grew; with a 48-byte payload in \
-         88-byte slab entries it was {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD}, on \
-         104-byte records doubled in a slab {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
+         queue's records or side arrays, the payload, a session cell or a halted BA grew; \
+         with 88-byte cells and halted BAs kept it was {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL}, \
+         with a 48-byte payload in 88-byte slab entries \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD}, on 104-byte records doubled in a slab \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
     );
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (162.4 measured — 5 374 708 bytes at 33 088 in flight — plus a
-/// tenth); what the same run cost while a `Payload` was 48 bytes, so a
-/// slab entry 88 (188.9); and what it cost while each batch was a
-/// 104-byte slab record in a doubling `Vec`, beside a tombstone list, a
-/// free list and a compaction scratch (each measured on the commit before
-/// it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 179.0;
+/// bound (136.2 measured — 4 507 604 bytes at 33 088 in flight — plus
+/// 5 %); what the same run cost while an arena cell was 88 bytes and a
+/// halted BA kept its state (146.4); and, with the interner's growth
+/// still inside the window, what it cost while a `Payload` was 48 bytes,
+/// so a slab entry 88 (188.9), and while each batch was a 104-byte slab
+/// record in a doubling `Vec`, beside a tombstone list, a free list and a
+/// compaction scratch (each measured on the commit before it went).
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 143.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL: f64 = 146.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD: f64 = 188.9;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED: f64 = 329.7;
+
+/// The benchmark's FBA execution shape at `n` parties (inputs `v0 …`,
+/// `k = 1`, the `WeakShared` coin, seed 1001) at `sid`, spawned and not
+/// yet run.
+fn fba_episode(n: usize, sid: &SessionId) -> SimNetwork {
+    let mut net = SimNetwork::new(
+        NetConfig::new(n, (n - 1) / 3, 1001),
+        Box::new(RandomScheduler),
+    );
+    for p in 0..n {
+        net.spawn(
+            PartyId(p),
+            sid.clone(),
+            Box::new(Fba::new(
+                format!("v{p}"),
+                FairChoiceParams::FixedK { k: 1 },
+                CoinKind::WeakShared,
+            )),
+        );
+    }
+    net
+}
 
 #[test]
 fn fba_n7_peak_heap_is_pinned() {
     let _guard = WINDOW.lock().unwrap();
     let sid = SessionId::root().child(SessionTag::new("alloc-fba7", 0));
-    let episode = || {
-        let mut net = SimNetwork::new(NetConfig::new(7, 2, 1001), Box::new(RandomScheduler));
-        for p in 0..7 {
-            net.spawn(
-                PartyId(p),
-                sid.clone(),
-                Box::new(Fba::new(
-                    format!("v{p}"),
-                    FairChoiceParams::FixedK { k: 1 },
-                    CoinKind::WeakShared,
-                )),
-            );
-        }
-        net
-    };
     // Intern the session tree with a throwaway episode of the same shape,
     // then build and run the measured one inside the window, so
     // everything it holds at its peak counts.
-    episode().run(u64::MAX);
-    let (_, report) = count_allocs(|| episode().run(u64::MAX));
+    fba_episode(7, &sid).run(u64::MAX);
+    let (_, report) = count_allocs(|| fba_episode(7, &sid).run(u64::MAX));
     assert_eq!(report.stop, aft::sim::StopReason::Quiescent);
     let peak = PEAK.load(Ordering::SeqCst);
     assert!(
         peak < FBA_N7_PEAK_BYTES,
         "the n=7 FBA peaked at {peak} heap bytes (bound {FBA_N7_PEAK_BYTES}) — a spent \
-         A-Cast or share phase kept its state, or reconstruction its decoding state past \
-         output; with every instance held to the end it was {FBA_N7_PEAK_BYTES_HELD}"
+         instance kept its state, reconstruction its decoding state past output, or a \
+         session cell grew; it was {FBA_N7_PEAK_BYTES_WIDE_CELL} with 88-byte cells and a \
+         halted BA, a finished coin or FBA kept, {FBA_N7_PEAK_BYTES_HELD} with every \
+         instance held to the end"
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (8 692 918 measured,
-/// plus 5 %), and what the same run peaked at while every instance kept
-/// its state until the runtime was dropped (measured on the commit before
-/// spent instances retired; its peak was then its live heap at
-/// quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 9_127_564;
+/// Peak heap bytes of the n = 7 FBA above: the bound (6 888 204 measured,
+/// plus 5 %); what it peaked at while an arena cell was 88 bytes and a
+/// halted BA, a finished weak coin, `CoinFlip`, `FairChoice` and `Fba`
+/// kept their state; and what it peaked at while every instance kept its
+/// state until the runtime was dropped (each measured on the commit
+/// before it went; the last peak was then the live heap at quiescence).
+const FBA_N7_PEAK_BYTES: i64 = 7_232_614;
+const FBA_N7_PEAK_BYTES_WIDE_CELL: i64 = 8_692_918;
 const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
+
+#[test]
+fn fba_live_heap_per_output_is_pinned() {
+    let _guard = WINDOW.lock().unwrap();
+    for &(n, bound, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
+        // Seconds optimised, minutes in a debug build.
+        if n > 7 && cfg!(debug_assertions) {
+            continue;
+        }
+        let sid = SessionId::root().child(SessionTag::new("alloc-fba-live", n as u64));
+        fba_episode(n, &sid).run(u64::MAX);
+        // What the run holds at quiescence, outputs included, divided by
+        // the outputs it keeps.
+        let (_, net) = count_allocs(|| {
+            let mut net = fba_episode(n, &sid);
+            assert_eq!(net.run(u64::MAX).stop, aft::sim::StopReason::Quiescent);
+            net
+        });
+        let live = LIVE.load(Ordering::SeqCst);
+        let outputs: u64 = (0..n).map(|p| net.node(PartyId(p)).output_count()).sum();
+        let per_output = live as f64 / outputs as f64;
+        assert!(
+            per_output < bound,
+            "at n={n} the FBA keeps {live} heap bytes for {outputs} outputs \
+             ({per_output:.1} B each, bound {bound}) — a spent instance or a session cell \
+             holds more than its output; with 88-byte cells and a halted BA, a finished \
+             coin or FBA kept it was {wide_cell}"
+        );
+    }
+}
+
+/// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
+/// (291.7 measured — 6 860 636 bytes for 23 517 outputs — plus 5 %) and
+/// n = 16 (683.4 — 215 693 412 bytes for 315 600 — plus 2.5 %), and what
+/// the same runs kept while an arena cell was 88 bytes and a halted BA, a
+/// finished weak coin, `CoinFlip`, `FairChoice` and `Fba` kept their
+/// state (measured on the commit before they went).
+const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64)] = &[(7, 306.3, 369.1), (16, 700.5, 748.7)];
 
 #[test]
 fn an_honest_acast_instance_owns_nothing_but_its_box() {
