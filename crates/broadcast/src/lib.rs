@@ -487,8 +487,10 @@ mod tests {
                 };
                 net.spawn(PartyId(p), sid(), inst);
             }
-            net.crash_at(PartyId(1), 10);
-            net.crash_at(PartyId(2), 25);
+            net.run(9);
+            net.crash(PartyId(1));
+            net.run(15);
+            net.crash(PartyId(2));
             let report = net.run(2_000_000);
             assert_eq!(report.stop, StopReason::Quiescent);
             for p in 3..7 {

@@ -7,16 +7,16 @@
 //! only the parties onto an event loop: for the duration of every run each
 //! party's [`PartyHost`] lives inside a task spawned on a `tokio`
 //! current-thread [`LocalSet`](tokio::task::LocalSet), and every act at a
-//! party — a delivery, a spawn, a crash, a revival — round-trips through
-//! that party's command/response channel pair. The task performs a
-//! delivery or a spawn exactly as a party of `rt=sim` is performed
+//! party — a delivery, a recovery's revival and respawn — round-trips
+//! through that party's command/response channel pair. The task performs
+//! a delivery or a spawn exactly as a party of `rt=sim` is performed
 //! ([`perform`]) and answers with the party's numbered sends and the
 //! events it recorded, which the network records and queues in that
-//! order. Outside of a run (spawns, crashes, output reads) the hosts live
-//! in the network, exactly like `rt=sim`. Scheduling decisions never
-//! leave the network, so the step sequence (and therefore every metric,
-//! trace and fingerprint) is bit-for-bit identical to `rt=sim` under the
-//! same `(seed, scheduler)`.
+//! order. Outside of a run (crashes, output reads, and the start of the
+//! spawns a run begins with) the hosts live in the network, exactly like
+//! `rt=sim`. Scheduling decisions never leave the network, so the step
+//! sequence (and therefore every metric, trace and fingerprint) is
+//! bit-for-bit identical to `rt=sim` under the same `(seed, scheduler)`.
 //!
 //! The executor is the offline API-compatible stand-in vendored at
 //! `vendor/tokio`; swapping in real tokio is a one-line
@@ -36,8 +36,6 @@ enum Cmd {
     /// Perform an act, recording the party's events if the flag says
     /// anyone listens.
     Act(Act, bool),
-    /// Crash the party.
-    Crash,
     /// Recovery phase 1: un-crash and retire the stale session slot.
     Revive(SessionId),
     /// Hand the host back and terminate the task.
@@ -48,7 +46,7 @@ enum Cmd {
 enum Rsp {
     /// What an `Act` sent, numbered, and the events it recorded.
     Sent(Vec<(u64, Outgoing)>, Vec<TraceEvent>),
-    /// `Crash` / `Revive` acknowledged.
+    /// `Revive` acknowledged.
     Done,
     /// The host, returned by `Finish`.
     Host(Box<PartyHost>),
@@ -68,10 +66,6 @@ async fn party_loop(mut host: PartyHost, mut rx: UnboundedReceiver<Cmd>, tx: Unb
                     sends.push((seq, o))
                 });
                 Rsp::Sent(sends, events)
-            }
-            Cmd::Crash => {
-                host.crash();
-                Rsp::Done
             }
             Cmd::Revive(session) => {
                 host.revive(&session);
@@ -143,14 +137,6 @@ impl EventLoop {
         match self.roundtrip(party.0, Cmd::Act(act, traced)) {
             Rsp::Sent(sends, events) => (sends, events),
             _ => unreachable!("Act answered with a non-Sent response"),
-        }
-    }
-
-    /// Crashes `party`.
-    pub(crate) fn crash(&mut self, party: PartyId) {
-        match self.roundtrip(party.0, Cmd::Crash) {
-            Rsp::Done => {}
-            _ => unreachable!("Crash answered with a non-Done response"),
         }
     }
 
@@ -242,10 +228,11 @@ mod tests {
 
     #[test]
     fn async_crash_and_recover_matches_sim() {
-        // Crash before run retracts the party; schedule_recover brings it
-        // back mid-episode under the virtual-time scheduler. The whole
-        // crash/revive/respawn path must round-trip through the event
-        // loop with the exact outcome of the inline sim dispatch.
+        // A crash before the run keeps the party from starting;
+        // schedule_recover brings it back mid-episode under the
+        // virtual-time scheduler. The revive/respawn path must round-trip
+        // through the event loop with the exact outcome of the inline sim
+        // dispatch.
         let mut results = Vec::new();
         for backend in ["sim", "async"] {
             let name = format!("{backend}:net:lat=1..4");

@@ -25,11 +25,9 @@ impl Instance for SilentInstance {
 /// `after` events (start + messages + child outputs combined) — a
 /// mid-protocol crash confined to one session.
 ///
-/// For whole-party crashes use [`SimNetwork::crash`] /
-/// [`SimNetwork::crash_at`] instead.
+/// For whole-party crashes use [`Runtime::crash`] instead.
 ///
-/// [`SimNetwork::crash`]: crate::SimNetwork::crash
-/// [`SimNetwork::crash_at`]: crate::SimNetwork::crash_at
+/// [`Runtime::crash`]: crate::Runtime::crash
 pub struct MuteAfter {
     inner: Box<dyn Instance>,
     after: u64,

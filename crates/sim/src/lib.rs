@@ -15,8 +15,9 @@
 //!   order of in-flight messages, subject to a fairness cap (every message
 //!   is eventually delivered — the paper's model).
 //! * Byzantine parties run arbitrary [`Instance`]s instead of honest ones;
-//!   whole-party crashes are injected with [`Runtime::crash`] /
-//!   [`SimNetwork::crash_at`].
+//!   whole-party crashes are injected with [`Runtime::crash`] between
+//!   runs. A spawn starts with the next run on every engine, so a party
+//!   crashed before then starts nothing.
 //! * A run is a pure function of its seed: Monte-Carlo estimation of
 //!   probabilistic guarantees ([`run_trials`]) and byte-exact replay of
 //!   adversarial schedules both follow.
@@ -110,8 +111,8 @@ pub use scenario::{
     Fingerprint, MatrixCell, Scenario, ScenarioMatrix,
 };
 pub use scheduler::{
-    BlockScheduler, FifoScheduler, LifoScheduler, RandomScheduler, Scheduler, SchedulerConfig,
-    StarveScheduler, WindowScheduler,
+    BlockScheduler, FifoScheduler, LifoScheduler, RandomScheduler, Scheduler, StarveScheduler,
+    WindowScheduler, MAX_AGE,
 };
 pub use shard::ShardedSimRuntime;
 pub use threaded::ThreadedRuntime;

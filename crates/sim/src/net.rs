@@ -30,17 +30,18 @@
 //!
 //! Fairness: every arrival time is finite and the earliest goes first,
 //! so no message waits forever — this family is fair by construction.
-//! The step-count fairness cap ([`SchedulerConfig::max_age`]) therefore
-//! does not apply to it: a cap-forced delivery would land at the
-//! current clock reading, before the envelope's own arrival time and
-//! straight through an un-healed partition.
+//! The step-count fairness cap ([`MAX_AGE`]) therefore does not apply to
+//! it: a cap-forced delivery would land at the current clock reading,
+//! before the envelope's own arrival time and straight through an
+//! un-healed partition.
 //!
-//! [`SchedulerConfig::max_age`]: crate::scheduler::SchedulerConfig::max_age
+//! [`MAX_AGE`]: crate::scheduler::MAX_AGE
 
 use crate::ids::PartyId;
 use crate::queue::{BatchSlot, MsgMeta, Pending};
 use crate::runtime::NetConfig;
 use crate::scheduler::Scheduler;
+use crate::trace::TraceEvent;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -268,6 +269,19 @@ pub enum NetEvent {
     },
 }
 
+impl NetEvent {
+    /// The event as the flight recorder keeps it, stamped with the
+    /// engine's `step`.
+    pub(crate) fn traced(self, step: u64) -> TraceEvent {
+        match self {
+            NetEvent::PartitionStart { vtime, cut } => {
+                TraceEvent::PartitionStart { step, vtime, cut }
+            }
+            NetEvent::PartitionHeal { vtime } => TraceEvent::PartitionHeal { step, vtime },
+        }
+    }
+}
+
 /// The resolved partition: which parties are cut, from when to when.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPlan {
@@ -362,8 +376,10 @@ struct Arrival {
 ///
 /// `pick` returns the earliest arrival, ties broken by arrival order,
 /// and the clock advances monotonically to that arrival's time. Batches
-/// removed behind the scheduler's back (retraction) leave stale entries
-/// that are skipped when they surface. A pick costs
+/// removed behind the scheduler's back — which the [`Scheduler`] contract
+/// allows only the fairness cap, and the cap never overrides a clocked
+/// scheduler — leave stale entries that are skipped when they surface. A
+/// pick costs
 /// O(heads timed + log in-flight) and yields the batch's handle, which
 /// is what [`pick_slot`](Scheduler::pick_slot) hands the engines;
 /// [`pick`](Scheduler::pick) turns it into a rank for callers that want
@@ -547,7 +563,6 @@ mod tests {
     use crate::network::Envelope;
     use crate::payload::Payload;
     use crate::queue::Parcel;
-    use crate::scheduler::SchedulerConfig;
 
     fn envelope(from: usize, to: usize, seq: u64) -> Envelope {
         Envelope {
@@ -566,15 +581,6 @@ mod tests {
             q.push(envelope(from, to, seq as u64));
         }
         q
-    }
-
-    fn config(n: usize, t: usize, seed: u64) -> NetConfig {
-        NetConfig {
-            n,
-            t,
-            seed,
-            scheduler: SchedulerConfig::default(),
-        }
     }
 
     #[test]
@@ -624,7 +630,7 @@ mod tests {
     fn clock_is_monotone_and_picks_are_in_bounds() {
         let spec = NetSpec::parse("net:lat=1..20,fail=p25").unwrap();
         let mut s = NetScheduler::new(spec);
-        s.configure(&config(4, 1, 7));
+        s.configure(&NetConfig::new(4, 1, 7));
         let mut rng = ChaCha12Rng::seed_from_u64(7);
         let mut q = pending(&[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]);
         let mut last = 0;
@@ -644,7 +650,7 @@ mod tests {
         let run = |seed: u64| {
             let spec = NetSpec::parse("net:lat=1..20,partition=p50,heal=50").unwrap();
             let mut s = NetScheduler::new(spec);
-            s.configure(&config(7, 2, seed));
+            s.configure(&NetConfig::new(7, 2, seed));
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             let mut q = pending(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]);
             let mut order = Vec::new();
@@ -665,7 +671,7 @@ mod tests {
     fn partition_delays_cross_cut_traffic_past_the_heal() {
         let spec = NetSpec::parse("net:lat=1..1,partition=0+1,heal=500").unwrap();
         let mut s = NetScheduler::new(spec);
-        s.configure(&config(4, 2, 1));
+        s.configure(&NetConfig::new(4, 2, 1));
         let plan = s.plan().cloned().expect("plan derived");
         assert_eq!(plan.cut, vec![PartyId(0), PartyId(1)]);
         assert_eq!(plan.end, plan.start + 500);
@@ -709,7 +715,7 @@ mod tests {
     fn never_healing_partition_still_delivers() {
         let spec = NetSpec::parse("net:lat=1..1,partition=0+1").unwrap();
         let mut s = NetScheduler::new(spec);
-        s.configure(&config(4, 2, 1));
+        s.configure(&NetConfig::new(4, 2, 1));
         let plan = s.plan().cloned().unwrap();
         assert!(plan.end >= NEVER_HEAL);
         let mut rng = ChaCha12Rng::seed_from_u64(1);
@@ -731,7 +737,7 @@ mod tests {
     fn stale_arrivals_are_swept_once_they_outnumber_the_live() {
         let spec = NetSpec::parse("net:lat=64..64,partition=0+1").unwrap();
         let mut s = NetScheduler::new(spec);
-        s.configure(&config(4, 2, 1));
+        s.configure(&NetConfig::new(4, 2, 1));
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         // 200 batches stuck behind a cut that never heals, and one
         // intra-side message that arrives at 64.
@@ -743,10 +749,12 @@ mod tests {
         let i = s.pick(&q, &mut rng);
         assert_eq!(q.take(i).seq, 200);
         assert_eq!(s.heap.len(), 200);
-        // The stuck sender's traffic is retracted behind the
-        // scheduler's back: its arrivals would sit in the queue until
-        // the clock reached `NEVER_HEAL`.
-        assert_eq!(q.retract_from(PartyId(0)).len(), 200);
+        // The stuck traffic leaves behind the scheduler's back: its
+        // arrivals would sit in the heap until the clock reached
+        // `NEVER_HEAL`.
+        for _ in 0..200 {
+            q.take(0);
+        }
         q.push(envelope(3, 2, 201));
         let i = s.pick(&q, &mut rng);
         assert_eq!(q.take(i).seq, 201);
@@ -783,7 +791,7 @@ mod tests {
         for pct in [1u8, 25, 50, 75, 100] {
             let spec = NetSpec::parse(&format!("net:lat=1..8,partition=p{pct},heal=50")).unwrap();
             let mut s = NetScheduler::new(spec);
-            s.configure(&config(10, 3, 42));
+            s.configure(&NetConfig::new(10, 3, 42));
             let plan = s.plan().expect("plan");
             assert!(!plan.cut.is_empty() && plan.cut.len() <= 3, "cut ≤ t");
             assert!(plan.cut.windows(2).all(|w| w[0] < w[1]), "sorted cut");
@@ -865,7 +873,7 @@ mod tests {
                 let spec = NetSpec::parse(spec).expect(spec);
                 let configured = || {
                     let mut s = NetScheduler::new(spec.clone());
-                    s.configure(&config(N, 2, seed));
+                    s.configure(&NetConfig::new(N, 2, seed));
                     s
                 };
                 Pair {
@@ -987,13 +995,10 @@ mod tests {
                         // The front batch leaves without a pick (what
                         // the fairness cap does to an order-only
                         // scheduler).
-                        55..=59 => {
+                        55..=62 => {
                             for _ in 0..p.queue.meta(0).count {
                                 p.queue.take(0);
                             }
-                        }
-                        60..=62 => {
-                            p.queue.retract_from(PartyId(from));
                         }
                         // Drain to empty — the queue resets — and go on.
                         _ => p.drain(),

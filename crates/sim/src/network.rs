@@ -4,23 +4,22 @@
 //! counting, numbering and recording of its sends — is that party's
 //! [`PartyHost`], as on every backend. What this engine owns is the rest:
 //! the one in-flight queue, the scheduler and its RNG, the fairness cap,
-//! scheduled crashes and recoveries, and a step clock — what envelopes are
-//! born at, what a step budget and `crash_at` count, and what the engine's
-//! own trace events (`EpisodeStart` / `EpisodeEnd`, `SchedulerPick`,
-//! `Crash`, `Recover`, partitions) are stamped with.
+//! the spawns waiting for the next step, scheduled recoveries, and a step
+//! clock — what envelopes are born at, what a step budget counts, and what
+//! the engine's own trace events (`EpisodeStart` / `EpisodeEnd`,
+//! `SchedulerPick`, `Crash`, `Recover`, partitions) are stamped with.
 
 use crate::adaptive::{Observer, SharedAdaptive};
 use crate::async_rt::EventLoop;
-use crate::ids::{PartyId, PartyMap, SessionId};
+use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::net::NetEvent;
 use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::{BatchSlot, Parcel, Pending};
 use crate::runtime::{
     Metrics, NetConfig, PartyHost, RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
 };
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, MAX_AGE};
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
 use crate::wire_rt::WireLink;
 use rand::SeedableRng;
@@ -94,7 +93,7 @@ pub(crate) fn perform(
 /// `SimNetwork` implements [`Runtime`], so deployments written against the
 /// trait run identically here and on the [`ThreadedRuntime`]; the inherent
 /// methods additionally expose simulator-only power (step-by-step
-/// execution, scheduled crashes, mid-run inspection).
+/// execution, mid-run inspection).
 ///
 /// The engine also hosts two more `rt=` names (see
 /// [`backend`](crate::backend)), each a construction-time setting that
@@ -148,16 +147,13 @@ pub struct SimNetwork {
     sched_rng: ChaCha12Rng,
     /// Delivery steps executed — the engine's clock.
     steps: u64,
-    /// Optional per-party crash step: at this delivery step the party stops.
-    crash_at: PartyMap<u64>,
+    /// Spawns waiting for the next step or run, in call order.
+    spawns: Vec<(PartyId, SessionId, Box<dyn Instance>)>,
     /// Where events are recorded: the flight recorder (see
     /// [`crate::trace`]), if enabled, behind the adaptive controller, if an
     /// adaptive scenario installed one. Never allowed to perturb
     /// schedules, RNGs or metrics; with neither, one check per event.
     sink: Observer,
-    /// Whether any delivery step has executed (gates the crash-before-run
-    /// retraction of queued sends).
-    started: bool,
     /// Pending crash-recoveries, fired against the scheduler's virtual
     /// clock (see [`Runtime::schedule_recover`]).
     recoveries: Recoveries,
@@ -198,9 +194,8 @@ impl SimNetwork {
             scheduler,
             sched_rng,
             steps: 0,
-            crash_at: PartyMap::new(),
+            spawns: Vec::new(),
             sink: Observer::default(),
-            started: false,
             recoveries: Recoveries::default(),
             out: Vec::new(),
             codec: None,
@@ -238,28 +233,18 @@ impl SimNetwork {
         &self.config
     }
 
-    /// Spawns `instance` for `party` at `session` and injects its initial
-    /// sends.
+    /// Deploys `instance` for `party` at `session`. The instance starts
+    /// — and its initial sends go in flight — at the top of the next
+    /// [`step`](SimNetwork::step) or [`run`](SimNetwork::run), with the
+    /// other spawns waiting there, in call order.
     pub fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.act(party, Act::Spawn(session, instance));
+        self.spawns.push((party, session, instance));
     }
 
-    /// Crashes `party` immediately: it stops processing and sending.
-    ///
-    /// If no delivery step has executed yet, the party's queued initial
-    /// sends are retracted and un-counted, so crash-before-run semantics
-    /// match the backends that buffer spawns until `run` (threaded,
-    /// sharded).
+    /// Crashes `party`: it stops processing and sending. A spawn of its
+    /// still waiting for the next step never starts.
     pub fn crash(&mut self, party: PartyId) {
-        match &mut self.tasks {
-            Some(tasks) => tasks.crash(party),
-            None => self.hosts[party.0].crash(),
-        }
-        if !self.started {
-            for env in self.pending.retract_from(party) {
-                self.hosts[party.0].retract(&env.session);
-            }
-        }
+        self.hosts[party.0].crash();
         if let Some(sink) = self.sink.active() {
             sink.record(TraceEvent::Crash {
                 step: self.steps,
@@ -268,11 +253,14 @@ impl SimNetwork {
         }
     }
 
-    /// Schedules `party` to crash at delivery step `step`; the first step
-    /// scheduled for a party stands. Parties due at the same step crash
-    /// in ascending party order.
-    pub fn crash_at(&mut self, party: PartyId, step: u64) {
-        self.crash_at.insert(party, step);
+    /// Starts the waiting spawns, in call order.
+    fn start_spawns(&mut self) {
+        if self.spawns.is_empty() {
+            return;
+        }
+        for (party, session, instance) in std::mem::take(&mut self.spawns) {
+            self.act(party, Act::Spawn(session, instance));
+        }
     }
 
     /// The number of in-flight envelopes.
@@ -313,15 +301,16 @@ impl SimNetwork {
             .and_then(|p| p.downcast_ref::<T>())
     }
 
-    /// Delivers the scheduler's next pick — one same-`(src, dst)` batch
-    /// run in FIFO order, subject to the fairness cap. Returns `false`
-    /// when nothing is pending.
+    /// Starts the waiting spawns, then delivers the scheduler's next pick
+    /// — one same-`(src, dst)` batch run in FIFO order, subject to the
+    /// fairness cap. Returns `false` when nothing is pending.
     ///
     /// Delivering the run whole is what keeps the scheduler machinery
     /// (RNG draw, Fenwick lookup, random slab access) at O(batches)
     /// rather than O(messages); scheduling granularity is the batch,
     /// delivery accounting stays per-message.
     pub fn step(&mut self) -> bool {
+        self.start_spawns();
         self.step_bounded(u64::MAX) > 0
     }
 
@@ -336,7 +325,6 @@ impl SimNetwork {
         let Some((slot, run)) = self.pick_next() else {
             return 0;
         };
-        self.started = true;
         // The pick advanced the virtual clock (when there is one): the
         // whole batch run arrives at this virtual time.
         let vnow = self.scheduler.virtual_now();
@@ -351,20 +339,8 @@ impl SimNetwork {
         }
         self.drain_net_events_to_sink();
         for _ in 0..run {
-            // Trigger scheduled crashes per delivery, so a crash step
-            // falling inside a batch run still fires exactly on time.
-            let step_now = self.steps + 1;
-            if self.crash_at.values().any(|&at| at <= step_now) {
-                for (p, &at) in std::mem::take(&mut self.crash_at).iter() {
-                    if at <= step_now {
-                        self.crash(p);
-                    } else {
-                        self.crash_at.insert(p, at);
-                    }
-                }
-            }
             let env = self.pending.take_slot(slot);
-            self.steps = step_now;
+            self.steps += 1;
             self.act(env.to, Act::Deliver(env, vnow));
         }
         run
@@ -375,15 +351,17 @@ impl SimNetwork {
         self.run_until(max_steps, |_| false)
     }
 
-    /// Runs until quiescence, the step budget, or `stop(self)` returning
-    /// `true` (checked after every scheduler pick, i.e. every delivered
-    /// batch run). On `rt=async` the parties are on the event loop while
-    /// `stop` looks: it can read the queue, not them.
+    /// Starts the waiting spawns, then runs until quiescence, the step
+    /// budget, or `stop(self)` returning `true` (checked after every
+    /// scheduler pick, i.e. every delivered batch run). On `rt=async` the
+    /// parties are on the event loop while `stop` looks: it can read the
+    /// queue, not them.
     pub fn run_until<F: FnMut(&SimNetwork) -> bool>(
         &mut self,
         max_steps: u64,
         mut stop: F,
     ) -> RunReport {
+        self.start_spawns();
         if self.event_loop {
             // Once per run, never per delivery: the hosts move onto the
             // event loop, and come back so that outputs are readable
@@ -486,7 +464,7 @@ impl SimNetwork {
                     party,
                     session,
                     instance,
-                } => SimNetwork::spawn(self, party, session, instance),
+                } => self.act(party, Act::Spawn(session, instance)),
             }
         }
         if force {
@@ -519,14 +497,8 @@ impl SimNetwork {
         };
         let mut events = Vec::new();
         self.scheduler.drain_net_events(&mut events);
-        let step = self.steps;
         for e in events {
-            sink.record(match e {
-                NetEvent::PartitionStart { vtime, cut } => {
-                    TraceEvent::PartitionStart { step, vtime, cut }
-                }
-                NetEvent::PartitionHeal { vtime } => TraceEvent::PartitionHeal { step, vtime },
-            });
+            sink.record(e.traced(self.steps));
         }
     }
 
@@ -538,10 +510,9 @@ impl SimNetwork {
             return None;
         }
         let now = self.steps;
-        let max_age = self.config.scheduler.max_age;
         // The queue mirrors the oldest batch's birth step inline, so the
         // per-pick age check costs a field read, not a slab access.
-        let slot = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > max_age {
+        let slot = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > MAX_AGE {
             self.pending.slot_of(0)
         } else {
             self.scheduler.pick_slot(&self.pending, &mut self.sched_rng)
@@ -733,67 +704,32 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_first_step_retracts_buffered_sends() {
-        // 4 Flood(1) broadcasters buffer 16 sends; crashing P3 before the
-        // first delivery retracts its 4, matching the buffered backends.
+    fn spawns_start_with_the_next_step_and_a_crash_before_it_starts_nothing() {
+        // 4 Flood(1) broadcasters wait for the first step; crashing P3
+        // before it keeps P3 from starting, as on every engine.
         let mut net = flood_net(1, Box::new(RandomScheduler));
-        assert_eq!(net.metrics().sent, 16);
+        assert_eq!((net.metrics().sent, net.pending_len()), (0, 0));
         net.crash(PartyId(3));
-        assert_eq!(net.metrics().sent, 12, "P3's initial sends retracted");
+        assert!(net.step());
+        assert_eq!(net.metrics().sent, 12, "P3 never started");
         assert_eq!(net.metrics().sent_by_kind("t"), 12);
-        assert_eq!(net.pending_len(), 12);
         let report = net.run(1_000_000);
         assert_eq!(report.stop, StopReason::Quiescent);
         assert_eq!(report.metrics.dropped_crashed, 3, "deliveries to P3");
-        // After a step has run, crashes no longer retract in-flight sends.
-        let mut net = flood_net(1, Box::new(RandomScheduler));
-        assert!(net.step());
-        let sent_before = net.metrics().sent;
-        net.crash(PartyId(2));
-        assert_eq!(
-            net.metrics().sent,
-            sent_before,
-            "mid-run crash keeps counts"
-        );
     }
 
     #[test]
-    fn crash_at_takes_effect_mid_run() {
+    fn a_crash_between_runs_stops_the_party_mid_protocol() {
         let mut net = flood_net(1, Box::new(FifoScheduler));
-        net.crash_at(PartyId(2), 5);
-        net.run(1_000_000);
+        assert_eq!(net.run(4).stop, StopReason::StepLimit);
+        let sent = net.metrics().sent;
+        net.crash(PartyId(2));
+        assert_eq!(net.metrics().sent, sent, "a crash keeps what was sent");
+        let report = net.run(1_000_000);
+        assert_eq!(report.stop, StopReason::Quiescent);
         assert!(net.node(PartyId(2)).is_crashed());
-    }
-
-    /// Parties due at the same step crash — and have their `Crash`
-    /// recorded — in ascending party order, so a replayed trace is
-    /// byte-identical.
-    #[test]
-    fn crash_at_ties_fire_in_party_order() {
-        let mut net = SimNetwork::new(NetConfig::new(10, 3, 1), Box::new(FifoScheduler));
-        net.set_trace(TraceMode::Full);
-        for p in 0..10 {
-            net.spawn(PartyId(p), sid(), Box::new(Flood::new(1)));
-        }
-        for p in [7, 2, 9, 4, 3, 8, 5, 6] {
-            net.crash_at(PartyId(p), 5);
-        }
-        net.run(1_000_000);
-        let crashed: Vec<(u64, usize)> = net
-            .take_trace()
-            .expect("tracing on")
-            .snapshot()
-            .iter()
-            .filter_map(|event| match event {
-                TraceEvent::Crash { step, party } => Some((*step, party.0)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            crashed,
-            (2..10).map(|p| (4, p)).collect::<Vec<_>>(),
-            "all before delivery 5, in party order"
-        );
+        assert!(net.output(PartyId(2), &sid()).is_none());
+        assert!(report.metrics.dropped_crashed > 0);
     }
 
     #[test]
@@ -849,9 +785,7 @@ mod tests {
                 }
             }
         }
-        let mut config = NetConfig::new(4, 1, 1);
-        config.scheduler.max_age = 50;
-        let mut net = SimNetwork::new(config, Box::new(LifoScheduler));
+        let mut net = SimNetwork::new(NetConfig::new(4, 1, 1), Box::new(LifoScheduler));
         let s_victim = SessionId::root().child(SessionTag::new("victim", 0));
         let s_noise = SessionId::root().child(SessionTag::new("noise", 0));
         net.spawn(PartyId(0), s_victim.clone(), Box::new(OneShot));

@@ -639,24 +639,6 @@ impl Pending {
         self.head_born
     }
 
-    /// Removes and returns every in-flight message sent by `from`, oldest
-    /// first (crash-before-run retraction; not a hot path).
-    pub(crate) fn retract_from(&mut self, from: PartyId) -> Vec<Envelope> {
-        let mut removed = Vec::new();
-        let mut i = 0;
-        while i < self.len() {
-            if self.meta(i).from == from {
-                // `take` keeps a partially drained batch at index `i`, so
-                // repeating the take drains the whole run before `i` moves
-                // on to the next batch.
-                removed.push(self.take(i));
-            } else {
-                i += 1;
-            }
-        }
-        removed
-    }
-
     /// Removes and returns the head envelope of the `i`-th oldest batch.
     /// The batch keeps its arrival position until its run drains.
     ///
@@ -1063,26 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_from_removes_only_that_sender() {
-        let mut q = Pending::new();
-        q.push(env(0, 1, 0));
-        q.push(env(0, 1, 1)); // merges with the batch above
-        q.push(env(2, 1, 2));
-        q.push(env(0, 3, 3));
-        q.push(env(1, 0, 4));
-        let removed = q.retract_from(PartyId(0));
-        assert_eq!(
-            removed.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![0, 1, 3]
-        );
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.messages(), 2);
-        assert_eq!(q.meta(0).seq, 2);
-        assert_eq!(q.meta(1).seq, 4);
-        assert!(q.retract_from(PartyId(0)).is_empty());
-    }
-
-    #[test]
     fn metas_iterates_in_arrival_order() {
         let mut q = Pending::new();
         for s in 0..4 {
@@ -1139,27 +1101,6 @@ mod tests {
             }
         }
 
-        /// A sender crashes before the run: everything it has in flight
-        /// leaves, oldest first.
-        fn retract(&mut self, q: &mut Pending, from: usize) {
-            let expect: Vec<u64> = self
-                .batches
-                .iter()
-                .filter(|b| b.0 == from)
-                .flat_map(|b| b.2.clone())
-                .collect();
-            let got: Vec<u64> = q
-                .retract_from(PartyId(from))
-                .iter()
-                .map(|e| e.seq)
-                .collect();
-            assert_eq!(got, expect);
-            if self.batches.last().is_some_and(|b| b.0 == from) {
-                self.tail_live = false;
-            }
-            self.batches.retain(|b| b.0 != from);
-        }
-
         /// After every op: lengths agree, slot handles invert to their
         /// index, the since-ordinal view is the model's suffix, and the
         /// inline head mirror tracks the oldest batch exactly.
@@ -1195,7 +1136,7 @@ mod tests {
     ///
     /// * 0–3: fills and drains alternate over three senders and two
     ///   receivers, so batches merge and the arrival list outgrows its
-    ///   capacity (compaction) — with a sender retracted every 131 rounds;
+    ///   capacity (compaction);
     /// * 4–5: a long fill of distinct pairs, past several slab growth
     ///   steps; 6: a drain;
     /// * 7: drained to empty, then refilled to a shallow depth, which the
@@ -1249,10 +1190,6 @@ mod tests {
                 } else {
                     let i = rng.gen_range(0..model.batches.len());
                     model.take(&mut q, i);
-                }
-                if phase < 4 && round % 131 == 0 && !model.batches.is_empty() {
-                    let from = model.batches[rng.gen_range(0..model.batches.len())].0;
-                    model.retract(&mut q, from);
                 }
             }
             model.check(&q, seen, &at);

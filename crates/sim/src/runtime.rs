@@ -30,7 +30,6 @@ use crate::instance::Instance;
 use crate::network::Envelope;
 use crate::node::{Node, Outgoing};
 use crate::payload::{drain_misses, Payload};
-use crate::scheduler::SchedulerConfig;
 use crate::trace::{session_kind, DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -45,19 +44,13 @@ pub struct NetConfig {
     pub t: usize,
     /// Master seed: all node RNGs and the scheduler RNG derive from it.
     pub seed: u64,
-    /// Fairness cap (see [`SchedulerConfig`]).
-    pub scheduler: SchedulerConfig,
 }
 
 impl NetConfig {
-    /// Convenience constructor with the default fairness cap.
+    /// The system of `n` parties, up to `t` of them faulty, seeded by
+    /// `seed`.
     pub fn new(n: usize, t: usize, seed: u64) -> Self {
-        NetConfig {
-            n,
-            t,
-            seed,
-            scheduler: SchedulerConfig::default(),
-        }
+        NetConfig { n, t, seed }
     }
 }
 
@@ -180,23 +173,6 @@ impl Metrics {
         } else {
             self.by_kind.push((kind, 1));
             self.last_kind = self.by_kind.len() - 1;
-        }
-    }
-
-    /// Un-counts one previously-recorded send of `session`'s leaf kind
-    /// (the simulator retracts buffered sends of a party crashed before
-    /// the first delivery). A kind whose count reaches zero is dropped
-    /// entirely, so per-kind fingerprints match backends that never
-    /// counted the retracted sends at all.
-    pub(crate) fn on_retracted(&mut self, session: &SessionId) {
-        self.sent -= 1;
-        let kind = session.last().map_or("root", |t| t.kind);
-        if let Some(i) = self.by_kind.iter().position(|(k, _)| *k == kind) {
-            self.by_kind[i].1 -= 1;
-            if self.by_kind[i].1 == 0 {
-                self.by_kind.remove(i);
-                self.last_kind = 0;
-            }
         }
     }
 
@@ -418,13 +394,6 @@ impl PartyHost {
     pub fn revive(&mut self, session: &SessionId) {
         self.node.recover();
         self.node.retire_session(session);
-    }
-
-    /// Un-counts a drained send of `session` that its driver took back
-    /// before anyone could deliver it (`SimNetwork`'s crash before the
-    /// first delivery).
-    pub(crate) fn retract(&mut self, session: &SessionId) {
-        self.metrics.on_retracted(session);
     }
 
     /// Delivers `env`, arriving at virtual time `vtime` where the driver
@@ -722,9 +691,9 @@ impl Recoveries {
 /// 2. [`run`](Runtime::run) until quiescence or a step budget;
 /// 3. read [`output`](Runtime::output)s and [`metrics`](Runtime::metrics).
 ///
-/// The deterministic simulator additionally allows interleaving spawns
-/// and runs and mid-run inspection through its inherent methods; the
-/// trait captures the portable subset.
+/// The deterministic simulator additionally allows step-by-step execution
+/// and mid-run inspection through its inherent methods; the trait
+/// captures the portable subset.
 ///
 /// # Examples
 ///
@@ -760,24 +729,15 @@ pub trait Runtime {
     /// The system's static configuration.
     fn config(&self) -> &NetConfig;
 
-    /// Deploys `instance` for `party` at `session`.
-    ///
-    /// On the simulator the instance starts immediately; on the threaded
-    /// backend spawns are buffered until [`run`](Runtime::run).
+    /// Deploys `instance` for `party` at `session`. On every engine the
+    /// instance starts, and its initial sends go in flight, when the next
+    /// [`run`](Runtime::run) starts; waiting spawns start in call order.
     fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>);
 
     /// Crashes `party`: it stops processing and sending for the rest of
-    /// the run.
-    ///
-    /// A crash issued before the first delivery (i.e. before the first
-    /// [`run`](Runtime::run)) retracts the party entirely on *every*
-    /// backend: its buffered initial sends are never delivered. The
-    /// threaded and sharded backends get this for free by buffering
-    /// spawns until `run`; the simulator, which starts instances eagerly
-    /// on [`spawn`](Runtime::spawn), retracts the party's in-flight
-    /// envelopes and un-counts them. A crash issued after deliveries have
-    /// begun only stops future activity — envelopes already in flight
-    /// from the party stay deliverable.
+    /// the run. Its spawns still waiting for the next run never start, so
+    /// a party crashed before its first run sends nothing; envelopes it
+    /// already had in flight stay deliverable.
     fn crash(&mut self, party: PartyId);
 
     /// Runs until quiescence or until `max_steps` deliveries.
@@ -965,26 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_retraction_drops_zeroed_kinds() {
-        let a = SessionId::root().child(SessionTag::new("a", 0));
-        let b = SessionId::root().child(SessionTag::new("b", 0));
-        let mut m = Metrics::default();
-        m.on_sent(&a);
-        m.on_sent(&b);
-        m.on_sent(&b);
-        m.on_retracted(&a);
-        m.on_retracted(&b);
-        assert_eq!(m.sent, 1);
-        assert_eq!(m.sent_by_kind("b"), 1);
-        // Fully-retracted kinds vanish, so per-kind fingerprints match a
-        // backend that never counted them.
-        assert_eq!(m.kinds().collect::<Vec<_>>(), vec![("b", 1)]);
-        // The interned fast path still works after the removal.
-        m.on_sent(&b);
-        assert_eq!(m.sent_by_kind("b"), 2);
-    }
-
-    #[test]
     fn metrics_merge_accumulates() {
         let a_sid = SessionId::root().child(SessionTag::new("a", 0));
         let b_sid = SessionId::root().child(SessionTag::new("b", 0));
@@ -1118,7 +1058,6 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum MetricOp {
         Sent(usize),
-        Retract(usize),
         Miss(usize),
         Delivered,
         DroppedShunned,
@@ -1130,20 +1069,10 @@ mod tests {
 
     const OP_KINDS: [&str; 4] = ["acast", "ba", "svss-share", "wire:unknown"];
 
-    fn apply_op(m: &mut Metrics, op: MetricOp, live: &mut [u64; 4]) {
-        let sid = |i: usize| SessionId::root().child(SessionTag::new(OP_KINDS[i % 4], 0));
+    fn apply_op(m: &mut Metrics, op: MetricOp) {
         match op {
             MetricOp::Sent(i) => {
-                live[i % 4] += 1;
-                m.on_sent(&sid(i));
-            }
-            MetricOp::Retract(i) => {
-                // Only retract a kind this half actually sent, like the
-                // simulator (which retracts buffered, counted sends).
-                if live[i % 4] > 0 {
-                    live[i % 4] -= 1;
-                    m.on_retracted(&sid(i));
-                }
+                m.on_sent(&SessionId::root().child(SessionTag::new(OP_KINDS[i % 4], 0)));
             }
             MetricOp::Miss(i) => {
                 let kind = OP_KINDS[i % 4];
@@ -1199,15 +1128,14 @@ mod tests {
     /// the next byte the session kind.
     fn decode_op(raw: u32) -> MetricOp {
         let kind = ((raw >> 8) & 0xFF) as usize;
-        match raw % 9 {
+        match raw % 8 {
             0 => MetricOp::Sent(kind),
-            1 => MetricOp::Retract(kind),
-            2 => MetricOp::Miss(kind),
-            3 => MetricOp::Delivered,
-            4 => MetricOp::DroppedShunned,
-            5 => MetricOp::DroppedCrashed,
-            6 => MetricOp::Step,
-            7 => MetricOp::Shun,
+            1 => MetricOp::Miss(kind),
+            2 => MetricOp::Delivered,
+            3 => MetricOp::DroppedShunned,
+            4 => MetricOp::DroppedCrashed,
+            5 => MetricOp::Step,
+            6 => MetricOp::Shun,
             _ => MetricOp::Pool,
         }
     }
@@ -1225,29 +1153,13 @@ mod tests {
             raw in proptest::collection::vec(proptest::any::<u32>(), 0..64),
         ) {
             let mut whole = Metrics::default();
-            let mut live_whole = [0u64; 4];
             let mut left = Metrics::default();
-            let mut live_left = [0u64; 4];
             let mut right = Metrics::default();
-            let mut live_right = [0u64; 4];
             for &word in &raw {
                 let op = decode_op(word);
-                let go_left = (word >> 16) & 1 == 0;
-                // The split must see the same effective ops as the whole:
-                // a retract is a no-op when its half never sent that kind,
-                // so route each op by where it *can* apply identically.
-                let (half, live_half) = if go_left {
-                    (&mut left, &mut live_left)
-                } else {
-                    (&mut right, &mut live_right)
-                };
-                if let MetricOp::Retract(i) = op {
-                    if live_half[i % 4] == 0 {
-                        continue; // would diverge from the whole; skip
-                    }
-                }
-                apply_op(&mut whole, op, &mut live_whole);
-                apply_op(half, op, live_half);
+                let half = if (word >> 16) & 1 == 0 { &mut left } else { &mut right };
+                apply_op(&mut whole, op);
+                apply_op(half, op);
             }
             let mut merged = left;
             merged.merge(&right);

@@ -86,7 +86,7 @@ pub enum FaultSpec {
     /// Never sends anything ([`SilentInstance`]).
     Silent,
     /// Whole-party crash from the start ([`Runtime::crash`] before the
-    /// first run, so initial sends are retracted on every backend).
+    /// first run, so the party starts nothing, on every backend).
     Crash,
     /// Crash from the start, then recover at the given virtual time: the
     /// node comes back up with its session state retired and a fresh
@@ -502,9 +502,9 @@ impl Scenario {
     /// generic faults use the crate's generic behaviours
     /// (`mute-after` wraps the honest instance), named attacks are built
     /// by `registry` with an episode-aware [`AttackCtx`]. `crash` spawns
-    /// the honest instance and then crashes the party (idempotent across
-    /// episodes; a crash before the first run retracts initial sends on
-    /// every backend); `recover:` does the same and schedules the revival.
+    /// the honest instance and then crashes the party, which therefore
+    /// never starts it (idempotent across episodes); `recover:` does the
+    /// same and schedules the revival, which starts a fresh instance.
     ///
     /// `carries[p]` is party `p`'s output from the previous episode (pass
     /// `&[]` for the first); it is forwarded both to `honest` and to
@@ -1297,8 +1297,8 @@ mod tests {
 
     #[test]
     fn deploy_recover_rejoins_mid_episode() {
-        // Party 3 crashes at spawn and recovers at vtime 50: its initial
-        // broadcast is retracted, the pre-recovery deliveries to it are
+        // Party 3 crashes at spawn and recovers at vtime 50: its first
+        // instance never starts, the pre-recovery deliveries to it are
         // dropped-and-counted, and the respawned instance broadcasts after
         // rejoining — observable as 4 extra sends on every backend.
         for rt_name in deterministic_backends() {
@@ -1352,8 +1352,8 @@ mod tests {
         }
         assert!(rt.output(PartyId(5), &sid()).is_none(), "silent");
         assert!(rt.output(PartyId(6), &sid()).is_none(), "crashed");
-        // Crash-before-run retracted party 6's initial broadcast entirely:
-        // only the 5 live parties' send_alls count, and each of their
+        // Crashed before the run, party 6 never broadcast: only the 5 live
+        // parties' send_alls count, and each of their
         // deliveries to the crashed party is dropped-and-counted.
         assert_eq!(report.metrics.sent, 35);
         assert_eq!(report.metrics.dropped_crashed, 5);

@@ -4,10 +4,10 @@
 //! arbitrary *finite* amount. A [`Scheduler`] is exactly that power: it
 //! picks which in-flight message is delivered next. Every scheduler here
 //! is *fair* — no message is deferred forever — which is the hypothesis of
-//! the paper's almost-sure-termination claims. The aging cap in
-//! [`SchedulerConfig::max_age`] enforces fairness even for adversarial
-//! order-only policies; the virtual-time `net:` family is fair by
-//! construction and exempt from it.
+//! the paper's almost-sure-termination claims. The aging cap
+//! [`MAX_AGE`] enforces fairness even for adversarial order-only
+//! policies; the virtual-time `net:` family is fair by construction and
+//! exempt from it.
 //!
 //! Schedulers see only the arrival-ordered [`MsgMeta`] view of the
 //! in-flight queue ([`Pending`]) — endpoints, sequence numbers, ages,
@@ -25,6 +25,17 @@ use rand_chacha::ChaCha12Rng;
 #[allow(unused_imports)] // doc links
 use crate::queue::MsgMeta;
 
+/// The fairness cap: once the oldest in-flight envelope has waited more
+/// than this many delivery steps, `sim` delivers it regardless of the
+/// scheduler's preference — generous, but finite: adversaries can starve
+/// hard, never forever. This enforces the "every message is eventually
+/// delivered" hypothesis of the asynchronous model.
+///
+/// Applies to order-only schedulers. One that keeps a virtual clock
+/// ([`Scheduler::virtual_now`]) delivers every message at a finite time
+/// of its own choosing and is never overridden.
+pub const MAX_AGE: u64 = 4096;
+
 /// Picks the next message to deliver from the pending set.
 ///
 /// `pending` is never empty when `pick` is called. The returned index is
@@ -34,10 +45,10 @@ use crate::queue::MsgMeta;
 /// passes the same queue (each backend owns one queue per scheduler), so
 /// a scheduler may carry state about it from pick to pick. Between two
 /// picks the backend pushes and takes envelopes from the batch the last
-/// pick returned — all of its run, part of it, or none. Anything else
-/// that leaves the queue leaves as a whole batch (crash-before-run
-/// retraction), except under the fairness cap, which only order-only
-/// schedulers are subject to.
+/// pick returned — all of its run, part of it, or none. Nothing else
+/// leaves the queue, except under the fairness cap ([`MAX_AGE`]), which
+/// only order-only schedulers are subject to: it takes the oldest batch's
+/// head without asking the scheduler.
 pub trait Scheduler: Send {
     /// Chooses the arrival-order index of the next message to deliver.
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize;
@@ -214,9 +225,8 @@ impl Scheduler for LifoScheduler {
 /// backend — `sim`, `sharded:1` and `sharded:k` resolve it identically
 /// as long as `sim`'s fairness cap never intervenes (the sharded epochs
 /// are structurally fair and have no cap; on the tested stacks the cap
-/// never fires, but a run deep enough to age batches past
-/// [`SchedulerConfig::max_age`] makes `sim` force front deliveries the
-/// sharded backend would not).
+/// never fires, but a run deep enough to age batches past [`MAX_AGE`]
+/// makes `sim` force front deliveries the sharded backend would not).
 ///
 /// A cap-forced delivery (or a budget-truncated final run) also leaves
 /// this scheduler's current block plan one position out of phase:
@@ -285,27 +295,6 @@ impl Scheduler for BlockScheduler {
     }
     fn name(&self) -> &'static str {
         "block"
-    }
-}
-
-/// Configuration shared by all schedulers.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Fairness cap: if the oldest pending envelope has waited more than
-    /// this many delivery steps, it is delivered regardless of the
-    /// scheduler's preference. This enforces the "every message is
-    /// eventually delivered" hypothesis of the asynchronous model.
-    ///
-    /// Applies to order-only schedulers. One that keeps a virtual clock
-    /// ([`Scheduler::virtual_now`]) delivers every message at a finite
-    /// time of its own choosing and is never overridden.
-    pub max_age: u64,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        // Generous but finite: adversaries can starve hard, never forever.
-        SchedulerConfig { max_age: 4096 }
     }
 }
 

@@ -55,7 +55,6 @@
 use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::net::NetEvent;
 use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::{Parcel, Pending};
@@ -205,12 +204,9 @@ fn merge_into_shard(chunk: &mut [PartyState], channels: &mut [Vec<Vec<Parcel>>])
 /// The sharded deterministic simulator (see the [module docs](self) for
 /// the epoch/merge model).
 ///
-/// Spawns are buffered until [`run`](Runtime::run) (matching
-/// [`ThreadedRuntime`]), so a [`crash`](Runtime::crash) issued before the
-/// first `run` retracts the party entirely: it never sends its initial
-/// messages, on any backend. Node state persists across `run` calls.
-///
-/// [`ThreadedRuntime`]: crate::ThreadedRuntime
+/// Spawns start when the next [`run`](Runtime::run) does, as on every
+/// engine, so a party [`crash`](Runtime::crash)ed before then starts
+/// nothing. Node state persists across `run` calls.
 ///
 /// # Examples
 ///
@@ -428,17 +424,7 @@ impl ShardedSimRuntime {
             let mut net_events = Vec::new();
             self.parties[0].scheduler.drain_net_events(&mut net_events);
             for event in net_events {
-                sink.record(match event {
-                    NetEvent::PartitionStart { vtime, cut } => TraceEvent::PartitionStart {
-                        step: self.steps,
-                        vtime,
-                        cut,
-                    },
-                    NetEvent::PartitionHeal { vtime } => TraceEvent::PartitionHeal {
-                        step: self.steps,
-                        vtime,
-                    },
-                });
+                sink.record(event.traced(self.steps));
             }
         }
         self.epoch += 1;
@@ -789,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_run_retracts_initial_sends() {
+    fn crash_before_run_keeps_the_party_from_starting() {
         let mut rt = ShardedSimRuntime::new(NetConfig::new(4, 1, 1), 2);
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Flood::new(1)));

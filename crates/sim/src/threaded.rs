@@ -242,11 +242,9 @@ fn run_episode(
 /// before `run` start crashed: they never process or send.
 ///
 /// Compared to [`SimNetwork`], delivery order is real OS nondeterminism:
-/// there is no scheduler to choose, no delivery trace, and `crash_at`
-/// (step-indexed crashes) does not exist because wall-clock runs have no
-/// global step counter a protocol could agree on. Per-party RNGs still
-/// derive from `config.seed`, so protocol-local randomness matches the
-/// simulator's for the same seed.
+/// there is no scheduler to choose and no delivery trace. Per-party RNGs
+/// still derive from `config.seed`, so protocol-local randomness matches
+/// the simulator's for the same seed.
 ///
 /// Node state **persists across episodes** (as on the simulator and the
 /// sharded backend): a later `spawn` + `run` continues on the same nodes,

@@ -581,15 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_run_retracts_on_the_wire_backend() {
+    fn crash_before_run_keeps_the_party_from_starting_on_the_wire_backend() {
         let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 3), Box::new(RandomScheduler));
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
         }
         rt.crash(PartyId(3));
-        assert_eq!(rt.metrics().sent, 12, "P3's buffered sends retracted");
         let report = rt.run(1_000_000);
         assert_eq!(report.stop, StopReason::Quiescent);
+        assert_eq!(report.metrics.sent, 12, "P3 never started");
+        assert_eq!(report.metrics.wire_frames, 12);
         for p in 0..3 {
             assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&3));
         }

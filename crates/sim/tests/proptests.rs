@@ -116,9 +116,7 @@ proptest! {
             1 => Box::new(aft_sim::StarveScheduler::new([PartyId(0), PartyId(1)])),
             _ => Box::new(WindowScheduler::new(2)),
         };
-        let mut config = NetConfig::new(4, 1, seed);
-        config.scheduler.max_age = 64;
-        let mut net = SimNetwork::new(config, sched);
+        let mut net = SimNetwork::new(NetConfig::new(4, 1, seed), sched);
         let vict = SessionId::root().child(SessionTag::new("victim", 0));
         let noise = SessionId::root().child(SessionTag::new("noise", 0));
         net.spawn(PartyId(0), vict.clone(), Box::new(OneShot));
@@ -169,10 +167,15 @@ proptest! {
             let start = if p == 0 { Some((PartyId(2), 200)) } else { None };
             net.spawn(PartyId(p), sid(), Box::new(PingPong { start, received: 0 }));
         }
-        net.crash_at(PartyId(2), crash_step);
+        net.run(crash_step);
+        net.crash(PartyId(2));
+        let sent = net.metrics().sent;
         let report = net.run(10_000_000);
         prop_assert_eq!(report.stop, StopReason::Quiescent);
         prop_assert!(net.node(PartyId(2)).is_crashed());
+        // The ping-pong runs between parties 0 and 2, one message at a
+        // time: once 2 has crashed, at most 0's answer to it is sent.
+        prop_assert!(report.metrics.sent <= sent + 1, "{} after {}", report.metrics.sent, sent);
     }
 }
 

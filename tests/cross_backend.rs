@@ -471,12 +471,11 @@ fn svss_share_then_reconstruct_chain_on_every_backend() {
     }
 }
 
-/// Crash-before-run retraction (the old simulator footgun): a party
-/// crashed after spawning but before the first `run` must never send, on
-/// every backend — the simulator retracts its buffered initial sends, the
-/// buffered backends never start it.
+/// One spawn rule: a spawn starts with the next `run` on every backend,
+/// so a party crashed after spawning but before the first `run` never
+/// starts and never sends.
 #[test]
-fn crash_before_first_run_retracts_initial_sends_on_every_backend() {
+fn crash_before_first_run_keeps_the_party_from_starting_on_every_backend() {
     /// Greets everyone; outputs after hearing from all n parties.
     struct Hello {
         heard: usize,

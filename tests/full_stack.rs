@@ -293,8 +293,10 @@ fn fba_with_crash_mid_protocol() {
             )),
         );
     }
-    net.crash_at(PartyId(5), 300);
-    net.crash_at(PartyId(6), 800);
+    net.run(299);
+    net.crash(PartyId(5));
+    net.run(500);
+    net.crash(PartyId(6));
     let report = net.run(2_000_000_000);
     assert_eq!(report.stop, StopReason::Quiescent);
     let outs: Vec<String> = (0..5)

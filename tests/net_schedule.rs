@@ -62,7 +62,7 @@ const PINS: &[Pin] = &[
         StackKind::Ba,
         "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sim",
         1,
-        (0xc0bbe091571c74cf, 348, 348, 89),
+        (0xda2725dd80ebdb7b, 384, 384, 104),
     ),
     (
         StackKind::Ba,

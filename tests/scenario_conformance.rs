@@ -696,6 +696,46 @@ fn net_crash_recovery_cells_are_safe_and_reproducible() {
     }
 }
 
+/// `recover:` means "rejoin with amnesia" on every deterministic backend:
+/// the party crashed at deploy never starts its first instance, so the
+/// fresh one it respawns at recovery runs the protocol from scratch —
+/// its vote's A-Cast included — and every backend sends the same count.
+#[test]
+fn a_recovered_party_rejoins_and_sends_alike_on_every_backend() {
+    use aft::core::scenarios::run_cell_traced;
+    use aft::sim::{PartyId, TraceEvent, TraceMode};
+    let registry = standard_registry();
+    for seed in SEEDS {
+        let mut sent = Vec::new();
+        for backend in BACKENDS {
+            let spec = format!("n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt={backend}");
+            let scenario = Scenario::parse(&spec).unwrap();
+            let (report, events) =
+                run_cell_traced(StackKind::Ba, &scenario, *seed, &registry, TraceMode::Full);
+            assert!(report.violations.is_empty(), "{spec} seed={seed}");
+            let recovered = events
+                .iter()
+                .position(
+                    |e| matches!(e, TraceEvent::Recover { party, .. } if *party == PartyId(3)),
+                )
+                .unwrap_or_else(|| panic!("{spec} seed={seed}: no Recover event"));
+            let after = events[recovered..]
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Send { from, .. } if *from == PartyId(3)))
+                .count();
+            assert!(
+                after > 0,
+                "{spec} seed={seed}: party 3 sent nothing after recovering"
+            );
+            sent.push((*backend, report.sent));
+        }
+        assert!(
+            sent.iter().all(|&(_, s)| s == sent[0].1),
+            "seed={seed}: sent differs across backends: {sent:?}"
+        );
+    }
+}
+
 /// Violation forensics end-to-end: a (test-forced) invariant violation
 /// on a byte-junk scenario produces a repro bundle whose scenario string
 /// and seed replay — through the ordinary `(seed, scenario string)` cell
@@ -996,8 +1036,8 @@ fn flight_recorder_jsonl_matches_its_pinned_digests() {
         ),
         (
             "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sim",
-            0x47bceadfe5fe1741,
-            1076,
+            0x5ef80ae1c02cdfe9,
+            1184,
         ),
         (
             "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sharded:2",
