@@ -308,7 +308,7 @@ mod codec_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_sim::{scheduler_by_name, NetConfig, SessionId, SimNetwork};
+    use aft_sim::{scheduler_by_name, NetConfig, Runtime, RuntimeExt, SessionId, SimNetwork};
 
     #[test]
     fn oracle_coin_is_common_and_roughly_fair() {

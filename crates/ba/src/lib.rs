@@ -26,7 +26,8 @@
 //!
 //! ```
 //! use aft_ba::{BinaryBa, OracleCoin};
-//! use aft_sim::{NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SimNetwork};
+//! use aft_sim::{NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId,
+//!               SessionTag, SimNetwork};
 //!
 //! let (n, t) = (4, 1);
 //! let mut net = SimNetwork::new(NetConfig::new(n, t, 3), Box::new(RandomScheduler));

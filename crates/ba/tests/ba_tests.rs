@@ -4,8 +4,8 @@
 use aft_ba::attacks::{FixedVoter, RandomVoter};
 use aft_ba::{BinaryBa, CoinSource, LocalCoin, OracleCoin, WeakSharedCoin};
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 
 fn sid() -> SessionId {

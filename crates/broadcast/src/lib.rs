@@ -22,7 +22,8 @@
 //!
 //! ```
 //! use aft_broadcast::Acast;
-//! use aft_sim::{NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SimNetwork};
+//! use aft_sim::{NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId,
+//!               SessionTag, SimNetwork};
 //!
 //! let mut net = SimNetwork::new(NetConfig::new(4, 1, 42), Box::new(RandomScheduler));
 //! let sid = SessionId::root().child(SessionTag::new("acast", 0));
@@ -319,6 +320,7 @@ mod tests {
         party_node, scheduler_by_name, NetConfig, Outgoing, SessionId, SessionTag, SilentInstance,
         SimNetwork, StopReason,
     };
+    use aft_sim::{Runtime, RuntimeExt};
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("acast", 0))

@@ -3,8 +3,8 @@
 
 use aft_broadcast::{Acast, EquivocatingSender};
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 use proptest::prelude::*;
 

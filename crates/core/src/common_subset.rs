@@ -192,6 +192,7 @@ impl aft_sim::Instance for CommonSubsetInstance {
 mod tests {
     use super::*;
     use aft_sim::{Context, Instance, NetConfig, PartyId, RandomScheduler, SessionId, SimNetwork};
+    use aft_sim::{Runtime, RuntimeExt};
 
     /// Drives a CommonSubset component through its owner-facing API inside
     /// a real network (predicates all set at start).

@@ -23,7 +23,8 @@
 //!
 //! ```
 //! use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
-//! use aft_sim::{NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SimNetwork};
+//! use aft_sim::{NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId,
+//!               SessionTag, SimNetwork};
 //!
 //! let (n, t) = (4, 1);
 //! let mut net = SimNetwork::new(NetConfig::new(n, t, 11), Box::new(RandomScheduler));

@@ -6,8 +6,8 @@ use aft_core::{
     FairChoiceParams, Fba,
 };
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 
 fn sid(kind: &'static str) -> SessionId {

@@ -7,8 +7,8 @@ use aft_core::{
     FairChoiceParams, Fba,
 };
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 use proptest::prelude::*;
 

@@ -268,11 +268,9 @@ impl Backend {
         let family = self.family;
         Ok(match family.engine {
             Engine::Sim => Box::new(SimNetwork::new(config, scheduler()?)),
-            Engine::Wire => {
-                Box::new(SimNetwork::with_codec(config, scheduler()?).labelled(family.name))
-            }
+            Engine::Wire => Box::new(SimNetwork::with_codec(config, scheduler()?, family.name)),
             Engine::EventLoop => {
-                Box::new(SimNetwork::on_event_loop(config, scheduler()?).labelled(family.name))
+                Box::new(SimNetwork::on_event_loop(config, scheduler()?, family.name))
             }
             Engine::Sharded => {
                 scheduler()?;
@@ -282,7 +280,7 @@ impl Backend {
                 }))
             }
             Engine::Threaded => Box::new(ThreadedRuntime::new(config)),
-            Engine::Proc => Box::new(ThreadedRuntime::new(config).labelled(family.name)),
+            Engine::Proc => Box::new(ThreadedRuntime::named(config, family.name)),
         })
     }
 }
@@ -303,6 +301,9 @@ impl fmt::Display for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{AdaptiveController, CorruptionPlan, PinPolicy};
+    use crate::{PartyId, SessionId, SessionTag, SilentInstance};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn every_family_round_trips_builds_and_composes() {
@@ -312,7 +313,17 @@ mod tests {
             let b = Backend::parse(example).unwrap_or_else(|e| panic!("{example}: {e}"));
             assert_eq!(b.to_string(), example);
             assert_eq!(Backend::parse_rt(example), Ok(b.clone()));
-            assert_eq!(b.build(config).unwrap().backend_name(), family.name);
+            let mut rt = b.build(config).unwrap();
+            assert_eq!(rt.backend_name(), family.name);
+            // One flag answers both capability questions on every engine.
+            let policy = PinPolicy::parse("storm:1").expect("a policy");
+            let plan = CorruptionPlan::new(4, 1);
+            let ctrl = Arc::new(Mutex::new(AdaptiveController::new(Box::new(policy), plan)));
+            assert_eq!(rt.install_adaptive(ctrl), family.deterministic, "{example}");
+            assert_eq!(rt.adaptive_handle().is_some(), family.deterministic);
+            let sid = SessionId::root().child(SessionTag::new("rejoin", 0));
+            let recover = rt.schedule_recover(PartyId(3), 50, sid, Box::new(SilentInstance));
+            assert_eq!(recover, family.deterministic, "{example}");
             assert_eq!(b.is_deterministic(), family.deterministic);
             assert_eq!(b.honors_schedulers(), family.deterministic);
 
@@ -341,7 +352,7 @@ mod tests {
     }
 
     /// One construction rule: every engine builds its parties through
-    /// `PartyHost::all`, so every family refuses `n < 3t + 1` in the same
+    /// `Parties::new`, so every family refuses `n < 3t + 1` in the same
     /// words.
     #[test]
     fn every_family_refuses_too_few_parties_alike() {
@@ -389,6 +400,11 @@ mod tests {
             let family = spec.split_once(':').unwrap().0;
             assert!(err.ends_with(&format!("write rt={family}")), "{err}");
         }
+        // A starve victim is never sized by: a huge id parses and builds
+        // at once (it simply matches no party); a scenario refuses it.
+        let huge = format!("sim:starve:{}", u64::MAX);
+        let b = Backend::parse(&huge).unwrap_or_else(|e| panic!("{huge}: {e}"));
+        assert!(b.build(config).is_ok(), "{huge}");
         for spec in ["", "hovercraft", "sim:", "wire:", "sharded:2:bogus"] {
             assert!(Backend::parse(spec).is_err(), "{spec:?}");
             assert!(crate::runtime_by_name(spec, config).is_none(), "{spec:?}");

@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::ids::SessionTag;
     use crate::network::SimNetwork;
-    use crate::runtime::{NetConfig, StopReason};
+    use crate::runtime::{NetConfig, Runtime, RuntimeExt, StopReason};
     use crate::scheduler::RandomScheduler;
 
     fn watched() -> SessionId {

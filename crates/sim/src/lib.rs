@@ -55,7 +55,10 @@
 //! Every engine, and an `aft-partyd` process, drives one [`PartyHost`] per
 //! party: dispatch, accounting, send numbering (`emit·n + party`, so an
 //! envelope has the same identity on every backend) and the party's trace
-//! events are written once; the engines differ in where a send goes next.
+//! events are written once. Every engine also holds its hosts, waiting
+//! spawns, recorder, recoveries and step clock in one front, over which
+//! every [`Runtime`] method but `run` and `metrics` is written once; the
+//! engines differ in where a send goes next.
 //!
 //! [`runtime_by_name`] builds any of them from a string, which is what the
 //! `exp_*` binaries' `--runtime` flags and the cross-backend test suites
@@ -252,14 +255,7 @@ pub static ALL_SCHEDULERS: &[SchedulerFamily] = &[
     SchedulerFamily {
         name: "starve",
         example: "starve:1",
-        parser: |s| {
-            let rest = s.strip_prefix("starve:")?;
-            let mut victims = Vec::new();
-            for part in rest.split(',') {
-                victims.push(PartyId(part.trim().parse().ok()?));
-            }
-            Some(Box::new(StarveScheduler::new(victims)))
-        },
+        parser: |s| Some(Box::new(StarveScheduler::parse(s)?)),
     },
     SchedulerFamily {
         name: "net",

@@ -2,25 +2,25 @@
 //!
 //! What happens *at* a party — dispatch, the accounting of a delivery, the
 //! counting, numbering and recording of its sends — is that party's
-//! [`PartyHost`], as on every backend. What this engine owns is the rest:
-//! the one in-flight queue, the scheduler and its RNG, the fairness cap,
-//! the spawns waiting for the next step, scheduled recoveries, and a step
-//! clock — what envelopes are born at, what a step budget counts, and what
-//! the engine's own trace events (`EpisodeStart` / `EpisodeEnd`,
-//! `SchedulerPick`, `Crash`, `Recover`, partitions) are stamped with.
+//! [`PartyHost`], and the hosts, waiting spawns, recorder, scheduled
+//! recoveries and step clock are the parties' front every engine holds
+//! alike. What this engine owns is the rest: the one in-flight queue, the
+//! scheduler and its RNG, the fairness cap, the byte codec (`rt=wire`),
+//! the event loop (`rt=async`) and the loop that steps them — stamping
+//! envelopes with the step they are born at and recording `SchedulerPick`.
 
-use crate::adaptive::{Observer, SharedAdaptive};
+use crate::adaptive::Observer;
 use crate::async_rt::EventLoop;
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::node::{Node, Outgoing};
+use crate::node::Outgoing;
 use crate::payload::Payload;
 use crate::queue::{BatchSlot, Parcel, Pending};
 use crate::runtime::{
-    Metrics, NetConfig, PartyHost, RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
+    Metrics, NetConfig, Parties, PartyHost, RecoverPhase, RunReport, Runtime, StopReason,
 };
 use crate::scheduler::{Scheduler, MAX_AGE};
-use crate::trace::{TraceEvent, TraceMode, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::wire_rt::WireLink;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -107,7 +107,7 @@ pub(crate) fn perform(
 /// # Examples
 ///
 /// ```
-/// use aft_sim::{Context, Instance, NetConfig, PartyId, Payload, RandomScheduler,
+/// use aft_sim::{Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime,
 ///               SessionId, SessionTag, SimNetwork};
 ///
 /// /// Every party greets everyone; a party outputs when it heard n greetings.
@@ -132,10 +132,9 @@ pub(crate) fn perform(
 /// }
 /// ```
 pub struct SimNetwork {
-    config: NetConfig,
-    /// The parties, in party order — on the event loop instead while an
-    /// `rt=async` run is in progress (see `tasks`).
-    hosts: Vec<PartyHost>,
+    /// The parties — their hosts on the event loop instead while an
+    /// `rt=async` run is in progress (see `tasks`) — and the step clock.
+    parties: Parties,
     pending: Pending,
     scheduler: Box<dyn Scheduler>,
     /// Whether the scheduler keeps a virtual clock. A clocked scheduler
@@ -145,18 +144,6 @@ pub struct SimNetwork {
     /// through an un-healed partition — so the fairness cap is off.
     clocked: bool,
     sched_rng: ChaCha12Rng,
-    /// Delivery steps executed — the engine's clock.
-    steps: u64,
-    /// Spawns waiting for the next step or run, in call order.
-    spawns: Vec<(PartyId, SessionId, Box<dyn Instance>)>,
-    /// Where events are recorded: the flight recorder (see
-    /// [`crate::trace`]), if enabled, behind the adaptive controller, if an
-    /// adaptive scenario installed one. Never allowed to perturb
-    /// schedules, RNGs or metrics; with neither, one check per event.
-    sink: Observer,
-    /// Pending crash-recoveries, fired against the scheduler's virtual
-    /// clock (see [`Runtime::schedule_recover`]).
-    recoveries: Recoveries,
     /// Where the acting party's sends wait to be numbered and queued
     /// (empty between steps).
     out: Vec<Outgoing>,
@@ -170,8 +157,6 @@ pub struct SimNetwork {
     /// task; scheduling, the queue and the recorder stay here, so the step
     /// sequence is bit-for-bit the same with and without it.
     tasks: Option<EventLoop>,
-    /// What [`Runtime::backend_name`] reports.
-    label: &'static str,
 }
 
 impl SimNetwork {
@@ -182,83 +167,61 @@ impl SimNetwork {
     /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
     /// every protocol in this workspace).
     pub fn new(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let hosts = PartyHost::all(&config);
-        let sched_rng = ChaCha12Rng::seed_from_u64(config.seed.wrapping_add(0xC0FF_EE00));
-        let mut scheduler = scheduler;
+        SimNetwork::named(config, scheduler, "sim")
+    }
+
+    /// [`SimNetwork::new`], reporting itself as `label`.
+    pub(crate) fn named(
+        config: NetConfig,
+        mut scheduler: Box<dyn Scheduler>,
+        label: &'static str,
+    ) -> Self {
+        let parties = Parties::new(config, label, true);
         scheduler.configure(&config);
         SimNetwork {
-            config,
-            hosts,
+            parties,
             pending: Pending::new(),
             clocked: scheduler.virtual_now().is_some(),
             scheduler,
-            sched_rng,
-            steps: 0,
-            spawns: Vec::new(),
-            sink: Observer::default(),
-            recoveries: Recoveries::default(),
+            sched_rng: ChaCha12Rng::seed_from_u64(config.seed.wrapping_add(0xC0FF_EE00)),
             out: Vec::new(),
             codec: None,
             event_loop: false,
             tasks: None,
-            label: "sim",
         }
     }
 
-    /// Creates a network whose envelopes cross the `wire_rt` byte
-    /// boundary — encoded, handed over as bytes, lazily decoded — the
-    /// engine behind `rt=wire`.
-    pub(crate) fn with_codec(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let mut net = SimNetwork::new(config, scheduler);
+    /// A network reporting itself as `label` whose envelopes cross the
+    /// `wire_rt` byte boundary — encoded, handed over as bytes, lazily
+    /// decoded — the engine behind `rt=wire`.
+    pub(crate) fn with_codec(
+        config: NetConfig,
+        scheduler: Box<dyn Scheduler>,
+        label: &'static str,
+    ) -> Self {
+        let mut net = SimNetwork::named(config, scheduler, label);
         net.codec = Some(Default::default());
         net
     }
 
-    /// Creates a network whose runs host the parties on per-party
-    /// event-loop tasks — the engine behind `rt=async`.
-    pub(crate) fn on_event_loop(config: NetConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let mut net = SimNetwork::new(config, scheduler);
+    /// A network reporting itself as `label` whose runs host the parties
+    /// on per-party event-loop tasks — the engine behind `rt=async`.
+    pub(crate) fn on_event_loop(
+        config: NetConfig,
+        scheduler: Box<dyn Scheduler>,
+        label: &'static str,
+    ) -> Self {
+        let mut net = SimNetwork::named(config, scheduler, label);
         net.event_loop = true;
         net
     }
 
-    /// Sets the name [`Runtime::backend_name`] reports.
-    pub(crate) fn labelled(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
-    /// The network's static configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
-    /// Deploys `instance` for `party` at `session`. The instance starts
-    /// — and its initial sends go in flight — at the top of the next
-    /// [`step`](SimNetwork::step) or [`run`](SimNetwork::run), with the
-    /// other spawns waiting there, in call order.
-    pub fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.spawns.push((party, session, instance));
-    }
-
-    /// Crashes `party`: it stops processing and sending. A spawn of its
-    /// still waiting for the next step never starts.
-    pub fn crash(&mut self, party: PartyId) {
-        self.hosts[party.0].crash();
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::Crash {
-                step: self.steps,
-                party,
-            });
-        }
-    }
-
     /// Starts the waiting spawns, in call order.
     fn start_spawns(&mut self) {
-        if self.spawns.is_empty() {
+        if self.parties.spawns.is_empty() {
             return;
         }
-        for (party, session, instance) in std::mem::take(&mut self.spawns) {
+        for (party, session, instance) in std::mem::take(&mut self.parties.spawns) {
             self.act(party, Act::Spawn(session, instance));
         }
     }
@@ -266,39 +229,6 @@ impl SimNetwork {
     /// The number of in-flight envelopes.
     pub fn pending_len(&self) -> usize {
         self.pending.messages()
-    }
-
-    /// Run metrics so far: every party's, merged in party order, with the
-    /// byte boundary's `wire_*` counters and the in-flight queue's
-    /// buffer-pool counters (it recycles its batch deques) folded in.
-    pub fn metrics(&self) -> Metrics {
-        let mut m = Metrics::default();
-        for host in &self.hosts {
-            m.merge(host.metrics());
-        }
-        if let Some(link) = &self.codec {
-            m.merge(&link.metrics);
-        }
-        let (reused, allocated) = self.pending.pool_stats();
-        m.pool_reused += reused;
-        m.pool_alloc += allocated;
-        m
-    }
-
-    /// Immutable access to a node (outputs, shun registry, …).
-    pub fn node(&self, party: PartyId) -> &Node {
-        self.hosts[party.0].node()
-    }
-
-    /// The first output of `party` in `session`, if recorded.
-    pub fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.node(party).output(session)
-    }
-
-    /// Typed convenience over [`output`](SimNetwork::output).
-    pub fn output_as<T: 'static>(&self, party: PartyId, session: &SessionId) -> Option<&T> {
-        self.output(party, session)
-            .and_then(|p| p.downcast_ref::<T>())
     }
 
     /// Starts the waiting spawns, then delivers the scheduler's next pick
@@ -329,9 +259,9 @@ impl SimNetwork {
         // whole batch run arrives at this virtual time.
         let vnow = self.scheduler.virtual_now();
         let run = run.min(limit);
-        if let Some(sink) = self.sink.active() {
+        if let Some(sink) = self.parties.sink.active() {
             sink.record(TraceEvent::SchedulerPick {
-                step: self.steps,
+                step: self.parties.steps,
                 party: self.pending.meta_of_slot(slot).to,
                 queued: self.pending.len(),
                 run: run as usize,
@@ -340,15 +270,10 @@ impl SimNetwork {
         self.drain_net_events_to_sink();
         for _ in 0..run {
             let env = self.pending.take_slot(slot);
-            self.steps += 1;
+            self.parties.steps += 1;
             self.act(env.to, Act::Deliver(env, vnow));
         }
         run
-    }
-
-    /// Runs until quiescence or until `max_steps` deliveries.
-    pub fn run(&mut self, max_steps: u64) -> RunReport {
-        self.run_until(max_steps, |_| false)
     }
 
     /// Starts the waiting spawns, then runs until quiescence, the step
@@ -366,14 +291,12 @@ impl SimNetwork {
             // Once per run, never per delivery: the hosts move onto the
             // event loop, and come back so that outputs are readable
             // between runs.
-            self.tasks = Some(EventLoop::new(std::mem::take(&mut self.hosts)));
+            self.tasks = Some(EventLoop::new(std::mem::take(&mut self.parties.hosts)));
         }
-        let start = self.steps;
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::EpisodeStart { step: start });
-        }
+        let start = self.parties.steps;
+        self.parties.episode_start();
         let reason = loop {
-            let remaining = max_steps - (self.steps - start);
+            let remaining = max_steps - (self.parties.steps - start);
             if remaining == 0 {
                 break StopReason::StepLimit;
             }
@@ -387,18 +310,11 @@ impl SimNetwork {
                 break StopReason::Predicate;
             }
         };
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::EpisodeEnd { step: self.steps });
-        }
         if let Some(tasks) = self.tasks.take() {
-            self.hosts = tasks.finish();
+            self.parties.hosts = tasks.finish();
         }
-        RunReport {
-            stop: reason,
-            steps: self.steps,
-            metrics: self.metrics(),
-            trace: self.sink.summary(),
-        }
+        let metrics = self.metrics();
+        self.parties.episode_end(reason, metrics)
     }
 
     /// Performs `act` at `party` — on its host, or on its event-loop task
@@ -407,15 +323,16 @@ impl SimNetwork {
     /// first.
     fn act(&mut self, party: PartyId, act: Act) {
         let SimNetwork {
-            hosts,
+            parties,
             tasks,
             pending,
             codec,
-            sink,
-            steps,
             out,
             ..
         } = self;
+        let Parties {
+            hosts, sink, steps, ..
+        } = parties;
         let born_step = *steps;
         let mut push = |to: PartyId, seq: u64, session: SessionId, payload: Payload| {
             let parcel = Parcel {
@@ -448,18 +365,25 @@ impl SimNetwork {
     /// plans, so the caller's loop terminates. Returns whether anything
     /// fired.
     fn fire_recoveries(&mut self, force: bool) -> bool {
-        if self.recoveries.is_empty() {
+        let recoveries = &mut self.parties.recoveries;
+        if recoveries.is_empty() {
             return false;
         }
         if force {
-            self.scheduler.fast_forward(self.recoveries.horizon());
+            self.scheduler.fast_forward(recoveries.horizon());
         }
         let scheduler = &self.scheduler;
-        let phases = self.recoveries.due(|_| scheduler.virtual_now(), force);
+        let phases = recoveries.due(|_| scheduler.virtual_now(), force);
         let fired = !phases.is_empty();
         for phase in phases {
             match phase {
-                RecoverPhase::Revive { party, at, session } => self.revive(party, at, &session),
+                RecoverPhase::Revive { party, at, session } => {
+                    match &mut self.tasks {
+                        Some(tasks) => tasks.revive(party, &session),
+                        None => self.parties.hosts[party.0].revive(&session),
+                    }
+                    self.parties.revived(party, at);
+                }
                 RecoverPhase::Respawn {
                     party,
                     session,
@@ -473,32 +397,17 @@ impl SimNetwork {
         fired
     }
 
-    /// Recovery phase 1 for one party.
-    fn revive(&mut self, party: PartyId, at: u64, session: &SessionId) {
-        match &mut self.tasks {
-            Some(tasks) => tasks.revive(party, session),
-            None => self.hosts[party.0].revive(session),
-        }
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::Recover {
-                step: self.steps,
-                vtime: at,
-                party,
-            });
-        }
-    }
-
     /// Forwards the scheduler's queued partition lifecycle events to the
     /// flight recorder (observational only; the scheduler queues at most
     /// one start and one heal per run).
     fn drain_net_events_to_sink(&mut self) {
-        let Some(sink) = self.sink.active() else {
+        let Some(sink) = self.parties.sink.active() else {
             return;
         };
         let mut events = Vec::new();
         self.scheduler.drain_net_events(&mut events);
         for e in events {
-            sink.record(e.traced(self.steps));
+            sink.record(e.traced(self.parties.steps));
         }
     }
 
@@ -509,7 +418,7 @@ impl SimNetwork {
         if self.pending.is_empty() {
             return None;
         }
-        let now = self.steps;
+        let now = self.parties.steps;
         // The queue mirrors the oldest batch's birth step inline, so the
         // per-pick age check costs a field read, not a slab access.
         let slot = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > MAX_AGE {
@@ -546,63 +455,30 @@ fn at_party(
 }
 
 impl Runtime for SimNetwork {
-    fn config(&self) -> &NetConfig {
-        &self.config
+    fn parties(&self) -> &Parties {
+        &self.parties
     }
 
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        SimNetwork::spawn(self, party, session, instance);
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        SimNetwork::crash(self, party);
+    fn parties_mut(&mut self) -> &mut Parties {
+        &mut self.parties
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
-        SimNetwork::run(self, max_steps)
+        self.run_until(max_steps, |_| false)
     }
 
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        SimNetwork::output(self, party, session)
-    }
-
+    /// Every party's metrics, merged in party order, with the byte
+    /// boundary's `wire_*` counters and the in-flight queue's buffer-pool
+    /// counters (it recycles its batch deques) folded in.
     fn metrics(&self) -> Metrics {
-        SimNetwork::metrics(self)
-    }
-
-    /// Fires against the scheduler's virtual clock (the `net:` family);
-    /// with an order-only scheduler the recovery still fires once traffic
-    /// drains.
-    fn schedule_recover(
-        &mut self,
-        party: PartyId,
-        at_vtime: u64,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> bool {
-        self.recoveries.schedule(party, at_vtime, session, instance);
-        true
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.sink.set_trace(mode);
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take_trace()
-    }
-
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        self.sink.install(ctrl);
-        true
-    }
-
-    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.sink.controller()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        self.label
+        let mut m = self.parties.host_metrics();
+        if let Some(link) = &self.codec {
+            m.merge(&link.metrics);
+        }
+        let (reused, allocated) = self.pending.pool_stats();
+        m.pool_reused += reused;
+        m.pool_alloc += allocated;
+        m
     }
 }
 
@@ -611,7 +487,9 @@ mod tests {
     use super::*;
     use crate::ids::SessionTag;
     use crate::instance::Context;
+    use crate::runtime::RuntimeExt;
     use crate::scheduler::{FifoScheduler, LifoScheduler, RandomScheduler};
+    use crate::trace::TraceMode;
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("t", 0))
@@ -814,7 +692,6 @@ mod tests {
 
     #[test]
     fn runtime_trait_drives_the_simulator() {
-        use crate::runtime::{Runtime, RuntimeExt};
         let mut rt: Box<dyn Runtime> = Box::new(SimNetwork::new(
             NetConfig::new(4, 1, 3),
             Box::new(RandomScheduler),

@@ -12,19 +12,22 @@
 //!
 //! This module also owns the engine-shared pieces: the static
 //! [`NetConfig`], the [`Metrics`] counters (with interned per-kind send
-//! counts), run reports, per-party RNG derivation, and [`PartyHost`] —
+//! counts), run reports, per-party RNG derivation, [`PartyHost`] —
 //! everything that happens *at* a party: dispatch, the accounting of a
-//! delivery, the counting, numbering and recording of its sends. Every
-//! engine builds one per party ([`PartyHost::all`], which also checks the
-//! resilience bound) and drives it, as an `aft-partyd` process drives
-//! its one; an engine keeps only what is its own — a queue and who picks
-//! from it, channels, links — and decides where each send goes next.
+//! delivery, the counting, numbering and recording of its sends — and
+//! `Parties`, the front every engine holds alike: one host per party
+//! (which also checks the resilience bound), the spawns waiting for the
+//! next run, the recorder and adaptive sink, the scheduled recoveries and
+//! the step clock. Every [`Runtime`] method but `run` and `metrics` is
+//! written once over it; an engine keeps only what is its own — a queue
+//! and who picks from it, channels, links — and decides where each send
+//! goes next, as an `aft-partyd` process drives its one host.
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 //! [`ShardedSimRuntime`]: crate::ShardedSimRuntime
 //! [`ThreadedRuntime`]: crate::ThreadedRuntime
 
-use crate::adaptive::SharedAdaptive;
+use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::network::Envelope;
@@ -149,11 +152,7 @@ impl Metrics {
     /// `kind`: the per-kind and global completion clocks advance to it.
     pub(crate) fn on_virtual_delivery(&mut self, kind: &'static str, vtime: u64) {
         self.virtual_time = self.virtual_time.max(vtime);
-        if let Some(i) = self.vtime_by_kind.iter().position(|(k, _)| *k == kind) {
-            self.vtime_by_kind[i].1 = self.vtime_by_kind[i].1.max(vtime);
-        } else {
-            self.vtime_by_kind.push((kind, vtime));
-        }
+        fold_kind(&mut self.vtime_by_kind, kind, vtime, u64::max);
     }
 
     /// Records one sent envelope for `session`'s leaf kind.
@@ -195,26 +194,28 @@ impl Metrics {
         // mark, not a sum.
         self.virtual_time = self.virtual_time.max(other.virtual_time);
         for &(kind, vtime) in &other.vtime_by_kind {
-            if let Some(i) = self.vtime_by_kind.iter().position(|(k, _)| *k == kind) {
-                self.vtime_by_kind[i].1 = self.vtime_by_kind[i].1.max(vtime);
-            } else {
-                self.vtime_by_kind.push((kind, vtime));
-            }
+            fold_kind(&mut self.vtime_by_kind, kind, vtime, u64::max);
         }
         for &(kind, count) in &other.by_kind {
-            if let Some(i) = self.by_kind.iter().position(|(k, _)| *k == kind) {
-                self.by_kind[i].1 += count;
-            } else {
-                self.by_kind.push((kind, count));
-            }
+            fold_kind(&mut self.by_kind, kind, count, |a, b| a + b);
         }
         for &(kind, count) in &other.decode_miss {
-            if let Some(i) = self.decode_miss.iter().position(|(k, _)| *k == kind) {
-                self.decode_miss[i].1 += count;
-            } else {
-                self.decode_miss.push((kind, count));
-            }
+            fold_kind(&mut self.decode_miss, kind, count, |a, b| a + b);
         }
+    }
+}
+
+/// Folds `value` into `kind`'s entry of a first-seen-order kind table with
+/// `fold`, appending the entry when `kind` is new.
+fn fold_kind(
+    table: &mut Vec<(&'static str, u64)>,
+    kind: &'static str,
+    value: u64,
+    fold: fn(u64, u64) -> u64,
+) {
+    match table.iter_mut().find(|(k, _)| *k == kind) {
+        Some((_, v)) => *v = fold(*v, value),
+        None => table.push((kind, value)),
     }
 }
 
@@ -341,24 +342,6 @@ impl PartyHost {
             n: config.n as u64,
             emit: 0,
         }
-    }
-
-    /// One host per party of `config`'s system, in party order — how every
-    /// engine starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
-    /// every protocol in this workspace).
-    pub(crate) fn all(config: &NetConfig) -> Vec<PartyHost> {
-        assert!(config.n > 0, "need at least one party");
-        assert!(
-            config.n > 3 * config.t,
-            "optimal resilience requires n >= 3t + 1 (n={}, t={})",
-            config.n,
-            config.t
-        );
-        (0..config.n).map(|p| PartyHost::new(config, p)).collect()
     }
 
     /// The hosted node (outputs, shun registry, …).
@@ -680,16 +663,126 @@ impl Recoveries {
     }
 }
 
+/// The front every engine holds alike, and over which every [`Runtime`]
+/// method but `run` and `metrics` is written once: the parties' hosts, the
+/// spawns waiting for the next run, where events are recorded, the
+/// scheduled recoveries and the step clock. Built only inside this crate,
+/// so only its engines implement [`Runtime`].
+pub struct Parties {
+    pub(crate) config: NetConfig,
+    /// One host per party, in party order (on `rt=async`'s event loop
+    /// instead while a run is in progress).
+    pub(crate) hosts: Vec<PartyHost>,
+    /// Spawns waiting for the next run, in call order.
+    pub(crate) spawns: Vec<(PartyId, SessionId, Box<dyn Instance>)>,
+    /// Where events are recorded: the flight recorder (see
+    /// [`crate::trace`]), if enabled, behind the adaptive controller, if
+    /// one is installed. Never allowed to perturb schedules, RNGs or
+    /// metrics; with neither, one check per event.
+    pub(crate) sink: Observer,
+    /// Scheduled crash-recoveries; the engine fires them on its clocks.
+    pub(crate) recoveries: Recoveries,
+    /// Deliveries so far — what a step budget counts, and what the
+    /// engine-wide events (`Crash`, `Recover`, `EpisodeStart` /
+    /// `EpisodeEnd`, partitions) are stamped with.
+    pub(crate) steps: u64,
+    /// What [`Runtime::backend_name`] reports.
+    label: &'static str,
+    /// Whether the engine's recording order is a function of the seed: an
+    /// engine says so when it builds its parties, and only then does it
+    /// host adaptive adversaries and recoveries.
+    deterministic: bool,
+}
+
+impl Parties {
+    /// One fresh host per party of `config`'s system, for an engine
+    /// reporting itself as `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
+    /// every protocol in this workspace).
+    pub(crate) fn new(config: NetConfig, label: &'static str, deterministic: bool) -> Self {
+        assert!(config.n > 0, "need at least one party");
+        assert!(
+            config.n > 3 * config.t,
+            "optimal resilience requires n >= 3t + 1 (n={}, t={})",
+            config.n,
+            config.t
+        );
+        Parties {
+            hosts: (0..config.n).map(|p| PartyHost::new(&config, p)).collect(),
+            config,
+            spawns: Vec::new(),
+            sink: Observer::default(),
+            recoveries: Recoveries::default(),
+            steps: 0,
+            label,
+            deterministic,
+        }
+    }
+
+    /// Records the event `at(step)` builds, while anyone listens.
+    fn record(&mut self, at: impl FnOnce(u64) -> TraceEvent) {
+        let step = self.steps;
+        if let Some(sink) = self.sink.active() {
+            sink.record(at(step));
+        }
+    }
+
+    /// A run begins.
+    pub(crate) fn episode_start(&mut self) {
+        self.record(|step| TraceEvent::EpisodeStart { step });
+    }
+
+    /// A run ended for `stop`, leaving `metrics`: records the episode's
+    /// end and reports it.
+    pub(crate) fn episode_end(&mut self, stop: StopReason, metrics: Metrics) -> RunReport {
+        self.record(|step| TraceEvent::EpisodeEnd { step });
+        RunReport {
+            stop,
+            steps: self.steps,
+            metrics,
+            trace: self.sink.summary(),
+        }
+    }
+
+    /// Recovery phase 1 of `party`, planned for virtual time `at`, has
+    /// run on its host.
+    pub(crate) fn revived(&mut self, party: PartyId, at: u64) {
+        self.record(|step| TraceEvent::Recover {
+            step,
+            vtime: at,
+            party,
+        });
+    }
+
+    /// Every host's metrics, merged in party order.
+    pub(crate) fn host_metrics(&self) -> Metrics {
+        let mut merged = Metrics::default();
+        for host in &self.hosts {
+            merged.merge(host.metrics());
+        }
+        merged
+    }
+}
+
 /// One execution engine: deploy [`Instance`]s, run, read outputs.
 ///
-/// Every engine implements the same deploy-run-inspect lifecycle, and
-/// every method states its own answer — there are no default bodies, so
-/// a new engine cannot silently inherit "unsupported":
+/// Every engine implements the same deploy-run-inspect lifecycle:
 ///
 /// 1. [`spawn`](Runtime::spawn) the protocol instances (and optionally
 ///    [`crash`](Runtime::crash) parties);
 /// 2. [`run`](Runtime::run) until quiescence or a step budget;
 /// 3. read [`output`](Runtime::output)s and [`metrics`](Runtime::metrics).
+///
+/// An engine writes only `run` and `metrics`: every other method has one
+/// body, over the parties the engine holds. What an engine can host is
+/// not a method it overrides either — an engine states `deterministic`
+/// when it builds its parties, and only a deterministic one accepts
+/// [`install_adaptive`](Runtime::install_adaptive) and
+/// [`schedule_recover`](Runtime::schedule_recover). The trait is sealed:
+/// only this crate's engines implement it.
 ///
 /// The deterministic simulator additionally allows step-by-step execution
 /// and mid-run inspection through its inherent methods; the trait
@@ -726,25 +819,52 @@ impl Recoveries {
 /// }
 /// ```
 pub trait Runtime {
+    /// The parties and what every engine holds for them alike.
+    #[doc(hidden)]
+    fn parties(&self) -> &Parties;
+
+    /// Mutable access to [`parties`](Runtime::parties).
+    #[doc(hidden)]
+    fn parties_mut(&mut self) -> &mut Parties;
+
+    /// Runs until quiescence or until `max_steps` deliveries.
+    fn run(&mut self, max_steps: u64) -> RunReport;
+
+    /// Snapshot of the run metrics so far.
+    fn metrics(&self) -> Metrics;
+
     /// The system's static configuration.
-    fn config(&self) -> &NetConfig;
+    fn config(&self) -> &NetConfig {
+        &self.parties().config
+    }
 
     /// Deploys `instance` for `party` at `session`. On every engine the
     /// instance starts, and its initial sends go in flight, when the next
     /// [`run`](Runtime::run) starts; waiting spawns start in call order.
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>);
+    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
+        self.parties_mut().spawns.push((party, session, instance));
+    }
 
     /// Crashes `party`: it stops processing and sending for the rest of
     /// the run. Its spawns still waiting for the next run never start, so
     /// a party crashed before its first run sends nothing; envelopes it
     /// already had in flight stay deliverable.
-    fn crash(&mut self, party: PartyId);
-
-    /// Runs until quiescence or until `max_steps` deliveries.
-    fn run(&mut self, max_steps: u64) -> RunReport;
+    fn crash(&mut self, party: PartyId) {
+        let parties = self.parties_mut();
+        parties.hosts[party.0].crash();
+        parties.record(|step| TraceEvent::Crash { step, party });
+    }
 
     /// The first output of `party` in `session`, if recorded.
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload>;
+    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
+        self.node(party).output(session)
+    }
+
+    /// Immutable access to `party`'s node (outputs, shun registry, …)
+    /// between runs.
+    fn node(&self, party: PartyId) -> &Node {
+        self.parties().hosts[party.0].node()
+    }
 
     /// Schedules `party` — crashed or about to be crashed — to recover at
     /// virtual time `at_vtime`: its stale `session` state is retired
@@ -755,44 +875,64 @@ pub trait Runtime {
     /// Recovery needs a virtual clock: backends honor it only when their
     /// scheduler is the `net:` family (recoveries still fire at
     /// quiescence otherwise, but without meaningful timing). Returns
-    /// `false` when the backend has no clock to schedule against (the
-    /// threaded engine) — the party then simply stays crashed.
+    /// `false` on an engine that is not deterministic (the threaded one)
+    /// — the party then simply stays crashed.
     fn schedule_recover(
         &mut self,
         party: PartyId,
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool;
-
-    /// Snapshot of the run metrics so far.
-    fn metrics(&self) -> Metrics;
+    ) -> bool {
+        let parties = self.parties_mut();
+        if parties.deterministic {
+            parties
+                .recoveries
+                .schedule(party, at_vtime, session, instance);
+        }
+        parties.deterministic
+    }
 
     /// Configures the flight recorder (see [`trace`](crate::trace)) for
     /// subsequent runs. Off by default; tracing is observational only
     /// and never perturbs schedules, RNGs or fingerprints.
-    fn set_trace(&mut self, mode: TraceMode);
+    fn set_trace(&mut self, mode: TraceMode) {
+        self.parties_mut().sink.set_trace(mode);
+    }
 
     /// Detaches and returns the active trace sink, if any, leaving
     /// tracing off.
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>>;
+    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.parties_mut().sink.take_trace()
+    }
 
     /// Installs an adaptive-adversary controller (see
     /// [`adaptive`](crate::adaptive)) in front of the flight recorder: it
     /// is shown every `Deliver` event the backend records from here on,
     /// tracing on or off, and [`AdaptiveShell`](crate::AdaptiveShell)s
-    /// consult its victim ledger on every activation. Returns `false` when
-    /// the backend's recording order is not a function of the seed (the
-    /// threaded engine) — adaptive scenarios are rejected there.
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool;
+    /// consult its victim ledger on every activation. Returns `false` on
+    /// an engine that is not deterministic (the threaded one), whose
+    /// recording order is not a function of the seed — adaptive scenarios
+    /// are rejected there.
+    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
+        let parties = self.parties_mut();
+        if parties.deterministic {
+            parties.sink.install(ctrl);
+        }
+        parties.deterministic
+    }
 
     /// The installed adaptive controller, if any — lets multi-episode
     /// deployments reuse one victim ledger across episodes and lets
     /// invariant checkers read the final victim set.
-    fn adaptive_handle(&self) -> Option<SharedAdaptive>;
+    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
+        self.parties().sink.controller()
+    }
 
     /// The backend's name (`"sim"`, `"threaded"`, …) for reports.
-    fn backend_name(&self) -> &'static str;
+    fn backend_name(&self) -> &'static str {
+        self.parties().label
+    }
 }
 
 /// Convenience methods available on every [`Runtime`] (including trait
@@ -1075,12 +1215,7 @@ mod tests {
                 m.on_sent(&SessionId::root().child(SessionTag::new(OP_KINDS[i % 4], 0)));
             }
             MetricOp::Miss(i) => {
-                let kind = OP_KINDS[i % 4];
-                if let Some(j) = m.decode_miss.iter().position(|(k, _)| *k == kind) {
-                    m.decode_miss[j].1 += 1;
-                } else {
-                    m.decode_miss.push((kind, 1));
-                }
+                fold_kind(&mut m.decode_miss, OP_KINDS[i % 4], 1, |a, b| a + b);
             }
             MetricOp::Delivered => m.delivered += 1,
             MetricOp::DroppedShunned => m.dropped_shunned += 1,

@@ -402,6 +402,16 @@ impl Scenario {
         if crate::scheduler_by_name(&self.sched).is_none() {
             return Err(crate::scheduler_error(&self.sched));
         }
+        let starved = crate::StarveScheduler::parse(&self.sched);
+        let victims = starved.as_ref().map_or(&[][..], |s| s.victims());
+        if let Some(p) = victims.iter().find(|p| p.0 >= self.n) {
+            return Err(format!(
+                "starve victim {} out of range (n={}): starve parties 0..={}",
+                p.0,
+                self.n,
+                self.n - 1
+            ));
+        }
         if let Some(spec) = crate::net::NetSpec::parse(&self.sched) {
             if let Some(crate::net::PartitionSpec::Explicit(cut)) = &spec.partition {
                 if cut.len() > self.t {
@@ -1123,6 +1133,10 @@ mod tests {
             "n=4,sched=net:heal=50",                                   // heal without a partition
             "n=4,t=1,sched=net:lat=1..4,partition=0+1,heal=9",         // cut > t
             "n=4,t=1,sched=net:lat=1..4,partition=5,heal=9",           // cut id >= n
+            "n=4,t=1,sched=starve:9",                                  // victim id >= n
+            "n=4,t=1,sched=starve:1,4",                                // ditto, second id
+            "n=4,t=1,sched=starve:1000000000",                         // huge id: refused, unsized
+            "n=4,t=1,sched=starve:18446744073709551615",               // u64::MAX: no abort
             "n=4,t=1,corrupt=recover@1",                               // recover needs a vtime
             "n=4,t=1,corrupt=recover:50@1",                            // recover needs sched=net:
             "n=4,rt=hovercraft",                                       // unknown runtime
@@ -1234,6 +1248,14 @@ mod tests {
                 "use a sched=net: scheduler",
             ),
             ("n=4,sched=bogus", "families: fifo"),
+            (
+                "n=4,t=1,sched=starve:9",
+                "starve victim 9 out of range (n=4)",
+            ),
+            (
+                "n=4,t=1,sched=starve:18446744073709551615",
+                "starve parties 0..=3",
+            ),
             // Grammar errors name the offending field.
             ("", "must start with one of n="),
             ("t=1", "n= is required"),

@@ -17,7 +17,7 @@
 //! delivers its oldest envelope; the batch keeps its arrival position
 //! until its run drains.
 
-use crate::ids::{PartyId, PartySet};
+use crate::ids::PartyId;
 use crate::queue::{BatchSlot, Pending};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -124,7 +124,9 @@ impl Scheduler for RandomScheduler {
 /// most hostile.
 #[derive(Debug, Clone)]
 pub struct StarveScheduler {
-    victims: PartySet,
+    /// The victims as listed: a handful of ids, and nothing is sized by
+    /// one — an id no party has simply never matches.
+    victims: Vec<PartyId>,
     /// Scratch buffer of non-victim indices, reused across picks.
     clean: Vec<usize>,
 }
@@ -132,12 +134,23 @@ pub struct StarveScheduler {
 impl StarveScheduler {
     /// Starves messages touching any party in `victims`.
     pub fn new<I: IntoIterator<Item = PartyId>>(victims: I) -> Self {
-        let mut starved = StarveScheduler {
-            victims: PartySet::new(),
+        StarveScheduler {
+            victims: victims.into_iter().collect(),
             clean: Vec::new(),
-        };
-        starved.victims.extend(victims);
-        starved
+        }
+    }
+
+    /// Parses `starve:<id>[,<id>…]`.
+    pub(crate) fn parse(spec: &str) -> Option<Self> {
+        let ids = spec.strip_prefix("starve:")?.split(',');
+        let victims: Option<Vec<PartyId>> =
+            ids.map(|id| id.trim().parse().ok().map(PartyId)).collect();
+        Some(StarveScheduler::new(victims?))
+    }
+
+    /// The starved parties, as listed.
+    pub(crate) fn victims(&self) -> &[PartyId] {
+        &self.victims
     }
 }
 
@@ -145,7 +158,7 @@ impl Scheduler for StarveScheduler {
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize {
         self.clean.clear();
         for (i, m) in pending.metas().enumerate() {
-            if !self.victims.contains(m.from) && !self.victims.contains(m.to) {
+            if !self.victims.contains(&m.from) && !self.victims.contains(&m.to) {
                 self.clean.push(i);
             }
         }

@@ -37,10 +37,11 @@
 //! epoch after it was sent, so no aging cap is needed.
 //!
 //! What a party *is* — its node, its metrics, the numbering and recording
-//! of its sends, the accounting of a delivery — is a [`PartyHost`], the
-//! same one every other backend drives; this module adds what is the
-//! shard's own: inboxes, per-party schedulers and RNGs, the per-pair
-//! channels and the barrier. Each party records into a
+//! of its sends, the accounting of a delivery — is a [`PartyHost`], held
+//! with the waiting spawns, the recorder, the recoveries and the step
+//! clock in the parties' front every engine shares; this module adds what
+//! is the shard's own: one lane per party — inbox, scheduler and RNG,
+//! outbound channels — and the barrier. Each party records into a
 //! buffer of its own, and the barrier flattens the buffers into the one
 //! sink in party order — which is also when an adaptive controller sitting
 //! in front of the recorder observes the epoch's deliveries, so its
@@ -52,26 +53,22 @@
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 
-use crate::adaptive::{Observer, SharedAdaptive};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
-use crate::node::{Node, Outgoing};
-use crate::payload::Payload;
+use crate::node::Outgoing;
 use crate::queue::{Parcel, Pending};
 use crate::runtime::{
-    Metrics, NetConfig, PartyHost, RecoverPhase, Recoveries, RunReport, Runtime, StopReason,
+    Metrics, NetConfig, Parties, PartyHost, RecoverPhase, RunReport, Runtime, StopReason,
 };
 use crate::scheduler::{RandomScheduler, Scheduler};
-use crate::trace::{TraceEvent, TraceMode, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// Everything one party needs to process an epoch without touching any
-/// other party's state — the unit of shard parallelism. The party itself
-/// (node, metrics, send numbering) is the [`PartyHost`]; what is the
-/// shard's own is the inbox, who picks from it, and the channels out.
-struct PartyState {
-    host: PartyHost,
+/// What one party needs, beside its [`PartyHost`], to process an epoch
+/// without touching any other party's state — the unit of shard
+/// parallelism: the inbox, who picks from it, and the channels out.
+struct Lane {
     /// Where the host's sends wait to be numbered (empty between acts).
     out: Vec<Outgoing>,
     /// Messages deliverable in the current epoch.
@@ -104,13 +101,12 @@ fn as_sink(events: &mut Option<Vec<TraceEvent>>) -> Option<&mut dyn TraceSink> {
     events.as_mut().map(|events| events as &mut dyn TraceSink)
 }
 
-impl PartyState {
-    /// Appends the host's waiting sends to the per-pair channels as
+impl Lane {
+    /// Appends `host`'s waiting sends to the per-pair channels as
     /// emissions of `epoch` (crashed nodes produce no outgoing work, so
     /// this never sees output from one).
-    fn flush_sends(&mut self, epoch: u64, causal: Option<u64>) {
-        let PartyState {
-            host,
+    fn flush_sends(&mut self, host: &mut PartyHost, epoch: u64, causal: Option<u64>) {
+        let Lane {
             out: sends,
             inbox,
             outbox,
@@ -152,7 +148,7 @@ impl PartyState {
     /// the run read out of one contiguous buffer. The schedule stays a
     /// pure function of `(seed, scheduler)` — batching is defined by the
     /// logical send order, never by the shard partition.
-    fn drain_epoch(&mut self, epoch: u64, limit: u64) -> u64 {
+    fn drain_epoch(&mut self, host: &mut PartyHost, epoch: u64, limit: u64) -> u64 {
         let mut done = 0;
         while !self.inbox.is_empty() && done < limit {
             let slot = self.scheduler.pick_slot(&self.inbox, &mut self.rng);
@@ -163,8 +159,8 @@ impl PartyState {
             let vnow = self.scheduler.virtual_now();
             if let Some(events) = &mut self.events {
                 events.push(TraceEvent::SchedulerPick {
-                    step: self.host.metrics().steps,
-                    party: self.host.node().id(),
+                    step: host.metrics().steps,
+                    party: host.node().id(),
                     queued: self.inbox.len(),
                     run: run as usize,
                 });
@@ -172,11 +168,11 @@ impl PartyState {
             for _ in 0..run {
                 let env = self.inbox.take_slot(slot);
                 let sink = as_sink(&mut self.events);
-                self.host.deliver(env, vnow, sink, &mut self.out);
+                host.deliver(env, vnow, sink, &mut self.out);
                 // Party-local step of the delivery that just ran: the
                 // causal parent of everything it emitted.
-                let parent = self.host.metrics().steps;
-                self.flush_sends(epoch, Some(parent));
+                let parent = host.metrics().steps;
+                self.flush_sends(host, epoch, Some(parent));
             }
             done += run;
         }
@@ -184,18 +180,19 @@ impl PartyState {
     }
 }
 
-/// Refills the inboxes of one shard's parties (`chunk`) from
-/// `channels[local dst][src]` — the per-pair ordered channels of this
-/// epoch — in `(epoch, src)` sender-block order: each sender's whole
-/// channel becomes one inbox batch, senders in ascending party order.
-/// Comparison-free and O(senders) per inbox: every channel `Vec` is moved
-/// wholesale, no envelope is touched individually.
-fn merge_into_shard(chunk: &mut [PartyState], channels: &mut [Vec<Vec<Parcel>>]) {
-    for (ps, pairs) in chunk.iter_mut().zip(channels.iter_mut()) {
-        let to = ps.host.node().id();
+/// Refills the inboxes of one shard's lanes (`chunk`, its first party
+/// `first`) from `channels[local dst][src]` — the per-pair ordered
+/// channels of this epoch — in `(epoch, src)` sender-block order: each
+/// sender's whole channel becomes one inbox batch, senders in ascending
+/// party order. Comparison-free and O(senders) per inbox: every channel
+/// `Vec` is moved wholesale, no envelope is touched individually.
+fn merge_into_shard(first: usize, chunk: &mut [Lane], channels: &mut [Vec<Vec<Parcel>>]) {
+    for (i, (lane, pairs)) in chunk.iter_mut().zip(channels.iter_mut()).enumerate() {
+        let to = PartyId(first + i);
         for (from, pair) in pairs.iter_mut().enumerate() {
             if !pair.is_empty() {
-                ps.inbox.push_batch(PartyId(from), to, std::mem::take(pair));
+                lane.inbox
+                    .push_batch(PartyId(from), to, std::mem::take(pair));
             }
         }
     }
@@ -235,29 +232,20 @@ fn merge_into_shard(chunk: &mut [PartyState], channels: &mut [Vec<Vec<Parcel>>])
 /// }
 /// ```
 pub struct ShardedSimRuntime {
-    config: NetConfig,
+    /// The parties; their step clock counts deliveries across all shards
+    /// and epochs, and the lanes' event buffers flatten into their sink at
+    /// every barrier, in party order.
+    parties: Parties,
     /// Worker shard count (clamped to `n`).
     k: usize,
-    /// OS threads used to execute the shards (`min(k, cores)`).
+    /// OS threads used to execute the shards (`min(k, cores)`): spawning
+    /// more workers than cores only adds overhead, and the logical
+    /// schedule never depends on the execution arrangement.
     workers: usize,
-    parties: Vec<PartyState>,
-    /// Spawns buffered until the next `run` call.
-    pending_spawns: Vec<(PartyId, SessionId, Box<dyn Instance>)>,
-    /// Scheduled crash-recoveries, fired when a party's virtual clock
-    /// reaches the plan time (forced at would-be quiescence so order-only
-    /// schedulers still observe the rejoin).
-    recoveries: Recoveries,
+    /// One lane per party, in party order.
+    lanes: Vec<Lane>,
     /// Completed epoch barriers (also the `born_step` stamp of emissions).
     epoch: u64,
-    /// Total deliveries executed, across all shards and epochs.
-    steps: u64,
-    /// Where events end up: the flight recorder (see [`crate::trace`]),
-    /// if enabled, behind the adaptive controller, if installed. Per-party
-    /// event buffers flatten into it at every barrier, in party order, so
-    /// a controller observes an epoch's deliveries after the epoch and its
-    /// decisions take effect from the next one on. Never consulted by the
-    /// schedule.
-    sink: Observer,
     /// The per-pair ordered channels, receiver side: `channels[dst][src]`
     /// is filled by the barrier handoff and drained by the merge.
     channels: Vec<Vec<Vec<Parcel>>>,
@@ -289,21 +277,18 @@ impl ShardedSimRuntime {
         k: usize,
         factory: impl Fn(PartyId) -> Box<dyn Scheduler>,
     ) -> Self {
-        let hosts = PartyHost::all(&config);
+        let parties = Parties::new(config, "sharded", true);
         assert!(k > 0, "need at least one shard");
         let k = k.min(config.n);
-        let parties = hosts
-            .into_iter()
-            .enumerate()
-            .map(|(p, host)| {
+        let lanes = (0..config.n)
+            .map(|p| {
                 // Every party gets its own scheduler instance; configuring
                 // each from the same `(seed, spec)` keeps virtual-time
                 // plans (partitions, latency) identical across parties and
                 // shard counts.
                 let mut scheduler = factory(PartyId(p));
                 scheduler.configure(&config);
-                PartyState {
-                    host,
+                Lane {
                     out: Vec::new(),
                     inbox: Pending::new(),
                     scheduler,
@@ -317,15 +302,11 @@ impl ShardedSimRuntime {
             .collect();
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         ShardedSimRuntime {
-            config,
+            parties,
             k,
             workers: k.min(cores),
-            parties,
-            pending_spawns: Vec::new(),
-            recoveries: Recoveries::default(),
+            lanes,
             epoch: 0,
-            steps: 0,
-            sink: Observer::default(),
             channels: (0..config.n)
                 .map(|_| (0..config.n).map(|_| Vec::new()).collect())
                 .collect(),
@@ -334,15 +315,7 @@ impl ShardedSimRuntime {
 
     /// Shard width: party `p` lives on shard `p / chunk_width()`.
     fn chunk_width(&self) -> usize {
-        self.parties.len().div_ceil(self.k)
-    }
-
-    /// OS threads actually used to execute the logical shards (cached at
-    /// construction): spawning more workers than cores only adds
-    /// overhead, and the logical schedule never depends on the execution
-    /// arrangement.
-    fn workers(&self) -> usize {
-        self.workers
+        self.lanes.len().div_ceil(self.k)
     }
 
     /// The number of worker shards (after clamping to `n`).
@@ -352,23 +325,15 @@ impl ShardedSimRuntime {
 
     /// Messages deliverable in the next epoch (diagnostics).
     pub fn pending_len(&self) -> usize {
-        self.parties.iter().map(|p| p.inbox.messages()).sum()
+        self.lanes.iter().map(|lane| lane.inbox.messages()).sum()
     }
 
-    /// Immutable access to a node (outputs, shun registry, …).
-    pub fn node(&self, party: PartyId) -> &Node {
-        self.parties[party.0].host.node()
-    }
-
-    /// Runs the spawn phase: starts every buffered instance and buffers
-    /// the initial sends as epoch emissions.
-    fn apply_spawns(&mut self) {
-        for (party, session, instance) in std::mem::take(&mut self.pending_spawns) {
-            let ps = &mut self.parties[party.0];
-            ps.host.spawn(session, instance, &mut ps.out);
-            // Spawn-phase sends have no causal parent: they are DAG roots.
-            ps.flush_sends(self.epoch, None);
-        }
+    /// Starts `instance` at `party` as an epoch emission: its sends have
+    /// no causal parent, they are DAG roots.
+    fn start(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
+        let (host, lane) = (&mut self.parties.hosts[party.0], &mut self.lanes[party.0]);
+        host.spawn(session, instance, &mut lane.out);
+        lane.flush_sends(host, self.epoch, None);
     }
 
     /// The epoch barrier: hands every per-pair channel from the sender
@@ -381,37 +346,33 @@ impl ShardedSimRuntime {
     /// parties' inboxes. Also flattens the per-party flight-recorder
     /// buffers into the global sink.
     fn merge_barrier(&mut self) {
-        let n = self.config.n;
         let mut moved = 0;
-        for src in 0..n {
-            for (dst, pair) in self.parties[src].outbox.iter_mut().enumerate() {
+        for (src, lane) in self.lanes.iter_mut().enumerate() {
+            for (dst, pair) in lane.outbox.iter_mut().enumerate() {
                 moved += pair.len();
                 self.channels[dst][src] = std::mem::take(pair);
             }
         }
         let chunk = self.chunk_width();
-        if self.workers() == 1 || moved < 4096 {
-            for (shard, channels) in self
-                .parties
-                .chunks_mut(chunk)
-                .zip(self.channels.chunks_mut(chunk))
-            {
-                merge_into_shard(shard, channels);
+        let shards = self
+            .lanes
+            .chunks_mut(chunk)
+            .zip(self.channels.chunks_mut(chunk))
+            .enumerate();
+        if self.workers == 1 || moved < 4096 {
+            for (i, (shard, channels)) in shards {
+                merge_into_shard(i * chunk, shard, channels);
             }
         } else {
             std::thread::scope(|scope| {
-                for (shard, channels) in self
-                    .parties
-                    .chunks_mut(chunk)
-                    .zip(self.channels.chunks_mut(chunk))
-                {
-                    scope.spawn(move || merge_into_shard(shard, channels));
+                for (i, (shard, channels)) in shards {
+                    scope.spawn(move || merge_into_shard(i * chunk, shard, channels));
                 }
             });
         }
-        if let Some(sink) = self.sink.active() {
-            for ps in &mut self.parties {
-                if let Some(local) = &mut ps.events {
+        if let Some(sink) = self.parties.sink.active() {
+            for lane in &mut self.lanes {
+                if let Some(local) = &mut lane.events {
                     for event in local.drain(..) {
                         sink.record(event);
                     }
@@ -422,9 +383,9 @@ impl ShardedSimRuntime {
             // them; draining only one copy avoids duplicate lifecycle
             // events in the flight recorder.
             let mut net_events = Vec::new();
-            self.parties[0].scheduler.drain_net_events(&mut net_events);
+            self.lanes[0].scheduler.drain_net_events(&mut net_events);
             for event in net_events {
-                sink.record(event.traced(self.steps));
+                sink.record(event.traced(self.parties.steps));
             }
         }
         self.epoch += 1;
@@ -437,21 +398,22 @@ impl ShardedSimRuntime {
     /// inline and the worker pool is capped at the core count.
     fn deliver_epoch_parallel(&mut self) -> u64 {
         let epoch = self.epoch;
-        let drain = |shard: &mut [PartyState]| -> u64 {
-            shard
+        let drain = |lanes: &mut [Lane], hosts: &mut [PartyHost]| -> u64 {
+            lanes
                 .iter_mut()
-                .map(|ps| ps.drain_epoch(epoch, u64::MAX))
+                .zip(hosts)
+                .map(|(lane, host)| lane.drain_epoch(host, epoch, u64::MAX))
                 .sum()
         };
-        let workload: usize = self.parties.iter().map(|p| p.inbox.messages()).sum();
-        if self.workers() == 1 || workload < 256 {
-            return drain(&mut self.parties);
+        if self.workers == 1 || self.pending_len() < 256 {
+            return drain(&mut self.lanes, &mut self.parties.hosts);
         }
         let chunk = self.chunk_width();
+        let hosts = self.parties.hosts.chunks_mut(chunk);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.k);
-            for shard in self.parties.chunks_mut(chunk) {
-                handles.push(scope.spawn(move || drain(shard)));
+            for (lanes, hosts) in self.lanes.chunks_mut(chunk).zip(hosts) {
+                handles.push(scope.spawn(move || drain(lanes, hosts)));
             }
             handles
                 .into_iter()
@@ -467,28 +429,13 @@ impl ShardedSimRuntime {
     fn deliver_epoch_budgeted(&mut self, limit: u64) -> u64 {
         let epoch = self.epoch;
         let mut done = 0;
-        for ps in &mut self.parties {
-            done += ps.drain_epoch(epoch, limit - done);
+        for (lane, host) in self.lanes.iter_mut().zip(&mut self.parties.hosts) {
+            done += lane.drain_epoch(host, epoch, limit - done);
             if done == limit {
                 break;
             }
         }
         done
-    }
-
-    /// Phase 1 of a crash-recovery: the node comes back up (deliveries
-    /// stop counting as `dropped_crashed`), but its pre-crash session
-    /// state is retired — a recovered party rejoins with amnesia, and
-    /// traffic arriving before the respawn early-buffers for replay.
-    fn revive(&mut self, party: PartyId, at: u64, session: &SessionId) {
-        self.parties[party.0].host.revive(session);
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::Recover {
-                step: self.steps,
-                vtime: at,
-                party,
-            });
-        }
     }
 
     /// Applies the recovery phases that are due on each plan party's own
@@ -498,55 +445,37 @@ impl ShardedSimRuntime {
     /// fired (the caller runs a barrier so the respawn's sends become
     /// deliverable).
     fn fire_recoveries(&mut self, force: bool) -> bool {
-        if self.recoveries.is_empty() {
+        let recoveries = &mut self.parties.recoveries;
+        if recoveries.is_empty() {
             return false;
         }
         if force {
-            let target = self.recoveries.horizon();
-            for ps in &mut self.parties {
-                ps.scheduler.fast_forward(target);
+            let target = recoveries.horizon();
+            for lane in &mut self.lanes {
+                lane.scheduler.fast_forward(target);
             }
         }
-        let parties = &self.parties;
-        let phases = self
-            .recoveries
-            .due(|party| parties[party.0].scheduler.virtual_now(), force);
+        let lanes = &self.lanes;
+        let phases = recoveries.due(|party| lanes[party.0].scheduler.virtual_now(), force);
         let fired = !phases.is_empty();
         for phase in phases {
             match phase {
-                RecoverPhase::Revive { party, at, session } => self.revive(party, at, &session),
+                // The node comes back up (deliveries stop counting as
+                // `dropped_crashed`) with its pre-crash session state
+                // retired: traffic arriving before the respawn
+                // early-buffers for replay.
+                RecoverPhase::Revive { party, at, session } => {
+                    self.parties.hosts[party.0].revive(&session);
+                    self.parties.revived(party, at);
+                }
                 RecoverPhase::Respawn {
                     party,
                     session,
                     instance,
-                } => {
-                    let ps = &mut self.parties[party.0];
-                    ps.host.spawn(session, instance, &mut ps.out);
-                    ps.flush_sends(self.epoch, None);
-                }
+                } => self.start(party, session, instance),
             }
         }
         fired
-    }
-
-    /// Gives every party an event buffer while anyone listens to the
-    /// sink, and none otherwise.
-    fn size_event_buffers(&mut self) {
-        let on = self.sink.is_on();
-        for ps in &mut self.parties {
-            if ps.events.is_some() != on {
-                ps.events = on.then(Vec::new);
-            }
-        }
-    }
-
-    fn report(&self, stop: StopReason) -> RunReport {
-        RunReport {
-            stop,
-            steps: self.steps,
-            metrics: self.metrics(),
-            trace: self.sink.summary(),
-        }
     }
 }
 
@@ -561,29 +490,27 @@ fn shard_sched_rng(seed: u64, party: usize) -> ChaCha12Rng {
 }
 
 impl Runtime for ShardedSimRuntime {
-    fn config(&self) -> &NetConfig {
-        &self.config
+    fn parties(&self) -> &Parties {
+        &self.parties
     }
 
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.pending_spawns.push((party, session, instance));
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.parties[party.0].host.crash();
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::Crash {
-                step: self.steps,
-                party,
-            });
-        }
+    fn parties_mut(&mut self) -> &mut Parties {
+        &mut self.parties
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::EpisodeStart { step: self.steps });
+        // The sink changes only between runs: a lane buffers events while
+        // anyone listens, and only then.
+        let on = self.parties.sink.is_on();
+        for lane in &mut self.lanes {
+            if lane.events.is_some() != on {
+                lane.events = on.then(Vec::new);
+            }
         }
-        self.apply_spawns();
+        self.parties.episode_start();
+        for (party, session, instance) in std::mem::take(&mut self.parties.spawns) {
+            self.start(party, session, instance);
+        }
         self.merge_barrier();
         let mut run_steps = 0;
         let reason = loop {
@@ -608,66 +535,23 @@ impl Runtime for ShardedSimRuntime {
                 self.deliver_epoch_parallel()
             };
             run_steps += done;
-            self.steps += done;
+            self.parties.steps += done;
             self.merge_barrier();
         };
-        if let Some(sink) = self.sink.active() {
-            sink.record(TraceEvent::EpisodeEnd { step: self.steps });
-        }
-        self.report(reason)
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.parties[party.0].host.node().output(session)
+        let metrics = self.metrics();
+        self.parties.episode_end(reason, metrics)
     }
 
     fn metrics(&self) -> Metrics {
         // Merged in party order, so per-kind ordering is a pure function
         // of the schedule — identical for every shard count.
-        let mut merged = Metrics::default();
-        for ps in &self.parties {
-            merged.merge(ps.host.metrics());
-            let (reused, allocated) = ps.inbox.pool_stats();
-            merged.pool_reused += reused + ps.pool_reused;
-            merged.pool_alloc += allocated + ps.pool_alloc;
+        let mut merged = self.parties.host_metrics();
+        for lane in &self.lanes {
+            let (reused, allocated) = lane.inbox.pool_stats();
+            merged.pool_reused += reused + lane.pool_reused;
+            merged.pool_alloc += allocated + lane.pool_alloc;
         }
         merged
-    }
-
-    fn schedule_recover(
-        &mut self,
-        party: PartyId,
-        at_vtime: u64,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> bool {
-        self.recoveries.schedule(party, at_vtime, session, instance);
-        true
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.sink.set_trace(mode);
-        self.size_event_buffers();
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        let recorder = self.sink.take_trace();
-        self.size_event_buffers();
-        recorder
-    }
-
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
-        self.sink.install(ctrl);
-        self.size_event_buffers();
-        true
-    }
-
-    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        self.sink.controller()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "sharded"
     }
 }
 
@@ -676,7 +560,9 @@ mod tests {
     use super::*;
     use crate::ids::SessionTag;
     use crate::instance::Context;
+    use crate::payload::Payload;
     use crate::runtime::RuntimeExt;
+    use crate::trace::TraceMode;
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("t", 0))

@@ -5,7 +5,10 @@
 //! of a delivery every message-passing host shares: dispatch, shunning,
 //! crash handling, accounting, send numbering — from the receiving end of
 //! its inbox, an unbounded `std::sync::mpsc` channel made anew for every
-//! episode; what is this engine's own is that channel and who fills it.
+//! episode. The hosts, waiting spawns, recorder and step clock are the
+//! parties' front every engine holds alike; what is this engine's own is
+//! the channels and who fills them, and sharing the recorder behind a
+//! mutex while a run is in progress.
 //! Delivery order is whatever the OS scheduler produces — a genuinely
 //! asynchronous (if benign) network. The runtime exists to demonstrate
 //! that the protocol implementations are not simulator-bound;
@@ -30,14 +33,13 @@
 //!
 //! [`SimNetwork`]: crate::SimNetwork
 
-use crate::adaptive::SharedAdaptive;
-use crate::ids::{PartyId, SessionId};
+use crate::adaptive::Observer;
+use crate::ids::SessionId;
 use crate::instance::Instance;
 use crate::network::Envelope;
-use crate::node::{Node, Outgoing};
-use crate::payload::Payload;
-use crate::runtime::{Metrics, NetConfig, PartyHost, RunReport, Runtime, StopReason};
-use crate::trace::{TraceEvent, TraceMode, TraceSink};
+use crate::node::Outgoing;
+use crate::runtime::{Metrics, NetConfig, Parties, PartyHost, RunReport, Runtime, StopReason};
+use crate::trace::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard};
@@ -54,8 +56,8 @@ enum Wire {
 /// The buffered spawns of one party.
 type Spawns = Vec<(SessionId, Box<dyn Instance>)>;
 
-/// The flight recorder as the workers share it.
-type SharedSink = Mutex<Box<dyn TraceSink>>;
+/// The recorder as the workers share it.
+type SharedSink = Mutex<Observer>;
 
 /// Shared bookkeeping for one threaded episode.
 struct Episode {
@@ -118,7 +120,7 @@ impl Drop for PoisonOnUnwind<'_> {
 }
 
 /// The shared recorder, locked for one delivery or one drain.
-type LockedSink<'a> = Option<MutexGuard<'a, Box<dyn TraceSink>>>;
+type LockedSink<'a> = Option<MutexGuard<'a, Observer>>;
 
 fn lock(sink: Option<&SharedSink>) -> LockedSink<'_> {
     sink.map(|shared| shared.lock().expect("trace sink poisoned"))
@@ -126,9 +128,7 @@ fn lock(sink: Option<&SharedSink>) -> LockedSink<'_> {
 
 /// The locked recorder as the sink a [`PartyHost`] records into.
 fn as_sink<'a>(locked: &'a mut LockedSink<'_>) -> Option<&'a mut dyn TraceSink> {
-    locked
-        .as_deref_mut()
-        .map(|boxed| &mut **boxed as &mut dyn TraceSink)
+    locked.as_deref_mut().map(|sink| sink as &mut dyn TraceSink)
 }
 
 /// Hands the sends waiting in `out` to their inboxes. Each `Send` event
@@ -235,16 +235,17 @@ fn run_episode(
 
 /// The OS-thread execution backend.
 ///
-/// Spawns are buffered; [`run`](Runtime::run) executes one episode — every
+/// Spawns wait for [`run`](Runtime::run), which executes one episode — every
 /// party's thread starts its buffered instances, messages flow until the
 /// system is quiescent (or the step budget is hit), and outputs plus
 /// merged metrics become readable. Parties [`crash`](Runtime::crash)ed
 /// before `run` start crashed: they never process or send.
 ///
 /// Compared to [`SimNetwork`], delivery order is real OS nondeterminism:
-/// there is no scheduler to choose and no delivery trace. Per-party RNGs
-/// still derive from `config.seed`, so protocol-local randomness matches
-/// the simulator's for the same seed.
+/// there is no scheduler to choose and the engine is not deterministic —
+/// it hosts no adaptive adversary and no recovery. Per-party RNGs still
+/// derive from `config.seed`, so protocol-local randomness matches the
+/// simulator's for the same seed.
 ///
 /// Node state **persists across episodes** (as on the simulator and the
 /// sharded backend): a later `spawn` + `run` continues on the same nodes,
@@ -280,16 +281,10 @@ fn run_episode(
 /// }
 /// ```
 pub struct ThreadedRuntime {
-    config: NetConfig,
-    /// The persistent per-party hosts, kept across episodes.
-    hosts: Vec<PartyHost>,
-    spawns: Vec<Spawns>,
-    /// Structured flight recorder (see [`crate::trace`]); shared with the
-    /// worker threads behind a mutex during episodes. Event order reflects
-    /// real OS interleaving — unlike the deterministic backends.
-    sink: Option<Box<dyn TraceSink>>,
-    /// What [`Runtime::backend_name`] reports.
-    label: &'static str,
+    /// The persistent parties, kept across episodes; their recorder is
+    /// shared with the worker threads behind a mutex during episodes, and
+    /// its event order reflects real OS interleaving.
+    parties: Parties,
 }
 
 impl ThreadedRuntime {
@@ -300,132 +295,54 @@ impl ThreadedRuntime {
     /// Panics if `n == 0` or `n < 3t + 1` (the resilience bound assumed by
     /// every protocol in this workspace).
     pub fn new(config: NetConfig) -> Self {
+        ThreadedRuntime::named(config, "threaded")
+    }
+
+    /// [`ThreadedRuntime::new`], reporting itself as `label` (`rt=proc` is
+    /// this engine under the name the real deployment is asked for).
+    pub(crate) fn named(config: NetConfig, label: &'static str) -> Self {
         ThreadedRuntime {
-            config,
-            hosts: PartyHost::all(&config),
-            spawns: (0..config.n).map(|_| Vec::new()).collect(),
-            sink: None,
-            label: "threaded",
+            parties: Parties::new(config, label, false),
         }
-    }
-
-    /// Sets the name [`Runtime::backend_name`] reports (`rt=proc` is this
-    /// engine under the name the real deployment is asked for).
-    pub(crate) fn labelled(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
-    /// Immutable access to a party's persistent node (outputs, shun
-    /// registry, …).
-    pub fn node(&self, party: PartyId) -> &Node {
-        self.hosts[party.0].node()
-    }
-
-    /// Deliveries executed so far, over all parties and episodes.
-    fn steps(&self) -> u64 {
-        self.hosts.iter().map(|host| host.metrics().steps).sum()
     }
 }
 
 impl Runtime for ThreadedRuntime {
-    fn config(&self) -> &NetConfig {
-        &self.config
+    fn parties(&self) -> &Parties {
+        &self.parties
     }
 
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.spawns[party.0].push((session, instance));
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.hosts[party.0].crash();
-        let step = self.steps();
-        if let Some(sink) = &mut self.sink {
-            sink.record(TraceEvent::Crash { step, party });
-        }
+    fn parties_mut(&mut self) -> &mut Parties {
+        &mut self.parties
     }
 
     fn run(&mut self, max_steps: u64) -> RunReport {
-        let step = self.steps();
-        if let Some(sink) = &mut self.sink {
-            sink.record(TraceEvent::EpisodeStart { step });
+        let parties = &mut self.parties;
+        parties.episode_start();
+        let mut spawns: Vec<Spawns> = parties.hosts.iter().map(|_| Vec::new()).collect();
+        for (party, session, instance) in std::mem::take(&mut parties.spawns) {
+            spawns[party.0].push((session, instance));
         }
-        let spawns = std::mem::replace(
-            &mut self.spawns,
-            (0..self.config.n).map(|_| Vec::new()).collect(),
-        );
-        let shared = self.sink.take().map(Mutex::new);
-        let stop = run_episode(&mut self.hosts, spawns, max_steps, shared.as_ref());
-        self.sink = shared.map(|m| m.into_inner().expect("trace sink poisoned"));
+        let on = parties.sink.is_on();
+        let sink = Mutex::new(std::mem::take(&mut parties.sink));
+        let stop = run_episode(&mut parties.hosts, spawns, max_steps, on.then_some(&sink));
+        parties.sink = sink.into_inner().expect("trace sink poisoned");
         let metrics = self.metrics();
-        if let Some(sink) = &mut self.sink {
-            sink.record(TraceEvent::EpisodeEnd {
-                step: metrics.steps,
-            });
-        }
-        RunReport {
-            stop,
-            steps: metrics.steps,
-            metrics,
-            trace: self
-                .sink
-                .as_ref()
-                .map(|s| crate::trace::summarize(s.as_ref())),
-        }
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.hosts[party.0].node().output(session)
-    }
-
-    /// Always `false`: there is no virtual clock to schedule against (a
-    /// real deployment restarts parties from its supervisor instead).
-    fn schedule_recover(
-        &mut self,
-        _party: PartyId,
-        _at_vtime: u64,
-        _session: SessionId,
-        _instance: Box<dyn Instance>,
-    ) -> bool {
-        false
+        self.parties.steps = metrics.steps;
+        self.parties.episode_end(stop, metrics)
     }
 
     fn metrics(&self) -> Metrics {
-        let mut merged = Metrics::default();
-        for host in &self.hosts {
-            merged.merge(host.metrics());
-        }
-        merged
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.sink = mode.build();
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
-    /// Always `false`: deliveries would be recorded in OS-timing order, so
-    /// an adaptive run could not be replayed.
-    fn install_adaptive(&mut self, _ctrl: SharedAdaptive) -> bool {
-        false
-    }
-
-    fn adaptive_handle(&self) -> Option<SharedAdaptive> {
-        None
-    }
-
-    fn backend_name(&self) -> &'static str {
-        self.label
+        self.parties.host_metrics()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SessionTag;
+    use crate::ids::{PartyId, SessionTag};
     use crate::instance::Context;
+    use crate::payload::Payload;
     use crate::runtime::RuntimeExt;
 
     fn sid() -> SessionId {

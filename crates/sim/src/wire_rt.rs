@@ -157,7 +157,7 @@ mod tests {
     use crate::instance::{Context, Instance};
     use crate::network::SimNetwork;
     use crate::payload::FrameBytes;
-    use crate::runtime::{runtime_by_name, NetConfig, RuntimeExt, StopReason};
+    use crate::runtime::{runtime_by_name, NetConfig, Runtime, RuntimeExt, StopReason};
     use crate::scheduler::RandomScheduler;
 
     fn sid() -> SessionId {
@@ -184,7 +184,8 @@ mod tests {
 
     #[test]
     fn wire_run_delivers_through_bytes() {
-        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler));
+        let mut rt =
+            SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler), "wire");
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
         }
@@ -582,7 +583,8 @@ mod tests {
 
     #[test]
     fn crash_before_run_keeps_the_party_from_starting_on_the_wire_backend() {
-        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 3), Box::new(RandomScheduler));
+        let mut rt =
+            SimNetwork::with_codec(NetConfig::new(4, 1, 3), Box::new(RandomScheduler), "wire");
         for p in 0..4 {
             rt.spawn(PartyId(p), sid(), Box::new(Pinger { heard: 0 }));
         }
@@ -625,7 +627,8 @@ mod tests {
         assert!(
             crate::wire::global_kind_name(<Unlisted as crate::wire::WireMessage>::KIND).is_none()
         );
-        let mut rt = SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler));
+        let mut rt =
+            SimNetwork::with_codec(NetConfig::new(4, 1, 5), Box::new(RandomScheduler), "wire");
         for p in 0..4 {
             rt.spawn(
                 PartyId(p),

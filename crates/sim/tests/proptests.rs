@@ -2,8 +2,8 @@
 //! determinism, and session routing under randomized configurations.
 
 use aft_sim::{
-    Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime, Scheduler, SessionId,
-    SessionTag, SimNetwork, StopReason, TraceMode, WindowScheduler,
+    Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime, RuntimeExt,
+    Scheduler, SessionId, SessionTag, SimNetwork, StopReason, TraceMode, WindowScheduler,
 };
 use proptest::prelude::*;
 

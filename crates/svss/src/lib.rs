@@ -38,7 +38,8 @@
 //! ```
 //! use aft_field::Fp;
 //! use aft_svss::{ShareBundle, SvssRec, SvssShare};
-//! use aft_sim::{NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SimNetwork};
+//! use aft_sim::{NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId,
+//!               SessionTag, SimNetwork};
 //!
 //! let (n, t) = (4, 1);
 //! let mut net = SimNetwork::new(NetConfig::new(n, t, 1), Box::new(RandomScheduler));

@@ -227,6 +227,7 @@ impl Instance for SvssRec {
 mod tests {
     use super::*;
     use crate::SvssShare;
+    use aft_sim::Runtime;
     use aft_sim::{NetConfig, RandomScheduler, SessionId, SessionTag, SimNetwork};
 
     #[test]

@@ -3,8 +3,8 @@
 
 use aft_field::Fp;
 use aft_sim::{
-    scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    scheduler_by_name, Instance, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork, StopReason,
 };
 use aft_svss::attacks::WrongSigma;
 use aft_svss::{ShareBundle, SvssRec, SvssShare};

@@ -4,8 +4,8 @@
 use aft_broadcast::AcastMsg;
 use aft_field::{BivarPoly, Fp};
 use aft_sim::{
-    party_node, scheduler_by_name, Instance, NetConfig, PartyId, Payload, SessionId, SessionTag,
-    SilentInstance, SimNetwork, StopReason,
+    party_node, scheduler_by_name, Instance, NetConfig, PartyId, Payload, Runtime, RuntimeExt,
+    SessionId, SessionTag, SilentInstance, SimNetwork, StopReason,
 };
 use aft_svss::attacks::{EquivocalReveal, SilentRec, TwoFacedDealer, WrongCross, WrongSigma};
 use aft_svss::{party_point, RecMsg, ShareBundle, ShareMsg, SvssRec, SvssShare, CORE_TAG};

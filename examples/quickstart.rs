@@ -7,7 +7,8 @@
 
 use aft::core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
 use aft::sim::{
-    NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SilentInstance, SimNetwork,
+    NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId, SessionTag,
+    SilentInstance, SimNetwork,
 };
 
 fn main() {

@@ -19,8 +19,9 @@
 # that half being written again; the split it was once written as
 # (`deliver_raw` / `account_delivery`) stays gone by name.
 #
-# And for the bytes between parties: one envelope writer and one reader, in
-# crates/sim/src/wire.rs (the third leg, at the end, says what it greps for).
+# And for what every engine holds alike (the one-front leg), and for the
+# bytes between parties: one envelope writer and one reader, in
+# crates/sim/src/wire.rs (each leg, further down, says what it greps for).
 #
 # usage: scripts/check_party_tables.sh   (from the repository root)
 set -euo pipefail
@@ -68,6 +69,22 @@ if grep -rnE 'deliver_raw|account_delivery' --include='*.rs' crates src tests >&
     exit 1
 fi
 echo "party-host: every engine drives it"
+
+# And for what every engine holds alike: the hosts, the spawns waiting for the
+# next run, the recorder and adaptive sink, the scheduled recoveries and the
+# step clock are one `Parties` in crates/sim/src/runtime.rs, which also
+# records the engine-wide events (`Crash`, `Recover`, `EpisodeStart` /
+# `EpisodeEnd`). Building hosts, a sink or recovery plans, or recording one of
+# those events, in the non-test code of an engine is that engine keeping its
+# own front again.
+for driver in crates/sim/src/{network,shard,threaded,async_rt,wire_rt}.rs; do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$driver" |
+        grep -E 'PartyHost::all\(|Observer::default\(|Recoveries::default\(|TraceEvent::(Crash|EpisodeStart|EpisodeEnd|Recover) \{' >&2; then
+        echo "one-front: $driver keeps its own parties, sink or recoveries, or records the shared events itself (hold one Parties)" >&2
+        exit 1
+    fi
+done
+echo "one-front: every engine holds one Parties"
 
 # And for the envelope: `put_session(` / `get_session(` lay out and read the
 # routing header, and crates/sim/src/wire.rs is where that is done — once,

@@ -33,8 +33,8 @@
 //!
 //! ```
 //! use aft::core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
-//! use aft::sim::{NetConfig, PartyId, RandomScheduler, SessionId, SessionTag, SilentInstance,
-//!                SimNetwork};
+//! use aft::sim::{NetConfig, PartyId, RandomScheduler, Runtime, RuntimeExt, SessionId,
+//!                SessionTag, SilentInstance, SimNetwork};
 //!
 //! let (n, t) = (4, 1);
 //! let mut net = SimNetwork::new(NetConfig::new(n, t, 2024), Box::new(RandomScheduler));

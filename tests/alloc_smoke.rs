@@ -50,8 +50,8 @@ use aft::broadcast::{Acast, AcastMsg};
 use aft::core::{CoinKind, FairChoiceParams, Fba};
 use aft::field::{Fp, Poly};
 use aft::sim::{
-    runtime_by_name, Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, SessionId,
-    SessionTag, SimNetwork,
+    runtime_by_name, Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime,
+    SessionId, SessionTag, SimNetwork,
 };
 use aft::svss::{ShareMsg, SvssShare};
 

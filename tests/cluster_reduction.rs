@@ -6,7 +6,8 @@ use aft::ba::{BinaryBa, OracleCoin};
 use aft::broadcast::Acast;
 use aft::sim::cluster::{Cluster, InnerFactory};
 use aft::sim::{
-    NetConfig, PartyId, Payload, RandomScheduler, SessionId, SessionTag, SimNetwork, StopReason,
+    NetConfig, PartyId, Payload, RandomScheduler, Runtime, RuntimeExt, SessionId, SessionTag,
+    SimNetwork, StopReason,
 };
 
 fn watched(kind: &'static str) -> SessionId {
