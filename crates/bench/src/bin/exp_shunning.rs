@@ -84,7 +84,10 @@ fn main() {
         }
         record_run(&net.metrics());
         if let Some(path) = tracing {
-            dump_trace(net.as_mut(), &path, &format!("shunning campaign n={n}"));
+            let events = net
+                .take_trace()
+                .map_or_else(Vec::new, |sink| sink.snapshot());
+            dump_trace(&path, &events, &format!("shunning campaign n={n}"));
         }
         let final_shuns = *shun_curve.last().unwrap();
         let saturation_at = shun_curve

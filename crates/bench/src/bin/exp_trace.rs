@@ -17,13 +17,14 @@
 //! * `--stack <ba|svss|common-subset|all>` — which reference stack(s) to
 //!   run (default `ba`);
 //! * `--seed <u64>` — the cell seed (default 1);
-//! * `--trace <path>` — where to write the JSONL trace (default
-//!   `target/trace/<stack>-seed<seed>.jsonl`); a `.perfetto.json`
-//!   sibling is always written alongside;
+//! * `--trace <X.jsonl>` — where to write the JSONL trace (default
+//!   `target/trace/<stack>-seed<seed>.jsonl`); the Perfetto view goes to
+//!   its sibling `X.perfetto.json`, and with more than one stack each
+//!   writes `X.<stack>.jsonl`;
 //! * `--json` — machine-readable tables on stdout.
 
 use aft_bench::cli::{Cli, Flag};
-use aft_bench::{write_trace_files, Output};
+use aft_bench::{dump_trace, Output};
 use aft_core::scenarios::{
     repro_dir, run_cell_to_bundle, standard_registry, StackKind, STEP_BUDGET,
 };
@@ -49,12 +50,8 @@ fn main() {
     let mut violated = false;
     for kind in &stacks {
         let path = match &cli.trace {
-            // With --stack all, keep one file per stack under the asked-for path.
-            Some(p) if stacks.len() > 1 => {
-                let mut os = p.clone().into_os_string();
-                os.push(format!(".{}", kind.label()));
-                PathBuf::from(os)
-            }
+            // With --stack all, keep one capture per stack beside the asked-for path.
+            Some(p) if stacks.len() > 1 => p.with_extension(format!("{}.jsonl", kind.label())),
             Some(p) => p.clone(),
             None => PathBuf::from(format!("target/trace/{}-seed{seed}.jsonl", kind.label())),
         };
@@ -93,7 +90,7 @@ fn run_traced(
         report.violations
     ));
 
-    write_trace_files(path, &events, kind.label());
+    dump_trace(path, &events, kind.label());
 
     let rows: Vec<Vec<String>> = depth_histograms(&events)
         .into_iter()

@@ -35,8 +35,9 @@
 //! `AFT_TRIALS` replaces every row's trial count (defaults are 30–200 per
 //! row), `AFT_EPSILON` the ε of `exp_coin_ablation`'s paper-exact run;
 //! `--runtime <family>[:<arg>][:<scheduler>]` picks a backend of
-//! [`aft_sim::ALL_BACKENDS`], `--trace <path>` dumps a flight-recorder
-//! trace of the first run, `--json` prints tables as JSON lines.
+//! [`aft_sim::ALL_BACKENDS`], `--trace X.jsonl` captures the first run
+//! as `X.jsonl` + `X.perfetto.json` ([`dump_trace`]), `--json` prints
+//! tables as JSON lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +50,7 @@ use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoicePar
 use aft_sim::trace::push_json_str;
 use aft_sim::{
     Backend, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
-    SilentInstance, StopReason, TraceMode,
+    SilentInstance, StopReason, TraceEvent, TraceMode,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{LazyLock, Mutex};
@@ -139,36 +140,21 @@ impl RuntimeSpec {
     }
 }
 
-/// Detaches the recorder [`RuntimeSpec::attach_trace`] turned on and
-/// writes its events to `path`; `label` identifies the run on stderr.
-pub fn dump_trace(rt: &mut dyn Runtime, path: &Path, label: &str) {
-    if let Some(sink) = rt.take_trace() {
-        write_trace_files(path, &sink.snapshot(), label);
-    }
-}
-
-/// Writes `events` as JSONL to `path` and as a Chrome/Perfetto trace to
-/// `path` + `.perfetto.json`, announcing both on stderr.
-pub fn write_trace_files(path: &Path, events: &[aft_sim::TraceEvent], label: &str) {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let perfetto = {
-        let mut os = path.as_os_str().to_owned();
-        os.push(".perfetto.json");
-        PathBuf::from(os)
-    };
-    match std::fs::write(path, aft_sim::trace::to_jsonl(events)) {
-        Ok(()) => eprintln!(
-            "trace: {} events from run [{label}] -> {}",
-            events.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("trace: cannot write {}: {e}", path.display()),
-    }
-    match std::fs::write(&perfetto, aft_sim::trace::to_chrome_trace(events)) {
-        Ok(()) => eprintln!("trace: perfetto view -> {}", perfetto.display()),
-        Err(e) => eprintln!("trace: cannot write {}: {e}", perfetto.display()),
+/// Writes a `--trace` capture of `events` to `path` and its Perfetto
+/// sibling ([`aft_sim::trace::write_trace`]), naming both on stderr;
+/// `label` identifies the run. A capture that cannot be written ends the
+/// process with exit 1 and one `error:` line naming the file.
+pub fn dump_trace(path: &Path, events: &[TraceEvent], label: &str) {
+    match aft_sim::trace::write_trace(path, events) {
+        Ok(perfetto) => {
+            let (n, path) = (events.len(), path.display());
+            eprintln!("trace: {n} events from run [{label}] -> {path}");
+            eprintln!("trace: perfetto view -> {}", perfetto.display());
+        }
+        Err(e) => {
+            eprintln!("error: cannot write trace {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -428,7 +414,10 @@ pub fn run_session<T: Clone + PartialEq + 'static>(
     let report = net.run(budget);
     record_run(&report.metrics);
     if let Some(path) = trace {
-        dump_trace(net.as_mut(), &path, label);
+        let events = net
+            .take_trace()
+            .map_or_else(Vec::new, |sink| sink.snapshot());
+        dump_trace(&path, &events, label);
     }
     assert_eq!(
         report.stop,

@@ -169,3 +169,28 @@ fn the_crate_docs_table_lists_what_each_binary_accepts() {
         assert_eq!(documented, accepted, "{bin}");
     }
 }
+
+/// A `--trace` capture that cannot be written ends the binary with exit 1
+/// and one `error:` line naming the path, not a clean exit over a trace
+/// that is not there: `exp_trace` and a table binary's traced run alike.
+#[test]
+fn an_unwritable_trace_path_fails_the_run() {
+    let path = "/dev/null/x.jsonl";
+    let exp_trace = run(
+        "exp_trace",
+        &["--scenario", "n=4,t=1", "--trace", path],
+        &[],
+    );
+    let trials = [("AFT_TRIALS", "1")];
+    let table = run("exp_coin_termination", &["--trace", path], &trials);
+    for out in [exp_trace, table] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("error: "))
+            .collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        assert!(errors[0].contains(path), "{stderr}");
+    }
+}

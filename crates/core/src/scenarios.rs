@@ -547,9 +547,8 @@ pub fn repro_dir() -> PathBuf {
 /// * `scenario.txt` — the scenario spec string, stack, seed, fingerprint
 ///   and the violations, one per line (replay with
 ///   `exp_trace --stack <stack> --scenario '<spec>' --seed <seed>`);
-/// * `trace.jsonl` — the retained events, one JSON object per line;
-/// * `trace.perfetto.json` — the same events as a Chrome/Perfetto
-///   trace with party×session lanes.
+/// * `trace.jsonl` + `trace.perfetto.json` — the retained events, as
+///   every capture is written ([`aft_sim::trace::write_trace`]).
 pub fn write_repro_bundle(
     dir: &Path,
     kind: StackKind,
@@ -579,11 +578,7 @@ pub fn write_repro_bundle(
         manifest.push_str(&format!("violation: {v}\n"));
     }
     std::fs::write(bundle.join("scenario.txt"), manifest)?;
-    std::fs::write(bundle.join("trace.jsonl"), aft_sim::trace::to_jsonl(events))?;
-    std::fs::write(
-        bundle.join("trace.perfetto.json"),
-        aft_sim::trace::to_chrome_trace(events),
-    )?;
+    aft_sim::trace::write_trace(&bundle.join("trace.jsonl"), events)?;
     Ok(bundle)
 }
 

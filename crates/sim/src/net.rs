@@ -40,6 +40,7 @@
 use crate::ids::PartyId;
 use crate::queue::{BatchSlot, MsgMeta, Pending};
 use crate::runtime::NetConfig;
+use crate::scenario::Fingerprint;
 use crate::scheduler::Scheduler;
 use crate::trace::TraceEvent;
 use rand::Rng;
@@ -336,15 +337,14 @@ impl PartitionPlan {
     }
 }
 
-/// FNV-1a over the canonical spec string, folded with the run seed, so
-/// the plan RNG stream is a pure function of `(seed, spec)`.
+/// The [`Fingerprint`] of the canonical spec string (its bytes, no
+/// terminator), folded with the run seed, so the plan RNG stream is a
+/// pure function of `(seed, spec)`.
 fn plan_seed(seed: u64, spec: &NetSpec) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in spec.to_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(h)
+    let mut h = Fingerprint::new();
+    h.write_bytes(spec.to_string().as_bytes());
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(h.finish())
 }
 
 /// One timed batch in the event queue. The derived order is the

@@ -36,7 +36,6 @@ use crate::payload::{drain_misses, Payload};
 use crate::trace::{session_kind, DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use std::fmt;
 
 /// Static parameters of a simulated system.
 #[derive(Debug, Clone, Copy)]
@@ -230,7 +229,11 @@ pub enum StopReason {
     Predicate,
 }
 
-/// Summary of a completed run.
+/// Summary of a completed run, as data: the stop reason, the step count,
+/// the [`Metrics`] and, when tracing was on, the [`TraceSummary`]. What a
+/// run recorded leaves it through [`write_trace`](crate::trace::write_trace)
+/// in the one trace schema; the counters are summed by the callers that
+/// want them.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Why the run stopped.
@@ -243,47 +246,6 @@ pub struct RunReport {
     /// [`Runtime::set_trace`]. Diagnostic only: never folded into
     /// scenario fingerprints.
     pub trace: Option<TraceSummary>,
-}
-
-impl fmt::Display for RunReport {
-    /// Uniform text rendering across every backend: stop reason, core
-    /// counters, pool stats, per-kind send counts and decode misses, and
-    /// the trace digest when tracing was on.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = &self.metrics;
-        writeln!(f, "stop: {:?} after {} steps", self.stop, self.steps)?;
-        writeln!(
-            f,
-            "messages: sent={} delivered={} dropped_shunned={} dropped_crashed={} shun_events={}",
-            m.sent, m.delivered, m.dropped_shunned, m.dropped_crashed, m.shun_events
-        )?;
-        writeln!(
-            f,
-            "wire: frames={} bytes={} malformed={}",
-            m.wire_frames, m.wire_bytes, m.wire_malformed
-        )?;
-        writeln!(f, "pool: reused={} alloc={}", m.pool_reused, m.pool_alloc)?;
-        if m.virtual_time > 0 {
-            let per_kind: Vec<String> =
-                m.virtual_times().map(|(k, v)| format!("{k}={v}")).collect();
-            writeln!(
-                f,
-                "virtual: completed at {} vms ({})",
-                m.virtual_time,
-                per_kind.join(" ")
-            )?;
-        }
-        let kinds: Vec<String> = m.kinds().map(|(k, c)| format!("{k}={c}")).collect();
-        writeln!(f, "sent by kind: {}", kinds.join(" "))?;
-        let misses: Vec<String> = m.decode_misses().map(|(k, c)| format!("{k}={c}")).collect();
-        if !misses.is_empty() {
-            writeln!(f, "decode misses: {}", misses.join(" "))?;
-        }
-        if let Some(trace) = &self.trace {
-            write!(f, "{trace}")?;
-        }
-        Ok(())
-    }
 }
 
 /// Derives party `p`'s deterministic RNG from the master seed.

@@ -26,14 +26,20 @@
 //!
 //! # Exporters
 //!
-//! [`to_jsonl`] renders one JSON object per line for ad-hoc analysis;
+//! One schema: each event is its `ev` label, its `step` and its members.
+//! [`to_jsonl`] renders one JSON object per event and line;
 //! [`to_chrome_trace`] renders the Chrome trace-event format (load in
-//! Perfetto via <https://ui.perfetto.dev>) with one process per party and
-//! one thread lane per session path.
+//! Perfetto via <https://ui.perfetto.dev>) with one process per party,
+//! one thread lane per session path, and the same members as each
+//! event's `args`. [`write_trace`] writes every capture as the pair
+//! `X.jsonl` + `X.perfetto.json`.
 
 use crate::ids::{PartyId, SessionId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Why a queued envelope was dropped instead of delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,17 +228,6 @@ impl TraceEvent {
             | TraceEvent::PartitionStart { step, .. }
             | TraceEvent::PartitionHeal { step, .. }
             | TraceEvent::Recover { step, .. } => *step,
-        }
-    }
-
-    /// The event's virtual timestamp, if it carries one.
-    pub fn vtime(&self) -> Option<u64> {
-        match self {
-            TraceEvent::Deliver { vtime, .. } => *vtime,
-            TraceEvent::PartitionStart { vtime, .. }
-            | TraceEvent::PartitionHeal { vtime, .. }
-            | TraceEvent::Recover { vtime, .. } => Some(*vtime),
-            _ => None,
         }
     }
 
@@ -478,7 +473,9 @@ pub fn depth_histograms(events: &[TraceEvent]) -> Vec<(&'static str, DepthHistog
 }
 
 /// Digest of a recorded trace, folded into
-/// [`RunReport::trace`](crate::RunReport::trace) when tracing is on.
+/// [`RunReport::trace`](crate::RunReport::trace) when tracing is on. It is
+/// data for callers to read, not a rendering: the events themselves leave
+/// a run only through [`write_trace`], in the one schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Total events recorded (including any overwritten by a ring).
@@ -496,38 +493,6 @@ pub fn summarize(sink: &dyn TraceSink) -> TraceSummary {
         recorded: sink.recorded(),
         retained: events.len(),
         depths: depth_histograms(&events),
-    }
-}
-
-impl fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} events recorded, {} retained",
-            self.recorded, self.retained
-        )?;
-        for (kind, h) in &self.depths {
-            write!(
-                f,
-                "  depth[{kind}]: n={} mean={:.2} max={} buckets=[",
-                h.count,
-                h.mean(),
-                h.max
-            )?;
-            for (i, c) in h.buckets.iter().enumerate() {
-                let (lo, hi) = DepthHistogram::bucket_bounds(i);
-                if i > 0 {
-                    write!(f, " ")?;
-                }
-                if lo == hi {
-                    write!(f, "{lo}:{c}")?;
-                } else {
-                    write!(f, "{lo}-{hi}:{c}")?;
-                }
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
     }
 }
 
@@ -551,10 +516,17 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_common(out: &mut String, ev: &str, step: u64) {
-    out.push_str("{\"ev\":");
-    push_json_str(out, ev);
-    out.push_str(&format!(",\"step\":{step}"));
+/// Appends the member `,"key":value`, `value` written as it displays.
+fn push_member(out: &mut String, key: &str, value: impl fmt::Display) {
+    out.push_str(&format!(",\"{key}\":{value}"));
+}
+
+/// Appends the members of an envelope's delivery or drop.
+fn push_envelope(out: &mut String, party: PartyId, from: PartyId, session: &SessionId, seq: u64) {
+    push_member(out, "party", party.0);
+    push_member(out, "from", from.0);
+    push_session(out, session);
+    push_member(out, "seq", seq);
 }
 
 fn push_session(out: &mut String, session: &SessionId) {
@@ -564,113 +536,103 @@ fn push_session(out: &mut String, session: &SessionId) {
     push_json_str(out, session_kind(session));
 }
 
-/// Renders one event as a single-line JSON object.
-pub fn event_to_json(ev: &TraceEvent) -> String {
-    let mut out = String::with_capacity(96);
+/// The one schema: appends every member of `ev` after `ev` and `step`,
+/// each as `,"key":value`. A JSONL line and a Perfetto `args` object are
+/// both these members.
+fn push_members(out: &mut String, ev: &TraceEvent) {
     match ev {
-        TraceEvent::EpisodeStart { step } | TraceEvent::EpisodeEnd { step } => {
-            push_common(&mut out, ev.label(), *step);
-        }
+        TraceEvent::EpisodeStart { .. } | TraceEvent::EpisodeEnd { .. } => {}
         TraceEvent::Send {
-            step,
             from,
             to,
             session,
             seq,
             causal_parent,
+            ..
         } => {
-            push_common(&mut out, "send", *step);
-            out.push_str(&format!(",\"from\":{},\"to\":{}", from.0, to.0));
-            push_session(&mut out, session);
-            out.push_str(&format!(",\"seq\":{seq}"));
-            match causal_parent {
-                Some(cp) => out.push_str(&format!(",\"causal_parent\":{cp}")),
-                None => out.push_str(",\"causal_parent\":null"),
-            }
+            push_member(out, "from", from.0);
+            push_member(out, "to", to.0);
+            push_session(out, session);
+            push_member(out, "seq", seq);
+            let parent = causal_parent.map_or("null".to_string(), |cp| cp.to_string());
+            push_member(out, "causal_parent", parent);
         }
         TraceEvent::Deliver {
-            step,
             party,
             from,
             session,
             seq,
             vtime,
+            ..
         } => {
-            push_common(&mut out, "deliver", *step);
-            out.push_str(&format!(",\"party\":{},\"from\":{}", party.0, from.0));
-            push_session(&mut out, session);
-            out.push_str(&format!(",\"seq\":{seq}"));
+            push_envelope(out, *party, *from, session, *seq);
             if let Some(vt) = vtime {
-                out.push_str(&format!(",\"vtime\":{vt}"));
+                push_member(out, "vtime", vt);
             }
         }
         TraceEvent::Drop {
-            step,
             party,
             from,
             session,
             seq,
             reason,
+            ..
         } => {
-            push_common(&mut out, "drop", *step);
-            out.push_str(&format!(",\"party\":{},\"from\":{}", party.0, from.0));
-            push_session(&mut out, session);
-            out.push_str(&format!(",\"seq\":{seq},\"reason\":"));
-            push_json_str(&mut out, reason.label());
+            push_envelope(out, *party, *from, session, *seq);
+            out.push_str(",\"reason\":");
+            push_json_str(out, reason.label());
         }
-        TraceEvent::Crash { step, party } => {
-            push_common(&mut out, "crash", *step);
-            out.push_str(&format!(",\"party\":{}", party.0));
-        }
+        TraceEvent::Crash { party, .. } => push_member(out, "party", party.0),
         TraceEvent::Shun {
-            step,
             party,
             session,
             count,
+            ..
         }
         | TraceEvent::Output {
-            step,
             party,
             session,
             count,
+            ..
         }
         | TraceEvent::DecodeMiss {
-            step,
             party,
             session,
             count,
+            ..
         } => {
-            push_common(&mut out, ev.label(), *step);
-            out.push_str(&format!(",\"party\":{}", party.0));
-            push_session(&mut out, session);
-            out.push_str(&format!(",\"count\":{count}"));
+            push_member(out, "party", party.0);
+            push_session(out, session);
+            push_member(out, "count", count);
         }
         TraceEvent::SchedulerPick {
-            step,
-            party,
-            queued,
-            run,
+            party, queued, run, ..
         } => {
-            push_common(&mut out, "scheduler-pick", *step);
-            out.push_str(&format!(
-                ",\"party\":{},\"queued\":{queued},\"run\":{run}",
-                party.0
-            ));
+            push_member(out, "party", party.0);
+            push_member(out, "queued", queued);
+            push_member(out, "run", run);
         }
-        TraceEvent::PartitionStart { step, vtime, cut } => {
-            push_common(&mut out, "partition-start", *step);
+        TraceEvent::PartitionStart { vtime, cut, .. } => {
+            push_member(out, "vtime", vtime);
             let ids: Vec<String> = cut.iter().map(|p| p.0.to_string()).collect();
-            out.push_str(&format!(",\"vtime\":{vtime},\"cut\":[{}]", ids.join(",")));
+            push_member(out, "cut", format!("[{}]", ids.join(",")));
         }
-        TraceEvent::PartitionHeal { step, vtime } => {
-            push_common(&mut out, "partition-heal", *step);
-            out.push_str(&format!(",\"vtime\":{vtime}"));
-        }
-        TraceEvent::Recover { step, vtime, party } => {
-            push_common(&mut out, "recover", *step);
-            out.push_str(&format!(",\"vtime\":{vtime},\"party\":{}", party.0));
+        TraceEvent::PartitionHeal { vtime, .. } => push_member(out, "vtime", vtime),
+        TraceEvent::Recover { vtime, party, .. } => {
+            push_member(out, "vtime", vtime);
+            push_member(out, "party", party.0);
         }
     }
+}
+
+/// Renders one event as a single-line JSON object: `ev`, `step`, then
+/// the event's members.
+pub fn event_to_json(ev: &TraceEvent) -> String {
+    let mut out = String::with_capacity(96);
+    out.push_str("{\"ev\":");
+    push_json_str(&mut out, ev.label());
+    push_member(&mut out, "step", ev.step());
+    push_members(&mut out, ev);
     out.push('}');
     out
 }
@@ -692,159 +654,104 @@ const CTL_PID: usize = 1_000_000;
 /// Renders events in the Chrome trace-event format (open in Perfetto:
 /// <https://ui.perfetto.dev>). One process per party, one thread lane per
 /// session path; deliveries are 1-step slices, everything else instants.
-/// `ts` is the delivery-step counter (microseconds in the viewer).
+/// `ts` is the delivery-step counter (microseconds in the viewer), and
+/// each event's `args` are its JSONL members after `ev` and `step`.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     let mut lanes: HashMap<String, usize> = HashMap::new();
-    let mut lane_of = |session: &SessionId| -> usize {
-        let key = session.to_string();
-        let next = lanes.len() + 1;
-        *lanes.entry(key).or_insert(next)
-    };
-    let mut body = String::with_capacity(events.len() * 128);
-    let mut named: HashMap<(usize, usize), String> = HashMap::new();
-    let push = |body: &mut String, line: String| {
-        if !body.is_empty() {
-            body.push(',');
-        }
-        body.push_str(&line);
-    };
+    let mut named: BTreeMap<(usize, usize), String> = BTreeMap::new();
+    let mut lines = Vec::with_capacity(events.len());
     for ev in events {
-        let (pid, tid) = match ev {
+        let pid = match ev {
             TraceEvent::EpisodeStart { .. }
             | TraceEvent::EpisodeEnd { .. }
             | TraceEvent::SchedulerPick { .. }
             | TraceEvent::PartitionStart { .. }
-            | TraceEvent::PartitionHeal { .. } => (CTL_PID, 0),
-            TraceEvent::Crash { party, .. } | TraceEvent::Recover { party, .. } => (party.0, 0),
-            TraceEvent::Send { from, session, .. } => (from.0, lane_of(session)),
-            TraceEvent::Deliver { party, session, .. }
-            | TraceEvent::Drop { party, session, .. }
-            | TraceEvent::Shun { party, session, .. }
-            | TraceEvent::Output { party, session, .. }
-            | TraceEvent::DecodeMiss { party, session, .. } => (party.0, lane_of(session)),
+            | TraceEvent::PartitionHeal { .. } => CTL_PID,
+            TraceEvent::Send { from, .. } => from.0,
+            TraceEvent::Deliver { party, .. }
+            | TraceEvent::Drop { party, .. }
+            | TraceEvent::Crash { party, .. }
+            | TraceEvent::Shun { party, .. }
+            | TraceEvent::Output { party, .. }
+            | TraceEvent::DecodeMiss { party, .. }
+            | TraceEvent::Recover { party, .. } => party.0,
         };
-        if let Some(session) = ev.session() {
+        let tid = ev.session().map_or(0, |session| {
+            let next = lanes.len() + 1;
+            let tid = *lanes.entry(session.to_string()).or_insert(next);
             named
                 .entry((pid, tid))
                 .or_insert_with(|| session.to_string());
-        }
-        let ts = ev.step();
-        let mut name = String::new();
-        let mut args = String::new();
-        let mut ph = "i";
-        match ev {
-            TraceEvent::EpisodeStart { .. } | TraceEvent::EpisodeEnd { .. } => {
-                name.push_str(ev.label());
-            }
-            TraceEvent::SchedulerPick {
-                party, queued, run, ..
-            } => {
-                name.push_str("pick");
-                args = format!("\"party\":{},\"queued\":{queued},\"run\":{run}", party.0);
-            }
-            TraceEvent::Crash { .. } => name.push_str("crash"),
-            TraceEvent::Send {
-                to,
-                seq,
-                causal_parent,
-                ..
-            } => {
-                name.push_str("send");
-                args = format!(
-                    "\"to\":{},\"seq\":{seq},\"causal_parent\":{}",
-                    to.0,
-                    causal_parent.map_or("null".to_string(), |c| c.to_string())
-                );
-            }
-            TraceEvent::Deliver {
-                from,
-                session,
-                seq,
-                vtime,
-                ..
-            } => {
-                ph = "X";
-                name.push_str(session_kind(session));
-                args = match vtime {
-                    Some(vt) => format!("\"from\":{},\"seq\":{seq},\"vtime\":{vt}", from.0),
-                    None => format!("\"from\":{},\"seq\":{seq}", from.0),
-                };
-            }
-            TraceEvent::Drop {
-                from, seq, reason, ..
-            } => {
-                name = format!("drop({})", reason.label());
-                args = format!("\"from\":{},\"seq\":{seq}", from.0);
-            }
-            TraceEvent::Shun { count, .. }
-            | TraceEvent::Output { count, .. }
-            | TraceEvent::DecodeMiss { count, .. } => {
-                name.push_str(ev.label());
-                args = format!("\"count\":{count}");
-            }
-            TraceEvent::PartitionStart { vtime, cut, .. } => {
-                name.push_str("partition-start");
-                let ids: Vec<String> = cut.iter().map(|p| p.0.to_string()).collect();
-                args = format!("\"vtime\":{vtime},\"cut\":[{}]", ids.join(","));
-            }
-            TraceEvent::PartitionHeal { vtime, .. } => {
-                name.push_str("partition-heal");
-                args = format!("\"vtime\":{vtime}");
-            }
-            TraceEvent::Recover { vtime, .. } => {
-                name.push_str("recover");
-                args = format!("\"vtime\":{vtime}");
-            }
-        }
+            tid
+        });
+        let (name, ph) = match ev {
+            TraceEvent::SchedulerPick { .. } => ("pick".to_string(), "i"),
+            TraceEvent::Deliver { session, .. } => (session_kind(session).to_string(), "X"),
+            TraceEvent::Drop { reason, .. } => (format!("drop({})", reason.label()), "i"),
+            _ => (ev.label().to_string(), "i"),
+        };
         let mut line = String::with_capacity(128);
         line.push_str("{\"name\":");
         push_json_str(&mut line, &name);
-        line.push_str(&format!(
-            ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
-        ));
-        if ph == "X" {
-            line.push_str(",\"dur\":1");
+        let extent = if ph == "X" {
+            "\"dur\":1"
         } else {
-            line.push_str(",\"s\":\"t\"");
-        }
-        line.push_str(&format!(",\"cat\":\"{}\"", ev.label()));
-        if !args.is_empty() {
-            line.push_str(&format!(",\"args\":{{{args}}}"));
-        }
-        line.push('}');
-        push(&mut body, line);
+            "\"s\":\"t\""
+        };
+        line.push_str(&format!(
+            ",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},{extent},\"cat\":\"{}\"",
+            ev.step(),
+            ev.label()
+        ));
+        let mut args = String::new();
+        push_members(&mut args, ev);
+        line.push_str(&format!(",\"args\":{{{}}}}}", args.trim_start_matches(',')));
+        lines.push(line);
     }
     // Metadata: name each party process and each session lane.
     let mut pids: Vec<usize> = named.keys().map(|(p, _)| *p).collect();
     pids.push(CTL_PID);
     pids.sort_unstable();
     pids.dedup();
+    let metadata = |kind: &str, pid: usize, tid: usize, name: &str| {
+        let mut line = format!(
+            "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+        );
+        push_json_str(&mut line, name);
+        line.push_str("}}");
+        line
+    };
     for pid in pids {
         let pname = if pid == CTL_PID {
             "scheduler".to_string()
         } else {
             format!("party {pid}")
         };
-        let mut line = String::new();
-        line.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
-        ));
-        push_json_str(&mut line, &pname);
-        line.push_str("}}");
-        push(&mut body, line);
+        lines.push(metadata("process_name", pid, 0, &pname));
     }
-    let mut lanes_sorted: Vec<((usize, usize), String)> = named.into_iter().collect();
-    lanes_sorted.sort();
-    for ((pid, tid), session) in lanes_sorted {
-        let mut line = String::new();
-        line.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
-        ));
-        push_json_str(&mut line, &session);
-        line.push_str("}}");
-        push(&mut body, line);
+    for ((pid, tid), session) in named {
+        lines.push(metadata("thread_name", pid, tid, &session));
     }
-    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{body}]}}")
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
+        lines.join(",")
+    )
+}
+
+/// Writes one capture of `events`: JSON Lines to `path` (`X.jsonl`) and
+/// the Perfetto view of the same events to its sibling `X.perfetto.json`,
+/// creating parent directories first. Returns the Perfetto path; an error
+/// names the file it could not write.
+pub fn write_trace(path: &Path, events: &[TraceEvent]) -> io::Result<PathBuf> {
+    let named =
+        |at: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", at.display()));
+    if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| named(path, e))?;
+    }
+    fs::write(path, to_jsonl(events)).map_err(|e| named(path, e))?;
+    let perfetto = path.with_extension("perfetto.json");
+    fs::write(&perfetto, to_chrome_trace(events)).map_err(|e| named(&perfetto, e))?;
+    Ok(perfetto)
 }
 
 #[cfg(test)]
@@ -944,31 +851,181 @@ mod tests {
         assert_eq!(h.buckets, vec![1, 2]); // depth 0 -> bucket 0; depths 1,2 -> bucket 1
     }
 
+    /// Every variant once: the event, its JSONL line, and the Perfetto
+    /// `name` and `ph` it is drawn with.
+    fn every_variant() -> Vec<(TraceEvent, &'static str, &'static str, &'static str)> {
+        let (p1, p2) = (PartyId(1), PartyId(2));
+        let ba = || sid("ba");
+        vec![
+            (
+                TraceEvent::EpisodeStart { step: 0 },
+                r#"{"ev":"episode-start","step":0}"#,
+                "episode-start",
+                "i",
+            ),
+            (
+                send(0, 0, 1, 0, None),
+                r#"{"ev":"send","step":0,"from":0,"to":1,"session":"/acast[0]","kind":"acast","seq":0,"causal_parent":null}"#,
+                "send",
+                "i",
+            ),
+            (
+                send(3, 1, 2, 5, Some(3)),
+                r#"{"ev":"send","step":3,"from":1,"to":2,"session":"/acast[0]","kind":"acast","seq":5,"causal_parent":3}"#,
+                "send",
+                "i",
+            ),
+            (
+                deliver(1, 1, 0, 0),
+                r#"{"ev":"deliver","step":1,"party":1,"from":0,"session":"/acast[0]","kind":"acast","seq":0}"#,
+                "acast",
+                "X",
+            ),
+            (
+                TraceEvent::Deliver {
+                    step: 2,
+                    party: p1,
+                    from: PartyId(0),
+                    session: ba(),
+                    seq: 9,
+                    vtime: Some(57),
+                },
+                r#"{"ev":"deliver","step":2,"party":1,"from":0,"session":"/ba[0]","kind":"ba","seq":9,"vtime":57}"#,
+                "ba",
+                "X",
+            ),
+            (
+                TraceEvent::Drop {
+                    step: 2,
+                    party: p2,
+                    from: PartyId(0),
+                    session: ba(),
+                    seq: 1,
+                    reason: DropReason::Shunned,
+                },
+                r#"{"ev":"drop","step":2,"party":2,"from":0,"session":"/ba[0]","kind":"ba","seq":1,"reason":"shunned"}"#,
+                "drop(shunned)",
+                "i",
+            ),
+            (
+                TraceEvent::Crash { step: 4, party: p2 },
+                r#"{"ev":"crash","step":4,"party":2}"#,
+                "crash",
+                "i",
+            ),
+            (
+                TraceEvent::Shun {
+                    step: 5,
+                    party: p1,
+                    session: ba(),
+                    count: 2,
+                },
+                r#"{"ev":"shun","step":5,"party":1,"session":"/ba[0]","kind":"ba","count":2}"#,
+                "shun",
+                "i",
+            ),
+            (
+                TraceEvent::Output {
+                    step: 6,
+                    party: p1,
+                    session: ba(),
+                    count: 1,
+                },
+                r#"{"ev":"output","step":6,"party":1,"session":"/ba[0]","kind":"ba","count":1}"#,
+                "output",
+                "i",
+            ),
+            (
+                TraceEvent::DecodeMiss {
+                    step: 7,
+                    party: p2,
+                    session: ba(),
+                    count: 3,
+                },
+                r#"{"ev":"decode-miss","step":7,"party":2,"session":"/ba[0]","kind":"ba","count":3}"#,
+                "decode-miss",
+                "i",
+            ),
+            (
+                TraceEvent::SchedulerPick {
+                    step: 8,
+                    party: p1,
+                    queued: 4,
+                    run: 2,
+                },
+                r#"{"ev":"scheduler-pick","step":8,"party":1,"queued":4,"run":2}"#,
+                "pick",
+                "i",
+            ),
+            (
+                TraceEvent::PartitionStart {
+                    step: 1,
+                    vtime: 40,
+                    cut: vec![PartyId(0), p2],
+                },
+                r#"{"ev":"partition-start","step":1,"vtime":40,"cut":[0,2]}"#,
+                "partition-start",
+                "i",
+            ),
+            (
+                TraceEvent::PartitionHeal {
+                    step: 3,
+                    vtime: 240,
+                },
+                r#"{"ev":"partition-heal","step":3,"vtime":240}"#,
+                "partition-heal",
+                "i",
+            ),
+            (
+                TraceEvent::Recover {
+                    step: 4,
+                    vtime: 300,
+                    party: p2,
+                },
+                r#"{"ev":"recover","step":4,"vtime":300,"party":2}"#,
+                "recover",
+                "i",
+            ),
+            (
+                TraceEvent::EpisodeEnd { step: 9 },
+                r#"{"ev":"episode-end","step":9}"#,
+                "episode-end",
+                "i",
+            ),
+        ]
+    }
+
     #[test]
     fn jsonl_is_one_valid_object_per_line() {
-        let events = vec![
-            TraceEvent::EpisodeStart { step: 0 },
-            send(0, 0, 1, 0, None),
-            deliver(1, 1, 0, 0),
-            TraceEvent::Drop {
-                step: 2,
-                party: PartyId(2),
-                from: PartyId(0),
-                session: sid("ba"),
-                seq: 1,
-                reason: DropReason::Shunned,
-            },
-            TraceEvent::EpisodeEnd { step: 2 },
-        ];
+        let table = every_variant();
+        let labels: std::collections::BTreeSet<&str> =
+            table.iter().map(|(ev, ..)| ev.label()).collect();
+        assert_eq!(labels.len(), 13, "every variant is in the table");
+        let events: Vec<TraceEvent> = table.iter().map(|(ev, ..)| ev.clone()).collect();
         let jsonl = to_jsonl(&events);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), events.len());
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        for ((ev, line, name, ph), got) in table.iter().zip(&lines) {
+            assert_eq!(got, line);
+            // Perfetto keeps its name and phase, and its `args` are the
+            // line's members after `ev` and `step`.
+            let head = format!("{{\"ev\":\"{}\",\"step\":{}", ev.label(), ev.step());
+            let members = line.strip_prefix(&head).and_then(|m| m.strip_suffix('}'));
+            let members = members
+                .unwrap_or_else(|| panic!("{line}"))
+                .trim_start_matches(',');
+            let chrome = to_chrome_trace(std::slice::from_ref(ev));
+            let drawn = chrome
+                .strip_prefix("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+                .and_then(|rest| rest.split(",{\"name\":\"process_name\"").next())
+                .unwrap_or_else(|| panic!("{chrome}"));
+            let start = format!("{{\"name\":\"{name}\",\"ph\":\"{ph}\",");
+            assert!(drawn.starts_with(&start), "{drawn}");
+            assert!(
+                drawn.ends_with(&format!(",\"args\":{{{members}}}}}")),
+                "{drawn}"
+            );
         }
-        assert!(lines[1].contains("\"causal_parent\":null"), "{}", lines[1]);
-        assert!(lines[2].contains("\"kind\":\"acast\""), "{}", lines[2]);
-        assert!(lines[3].contains("\"reason\":\"shunned\""), "{}", lines[3]);
     }
 
     #[test]
@@ -1029,8 +1086,6 @@ mod tests {
                 party: PartyId(2),
             },
         ];
-        assert_eq!(events[0].vtime(), Some(40));
-        assert_eq!(events[1].vtime(), Some(57));
         assert_eq!(events[3].label(), "recover");
         let jsonl = to_jsonl(&events);
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -1053,8 +1108,5 @@ mod tests {
         assert_eq!(summary.recorded, 3);
         assert_eq!(summary.retained, 2);
         assert_eq!(summary.depths.len(), 1);
-        let text = summary.to_string();
-        assert!(text.contains("3 events recorded"), "{text}");
-        assert!(text.contains("depth[acast]"), "{text}");
     }
 }

@@ -19,9 +19,10 @@
 # that half being written again; the split it was once written as
 # (`deliver_raw` / `account_delivery`) stays gone by name.
 #
-# And for what every engine holds alike (the one-front leg), and for the
+# And for what every engine holds alike (the one-front leg), for the
 # bytes between parties: one envelope writer and one reader, in
-# crates/sim/src/wire.rs (each leg, further down, says what it greps for).
+# crates/sim/src/wire.rs, and for what a run recorded: one trace schema
+# (each leg, further down, says what it greps for).
 #
 # usage: scripts/check_party_tables.sh   (from the repository root)
 set -euo pipefail
@@ -164,3 +165,28 @@ if grep -rnE 'never retires: .*(it views no message|drops messages without viewi
     exit 1
 fi
 echo "retire: every instance retires or says why not"
+
+# And for what a run recorded: one schema. The members of every `TraceEvent`
+# — all it holds after `ev` / `step` — are written once, by the member writer
+# in crates/sim/src/trace.rs, for its JSONL line and its Perfetto `args` alike;
+# and every capture (`--trace`, `exp_trace`, repro bundles) is written by
+# `aft_sim::trace::write_trace`, as `X.jsonl` + `X.perfetto.json`. A
+# `to_jsonl(` / `to_chrome_trace(` call in non-test code under crates/ outside
+# trace.rs is a second capture writer; the `"causal_parent"` key spelled other
+# than once in trace.rs (escaped inside a format string counts too) is a
+# second hand-kept renderer of the members.
+for src in $(grep -rlE '(to_jsonl|to_chrome_trace)\(' --include='*.rs' crates |
+    grep -v '/tests/' | grep -vx crates/sim/src/trace.rs); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
+        grep -E '(to_jsonl|to_chrome_trace)\(' >&2; then
+        echo "one-schema: $src writes a capture itself (use aft_sim::trace::write_trace)" >&2
+        exit 1
+    fi
+done
+keys=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/sim/src/trace.rs |
+    grep -oE '\\?"causal_parent\\?"' | wc -l)
+if [[ $keys -ne 1 ]]; then
+    echo "one-schema: crates/sim/src/trace.rs spells the \"causal_parent\" key $keys times, not once (one member writer renders JSONL and Perfetto args)" >&2
+    exit 1
+fi
+echo "one-schema: one member writer, one trace writer"
