@@ -6,10 +6,11 @@
 //! proportional to rounds) and steps for LocalCoin vs WeakSharedCoin vs
 //! OracleCoin under adversarially split inputs.
 
-use aft_ba::{CoinSource, LocalCoin, OracleCoin, WeakCoinInstance, WeakSharedCoin};
+use aft_ba::{BinaryBa, CoinSource, LocalCoin, OracleCoin, WeakCoinInstance, WeakSharedCoin};
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{run_session, run_split_ba, session, STEP_BUDGET};
-use aft_sim::{run_trials, NetConfig};
+use aft_bench::{ba_rounds, run_row, session};
+use aft_core::scenarios::STEP_BUDGET;
+use aft_sim::run_trials;
 
 fn coin_source(name: &str, seed: u64) -> Box<dyn CoinSource> {
     match name {
@@ -36,12 +37,16 @@ fn main() {
             } else {
                 n_trials
             };
+            let (row, first) = (rt.scenario(n, t, "", "random"), rows.is_empty());
             let outcomes = run_trials(0..runs, 24, |seed| {
-                let net = rt.make(NetConfig::new(n, t, seed), "random");
-                let label = format!("ba n={n} coin={coin} seed={seed}");
-                let coin = || coin_source(coin, seed ^ 0xE8);
-                let (rounds, o) = run_split_ba(Some(rt), net, &label, coin);
-                (rounds, o.steps)
+                let (trace, sid) = (cli.capture(first && seed == 0), session("ba"));
+                // Split inputs: even parties propose 1.
+                let o = run_row::<bool>(trace, &row, seed, &sid, STEP_BUDGET, |p, _| {
+                    Box::new(BinaryBa::new(p.0 % 2 == 0, coin_source(coin, seed ^ 0xE8)))
+                });
+                let agreed = o.all_terminated && o.agreement;
+                assert!(agreed, "{coin} BA at n={n}, seed {seed}");
+                (ba_rounds(&o.metrics, n), o.steps)
             });
             let rounds: Vec<f64> = outcomes.iter().map(|o| o.0).collect();
             let mean_rounds = rounds.iter().sum::<f64>() / rounds.len() as f64;
@@ -78,12 +83,10 @@ fn main() {
     let wc_trials = trials(60);
     let mut rows = Vec::new();
     for &(n, t) in &[(4usize, 1usize), (7, 2)] {
+        let row = rt.scenario(n, t, "", "random");
         let outcomes = run_trials(0..wc_trials, 24, |seed| {
-            let net = rt.make(NetConfig::new(n, t, seed), "random");
-            let label = format!("wcoin n={n} seed={seed}");
-            let sid = session("wcoin");
-            let o = run_session::<bool>(None, net, &sid, STEP_BUDGET, &label, |_| {
-                Some(Box::new(WeakCoinInstance::new()))
+            let o = run_row::<bool>(None, &row, seed, &session("wcoin"), STEP_BUDGET, |_, _| {
+                Box::new(WeakCoinInstance::new())
             });
             let agree = o.all_terminated && o.agreement;
             (o.all_terminated, agree, o.outputs.first().copied())

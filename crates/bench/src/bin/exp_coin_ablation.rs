@@ -7,9 +7,24 @@
 //! Algorithm 1 prescribes.
 
 use aft_bench::cli::{epsilon, trials, Cli, SIM_FLAGS};
-use aft_bench::{run_coin, run_session, session, Adversary, RuntimeSpec};
+use aft_bench::{run_row, session, RunOutcome};
+use aft_core::scenarios::STEP_BUDGET;
 use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
-use aft_sim::{run_trials, NetConfig};
+use aft_sim::{run_trials, Scenario};
+use std::path::Path;
+
+/// One `CoinFlip(k)` over inner coins `coin` on `row` with `seed`.
+fn flip(
+    trace: Option<&Path>,
+    row: &Scenario,
+    seed: u64,
+    k: usize,
+    coin: CoinKind,
+) -> RunOutcome<CoinFlipOutput> {
+    run_row(trace, row, seed, &session("exp"), STEP_BUDGET, |_, _| {
+        Box::new(CoinFlip::new(CoinFlipParams::FixedK { k }, coin))
+    })
+}
 
 fn main() {
     let cli = Cli::parse(SIM_FLAGS);
@@ -20,13 +35,15 @@ fn main() {
 
     // (a) substrate quality: oracle vs weak-shared inner coins.
     let mut rows = Vec::new();
+    let row = rt.scenario(4, 1, "", "random");
     for coin in [CoinKind::Oracle(0xA11), CoinKind::WeakShared] {
+        let first = rows.is_empty();
         let outcomes = run_trials(0..n_trials, 24, |seed| {
             let coin = match coin {
                 CoinKind::Oracle(_) => CoinKind::Oracle(seed ^ 0xA11),
                 other => other,
             };
-            let o = run_coin(rt, 4, 1, seed, 2, coin, "random", Adversary::None);
+            let o = flip(cli.capture(first && seed == 0), &row, seed, 2, coin);
             (o.agreement && o.all_terminated, o.metrics.sent, o.steps)
         });
         let ok = outcomes.iter().filter(|o| o.0).count();
@@ -57,17 +74,9 @@ fn main() {
     // (b) message complexity vs n at fixed k.
     let mut rows = Vec::new();
     for &(n, t) in &[(4usize, 1usize), (7, 2), (10, 3)] {
+        let row = rt.scenario(n, t, "", "random");
         let outcomes = run_trials(0..n_trials.min(10), 24, |seed| {
-            let o = run_coin(
-                rt,
-                n,
-                t,
-                seed,
-                1,
-                CoinKind::Oracle(seed ^ 3),
-                "random",
-                Adversary::None,
-            );
+            let o = flip(None, &row, seed, 1, CoinKind::Oracle(seed ^ 3));
             (o.metrics.sent, o.steps)
         });
         let msgs = outcomes.iter().map(|o| o.0).sum::<u64>() / outcomes.len() as u64;
@@ -89,16 +98,7 @@ fn main() {
     let mut rows = Vec::new();
     for &k in &[1usize, 2, 4, 8, 16] {
         let outcomes = run_trials(0..n_trials.min(15), 24, |seed| {
-            let o = run_coin(
-                rt,
-                4,
-                1,
-                seed,
-                k,
-                CoinKind::Oracle(seed ^ 0x99),
-                "random",
-                Adversary::None,
-            );
+            let o = flip(None, &row, seed, k, CoinKind::Oracle(seed ^ 0x99));
             (o.agreement, o.metrics.sent)
         });
         let agreed = outcomes.iter().filter(|o| o.0).count();
@@ -122,11 +122,10 @@ fn main() {
         "\n(d) paper-exact run: n=4, ε={epsilon} ⇒ k = 4⌈(e/(επ))²·n⁴⌉ = {k} iterations…"
     ));
     let t0 = std::time::Instant::now();
-    // (d) runs on `sim` whatever `--runtime` says.
-    let net = RuntimeSpec::named("sim").make(NetConfig::new(4, 1, 424242), "random");
-    let sid = session("paper-coin");
-    let o = run_session::<CoinFlipOutput>(None, net, &sid, u64::MAX, "paper-exact", |_| {
-        Some(Box::new(CoinFlip::new(params, CoinKind::Oracle(0xF00D))))
+    // (d) runs on `sim` whatever `--runtime` says, with no step budget.
+    let (row, sid) = (Scenario::honest(4, 1), session("paper-coin"));
+    let o = run_row::<CoinFlipOutput>(None, &row, 424242, &sid, u64::MAX, |_, _| {
+        Box::new(CoinFlip::new(params, CoinKind::Oracle(0xF00D)))
     });
     assert!(o.all_terminated, "terminates");
     let agreed = o.outputs.windows(2).all(|w| w[0].value == w[1].value);

@@ -5,9 +5,42 @@
 //! ≥ 1/2 − ε) and the agreement rate (must be 1.0).
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{fmt_prob, run_coin, Adversary};
-use aft_core::CoinKind;
-use aft_sim::run_trials;
+use aft_bench::{fmt_prob, run_row, session, Adversary};
+use aft_core::scenarios::STEP_BUDGET;
+use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
+use aft_sim::{run_trials, Scenario};
+use std::path::Path;
+
+/// Whether every honest party output, whether they agreed, and the coin.
+type Flip = (bool, bool, Option<bool>);
+
+/// One `CoinFlip` of `k` iterations over inner coins `coin` on `row`.
+fn flip(trace: Option<&Path>, row: &Scenario, seed: u64, k: usize, coin: CoinKind) -> Flip {
+    let sid = session("exp");
+    let o = run_row::<CoinFlipOutput>(trace, row, seed, &sid, STEP_BUDGET, |_, _| {
+        Box::new(CoinFlip::new(CoinFlipParams::FixedK { k }, coin))
+    });
+    let coin = o.outputs.first().map(|c| c.value);
+    (o.all_terminated, o.agreement, coin)
+}
+
+/// How many of `outcomes` are `agreed` on `coin`.
+fn agreed_on(outcomes: &[Flip], coin: bool) -> usize {
+    outcomes.iter().filter(|o| o.1 && o.2 == Some(coin)).count()
+}
+
+/// A row's terminated, agreement, Pr[coin=0] and Pr[coin=1] cells.
+fn cells(outcomes: &[Flip]) -> Vec<String> {
+    let total = outcomes.len();
+    let terminated = outcomes.iter().filter(|o| o.0).count();
+    let agreed = outcomes.iter().filter(|o| o.1).count();
+    vec![
+        format!("{terminated}/{total}"),
+        format!("{agreed}/{total}"),
+        fmt_prob(agreed_on(outcomes, false), total),
+        fmt_prob(agreed_on(outcomes, true), total),
+    ]
+}
 
 fn main() {
     let cli = Cli::parse(SIM_FLAGS);
@@ -21,34 +54,21 @@ fn main() {
         for &k in &[1usize, 3, 9] {
             for adversary in [Adversary::None, Adversary::CrashT] {
                 for sched in ["random", "lifo"] {
+                    let row = rt.scenario(n, t, &adversary.plan(n, t), sched);
+                    let first = rows.is_empty();
                     let outcomes = run_trials(0..n_trials, 24, |seed| {
                         // Decorrelate the oracle salt from the scheduler seed.
                         let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xABCD);
-                        let o = run_coin(rt, n, t, seed, k, coin, sched, adversary);
-                        (
-                            o.all_terminated,
-                            o.agreement,
-                            o.outputs.first().map(|c| c.value),
-                        )
+                        flip(cli.capture(first && seed == 0), &row, seed, k, coin)
                     });
-                    let total = outcomes.len();
-                    let terminated = outcomes.iter().filter(|o| o.0).count();
-                    let agreed = outcomes.iter().filter(|o| o.1).count();
-                    let zeros = outcomes
-                        .iter()
-                        .filter(|o| o.1 && o.2 == Some(false))
-                        .count();
-                    let ones = outcomes.iter().filter(|o| o.1 && o.2 == Some(true)).count();
-                    rows.push(vec![
+                    let label = adversary.label();
+                    let row = [
                         format!("{n}/{t}"),
                         k.to_string(),
-                        adversary.label().into(),
+                        label.into(),
                         sched.into(),
-                        format!("{terminated}/{total}"),
-                        format!("{agreed}/{total}"),
-                        fmt_prob(zeros, total),
-                        fmt_prob(ones, total),
-                    ]);
+                    ];
+                    rows.push([row.to_vec(), cells(&outcomes)].concat());
                 }
             }
         }
@@ -71,18 +91,17 @@ fn main() {
     out.note("(k relates to ε through k = 4⌈(e/(επ))²n⁴⌉ in paper-exact mode — see E9.)");
     out.note("scaled runs use ODD k: the paper's majority with even k has a tie mass of");
     out.note("Θ(1/√k) that resolves to 0 — negligible at the paper's k = Θ(n⁴), visible");
-    out.note("at k ∈ {2, 8} (measured ≈ binomial prediction, see EXPERIMENTS.md note).");
+    out.note("at k ∈ {2, 8} (measured ≈ binomial prediction: see the reproduction note below).");
 
     // Demonstrate the even-k tie effect explicitly (a reproduction note).
     let mut rows = Vec::new();
+    let row = rt.scenario(4, 1, "", "random");
     for &k in &[2usize, 8] {
         let outcomes = run_trials(0..n_trials, 24, |seed| {
             let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xABCD);
-            let o = run_coin(rt, 4, 1, seed, k, coin, "random", Adversary::None);
-            (o.agreement, o.outputs.first().map(|c| c.value))
+            flip(None, &row, seed, k, coin)
         });
-        let total = outcomes.len();
-        let ones = outcomes.iter().filter(|o| o.0 && o.1 == Some(true)).count();
+        let (total, ones) = (outcomes.len(), agreed_on(&outcomes, true));
         // Binomial prediction: Pr[X > k/2], X ~ Bin(k, 1/2).
         let predict: f64 = (k / 2 + 1..=k)
             .map(|i| {
@@ -112,29 +131,8 @@ fn main() {
     // Full IT configuration: weak shared coin inside the BAs, smaller scale.
     let it_trials = trials(200).min(60);
     let outcomes = run_trials(0..it_trials, 24, |seed| {
-        let o = run_coin(
-            rt,
-            4,
-            1,
-            seed,
-            1,
-            CoinKind::WeakShared,
-            "random",
-            Adversary::None,
-        );
-        (
-            o.all_terminated,
-            o.agreement,
-            o.outputs.first().map(|c| c.value),
-        )
+        flip(None, &row, seed, 1, CoinKind::WeakShared)
     });
-    let total = outcomes.len();
-    let agreed = outcomes.iter().filter(|o| o.1).count();
-    let zeros = outcomes
-        .iter()
-        .filter(|o| o.1 && o.2 == Some(false))
-        .count();
-    let ones = outcomes.iter().filter(|o| o.1 && o.2 == Some(true)).count();
     out.table(
         &format!("Fully information-theoretic stack (WeakShared inner coins), {it_trials} runs"),
         &[
@@ -145,14 +143,7 @@ fn main() {
             "Pr[coin=0]",
             "Pr[coin=1]",
         ],
-        &[vec![
-            "4/1".into(),
-            "1".into(),
-            format!("{}/{total}", outcomes.iter().filter(|o| o.0).count()),
-            format!("{agreed}/{total}"),
-            fmt_prob(zeros, total),
-            fmt_prob(ones, total),
-        ]],
+        &[[vec!["4/1".into(), "1".into()], cells(&outcomes)].concat()],
     );
     out.backend_counters();
 }

@@ -5,8 +5,9 @@
 //! starves the protocol past the fairness cap.
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{run_coin, Adversary};
-use aft_core::CoinKind;
+use aft_bench::{run_row, session};
+use aft_core::scenarios::STEP_BUDGET;
+use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind};
 use aft_sim::run_trials;
 
 fn quantiles(mut xs: Vec<u64>) -> (u64, u64, u64, u64) {
@@ -25,17 +26,13 @@ fn main() {
     let mut rows = Vec::new();
     for &(n, t) in &[(4usize, 1usize), (7, 2)] {
         for sched in ["fifo", "random", "lifo", "window4", "starve:0"] {
+            let (row, first) = (rt.scenario(n, t, "", sched), rows.is_empty());
             let outcomes = run_trials(0..n_trials, 24, |seed| {
-                let o = run_coin(
-                    rt,
-                    n,
-                    t,
-                    seed,
-                    2,
-                    CoinKind::Oracle(seed ^ 0x5555),
-                    sched,
-                    Adversary::None,
-                );
+                let (trace, sid) = (cli.capture(first && seed == 0), session("exp"));
+                let coin = CoinKind::Oracle(seed ^ 0x5555);
+                let o = run_row::<CoinFlipOutput>(trace, &row, seed, &sid, STEP_BUDGET, |_, _| {
+                    Box::new(CoinFlip::new(CoinFlipParams::FixedK { k: 2 }, coin))
+                });
                 (o.all_terminated, o.steps, o.metrics.sent)
             });
             let all_term = outcomes.iter().all(|o| o.0);

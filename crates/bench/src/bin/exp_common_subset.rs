@@ -2,7 +2,8 @@
 //! soundness of membership.
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{run_protocol, Adversary};
+use aft_bench::{run_row, session, Adversary};
+use aft_core::scenarios::STEP_BUDGET;
 use aft_core::{CoinKind, CommonSubsetInstance};
 use aft_sim::{run_trials, PartyId};
 
@@ -17,14 +18,14 @@ fn main() {
     for &(n, t) in &[(4usize, 1usize), (7, 2), (10, 3)] {
         for adversary in [Adversary::None, Adversary::CrashT] {
             for sched in ["random", "lifo"] {
+                let row = rt.scenario(n, t, &adversary.plan(n, t), sched);
+                let first = rows.is_empty();
                 let outcomes = run_trials(0..n_trials, 24, |seed| {
+                    let (trace, sid) = (cli.capture(first && seed == 0), session("exp"));
+                    let coin = CoinKind::Oracle(seed ^ 0xC5);
                     let o =
-                        run_protocol::<Vec<PartyId>>(rt, n, t, seed, sched, adversary, |_, _| {
-                            Box::new(CommonSubsetInstance::new(
-                                n - t,
-                                CoinKind::Oracle(seed ^ 0xC5),
-                                true,
-                            ))
+                        run_row::<Vec<PartyId>>(trace, &row, seed, &sid, STEP_BUDGET, |_, _| {
+                            Box::new(CommonSubsetInstance::new(n - t, coin, true))
                         });
                     let size_ok = o.outputs.first().is_some_and(|s| s.len() >= n - t);
                     // Soundness: silent parties never announced, so they
@@ -32,7 +33,7 @@ fn main() {
                     let sound = o
                         .outputs
                         .first()
-                        .is_some_and(|s| s.iter().all(|p| !adversary.is_byz(p.0, n, t)));
+                        .is_some_and(|s| s.iter().all(|p| !row.is_corrupt(*p)));
                     (
                         o.all_terminated,
                         o.agreement,

@@ -6,7 +6,8 @@
 //! the adversary's best choice of G).
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{fmt_prob, run_protocol, Adversary};
+use aft_bench::{fmt_prob, run_row, session, Adversary};
+use aft_core::scenarios::STEP_BUDGET;
 use aft_core::{CoinKind, FairChoice, FairChoiceParams};
 use aft_sim::run_trials;
 
@@ -20,9 +21,12 @@ fn main() {
     let mut rows = Vec::new();
     for &m in &[3usize, 5] {
         for adversary in [Adversary::None, Adversary::CrashOne] {
+            let row = rt.scenario(4, 1, &adversary.plan(4, 1), "random");
+            let first = rows.is_empty();
             let outcomes = run_trials(0..n_trials, 24, |seed| {
+                let (trace, sid) = (cli.capture(first && seed == 0), session("exp"));
                 let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15));
-                let o = run_protocol::<usize>(rt, 4, 1, seed, "random", adversary, |_, _| {
+                let o = run_row::<usize>(trace, &row, seed, &sid, STEP_BUDGET, |_, _| {
                     Box::new(FairChoice::new(m, FairChoiceParams::FixedK { k: 1 }, coin))
                 });
                 assert!(o.agreement, "FairChoice must agree");

@@ -6,9 +6,25 @@
 //!   hostile scheduler.
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
-use aft_bench::{fmt_prob, run_fba, Adversary};
-use aft_core::CoinKind;
-use aft_sim::run_trials;
+use aft_bench::{fmt_prob, run_row, session, Adversary, RunOutcome};
+use aft_core::scenarios::STEP_BUDGET;
+use aft_core::{CoinKind, FairChoiceParams, Fba};
+use aft_sim::{run_trials, Scenario};
+use std::path::Path;
+
+/// One FBA run on `row` in which party `p` proposes `input(p)`.
+fn fba(
+    trace: Option<&Path>,
+    row: &Scenario,
+    seed: u64,
+    coin: CoinKind,
+    input: impl Fn(usize) -> String,
+) -> RunOutcome<String> {
+    let params = FairChoiceParams::FixedK { k: 1 };
+    run_row(trace, row, seed, &session("exp"), STEP_BUDGET, |p, _| {
+        Box::new(Fba::new(input(p.0), params, coin))
+    })
+}
 
 fn main() {
     let cli = Cli::parse(SIM_FLAGS);
@@ -20,19 +36,13 @@ fn main() {
     // Validity: unanimous.
     let mut rows = Vec::new();
     for adversary in [Adversary::None, Adversary::CrashOne] {
+        let row = rt.scenario(4, 1, &adversary.plan(4, 1), "random");
+        let first = rows.is_empty();
         let outcomes = run_trials(0..n_trials.min(60), 24, |seed| {
-            let inputs: Vec<String> = (0..4).map(|_| "common".to_string()).collect();
-            let o = run_fba(
-                rt,
-                4,
-                1,
-                seed,
-                &inputs,
-                1,
-                CoinKind::Oracle(seed ^ 0x77),
-                "random",
-                adversary,
-            );
+            let trace = cli.capture(first && seed == 0);
+            let o = fba(trace, &row, seed, CoinKind::Oracle(seed ^ 0x77), |_| {
+                "common".to_string()
+            });
             o.agreement && o.all_terminated && o.outputs[0] == "common"
         });
         let good = outcomes.iter().filter(|&&b| b).count();
@@ -57,24 +67,15 @@ fn main() {
         ("all distinct, 1 crash", Adversary::CrashOne, "random"),
         ("all distinct, 1 crash, LIFO", Adversary::CrashOne, "lifo"),
     ] {
+        let row = rt.scenario(4, 1, &adversary.plan(4, 1), sched);
         let outcomes = run_trials(0..n_trials, 24, |seed| {
-            let inputs: Vec<String> = (0..4).map(|p| format!("input-{p}")).collect();
-            let o = run_fba(
-                rt,
-                4,
-                1,
-                seed,
-                &inputs,
-                1,
-                CoinKind::Oracle(seed.wrapping_mul(0x2545F4914F6CDD1D)),
-                sched,
-                adversary,
-            );
+            let coin = CoinKind::Oracle(seed.wrapping_mul(0x2545F4914F6CDD1D));
+            let o = fba(None, &row, seed, coin, |p| format!("input-{p}"));
             assert!(o.agreement, "agreement is unconditional");
             // Honest = parties not silenced by the adversary.
-            let honest: Vec<String> = (0..4)
-                .filter(|&p| !adversary.is_byz(p, 4, 1))
-                .map(|p| format!("input-{p}"))
+            let honest: Vec<String> = row
+                .honest_parties()
+                .map(|p| format!("input-{}", p.0))
                 .collect();
             o.outputs.first().map(|out| honest.contains(out))
         });
@@ -101,20 +102,12 @@ fn main() {
     // The binding case: a Byzantine party PARTICIPATES with a planted
     // value. Fair validity says the planted value wins at most 1/2 of the
     // time — i.e., some honest input is output with probability ≥ 1/2.
+    let row = rt.scenario(4, 1, "", "random");
     let outcomes = run_trials(0..n_trials, 24, |seed| {
-        use aft_bench::run_protocol;
-        use aft_core::{FairChoiceParams, Fba};
-        let o = run_protocol::<String>(rt, 4, 1, seed, "random", Adversary::None, move |p, _| {
-            let input = if p == 3 {
-                "PLANTED".to_string()
-            } else {
-                format!("input-{p}")
-            };
-            Box::new(Fba::new(
-                input,
-                FairChoiceParams::FixedK { k: 1 },
-                CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xBEEF),
-            ))
+        let coin = CoinKind::Oracle(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xBEEF);
+        let o = fba(None, &row, seed, coin, |p| match p {
+            3 => "PLANTED".to_string(),
+            p => format!("input-{p}"),
         });
         assert!(o.agreement);
         // Party 3 counts as the adversary: honest inputs are 0..2's.

@@ -13,13 +13,10 @@
 
 use aft_bench::cli::{trials, Cli, SIM_FLAGS};
 use aft_bench::{dump_trace, record_run};
-use aft_core::scenarios::standard_registry;
+use aft_core::scenarios::{run_episode, standard_registry, StackKind};
 use aft_field::Fp;
-use aft_sim::{
-    NetConfig, PartyId, Payload, Runtime, RuntimeExt, Scenario, SessionId, SessionTag,
-    SilentInstance,
-};
-use aft_svss::{ShareBundle, SvssRec, SvssShare};
+use aft_sim::{PartyId, SessionId, SessionTag, TraceMode};
+use aft_svss::SvssShare;
 
 fn main() {
     let cli = Cli::parse(SIM_FLAGS);
@@ -31,63 +28,68 @@ fn main() {
 
     let mut rows = Vec::new();
     for &(n, t) in &[(4usize, 1usize), (7, 2)] {
-        // The adversary as data: the last party equivocates its reveal.
-        // The runtime itself still comes from --runtime (the scenario's
-        // corruption plan is backend-agnostic).
-        let scenario = Scenario::parse(&format!("n={n},t={t},corrupt=equivocal-reveal@{}", n - 1))
-            .expect("campaign scenario is valid");
-        let mut net: Box<dyn Runtime> = rt_spec.make(NetConfig::new(n, t, 1234), "random");
-        let tracing = rt_spec.attach_trace(net.as_mut());
+        // The adversary as data: the last party equivocates its reveal,
+        // on the backend --runtime names.
+        let plan = format!("equivocal-reveal@{}", n - 1);
+        let scenario = rt_spec.scenario(n, t, &plan, "random");
+        let seed = 1234;
+        let mut net = scenario.runtime(seed);
+        // --trace <path> records the first row's whole campaign.
+        let trace = cli.capture(rows.is_empty());
+        if trace.is_some() {
+            net.set_trace(TraceMode::Full);
+        }
         let mut shun_curve = Vec::new();
         let mut binding_violations_without_shun = 0usize;
         for i in 0..instances {
             let ssid = SessionId::root().child(SessionTag::new("svss-share", i as u64));
             let rsid = SessionId::root().child(SessionTag::new("svss-rec", i as u64));
-            scenario
-                .deploy_episode(net.as_mut(), &registry, "svss-share", &ssid, &[], |p, _| {
-                    if p == PartyId(0) {
-                        Box::new(SvssShare::dealer(PartyId(0), Fp::new(i as u64)))
-                    } else {
-                        Box::new(SvssShare::party(PartyId(0)))
-                    }
-                })
-                .expect("share deploy");
-            net.run(1_000_000_000);
+            let (_, shares) = run_episode(
+                net.as_mut(),
+                &scenario,
+                &registry,
+                "svss-share",
+                &ssid,
+                &[],
+                1_000_000_000,
+                |p, _| match p {
+                    PartyId(0) => Box::new(SvssShare::dealer(p, Fp::new(i as u64))),
+                    _ => Box::new(SvssShare::party(PartyId(0))),
+                },
+            )
+            .expect("share deploy");
             // Reconstruct; the registry hands the equivocator its bundle
-            // (the carry) and everyone honest a plain SvssRec.
-            let carries: Vec<Option<Payload>> = (0..n)
-                .map(|p| net.output(PartyId(p), &ssid).cloned())
-                .collect();
-            scenario
-                .deploy_episode(
-                    net.as_mut(),
-                    &registry,
-                    "svss-rec",
-                    &rsid,
-                    &carries,
-                    |_, c| match c.and_then(|c| c.downcast_arc::<ShareBundle>()) {
-                        Some(b) => Box::new(SvssRec::new(b)),
-                        None => Box::new(SilentInstance),
-                    },
-                )
-                .expect("rec deploy");
-            net.run(1_000_000_000);
+            // (the carry) and everyone honest the chain's SvssRec.
+            let (run, values) = run_episode(
+                net.as_mut(),
+                &scenario,
+                &registry,
+                "svss-rec",
+                &rsid,
+                &shares,
+                1_000_000_000,
+                |p, carry| {
+                    StackKind::SvssChain.honest_instance("svss-rec", p, &scenario, seed, carry)
+                },
+            )
+            .expect("rec deploy");
             // Binding check among honest reconstructors.
-            let outs: Vec<Fp> = (0..n - 1)
-                .filter_map(|p| net.output_as::<Fp>(PartyId(p), &rsid).copied())
+            let outs: Vec<Fp> = values[..n - 1]
+                .iter()
+                .filter_map(|v| v.as_ref()?.downcast_ref::<Fp>().copied())
                 .collect();
             let consistent = outs.windows(2).all(|w| w[0] == w[1]);
-            if !consistent && net.metrics().shun_events == 0 {
+            if !consistent && run.metrics.shun_events == 0 {
                 binding_violations_without_shun += 1;
             }
-            shun_curve.push(net.metrics().shun_events);
+            shun_curve.push(run.metrics.shun_events);
         }
         record_run(&net.metrics());
-        if let Some(path) = tracing {
+        if let Some(path) = trace {
             let events = net
                 .take_trace()
                 .map_or_else(Vec::new, |sink| sink.snapshot());
-            dump_trace(&path, &events, &format!("shunning campaign n={n}"));
+            dump_trace(path, &events, &format!("shunning campaign n={n}"));
         }
         let final_shuns = *shun_curve.last().unwrap();
         let saturation_at = shun_curve

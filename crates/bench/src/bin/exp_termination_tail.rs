@@ -14,9 +14,10 @@
 //! backends the whole sweep is reproducible seed-for-seed; `threaded`
 //! shows the tail under genuine OS nondeterminism.
 
-use aft_ba::LocalCoin;
+use aft_ba::{BinaryBa, LocalCoin};
 use aft_bench::cli::{trials, Cli, Flag};
-use aft_bench::run_split_ba;
+use aft_bench::{ba_rounds, run_row, session};
+use aft_core::scenarios::STEP_BUDGET;
 use aft_sim::{run_trials, Bernoulli, Scenario};
 
 /// Round thresholds whose exceedance probability is reported.
@@ -64,13 +65,14 @@ fn main() {
         let deterministic = scenario.backend().is_ok_and(|b| b.is_deterministic());
         let workers = if deterministic { 16 } else { 4 };
         let outcomes = run_trials(0..n_trials, workers, |seed| {
-            // --trace <path> records one representative cell: the first
-            // row at seed 0.
-            let trace = (row == 0 && seed == 0).then_some(&cli.runtime);
-            let label = format!("{spec} seed={seed}");
-            let coin = || Box::new(LocalCoin) as _;
-            let (rounds, o) = run_split_ba(trace, scenario.runtime(seed), &label, coin);
-            (rounds.round() as u64, o.metrics.virtual_time)
+            let (trace, sid) = (cli.capture(row == 0 && seed == 0), session("ba"));
+            // Split inputs: even parties propose 1.
+            let o = run_row::<bool>(trace, &scenario, seed, &sid, STEP_BUDGET, |p, _| {
+                Box::new(BinaryBa::new(p.0 % 2 == 0, Box::new(LocalCoin)))
+            });
+            assert!(o.all_terminated && o.agreement, "{spec} seed={seed}");
+            let rounds = ba_rounds(&o.metrics, scenario.n).round() as u64;
+            (rounds, o.metrics.virtual_time)
         });
         let rounds_per_trial: Vec<u64> = outcomes.iter().map(|&(r, _)| r).collect();
         let mean =

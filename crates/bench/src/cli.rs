@@ -9,9 +9,8 @@
 use crate::{Output, RuntimeSpec};
 use aft_core::scenarios::{standard_registry, StackKind};
 use aft_sim::{Scenario, DEFAULT_BACKEND};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A flag some binary of this crate accepts. `--scenario` and `--stack`
@@ -79,7 +78,7 @@ pub struct Cli {
     bin: String,
     accepted: &'static [Flag],
     switches: Vec<Flag>,
-    /// `--runtime` (default [`DEFAULT_BACKEND`]), owing the `--trace` dump.
+    /// `--runtime` (default [`DEFAULT_BACKEND`]).
     pub runtime: RuntimeSpec,
     /// `--json`.
     pub out: Output,
@@ -185,8 +184,15 @@ impl Cli {
                 Flag::Smoke | Flag::Threaded | Flag::Recovered => cli.switches.push(flag),
             }
         }
-        cli.runtime.trace = Mutex::new(cli.trace.clone());
         Ok(cli)
+    }
+
+    /// The `--trace` path for a run that is the binary's `first` — its
+    /// first row's seed-0 run — and `None` for every other, so the capture
+    /// is the same run whatever `AFT_TRIALS` is and whichever trial thread
+    /// runs first.
+    pub fn capture(&self, first: bool) -> Option<&Path> {
+        self.trace.as_deref().filter(|_| first)
     }
 
     /// Whether the switch `flag` (`--smoke`, `--threaded`, `--recovered`)

@@ -1,8 +1,9 @@
 //! # aft-bench
 //!
 //! Experiment harness for the `aft` reproduction: one command line
-//! ([`cli`]), one session runner ([`run_session`], under
-//! [`run_protocol`]), the table/JSON printer ([`Output`]) and the
+//! ([`cli`]), one row runner ([`run_row`]: a table row is a
+//! [`Scenario`], run through the cell runner's episode step
+//! [`run_episode`]), the table/JSON printer ([`Output`]) and the
 //! process-per-party supervisor ([`deployment`]) shared by the binaries
 //! below — one per experiment, each turning a statement of the paper
 //! into a table:
@@ -35,9 +36,10 @@
 //! `AFT_TRIALS` replaces every row's trial count (defaults are 30–200 per
 //! row), `AFT_EPSILON` the ε of `exp_coin_ablation`'s paper-exact run;
 //! `--runtime <family>[:<arg>][:<scheduler>]` picks a backend of
-//! [`aft_sim::ALL_BACKENDS`], `--trace X.jsonl` captures the first run
-//! as `X.jsonl` + `X.perfetto.json` ([`dump_trace`]), `--json` prints
-//! tables as JSON lines.
+//! [`aft_sim::ALL_BACKENDS`], `--trace X.jsonl` captures one run — the
+//! first row's seed-0 run, whatever `AFT_TRIALS` is (`exp_shunning`: the
+//! first row's campaign) — as `X.jsonl` + `X.perfetto.json`
+//! ([`dump_trace`]), `--json` prints tables as JSON lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,14 +47,14 @@
 pub mod cli;
 pub mod deployment;
 
-use aft_ba::{BinaryBa, CoinSource};
-use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
+use aft_core::scenarios::{run_episode, standard_registry, STEP_BUDGET};
+use aft_core::{CoinKind, FairChoiceParams, Fba};
 use aft_sim::trace::push_json_str;
 use aft_sim::{
-    Backend, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId, SessionTag,
-    SilentInstance, StopReason, TraceEvent, TraceMode,
+    AttackRegistry, Backend, Instance, Metrics, PartyId, Payload, Scenario, SessionId, SessionTag,
+    StopReason, TraceEvent, TraceMode,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{LazyLock, Mutex};
 
 /// Which execution backend an experiment runs on, from its `--runtime`
@@ -70,9 +72,6 @@ use std::sync::{LazyLock, Mutex};
 pub struct RuntimeSpec {
     name: String,
     backend: Backend,
-    /// The `--trace <path>` dump this spec still owes. The first run
-    /// built through it takes the path — one representative execution.
-    trace: Mutex<Option<PathBuf>>,
 }
 
 impl RuntimeSpec {
@@ -81,7 +80,6 @@ impl RuntimeSpec {
         Ok(RuntimeSpec {
             name: name.to_string(),
             backend: Backend::parse(name)?,
-            trace: Mutex::new(None),
         })
     }
 
@@ -95,15 +93,6 @@ impl RuntimeSpec {
         Self::parse(name).unwrap_or_else(|e| panic!("backend {name:?}: {e}"))
     }
 
-    /// If this spec still owes its trace dump, turns the flight recorder
-    /// of `rt` on and hands over the path to dump to after the run
-    /// ([`dump_trace`]).
-    pub fn attach_trace(&self, rt: &mut dyn Runtime) -> Option<PathBuf> {
-        let path = self.trace.lock().expect("trace path poisoned").take()?;
-        rt.set_trace(TraceMode::Full);
-        Some(path)
-    }
-
     /// The backend name as given (`"sim"`, `"threaded"`, …).
     pub fn label(&self) -> &str {
         &self.name
@@ -114,21 +103,19 @@ impl RuntimeSpec {
         self.backend.honors_schedulers()
     }
 
-    /// Resolves the backend name for a row that wants scheduler `sched`.
-    pub fn backend_for(&self, sched: &str) -> String {
-        self.backend.clone().with_sched(sched).to_string()
-    }
-
-    /// Builds the runtime for a row with scheduler `sched`.
+    /// A table row on this backend as a [`Scenario`]: `n` parties, the
+    /// `corrupt=` plan `plan`, and scheduler `sched` unless this spec
+    /// pins one, which wins. Its `rt=` is this spec's family without a
+    /// scheduler.
     ///
     /// # Panics
     ///
-    /// Panics on a scheduler name no row of this crate uses.
-    pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
-        let backend = self.backend.clone().with_sched(sched);
-        backend
-            .build(config)
-            .unwrap_or_else(|e| panic!("--runtime {}, scheduler {sched}: {e}", self.name))
+    /// Panics on a row that is not a valid scenario.
+    pub fn scenario(&self, n: usize, t: usize, plan: &str, sched: &str) -> Scenario {
+        let (rt, pinned) = self.backend.clone().split_sched();
+        let sched = pinned.as_deref().unwrap_or(sched);
+        let spec = format!("n={n},t={t},corrupt={plan},sched={sched},rt={rt}");
+        Scenario::try_parse(&spec).unwrap_or_else(|e| panic!("row {spec}: {e}"))
     }
 
     /// Prints the standard one-line backend banner.
@@ -270,7 +257,7 @@ impl Totals {
 static TOTALS: LazyLock<Mutex<Totals>> = LazyLock::new(Mutex::default);
 
 /// Folds one finished run's metrics into the process-wide totals, once
-/// per execution. [`run_session`] does so itself; a binary that drives a
+/// per execution. [`run_row`] does so itself; a binary that drives a
 /// runtime directly calls this after its last `run`.
 pub fn record_run(metrics: &Metrics) {
     TOTALS.lock().expect("totals poisoned").fold(metrics);
@@ -302,13 +289,16 @@ impl Adversary {
         }
     }
 
-    /// Whether party `p` of `n` (threshold `t`) is Byzantine.
-    pub fn is_byz(&self, p: usize, n: usize, t: usize) -> bool {
-        match self {
-            Adversary::None => false,
-            Adversary::CrashT => p >= n - t,
-            Adversary::CrashOne => p == n - 1,
-        }
+    /// The `corrupt=` plan of this adversary among `n` parties with
+    /// threshold `t`: `silent@…` for each silent party, `""` for none.
+    pub fn plan(&self, n: usize, t: usize) -> String {
+        let silent = match self {
+            Adversary::None => 0,
+            Adversary::CrashT => t,
+            Adversary::CrashOne => 1,
+        };
+        let parties = (n - silent..n).map(|p| format!("silent@{p}"));
+        parties.collect::<Vec<_>>().join(";")
     }
 }
 
@@ -327,23 +317,6 @@ pub struct RunOutcome<T> {
     pub steps: u64,
 }
 
-/// Runs one `CoinFlip` execution and collects honest outputs.
-#[allow(clippy::too_many_arguments)] // mirrors the experiment parameter grid
-pub fn run_coin(
-    rt: &RuntimeSpec,
-    n: usize,
-    t: usize,
-    seed: u64,
-    k: usize,
-    coin: CoinKind,
-    sched: &str,
-    adversary: Adversary,
-) -> RunOutcome<CoinFlipOutput> {
-    run_protocol(rt, n, t, seed, sched, adversary, |_, _| {
-        Box::new(CoinFlip::new(CoinFlipParams::FixedK { k }, coin))
-    })
-}
-
 /// Runs one `FBA` execution over string inputs.
 #[allow(clippy::too_many_arguments)] // mirrors the experiment parameter grid
 pub fn run_fba(
@@ -357,76 +330,58 @@ pub fn run_fba(
     sched: &str,
     adversary: Adversary,
 ) -> RunOutcome<String> {
-    let inputs = inputs.to_vec();
-    run_protocol(rt, n, t, seed, sched, adversary, move |p, _| {
-        Box::new(Fba::new(
-            inputs[p].clone(),
-            FairChoiceParams::FixedK { k },
-            coin,
-        ))
-    })
+    let scenario = rt.scenario(n, t, &adversary.plan(n, t), sched);
+    let params = FairChoiceParams::FixedK { k };
+    run_row(
+        None,
+        &scenario,
+        seed,
+        &session("exp"),
+        STEP_BUDGET,
+        |p, _| Box::new(Fba::new(inputs[p.0].clone(), params, coin)),
+    )
 }
 
-/// Generic runner: spawns `mk(p, byz)` for honest parties, `SilentInstance`
-/// for Byzantine ones, runs to quiescence on the backend selected by `rt`,
-/// and gathers honest outputs of type `T`.
-pub fn run_protocol<T: Clone + PartialEq + 'static>(
-    rt: &RuntimeSpec,
-    n: usize,
-    t: usize,
+/// The attacks a row's plan may name.
+static REGISTRY: LazyLock<AttackRegistry> = LazyLock::new(standard_registry);
+
+/// The one row runner: runs `scenario` with `seed` through the cell
+/// runner's episode step ([`run_episode`]) at session `sid`, each honest
+/// party running `honest(party, carry)`, for at most `budget` steps; folds
+/// the metrics into the process totals ([`record_run`]) and gathers the
+/// honest parties' outputs of type `T`, in party order. A `trace` path is
+/// the `--trace` capture this run pays ([`cli::Cli::capture`]).
+///
+/// # Panics
+///
+/// Panics unless the row deploys and the run quiesces.
+pub fn run_row<T: Clone + PartialEq + 'static>(
+    trace: Option<&Path>,
+    scenario: &Scenario,
     seed: u64,
-    sched: &str,
-    adversary: Adversary,
-    mk: impl Fn(usize, bool) -> Box<dyn Instance>,
-) -> RunOutcome<T> {
-    let net = rt.make(NetConfig::new(n, t, seed), sched);
-    let label = format!("n={n} t={t} seed={seed} sched={sched} rt={}", rt.label());
-    run_session(Some(rt), net, &session("exp"), STEP_BUDGET, &label, |p| {
-        (!adversary.is_byz(p, n, t)).then(|| mk(p, false))
-    })
-}
-
-/// The step budget of every experiment run that is expected to quiesce.
-pub const STEP_BUDGET: u64 = 4_000_000_000;
-
-/// The one spawn → run → collect loop. On the built runtime `net`, spawns
-/// `instance(p)` in session `sid` for every party — `None` is a Byzantine
-/// party, played by a [`SilentInstance`] — runs at most `budget` steps,
-/// folds the metrics into the process totals ([`record_run`]) and gathers
-/// the honest parties' outputs of type `T`, in party order. If `trace`
-/// names the spec that still owes its `--trace` dump, this run pays it.
-/// `label` identifies the run in that dump and when it fails to quiesce.
-pub fn run_session<T: Clone + PartialEq + 'static>(
-    trace: Option<&RuntimeSpec>,
-    mut net: Box<dyn Runtime>,
     sid: &SessionId,
     budget: u64,
-    label: &str,
-    instance: impl Fn(usize) -> Option<Box<dyn Instance>>,
+    honest: impl FnMut(PartyId, Option<&Payload>) -> Box<dyn Instance>,
 ) -> RunOutcome<T> {
-    let trace = trace.and_then(|rt| rt.attach_trace(net.as_mut()));
-    let mut honest = Vec::new();
-    for p in 0..net.config().n {
-        let instance = instance(p).inspect(|_| honest.push(p));
-        let instance = instance.unwrap_or_else(|| Box::new(SilentInstance));
-        net.spawn(PartyId(p), sid.clone(), instance);
+    let label = format!("{scenario} seed={seed}");
+    let mut net = scenario.runtime(seed);
+    if trace.is_some() {
+        net.set_trace(TraceMode::Full);
     }
-    let report = net.run(budget);
+    let (rt, episode) = (net.as_mut(), sid.last().map_or("", |tag| tag.kind));
+    let ran = run_episode(rt, scenario, &REGISTRY, episode, sid, &[], budget, honest);
+    let (report, outputs) = ran.unwrap_or_else(|e| panic!("deploy ({label}): {e}"));
     record_run(&report.metrics);
     if let Some(path) = trace {
-        let events = net
-            .take_trace()
-            .map_or_else(Vec::new, |sink| sink.snapshot());
-        dump_trace(&path, &events, label);
+        let events = net.take_trace().map(|s| s.snapshot()).unwrap_or_default();
+        dump_trace(path, &events, &label);
     }
-    assert_eq!(
-        report.stop,
-        StopReason::Quiescent,
-        "run must quiesce ({label})"
-    );
+    let quiescent = report.stop == StopReason::Quiescent;
+    assert!(quiescent, "run must quiesce ({label})");
+    let honest: Vec<PartyId> = scenario.honest_parties().collect();
     let outputs: Vec<T> = honest
         .iter()
-        .filter_map(|&p| net.output_as::<T>(PartyId(p), sid).cloned())
+        .filter_map(|p| outputs[p.0].as_ref()?.downcast_ref::<T>().cloned())
         .collect();
     RunOutcome {
         all_terminated: outputs.len() == honest.len(),
@@ -437,25 +392,10 @@ pub fn run_session<T: Clone + PartialEq + 'static>(
     }
 }
 
-/// Binary BA on split inputs (even parties propose 1), every party
-/// honest, its coin from `coin()`: asserts termination and agreement and
-/// returns the outcome with the estimated number of rounds it took.
-pub fn run_split_ba(
-    trace: Option<&RuntimeSpec>,
-    net: Box<dyn Runtime>,
-    label: &str,
-    coin: impl Fn() -> Box<dyn CoinSource>,
-) -> (f64, RunOutcome<bool>) {
-    let n = net.config().n;
-    let o = run_session::<bool>(trace, net, &session("ba"), STEP_BUDGET, label, |p| {
-        Some(Box::new(BinaryBa::new(p % 2 == 0, coin())))
-    });
-    assert!(o.all_terminated, "termination ({label})");
-    assert!(o.agreement, "agreement ({label})");
-    // Phase-1 A-Cast traffic is proportional to rounds run: one round of
-    // phase 1 for n parties is n · (n + 2n²) sends.
-    let per_round = (n * (n + 2 * n * n)) as f64;
-    (o.metrics.sent_by_kind("bav1") as f64 / per_round, o)
+/// Estimated rounds of a binary BA among `n` parties, from its phase-1
+/// A-Cast traffic: one round is `n · (n + 2n²)` `bav1` sends.
+pub fn ba_rounds(metrics: &Metrics, n: usize) -> f64 {
+    metrics.sent_by_kind("bav1") as f64 / (n * (n + 2 * n * n)) as f64
 }
 
 /// Formats a probability with a 95% binomial confidence half-width.
@@ -470,73 +410,44 @@ pub fn fmt_prob(successes: usize, trials: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn flip(rt: &RuntimeSpec) -> RunOutcome<CoinFlipOutput> {
-        let coin = CoinKind::Oracle(1);
-        run_coin(rt, 4, 1, 0, 1, coin, "random", Adversary::None)
-    }
+    use aft_core::{CoinFlip, CoinFlipOutput, CoinFlipParams};
 
     #[test]
-    fn coin_runner_smoke() {
-        let rt = RuntimeSpec::named("sim");
-        let out = flip(&rt);
-        assert!(out.all_terminated);
-        assert!(out.agreement);
-        assert_eq!(out.outputs.len(), 4);
-    }
-
-    #[test]
-    fn coin_runner_on_threaded_backend() {
-        let rt = RuntimeSpec::named("threaded");
-        let out = flip(&rt);
-        assert!(out.all_terminated);
-        assert!(out.agreement);
-    }
-
-    #[test]
-    fn runtime_spec_backend_resolution_follows_the_table() {
+    fn a_coin_row_terminates_and_agrees_on_every_backend() {
         for family in aft_sim::ALL_BACKENDS {
-            let bare = RuntimeSpec::named(family.example);
-            assert_eq!(bare.honors_schedulers(), family.deterministic);
-            let pinned = format!("{}:fifo", family.example);
-            if family.deterministic {
-                assert_eq!(bare.backend_for("lifo"), format!("{}:lifo", family.example));
-                let pinned = RuntimeSpec::named(&pinned);
-                assert!(!pinned.honors_schedulers());
-                assert_eq!(pinned.backend_for("lifo"), pinned.label());
-            } else {
-                assert_eq!(bare.backend_for("lifo"), family.example);
-                assert!(RuntimeSpec::parse(&pinned).is_err());
+            let scenario = RuntimeSpec::named(family.example).scenario(4, 1, "", "random");
+            let sid = session("exp");
+            let out = run_row::<CoinFlipOutput>(None, &scenario, 0, &sid, STEP_BUDGET, |_, _| {
+                let params = CoinFlipParams::FixedK { k: 1 };
+                Box::new(CoinFlip::new(params, CoinKind::Oracle(1)))
+            });
+            let name = family.name;
+            assert!(out.all_terminated, "{name}");
+            assert!(out.agreement, "{name}");
+            assert_eq!(out.outputs.len(), 4, "{name}");
+            if name == "wire" {
+                assert!(out.metrics.wire_frames > 0, "bytes moved on the wire");
             }
         }
     }
 
     #[test]
-    fn coin_runner_on_wire_backend() {
-        aft_core::scenarios::register_standard_codecs();
-        let rt = RuntimeSpec::named("wire");
-        let out = flip(&rt);
-        assert!(out.all_terminated);
-        assert!(out.agreement);
-        assert!(out.metrics.wire_frames > 0, "bytes moved on the wire");
-    }
-
-    #[test]
-    fn coin_runner_on_async_and_proc_backends() {
-        for name in ["async", "proc"] {
-            let rt = RuntimeSpec::named(name);
-            let out = flip(&rt);
-            assert!(out.all_terminated, "{name}");
-            assert!(out.agreement, "{name}");
+    fn runtime_spec_backend_resolution_follows_the_table() {
+        let row = |rt: &RuntimeSpec| rt.scenario(4, 1, "", "lifo").backend_name();
+        for family in aft_sim::ALL_BACKENDS {
+            let bare = RuntimeSpec::named(family.example);
+            assert_eq!(bare.honors_schedulers(), family.deterministic);
+            let pinned = format!("{}:fifo", family.example);
+            if family.deterministic {
+                assert_eq!(row(&bare), format!("{}:lifo", family.example));
+                let pinned = RuntimeSpec::named(&pinned);
+                assert!(!pinned.honors_schedulers());
+                assert_eq!(row(&pinned), pinned.label(), "a pinned scheduler wins");
+            } else {
+                assert_eq!(row(&bare), family.example);
+                assert!(RuntimeSpec::parse(&pinned).is_err());
+            }
         }
-    }
-
-    #[test]
-    fn coin_runner_on_sharded_backend() {
-        let rt = RuntimeSpec::named("sharded:2");
-        let out = flip(&rt);
-        assert!(out.all_terminated);
-        assert!(out.agreement);
     }
 
     #[test]
@@ -584,11 +495,14 @@ mod tests {
     }
 
     #[test]
-    fn adversary_membership() {
-        assert!(Adversary::CrashT.is_byz(3, 4, 1));
-        assert!(!Adversary::CrashT.is_byz(2, 4, 1));
-        assert!(Adversary::CrashOne.is_byz(6, 7, 2));
-        assert!(!Adversary::None.is_byz(0, 4, 1));
+    fn adversary_plans_silence_the_last_parties() {
+        assert_eq!(Adversary::CrashT.plan(7, 2), "silent@5;silent@6");
+        assert_eq!(Adversary::CrashOne.plan(7, 2), "silent@6");
+        assert_eq!(Adversary::None.plan(4, 1), "");
+        let plan = Adversary::CrashT.plan(4, 1);
+        let scenario = RuntimeSpec::named("sim").scenario(4, 1, &plan, "random");
+        let honest: Vec<PartyId> = scenario.honest_parties().collect();
+        assert_eq!(honest, [0, 1, 2].map(PartyId));
     }
 
     #[test]

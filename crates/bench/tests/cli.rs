@@ -194,3 +194,32 @@ fn an_unwritable_trace_path_fails_the_run() {
         assert!(errors[0].contains(path), "{stderr}");
     }
 }
+
+/// `--trace` captures one run, and always the same one: the first row's
+/// seed-0 run, however the trial threads of that row race to start.
+#[test]
+fn a_table_binary_traces_its_first_rows_seed_0_run_every_time() {
+    let dir = std::env::temp_dir().join(format!("aft-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("capture.jsonl");
+    let arg = path.to_str().expect("a unicode temp path");
+    let trials = [("AFT_TRIALS", "2")];
+    let mut captures = Vec::new();
+    for _ in 0..5 {
+        let out = run("exp_fba_fairness", &["--trace", arg], &trials);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        let label = stderr
+            .lines()
+            .find(|l| l.starts_with("trace: ") && l.contains(" events from run ["))
+            .unwrap_or_else(|| panic!("no capture line: {stderr}"));
+        assert!(label.contains(" seed=0] -> "), "{label}");
+        captures.push(std::fs::read(&path).expect("the capture"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!captures[0].is_empty());
+    assert!(
+        captures.windows(2).all(|w| w[0] == w[1]),
+        "the captured run moved"
+    );
+}

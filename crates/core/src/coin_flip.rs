@@ -27,8 +27,8 @@ pub enum CoinFlipParams {
         epsilon: f64,
     },
     /// A fixed iteration count: used for statistically-scaled experiments
-    /// (EXPERIMENTS.md documents the relation to the paper-exact mode) and
-    /// affordable tests.
+    /// (the reproduction-note table `exp_coin_bias` prints shows how a
+    /// scaled k relates to the paper-exact mode) and affordable tests.
     FixedK {
         /// Number of iterations (must be ≥ 1).
         k: usize,

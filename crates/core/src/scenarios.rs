@@ -35,8 +35,8 @@ use crate::CommonSubsetInstance;
 use aft_ba::{BinaryBa, OracleCoin};
 use aft_field::Fp;
 use aft_sim::{
-    AttackRegistry, Fingerprint, Instance, Metrics, PartyId, Payload, Runtime, Scenario, SessionId,
-    SessionTag, SilentInstance, StopReason, TraceEvent, TraceMode,
+    AttackRegistry, Fingerprint, Instance, Metrics, PartyId, Payload, RunReport, Runtime, Scenario,
+    SessionId, SessionTag, SilentInstance, StopReason, TraceEvent, TraceMode,
 };
 use aft_svss::{ShareBundle, SvssRec, SvssShare};
 use std::path::{Path, PathBuf};
@@ -460,19 +460,24 @@ pub fn run_cell_instrumented(
     for (episode, session) in kind.episodes() {
         // Reports and fingerprints name an episode without its stack prefix.
         let phase = episode.strip_prefix("svss-").unwrap_or(episode);
-        let deployed = scenario.deploy_episode(
+        let ran = run_episode(
             rt.as_mut(),
+            scenario,
             registry,
             episode,
             &session,
             &outputs,
+            budget,
             |p, carry| kind.honest_instance(episode, p, scenario, seed, carry),
         );
-        if let Err(e) = deployed {
-            violations.push(format!("deploy {phase}: {e}"));
-            break;
-        }
-        let run = rt.run(budget);
+        let run;
+        (run, outputs) = match ran {
+            Ok(ran) => ran,
+            Err(e) => {
+                violations.push(format!("deploy {phase}: {e}"));
+                break;
+            }
+        };
         // Backend-independent bookkeeping: quiescence and conservation.
         let m = &run.metrics;
         if run.stop != StopReason::Quiescent {
@@ -496,9 +501,6 @@ pub fn run_cell_instrumented(
             .honest_parties()
             .filter(|p| !victims.contains(p))
             .collect();
-        outputs = (0..scenario.n)
-            .map(|p| rt.output(PartyId(p), &session).cloned())
-            .collect();
         violations.extend(kind.check(episode, scenario, seed, &honest, &outputs, m.shun_events));
         kind.fingerprint_outputs(episode, &outputs, &mut fp);
         totals = run.metrics;
@@ -515,6 +517,29 @@ pub fn run_cell_instrumented(
         victims: adaptive_victims(rt.as_ref()),
         events: rt.take_trace().map(|s| s.snapshot()).unwrap_or_default(),
     }
+}
+
+/// The one spawn-and-run step: deploys `episode` of a stack under
+/// `scenario`'s corruption plan at `session` on `rt`
+/// ([`Scenario::deploy_episode`], `honest` building each honest party's
+/// instance from its carry), runs at most `budget` steps and returns the
+/// run's report with every party's output at `session`, in party order.
+/// `Err` is the deploy error; nothing has run then.
+#[allow(clippy::too_many_arguments)] // one episode's full coordinates
+pub fn run_episode(
+    rt: &mut dyn Runtime,
+    scenario: &Scenario,
+    registry: &AttackRegistry,
+    episode: &str,
+    session: &SessionId,
+    carries: &[Option<Payload>],
+    budget: u64,
+    honest: impl FnMut(PartyId, Option<&Payload>) -> Box<dyn Instance>,
+) -> Result<(RunReport, Vec<Option<Payload>>), String> {
+    scenario.deploy_episode(rt, registry, episode, session, carries, honest)?;
+    let run = rt.run(budget);
+    let outputs = (0..scenario.n).map(|p| rt.output(PartyId(p), session).cloned());
+    Ok((run, outputs.collect()))
 }
 
 /// The adaptive adversary's victim set so far (empty without a

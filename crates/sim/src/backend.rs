@@ -244,6 +244,13 @@ impl Backend {
         self
     }
 
+    /// Splits off the scheduler this spec pins, if any: what is left is a
+    /// scenario's `rt=`, the scheduler its `sched=`.
+    pub fn split_sched(mut self) -> (Backend, Option<String>) {
+        let sched = self.sched.take();
+        (self, sched)
+    }
+
     /// Refuses the plan entry `what`, which only a deterministic backend
     /// can host, unless this backend is one.
     pub(crate) fn require_deterministic(&self, what: &str) -> Result<(), String> {

@@ -190,3 +190,27 @@ if [[ $keys -ne 1 ]]; then
     exit 1
 fi
 echo "one-schema: one member writer, one trace writer"
+
+# And for how an experiment row runs: one runner. Every row of the table
+# binaries is a `Scenario`, run through the cell runner's episode step
+# (`aft_core::scenarios::run_episode`, which `aft_bench::run_row` wraps), so
+# its adversary is a `corrupt=` plan and its backend a `rt=`. A
+# `deploy_episode(` / `net.spawn(` / `rt.spawn(` call or a `SilentInstance`
+# in the non-test code of crates/bench/src is a binary spawning parties
+# itself again — a second runner with a second adversary model.
+# aft_partyd.rs is exempt: it hosts one party, built by
+# `Scenario::party_instance`.
+runner='deploy_episode\(|\b(net|rt)\.spawn\(|SilentInstance'
+spawners=0
+for src in $(grep -rlE "$runner" --include='*.rs' crates/bench/src |
+    grep -vx crates/bench/src/bin/aft_partyd.rs); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
+        grep -E "$runner" >&2; then
+        echo "one-runner: $src spawns parties itself (run a Scenario row through aft_bench::run_row or aft_core::scenarios::run_episode)" >&2
+        spawners=1
+    fi
+done
+if ((spawners)); then
+    exit 1
+fi
+echo "one-runner: every row runs through run_episode"

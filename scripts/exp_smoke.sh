@@ -2,7 +2,10 @@
 # exp-smoke: runs every table-printing exp_* binary that has no CI job of
 # its own, so that none can rot behind a green build. Each runs twice at
 # AFT_TRIALS=2 on the simulator and must print byte-identical stdout,
-# then once with --json, every line of which must parse.
+# then once with --json, every line of which must parse. Both runs of a
+# binary that takes --trace also capture one, and the two JSONL files
+# must be byte-identical too: the capture is the first row's seed-0 run,
+# whichever trial thread starts first.
 #
 # usage: scripts/exp_smoke.sh [dir with the release binaries]
 set -euo pipefail
@@ -16,8 +19,9 @@ for exp in exp_lowerbound exp_coin_bias exp_coin_termination exp_fair_choice \
     exp_coin_ablation exp_termination_tail; do
     flags=(--runtime sim)
     mask=()
+    traced=1
     case $exp in
-        exp_lowerbound) flags=() ;;
+        exp_lowerbound) flags=() traced=0 ;;
         # (d)'s `wall time` cell is read off the clock.
         exp_coin_ablation) mask=(-e 's/\| [0-9.]+(ns|µs|ms|s) \|$/| - |/') ;;
         # The `threaded` row is scheduled by the OS, and the counter
@@ -29,9 +33,12 @@ for exp in exp_lowerbound exp_coin_bias exp_coin_termination exp_fair_choice \
     esac
     echo "exp-smoke: $exp ${flags[*]}"
     for run in a b; do
-        "$bin/$exp" "${flags[@]}" | sed -E "${mask[@]}" -e '' >"$tmp/$run"
+        trace=()
+        if ((traced)); then trace=(--trace "$tmp/$run.jsonl"); fi
+        "$bin/$exp" "${flags[@]}" "${trace[@]}" | sed -E "${mask[@]}" -e '' >"$tmp/$run"
     done
     cmp "$tmp/a" "$tmp/b"
+    if ((traced)); then cmp "$tmp/a.jsonl" "$tmp/b.jsonl"; fi
     "$bin/$exp" "${flags[@]}" --json |
         python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin]'
 done
