@@ -14,8 +14,6 @@
 //! * `--smoke` — a minimal matrix (3 backends including `wire` × 2
 //!   schedulers × 3 plans × 1 seed per stack), used by CI to keep the
 //!   driver itself from rotting;
-//! * `--scenario <spec>` — run one scenario string on every stack it fits
-//!   and print its cell reports (debugging aid);
 //! * `--threaded` — add the OS-thread backend to the matrix (invariants
 //!   only; its cells are excluded from reproducibility checks).
 //!
@@ -28,12 +26,8 @@ use aft_core::scenarios::{
 use aft_sim::{Backend, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 fn main() {
-    let cli = Cli::parse(&[Flag::Smoke, Flag::Scenario, Flag::Threaded, Flag::Json]);
+    let cli = Cli::parse(&[Flag::Smoke, Flag::Threaded, Flag::Json]);
     let registry = standard_registry();
-    if let Some(scenario) = &cli.scenario {
-        run_single(scenario, &registry);
-        return;
-    }
 
     let (out, smoke) = (&cli.out, cli.has(Flag::Smoke));
     out.note("# E11 — adversarial scenario matrix");
@@ -188,30 +182,4 @@ fn run_matrix(
         if repro { "yes".into() } else { "NO".into() },
         format!("{mean_steps:.0}"),
     ]);
-}
-
-/// Runs one scenario on every stack and prints the cell reports.
-fn run_single(scenario: &Scenario, registry: &aft_sim::AttackRegistry) {
-    println!("# scenario: {scenario}");
-    let mut unsafe_cells = 0usize;
-    for kind in StackKind::all() {
-        let report = run_cell(kind, scenario, 1, registry);
-        println!(
-            "{}: violations={:?} fingerprint={:#018x} sent={} steps={}",
-            kind.label(),
-            report.violations,
-            report.fingerprint,
-            report.sent,
-            report.steps
-        );
-        if !report.violations.is_empty() {
-            unsafe_cells += 1;
-            let ring = TraceMode::Ring(4096);
-            run_cell_to_bundle(kind, scenario, 1, registry, STEP_BUDGET, ring);
-        }
-    }
-    if unsafe_cells > 0 {
-        eprintln!("{unsafe_cells} stack(s) violated invariants");
-        std::process::exit(1);
-    }
 }

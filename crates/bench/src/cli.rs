@@ -1,15 +1,15 @@
 //! The one command line of this crate. Every `exp_*` binary and
 //! `aft-partyd` hands [`Cli::parse`] the flags it accepts; one pass over
 //! argv checks every value where it enters, and anything else — an unknown
-//! flag, a flag only another binary accepts, a missing or unparsable
-//! value — is a one-line `error:` naming the flag and the binary's
-//! accepted list, exit 2. Valued flags take `--flag value` and
+//! flag or claim id, a flag only another binary accepts, a missing or
+//! unparsable value — is a one-line `error:` naming the flag and the
+//! binary's accepted list, exit 2. Valued flags take `--flag value` and
 //! `--flag=value`; a repeated flag keeps its last value.
 
 use crate::{Output, RuntimeSpec};
 use aft_core::scenarios::{standard_registry, StackKind};
 use aft_sim::{Scenario, DEFAULT_BACKEND};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -17,6 +17,9 @@ use std::time::Duration;
 /// each come in two grammars; the binary's accepted list picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flag {
+    /// `<id>…`: the [claims](crate::claims::CLAIMS) `exp_claims` runs,
+    /// each word of argv not starting with `--`.
+    Claims,
     /// `--runtime <backend>`: an [`aft_sim::Backend`] spec.
     Runtime,
     /// `--trace <path>`: where the flight-recorder trace goes.
@@ -48,13 +51,11 @@ pub enum Flag {
     Recovered,
 }
 
-/// What the eight simulator-backed table binaries accept.
-pub const SIM_FLAGS: &[Flag] = &[Flag::Runtime, Flag::Trace, Flag::Json];
-
 impl Flag {
     /// The flag as typed, and what its value is called (`None`: a switch).
-    fn syntax(self) -> (&'static str, Option<&'static str>) {
+    pub(crate) fn syntax(self) -> (&'static str, Option<&'static str>) {
         match self {
+            Flag::Claims => ("<id>…", None),
             Flag::Runtime => ("--runtime", Some("<backend>")),
             Flag::Trace => ("--trace", Some("<path>")),
             Flag::Json => ("--json", None),
@@ -77,7 +78,10 @@ impl Flag {
 pub struct Cli {
     bin: String,
     accepted: &'static [Flag],
-    switches: Vec<Flag>,
+    given: Vec<Flag>,
+    /// The claim ids, in the order given ([`Flag::Claims`]), checked by
+    /// [`crate::claims::run`].
+    pub ids: Vec<String>,
     /// `--runtime` (default [`DEFAULT_BACKEND`]).
     pub runtime: RuntimeSpec,
     /// `--json`.
@@ -138,7 +142,8 @@ impl Cli {
         let mut cli = Cli {
             bin: bin.to_string(),
             accepted,
-            switches: Vec::new(),
+            given: Vec::new(),
+            ids: Vec::new(),
             runtime: RuntimeSpec::named(DEFAULT_BACKEND),
             out: Output { json: false },
             trace: None,
@@ -151,6 +156,10 @@ impl Cli {
             party: None,
         };
         while let Some(arg) = args.next() {
+            if !arg.starts_with("--") && accepted.contains(&Flag::Claims) {
+                cli.ids.push(arg);
+                continue;
+            }
             let (name, inline) = match arg.split_once('=') {
                 Some((name, value)) => (name, Some(value.to_string())),
                 None => (arg.as_str(), None),
@@ -167,6 +176,7 @@ impl Cli {
                     .ok_or(format!("{name} needs a value {what}"))?,
             };
             let bad = |e: String| format!("{name} {value:?}: {e}");
+            cli.given.push(flag);
             match flag {
                 Flag::Runtime => cli.runtime = RuntimeSpec::parse(&value).map_err(bad)?,
                 Flag::Trace => cli.trace = Some(value.into()),
@@ -181,24 +191,15 @@ impl Cli {
                 }
                 Flag::LogDir => cli.log_dir = Some(value.into()),
                 Flag::Party => cli.party = Some(number(&value).map_err(bad)?),
-                Flag::Smoke | Flag::Threaded | Flag::Recovered => cli.switches.push(flag),
+                Flag::Claims | Flag::Smoke | Flag::Threaded | Flag::Recovered => {}
             }
         }
         Ok(cli)
     }
 
-    /// The `--trace` path for a run that is the binary's `first` — its
-    /// first row's seed-0 run — and `None` for every other, so the capture
-    /// is the same run whatever `AFT_TRIALS` is and whichever trial thread
-    /// runs first.
-    pub fn capture(&self, first: bool) -> Option<&Path> {
-        self.trace.as_deref().filter(|_| first)
-    }
-
-    /// Whether the switch `flag` (`--smoke`, `--threaded`, `--recovered`)
-    /// was given.
+    /// Whether `flag` was given.
     pub fn has(&self, flag: Flag) -> bool {
-        self.switches.contains(&flag)
+        self.given.contains(&flag)
     }
 
     /// The value of a flag this binary cannot run without.
@@ -224,26 +225,29 @@ fn usage_exit(bin: &str, accepted: &[Flag], msg: &str) -> ! {
 }
 
 /// Reads `var` from the environment (`default` when unset); a value that
-/// is set but does not parse exits 2 naming the variable.
-fn env_or<T: FromStr>(var: &str, default: T) -> T {
+/// is set but does not parse, or parses outside `range`, exits 2 naming
+/// the variable.
+fn env_or<T: FromStr>(var: &str, default: T, range: &str, ok: fn(&T) -> bool) -> T {
     let Some(raw) = std::env::var_os(var) else {
         return default;
     };
     let parsed = raw.to_str().ok_or("not unicode".into()).and_then(number);
-    parsed.unwrap_or_else(|e| {
+    let valid = parsed.and_then(|v| ok(&v).then_some(v).ok_or(format!("not in {range}")));
+    valid.unwrap_or_else(|e| {
         eprintln!("error: {var}={raw:?}: {e}");
         std::process::exit(2);
     })
 }
 
-/// The trial count of a table row: `AFT_TRIALS`, or the row's `base`.
+/// The trial count of a table row: `AFT_TRIALS` (at least 1), or the
+/// row's `base`.
 pub fn trials(base: u64) -> u64 {
-    env_or("AFT_TRIALS", base)
+    env_or("AFT_TRIALS", base, "1..", |&n| n > 0)
 }
 
-/// The paper-exact coin's ε: `AFT_EPSILON`, or `default`.
+/// The paper-exact coin's ε: `AFT_EPSILON` (in (0, ½)), or `default`.
 pub fn epsilon(default: f64) -> f64 {
-    env_or("AFT_EPSILON", default)
+    env_or("AFT_EPSILON", default, "(0, 1/2)", |&e| e > 0.0 && e < 0.5)
 }
 
 #[cfg(test)]
@@ -267,11 +271,17 @@ mod tests {
             assert_eq!(cli.seed, Some(5));
             assert_eq!(cli.has(Flag::Smoke), argv.ends_with("--smoke"));
         }
-        let cli = parse(SIM_FLAGS, "--runtime wire --runtime=sim:lifo --trace a/b");
+        const CLAIMS: &[Flag] = &[Flag::Claims, Flag::Runtime, Flag::Trace, Flag::Json];
+        let cli = parse(
+            CLAIMS,
+            "--runtime wire thm4.3 --runtime=sim:lifo --trace a/b thm2.2",
+        );
         let cli = cli.expect("valid");
         assert_eq!(cli.runtime.label(), "sim:lifo");
         assert_eq!(cli.trace, Some(PathBuf::from("a/b")));
-        assert!(!cli.out.is_json() && parse(SIM_FLAGS, "--json").is_ok_and(|c| c.out.is_json()));
+        assert_eq!(cli.ids, ["thm4.3", "thm2.2"]);
+        assert!(cli.has(Flag::Runtime) && !cli.has(Flag::Json));
+        assert!(!cli.out.is_json() && parse(CLAIMS, "--json").is_ok_and(|c| c.out.is_json()));
     }
 
     /// The process-level refusals are in `tests/cli.rs`; this is the rule
@@ -284,6 +294,7 @@ mod tests {
             ("--json", "unknown argument --json"),
             ("--stack all", "--stack \"all\""),
             ("--seed --stack", "--seed needs a value"),
+            ("thm2.2", "unknown argument thm2.2"),
         ] {
             let err = parse(FLAGS, argv).expect_err("refused");
             assert!(err.contains(culprit), "{argv}: {err}");

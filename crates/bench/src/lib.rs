@@ -3,47 +3,57 @@
 //! Experiment harness for the `aft` reproduction: one command line
 //! ([`cli`]), one row runner ([`run_row`]: a table row is a
 //! [`Scenario`], run through the cell runner's episode step
-//! [`run_episode`]), the table/JSON printer ([`Output`]) and the
-//! process-per-party supervisor ([`deployment`]) shared by the binaries
-//! below — one per experiment, each turning a statement of the paper
-//! into a table:
+//! [`run_episode`]), the table/JSON printer ([`Output`]), the paper's
+//! claims ([`claims`]) and the process-per-party supervisor
+//! ([`deployment`]) shared by the binaries below:
 //!
-//! | binary | experiment | paper statement | flags |
+//! | binary | experiment | what it runs | flags |
 //! |---|---|---|---|
-//! | `exp_lowerbound` | E1 | Thm 2.2: no AVSS at n ≤ 4t — Claim 1 view equality, Claim 2 wrong output w.p. 2/5 | `--json` |
-//! | `exp_coin_bias` | E2 | Thm 3.5: CoinFlip(ε) is ε-biased and always agreed | `--runtime` `--trace` `--json` |
-//! | `exp_coin_termination` | E3 | Thm 3.5: CoinFlip terminates almost surely under every scheduler | `--runtime` `--trace` `--json` |
-//! | `exp_fair_choice` | E4 | Thm 4.3: FairChoice(m) lands in any majority subset w.p. > 1/2 | `--runtime` `--trace` `--json` |
-//! | `exp_fba_fairness` | E5 | Thm 4.5: FBA validity and fair validity ≥ 1/2 | `--runtime` `--trace` `--json` |
-//! | `exp_common_subset` | E6 | Def 3.4 / Thm C.2: CommonSubset agreement, size, membership | `--runtime` `--trace` `--json` |
-//! | `exp_shunning` | E7 | Def 3.2: fewer than n² shun events; no binding failure without one | `--runtime` `--trace` `--json` |
-//! | `exp_ba_baselines` | E8 | §1: local-coin BA rounds grow with n, shared-coin rounds do not | `--runtime` `--trace` `--json` |
-//! | `exp_coin_ablation` | E9 | Alg 1 ablations: coin substrate, cost vs n, k sweep, paper-exact k | `--runtime` `--trace` `--json` |
-//! | `exp_termination_tail` | E10 | almost-sure termination: the round tail of local-coin BA per backend | `--trace` `--json` |
-//! | `exp_scenario_matrix` | E11 | safety invariants of BA / SVSS / CommonSubset over the adversarial matrix | `--smoke` `--scenario` `--threaded` `--json` |
+//! | `exp_claims` | E1–E10 | the claims below, each printing its own tables | `<id>…` `--runtime` `--trace` `--json` |
+//! | `exp_scenario_matrix` | E11 | safety invariants of BA / SVSS / CommonSubset over the adversarial matrix | `--smoke` `--threaded` `--json` |
 //! | `exp_scenario_search` | E12 | the same invariants under coverage-guided scenario search | `--smoke` `--json` |
 //! | `exp_deployment` | E13 | BA / CommonSubset invariants on one OS process per party | `--scenario` `--stack` `--seed` `--smoke` `--timeout-secs` `--log-dir` `--json` |
 //! | `exp_trace` | — | flight-recorder replay of one `(stack, scenario, seed)` cell | `--scenario` `--stack` `--seed` `--trace` `--json` |
 //! | `aft-partyd` | — | one party of `exp_deployment`, in its own process | `--party` `--stack` `--seed` `--scenario` `--recovered` |
 //!
+//! `exp_claims [<id>…]` runs the claims it names, all of them in this
+//! order when it names none; a flag that a named claim does not honour is
+//! refused:
+//!
+//! | claim | experiment | paper statement | honours |
+//! |---|---|---|---|
+//! | `thm2.2` | E1 | Thm 2.2: no AVSS at n ≤ 4t — Claim 1 view equality, Claim 2 wrong output w.p. 2/5 | |
+//! | `thm3.5-bias` | E2 | Thm 3.5: CoinFlip(ε) is ε-biased and always agreed | `--runtime` `--trace` |
+//! | `thm3.5-termination` | E3 | Thm 3.5: CoinFlip terminates almost surely under every scheduler | `--runtime` `--trace` |
+//! | `thm4.3` | E4 | Thm 4.3: FairChoice(m) lands in any majority subset w.p. > 1/2 | `--runtime` `--trace` |
+//! | `thm4.5` | E5 | Thm 4.5: FBA validity and fair validity ≥ 1/2 | `--runtime` `--trace` |
+//! | `def3.4` | E6 | Def 3.4 / Thm C.2: CommonSubset agreement, size, membership | `--runtime` `--trace` |
+//! | `def3.2-shunning` | E7 | Def 3.2: fewer than n² shun events; no binding failure without one | `--runtime` `--trace` |
+//! | `ba-coin-gap` | E8 | §1: local-coin BA rounds grow with n, shared-coin rounds do not | `--runtime` `--trace` |
+//! | `alg1-ablation` | E9 | Alg 1 ablations: coin substrate, cost vs n, k sweep, paper-exact k | `--runtime` `--trace` |
+//! | `ba-tail` | E10 | almost-sure termination: the round tail of local-coin BA per backend | `--trace` |
+//!
 //! (`tests/cli.rs` checks the flags column against what each binary
-//! accepts.) Run one with e.g.
+//! accepts, and a test of [`claims`] the claims table against
+//! [`claims::CLAIMS`].) Run one with e.g.
 //!
 //! ```sh
-//! AFT_TRIALS=4 cargo run --release -p aft-bench --bin exp_coin_bias -- --runtime sim:lifo
+//! AFT_TRIALS=4 cargo run --release -p aft-bench --bin exp_claims -- thm3.5-bias --runtime sim:lifo
 //! ```
 //!
 //! `AFT_TRIALS` replaces every row's trial count (defaults are 30–200 per
-//! row), `AFT_EPSILON` the ε of `exp_coin_ablation`'s paper-exact run;
+//! row), `AFT_EPSILON` the ε of `alg1-ablation`'s paper-exact run;
 //! `--runtime <family>[:<arg>][:<scheduler>]` picks a backend of
 //! [`aft_sim::ALL_BACKENDS`], `--trace X.jsonl` captures one run — the
-//! first row's seed-0 run, whatever `AFT_TRIALS` is (`exp_shunning`: the
-//! first row's campaign) — as `X.jsonl` + `X.perfetto.json`
-//! ([`dump_trace`]), `--json` prints tables as JSON lines.
+//! first claim's first row's seed-0 run, whatever `AFT_TRIALS` is
+//! (`def3.2-shunning`: its first row's campaign) — as `X.jsonl` +
+//! `X.perfetto.json` ([`dump_trace`]), `--json` prints tables as JSON
+//! lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod cli;
 pub mod deployment;
 
@@ -203,10 +213,11 @@ impl Output {
         println!("{out}");
     }
 
-    /// Prints the process-wide backend counter totals — the uniform
-    /// pool/wire/decode-miss exposure every experiment binary ends with.
+    /// Prints the backend counter totals of the runs since the last call,
+    /// and resets them — the uniform pool/wire/decode-miss exposure every
+    /// claim ends with.
     pub fn backend_counters(&self) {
-        let totals = TOTALS.lock().expect("totals poisoned");
+        let totals = std::mem::take(&mut *TOTALS.lock().expect("totals poisoned"));
         if totals.runs > 0 {
             let title = format!("backend counters ({} runs)", totals.runs);
             let headers = COUNTER_COLUMNS.map(|(header, _)| header);
@@ -257,9 +268,9 @@ impl Totals {
 static TOTALS: LazyLock<Mutex<Totals>> = LazyLock::new(Mutex::default);
 
 /// Folds one finished run's metrics into the process-wide totals, once
-/// per execution. [`run_row`] does so itself; a binary that drives a
+/// per execution. [`run_row`] does so itself; a claim that drives a
 /// runtime directly calls this after its last `run`.
-pub fn record_run(metrics: &Metrics) {
+pub(crate) fn record_run(metrics: &Metrics) {
     TOTALS.lock().expect("totals poisoned").fold(metrics);
 }
 
@@ -331,15 +342,23 @@ pub fn run_fba(
     adversary: Adversary,
 ) -> RunOutcome<String> {
     let scenario = rt.scenario(n, t, &adversary.plan(n, t), sched);
+    fba_row(None, &scenario, seed, k, coin, |p| inputs[p].clone())
+}
+
+/// One `FBA` run of `row` over `k`-iteration fair choices, party `p`
+/// proposing `input(p)`; a `trace` path is as for [`run_row`].
+pub(crate) fn fba_row(
+    trace: Option<&Path>,
+    row: &Scenario,
+    seed: u64,
+    k: usize,
+    coin: CoinKind,
+    input: impl Fn(usize) -> String,
+) -> RunOutcome<String> {
     let params = FairChoiceParams::FixedK { k };
-    run_row(
-        None,
-        &scenario,
-        seed,
-        &session("exp"),
-        STEP_BUDGET,
-        |p, _| Box::new(Fba::new(inputs[p.0].clone(), params, coin)),
-    )
+    run_row(trace, row, seed, &session("exp"), STEP_BUDGET, |p, _| {
+        Box::new(Fba::new(input(p.0), params, coin))
+    })
 }
 
 /// The attacks a row's plan may name.
@@ -348,9 +367,9 @@ static REGISTRY: LazyLock<AttackRegistry> = LazyLock::new(standard_registry);
 /// The one row runner: runs `scenario` with `seed` through the cell
 /// runner's episode step ([`run_episode`]) at session `sid`, each honest
 /// party running `honest(party, carry)`, for at most `budget` steps; folds
-/// the metrics into the process totals ([`record_run`]) and gathers the
+/// the metrics into the process totals (`record_run`) and gathers the
 /// honest parties' outputs of type `T`, in party order. A `trace` path is
-/// the `--trace` capture this run pays ([`cli::Cli::capture`]).
+/// the `--trace` capture this run pays (a claim's first row's seed-0 run).
 ///
 /// # Panics
 ///
@@ -390,21 +409,6 @@ pub fn run_row<T: Clone + PartialEq + 'static>(
         metrics: report.metrics,
         steps: report.steps,
     }
-}
-
-/// Estimated rounds of a binary BA among `n` parties, from its phase-1
-/// A-Cast traffic: one round is `n · (n + 2n²)` `bav1` sends.
-pub fn ba_rounds(metrics: &Metrics, n: usize) -> f64 {
-    metrics.sent_by_kind("bav1") as f64 / (n * (n + 2 * n * n)) as f64
-}
-
-/// Formats a probability with a 95% binomial confidence half-width.
-pub fn fmt_prob(successes: usize, trials: usize) -> String {
-    if trials == 0 {
-        return "n/a".into();
-    }
-    let b = aft_sim::Bernoulli { successes, trials };
-    format!("{:.3} ± {:.3}", b.estimate(), b.ci95())
 }
 
 #[cfg(test)]
@@ -503,12 +507,5 @@ mod tests {
         let scenario = RuntimeSpec::named("sim").scenario(4, 1, &plan, "random");
         let honest: Vec<PartyId> = scenario.honest_parties().collect();
         assert_eq!(honest, [0, 1, 2].map(PartyId));
-    }
-
-    #[test]
-    fn fmt_prob_output() {
-        assert_eq!(fmt_prob(0, 0), "n/a");
-        let s = fmt_prob(5, 10);
-        assert!(s.starts_with("0.500"), "{s}");
     }
 }

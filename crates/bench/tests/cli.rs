@@ -13,21 +13,12 @@ macro_rules! bins {
 }
 
 /// Every binary of the crate: its name and where cargo built it.
-const BINS: [(&str, &str); 15] = bins!(
+const BINS: [(&str, &str); 6] = bins!(
     "aft-partyd",
-    "exp_ba_baselines",
-    "exp_coin_ablation",
-    "exp_coin_bias",
-    "exp_coin_termination",
-    "exp_common_subset",
+    "exp_claims",
     "exp_deployment",
-    "exp_fair_choice",
-    "exp_fba_fairness",
-    "exp_lowerbound",
     "exp_scenario_matrix",
     "exp_scenario_search",
-    "exp_shunning",
-    "exp_termination_tail",
     "exp_trace",
 );
 
@@ -66,15 +57,23 @@ fn assert_refused(bin: &str, args: &[&str], env: &[(&str, &str)], culprit: &str)
 #[test]
 fn a_mistyped_flag_value_or_variable_is_refused_not_ignored() {
     const PARTYD: &str = "--stack ba --seed 2 --scenario n=4,t=1,rt=proc";
-    let flags: [(&str, &str, &str); 12] = [
-        ("exp_coin_termination", "--runtme threaded", "--runtme"),
-        ("exp_fair_choice", "--runtime", "--runtime needs a value"),
+    let flags: [(&str, &str, &str); 13] = [
         (
-            "exp_fair_choice",
-            "--runtime --json",
+            "exp_claims",
+            "thm3.5-termination --runtme threaded",
+            "--runtme",
+        ),
+        ("exp_claims", "thm4.3 --runtime", "--runtime needs a value"),
+        (
+            "exp_claims",
+            "thm4.3 --runtime --json",
             "--runtime needs a value",
         ),
-        ("exp_coin_bias", "--json=yes", "--json takes no value"),
+        (
+            "exp_claims",
+            "thm3.5-bias --json=yes",
+            "--json takes no value",
+        ),
         ("exp_trace", "--scenario n=4,t=1 --sed 5", "--sed"),
         ("exp_trace", "--scenario n=4,t=9", "--scenario \"n=4,t=9\""),
         (
@@ -93,35 +92,77 @@ fn a_mistyped_flag_value_or_variable_is_refused_not_ignored() {
             "--party \"x\"",
         ),
         ("aft-partyd", PARTYD, "--party is required"),
-        // The two binaries that never ran on a backend no longer pretend to.
-        ("exp_lowerbound", "--runtime threaded", "--runtime"),
-        ("exp_termination_tail", "--runtime=threaded", "--runtime"),
+        ("exp_scenario_matrix", "--scenario n=4,t=1", "--scenario"),
+        // The two claims that never ran on a backend do not pretend to,
+        // named alone or among all of them.
+        (
+            "exp_claims",
+            "thm2.2 --runtime threaded",
+            "claim thm2.2 does not take --runtime",
+        ),
+        (
+            "exp_claims",
+            "thm4.3 ba-tail --runtime=threaded",
+            "claim ba-tail",
+        ),
     ];
     for (bin, argv, culprit) in flags {
         assert_refused(bin, &argv.split(' ').collect::<Vec<_>>(), &[], culprit);
     }
-    assert_refused(
-        "exp_fair_choice",
-        &[],
-        &[("AFT_TRIALS", "abc")],
-        "AFT_TRIALS",
-    );
-    let env = [("AFT_TRIALS", "1"), ("AFT_EPSILON", "x")];
-    assert_refused("exp_coin_ablation", &[], &env, "AFT_EPSILON");
+    assert_refused("exp_claims", &["--runtime", "wire"], &[], "claim thm2.2");
+    assert_refused("exp_claims", &["--trace", "x.jsonl"], &[], "claim thm2.2");
+    for (var, value, claim) in [
+        ("AFT_TRIALS", "abc", "thm4.3"),
+        ("AFT_TRIALS", "0", "def3.4"),
+        ("AFT_EPSILON", "x", "alg1-ablation"),
+        ("AFT_EPSILON", "0.6", "alg1-ablation"),
+        ("AFT_EPSILON", "0", "alg1-ablation"),
+    ] {
+        let env = [("AFT_TRIALS", "1"), (var, value)];
+        let out = run("exp_claims", &[claim], &env);
+        assert!(
+            out.stdout.is_empty(),
+            "{var}={value} printed before refusing"
+        );
+        assert_refused("exp_claims", &[claim], &env, &format!("{var}=\"{value}\""));
+    }
+}
+
+/// An id that names no claim is refused with the list of those that do.
+#[test]
+fn an_unknown_claim_is_refused_with_the_valid_ids() {
+    let ids = [
+        "thm2.2",
+        "thm3.5-bias",
+        "thm3.5-termination",
+        "thm4.3",
+        "thm4.5",
+        "def3.4",
+        "def3.2-shunning",
+        "ba-coin-gap",
+        "alg1-ablation",
+        "ba-tail",
+    ];
+    let trials = [("AFT_TRIALS", "1")];
+    assert_refused("exp_claims", &["thm4.3", "thm9"], &trials, &ids.join(", "));
+    assert_refused("exp_claims", &["thm9"], &trials, "unknown claim \"thm9\"");
 }
 
 #[test]
 fn the_equals_form_is_honoured_like_the_spaced_one() {
-    let out = run("exp_scenario_matrix", &["--scenario=n=4,t=1"], &[]);
+    let dir = std::env::temp_dir().join(format!("aft-cli-equals-{}", std::process::id()));
+    let trace = format!("--trace={}", dir.join("cell.jsonl").display());
+    let out = run("exp_trace", &["--scenario=n=4,t=1", &trace], &[]);
+    std::fs::remove_dir_all(&dir).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(
-        stdout.starts_with("# scenario: n=4,t=1,"),
-        "not the single-scenario report: {stdout}"
+        stdout.starts_with("# exp_trace — scenario: n=4,t=1,"),
+        "not the one-cell report: {stdout}"
     );
 
-    let args = ["--runtime=sim:lifo", "--json"];
-    let out = run("exp_coin_termination", &args, &[("AFT_TRIALS", "1")]);
+    let args = ["thm3.5-termination", "--runtime=sim:lifo", "--json"];
+    let out = run("exp_claims", &args, &[("AFT_TRIALS", "1")]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stderr).contains("runtime backend: sim:lifo"));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -172,7 +213,7 @@ fn the_crate_docs_table_lists_what_each_binary_accepts() {
 
 /// A `--trace` capture that cannot be written ends the binary with exit 1
 /// and one `error:` line naming the path, not a clean exit over a trace
-/// that is not there: `exp_trace` and a table binary's traced run alike.
+/// that is not there: `exp_trace` and a claim's traced run alike.
 #[test]
 fn an_unwritable_trace_path_fails_the_run() {
     let path = "/dev/null/x.jsonl";
@@ -182,7 +223,11 @@ fn an_unwritable_trace_path_fails_the_run() {
         &[],
     );
     let trials = [("AFT_TRIALS", "1")];
-    let table = run("exp_coin_termination", &["--trace", path], &trials);
+    let table = run(
+        "exp_claims",
+        &["thm3.5-termination", "--trace", path],
+        &trials,
+    );
     for out in [exp_trace, table] {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{stderr}");
@@ -195,10 +240,11 @@ fn an_unwritable_trace_path_fails_the_run() {
     }
 }
 
-/// `--trace` captures one run, and always the same one: the first row's
-/// seed-0 run, however the trial threads of that row race to start.
+/// `--trace` captures one run, and always the same one: the first claim's
+/// first row's seed-0 run, however the trial threads of that row race to
+/// start.
 #[test]
-fn a_table_binary_traces_its_first_rows_seed_0_run_every_time() {
+fn a_claim_traces_its_first_rows_seed_0_run_every_time() {
     let dir = std::env::temp_dir().join(format!("aft-cli-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("capture.jsonl");
@@ -206,14 +252,15 @@ fn a_table_binary_traces_its_first_rows_seed_0_run_every_time() {
     let trials = [("AFT_TRIALS", "2")];
     let mut captures = Vec::new();
     for _ in 0..5 {
-        let out = run("exp_fba_fairness", &["--trace", arg], &trials);
+        let out = run("exp_claims", &["thm4.5", "thm4.3", "--trace", arg], &trials);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{stderr}");
-        let label = stderr
+        let labels: Vec<&str> = stderr
             .lines()
-            .find(|l| l.starts_with("trace: ") && l.contains(" events from run ["))
-            .unwrap_or_else(|| panic!("no capture line: {stderr}"));
-        assert!(label.contains(" seed=0] -> "), "{label}");
+            .filter(|l| l.starts_with("trace: ") && l.contains(" events from run ["))
+            .collect();
+        assert_eq!(labels.len(), 1, "one capture, the first claim's: {stderr}");
+        assert!(labels[0].contains(" seed=0] -> "), "{}", labels[0]);
         captures.push(std::fs::read(&path).expect("the capture"));
     }
     std::fs::remove_dir_all(&dir).ok();

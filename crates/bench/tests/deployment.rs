@@ -123,7 +123,7 @@ fn ba_decides_without_delayed_ack_stalls() {
 }
 
 /// A plan no daemon could build is a set-up error, as it is for
-/// `exp_scenario_matrix --scenario`: nothing is spawned and nothing is
+/// `exp_trace --scenario`: nothing is spawned and nothing is
 /// reported as a clean run.
 #[test]
 fn unregistered_attack_is_a_setup_error() {

@@ -27,7 +27,7 @@ pub enum CoinFlipParams {
         epsilon: f64,
     },
     /// A fixed iteration count: used for statistically-scaled experiments
-    /// (the reproduction-note table `exp_coin_bias` prints shows how a
+    /// (the reproduction-note table `exp_claims thm3.5-bias` prints shows how a
     /// scaled k relates to the paper-exact mode) and affordable tests.
     FixedK {
         /// Number of iterations (must be ≥ 1).

@@ -6,7 +6,7 @@ use crate::share::SvssShare;
 use aft_field::{BivarPoly, Fp, Poly};
 use aft_sim::{
     AttackCtx, AttackRegistry, AttackRole, Context, CorruptMode, CorruptionPlan, Instance, PartyId,
-    Payload, TraceEvent,
+    Payload, SilentInstance, TraceEvent,
 };
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// * `equivocal-reveal` — honest share phase; in rec, reveals a shifted
 ///   row/col ([`EquivocalReveal`]) — the canonical shun generator.
 /// * `silent-rec` — honest share phase; withholds everything in rec
-///   ([`SilentRec`]), the adversary online error correction must absorb.
+///   ([`SilentInstance`]), the adversary online error correction must absorb.
 pub fn register_attacks(registry: &mut AttackRegistry) {
     fn carry_bundle(ctx: &AttackCtx<'_>) -> Option<Arc<ShareBundle>> {
         ctx.carry.and_then(|c| c.downcast_arc::<ShareBundle>())
@@ -43,13 +43,13 @@ pub fn register_attacks(registry: &mut AttackRegistry) {
     ) -> Option<AttackRole> {
         Some(AttackRole::Instance(match carry_bundle(ctx) {
             Some(bundle) => attack(bundle),
-            None => Box::new(SilentRec),
+            None => Box::new(SilentInstance),
         }))
     }
 
     registry.register("two-faced-dealer", |ctx| {
         if ctx.episode != "svss-share" {
-            return Some(AttackRole::Instance(Box::new(SilentRec)));
+            return Some(AttackRole::Instance(Box::new(SilentInstance)));
         }
         let group_a: Vec<PartyId> = (0..ctx.n - ctx.t).map(PartyId).collect();
         let secret_a = Fp::new(ctx.seed.wrapping_mul(3).wrapping_add(1));
@@ -106,7 +106,7 @@ pub fn register_attacks(registry: &mut AttackRegistry) {
         Some(if ctx.episode == "svss-share" {
             AttackRole::Honest
         } else {
-            AttackRole::Instance(Box::new(SilentRec))
+            AttackRole::Instance(Box::new(SilentInstance))
         })
     });
     registry.register_adaptive("core-candidates", |ctx| {
@@ -423,16 +423,5 @@ impl Instance for EquivocalReveal {
         }
     }
 
-    fn on_message(&mut self, _from: PartyId, _payload: &Payload, _ctx: &mut Context<'_>) {}
-}
-
-/// Runs the share phase honestly but stays completely silent during
-/// reconstruction (withholds both σ and reveal) — the withholding
-/// adversary that online error correction must tolerate.
-pub struct SilentRec;
-
-// never retires: a Byzantine behaviour with no state.
-impl Instance for SilentRec {
-    fn on_start(&mut self, _ctx: &mut Context<'_>) {}
     fn on_message(&mut self, _from: PartyId, _payload: &Payload, _ctx: &mut Context<'_>) {}
 }

@@ -7,7 +7,7 @@ use aft_sim::{
     party_node, scheduler_by_name, Instance, NetConfig, PartyId, Payload, Runtime, RuntimeExt,
     SessionId, SessionTag, SilentInstance, SimNetwork, StopReason,
 };
-use aft_svss::attacks::{EquivocalReveal, SilentRec, TwoFacedDealer, WrongCross, WrongSigma};
+use aft_svss::attacks::{EquivocalReveal, TwoFacedDealer, WrongCross, WrongSigma};
 use aft_svss::{party_point, RecMsg, ShareBundle, ShareMsg, SvssRec, SvssShare, CORE_TAG};
 use rand::SeedableRng;
 
@@ -156,7 +156,7 @@ fn silent_during_rec_only_is_tolerated() {
     // Parties 1 and 2 complete share but withhold reconstruction messages.
     run_rec(&mut net, n, |p, b| {
         if p == 1 || p == 2 {
-            Box::new(SilentRec)
+            Box::new(SilentInstance)
         } else {
             Box::new(SvssRec::new(b))
         }

@@ -191,13 +191,13 @@ if [[ $keys -ne 1 ]]; then
 fi
 echo "one-schema: one member writer, one trace writer"
 
-# And for how an experiment row runs: one runner. Every row of the table
-# binaries is a `Scenario`, run through the cell runner's episode step
-# (`aft_core::scenarios::run_episode`, which `aft_bench::run_row` wraps), so
-# its adversary is a `corrupt=` plan and its backend a `rt=`. A
-# `deploy_episode(` / `net.spawn(` / `rt.spawn(` call or a `SilentInstance`
-# in the non-test code of crates/bench/src is a binary spawning parties
-# itself again — a second runner with a second adversary model.
+# And for how an experiment row runs: one runner. Every row of a claim's
+# tables (crates/bench/src/claims.rs) is a `Scenario`, run through the
+# cell runner's episode step (`aft_core::scenarios::run_episode`, which
+# `aft_bench::run_row` wraps), so its adversary is a `corrupt=` plan and
+# its backend a `rt=`. A `deploy_episode(` / `net.spawn(` / `rt.spawn(`
+# call or a `SilentInstance` in the non-test code of crates/bench/src is
+# code spawning parties itself again — a second runner with a second adversary model.
 # aft_partyd.rs is exempt: it hosts one party, built by
 # `Scenario::party_instance`.
 runner='deploy_episode\(|\b(net|rt)\.spawn\(|SilentInstance'
