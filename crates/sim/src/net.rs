@@ -956,10 +956,10 @@ mod tests {
                         }
                         26..=29 => {
                             last_pair = (from, to);
-                            let run = (0..1 + arg % 4)
+                            let mut run = (0..1 + arg % 4)
                                 .map(|_| Parcel::split(p.fresh(from, to)).2)
                                 .collect();
-                            p.queue.push_batch(PartyId(from), PartyId(to), run);
+                            p.queue.push_batch(PartyId(from), PartyId(to), &mut run);
                         }
                         _ if p.queue.is_empty() => {}
                         // Pick and deliver the whole run; every other

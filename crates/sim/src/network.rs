@@ -468,16 +468,16 @@ impl Runtime for SimNetwork {
     }
 
     /// Every party's metrics, merged in party order, with the byte
-    /// boundary's `wire_*` counters and the in-flight queue's buffer-pool
-    /// counters (it recycles its batch deques) folded in.
+    /// boundary's `wire_*` counters and the in-flight queue's run-pool
+    /// counters folded in.
     fn metrics(&self) -> Metrics {
         let mut m = self.parties.host_metrics();
         if let Some(link) = &self.codec {
             m.merge(&link.metrics);
         }
-        let (reused, allocated) = self.pending.pool_stats();
+        let (reused, added) = self.pending.pool_stats();
         m.pool_reused += reused;
-        m.pool_alloc += allocated;
+        m.pool_alloc += added;
         m
     }
 }

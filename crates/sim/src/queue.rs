@@ -18,12 +18,22 @@
 //! its arrival position and the low half of its creation ordinal (16
 //! bytes), around either one inline [`Parcel`] (a 56-byte envelope
 //! without its endpoints: session, 32-byte payload, `seq`, `born_step`)
-//! or a deque of them; a slab entry is 72 bytes. [`push`](Pending::push)
-//! splits an [`Envelope`] into its endpoints and its parcel and
-//! [`take`](Pending::take) puts one back together. The slab grows in
-//! bounded steps of an eighth plus 64 records, never by doubling, and a
-//! vacant entry links to the next one, so the free list costs nothing
-//! beside the slab.
+//! or the ends and length of a run; a slab entry is 72 bytes.
+//! [`push`](Pending::push) splits an [`Envelope`] into its endpoints and
+//! its parcel and [`take`](Pending::take) puts one back together. The slab
+//! grows in bounded steps of an eighth plus 64 records, never by doubling,
+//! and a vacant entry links to the next one, so the free list costs
+//! nothing beside the slab.
+//!
+//! **Runs**: the parcels of every multi-parcel batch live in one pool of
+//! 64-byte nodes that the queue owns, each run an index-linked FIFO
+//! through it. A drained node goes on the pool's free chain and the next
+//! run's parcel takes it, so the pool is as large as the most parcels that
+//! were ever in runs at once (plus the slack of its last step — it grows
+//! like the slab), whatever shape the runs had. An n = 7 FBA has at most
+//! 2 262 parcels in runs at once; while every run was a deque of its own
+//! and drained deques waited in a spare list, 11 296 parcels of deque
+//! capacity (633 KB) stayed held.
 //!
 //! **The live view** is an append-only arrival list of slot ids and a
 //! [`LiveIndex`] over its positions — one bit per position and a Fenwick
@@ -52,7 +62,6 @@
 use crate::ids::{PartyId, SessionId};
 use crate::network::Envelope;
 use crate::payload::Payload;
-use std::collections::VecDeque;
 
 /// Scheduler-visible metadata of one in-flight batch (a FIFO run of
 /// envelopes sharing a `(sender, receiver)` pair — often of length 1).
@@ -286,31 +295,111 @@ fn select_in_word(word: u64, r: u32) -> u32 {
     shift + u32::from(SELECT_IN_BYTE[byte][(r - skipped) as usize])
 }
 
+/// The end of a chain of pool nodes.
+const NIL: u32 = u32::MAX;
+
+/// One pool node: a queued parcel and the next node of its run, or, while
+/// free (`parcel` is `None`), the next node of the free chain.
+struct PoolNode {
+    parcel: Option<Parcel>,
+    next: u32,
+}
+
+/// The nodes every multi-parcel run of one queue is linked through, with
+/// a free chain of drained nodes (see the module docs).
+struct Pool {
+    nodes: Vec<PoolNode>,
+    /// Most recently freed node, head of the free chain (`NIL`: none).
+    free: u32,
+    /// Nodes taken off the free chain, and nodes added to the pool (the
+    /// `pool_*` metrics).
+    reused: u64,
+    added: u64,
+}
+
+impl Default for Pool {
+    fn default() -> Self {
+        Pool {
+            nodes: Vec::new(),
+            free: NIL,
+            reused: 0,
+            added: 0,
+        }
+    }
+}
+
+impl Pool {
+    /// A node holding `parcel` at the end of a chain: a free one if there
+    /// is one, else a new one, the pool growing like the slab.
+    fn put(&mut self, parcel: Parcel) -> u32 {
+        let node = PoolNode {
+            parcel: Some(parcel),
+            next: NIL,
+        };
+        if self.free != NIL {
+            let id = self.free;
+            let vacant = std::mem::replace(&mut self.nodes[id as usize], node);
+            self.free = vacant.next;
+            self.reused += 1;
+            return id;
+        }
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact(self.nodes.len() / 8 + 64);
+        }
+        self.nodes.push(node);
+        self.added += 1;
+        u32::try_from(self.nodes.len() - 1).expect("pool ids fit in u32")
+    }
+
+    /// Appends node `id` after node `tail`.
+    fn link(&mut self, tail: u32, id: u32) {
+        self.nodes[tail as usize].next = id;
+    }
+
+    /// The parcel queued in node `id`.
+    fn parcel(&self, id: u32) -> &Parcel {
+        self.nodes[id as usize]
+            .parcel
+            .as_ref()
+            .expect("a run's node holds a parcel")
+    }
+
+    /// Takes node `id`'s parcel and frees the node; returns the parcel and
+    /// the node that followed it.
+    fn take(&mut self, id: u32) -> (Parcel, u32) {
+        let node = &mut self.nodes[id as usize];
+        let parcel = node.parcel.take().expect("a run's node holds a parcel");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = id;
+        (parcel, next)
+    }
+}
+
 /// The parcels of one batch. Singletons — the common case on the
 /// single-queue simulator — hold theirs inline; only a real run of
-/// same-pair envelopes pays for a deque (recycled through
-/// [`Pending::spare`], so steady-state batching does not allocate either).
+/// same-pair envelopes goes through the queue's [`Pool`].
 enum Run {
     /// Exactly one parcel, stored inline.
     One(Parcel),
-    /// A FIFO run of two or more (until drained) parcels.
-    Many(VecDeque<Parcel>),
+    /// A FIFO run of two or more (until drained) parcels, from pool node
+    /// `head` to pool node `tail`.
+    Many { head: u32, tail: u32, len: u32 },
 }
 
 impl Run {
     /// The oldest (next-delivered) parcel.
-    fn head(&self) -> &Parcel {
+    fn head<'a>(&'a self, pool: &'a Pool) -> &'a Parcel {
         match self {
             Run::One(parcel) => parcel,
-            Run::Many(run) => run.front().expect("live batch is non-empty"),
+            Run::Many { head, .. } => pool.parcel(*head),
         }
     }
 
     /// Parcels remaining (≥ 1).
-    fn len(&self) -> usize {
+    fn len(&self) -> u32 {
         match self {
             Run::One(_) => 1,
-            Run::Many(run) => run.len(),
+            Run::Many { len, .. } => *len,
         }
     }
 }
@@ -333,20 +422,16 @@ struct Record {
 
 impl Record {
     /// The derived scheduler-visible metadata.
-    fn meta(&self) -> MsgMeta {
-        let head = self.run.head();
+    fn meta(&self, pool: &Pool) -> MsgMeta {
+        let head = self.run.head(pool);
         MsgMeta {
             from: widen(self.from),
             to: widen(self.to),
             seq: head.seq,
             born_step: head.born_step,
             kind: head.session.last().map_or("root", |t| t.kind),
-            count: self.run_len(),
+            count: self.run.len(),
         }
-    }
-
-    fn run_len(&self) -> u32 {
-        u32::try_from(self.run.len()).unwrap_or(u32::MAX)
     }
 }
 
@@ -377,13 +462,8 @@ pub struct Pending {
     slots: Vec<Slot>,
     /// Most recently vacated slab entry, head of the free chain.
     free: Option<u32>,
-    /// Recycled (empty) deques from drained multi-parcel batches. With
-    /// the runs now live they never number more than `runs_peak` — all
-    /// that this queue's own workload can ever hand out again.
-    spare: Vec<VecDeque<Parcel>>,
-    /// Live multi-parcel batches, and the most there have been at once.
-    runs_live: usize,
-    runs_peak: usize,
+    /// The nodes of every multi-parcel run.
+    pool: Pool,
     /// Arrival-ordered slot ids (append-only between compactions); an
     /// entry whose batch has drained is stale.
     arrival: Vec<u32>,
@@ -417,11 +497,6 @@ pub struct Pending {
     /// (valid while `live > 0`): the per-pick fairness-age check reads
     /// this field instead of resolving `arrival[head]` into the slab.
     head_born: u64,
-    /// Batch deques recycled from [`spare`](Pending::spare) instead of
-    /// allocated (pool-stats counter, folded into run metrics).
-    reused: u64,
-    /// Batch deques allocated because the spare pool was empty.
-    allocated: u64,
 }
 
 impl Pending {
@@ -477,28 +552,19 @@ impl Pending {
     ///
     /// Panics if `i >= len()`.
     pub fn meta(&self, i: usize) -> MsgMeta {
-        self.record(self.arrival[self.position(i)]).meta()
+        self.record(self.arrival[self.position(i)]).meta(&self.pool)
     }
 
     /// All batch metadata in arrival order (oldest first).
     pub fn metas(&self) -> impl Iterator<Item = MsgMeta> + '_ {
-        (self.head..self.arrival.len()).filter_map(|pos| self.record_at(pos).map(Record::meta))
+        (self.head..self.arrival.len())
+            .filter_map(|pos| Some(self.record_at(pos)?.meta(&self.pool)))
     }
 
-    /// `(reused, allocated)` batch-deque recycling counts so far —
-    /// folded into the owning backend's `pool_*` metrics at snapshot
-    /// time.
+    /// `(reused, added)` run pool nodes so far — folded into the owning
+    /// backend's `pool_*` metrics at snapshot time.
     pub(crate) fn pool_stats(&self) -> (u64, u64) {
-        (self.reused, self.allocated)
-    }
-
-    /// Hands out one recycled (empty) batch buffer as a `Vec` — the
-    /// allocation carries over (an empty deque is trivially contiguous,
-    /// so the conversion is free). The sharded backend refills its
-    /// per-destination outboxes from here, closing the loop: outbox →
-    /// cross-shard batch → drained deque → spare → outbox.
-    pub(crate) fn take_spare_vec(&mut self) -> Option<Vec<Parcel>> {
-        self.spare.pop().map(Vec::from)
+        (self.pool.reused, self.pool.added)
     }
 
     /// Whether the most recently pushed batch is live and can absorb an
@@ -510,33 +576,36 @@ impl Pending {
     }
 
     /// Extends the live tail batch in slot `slot` with one parcel,
-    /// promoting an inline singleton to a deque (recycled when possible).
+    /// moving an inline singleton into the pool first.
     fn extend_tail(&mut self, slot: u32, parcel: Parcel) {
         self.total += 1;
         let Slot::Live(record) = &mut self.slots[slot as usize] else {
             unreachable!("the tail slot is live");
         };
+        let pool = &mut self.pool;
+        let id = pool.put(parcel);
         match &mut record.run {
-            Run::Many(run) => run.push_back(parcel),
+            Run::Many { tail, len, .. } => {
+                pool.link(*tail, id);
+                *tail = id;
+                *len += 1;
+            }
             one => {
-                self.runs_live += 1;
-                self.runs_peak = self.runs_peak.max(self.runs_live);
-                let mut run = match self.spare.pop() {
-                    Some(run) => {
-                        self.reused += 1;
-                        run
-                    }
-                    None => {
-                        self.allocated += 1;
-                        VecDeque::new()
-                    }
+                let empty = Run::Many {
+                    head: NIL,
+                    tail: NIL,
+                    len: 0,
                 };
-                let Run::One(head) = std::mem::replace(one, Run::Many(VecDeque::new())) else {
+                let Run::One(first) = std::mem::replace(one, empty) else {
                     unreachable!("matched above");
                 };
-                run.push_back(head);
-                run.push_back(parcel);
-                *one = Run::Many(run);
+                let head = pool.put(first);
+                pool.link(head, id);
+                *one = Run::Many {
+                    head,
+                    tail: id,
+                    len: 2,
+                };
             }
         }
     }
@@ -553,42 +622,44 @@ impl Pending {
         let (from, to) = (narrow(from), narrow(to));
         match self.mergeable_tail(from, to) {
             Some(slot) => self.extend_tail(slot, parcel),
-            None => self.insert_batch(from, to, Run::One(parcel)),
+            None => {
+                self.insert_batch(from, to, Run::One(parcel));
+            }
         }
     }
 
     /// Enqueues a whole run from `from` to `to` as one batch record — the
     /// sharded backend's cross-shard handoff, which thereby moves
-    /// O(batches) instead of O(messages). Empty runs are ignored.
-    pub(crate) fn push_batch(&mut self, from: PartyId, to: PartyId, run: Vec<Parcel>) {
-        if run.is_empty() {
-            return;
-        }
+    /// O(batches) records instead of O(messages). Drains `run`, which
+    /// keeps its allocation for the caller to fill again. Empty runs are
+    /// ignored.
+    pub(crate) fn push_batch(&mut self, from: PartyId, to: PartyId, run: &mut Vec<Parcel>) {
         let (from, to) = (narrow(from), narrow(to));
-        if let Some(slot) = self.mergeable_tail(from, to) {
-            for parcel in run {
-                self.extend_tail(slot, parcel);
-            }
+        let mut parcels = run.drain(..);
+        let Some(first) = parcels.next() else {
             return;
-        }
-        let run = if run.len() == 1 {
-            Run::One(run.into_iter().next().expect("len checked"))
-        } else {
-            self.runs_live += 1;
-            self.runs_peak = self.runs_peak.max(self.runs_live);
-            Run::Many(VecDeque::from(run))
         };
-        self.insert_batch(from, to, run);
+        let slot = match self.mergeable_tail(from, to) {
+            Some(slot) => {
+                self.extend_tail(slot, first);
+                slot
+            }
+            None => self.insert_batch(from, to, Run::One(first)),
+        };
+        for parcel in parcels {
+            self.extend_tail(slot, parcel);
+        }
     }
 
-    /// Installs a fresh batch record at the back of the arrival order.
-    fn insert_batch(&mut self, from: u32, to: u32, run: Run) {
-        self.total += run.len();
+    /// Installs a fresh batch record at the back of the arrival order and
+    /// returns its slab entry.
+    fn insert_batch(&mut self, from: u32, to: u32, run: Run) -> u32 {
+        self.total += run.len() as usize;
         if self.arrival.len() == self.index.capacity() {
             self.compact_and_grow();
         }
         let pos = self.arrival.len();
-        let born = run.head().born_step;
+        let born = run.head(&self.pool).born_step;
         let record = Slot::Live(Record {
             from,
             to,
@@ -626,6 +697,7 @@ impl Pending {
             // The queue was empty, so this batch is the head.
             self.head_born = born;
         }
+        slot
     }
 
     /// `born_step` of the oldest in-flight envelope — what the fairness
@@ -664,14 +736,14 @@ impl Pending {
     /// (pair with [`slot_of`](Pending::slot_of) to resolve a pick's
     /// handle and run length with a single index descent).
     pub fn meta_of_slot(&self, slot: BatchSlot) -> MsgMeta {
-        self.record(slot.0).meta()
+        self.record(slot.0).meta(&self.pool)
     }
 
     /// Remaining run length of the live batch `slot` — what a delivery
     /// loop actually needs per pick, without deriving full [`MsgMeta`]
     /// (which reads the head envelope's session for its leaf kind).
     pub fn run_len_of_slot(&self, slot: BatchSlot) -> u32 {
-        self.record(slot.0).run_len()
+        self.record(slot.0).run.len()
     }
 
     /// Arrival index of the live batch `slot` — the inverse of
@@ -763,18 +835,20 @@ impl Pending {
             panic!("batch handle refers to a live batch");
         };
         self.total -= 1;
-        if let Run::Many(run) = &mut record.run {
-            if run.len() > 1 {
+        if let Run::Many { head, len, .. } = &mut record.run {
+            if *len > 1 {
                 // The batch survives at its arrival position; only its
                 // run (and, at the head, the inline age mirror) moves.
-                let parcel = run.pop_front().expect("len checked");
+                let (parcel, next) = self.pool.take(*head);
+                *head = next;
+                *len -= 1;
                 if record.pos as usize == self.head {
-                    self.head_born = run.front().expect("len checked").born_step;
+                    self.head_born = self.pool.parcel(next).born_step;
                 }
                 return parcel.into_envelope(record.from, record.to);
             }
         }
-        // Batch drained: retire the record, recycling its deque.
+        // Batch drained: retire the record, freeing its last pool node.
         let vacated = std::mem::replace(&mut self.slots[slot.0 as usize], Slot::Vacant(self.free));
         self.free = Some(slot.0);
         let Slot::Live(Record {
@@ -785,14 +859,7 @@ impl Pending {
         };
         let parcel = match run {
             Run::One(parcel) => parcel,
-            Run::Many(mut run) => {
-                let parcel = run.pop_front().expect("drained batch has its last");
-                self.runs_live -= 1;
-                if self.spare.len() + self.runs_live < self.runs_peak {
-                    self.spare.push(run);
-                }
-                parcel
-            }
+            Run::Many { head, .. } => self.pool.take(head).0,
         };
         if self.tail == Some(slot.0) {
             self.tail = None;
@@ -811,7 +878,8 @@ impl Pending {
             while !self.index.is_live(self.head) {
                 self.head += 1;
             }
-            self.head_born = self.record(self.arrival[self.head]).run.head().born_step;
+            let head = self.record(self.arrival[self.head]);
+            self.head_born = head.run.head(&self.pool).born_step;
         }
         parcel.into_envelope(from, to)
     }
@@ -877,8 +945,13 @@ mod tests {
         assert!(
             size_of::<Slot>() <= 72,
             "a slab entry is {} bytes, budget 72: shrink `Record`'s header \
-             (from, to, pos, created) or `Run` (one inline `Parcel`, or a deque)",
+             (from, to, pos, created) or `Run` (one inline `Parcel`, or a run's ends)",
             size_of::<Slot>()
+        );
+        assert!(
+            size_of::<PoolNode>() <= 64,
+            "a queued parcel of a run is {} bytes, budget 64: the parcel and one link",
+            size_of::<PoolNode>()
         );
     }
 
@@ -941,8 +1014,13 @@ mod tests {
     fn push_batch_installs_one_record() {
         let mut q = Pending::new();
         q.push(env(3, 1, 0));
-        q.push_batch(PartyId(2), PartyId(1), parcels(2, 1, 10..14));
-        q.push_batch(PartyId(2), PartyId(1), Vec::new()); // ignored
+        let mut run = parcels(2, 1, 10..14);
+        q.push_batch(PartyId(2), PartyId(1), &mut run);
+        assert!(
+            run.is_empty() && run.capacity() >= 4,
+            "drained, allocation kept"
+        );
+        q.push_batch(PartyId(2), PartyId(1), &mut run); // empty: ignored
         assert_eq!(q.len(), 2);
         assert_eq!(q.messages(), 5);
         let m = q.meta(1);
@@ -976,32 +1054,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_deques_recycle_through_the_spare_pool() {
+    fn run_parcels_recycle_through_the_node_pool() {
         let mut q = Pending::new();
-        // First same-pair run promotes One -> Many with an empty spare
-        // pool: one allocation.
+        // A singleton stays inline; the second same-pair parcel moves both
+        // into the pool: two nodes added.
         q.push(env(0, 1, 0));
+        assert_eq!(q.pool_stats(), (0, 0));
         q.push(env(0, 1, 1));
-        assert_eq!(q.pool_stats(), (0, 1));
+        assert_eq!(q.pool_stats(), (0, 2));
         q.take(0);
         q.take(0);
-        // The drained deque returns to the pool; the next promotion
-        // reuses it instead of allocating.
+        // The drained nodes are free; the next run takes them instead of
+        // adding any.
         q.push(env(0, 1, 2));
         q.push(env(0, 1, 3));
-        assert_eq!(q.pool_stats(), (1, 1));
-        q.take(0);
-        q.take(0);
-        // The pooled buffer can be handed out as a Vec, allocation and
-        // all, for outbox refills.
-        let v = q.take_spare_vec().expect("one pooled buffer");
-        assert!(v.is_empty());
-        assert!(v.capacity() >= 2, "recycled capacity carries over");
-        assert!(q.take_spare_vec().is_none());
+        q.push(env(0, 1, 4));
+        assert_eq!(q.pool_stats(), (2, 3));
+        let drained: Vec<u64> = (0..3).map(|_| q.take(0).seq).collect();
+        assert_eq!(drained, [2, 3, 4]);
+        assert_eq!(q.pool.nodes.len(), 3);
     }
 
     #[test]
-    fn the_spare_pool_keeps_what_the_most_simultaneous_runs_needed() {
+    fn the_pool_holds_what_the_most_queued_run_parcels_needed() {
         let mut q = Pending::new();
         // 40 two-envelope runs live at once (distinct pairs, so none merge
         // into each other), then all of them drained …
@@ -1015,21 +1090,23 @@ mod tests {
             }
         };
         wave(&mut q);
-        assert_eq!(q.pool_stats(), (0, 40));
-        assert_eq!(q.spare.len(), 40, "every drained deque was kept");
-        // … so the same wave again allocates nothing,
+        assert_eq!(q.pool_stats(), (0, 80));
+        // … so the same wave again adds nothing,
         wave(&mut q);
-        assert_eq!(q.pool_stats(), (40, 40));
-        // and deques that arrive from outside (a sharded hand-over) do not
-        // pile up beyond that high-water mark.
-        for _ in 0..3 {
-            q.push_batch(PartyId(0), PartyId(1), parcels(0, 1, 0..2));
-            q.push_batch(PartyId(2), PartyId(3), parcels(2, 3, 0..2));
+        assert_eq!(q.pool_stats(), (80, 80));
+        // nor do runs handed over whole (a sharded merge) in any shape that
+        // keeps fewer parcels in runs at once: the pool holds the most
+        // there have been, not what the runs were.
+        let mut run = Vec::new();
+        for len in [2, 3, 40, 80] {
+            run.extend(parcels(0, 1, 0..len));
+            q.push_batch(PartyId(0), PartyId(1), &mut run);
             while !q.is_empty() {
                 q.take(0);
             }
         }
-        assert_eq!(q.spare.len(), 40);
+        assert_eq!(q.pool.nodes.len(), 80);
+        assert_eq!(q.pool_stats(), (80 + 2 + 3 + 40 + 80, 80));
     }
 
     #[test]

@@ -87,13 +87,15 @@ pub struct Metrics {
     /// delivered with a payload frame whose header is malformed — the
     /// byte-level adversary's fingerprint (wire backend only).
     pub wire_malformed: u64,
-    /// Delivery-path buffers (the in-flight queue's batch deques, a
-    /// shard's outbox vectors) reacquired from a recycling pool instead
-    /// of allocated. The `wire` byte boundary pools nothing.
-    /// Diagnostic only: never folded into scenario fingerprints.
+    /// Nodes of the in-flight queue's run pool — where the parcels of
+    /// every multi-parcel batch are linked — that a parcel took off the
+    /// pool's free chain instead of a new node. A singleton batch holds
+    /// its parcel inline and counts in neither. Diagnostic only: never
+    /// folded into scenario fingerprints.
     pub pool_reused: u64,
-    /// Delivery-path buffers allocated fresh because no recycled buffer
-    /// was available — the pool's miss counter.
+    /// Nodes added to the run pool because its free chain was empty —
+    /// the pool's miss counter (the pool grows in bounded steps, so this
+    /// is not one allocation per node).
     pub pool_alloc: u64,
     /// Virtual time (virtual milliseconds) at the last delivery, when the
     /// scheduler keeps a virtual clock (the `net:` family); 0 otherwise.
@@ -158,9 +160,11 @@ impl Metrics {
     pub(crate) fn on_sent(&mut self, session: &SessionId) {
         self.sent += 1;
         let kind = session.last().map_or("root", |t| t.kind);
-        // Fast path: consecutive sends are overwhelmingly same-kind.
+        // Fast path: consecutive sends are overwhelmingly same-kind. The
+        // pointer test compares address *and* length, so a kind that is a
+        // prefix slice of another is not taken for it.
         if let Some(&mut (k, ref mut c)) = self.by_kind.get_mut(self.last_kind) {
-            if std::ptr::eq(k.as_ptr(), kind.as_ptr()) || k == kind {
+            if std::ptr::eq(k, kind) || k == kind {
                 *c += 1;
                 return;
             }
@@ -1023,6 +1027,18 @@ mod tests {
         assert_eq!(m.sent_by_kind("a"), 6);
         assert_eq!(m.sent_by_kind("b"), 1);
         assert_eq!(m.sent_by_kind("zzz"), 0);
+        assert_eq!(m.kinds().count(), 2);
+    }
+
+    #[test]
+    fn a_kind_that_is_a_prefix_slice_of_another_counts_as_itself() {
+        // Both kinds start at the same address; only their lengths differ.
+        const K: &str = "cs-ba";
+        let mut m = Metrics::default();
+        m.on_sent(&SessionId::root().child(SessionTag::new(K, 0)));
+        m.on_sent(&SessionId::root().child(SessionTag::new(&K[..2], 0)));
+        assert_eq!(m.sent_by_kind("cs-ba"), 1);
+        assert_eq!(m.sent_by_kind("cs"), 1);
         assert_eq!(m.kinds().count(), 2);
     }
 

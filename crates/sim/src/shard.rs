@@ -22,9 +22,10 @@
 //!   sender-blocks, keyed by `(epoch, src)`**: each sender's channel for
 //!   the epoch lands as *one batch record* in the destination's inbox,
 //!   senders in ascending party order, envelopes within a batch in
-//!   emission order. The handoff moves O(senders) `Vec` handles, not
-//!   O(messages) envelopes, and a scheduler pick that stays inside a
-//!   batch walks a contiguous buffer instead of hopping across the slab.
+//!   emission order. The handoff swaps O(n²) `Vec` handles and the inbox
+//!   opens O(senders) batch records, not O(messages): a channel's parcels
+//!   are linked into the inbox's run pool and the emptied channel, its
+//!   allocation kept, goes back to the sender as its next outbox.
 //!
 //! Because every per-party decision depends only on `(seed, scheduler,
 //! n)` and the merge key is a pure function of the logical send order,
@@ -79,13 +80,9 @@ struct Lane {
     rng: ChaCha12Rng,
     /// The per-pair ordered channels, sender side: `outbox[dst]` holds
     /// this party's envelopes to `dst` emitted this epoch, in emission
-    /// order, as parcels (the pair is the channel's); handed off whole at
-    /// the barrier.
+    /// order, as parcels (the pair is the channel's); swapped at the
+    /// barrier for the channel's emptied buffer from the epoch before.
     outbox: Vec<Vec<Parcel>>,
-    /// Outbox buffers refilled from the inbox's recycled deques, and
-    /// allocated because none was spare (the `pool_*` metrics).
-    pool_reused: u64,
-    pool_alloc: u64,
     /// This epoch's events, while anyone listens (flattened into the
     /// global sink at the barrier in party order, so the stream — and what
     /// an adaptive controller in front of the recorder observes — is a pure
@@ -108,29 +105,12 @@ impl Lane {
     fn flush_sends(&mut self, host: &mut PartyHost, epoch: u64, causal: Option<u64>) {
         let Lane {
             out: sends,
-            inbox,
             outbox,
-            pool_reused,
-            pool_alloc,
             events,
             ..
         } = self;
         host.drain_sends(sends, causal, as_sink(events), |seq, o| {
-            let out = &mut outbox[o.to.0];
-            if out.capacity() == 0 {
-                // The barrier handed this outbox's buffer away whole;
-                // refill it from the inbox's recycled batch deques, so
-                // the allocation loops outbox → cross-shard batch →
-                // drained deque → spare pool → outbox.
-                match inbox.take_spare_vec() {
-                    Some(spare) => {
-                        *out = spare;
-                        *pool_reused += 1;
-                    }
-                    None => *pool_alloc += 1,
-                }
-            }
-            out.push(Parcel {
+            outbox[o.to.0].push(Parcel {
                 session: o.session,
                 payload: o.payload,
                 seq,
@@ -184,16 +164,14 @@ impl Lane {
 /// `first`) from `channels[local dst][src]` — the per-pair ordered
 /// channels of this epoch — in `(epoch, src)` sender-block order: each
 /// sender's whole channel becomes one inbox batch, senders in ascending
-/// party order. Comparison-free and O(senders) per inbox: every channel
-/// `Vec` is moved wholesale, no envelope is touched individually.
+/// party order. Comparison-free: one batch record per sender, its parcels
+/// linked into the inbox's run pool. Each channel is left empty with its
+/// allocation, for the barrier to hand back to its sender.
 fn merge_into_shard(first: usize, chunk: &mut [Lane], channels: &mut [Vec<Vec<Parcel>>]) {
     for (i, (lane, pairs)) in chunk.iter_mut().zip(channels.iter_mut()).enumerate() {
         let to = PartyId(first + i);
         for (from, pair) in pairs.iter_mut().enumerate() {
-            if !pair.is_empty() {
-                lane.inbox
-                    .push_batch(PartyId(from), to, std::mem::take(pair));
-            }
+            lane.inbox.push_batch(PartyId(from), to, pair);
         }
     }
 }
@@ -294,8 +272,6 @@ impl ShardedSimRuntime {
                     scheduler,
                     rng: shard_sched_rng(config.seed, p),
                     outbox: (0..config.n).map(|_| Vec::new()).collect(),
-                    pool_reused: 0,
-                    pool_alloc: 0,
                     events: None,
                 }
             })
@@ -336,21 +312,20 @@ impl ShardedSimRuntime {
         lane.flush_sends(host, self.epoch, None);
     }
 
-    /// The epoch barrier: hands every per-pair channel from the sender
-    /// side to the receiver side (an O(n²) swap of `Vec` handles, no
-    /// envelope moves) and refills the inboxes in `(epoch, src)`
-    /// sender-block order — each sender's channel becomes one inbox batch,
-    /// senders in ascending party order, so the refill also moves O(n)
-    /// handles per inbox rather than O(messages) envelopes. The merge
-    /// itself runs shard-parallel: each worker refills only its own
-    /// parties' inboxes. Also flattens the per-party flight-recorder
-    /// buffers into the global sink.
+    /// The epoch barrier: swaps every per-pair channel's sender side with
+    /// its receiver side (an O(n²) swap of `Vec` handles, no envelope
+    /// moves; the sender gets back the buffer the last merge emptied) and
+    /// refills the inboxes in `(epoch, src)` sender-block order — each
+    /// sender's channel becomes one inbox batch, senders in ascending
+    /// party order. The merge itself runs shard-parallel: each worker
+    /// refills only its own parties' inboxes. Also flattens the per-party
+    /// flight-recorder buffers into the global sink.
     fn merge_barrier(&mut self) {
         let mut moved = 0;
         for (src, lane) in self.lanes.iter_mut().enumerate() {
             for (dst, pair) in lane.outbox.iter_mut().enumerate() {
                 moved += pair.len();
-                self.channels[dst][src] = std::mem::take(pair);
+                std::mem::swap(&mut self.channels[dst][src], pair);
             }
         }
         let chunk = self.chunk_width();
@@ -547,9 +522,9 @@ impl Runtime for ShardedSimRuntime {
         // of the schedule — identical for every shard count.
         let mut merged = self.parties.host_metrics();
         for lane in &self.lanes {
-            let (reused, allocated) = lane.inbox.pool_stats();
-            merged.pool_reused += reused + lane.pool_reused;
-            merged.pool_alloc += allocated + lane.pool_alloc;
+            let (reused, added) = lane.inbox.pool_stats();
+            merged.pool_reused += reused;
+            merged.pool_alloc += added;
         }
         merged
     }
@@ -714,10 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn outboxes_and_batch_deques_recycle() {
+    fn outboxes_and_pool_nodes_recycle() {
         /// Three pings per wave, so each per-pair channel carries a
-        /// multi-envelope batch — what feeds the spare-deque pool the
-        /// outboxes refill from.
+        /// multi-envelope batch — linked through the inbox's run pool,
+        /// whose drained nodes the next wave's runs take.
         struct Burst {
             waves: u32,
             heard: usize,
@@ -745,11 +720,24 @@ mod tests {
         rt.run(1_000_000);
         let m = rt.metrics();
         assert!(
-            m.pool_reused > 0,
-            "steady-state bursts must reuse pooled buffers (reused {}, alloc {})",
+            m.pool_reused > m.pool_alloc,
+            "steady-state bursts must reuse pool nodes (reused {}, added {})",
             m.pool_reused,
             m.pool_alloc
         );
+        // Every channel buffer went back to its sender: the outboxes and
+        // the receiver-side channels keep their allocations, emptied.
+        for lane in &rt.lanes {
+            assert!(lane
+                .outbox
+                .iter()
+                .all(|out| out.is_empty() && out.capacity() >= 3));
+        }
+        for pairs in &rt.channels {
+            assert!(pairs
+                .iter()
+                .all(|pair| pair.is_empty() && pair.capacity() >= 3));
+        }
     }
 
     #[test]

@@ -1,4 +1,14 @@
 //! The SVSS reconstruction phase (`SVSS-Rec` of Definition 3.2).
+//!
+//! A coin runs one dealing per party per flip, and each party keeps one
+//! reconstruction per dealing after it outputs: shunning must still catch
+//! a later σ or reveal that contradicts an earlier one. What a finished
+//! reconstruction keeps, times the dealings, is what the full stack holds,
+//! so [`SvssRec`] splits in two. What only the two tracks read — the
+//! decoder, the accepted reveals and their consistency graph — sits in one
+//! box that the output drops whole. What the shun checks read — the
+//! bundle, who revealed, the σ each party is held to — stays, 88 bytes in
+//! all (240 while the tracks were inline and merely emptied).
 
 use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, RecMsg, ShareBundle};
@@ -31,9 +41,9 @@ use std::sync::Arc;
 /// contradicts itself), so honest parties never shun honest parties.
 ///
 /// Those checks are the instance's only duty after output, so it never
-/// retires; at output it drops the decoder's points, the consistency graph
-/// and the revealed polynomials, and keeps what the checks read (see
-/// `sigma_seen`).
+/// retires; at output it drops the decoder, the consistency graph and the
+/// revealed polynomials in one go (`Tracks`), and keeps what the checks
+/// read (see `sigma_seen`).
 ///
 /// Against adversaries that craft globally-consistent-but-wrong data a
 /// faulty dealer can still split the clique track between honest parties —
@@ -43,22 +53,27 @@ use std::sync::Arc;
 pub struct SvssRec {
     /// The dealing's one bundle, shared with whoever spawned this instance.
     bundle: Arc<ShareBundle>,
-    decoder: OnlineDecoder,
-    /// Reveals accepted from core members, until output.
-    reveals: PartyMap<(Poly, Poly)>,
+    /// The two tracks' state until output; `None` once it is made.
+    tracks: Option<Box<Tracks>>,
     /// Parties whose reveal was accepted (first reveal wins).
     revealed: PartySet,
-    /// Which accepted reveals agree, as closed neighbourhoods: bit
-    /// `(u, v)` iff `u == v` or the two reveals are cross-consistent. Each
-    /// pair is evaluated once, when its second reveal arrives.
-    consistent: BitMatrix,
     /// The σ each party is held to: the first it sent, and after output
     /// also the `row(0)` of its accepted reveal where it sent none. A
     /// later σ that differs from either is shunned, and once that party
     /// is shunned a further σ can add no shun, so which of the two it is
     /// compared with decides nothing.
     sigma_seen: PartyMap<Fp>,
-    done: bool,
+}
+
+/// What only the point and clique tracks read, dropped whole at output.
+struct Tracks {
+    decoder: OnlineDecoder,
+    /// Reveals accepted from core members.
+    reveals: PartyMap<(Poly, Poly)>,
+    /// Which accepted reveals agree, as closed neighbourhoods: bit
+    /// `(u, v)` iff `u == v` or the two reveals are cross-consistent. Each
+    /// pair is evaluated once, when its second reveal arrives.
+    consistent: BitMatrix,
 }
 
 impl SvssRec {
@@ -68,29 +83,26 @@ impl SvssRec {
     pub fn new(bundle: impl Into<Arc<ShareBundle>>) -> Self {
         SvssRec {
             bundle: bundle.into(),
-            // degree t, up to t adversarial points — set in on_start when t
-            // is known; re-created there.
-            decoder: OnlineDecoder::new(0, 0),
-            reveals: PartyMap::new(),
+            tracks: Some(Box::new(Tracks {
+                // degree t, up to t adversarial points — set in on_start
+                // when t is known; re-created there.
+                decoder: OnlineDecoder::new(0, 0),
+                reveals: PartyMap::new(),
+                consistent: BitMatrix::default(),
+            })),
             revealed: PartySet::new(),
-            consistent: BitMatrix::default(),
             sigma_seen: PartyMap::new(),
-            done: false,
         }
     }
 
     /// Outputs `value` and lets go of everything only the two tracks
     /// read, without allocating: `sigma_seen` was reserved for all `n`.
     fn output_once(&mut self, value: Fp, ctx: &mut Context<'_>) {
-        if !self.done {
-            self.done = true;
+        if let Some(tracks) = self.tracks.take() {
             ctx.output(value);
-            for (p, (row, _)) in self.reveals.iter() {
+            for (p, (row, _)) in tracks.reveals.iter() {
                 self.sigma_seen.insert(p, row.eval(Fp::ZERO));
             }
-            self.reveals = PartyMap::new();
-            self.consistent = BitMatrix::default();
-            self.decoder = OnlineDecoder::new(0, 0);
         }
     }
 
@@ -98,29 +110,29 @@ impl SvssRec {
     /// consistency graph, then look for a `(t+1)`-clique of mutually
     /// consistent reveals among core members and interpolate the secret.
     fn try_clique(&mut self, from: PartyId, ctx: &mut Context<'_>) {
-        if self.done {
+        let Some(tracks) = self.tracks.as_deref_mut() else {
             return;
-        }
+        };
         let (n, t) = (ctx.n(), ctx.t());
-        if self.consistent.n() != n {
-            self.consistent = BitMatrix::new(n);
+        if tracks.consistent.n() != n {
+            tracks.consistent = BitMatrix::new(n);
         }
         // Edge (u, v): u's row at x_v equals v's col at x_u, and vice
         // versa — both claim grid values of the same bivariate.
-        let (ru, cu) = &self.reveals.get(from).expect("just accepted");
+        let (ru, cu) = &tracks.reveals.get(from).expect("just accepted");
         let xu = party_point(from);
-        for (v, (rv, cv)) in self.reveals.iter() {
+        for (v, (rv, cv)) in tracks.reveals.iter() {
             let xv = party_point(v);
             if v == from || (ru.eval(xv) == cv.eval(xu) && rv.eval(xu) == cu.eval(xv)) {
-                self.consistent.set(from.0, v.0);
-                self.consistent.set(v.0, from.0);
+                tracks.consistent.set(from.0, v.0);
+                tracks.consistent.set(v.0, from.0);
             }
         }
-        if let Some(clique) = find_clique(&self.consistent, t + 1) {
+        if let Some(clique) = find_clique(&tracks.consistent, t + 1) {
             let pts: Vec<(Fp, Fp)> = clique
                 .iter()
                 .map(|&u| {
-                    let (row, _) = self.reveals.get(PartyId(u)).expect("revealed");
+                    let (row, _) = tracks.reveals.get(PartyId(u)).expect("revealed");
                     (party_point(PartyId(u)), row.eval(Fp::ZERO))
                 })
                 .collect();
@@ -135,8 +147,10 @@ impl SvssRec {
 impl Instance for SvssRec {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let (n, t) = (ctx.n(), ctx.t());
-        self.decoder = OnlineDecoder::new(t, t);
-        self.reveals.reserve(n);
+        if let Some(tracks) = self.tracks.as_deref_mut() {
+            tracks.decoder = OnlineDecoder::new(t, t);
+            tracks.reveals.reserve(n);
+        }
         self.sigma_seen.reserve(n);
         if let Some(row) = &self.bundle.row {
             ctx.send_all(RecMsg::Sigma(row.eval(Fp::ZERO)));
@@ -166,19 +180,21 @@ impl Instance for SvssRec {
                     return;
                 }
                 self.sigma_seen.insert(from, *v);
+                // After output a revealed party's `row(0)` is in
+                // `sigma_seen`, so the check above already held it to it.
+                let Some(tracks) = self.tracks.as_deref_mut() else {
+                    return;
+                };
                 // A σ that contradicts the same party's reveal is a
                 // self-contradiction: shun (honest parties send
                 // σ = row(0) and reveal the same row).
-                if let Some((row, _)) = self.reveals.get(from) {
+                if let Some((row, _)) = tracks.reveals.get(from) {
                     if row.eval(Fp::ZERO) != *v {
                         ctx.shun(from);
                         return;
                     }
                 }
-                if self.done {
-                    return;
-                }
-                if let Ok(Some(poly)) = self.decoder.add_point(party_point(from), *v) {
+                if let Ok(Some(poly)) = tracks.decoder.add_point(party_point(from), *v) {
                     let secret = poly.eval(Fp::ZERO);
                     self.output_once(secret, ctx);
                 }
@@ -212,11 +228,14 @@ impl Instance for SvssRec {
                     }
                 }
                 self.revealed.insert(from);
-                if self.done {
-                    self.sigma_seen.insert(from, row.eval(Fp::ZERO));
-                } else {
-                    self.reveals.insert(from, (row.clone(), col.clone()));
-                    self.try_clique(from, ctx);
+                match self.tracks.as_deref_mut() {
+                    None => {
+                        self.sigma_seen.insert(from, row.eval(Fp::ZERO));
+                    }
+                    Some(tracks) => {
+                        tracks.reveals.insert(from, (row.clone(), col.clone()));
+                        self.try_clique(from, ctx);
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! validity of termination, termination, binding-or-shun, validity, hiding.
 
 use aft_broadcast::AcastMsg;
-use aft_field::{BivarPoly, Fp};
+use aft_field::{BivarPoly, Fp, Poly};
 use aft_sim::{
     party_node, scheduler_by_name, Instance, NetConfig, PartyId, Payload, Runtime, RuntimeExt,
     SessionId, SessionTag, SilentInstance, SimNetwork, StopReason,
@@ -711,11 +711,13 @@ fn a_share_completed_before_its_shares_still_crosses_and_votes() {
 }
 
 /// After its output reconstruction still shuns a party that contradicts
-/// itself — with a second, different σ, or with a σ that contradicts the
-/// reveal it had accepted before the output let go of the revealed rows.
+/// itself — with a second, different σ, with a σ that contradicts the
+/// reveal it had accepted before the output let go of the revealed rows,
+/// with a reveal that contradicts the cross points it sent me, or with a
+/// reveal whose `row(0)` contradicts the σ it sent.
 #[test]
 fn reconstruction_still_shuns_contradictions_after_output() {
-    let (n, t) = (4, 1);
+    let (n, t) = (7, 2);
     let net = run_share(n, t, 5, "random", honest(0, Fp::new(9)));
     let bundle = |p: usize| {
         net.output_as::<ShareBundle>(PartyId(p), &share_sid())
@@ -723,23 +725,40 @@ fn reconstruction_still_shuns_contradictions_after_output() {
             .expect("completed")
     };
     let sigma = |p: usize| bundle(p).row.expect("a row").eval(Fp::ZERO);
+    let reveal = |p: usize| {
+        let b = bundle(p);
+        (b.row.expect("a row"), b.col.expect("a col"))
+    };
     let me = 1;
     let mine = bundle(me);
-    let j = mine.core.iter().find(|p| p.0 != me).expect("a core peer").0;
-    let (row, col) = (bundle(j).row.expect("a row"), bundle(j).col.expect("a col"));
+    let x_me = party_point(PartyId(me));
+    // Three core peers that sent me their cross points: `j` reveals before
+    // the output, `k1` and `k2` after it.
+    let peers: Vec<usize> = mine
+        .core
+        .iter()
+        .map(|p| p.0)
+        .filter(|&p| p != me && mine.crosses.contains(PartyId(p)))
+        .collect();
+    let [j, k1, k2] = peers[..3] else {
+        panic!("three core peers: {peers:?}")
+    };
     let mut node = party_node(&NetConfig::new(n, t, 5), me);
-    let _ = node.spawn(rec_sid(), Box::new(SvssRec::new(mine)));
+    let _ = node.spawn(rec_sid(), Box::new(SvssRec::new(mine.clone())));
     let mut out = Vec::new();
     let mut deliver = |from: usize, msg: RecMsg| {
         node.deliver(PartyId(from), rec_sid(), Payload::message(msg), &mut out);
         node.shun_event_count()
     };
     // `j`'s reveal is accepted; σ from everyone else decodes the secret.
+    let (row, col) = reveal(j);
     assert_eq!(deliver(j, RecMsg::Reveal { row, col }), 0);
     for p in (0..n).filter(|&p| p != j) {
         assert_eq!(deliver(p, RecMsg::Sigma(sigma(p))), 0);
     }
-    let others = (0..n).find(|&p| p != j && p != me).expect("a third party");
+    let others = (0..n)
+        .find(|p| ![j, k1, k2, me].contains(p))
+        .expect("a fifth party");
     assert_eq!(
         deliver(j, RecMsg::Sigma(sigma(j) + Fp::ONE)),
         1,
@@ -755,8 +774,44 @@ fn reconstruction_still_shuns_contradictions_after_output() {
         2,
         "already shunned"
     );
+    // `k1`'s row plus `x`: still its σ at zero, off its cross point at me.
+    let (row, col) = reveal(k1);
+    let row = &row + &Poly::from_coeffs(vec![Fp::ZERO, Fp::ONE]);
+    assert_eq!(row.eval(Fp::ZERO), sigma(k1));
+    assert_eq!(
+        deliver(k1, RecMsg::Reveal { row, col }),
+        3,
+        "contradicts the crosses it sent me"
+    );
+    // `k2`'s row plus `x - x_me`: still its cross point at me, off its σ.
+    let (row, col) = reveal(k2);
+    let row = &row + &Poly::from_coeffs(vec![Fp::ZERO - x_me, Fp::ONE]);
+    assert_eq!(row.eval(x_me), reveal(k2).0.eval(x_me));
+    assert_eq!(
+        deliver(k2, RecMsg::Reveal { row, col }),
+        4,
+        "row(0) contradicts its σ"
+    );
     assert_eq!(
         node.output(&rec_sid()).and_then(|o| o.downcast_ref::<Fp>()),
         Some(&Fp::new(9))
+    );
+}
+
+/// What a reconstruction keeps after output is what the full stack keeps
+/// per dealing for the rest of the run: the tracks' state is boxed and
+/// dropped at output, so the instance itself is the bundle handle, who
+/// revealed and the σ table's header.
+#[test]
+fn a_finished_reconstruction_is_small() {
+    const BUDGET: usize = 96;
+    /// `size_of::<SvssRec>()` while the decoder, the reveals and the
+    /// consistency graph sat inline, emptied but kept, after output.
+    const INLINE_TRACKS: usize = 240;
+    let size = std::mem::size_of::<SvssRec>();
+    assert!(
+        size <= BUDGET,
+        "a finished reconstruction is {size} bytes, budget {BUDGET} (it was {INLINE_TRACKS} \
+         with the tracks inline): keep what only the tracks read in the box output drops"
     );
 }

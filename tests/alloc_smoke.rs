@@ -3,7 +3,7 @@
 //! Wraps the global allocator in a counting shim and drives the
 //! single-threaded simulator through a steady-state message window. The
 //! zero-copy pipeline's contract is that once every pool has reached its
-//! high-water mark (spare batch deques, the arena slot table, the Fenwick
+//! high-water mark (the queue's run pool, the arena slot table, the Fenwick
 //! index, inline payload frames), delivering a message allocates
 //! *nothing*: the echo window below asserts literally zero allocations.
 //!
@@ -34,14 +34,19 @@
 //! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
 //! at its deepest, so its peak heap divided by its peak in-flight count
 //! moves with every byte of the queue's layout. And it pins what the full
-//! stack holds: an n = 7 FBA peaks at 6.9 MB (8.7 MB with 88-byte session
-//! cells and a halted BA, a finished coin or FBA kept; 15.8 MB while every
-//! spent instance kept its state until the run was dropped), and at
-//! quiescence keeps 292 B of heap per recorded output at n = 7 and 683 B
-//! at n = 16 (369 and 749 before those let go).
+//! stack holds: an n = 7 FBA peaks at 5.9 MB (6.9 MB while a finished
+//! reconstruction kept its decoding state inline and each queued run had
+//! a deque of its own; 8.7 MB with 88-byte session cells and a halted BA,
+//! a finished coin or FBA kept; 15.8 MB while every spent instance kept
+//! its state until the run was dropped), and at quiescence keeps 250 B of
+//! heap per recorded output at n = 7 and 584 B at n = 16 (292 and 683
+//! with the decoding state inline, 369 and 749 before spent instances let
+//! go). The interner, which those windows leave out, is pinned on its
+//! own: 40 bytes per new session (179 while each node kept its path).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -51,7 +56,7 @@ use aft::core::{CoinKind, FairChoiceParams, Fba};
 use aft::field::{Fp, Poly};
 use aft::sim::{
     runtime_by_name, Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Runtime,
-    SessionId, SessionTag, SimNetwork,
+    SessionId, SessionTag, SimNetwork, TraceMode,
 };
 use aft::svss::{ShareMsg, SvssShare};
 
@@ -247,7 +252,8 @@ fn fba_episode_allocations_per_message_are_pinned() {
 /// Allocations per delivered message of the n=4 FBA episode above: the
 /// bound (0.593 measured — 23 434 for 39 512 deliveries — plus 5 %; 0.596
 /// since a payload's inline body holds 22 bytes, not 24, which an n=4
-/// `ba-gather` needs), what
+/// `ba-gather` needs; 0.606 since a reconstruction's decoding state is a
+/// box of its own, dropped at output), what
 /// the same episode cost while every `PartySet`, `Tally` and `Poly` owned
 /// a `Vec` and each share bundle was copied three times (the bound then
 /// was 1.4), and what it cost while `SvssShare`, `SvssRec`, the weak coin
@@ -397,27 +403,31 @@ fn fba_n7_peak_heap_is_pinned() {
     assert!(
         peak < FBA_N7_PEAK_BYTES,
         "the n=7 FBA peaked at {peak} heap bytes (bound {FBA_N7_PEAK_BYTES}) — a spent \
-         instance kept its state, reconstruction its decoding state past output, or a \
-         session cell grew; it was {FBA_N7_PEAK_BYTES_WIDE_CELL} with 88-byte cells and a \
-         halted BA, a finished coin or FBA kept, {FBA_N7_PEAK_BYTES_HELD} with every \
-         instance held to the end"
+         instance kept its state, a finished reconstruction its tracks, the queue's run \
+         pool more than its most queued parcels, or a session cell grew; it was \
+         {FBA_N7_PEAK_BYTES_INLINE_TRACKS} with the tracks kept inline and a deque per run, \
+         {FBA_N7_PEAK_BYTES_WIDE_CELL} with 88-byte cells and a halted BA, a finished coin \
+         or FBA kept, {FBA_N7_PEAK_BYTES_HELD} with every instance held to the end"
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (6 888 204 measured,
-/// plus 5 %); what it peaked at while an arena cell was 88 bytes and a
-/// halted BA, a finished weak coin, `CoinFlip`, `FairChoice` and `Fba`
-/// kept their state; and what it peaked at while every instance kept its
-/// state until the runtime was dropped (each measured on the commit
+/// Peak heap bytes of the n = 7 FBA above: the bound (5 923 056 measured,
+/// plus 5 %); what it peaked at while a finished reconstruction kept its
+/// emptied decoding state inline and every queued run was a deque of its
+/// own, drained ones kept in a spare list (6 888 204); while an arena cell
+/// was 88 bytes and a halted BA, a finished weak coin, `CoinFlip`,
+/// `FairChoice` and `Fba` kept their state; and while every instance kept
+/// its state until the runtime was dropped (each measured on the commit
 /// before it went; the last peak was then the live heap at quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 7_232_614;
+const FBA_N7_PEAK_BYTES: i64 = 6_219_209;
+const FBA_N7_PEAK_BYTES_INLINE_TRACKS: i64 = 6_888_204;
 const FBA_N7_PEAK_BYTES_WIDE_CELL: i64 = 8_692_918;
 const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
 
 #[test]
 fn fba_live_heap_per_output_is_pinned() {
     let _guard = WINDOW.lock().unwrap();
-    for &(n, bound, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
+    for &(n, bound, inline_tracks, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
         // Seconds optimised, minutes in a debug build.
         if n > 7 && cfg!(debug_assertions) {
             continue;
@@ -437,20 +447,79 @@ fn fba_live_heap_per_output_is_pinned() {
         assert!(
             per_output < bound,
             "at n={n} the FBA keeps {live} heap bytes for {outputs} outputs \
-             ({per_output:.1} B each, bound {bound}) — a spent instance or a session cell \
-             holds more than its output; with 88-byte cells and a halted BA, a finished \
-             coin or FBA kept it was {wide_cell}"
+             ({per_output:.1} B each, bound {bound}) — a spent instance, a finished \
+             reconstruction or a session cell holds more than its output; with the \
+             reconstruction's tracks kept inline it was {inline_tracks}, with 88-byte cells \
+             and a halted BA, a finished coin or FBA kept {wide_cell}"
         );
     }
 }
 
 /// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
-/// (291.7 measured — 6 860 636 bytes for 23 517 outputs — plus 5 %) and
-/// n = 16 (683.4 — 215 693 412 bytes for 315 600 — plus 2.5 %), and what
-/// the same runs kept while an arena cell was 88 bytes and a halted BA, a
-/// finished weak coin, `CoinFlip`, `FairChoice` and `Fba` kept their
-/// state (measured on the commit before they went).
-const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64)] = &[(7, 306.3, 369.1), (16, 700.5, 748.7)];
+/// (249.9 measured — 5 877 964 bytes for 23 517 outputs — plus 5 %) and
+/// n = 16 (584.2 — 184 383 076 bytes for 315 600 — plus 5 %); what the
+/// same runs kept while a finished reconstruction kept its emptied
+/// decoding state inline (291.7 and 683.4); and what they kept while an
+/// arena cell was 88 bytes and a halted BA, a finished weak coin,
+/// `CoinFlip`, `FairChoice` and `Fba` kept their state (each measured on
+/// the commit before it went). The window leaves out the interner, so a
+/// stored path's bytes never counted here.
+const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64)] =
+    &[(7, 262.4, 291.7, 369.1), (16, 613.4, 683.4, 748.7)];
+
+#[test]
+fn interned_bytes_per_session_are_pinned() {
+    let _guard = WINDOW.lock().unwrap();
+    // The shape of the n = 4 FBA's session tree: every session its run
+    // sent in, and every prefix of one, as tag paths below the episode's
+    // own id.
+    let sid = SessionId::root().child(SessionTag::new("alloc-intern", 0));
+    let mut net = fba_episode(4, &sid);
+    net.set_trace(TraceMode::Full);
+    assert_eq!(net.run(u64::MAX).stop, aft::sim::StopReason::Quiescent);
+    let events = net.take_trace().expect("tracing on").snapshot();
+    let mut tree = BTreeSet::new();
+    for session in events.iter().filter_map(|e| e.session()) {
+        let mut path: Vec<SessionTag> = session.tags_leaf_first().collect();
+        path.truncate(session.depth() - sid.depth());
+        path.reverse();
+        while !path.is_empty() && tree.insert(path.clone()) {
+            path.pop();
+        }
+    }
+    // Intern the tree afresh under three new roots, one window each. A
+    // window in which the interner's edge table grew holds its new table
+    // too; the table's growth is amortised over what the whole process
+    // interns, so the least of the windows, which no growth fell in, is
+    // what a session itself costs.
+    let per_session = (1..=3)
+        .map(|root| {
+            let base = SessionId::root().child(SessionTag::new("alloc-intern", root));
+            count_allocs(|| {
+                for path in &tree {
+                    let _ = path.iter().fold(base.clone(), |id, &tag| id.child(tag));
+                }
+            });
+            LIVE.load(Ordering::SeqCst) as f64 / tree.len() as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        per_session < INTERNED_BYTES_PER_SESSION,
+        "interning the {}-session tree of an n=4 FBA held {per_session:.1} B a session \
+         (bound {INTERNED_BYTES_PER_SESSION}) — a trie node grew or stores its path again; \
+         with a copy of its full path beside each node it was \
+         {INTERNED_BYTES_PER_SESSION_WITH_PATHS}",
+        tree.len()
+    );
+}
+
+/// Heap bytes a new session of the n = 4 FBA's tree (931 sessions) holds
+/// in the interner, the edge table's growth left out: the bound (40.0
+/// measured — one 40-byte trie node — plus 5 %), and what it was while
+/// each node was 56 bytes and kept a copy of its full tag path, 5.14 tags
+/// of 24 bytes on average (measured on the commit before it went).
+const INTERNED_BYTES_PER_SESSION: f64 = 42.0;
+const INTERNED_BYTES_PER_SESSION_WITH_PATHS: f64 = 179.4;
 
 #[test]
 fn an_honest_acast_instance_owns_nothing_but_its_box() {

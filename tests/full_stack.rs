@@ -82,7 +82,7 @@ fn fba_full_stack_with_weak_shared_coins() {
     let events = net.take_trace().expect("tracing on").snapshot();
     let sessions = events.iter().filter_map(|e| e.session());
     let depth = sessions.clone().map(|s| s.depth()).max().unwrap();
-    let tags = sessions.flat_map(|s| s.path());
+    let tags = sessions.flat_map(|s| s.tags_leaf_first());
     let kind = tags.map(|t| t.kind.len()).max().unwrap();
     assert!(
         depth >= 5 && 2 * depth <= MAX_SESSION_DEPTH,
