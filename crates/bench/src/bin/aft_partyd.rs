@@ -33,8 +33,8 @@
 use aft_bench::cli::{Cli, Flag};
 use aft_bench::deployment::DeployStack;
 use aft_core::scenarios::standard_registry;
-use aft_sim::deploy::{decode_link_envelope, Hello, LinkEvent, PeerLink};
-use aft_sim::{encode_envelope, Envelope, Outgoing, PartyHost, PartyId};
+use aft_sim::deploy::{Hello, LinkEvent, LinkReader, LinkWriter, PeerLink};
+use aft_sim::{Envelope, Outgoing, PartyHost, PartyId, Payload, SessionId};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -79,12 +79,44 @@ fn fatal(msg: &str) -> ! {
 }
 
 /// One established peer link: its sending half, the connection number
-/// that keeps events from a replaced socket out of the current one, and
-/// which side dialed it.
+/// that keeps events from a replaced socket out of the current one, which
+/// side dialed it, and this end's session tables for each direction —
+/// born with the connection, and gone with it.
 struct Link {
     link: PeerLink,
     conn: u64,
     dialed: bool,
+    writer: LinkWriter,
+    reader: LinkReader,
+}
+
+impl Link {
+    fn new(link: PeerLink, conn: u64, dialed: bool, peer: usize) -> Link {
+        Link {
+            link,
+            conn,
+            dialed,
+            writer: LinkWriter::new(),
+            reader: LinkReader::new(PartyId(peer)),
+        }
+    }
+
+    /// Encodes one envelope of `me` with this link's writer and queues it.
+    /// `false` when the payload has no wire identity: nothing is sent.
+    fn send(
+        &mut self,
+        me: PartyId,
+        session: &SessionId,
+        payload: &Payload,
+        scratch: &mut Vec<u8>,
+    ) -> bool {
+        scratch.clear();
+        if !self.writer.encode_envelope(me, session, payload, scratch) {
+            return false;
+        }
+        self.link.send(scratch.as_slice().into());
+        true
+    }
 }
 
 /// How long a stopping daemon waits for its peers to close the links they
@@ -97,12 +129,13 @@ struct Daemon {
     host: PartyHost,
     /// Where the host's sends wait to be numbered (empty between events).
     sends: Vec<Outgoing>,
-    session: aft_sim::SessionId,
+    session: SessionId,
     links: Vec<Option<Link>>,
-    /// Every envelope ever sent to each peer, for replay when that peer
-    /// reconnects after a supervisor restart. Shared with the writer
-    /// queues, not copied into them.
-    outbox: Vec<Vec<Arc<[u8]>>>,
+    /// Every envelope ever sent to each peer, as its session and payload,
+    /// for replay when that peer reconnects after a supervisor restart:
+    /// the new connection's writer encodes it afresh against the new
+    /// reader's empty table.
+    outbox: Vec<Vec<(SessionId, Payload)>>,
     /// Encoding scratch, reused across envelopes.
     scratch: Vec<u8>,
     /// Envelopes dropped at a link: malformed routing header, or a
@@ -115,11 +148,12 @@ struct Daemon {
 impl Daemon {
     /// Installs (or replaces) the link to `party`. When the peer
     /// announced itself as recovered, the full outbox is replayed ahead
-    /// of new traffic.
-    fn add_link(&mut self, party: usize, recovered: bool, link: Link) {
+    /// of new traffic, through the new link's writer.
+    fn add_link(&mut self, party: usize, recovered: bool, mut link: Link) {
         if recovered {
-            for envelope in &self.outbox[party] {
-                link.link.send(Arc::clone(envelope));
+            let me = self.host.node().id();
+            for (session, payload) in &self.outbox[party] {
+                link.send(me, session, payload, &mut self.scratch);
             }
         }
         self.links[party] = Some(link);
@@ -171,7 +205,10 @@ impl Daemon {
     /// it as rejected.
     fn receive(&mut self, party: usize, envelope: aft_sim::FrameBytes) {
         let owner = PartyId(party);
-        let Some((session, payload)) = decode_link_envelope(owner, envelope) else {
+        let Some(link) = &mut self.links[party] else {
+            return;
+        };
+        let Some((session, payload)) = link.reader.decode(envelope) else {
             self.rejected += 1;
             // A peer can send these by the million: log at 1, 2, 4, …
             if self.rejected.is_power_of_two() {
@@ -189,7 +226,7 @@ impl Daemon {
 
     /// A link envelope carries no send number and no daemon records a
     /// trace yet, hence no `seq`, clock or sink.
-    fn deliver(&mut self, from: PartyId, session: aft_sim::SessionId, payload: aft_sim::Payload) {
+    fn deliver(&mut self, from: PartyId, session: SessionId, payload: Payload) {
         let to = self.host.node().id();
         let env = Envelope {
             from,
@@ -214,7 +251,8 @@ impl Daemon {
 
     /// Routes the host's waiting sends: self-addressed envelopes are
     /// delivered locally (breadth-first, like the simulator's queue), the
-    /// rest are encoded once and handed to the per-peer writer.
+    /// rest are encoded by the peer link's writer, queued on it and kept
+    /// in the outbox.
     fn dispatch(&mut self) {
         let me = self.host.node().id();
         let mut pending = VecDeque::new();
@@ -225,18 +263,15 @@ impl Daemon {
                 self.take_sends(&mut pending);
                 continue;
             }
-            self.scratch.clear();
-            if !encode_envelope(me, &o.session, &o.payload, &mut self.scratch) {
-                // Typed outputs never cross the wire; nothing honest
-                // emits one as a send, so just surface and drop.
-                eprintln!("aft-partyd: dropping non-wire payload to {}", o.to.0);
-                continue;
+            if let Some(link) = &mut self.links[o.to.0] {
+                if !link.send(me, &o.session, &o.payload, &mut self.scratch) {
+                    // Typed outputs never cross the wire; nothing honest
+                    // emits one as a send, so just surface and drop.
+                    eprintln!("aft-partyd: dropping non-wire payload to {}", o.to.0);
+                    continue;
+                }
             }
-            let envelope: Arc<[u8]> = self.scratch.as_slice().into();
-            if let Some(link) = &self.links[o.to.0] {
-                link.link.send(Arc::clone(&envelope));
-            }
-            self.outbox[o.to.0].push(envelope);
+            self.outbox[o.to.0].push((o.session, o.payload));
         }
         self.report_output();
     }
@@ -420,7 +455,7 @@ fn main() {
                         eprintln!("aft-partyd: refusing a link that claims to be party {peer}");
                         continue;
                     }
-                    daemon.add_link(peer, recovered, Link { link, conn, dialed });
+                    daemon.add_link(peer, recovered, Link::new(link, conn, dialed, peer));
                     if !meshed_reported && daemon.links_up() == n - 1 {
                         meshed_reported = true;
                         println!("meshed");

@@ -6,9 +6,9 @@
 //! [`party_node`] builds, with the metrics and send numbering every
 //! in-process party has — and exchanges envelopes over sockets in the
 //! workspace's one envelope format ([`wire`](crate::wire), §The
-//! envelope): [`encode_envelope`](crate::encode_envelope) writes them,
-//! [`decode_link_envelope`] reads them, and the bytes on a link are what
-//! `rt=wire` hands over in memory for the same sends. (Built in-process
+//! envelope): a link's [`LinkWriter`] writes them, its [`LinkReader`]
+//! reads them, and the bytes on a link are what `rt=wire` hands over in
+//! memory for the same sends from the same tables. (Built in-process
 //! — [`runtime_by_name`]`("proc")` in an `exp_*` binary or a test —
 //! `rt=proc` is a [`ThreadedRuntime`](crate::ThreadedRuntime) reporting
 //! that name: [`Instance`](crate::Instance)s are trait objects and cannot
@@ -39,17 +39,29 @@
 //! * The reader pulls through [`FrameReader`]'s buffer — one `read`
 //!   serves every frame it returned — and yields each envelope as a
 //!   [`FrameBytes`] slice of the burst it arrived in, which
-//!   [`decode_link_envelope`] turns into a payload without copying it
+//!   [`LinkReader::decode`] turns into a payload without copying it
 //!   again.
 //! * An envelope's `from` must be the party the link belongs to:
-//!   [`decode_link_envelope`] refuses anything else, so a Byzantine
+//!   [`LinkReader::decode`] refuses anything else, so a Byzantine
 //!   daemon can speak only for itself.
+//! * Each connection has its own session tables, one per direction: the
+//!   daemon holds the [`LinkWriter`] for what it sends and the
+//!   [`LinkReader`] for what it receives, both born when the link comes
+//!   up and dropped with it. A TCP connection is FIFO, so the reader's
+//!   table follows the peer's writer exactly; frames of a replaced
+//!   connection are dropped unread.
+//! * The replay contract: a daemon keeps what it sent each peer as
+//!   sessions and payloads, not bytes. When a restarted peer connects
+//!   with the `recovered` hello flag, the new connection's writer
+//!   re-encodes the whole outbox, ahead of new traffic, against the
+//!   restarted peer's new, empty reader — bytes written for the old
+//!   connection's tables would name slots the new reader never filled.
 
 use crate::node::Node;
 use crate::payload::FrameBytes;
 use crate::runtime::{build_node, NetConfig};
 use crate::wire::Burst;
-pub use crate::wire::{decode_link_envelope, write_frame, MAX_FRAME};
+pub use crate::wire::{write_frame, LinkReader, LinkWriter, MAX_FRAME};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -388,7 +400,7 @@ mod tests {
         for cut in 0..header {
             assert!(decode_envelope(&ok[..cut]).is_none(), "cut={cut}");
             let cut_frame = FrameBytes::from(ok[..cut].to_vec());
-            assert!(decode_link_envelope(PartyId(1), cut_frame).is_none());
+            assert!(LinkReader::new(PartyId(1)).decode(cut_frame).is_none());
         }
         for cut in header..ok.len() {
             let (from, session, payload) = decode_envelope(&ok[..cut]).expect("routable");
@@ -413,19 +425,22 @@ mod tests {
     #[test]
     fn link_envelope_must_come_from_the_link_owner() {
         let from_two = FrameBytes::from(envelope(2, 7));
-        let (session, payload) =
-            decode_link_envelope(PartyId(2), from_two.clone()).expect("owner's own envelope");
+        let (session, payload) = LinkReader::new(PartyId(2))
+            .decode(from_two.clone())
+            .expect("owner's own envelope");
         assert_eq!(session, sid());
         assert_eq!(payload.to_msg::<u8>(), Some(7));
         // Another party's id, and one no party has, are both refused —
         // the bytes themselves are well-formed.
-        assert!(decode_link_envelope(PartyId(3), from_two.clone()).is_none());
+        assert!(LinkReader::new(PartyId(3))
+            .decode(from_two.clone())
+            .is_none());
         let from_nobody = FrameBytes::from(envelope(99, 7));
         assert!(decode_envelope(&from_nobody).is_some());
-        assert!(decode_link_envelope(PartyId(3), from_nobody).is_none());
+        assert!(LinkReader::new(PartyId(3)).decode(from_nobody).is_none());
         // A malformed header is refused whoever owns the link.
         let cut = FrameBytes::from(from_two[..5].to_vec());
-        assert!(decode_link_envelope(PartyId(2), cut).is_none());
+        assert!(LinkReader::new(PartyId(2)).decode(cut).is_none());
     }
 
     /// An envelope from party 2 whose session path is `tags`, written
@@ -450,7 +465,9 @@ mod tests {
         let fits = "k".repeat(MAX_KIND_LEN);
         // At the bounds an id decodes (and its kinds are interned) ...
         let at_bounds = raw_envelope(&vec![(fits.as_str(), 3); MAX_SESSION_DEPTH]);
-        let (session, _) = decode_link_envelope(PartyId(2), at_bounds).expect("within bounds");
+        let (session, _) = LinkReader::new(PartyId(2))
+            .decode(at_bounds)
+            .expect("within bounds");
         assert_eq!(session.depth(), MAX_SESSION_DEPTH);
         assert!(SessionTag::kind_is_interned(&fits));
         // ... one past either bound it is a malformed header, and nothing
@@ -459,7 +476,7 @@ mod tests {
         let too_deep = raw_envelope(&vec![("deploy-too-deep", 0); MAX_SESSION_DEPTH + 1]);
         let too_long = raw_envelope(&[("deploy-before-long", 0), (long.as_str(), 0)]);
         for bad in [&too_deep, &too_long] {
-            assert!(decode_link_envelope(PartyId(2), bad.clone()).is_none());
+            assert!(LinkReader::new(PartyId(2)).decode(bad.clone()).is_none());
             assert!(decode_envelope(bad).is_none());
         }
         for kind in ["deploy-too-deep", "deploy-before-long", long.as_str()] {

@@ -14,8 +14,9 @@
 //! probe the table. Walking up ([`SessionId::parent`]) follows a stored
 //! pointer in O(1).
 //!
-//! A node stores no path: its parent, its own (leaf) tag, its depth and
-//! its arena index, 40 bytes per distinct session and nothing beside them.
+//! A node stores no path: its parent, its own (leaf) tag, its depth, its
+//! path key and its arena index, 40 bytes per distinct session and
+//! nothing beside them.
 //! What reads the whole path — [`starts_with`](SessionId::starts_with),
 //! [`Ord`], `Display`/`Debug`, the wire codec — walks the parent links
 //! instead ([`SessionId::tags_leaf_first`]). An n = 7 FBA interns 4 258
@@ -340,10 +341,15 @@ impl SessionTag {
 }
 
 /// The kind intern table behind [`SessionTag::intern_kind`].
-fn kinds() -> &'static RwLock<HashMap<String, &'static str>> {
-    static KINDS: OnceLock<RwLock<HashMap<String, &'static str>>> = OnceLock::new();
-    KINDS.get_or_init(|| RwLock::new(HashMap::new()))
+fn kinds() -> &'static RwLock<KindMap> {
+    static KINDS: OnceLock<RwLock<KindMap>> = OnceLock::new();
+    KINDS.get_or_init(|| RwLock::new(KindMap::default()))
 }
+
+/// Kinds by their text, hashed like the edge table's keys: a wire decoder
+/// that meets a path it has not cached interns every kind of it again,
+/// and SipHash made that a third of the decode.
+type KindMap = HashMap<String, &'static str, std::hash::BuildHasherDefault<EdgeHasher>>;
 
 impl fmt::Display for SessionTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -366,16 +372,28 @@ struct Interned {
     /// per enqueued envelope (batch metadata, per-kind metrics).
     leaf: Option<SessionTag>,
     /// Path length (root = 0).
-    depth: u32,
+    depth: u16,
+    /// A hash of the path, the same in every process (see
+    /// [`SessionId::path_key`]).
+    key: u16,
     /// Dense arena index, assigned in interning order (root = 0).
     index: u32,
 }
 
 impl Interned {
     /// The ancestor `up` levels above (`up ≤ depth`).
-    fn ancestor(&'static self, up: u32) -> &'static Interned {
+    fn ancestor(&'static self, up: u16) -> &'static Interned {
         (0..up).fold(self, |node, _| node.parent.expect("up ≤ depth"))
     }
+}
+
+/// The path key of `parent`'s child `tag`: the parent's key mixed with an
+/// FNV-1a hash of the kind's bytes, plus the index.
+fn child_key(parent: u16, tag: &SessionTag) -> u16 {
+    let kind = tag.kind.bytes().fold(0xCBF2_9CE4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    });
+    crate::mix(kind ^ u64::from(parent)).wrapping_add(tag.index) as u16
 }
 
 /// Next dense arena index to hand out (0 is reserved for the root).
@@ -433,6 +451,7 @@ fn root_interned() -> &'static Interned {
             parent: None,
             leaf: None,
             depth: 0,
+            key: 0,
             index: 0,
         }))
     })
@@ -500,10 +519,12 @@ impl SessionId {
         if let Some(&hit) = table.get(&key) {
             return SessionId(hit);
         }
+        let depth = self.0.depth.checked_add(1);
         let interned: &'static Interned = Box::leak(Box::new(Interned {
             parent: Some(self.0),
             leaf: Some(tag),
-            depth: self.0.depth + 1,
+            depth: depth.expect("a session path has at most 65 535 tags"),
+            key: child_key(self.0.key, &tag),
             index: NEXT_INDEX.fetch_add(1, Ordering::Relaxed),
         }));
         table.insert(key, interned);
@@ -538,6 +559,16 @@ impl SessionId {
     /// hashing.
     pub(crate) fn arena_index(&self) -> usize {
         self.0.index as usize
+    }
+
+    /// A 16-bit hash of the path that every process computes alike —
+    /// unlike the arena index, which follows the order a process interned
+    /// its sessions in. Siblings of one kind get consecutive keys. What a
+    /// [`LinkWriter`](crate::wire::LinkWriter) picks a session's slots by,
+    /// so that the bytes a run carries do not depend on what else the
+    /// process interned first.
+    pub(crate) fn path_key(&self) -> u16 {
+        self.0.key
     }
 
     /// Whether `self` is `prefix` or a descendant of it: the ancestor of

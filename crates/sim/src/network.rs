@@ -200,7 +200,7 @@ impl SimNetwork {
         label: &'static str,
     ) -> Self {
         let mut net = SimNetwork::named(config, scheduler, label);
-        net.codec = Some(Default::default());
+        net.codec = Some(WireLink::new(config.n));
         net
     }
 

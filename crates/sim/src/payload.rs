@@ -458,6 +458,12 @@ impl Payload {
         }
     }
 
+    /// Whether [`encode_wire_frame`](Payload::encode_wire_frame) writes a
+    /// frame: everything but a typed payload without a wire identity.
+    pub(crate) fn has_wire_frame(&self) -> bool {
+        !matches!(self.0, Repr::Typed { vt: None, .. })
+    }
+
     /// Appends this payload's wire frame to `out`. Returns `false` for
     /// typed payloads without a wire identity (outputs), which never
     /// legitimately reach a wire boundary.

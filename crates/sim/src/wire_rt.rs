@@ -8,10 +8,12 @@
 //! there, where it is
 //!
 //! 1. **encoded as link frames** — per envelope one
-//!    `[len][from][session][payload frame]`, byte for byte what an
-//!    `aft-partyd` link's writer puts on its socket for the same sends
-//!    (the format is [`wire`](crate::wire)'s, §The envelope), so the act
-//!    is, in destination order, what each receiver's link would carry;
+//!    `[len][from][session][payload frame]`, written by the
+//!    [`LinkWriter`] of the link from the sender to the envelope's
+//!    receiver: byte for byte what an `aft-partyd` link's writer puts on
+//!    its socket for the same sends from the same table (the format is
+//!    [`wire`](crate::wire)'s, §The envelope), so the act is, in
+//!    destination order, what each receiver's link would carry;
 //! 2. **handed over as bytes**: the receiving side gets a copy of exactly
 //!    the encoded bytes, in a buffer of its own, and reads nothing else
 //!    (instance state stays in-process so deployments remain
@@ -20,7 +22,7 @@
 //!    between processes ([`deploy`](crate::deploy));
 //! 3. **read by the one reader**: the burst walker a socket's
 //!    [`FrameReader`](crate::deploy::FrameReader) hands frames out with,
-//!    then [`decode_link_envelope`] — owner check included — per frame.
+//!    then the link's [`LinkReader`] — owner check included — per frame.
 //!    Each receiver gets a [`Payload`] wire frame *sliced* out of the
 //!    received buffer (no per-frame copy) that only becomes a typed
 //!    message when an instance [`view`](Payload::view)s it through its
@@ -28,14 +30,21 @@
 //!    position: frame `i` of the act is its send `i`, and a refused
 //!    frame leaves its number unused.
 //!
+//! Every ordered pair of parties is one link with its own writer and
+//! reader, kept for the network's life (a recovered party keeps its
+//! tables: the hand-over never loses a frame, so they stay in step). A
+//! link's frames are decoded in the order they were written, at the
+//! hand-over, so the reader's table follows the writer's exactly, and
+//! most envelopes name their session by a two-byte ref: a full path only
+//! comes with a define, the first use of a session on a link or its
+//! return after eviction from its slots.
+//!
 //! An act costs one buffer — one `Arc<[u8]>` allocation, sized to it and
 //! freed when its last frame is dropped. Receivers sharing that buffer
 //! still read exactly their own frames: a payload is a [`FrameBytes`]
 //! range that starts behind its own envelope's routing header and ends
-//! with its own frame, and nothing reads a byte outside it.
-//! [`get_session`](crate::wire::get_session)'s decoded-path cache
-//! amortizes the interner lookups across acts, and nothing is looked up
-//! per frame for a kind's name.
+//! with its own frame, and nothing reads a byte outside it. Nothing is
+//! looked up per frame for a kind's name.
 //!
 //! Because the schedule depends only on envelope *metadata* (never on
 //! payload representation), a wire run is bit-for-bit identical to the
@@ -54,17 +63,17 @@
 
 use crate::ids::{PartyId, SessionId};
 use crate::node::Outgoing;
-use crate::payload::Payload;
+use crate::payload::{FrameBytes, Payload};
 use crate::runtime::Metrics;
-use crate::wire::{decode_link_envelope, frame_with, put_envelope, Burst};
+use crate::wire::{frame_with, Burst, LinkReader, LinkWriter};
 use std::sync::Arc;
 
 /// The byte boundary [`SimNetwork`] routes sends through when it runs
-/// in wire mode: one sender's ends of its links and the receivers', with
-/// the hand-over in between. An act — everything one party sends for one
-/// delivery or spawn, destination-sorted — crosses as one burst of link
-/// frames.
-#[derive(Default)]
+/// in wire mode: both ends of every link, with the hand-over in between.
+/// An act — everything one party sends for one delivery or spawn,
+/// destination-sorted — crosses as one burst of link frames.
+///
+/// [`SimNetwork`]: crate::SimNetwork
 pub(crate) struct WireLink {
     /// The open act's link frames, back to back — what the sender's
     /// sockets would carry, one receiver after the other; reused across
@@ -75,23 +84,44 @@ pub(crate) struct WireLink {
     sends: Vec<(PartyId, u64)>,
     /// The open act's sender.
     from: PartyId,
+    /// The link from `from` to `to` at `from · n + to`: its writer, and
+    /// its reader, which reads every frame the writer wrote, in order.
+    ends: Vec<(LinkWriter, LinkReader)>,
+    n: usize,
     /// What crossed so far: frames, bytes, malformed arrivals.
     pub(crate) metrics: Metrics,
 }
 
 impl WireLink {
+    /// The links among `n` parties, every table empty.
+    pub(crate) fn new(n: usize) -> Self {
+        let ends = (0..n * n)
+            .map(|at| (LinkWriter::new(), LinkReader::new(PartyId(at / n))))
+            .collect();
+        WireLink {
+            scratch: Vec::new(),
+            sends: Vec::new(),
+            from: PartyId(0),
+            ends,
+            n,
+            metrics: Metrics::default(),
+        }
+    }
+
     /// Appends send number `seq` of `from` to the open act as a link
-    /// frame. Every send of an act is `from`'s.
+    /// frame, written by the writer of the link from `from` to `o.to`.
+    /// Every send of an act is `from`'s.
     pub(crate) fn send(&mut self, from: PartyId, seq: u64, o: Outgoing) {
         debug_assert!(
             self.sends.is_empty() || self.from == from,
             "one act, one sender"
         );
         self.from = from;
+        let (writer, _) = &mut self.ends[from.0 * self.n + o.to.0];
         frame_with(&mut self.scratch, |out| {
             // Without a wire identity the payload travels as a marker the
             // receiver drops observably, instead of the runtime panicking.
-            let wire = put_envelope(out, from, &o.session, &o.payload);
+            let wire = writer.put_envelope(out, from, &o.session, &o.payload);
             debug_assert!(wire, "non-wire payload sent on the wire runtime");
         });
         self.sends.push((o.to, seq));
@@ -100,8 +130,9 @@ impl WireLink {
     /// Hands the open act over: the receiving side gets a copy of exactly
     /// its bytes, in one buffer sized to the act and freed with its last
     /// frame, and passes each `(to, seq, session, payload)` [`receive_act`]
-    /// reads from the copy to `deliver` in order — `to` and `seq` those
-    /// of the frame's send.
+    /// reads from the copy — frame by frame with the reader of the link it
+    /// was written for — to `deliver` in order, `to` and `seq` those of
+    /// the frame's send.
     pub(crate) fn flush(&mut self, mut deliver: impl FnMut(PartyId, u64, SessionId, Payload)) {
         if self.sends.is_empty() {
             return;
@@ -109,11 +140,19 @@ impl WireLink {
         let received = Arc::from(&self.scratch[..]);
         self.scratch.clear();
         self.metrics.wire_frames += self.sends.len() as u64;
-        let sends = &self.sends;
+        let WireLink {
+            sends,
+            from,
+            ends,
+            n,
+            metrics,
+            ..
+        } = self;
+        let at = from.0 * *n;
         receive_act(
             received,
-            self.from,
-            &mut self.metrics,
+            metrics,
+            |i, envelope| ends[at + sends[i].0 .0].1.decode(envelope),
             |i, session, payload| {
                 let (to, seq) = sends[i];
                 deliver(to, seq, session, payload);
@@ -123,24 +162,24 @@ impl WireLink {
     }
 }
 
-/// The receiving ends of the links from `from`: walks the received burst
-/// and decodes each link frame as a socket's reader does, owner check
-/// included, passing `deliver` the frame's position in the burst with
-/// what it read. The payloads are lazily decoded wire frames sliced
-/// straight out of the received buffer — no per-frame copy. Malformed
-/// payload frames (the byte-level adversary) survive as payloads no
-/// honest view will ever match — counted, never panicking; an envelope
-/// whose routing header is refused, as a peer's socket would refuse it,
-/// is counted and not delivered.
+/// The receiving ends of the links from one sender: walks the received
+/// burst and has `read` decode each link frame as a socket's reader
+/// does, owner check included, passing `deliver` the frame's position in
+/// the burst with what it read. The payloads are lazily decoded wire
+/// frames sliced straight out of the received buffer — no per-frame
+/// copy. Malformed payload frames (the byte-level adversary) survive as
+/// payloads no honest view will ever match — counted, never panicking;
+/// an envelope whose routing header is refused, as a peer's socket would
+/// refuse it, is counted and not delivered.
 fn receive_act(
     received: Arc<[u8]>,
-    from: PartyId,
     metrics: &mut Metrics,
+    mut read: impl FnMut(usize, FrameBytes) -> Option<(SessionId, Payload)>,
     mut deliver: impl FnMut(usize, SessionId, Payload),
 ) {
     metrics.wire_bytes += received.len() as u64;
     for (i, envelope) in Burst::new(received).enumerate() {
-        let decoded = decode_link_envelope(from, envelope);
+        let decoded = read(i, envelope);
         if !matches!(&decoded, Some((_, payload)) if payload.wire_kind().is_some()) {
             metrics.wire_malformed += 1;
         }
@@ -243,7 +282,7 @@ mod tests {
             ),
         ) {
             let session = SessionId::root().child(SessionTag::new("leak", 0));
-            let mut link = WireLink::default();
+            let mut link = WireLink::new(1);
             for bodies in &runs {
                 let mut decoded: Vec<Option<Vec<u8>>> = Vec::new();
                 round_trip(&mut link, PartyId(0), run_of(&session, bodies), |_, _, p| {
@@ -270,76 +309,101 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// One envelope on the wire: the bytes `rt=wire` hands over for an
-        /// act are, receiver by receiver in destination order, the bytes
-        /// an `aft-partyd` link's writer puts on that receiver's socket for
-        /// the same sends, and a socket's reader — whatever the reads it
-        /// gets them in — yields the `(session, payload)` sequence the
-        /// in-memory walk yields.
+        /// One envelope on the wire: over several acts from fresh tables,
+        /// the bytes `rt=wire` hands over for an act are, receiver by
+        /// receiver in destination order, the bytes an `aft-partyd` link's
+        /// writer puts on that receiver's socket for the same sends, and
+        /// each socket's reader — whatever the reads it gets them in —
+        /// yields the `(session, payload)` sequence the in-memory walk
+        /// yields for that receiver.
         #[test]
         fn a_run_is_byte_for_byte_what_a_link_carries_and_reads_back_alike(
-            bodies in proptest::collection::vec(
-                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
-                1..12,
+            // Per send: receiver byte, session byte, then the body.
+            acts in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 2..80),
+                    1..12,
+                ),
+                1..6,
             ),
-            picks in proptest::collection::vec(0u64..5, 12),
-            receivers in proptest::collection::vec(0usize..4, 12),
         ) {
             use crate::deploy::{write_bursts, FrameReader};
             let from = PartyId(2);
-            let mut act: Vec<Outgoing> = bodies.iter().zip(&picks).zip(&receivers)
-                .map(|((body, &pick), &to)| Outgoing {
-                    to: PartyId(to),
-                    session: sid().child(SessionTag::new("stmt", pick)),
-                    payload: match body.len() % 3 {
-                        0 => Payload::message(body.len() as u64),
-                        _ => Payload::message(body.clone()),
-                    },
-                })
-                .collect();
-            // As a party's host hands an act on: stably sorted by receiver.
-            act.sort_by_key(|o| o.to.0);
-            // The daemon's way, one link per receiver: encode each
-            // envelope, queue it, let the link's writer frame and write
-            // the burst.
-            let mut on_sockets = Vec::new();
-            for to in 0..4 {
-                let (queue, queued) = std::sync::mpsc::channel::<Arc<[u8]>>();
-                for o in act.iter().filter(|o| o.to == PartyId(to)) {
-                    let mut envelope = Vec::new();
-                    assert!(crate::encode_envelope(from, &o.session, &o.payload, &mut envelope));
-                    queue.send(envelope.into()).unwrap();
-                }
-                drop(queue);
-                write_bursts(&queued, &mut on_sockets).unwrap();
-            }
-            let mut link = WireLink::default();
-            for (seq, o) in (0..).zip(act.iter().cloned()) {
-                link.send(from, seq, o);
-            }
-            proptest::prop_assert_eq!(&link.scratch[..], &on_sockets[..]);
-
+            // The daemon's ends: one writer per peer link.
+            let mut writers: Vec<LinkWriter> = (0..4).map(|_| LinkWriter::new()).collect();
+            let mut on_sockets = vec![Vec::new(); 4];
+            let mut link = WireLink::new(4);
+            let mut in_memory = vec![Vec::new(); 4];
             let flat = |session: SessionId, payload: Payload| {
                 let mut frame = Vec::new();
                 assert!(payload.encode_wire_frame(&mut frame));
                 (session, frame)
             };
-            let mut in_memory = Vec::new();
-            let mut arrived = Vec::new();
-            link.flush(|to, seq, session, payload| {
-                arrived.push((to, seq));
-                in_memory.push(flat(session, payload));
-            });
-            let sent: Vec<(PartyId, u64)> = (0..).zip(&act).map(|(seq, o)| (o.to, seq)).collect();
-            proptest::prop_assert_eq!(arrived, sent);
-            for chunk in [1, 7, 8192] {
-                let mut frames = FrameReader::new(Chunked(&on_sockets, chunk));
-                let mut off_socket = Vec::new();
-                while let Some(frame) = frames.read_frame().unwrap() {
-                    let (session, payload) = decode_link_envelope(from, frame).expect("routable");
-                    off_socket.push(flat(session, payload));
+            for sends in &acts {
+                let mut act: Vec<Outgoing> = sends
+                    .iter()
+                    .map(|send| {
+                        let (to, pick, body) = (send[0], u64::from(send[1]), &send[2..]);
+                        Outgoing {
+                            to: PartyId(usize::from(to % 4)),
+                            // Half the sends in a few sessions, half spread
+                            // over more than a table holds.
+                            session: sid().child(SessionTag::new(
+                                "stmt",
+                                if pick % 2 == 0 { pick / 2 % 5 } else { pick / 2 },
+                            )),
+                            payload: match body.len() % 3 {
+                                0 => Payload::message(body.len() as u64),
+                                _ => Payload::message(body.to_vec()),
+                            },
+                        }
+                    })
+                    .collect();
+                // As a party's host hands an act on: stably sorted by receiver.
+                act.sort_by_key(|o| o.to.0);
+                // The daemon's way, one link per receiver: encode each
+                // envelope with that link's writer, queue it, let the
+                // link's writer thread frame and write the burst.
+                let mut carried = Vec::new();
+                for (to, writer) in writers.iter_mut().enumerate() {
+                    let (queue, queued) = std::sync::mpsc::channel::<Arc<[u8]>>();
+                    for o in act.iter().filter(|o| o.to == PartyId(to)) {
+                        let mut envelope = Vec::new();
+                        assert!(writer.encode_envelope(from, &o.session, &o.payload, &mut envelope));
+                        queue.send(envelope.into()).unwrap();
+                    }
+                    drop(queue);
+                    let mut socket = Vec::new();
+                    write_bursts(&queued, &mut socket).unwrap();
+                    carried.extend_from_slice(&socket);
+                    on_sockets[to].extend_from_slice(&socket);
                 }
-                proptest::prop_assert_eq!(&off_socket, &in_memory, "reads of {}", chunk);
+                for (seq, o) in (0..).zip(act.iter().cloned()) {
+                    link.send(from, seq, o);
+                }
+                proptest::prop_assert_eq!(&link.scratch[..], &carried[..]);
+
+                let mut arrived = Vec::new();
+                link.flush(|to, seq, session, payload| {
+                    arrived.push((to, seq));
+                    in_memory[to.0].push(flat(session, payload));
+                });
+                let sent: Vec<(PartyId, u64)> =
+                    (0..).zip(&act).map(|(seq, o)| (o.to, seq)).collect();
+                proptest::prop_assert_eq!(arrived, sent);
+            }
+            proptest::prop_assert_eq!(link.metrics.wire_malformed, 0);
+            for chunk in [1, 7, 8192] {
+                for (to, socket) in on_sockets.iter().enumerate() {
+                    let mut frames = FrameReader::new(Chunked(socket, chunk));
+                    let mut reader = LinkReader::new(from);
+                    let mut off_socket = Vec::new();
+                    while let Some(frame) = frames.read_frame().unwrap() {
+                        let (session, payload) = reader.decode(frame).expect("routable");
+                        off_socket.push(flat(session, payload));
+                    }
+                    proptest::prop_assert_eq!(&off_socket, &in_memory[to], "reads of {}", chunk);
+                }
             }
         }
     }
@@ -358,7 +422,7 @@ mod tests {
         let header = whole.len() - (crate::wire::FRAME_HEADER_LEN + 1);
         // What a payload without a wire identity travels as.
         let mut marked = Vec::new();
-        assert!(!put_envelope(
+        assert!(!crate::wire::put_envelope(
             &mut marked,
             PartyId(1),
             &sid(),
@@ -375,16 +439,20 @@ mod tests {
         ];
         for (bytes, routable) in cases {
             // As `aft-partyd` reads it off a link ...
-            let on_link = decode_link_envelope(PartyId(1), FrameBytes::from(bytes.to_vec()));
+            let on_link = LinkReader::new(PartyId(1)).decode(FrameBytes::from(bytes.to_vec()));
             assert_eq!(on_link.is_some(), routable, "{bytes:?}");
             // ... and as `rt=wire` reads it out of an act.
             let mut burst = Vec::new();
             crate::wire::write_frame(&mut burst, bytes);
             let mut metrics = Metrics::default();
             let mut handed_over = Vec::new();
-            receive_act(burst.into(), PartyId(1), &mut metrics, |_, s, p| {
-                handed_over.push((s, p));
-            });
+            let mut reader = LinkReader::new(PartyId(1));
+            receive_act(
+                burst.into(),
+                &mut metrics,
+                |_, envelope| reader.decode(envelope),
+                |_, s, p| handed_over.push((s, p)),
+            );
             assert_eq!(handed_over.len(), routable as usize, "{bytes:?}");
             assert_eq!(
                 metrics.wire_malformed, 1,
@@ -423,7 +491,7 @@ mod tests {
         let small = vec![pattern(5 * 1024, 1)];
         let mut large: Vec<Vec<u8>> = (0..17).map(|i| pattern(64 * 1024, i)).collect();
         large.extend([Vec::new(), vec![0xA5]]);
-        let mut link = WireLink::default();
+        let mut link = WireLink::new(1);
         for bodies in [&large, &small, &large] {
             let before = link.metrics.wire_bytes;
             let mut decoded = Vec::new();
@@ -455,7 +523,7 @@ mod tests {
             outgoing(SessionId::root().child(SessionTag::new(kind, 0))),
             outgoing(sid()),
         ];
-        let mut link = WireLink::default();
+        let mut link = WireLink::new(2);
         let mut arrived = Vec::new();
         round_trip(&mut link, PartyId(0), run, |seq, session, _| {
             arrived.push((seq, session));
@@ -491,7 +559,7 @@ mod tests {
         ];
         let from = PartyId(0);
         // One hand-over per same-receiver run, as before acts were whole.
-        let mut per_run = WireLink::default();
+        let mut per_run = WireLink::new(4);
         let mut run_arrivals = Vec::new();
         let mut arrive = |to: PartyId, seq: u64, session: SessionId, _: Payload| {
             run_arrivals.push((to, seq, session));
@@ -504,7 +572,7 @@ mod tests {
         }
         per_run.flush(&mut arrive);
 
-        let mut link = WireLink::default();
+        let mut link = WireLink::new(4);
         let (mut arrivals, mut payloads) = (Vec::new(), Vec::new());
         for (seq, o) in (0..).zip(act) {
             link.send(from, seq, o);
@@ -535,24 +603,44 @@ mod tests {
 
     #[test]
     fn an_id_deeper_than_a_depth_byte_is_refused_not_wrapped() {
+        use crate::wire::{SESSION_DEFINE, SESSION_REF};
         // Depth 256 used to encode as depth 0 (the root) and depth 257 as
-        // depth 1: different, valid sessions. All three must be refused.
-        let deep = |depth: u64| (0..depth).map(|i| SessionTag::new("deep", i)).collect();
-        let run: Vec<Outgoing> = [17, 256, 257, 1]
-            .into_iter()
-            .map(|depth| Outgoing {
+        // depth 1: different, valid sessions. A depth equal to a marker
+        // would read as a define or a ref: the byte after it — the low
+        // byte of the first kind's length — as the slot, which here is
+        // the slot the routable id sent first has taken. All must be
+        // refused.
+        let routable = SessionId::from_path(vec![SessionTag::new("deep", 0)]);
+        let mut define = Vec::new();
+        let ping = Payload::message(1u8);
+        assert!(LinkWriter::new().encode_envelope(PartyId(0), &routable, &ping, &mut define));
+        assert_eq!(define[4], SESSION_DEFINE);
+        let kind: &'static str = Box::leak("d".repeat(usize::from(define[5])).into());
+        let deep = |depth: u64| (0..depth).map(|i| SessionTag::new(kind, i)).collect();
+        let depths = [
+            17,
+            u64::from(SESSION_DEFINE),
+            u64::from(SESSION_REF),
+            256,
+            257,
+        ];
+        let sessions = std::iter::once(routable.clone())
+            .chain(depths.map(|depth| SessionId::from_path(deep(depth))))
+            .chain([routable.clone()]);
+        let run: Vec<Outgoing> = sessions
+            .map(|session| Outgoing {
                 to: PartyId(1),
-                session: SessionId::from_path(deep(depth)),
+                session,
                 payload: Payload::message(1u8),
             })
             .collect();
-        let mut link = WireLink::default();
+        let mut link = WireLink::new(2);
         let mut arrived = Vec::new();
         round_trip(&mut link, PartyId(0), run, |seq, session, _| {
             arrived.push((seq, session));
         });
-        assert_eq!(arrived, [(3, SessionId::from_path(deep(1)))]);
-        assert_eq!(link.metrics.wire_malformed, 3);
+        assert_eq!(arrived, [(0, routable.clone()), (6, routable)]);
+        assert_eq!(link.metrics.wire_malformed, depths.len() as u64);
     }
 
     #[test]

@@ -89,8 +89,9 @@ echo "one-front: every engine holds one Parties"
 
 # And for the envelope: `put_session(` / `get_session(` lay out and read the
 # routing header, and crates/sim/src/wire.rs is where that is done — once,
-# by `encode_envelope` / `decode_envelope` / `decode_link_envelope`, for
-# `rt=wire`, the `aft-partyd` links and the cluster reduction alike. A call
+# by `encode_envelope` / `decode_envelope` and the link ends `LinkWriter` /
+# `LinkReader`, for `rt=wire`, the `aft-partyd` links and the cluster
+# reduction alike. A call
 # in non-test code anywhere else is a second envelope format; the batch
 # framing and the per-link kind-name cache it replaced stay gone by name.
 for src in $(grep -rlE '(put|get)_session\(' --include='*.rs' crates/*/src src |
@@ -105,7 +106,24 @@ if grep -rnE 'write_batch|read_batch|kind_name_cached' --include='*.rs' crates s
     echo "one-envelope: the batch framing / per-link kind cache is back (one link frame per envelope, names looked up on demand)" >&2
     exit 1
 fi
-echo "one-envelope: one writer, one reader"
+# A link names a session once and by a slot after that: the slot tables and
+# the define / ref markers are `LinkWriter` / `LinkReader`'s, in wire.rs, and
+# nowhere else. And what comes off a link is read by its `LinkReader`: a
+# stateless read — `decode_envelope(` (the full form only), or the free
+# `decode_link_envelope(` it replaced — in non-test code outside wire.rs
+# would drop every ref. The cluster envelope nests the full form and is
+# the one stateless reader left (crates/sim/src/cluster.rs).
+for src in $(grep -rlE 'SESSION_(DEFINE|REF)|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_(link_)?envelope\(' \
+    --include='*.rs' crates/*/src src | grep -vx crates/sim/src/wire.rs); do
+    pattern='SESSION_(DEFINE|REF)|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_link_envelope\('
+    [ "$src" = crates/sim/src/cluster.rs ] || pattern="$pattern|decode_envelope\("
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
+        grep -E "$pattern" >&2; then
+        echo "one-envelope: $src keeps a session table or reads a link envelope statelessly (use aft_sim::deploy::{LinkWriter, LinkReader})" >&2
+        exit 1
+    fi
+done
+echo "one-envelope: one writer, one reader, one session table per link end"
 
 # And for what a burst costs: a received burst — an `rt=wire` act, a socket
 # read's whole frames, a nested cluster envelope — is one `Arc<[u8]>`, count

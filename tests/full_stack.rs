@@ -100,19 +100,27 @@ fn fba_full_stack_with_weak_shared_coins() {
     assert!(inputs.contains(&outs[0].as_str()));
 }
 
+/// Bytes the same execution carried when every envelope spelled out its
+/// session path in full, before links named a session by a slot of a
+/// per-link table once they had carried it.
+const FBA_WIRE_BYTES_FULL_PATHS: u64 = 4_737_804;
+
 /// Codec drift guard: the byte, frame and malformed counts of one fixed
 /// `rt=wire` execution (the repo benchmark's `fba-n4-wire` execution 1,
 /// seed 1001). A change to an encoding, to the envelope around it (one
-/// `[len][from][session][frame]` link frame per message, the bytes an
-/// `aft-partyd` link carries) or to what the byte boundary refuses moves
-/// them; a change to the transport behind the boundary must not.
+/// `[len][from][session][frame]` link frame per message, the session a
+/// define or a ref of the link's table — the bytes an `aft-partyd` link
+/// carries) or to what the byte boundary refuses moves them; a change to
+/// the transport behind the boundary must not.
 #[test]
 fn fba_wire_byte_counts_are_pinned() {
     let (m, _) = run_benchmark_fba("wire:random", 4, 1);
     assert_eq!(
         (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
-        (39_512, 39_512, 4_737_804, 0)
+        (39_512, 39_512, 2_400_052, 0)
     );
+    // 50.7 % of what the full form carried.
+    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_FULL_PATHS, 506);
 }
 
 /// Schedule drift guard: execution 1 of the repo benchmark's `fba-n7-sim`
