@@ -347,8 +347,8 @@ fn kinds() -> &'static RwLock<KindMap> {
 }
 
 /// Kinds by their text, hashed like the edge table's keys: a wire decoder
-/// that meets a path it has not cached interns every kind of it again,
-/// and SipHash made that a third of the decode.
+/// interns the kind of every tag it reads — each of a full path's, each
+/// of a define's chain — and SipHash made that a third of the decode.
 type KindMap = HashMap<String, &'static str, std::hash::BuildHasherDefault<EdgeHasher>>;
 
 impl fmt::Display for SessionTag {

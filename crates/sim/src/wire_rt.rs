@@ -35,9 +35,11 @@
 //! tables: the hand-over never loses a frame, so they stay in step). A
 //! link's frames are decoded in the order they were written, at the
 //! hand-over, so the reader's table follows the writer's exactly, and
-//! most envelopes name their session by a two-byte ref: a full path only
-//! comes with a define, the first use of a session on a link or its
-//! return after eviction from its slots.
+//! most envelopes name their session by a two-byte ref. A define — the
+//! first use of a session on a link, or its return after eviction from
+//! its slots — names the deepest ancestor the table holds and carries
+//! only the tags below it: no full path crosses a link but the root's
+//! and those too deep to route.
 //!
 //! An act costs one buffer — one `Arc<[u8]>` allocation, sized to it and
 //! freed when its last frame is dropped. Receivers sharing that buffer
@@ -603,19 +605,22 @@ mod tests {
 
     #[test]
     fn an_id_deeper_than_a_depth_byte_is_refused_not_wrapped() {
-        use crate::wire::{SESSION_DEFINE, SESSION_REF};
+        use crate::wire::{ROOT_ANCHOR, SESSION_DEFINE, SESSION_REF};
         // Depth 256 used to encode as depth 0 (the root) and depth 257 as
         // depth 1: different, valid sessions. A depth equal to a marker
-        // would read as a define or a ref: the byte after it — the low
-        // byte of the first kind's length — as the slot, which here is
-        // the slot the routable id sent first has taken. All must be
-        // refused.
+        // would read as a define or a ref of what follows it: the first
+        // kind's length, here 256 + s for the slot s the routable id sent
+        // first has taken, then the kind, which starts with eleven zero
+        // bytes. A ref names slot s; a define is anchored on slot s and
+        // chains one tag (the length's second byte) into slot 0, of the
+        // empty kind and index 0 — both routable. All must be refused.
         let routable = SessionId::from_path(vec![SessionTag::new("deep", 0)]);
         let mut define = Vec::new();
         let ping = Payload::message(1u8);
         assert!(LinkWriter::new().encode_envelope(PartyId(0), &routable, &ping, &mut define));
-        assert_eq!(define[4], SESSION_DEFINE);
-        let kind: &'static str = Box::leak("d".repeat(usize::from(define[5])).into());
+        assert_eq!(define[4..7], [SESSION_DEFINE, ROOT_ANCHOR, 1]);
+        let filler = "d".repeat(256 - 11 + usize::from(define[7]));
+        let kind: &'static str = Box::leak(("\0".repeat(11) + &filler).into());
         let deep = |depth: u64| (0..depth).map(|i| SessionTag::new(kind, i)).collect();
         let depths = [
             17,

@@ -106,16 +106,28 @@ if grep -rnE 'write_batch|read_batch|kind_name_cached' --include='*.rs' crates s
     echo "one-envelope: the batch framing / per-link kind cache is back (one link frame per envelope, names looked up on demand)" >&2
     exit 1
 fi
+# A define names its anchor, not its path, so nothing is left for a codec
+# to remember between calls: wire.rs keeps no per-thread state, and the
+# decoded-path cache and the written-path memo it replaced stay gone by name.
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/sim/src/wire.rs |
+    grep -F 'thread_local!' >&2; then
+    echo "one-envelope: crates/sim/src/wire.rs keeps per-thread state (a link's tables are all a codec remembers)" >&2
+    exit 1
+fi
+if grep -rnE 'SESSION_CACHE|PUT_MEMO|CachedPath' --include='*.rs' crates src tests examples >&2; then
+    echo "one-envelope: a per-thread session cache is back (a define carries only the tags below its anchor)" >&2
+    exit 1
+fi
 # A link names a session once and by a slot after that: the slot tables and
-# the define / ref markers are `LinkWriter` / `LinkReader`'s, in wire.rs, and
-# nowhere else. And what comes off a link is read by its `LinkReader`: a
-# stateless read — `decode_envelope(` (the full form only), or the free
+# the define / ref / root-anchor markers are `LinkWriter` / `LinkReader`'s,
+# in wire.rs, and nowhere else. And what comes off a link is read by its
+# `LinkReader`: a stateless read — `decode_envelope(` (the full form only), or the free
 # `decode_link_envelope(` it replaced — in non-test code outside wire.rs
 # would drop every ref. The cluster envelope nests the full form and is
 # the one stateless reader left (crates/sim/src/cluster.rs).
-for src in $(grep -rlE 'SESSION_(DEFINE|REF)|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_(link_)?envelope\(' \
+for src in $(grep -rlE 'SESSION_(DEFINE|REF)|ROOT_ANCHOR|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_(link_)?envelope\(' \
     --include='*.rs' crates/*/src src | grep -vx crates/sim/src/wire.rs); do
-    pattern='SESSION_(DEFINE|REF)|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_link_envelope\('
+    pattern='SESSION_(DEFINE|REF)|ROOT_ANCHOR|LINK_SESSION_SLOTS|SessionSlots|\[Option<SessionId>; |decode_link_envelope\('
     [ "$src" = crates/sim/src/cluster.rs ] || pattern="$pattern|decode_envelope\("
     if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$src" |
         grep -E "$pattern" >&2; then

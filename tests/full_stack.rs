@@ -105,22 +105,30 @@ fn fba_full_stack_with_weak_shared_coins() {
 /// per-link table once they had carried it.
 const FBA_WIRE_BYTES_FULL_PATHS: u64 = 4_737_804;
 
+/// Bytes the same execution carried when a link's define spelled out the
+/// session's full path, before a define named the deepest ancestor the
+/// link's table held and carried only the tags below it.
+const FBA_WIRE_BYTES_PATH_DEFINES: u64 = 2_400_052;
+
 /// Codec drift guard: the byte, frame and malformed counts of one fixed
 /// `rt=wire` execution (the repo benchmark's `fba-n4-wire` execution 1,
 /// seed 1001). A change to an encoding, to the envelope around it (one
 /// `[len][from][session][frame]` link frame per message, the session a
-/// define or a ref of the link's table — the bytes an `aft-partyd` link
-/// carries) or to what the byte boundary refuses moves them; a change to
-/// the transport behind the boundary must not.
+/// define chained from a held ancestor or a ref of the link's table — the
+/// bytes an `aft-partyd` link carries) or to what the byte boundary
+/// refuses moves them; a change to the transport behind the boundary
+/// must not.
 #[test]
 fn fba_wire_byte_counts_are_pinned() {
     let (m, _) = run_benchmark_fba("wire:random", 4, 1);
     assert_eq!(
         (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
-        (39_512, 39_512, 2_400_052, 0)
+        (39_512, 39_512, 1_305_076, 0)
     );
-    // 50.7 % of what the full form carried.
-    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_FULL_PATHS, 506);
+    // 27.5 % of what the full form carried, 54.4 % of what full-path
+    // defines did.
+    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_FULL_PATHS, 275);
+    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_PATH_DEFINES, 543);
 }
 
 /// Schedule drift guard: execution 1 of the repo benchmark's `fba-n7-sim`
