@@ -309,6 +309,7 @@ mod codec_tests {
 mod tests {
     use super::*;
     use aft_sim::{scheduler_by_name, NetConfig, Runtime, RuntimeExt, SessionId, SimNetwork};
+    use std::sync::{Mutex, Weak};
 
     #[test]
     fn oracle_coin_is_common_and_roughly_fair() {
@@ -329,6 +330,42 @@ mod tests {
         let _ = &mut a;
     }
 
+    /// The weak coin, handing the test a `Weak` handle to each dealing's
+    /// bundle as it arrives, by dealer, and retiring when the coin would.
+    struct BundleProbe {
+        coin: WeakCoinInstance,
+        bundles: Arc<Mutex<PartyMap<Weak<ShareBundle>>>>,
+    }
+
+    impl BundleProbe {
+        fn retire_with_the_coin(&self, ctx: &mut Context<'_>) {
+            if self.coin.done && self.coin.rec_spawned.len() == ctx.n() {
+                ctx.retire::<WeakCoinMsg>(self);
+            }
+        }
+    }
+
+    impl Instance for BundleProbe {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.coin.on_start(ctx);
+        }
+        fn on_message(&mut self, from: PartyId, payload: &Payload, ctx: &mut Context<'_>) {
+            self.coin.on_message(from, payload, ctx);
+            self.retire_with_the_coin(ctx);
+        }
+        fn on_child_output(&mut self, c: &SessionTag, out: &Payload, ctx: &mut Context<'_>) {
+            if let (WSHARE_TAG, Some(bundle)) = (c.kind, out.downcast_arc::<ShareBundle>()) {
+                let dealer = PartyId(c.index as usize);
+                self.bundles
+                    .lock()
+                    .unwrap()
+                    .insert(dealer, Arc::downgrade(&bundle));
+            }
+            self.coin.on_child_output(c, out, ctx);
+            self.retire_with_the_coin(ctx);
+        }
+    }
+
     #[test]
     fn weak_coin_standalone_terminates_and_is_boolean() {
         for seed in 0..5u64 {
@@ -338,29 +375,33 @@ mod tests {
                 scheduler_by_name("random").unwrap(),
             );
             let sid = SessionId::root().child(SessionTag::new("wcoin", 0));
-            for p in 0..n {
-                net.spawn(PartyId(p), sid.clone(), Box::new(WeakCoinInstance::new()));
+            let bundles: Vec<_> = (0..n).map(|_| Arc::default()).collect();
+            for (p, bundles) in bundles.iter().enumerate() {
+                let coin = WeakCoinInstance::new();
+                let bundles = Arc::clone(bundles);
+                net.spawn(
+                    PartyId(p),
+                    sid.clone(),
+                    Box::new(BundleProbe { coin, bundles }),
+                );
             }
             let report = net.run(10_000_000);
             assert_eq!(report.stop, aft_sim::StopReason::Quiescent, "seed={seed}");
-            for p in 0..n {
+            for (p, bundles) in bundles.iter().enumerate() {
                 assert!(
                     net.output_as::<bool>(PartyId(p), &sid).is_some(),
                     "seed={seed} p={p} no coin output"
                 );
-                // One bundle per completed dealing, never copied: the share
-                // phase's output and the reconstruction hold the allocation
-                // this handle is the third on. The coin's table went with
-                // the coin, which retired once it had output and spawned a
-                // reconstruction for every dealer.
-                for d in 0..n {
-                    let share = sid.child(SessionTag::new(WSHARE_TAG, d as u64));
-                    let bundle = net
-                        .output(PartyId(p), &share)
-                        .and_then(|out| out.downcast_arc::<ShareBundle>());
-                    if let Some(bundle) = bundle {
-                        assert_eq!(Arc::strong_count(&bundle), 3, "seed={seed} p={p} d={d}");
-                    }
+                // Every dealing completed, and its one bundle, never
+                // copied, is held by its reconstruction alone: the share
+                // phase's output went to the coin and was not kept, and
+                // the coin's table went with the coin, which retired once
+                // it had output and spawned a reconstruction for every
+                // dealer.
+                let bundles = bundles.lock().unwrap();
+                assert_eq!(bundles.len(), n, "seed={seed} p={p}");
+                for (d, bundle) in bundles.iter() {
+                    assert_eq!(Weak::strong_count(bundle), 1, "seed={seed} p={p} d={d}");
                 }
             }
         }

@@ -435,6 +435,10 @@ pub struct CellOutcome {
     /// Parties the adaptive adversary corrupted (static seeds included);
     /// empty for non-adaptive scenarios.
     pub victims: Vec<PartyId>,
+    /// Each party's [`Node::repeated_output_count`](aft_sim::Node::repeated_output_count)
+    /// at the end, in party order: outputs dropped because their session
+    /// had already output. In neither the report nor its fingerprint.
+    pub repeated_outputs: Vec<u64>,
 }
 
 /// The cell runner: deploys and runs `kind`'s episodes in order on one
@@ -515,6 +519,9 @@ pub fn run_cell_instrumented(
         },
         metrics: rt.metrics(),
         victims: adaptive_victims(rt.as_ref()),
+        repeated_outputs: (0..scenario.n)
+            .map(|p| rt.node(PartyId(p)).repeated_output_count())
+            .collect(),
         events: rt.take_trace().map(|s| s.snapshot()).unwrap_or_default(),
     }
 }

@@ -31,7 +31,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// A party (processor) identifier in `0..n`.
@@ -396,9 +395,6 @@ fn child_key(parent: u16, tag: &SessionTag) -> u16 {
     crate::mix(kind ^ u64::from(parent)).wrapping_add(tag.index) as u16
 }
 
-/// Next dense arena index to hand out (0 is reserved for the root).
-static NEXT_INDEX: AtomicU32 = AtomicU32::new(1);
-
 /// Cheap multiply-xor hasher for the interner's edge table. The keys are
 /// a pointer plus a tag (static-str pointer bytes and a small index), so
 /// collision quality far beyond this is wasted; SipHash on the 24-byte
@@ -431,16 +427,40 @@ impl Hasher for EdgeHasher {
 type EdgeMap =
     HashMap<(usize, SessionTag), &'static Interned, std::hash::BuildHasherDefault<EdgeHasher>>;
 
+/// The trie's edges and the next dense arena index to hand out, under one
+/// lock: an index is taken only by the first derivation of a child.
+struct Edges {
+    map: EdgeMap,
+    next_index: u32,
+}
+
+/// Takes the arena index `*next` and advances it. A wrapped counter would
+/// hand a live session's index out again, and two sessions would share a
+/// [`Node`](crate::Node) cell, so running out panics instead.
+fn take_index(next: &mut u32) -> u32 {
+    let index = *next;
+    *next = index
+        .checked_add(1)
+        .expect("session interner: the u32 arena index space is exhausted");
+    index
+}
+
 /// The trie's edge table: `(parent node address, tag)` resolves to the
 /// interned child. One read lock and no allocation per already-interned
 /// child — the session-spawn hot path.
-fn children() -> &'static RwLock<EdgeMap> {
-    static CHILDREN: OnceLock<RwLock<EdgeMap>> = OnceLock::new();
+fn children() -> &'static RwLock<Edges> {
+    static CHILDREN: OnceLock<RwLock<Edges>> = OnceLock::new();
     // Grows with what is interned: a process that interns a few dozen
     // sessions holds a few dozen edges. A deployment that interns
     // thousands rehashes a handful of times, under the write lock of a
     // first derivation, which is already the slow path.
-    CHILDREN.get_or_init(|| RwLock::new(EdgeMap::default()))
+    CHILDREN.get_or_init(|| {
+        RwLock::new(Edges {
+            map: EdgeMap::default(),
+            // 0 is the root's.
+            next_index: 1,
+        })
+    })
 }
 
 /// The canonical root trie node.
@@ -509,6 +529,7 @@ impl SessionId {
         if let Some(&hit) = children()
             .read()
             .expect("session interner poisoned")
+            .map
             .get(&key)
         {
             return SessionId(hit);
@@ -516,7 +537,7 @@ impl SessionId {
         let mut table = children().write().expect("session interner poisoned");
         // Double-check: another thread may have interned the child between
         // the read unlock and the write lock.
-        if let Some(&hit) = table.get(&key) {
+        if let Some(&hit) = table.map.get(&key) {
             return SessionId(hit);
         }
         let depth = self.0.depth.checked_add(1);
@@ -525,9 +546,9 @@ impl SessionId {
             leaf: Some(tag),
             depth: depth.expect("a session path has at most 65 535 tags"),
             key: child_key(self.0.key, &tag),
-            index: NEXT_INDEX.fetch_add(1, Ordering::Relaxed),
+            index: take_index(&mut table.next_index),
         }));
-        table.insert(key, interned);
+        table.map.insert(key, interned);
         SessionId(interned)
     }
 
@@ -744,6 +765,22 @@ mod tests {
         assert!(SessionId::root() < a0);
         assert!(a0 < a0b, "prefix sorts before extension");
         assert!(a0b < a1, "index 0 subtree sorts before index 1");
+    }
+
+    #[test]
+    fn arena_indices_are_taken_in_order() {
+        let mut next = 7;
+        assert_eq!((take_index(&mut next), take_index(&mut next)), (7, 8));
+        assert_eq!(next, 9);
+        let mut next = u32::MAX - 1;
+        assert_eq!(take_index(&mut next), u32::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the u32 arena index space is exhausted")]
+    fn the_arena_index_never_wraps() {
+        let mut next = u32::MAX;
+        take_index(&mut next);
     }
 
     #[test]

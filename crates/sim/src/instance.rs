@@ -209,9 +209,12 @@ impl<'a> Context<'a> {
         });
     }
 
-    /// Emits this session's output. The first output is recorded and routed
-    /// to the parent instance (or to the top-level results for root
-    /// sessions); later outputs are ignored. Emitting it does not end the
+    /// Emits this session's output. The first output is routed to the
+    /// parent instance's [`on_child_output`](Instance::on_child_output),
+    /// and kept for [`Node::output`](crate::Node::output) only where the
+    /// host spawned the session; a later output is dropped and counted
+    /// ([`Node::repeated_output_count`](crate::Node::repeated_output_count)),
+    /// which no honest instance does. Emitting it does not end the
     /// instance: it keeps receiving its session's messages until it
     /// [`retire`](Context::retire)s, if ever.
     pub fn output<T: Send + Sync + 'static>(&mut self, value: T) {
@@ -236,9 +239,10 @@ impl<'a> Context<'a> {
     /// never act again. The node then drops it and hands its session to a
     /// zero-sized reader that views every later message as `M`, so a
     /// garbled one still counts as a decode miss, and ignores child
-    /// outputs. The session itself stays: its cell and its output, and
-    /// the reader occupying the cell keeps a respawn a no-op, so a late
-    /// message, a respawn and an output lookup meet what they met before.
+    /// outputs. The session itself stays: its cell, its output bit and any
+    /// kept output, and the reader occupying the cell keeps a respawn a
+    /// no-op, so a late message, a respawn and an output lookup meet what
+    /// they met before.
     ///
     /// The contract: from this callback on, every handler of `owner`
     /// returns, whatever it is given, without sending, spawning,

@@ -7,15 +7,20 @@
 //! reuses its work queue and effect buffers across deliveries, so a
 //! steady-state run allocates nothing per message.
 //!
-//! A cell is 48 bytes and holds what nearly every session keeps: its
-//! occupant and its first output. The occupant is the instance spawned
-//! there until that instance [retires](crate::Context::retire): from then
-//! on it is a zero-sized reader that does nothing else, and the
-//! instance's state is freed at once rather than when the node is
-//! dropped. An occupant is taken out of its cell only for the span of its
-//! own callback, so an occupied cell *is* a spawned session. Messages
-//! that arrive before their session spawns wait in one node-level table
-//! beside the arena, since at quiescence almost no session has any.
+//! A cell is 24 bytes: its occupant and two bits. The occupant is the
+//! instance spawned there until that instance
+//! [retires](crate::Context::retire): from then on it is a zero-sized
+//! reader that does nothing else, and the instance's state is freed at
+//! once rather than when the node is dropped. An occupant is taken out of
+//! its cell only for the span of its own callback, so an occupied cell
+//! *is* a spawned session. The bits say whether the session has output
+//! (the first output wins; a later one is only counted) and whether the
+//! host spawned it. An output is routed, not kept: a child's value moves
+//! to its parent's `on_child_output` and is dropped when that returns,
+//! and only a session the host spawned keeps its value, in a small
+//! node-level table that [`Node::output`] reads. Messages that arrive
+//! before their session spawns wait in one node-level table beside the
+//! arena, since at quiescence almost no session has any.
 
 use crate::ids::{PartyId, PartyMap, SessionId, SessionTag};
 use crate::instance::{Context, Effect, Instance};
@@ -106,8 +111,9 @@ const ARENA_PAGE: usize = 64;
 /// One lazily-allocated page of session slots.
 type ArenaPage = [Option<SessionSlot>; ARENA_PAGE];
 
-/// Arena cell of one touched session: its occupant and its first output.
-/// Messages that arrive before it spawns wait in [`Node`]'s early table.
+/// Arena cell of one touched session: its occupant and two bits. A host
+/// spawn's value waits in [`Node`]'s output table, messages that arrive
+/// before the session spawns in its early table.
 #[derive(Default)]
 struct SessionSlot {
     /// The live instance, or the reader it retired to; `Some` exactly
@@ -117,8 +123,12 @@ struct SessionSlot {
     /// the session spawned runs then: a callback's own spawns are applied
     /// once it is back.
     instance: Option<Box<dyn Instance>>,
-    /// First output of the session.
-    output: Option<Payload>,
+    /// Whether the session has output: the first output wins, a later
+    /// one is only counted.
+    has_output: bool,
+    /// Whether the session was spawned from outside, through
+    /// [`Node::spawn`]: only such a session's value is kept.
+    host_spawned: bool,
 }
 
 /// One party's local runtime: routes messages to protocol instances,
@@ -145,6 +155,11 @@ pub struct Node {
     /// flight recorder diffs this across a delivery to attribute
     /// `Output` events without scanning the arena.
     outputs_recorded: u64,
+    /// Count of outputs after the first on a session (diagnostics).
+    repeated_outputs: u64,
+    /// The first output of each session spawned from outside that has
+    /// output: one entry per host spawn, so a scan is all a lookup needs.
+    host_outputs: Vec<(SessionId, Payload)>,
     /// Reusable effect-loop work queue (empty between deliveries).
     work: VecDeque<Work>,
     /// Reusable effect buffer handed to instance callbacks.
@@ -174,6 +189,8 @@ impl Node {
             crashed: false,
             shun_events: 0,
             outputs_recorded: 0,
+            repeated_outputs: 0,
+            host_outputs: Vec::new(),
             work: VecDeque::new(),
             effects_pool: Vec::new(),
             early: HashMap::new(),
@@ -215,10 +232,15 @@ impl Node {
         cells[offset].get_or_insert_with(SessionSlot::default)
     }
 
-    /// Retires `session`'s arena cell: drops its instance, output, and
-    /// early messages, recycling the early buffer's allocation and freeing
-    /// the whole page once every cell on it is retired. Returns `true`
-    /// if the session had a slot to free.
+    /// The arena cell at `idx`, if it was touched.
+    fn cell_mut(&mut self, idx: usize) -> Option<&mut SessionSlot> {
+        self.slots.get_mut(idx / ARENA_PAGE)?.as_mut()?[idx % ARENA_PAGE].as_mut()
+    }
+
+    /// Retires `session`'s arena cell: drops its instance, kept output
+    /// and early messages, recycling the early buffer's allocation and
+    /// freeing the whole page once every cell on it is retired. Returns
+    /// `true` if the session had a slot to free.
     ///
     /// Retiring *forgets* the session: its output becomes unreadable and
     /// a later spawn at the same id starts fresh — callers retire only
@@ -246,18 +268,19 @@ impl Node {
                 self.early_pool = early;
             }
         }
+        if let Some(i) = self.host_outputs.iter().position(|(s, _)| s == session) {
+            self.host_outputs.swap_remove(i);
+        }
         true
     }
 
-    /// The arena cell for `session`, if it was ever touched.
-    fn slot(&self, session: &SessionId) -> Option<&SessionSlot> {
-        let idx = session.arena_index();
-        self.slots.get(idx / ARENA_PAGE)?.as_ref()?[idx % ARENA_PAGE].as_ref()
-    }
-
-    /// The first output recorded for `session`, if any.
+    /// The first output of `session`, if it was spawned from outside
+    /// ([`Node::spawn`]) and has output. A session spawned by an instance
+    /// returns `None`: its value went to its parent's
+    /// [`on_child_output`](Instance::on_child_output) and was not kept.
     pub fn output(&self, session: &SessionId) -> Option<&Payload> {
-        self.slot(session)?.output.as_ref()
+        let (_, value) = self.host_outputs.iter().find(|(s, _)| s == session)?;
+        Some(value)
     }
 
     /// Number of sessions an instance was spawned at and not
@@ -287,19 +310,30 @@ impl Node {
         self.outputs_recorded
     }
 
+    /// Number of outputs emitted on a session that had already output
+    /// (monotonic). First output wins, so each was dropped; no honest
+    /// instance emits one.
+    pub fn repeated_output_count(&self) -> u64 {
+        self.repeated_outputs
+    }
+
     /// The node's shun registry.
     pub fn shun_registry(&self) -> &ShunRegistry {
         &self.shun
     }
 
-    /// Spawns a root-level instance at `session`, running its `on_start`.
-    /// Returns envelopes to inject into the network.
+    /// Spawns an instance at `session` from outside, running its
+    /// `on_start`, and marks the session as one whose first output
+    /// [`output`](Node::output) keeps — also when an instance already
+    /// occupies it and the spawn itself is a no-op. Returns envelopes to
+    /// inject into the network.
     pub fn spawn(&mut self, session: SessionId, instance: Box<dyn Instance>) -> Vec<Outgoing> {
         let mut out = Vec::new();
         if self.crashed {
             return out;
         }
         let slot = self.slot_mut(&session);
+        slot.host_spawned = true;
         if slot.instance.is_some() {
             return out; // idempotent
         }
@@ -383,17 +417,14 @@ impl Node {
                     // Put the instance back by the index resolved above:
                     // the slot cannot move or vanish while it is borrowed
                     // out (retire/spawn only happen between dispatches).
-                    self.slots[idx / ARENA_PAGE]
-                        .as_mut()
-                        .expect("slot accessed above")[idx % ARENA_PAGE]
-                        .as_mut()
-                        .expect("slot accessed above")
-                        .instance = Some(inst);
+                    self.cell_mut(idx).expect("slot accessed above").instance = Some(inst);
                     effects
                 }
                 Work::ChildOutput(session, tag, value) => {
-                    let slot = self.slot_mut(&session);
-                    let Some(mut inst) = slot.instance.take() else {
+                    // A parent that never spawned here (the root above a
+                    // host spawn) gets no cell for it.
+                    let cell = self.cell_mut(session.arena_index());
+                    let Some(mut inst) = cell.and_then(|slot| slot.instance.take()) else {
                         continue;
                     };
                     let mut ctx =
@@ -445,10 +476,14 @@ impl Node {
                     }
                     Effect::Output { session, value } => {
                         let slot = self.slot_mut(&session);
-                        if slot.output.is_some() {
+                        if slot.has_output {
+                            self.repeated_outputs += 1;
                             continue; // first output wins
                         }
-                        slot.output = Some(value.clone());
+                        slot.has_output = true;
+                        if slot.host_spawned {
+                            self.host_outputs.push((session.clone(), value.clone()));
+                        }
                         self.outputs_recorded += 1;
                         if let (Some(parent), Some(tag)) = (session.parent(), session.last()) {
                             queue.push_back(Work::ChildOutput(parent, *tag, value));
@@ -568,6 +603,7 @@ mod tests {
         );
         n.deliver(PartyId(0), sid("x"), Payload::new(99u32), &mut out);
         assert_eq!(n.output_count(), 1);
+        assert_eq!(n.repeated_output_count(), 1, "the second output is counted");
     }
 
     /// Parent spawns a child on start; child outputs immediately; parent
@@ -598,20 +634,45 @@ mod tests {
     fn child_output_routes_to_parent() {
         let mut n = node(0);
         n.spawn(sid("p"), Box::new(Parent { heard: None }));
-        // parent's own output = child output + 1
+        // The child's value reaches the parent, whose output is it + 1 …
         assert_eq!(n.output(&sid("p")).unwrap().downcast_ref::<u32>(), Some(&8));
-        // child output recorded too
+        // … and is not kept: only a host spawn keeps its value.
         let child_sid = sid("p").child(SessionTag::new("child", 3));
-        assert_eq!(
-            n.output(&child_sid).unwrap().downcast_ref::<u32>(),
-            Some(&7)
-        );
+        assert!(n.output(&child_sid).is_none());
+        assert_eq!(n.output_count(), 2);
+    }
+
+    /// Spawns a `Doubler` child that outputs on the message 99.
+    struct Spawner;
+    impl Instance for Spawner {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.spawn(SessionTag::new("child", 0), Box::new(Doubler));
+        }
+        fn on_message(&mut self, _f: PartyId, _p: &Payload, _c: &mut Context<'_>) {}
+    }
+
+    #[test]
+    fn a_host_spawn_keeps_the_value_even_as_a_no_op() {
+        let mut n = node(1);
+        n.spawn(sid("p"), Box::new(Spawner));
+        let child = sid("p").child(SessionTag::new("child", 0));
+        // The instance spawned the child; the host's spawn is a no-op
+        // that still marks the session as one whose value is kept.
+        assert!(n.spawn(child.clone(), Box::new(Doubler)).is_empty());
+        assert_eq!(n.instance_count(), 2);
+        let mut out = Vec::new();
+        n.deliver(PartyId(0), child.clone(), Payload::new(99u32), &mut out);
+        assert_eq!(n.output(&child).unwrap().downcast_ref::<u32>(), Some(&99));
+        assert!(n.retire_session(&child));
+        assert!(n.output(&child).is_none(), "retire drops the kept value");
     }
 
     #[test]
     fn retire_session_frees_the_slot_and_page() {
         let mut n = node(1);
         n.spawn(sid("x"), Box::new(Doubler));
+        n.deliver(PartyId(0), sid("x"), Payload::new(99u32), &mut Vec::new());
+        assert!(n.output(&sid("x")).is_some());
         assert_eq!(n.instance_count(), 1);
         assert!(n.retire_session(&sid("x")));
         assert_eq!(n.instance_count(), 0);
@@ -655,12 +716,13 @@ mod tests {
     }
 
     #[test]
-    fn a_session_cell_is_48_bytes() {
+    fn a_session_cell_is_24_bytes() {
         assert_eq!(
             std::mem::size_of::<Option<SessionSlot>>(),
-            48,
-            "an arena cell is its occupant and its output (88 bytes while it \
-             also kept its session id, a spawned flag and an early buffer)"
+            24,
+            "an arena cell is its occupant and two bits (48 bytes while it \
+             also kept its first output, 88 while it also kept its session \
+             id, a spawned flag and an early buffer)"
         );
     }
 

@@ -821,7 +821,10 @@ pub trait Runtime {
         parties.record(|step| TraceEvent::Crash { step, party });
     }
 
-    /// The first output of `party` in `session`, if recorded.
+    /// The first output of `party` in `session`, if the host spawned the
+    /// session there ([`spawn`](Runtime::spawn)) and it has output. A
+    /// session spawned by an instance returns `None`: its value went to
+    /// its parent and was not kept.
     fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
         self.node(party).output(session)
     }
@@ -904,7 +907,8 @@ pub trait Runtime {
 /// Convenience methods available on every [`Runtime`] (including trait
 /// objects).
 pub trait RuntimeExt: Runtime {
-    /// Typed convenience over [`Runtime::output`].
+    /// Typed convenience over [`Runtime::output`]: `None` for a session
+    /// spawned by an instance, too.
     fn output_as<T: 'static>(&self, party: PartyId, session: &SessionId) -> Option<&T> {
         self.output(party, session)
             .and_then(|p| p.downcast_ref::<T>())

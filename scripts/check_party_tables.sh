@@ -150,6 +150,17 @@ for src in $(grep -rlF 'Arc<Vec<u8>>' --include='*.rs' crates/sim/src crates/ben
 done
 echo "one-allocation: every burst is one Arc<[u8]>"
 
+# And for what a session cell keeps: its occupant and two bits. A first
+# output's value moves to the parent's `on_child_output` and is kept only
+# for a session the host spawned, in `Node`'s own table; an
+# `output: Option<Payload>` in crates/sim/src/node.rs is the value back in
+# every cell.
+if grep -nF 'output: Option<Payload>' crates/sim/src/node.rs >&2; then
+    echo "routed-output: crates/sim/src/node.rs keeps an output value per session (a cell keeps a bit; only host spawns keep a value)" >&2
+    exit 1
+fi
+echo "routed-output: a session cell keeps no value"
+
 # And for what an instance holds once it is spent: an instance that can never
 # act again calls `ctx.retire` or `ctx.retire_unviewed` (the node then frees it
 # mid-run and leaves a stateless reader in its session), or says why it never

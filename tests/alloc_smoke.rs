@@ -347,7 +347,9 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
         "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
          ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
          queue's records or side arrays, the payload, a session cell or a halted BA grew; \
-         with 88-byte cells and halted BAs kept it was {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL}, \
+         with every first output kept in a 48-byte cell it was \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS}, \
+         with 88-byte cells and halted BAs kept {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL}, \
          with a 48-byte payload in 88-byte slab entries \
          {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD}, on 104-byte records doubled in a slab \
          {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED}"
@@ -355,14 +357,16 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (136.2 measured — 4 507 604 bytes at 33 088 in flight — plus
-/// 5 %); what the same run cost while an arena cell was 88 bytes and a
+/// bound (125.7 measured — 4 158 868 bytes at 33 088 in flight — plus
+/// 5 %); what the same run cost while every session kept its first output
+/// in a 48-byte arena cell (133.4); while an arena cell was 88 bytes and a
 /// halted BA kept its state (146.4); and, with the interner's growth
 /// still inside the window, what it cost while a `Payload` was 48 bytes,
 /// so a slab entry 88 (188.9), and while each batch was a 104-byte slab
 /// record in a doubling `Vec`, beside a tombstone list, a free list and a
 /// compaction scratch (each measured on the commit before it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 143.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 132.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS: f64 = 133.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL: f64 = 146.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD: f64 = 188.9;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_DOUBLED: f64 = 329.7;
@@ -404,22 +408,27 @@ fn fba_n7_peak_heap_is_pinned() {
         peak < FBA_N7_PEAK_BYTES,
         "the n=7 FBA peaked at {peak} heap bytes (bound {FBA_N7_PEAK_BYTES}) — a spent \
          instance kept its state, a finished reconstruction its tracks, the queue's run \
-         pool more than its most queued parcels, or a session cell grew; it was \
+         pool more than its most queued parcels, a session cell grew or kept an inner \
+         session's output; it was {FBA_N7_PEAK_BYTES_KEPT_OUTPUTS} with every first output \
+         kept in a 48-byte cell, \
          {FBA_N7_PEAK_BYTES_INLINE_TRACKS} with the tracks kept inline and a deque per run, \
          {FBA_N7_PEAK_BYTES_WIDE_CELL} with 88-byte cells and a halted BA, a finished coin \
          or FBA kept, {FBA_N7_PEAK_BYTES_HELD} with every instance held to the end"
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (5 923 056 measured,
-/// plus 5 %); what it peaked at while a finished reconstruction kept its
+/// Peak heap bytes of the n = 7 FBA above: the bound (4 533 456 measured
+/// in a release build, 4 489 440 in a debug one, plus 5 %); what it peaked
+/// at while every session kept its first output in a 48-byte arena cell
+/// (5 923 056); while a finished reconstruction kept its
 /// emptied decoding state inline and every queued run was a deque of its
 /// own, drained ones kept in a spare list (6 888 204); while an arena cell
 /// was 88 bytes and a halted BA, a finished weak coin, `CoinFlip`,
 /// `FairChoice` and `Fba` kept their state; and while every instance kept
 /// its state until the runtime was dropped (each measured on the commit
 /// before it went; the last peak was then the live heap at quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 6_219_209;
+const FBA_N7_PEAK_BYTES: i64 = 4_760_129;
+const FBA_N7_PEAK_BYTES_KEPT_OUTPUTS: i64 = 5_923_056;
 const FBA_N7_PEAK_BYTES_INLINE_TRACKS: i64 = 6_888_204;
 const FBA_N7_PEAK_BYTES_WIDE_CELL: i64 = 8_692_918;
 const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
@@ -427,7 +436,7 @@ const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
 #[test]
 fn fba_live_heap_per_output_is_pinned() {
     let _guard = WINDOW.lock().unwrap();
-    for &(n, bound, inline_tracks, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
+    for &(n, bound, kept_outputs, inline_tracks, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
         // Seconds optimised, minutes in a debug build.
         if n > 7 && cfg!(debug_assertions) {
             continue;
@@ -448,24 +457,29 @@ fn fba_live_heap_per_output_is_pinned() {
             per_output < bound,
             "at n={n} the FBA keeps {live} heap bytes for {outputs} outputs \
              ({per_output:.1} B each, bound {bound}) — a spent instance, a finished \
-             reconstruction or a session cell holds more than its output; with the \
-             reconstruction's tracks kept inline it was {inline_tracks}, with 88-byte cells \
-             and a halted BA, a finished coin or FBA kept {wide_cell}"
+             reconstruction or a session cell holds more than it did, or an inner \
+             session's output is kept; with every first output kept in a 48-byte cell it \
+             was {kept_outputs}, with the reconstruction's tracks kept inline \
+             {inline_tracks}, with 88-byte cells and a halted BA, a finished coin or FBA \
+             kept {wide_cell}"
         );
     }
 }
 
 /// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
-/// (249.9 measured — 5 877 964 bytes for 23 517 outputs — plus 5 %) and
-/// n = 16 (584.2 — 184 383 076 bytes for 315 600 — plus 5 %); what the
-/// same runs kept while a finished reconstruction kept its emptied
-/// decoding state inline (291.7 and 683.4); and what they kept while an
+/// (189.3 measured — 4 451 786 bytes for 23 517 outputs — plus 5 %) and
+/// n = 16 (517.8 — 163 431 428 bytes for 315 600 — plus 5 %); what the
+/// same runs kept while every session kept its first output in a 48-byte
+/// arena cell (249.9 and 584.2); while a finished reconstruction kept its
+/// emptied decoding state inline (291.7 and 683.4); and what they kept while an
 /// arena cell was 88 bytes and a halted BA, a finished weak coin,
 /// `CoinFlip`, `FairChoice` and `Fba` kept their state (each measured on
 /// the commit before it went). The window leaves out the interner, so a
 /// stored path's bytes never counted here.
-const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64)] =
-    &[(7, 262.4, 291.7, 369.1), (16, 613.4, 683.4, 748.7)];
+const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64)] = &[
+    (7, 198.8, 249.9, 291.7, 369.1),
+    (16, 543.8, 584.2, 683.4, 748.7),
+];
 
 #[test]
 fn interned_bytes_per_session_are_pinned() {

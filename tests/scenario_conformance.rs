@@ -30,12 +30,44 @@
 //! (`garbage`/`equivocate`) must be *rejected* by every honest decoder
 //! with zero panics and zero safety violations.
 
-use aft::core::scenarios::{run_cell, standard_registry, CellReport, StackKind};
-use aft::sim::{MatrixCell, Scenario, ScenarioMatrix, ALL_SCHEDULERS};
+use aft::core::scenarios::{
+    run_cell_instrumented, standard_registry, CellOutcome, CellReport, StackKind, STEP_BUDGET,
+};
+use aft::sim::{AttackRegistry, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 const BACKENDS: &[&str] = &["sim", "sharded:1", "sharded:4", "wire", "async"];
 const SEEDS: &[u64] = &[5, 6];
 const THREADS: usize = 8;
+
+/// Asserts that no party that stayed honest in `outcome`'s cell output
+/// twice on one session: "first output wins" keeps no value to compare a
+/// second one with, so any second output of an honest instance is a bug.
+fn assert_honest_parties_output_once(scenario: &Scenario, seed: u64, outcome: &CellOutcome) {
+    for p in scenario
+        .honest_parties()
+        .filter(|p| !outcome.victims.contains(p))
+    {
+        assert_eq!(
+            outcome.repeated_outputs[p.0], 0,
+            "{scenario} seed={seed}: honest party {} output twice on a session",
+            p.0
+        );
+    }
+}
+
+/// [`aft::core::scenarios::run_cell`], with every honest party checked
+/// to output at most once per session.
+fn run_cell(
+    kind: StackKind,
+    scenario: &Scenario,
+    seed: u64,
+    registry: &AttackRegistry,
+) -> CellReport {
+    let outcome =
+        run_cell_instrumented(kind, scenario, seed, registry, STEP_BUDGET, TraceMode::Off);
+    assert_honest_parties_output_once(scenario, seed, &outcome);
+    outcome.report
+}
 
 fn scheduler_axis() -> Vec<String> {
     ALL_SCHEDULERS
@@ -483,7 +515,6 @@ fn threaded_backend_passes_the_conformance_invariants() {
 #[test]
 fn tracing_is_bit_invisible_to_conformance() {
     use aft::core::scenarios::run_cell_traced;
-    use aft::sim::TraceMode;
     let registry = standard_registry();
     for backend in ["sim", "sharded:4", "wire", "async"] {
         for (kind, plan) in [
@@ -536,7 +567,7 @@ fn tracing_is_bit_invisible_to_conformance() {
 #[test]
 fn recorded_causal_dag_is_well_formed() {
     use aft::core::scenarios::run_cell_traced;
-    use aft::sim::{TraceEvent, TraceMode};
+    use aft::sim::TraceEvent;
     use std::collections::{HashMap, HashSet};
     let registry = standard_registry();
     let n = 4;
@@ -703,7 +734,7 @@ fn net_crash_recovery_cells_are_safe_and_reproducible() {
 #[test]
 fn a_recovered_party_rejoins_and_sends_alike_on_every_backend() {
     use aft::core::scenarios::run_cell_traced;
-    use aft::sim::{PartyId, TraceEvent, TraceMode};
+    use aft::sim::{PartyId, TraceEvent};
     let registry = standard_registry();
     for seed in SEEDS {
         let mut sent = Vec::new();
@@ -768,8 +799,6 @@ fn violation_repro_bundle_replays_to_the_same_fingerprint() {
 /// the seed.
 #[test]
 fn adaptive_cells_are_safe_and_reproducible() {
-    use aft::core::scenarios::run_cell_instrumented;
-    use aft::sim::TraceMode;
     let registry = standard_registry();
     for (kind, attack) in [
         (StackKind::Ba, "adaptive:coin-favorite@*"),
@@ -789,6 +818,7 @@ fn adaptive_cells_are_safe_and_reproducible() {
                     u64::MAX,
                     TraceMode::Off,
                 );
+                assert_honest_parties_output_once(&scenario, *seed, &first);
                 assert!(
                     first.report.violations.is_empty(),
                     "{} {spec} seed={seed}: {:?}",
@@ -997,14 +1027,13 @@ const ADAPTIVE_PINS: &[AdaptivePin] = &[
 /// in which an engine records them is part of the schedule.
 #[test]
 fn adaptive_cells_match_their_absolute_pins() {
-    use aft::core::scenarios::run_cell_instrumented;
-    use aft::sim::TraceMode;
     let registry = standard_registry();
     let mut wrong = Vec::new();
     for &(kind, policy, backend, seed, fingerprint, victims) in ADAPTIVE_PINS {
         let spec = format!("n=4,t=1,corrupt=adaptive:{policy}@*,sched=random,rt={backend}");
         let scenario = Scenario::parse(&spec).unwrap_or_else(|| panic!("{spec:?} must parse"));
         let out = run_cell_instrumented(kind, &scenario, seed, &registry, u64::MAX, TraceMode::Off);
+        assert_honest_parties_output_once(&scenario, seed, &out);
         let struck: Vec<usize> = out.victims.iter().map(|p| p.0).collect();
         if (out.report.fingerprint, struck.as_slice()) != (fingerprint, victims) {
             wrong.push(format!(
@@ -1102,7 +1131,6 @@ fn constant_adaptive_policy_matches_the_static_plan_bit_for_bit() {
 
 fn violation_repro_bundle_roundtrip(spec: &str, is_net: bool) {
     use aft::core::scenarios::{run_cell_traced, write_repro_bundle};
-    use aft::sim::TraceMode;
     let registry = standard_registry();
     let scenario = Scenario::parse(spec).unwrap();
     let seed = 6;
