@@ -6,32 +6,30 @@
 //! invariants and the matrix's bit-for-bit reproducibility from
 //! `(seed, scenario string)` alone. This is the sweep driver behind
 //! `tests/scenario_conformance.rs`, exposed as an experiment so larger
-//! matrices (more seeds via `AFT_TRIALS`, more backends) can be explored
-//! without recompiling the test suite.
+//! matrices (more seeds via `AFT_TRIALS`) can be explored without
+//! recompiling the test suite. Every backend it sweeps is deterministic;
+//! the OS-thread backend's cells are that suite's
+//! `threaded_backend_passes_the_conformance_invariants`.
 //!
-//! Flags:
-//!
-//! * `--smoke` — a minimal matrix (3 backends including `wire` × 2
-//!   schedulers × 3 plans × 1 seed per stack), used by CI to keep the
-//!   driver itself from rotting;
-//! * `--threaded` — add the OS-thread backend to the matrix (invariants
-//!   only; its cells are excluded from reproducibility checks).
+//! `--smoke` runs a minimal matrix (3 backends including `wire` × 3
+//! schedulers × 3 plans × 1 seed per stack), used by CI to keep the
+//! driver itself from rotting.
 //!
 //! Exits nonzero if any cell violates an invariant or fails to reproduce.
 
 use aft_bench::cli::{trials, Cli, Flag};
 use aft_core::scenarios::{
-    run_cell, run_cell_to_bundle, standard_registry, CellReport, StackKind, STEP_BUDGET,
+    run_cell, run_cell_to_bundle, standard_registry, StackKind, STEP_BUDGET,
 };
-use aft_sim::{Backend, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
+use aft_sim::{Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 fn main() {
-    let cli = Cli::parse(&[Flag::Smoke, Flag::Threaded, Flag::Json]);
+    let cli = Cli::parse(&[Flag::Smoke, Flag::Json]);
     let registry = standard_registry();
 
     let (out, smoke) = (&cli.out, cli.has(Flag::Smoke));
     out.note("# E11 — adversarial scenario matrix");
-    let mut backends: Vec<String> = if smoke {
+    let backends: Vec<String> = if smoke {
         vec!["sim".into(), "sharded:2".into(), "wire".into()]
     } else {
         vec![
@@ -41,9 +39,6 @@ fn main() {
             "wire".into(),
         ]
     };
-    if cli.has(Flag::Threaded) {
-        backends.push("threaded".into());
-    }
     let schedulers: Vec<String> = if smoke {
         vec!["random".into(), "starve:1".into(), "net:lat=1..8".into()]
     } else {
@@ -95,11 +90,7 @@ fn main() {
     let net_matrix = ScenarioMatrix {
         n: 4,
         t: 1,
-        backends: backends
-            .iter()
-            .filter(|b| Backend::parse_rt(b).is_ok_and(|b| b.is_deterministic()))
-            .cloned()
-            .collect(),
+        backends,
         schedulers: vec!["net:lat=1..12,partition=p50,heal=200".into()],
         plans: vec![String::new(), "recover:80@3".into()],
         seeds: seeds.clone(),
@@ -130,7 +121,7 @@ fn main() {
 
 /// Sweeps one matrix on one stack: checks every cell's invariants (with
 /// repro bundles on violation), re-sweeps for bit-for-bit reproducibility
-/// of the deterministic cells, and appends a summary row.
+/// of every cell, and appends a summary row.
 fn run_matrix(
     kind: StackKind,
     label: &str,
@@ -159,17 +150,7 @@ fn run_matrix(
             run_cell_to_bundle(kind, &scenario, cell.seed, registry, STEP_BUDGET, ring);
         }
     }
-    // Reproducibility: re-sweep and compare the deterministic cells
-    // bit-for-bit (threaded cells are exempt by design).
-    let again = sweep();
-    let deterministic = |c: &MatrixCell<CellReport>| {
-        Scenario::parse(&c.spec).is_some_and(|s| s.backend().is_ok_and(|b| b.is_deterministic()))
-    };
-    let repro = cells
-        .iter()
-        .zip(&again)
-        .filter(|(c, _)| deterministic(c))
-        .all(|(a, b)| a == b);
+    let repro = cells == sweep();
     if !repro {
         bad_cells.push(format!("{label}: re-sweep diverged"));
     }

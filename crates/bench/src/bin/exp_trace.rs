@@ -13,7 +13,7 @@
 //! Flags:
 //!
 //! * `--scenario <spec>` (required) — the scenario string, e.g.
-//!   `n=4 t=1 rt=sim sched=starve:1 corrupt=equivocate:12@1`;
+//!   `n=4,t=1,corrupt=equivocate:12@1,sched=starve:1,rt=sim`;
 //! * `--stack <ba|svss|common-subset|all>` — which reference stack(s) to
 //!   run (default `ba`);
 //! * `--seed <u64>` — the cell seed (default 1);

@@ -1084,7 +1084,7 @@ fn ba_tail(run: &Run) {
     out.note("\nthe deterministic backends (sim, sharded:<k>) reproduce their tails");
     out.note("seed-for-seed; `threaded` samples the same protocol under genuine OS");
     out.note("scheduling. The geometric tail is the price of local coins — the");
-    out.note("paper's strong common coin removes it (see exp_ba_baselines).");
+    out.note("paper's strong common coin removes it (see ba-coin-gap).");
 }
 
 #[cfg(test)]

@@ -39,8 +39,6 @@ pub enum Flag {
     Seed,
     /// `--smoke`: the binary's bounded CI suite.
     Smoke,
-    /// `--threaded`: add the OS-thread backend to the matrix.
-    Threaded,
     /// `--timeout-secs <u64>`.
     TimeoutSecs,
     /// `--log-dir <dir>`.
@@ -64,7 +62,6 @@ impl Flag {
             Flag::Stacks => ("--stack", Some("<stack|all>")),
             Flag::Seed => ("--seed", Some("<u64>")),
             Flag::Smoke => ("--smoke", None),
-            Flag::Threaded => ("--threaded", None),
             Flag::TimeoutSecs => ("--timeout-secs", Some("<u64>")),
             Flag::LogDir => ("--log-dir", Some("<dir>")),
             Flag::Party => ("--party", Some("<index>")),
@@ -191,7 +188,7 @@ impl Cli {
                 }
                 Flag::LogDir => cli.log_dir = Some(value.into()),
                 Flag::Party => cli.party = Some(number(&value).map_err(bad)?),
-                Flag::Claims | Flag::Smoke | Flag::Threaded | Flag::Recovered => {}
+                Flag::Claims | Flag::Smoke | Flag::Recovered => {}
             }
         }
         Ok(cli)

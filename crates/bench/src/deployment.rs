@@ -39,6 +39,15 @@
 //! party (killed parties count as honest — they recover). The stack's
 //! session, honest instance and `FaultSpec → instance` match are the
 //! simulator's own too; what is left here is processes, pipes and clocks.
+//!
+//! Before it spawns anything, [`run_deployment`] parses the plan and
+//! builds every party's instance once, dry: an unregistered attack,
+//! arguments a factory refuses, or a stack of more than one episode (the
+//! SVSS chain hands carries between episodes) is a set-up error, and
+//! `exp_deployment` exits 2. A daemon that exits before `shutdown`, other
+//! than by a scheduled kill, ends the run at once with a
+//! `daemon-exit: party <p> (<exit status>)` violation; only a run that
+//! hangs waits for its timeout.
 
 use aft_core::scenarios::standard_registry;
 use aft_sim::scenario::spec_fields;

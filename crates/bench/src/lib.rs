@@ -10,7 +10,7 @@
 //! | binary | experiment | what it runs | flags |
 //! |---|---|---|---|
 //! | `exp_claims` | E1–E10 | the claims below, each printing its own tables | `<id>…` `--runtime` `--trace` `--json` |
-//! | `exp_scenario_matrix` | E11 | safety invariants of BA / SVSS / CommonSubset over the adversarial matrix | `--smoke` `--threaded` `--json` |
+//! | `exp_scenario_matrix` | E11 | safety invariants of BA / SVSS / CommonSubset over the adversarial matrix | `--smoke` `--json` |
 //! | `exp_scenario_search` | E12 | the same invariants under coverage-guided scenario search | `--smoke` `--json` |
 //! | `exp_deployment` | E13 | BA / CommonSubset invariants on one OS process per party | `--scenario` `--stack` `--seed` `--smoke` `--timeout-secs` `--log-dir` `--json` |
 //! | `exp_trace` | — | flight-recorder replay of one `(stack, scenario, seed)` cell | `--scenario` `--stack` `--seed` `--trace` `--json` |

@@ -57,7 +57,7 @@ fn assert_refused(bin: &str, args: &[&str], env: &[(&str, &str)], culprit: &str)
 #[test]
 fn a_mistyped_flag_value_or_variable_is_refused_not_ignored() {
     const PARTYD: &str = "--stack ba --seed 2 --scenario n=4,t=1,rt=proc";
-    let flags: [(&str, &str, &str); 13] = [
+    let flags: [(&str, &str, &str); 14] = [
         (
             "exp_claims",
             "thm3.5-termination --runtme threaded",
@@ -93,6 +93,9 @@ fn a_mistyped_flag_value_or_variable_is_refused_not_ignored() {
         ),
         ("aft-partyd", PARTYD, "--party is required"),
         ("exp_scenario_matrix", "--scenario n=4,t=1", "--scenario"),
+        // The matrix sweeps deterministic backends only; the threaded
+        // cells are the conformance suite's.
+        ("exp_scenario_matrix", "--threaded", "--threaded"),
         // The two claims that never ran on a backend do not pretend to,
         // named alone or among all of them.
         (

@@ -29,6 +29,14 @@
 //! sweep and returns a [`CellReport`] whose violations list is empty iff
 //! every invariant held, and whose fingerprint supports bit-for-bit
 //! cross-backend and re-run comparison.
+//!
+//! To add an attack, write it as an `Instance` next to the protocol it
+//! targets and register a factory in that crate's `register_attacks`: it
+//! answers [`AttackRole::Honest`](aft_sim::AttackRole::Honest) for the
+//! episodes it leaves alone and reads prior-episode state from
+//! [`AttackCtx::carry`](aft_sim::AttackCtx::carry). Then add a
+//! `corrupt=` plan to [`StackKind::standard_plans`]; the conformance
+//! matrix, `exp_scenario_matrix` and the proptests pick it up from there.
 
 use crate::config::CoinKind;
 use crate::CommonSubsetInstance;

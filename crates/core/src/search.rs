@@ -6,7 +6,7 @@
 //! *coverage signal* extracted from the observability the substrate
 //! already has: per-kind send counts, decode-miss counters, shun/drop
 //! totals, wire malformation counts, causal depth-histogram tails and
-//! virtual-time profiles, each bucketed to a log₂ feature. A candidate
+//! virtual completion time, each bucketed to a log₂ feature. A candidate
 //! that lights up a feature no earlier run produced joins the corpus;
 //! one that violates an invariant is [shrunk](shrink) to a minimal
 //! scenario string that still reproduces the *same* violation signature,

@@ -20,6 +20,16 @@
 //!   selected byzantine behavior.
 //! - `Observer`: the one sink a deterministic engine records into — the
 //!   installed controller in front of the optional recorder.
+//!
+//! Policies live next to the protocols they attack and are registered in
+//! an [`AttackRegistry`](crate::AttackRegistry): `coin-favorite` in
+//! `aft-ba`, `core-candidates` in `aft-svss`, and the built-in
+//! [`PinPolicy`], whose `corrupt=adaptive:pin:silent:3@*` runs
+//! bit-identical to the static `corrupt=silent@3` on every stack, backend
+//! and seed. A policy's *decisions* are backend-specific: `sim` shows it
+//! each delivery as it happens, `sharded` an epoch's deliveries at the
+//! barrier, so the conformance suite pins each backend's victims
+//! absolutely rather than across backends.
 
 use std::sync::{Arc, Mutex};
 

@@ -2,7 +2,7 @@
 //!
 //! What the [`Scheduler`] sees is an arrival-ordered view of in-flight
 //! **batches** — [`MsgMeta`] (sender, receiver, head sequence number,
-//! age, kind, batch size), derived on demand. Schedulers index into that
+//! age, batch size), derived on demand. Schedulers index into that
 //! view and never touch payloads or session paths.
 //!
 //! **Batching**: consecutive envelopes with the same `(sender, receiver)`
@@ -75,8 +75,6 @@ pub struct MsgMeta {
     pub seq: u64,
     /// Delivery step at which the batch head was sent.
     pub born_step: u64,
-    /// Leaf session kind of the batch head (`"root"` for root sessions).
-    pub kind: &'static str,
     /// Number of envelopes remaining in the batch (≥ 1).
     pub count: u32,
 }
@@ -429,7 +427,6 @@ impl Record {
             to: widen(self.to),
             seq: head.seq,
             born_step: head.born_step,
-            kind: head.session.last().map_or("root", |t| t.kind),
             count: self.run.len(),
         }
     }
@@ -1110,13 +1107,12 @@ mod tests {
     }
 
     #[test]
-    fn meta_records_kind_endpoints_and_count() {
+    fn meta_records_endpoints_age_and_count() {
         let mut q = Pending::new();
         q.push(env(2, 3, 7));
         let m = q.meta(0);
         assert_eq!(m.from, PartyId(2));
         assert_eq!(m.to, PartyId(3));
-        assert_eq!(m.kind, "k");
         assert_eq!(m.born_step, 7);
         assert_eq!(m.count, 1);
     }

@@ -33,7 +33,7 @@ use crate::instance::Instance;
 use crate::network::Envelope;
 use crate::node::{Node, Outgoing};
 use crate::payload::{drain_misses, Payload};
-use crate::trace::{session_kind, DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
+use crate::trace::{DropReason, TraceEvent, TraceMode, TraceSink, TraceSummary};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -102,9 +102,6 @@ pub struct Metrics {
     pub virtual_time: u64,
     /// Sent counts per leaf session kind, in first-seen order.
     by_kind: Vec<(&'static str, u64)>,
-    /// Virtual time of the last delivery per leaf session kind — the
-    /// virtual-time completion profile of a `net:` run.
-    vtime_by_kind: Vec<(&'static str, u64)>,
     /// Index into `by_kind` of the most recently counted kind.
     last_kind: usize,
     /// Failed message views/downcasts per payload kind, in first-seen
@@ -141,19 +138,6 @@ impl Metrics {
             .iter()
             .find(|(k, _)| *k == kind)
             .map_or(0, |&(_, c)| c)
-    }
-
-    /// All `(kind, virtual completion time)` pairs, in first-seen order —
-    /// empty unless a virtual clock ran.
-    pub fn virtual_times(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.vtime_by_kind.iter().copied()
-    }
-
-    /// Records a delivery at virtual time `vtime` for session kind
-    /// `kind`: the per-kind and global completion clocks advance to it.
-    pub(crate) fn on_virtual_delivery(&mut self, kind: &'static str, vtime: u64) {
-        self.virtual_time = self.virtual_time.max(vtime);
-        fold_kind(&mut self.vtime_by_kind, kind, vtime, u64::max);
     }
 
     /// Records one sent envelope for `session`'s leaf kind.
@@ -196,29 +180,21 @@ impl Metrics {
         // Virtual clocks merge by max: completion time is a high-water
         // mark, not a sum.
         self.virtual_time = self.virtual_time.max(other.virtual_time);
-        for &(kind, vtime) in &other.vtime_by_kind {
-            fold_kind(&mut self.vtime_by_kind, kind, vtime, u64::max);
-        }
         for &(kind, count) in &other.by_kind {
-            fold_kind(&mut self.by_kind, kind, count, |a, b| a + b);
+            add_kind(&mut self.by_kind, kind, count);
         }
         for &(kind, count) in &other.decode_miss {
-            fold_kind(&mut self.decode_miss, kind, count, |a, b| a + b);
+            add_kind(&mut self.decode_miss, kind, count);
         }
     }
 }
 
-/// Folds `value` into `kind`'s entry of a first-seen-order kind table with
-/// `fold`, appending the entry when `kind` is new.
-fn fold_kind(
-    table: &mut Vec<(&'static str, u64)>,
-    kind: &'static str,
-    value: u64,
-    fold: fn(u64, u64) -> u64,
-) {
+/// Adds `count` to `kind`'s entry of a first-seen-order kind table,
+/// appending the entry when `kind` is new.
+fn add_kind(table: &mut Vec<(&'static str, u64)>, kind: &'static str, count: u64) {
     match table.iter_mut().find(|(k, _)| *k == kind) {
-        Some((_, v)) => *v = fold(*v, value),
-        None => table.push((kind, value)),
+        Some((_, v)) => *v += count,
+        None => table.push((kind, count)),
     }
 }
 
@@ -371,7 +347,7 @@ impl PartyHost {
         let (m, party) = (&mut self.metrics, self.node.id());
         m.steps += 1;
         if let Some(vt) = vtime {
-            m.on_virtual_delivery(session_kind(&session), vt);
+            m.virtual_time = m.virtual_time.max(vt);
         }
         if self.node.is_crashed() {
             m.dropped_crashed += 1;
@@ -1133,7 +1109,6 @@ mod tests {
             (6, 2, 1, 1)
         );
         assert_eq!((m.steps, m.shun_events, m.virtual_time), (4, 1, 55));
-        assert_eq!(m.virtual_times().collect::<Vec<_>>(), [("x", 55)]);
         let stamps: Vec<(&str, u64)> = events.iter().map(|e| (e.label(), e.step())).collect();
         let mut expected = vec![("send", 0); 4];
         expected.extend([("deliver", 1), ("shun", 1), ("send", 1), ("send", 1)]);
@@ -1197,7 +1172,7 @@ mod tests {
                 m.on_sent(&SessionId::root().child(SessionTag::new(OP_KINDS[i % 4], 0)));
             }
             MetricOp::Miss(i) => {
-                fold_kind(&mut m.decode_miss, OP_KINDS[i % 4], 1, |a, b| a + b);
+                add_kind(&mut m.decode_miss, OP_KINDS[i % 4], 1);
             }
             MetricOp::Delivered => m.delivered += 1,
             MetricOp::DroppedShunned => m.dropped_shunned += 1,

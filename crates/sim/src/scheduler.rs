@@ -10,8 +10,8 @@
 //! exempt from it.
 //!
 //! Schedulers see only the arrival-ordered [`MsgMeta`] view of the
-//! in-flight queue ([`Pending`]) — endpoints, sequence numbers, ages,
-//! session kinds and batch sizes — never payloads, which keeps the
+//! in-flight queue ([`Pending`]) — endpoints, sequence numbers, ages
+//! and batch sizes — never sessions or payloads, which keeps the
 //! delivery hot path free of envelope copies. Since the queue batches
 //! same-`(src, dst)` runs, a pick selects a *batch* and the network
 //! delivers its oldest envelope; the batch keeps its arrival position

@@ -2,8 +2,9 @@
 //! "no scenario violates safety" net, and the scaffold every future
 //! backend must pass to land behind the `Runtime` seam.
 //!
-//! A fixed [`ScenarioMatrix`] sweeps the BA and SVSS share→rec stacks
-//! across backends × schedulers × fault plans × seeds:
+//! A fixed [`ScenarioMatrix`] sweeps the reference stacks (BA, SVSS
+//! share→rec, common subset) across backends × schedulers × fault plans
+//! × seeds:
 //!
 //! * **backends** — `sim`, `sharded:1`, `sharded:4`, `wire`, `async`
 //!   (the deterministic set — `wire` round-trips every envelope through
@@ -477,7 +478,7 @@ fn wire_garbage_runs_record_malformed_frames_and_misses() {
 /// The threaded backend runs the same scenarios (schedulers are the OS's
 /// prerogative there): safety invariants must hold even without
 /// deterministic replay. A trimmed plan set keeps the OS-thread churn
-/// modest.
+/// modest; common subset runs all of its plans.
 #[test]
 fn threaded_backend_passes_the_conformance_invariants() {
     let registry = standard_registry();
@@ -486,6 +487,10 @@ fn threaded_backend_passes_the_conformance_invariants() {
         (
             StackKind::SvssChain,
             &StackKind::SvssChain.standard_plans()[..5],
+        ),
+        (
+            StackKind::CommonSubset,
+            StackKind::CommonSubset.standard_plans(),
         ),
     ] {
         for plan in plans {
