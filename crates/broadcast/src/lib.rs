@@ -120,25 +120,28 @@ pub fn register_codecs(registry: &mut CodecRegistry) {
 
 /// Per-value vote tally. Honest executions see one distinct value, and
 /// that first value and its voters are held inline — with [`PartySet`]'s
-/// inline word for `n ≤ 64`, a tally then owns no heap memory at all, so
-/// an honest [`Acast`] is its own box and nothing else. Only a second
-/// distinct value (an equivocating sender; at most a handful) spills to a
-/// `Vec`, scanned linearly: that beats hashing every message, and the
-/// bitsets never rehash, where a per-value hash set of voters grows (and
-/// reallocates) `O(log n)` times on its way to `n` of them. A-Cast
-/// tallies are the delivery hot path of every protocol built on
-/// broadcast, so this is where the per-message constant matters.
+/// 16 bytes and inline word for `n ≤ 64`, a tally then owns no heap
+/// memory at all, so an honest [`Acast`] is its own box (96 bytes for a
+/// `u8`, 80 for a `bool`) and nothing else. Only a second distinct value
+/// (an equivocating sender; at most a handful) spills, to a `Vec` behind
+/// one pointer that is boxed on that first spill and scanned linearly:
+/// that beats hashing every message, and the bitsets never rehash, where
+/// a per-value hash set of voters grows (and reallocates) `O(log n)` times
+/// on its way to `n` of them. A-Cast tallies are the delivery hot path of
+/// every protocol built on broadcast, so this is where the per-message
+/// constant matters.
 struct Tally<V> {
     first: Option<(V, PartySet)>,
     /// Every further distinct value, in order of first vote.
-    rest: Vec<(V, PartySet)>,
+    #[allow(clippy::box_collection)] // one pointer, not a 24-byte `Vec` header
+    rest: Option<Box<Vec<(V, PartySet)>>>,
 }
 
 impl<V: Value> Tally<V> {
     fn new() -> Self {
         Tally {
             first: None,
-            rest: Vec::new(),
+            rest: None,
         }
     }
 
@@ -152,14 +155,15 @@ impl<V: Value> Tally<V> {
         let voters = if first.0 == *v {
             &mut first.1
         } else {
-            let at = match self.rest.iter().position(|(ev, _)| ev == v) {
+            let rest = self.rest.get_or_insert_with(Box::default);
+            let at = match rest.iter().position(|(ev, _)| ev == v) {
                 Some(at) => at,
                 None => {
-                    self.rest.push((v.clone(), PartySet::new()));
-                    self.rest.len() - 1
+                    rest.push((v.clone(), PartySet::new()));
+                    rest.len() - 1
                 }
             };
-            &mut self.rest[at].1
+            &mut rest[at].1
         };
         voters.insert(from).then(|| voters.len())
     }
@@ -350,7 +354,7 @@ mod tests {
         assert_eq!(tally.record(&7, PartyId(0)), Some(1));
         assert_eq!(tally.record(&7, PartyId(3)), Some(2));
         assert_eq!(tally.record(&7, PartyId(0)), None, "a duplicate vote");
-        assert!(tally.rest.is_empty(), "one value: nothing spilled");
+        assert!(tally.rest.is_none(), "one value: nothing spilled");
         // Two more values, interleaved: each counts its own voters, and a
         // party that changes its vote counts once per value.
         assert_eq!(tally.record(&8, PartyId(0)), Some(1));
@@ -361,8 +365,64 @@ mod tests {
         assert_eq!(tally.record(&7, PartyId(70)), Some(3));
         let first = tally.first.as_ref().expect("the first value");
         assert_eq!((first.0, first.1.len()), (7, 3));
-        let rest: Vec<(u8, usize)> = tally.rest.iter().map(|(v, s)| (*v, s.len())).collect();
+        let spilled = tally.rest.as_deref().expect("two more values spilled");
+        let rest: Vec<(u8, usize)> = spilled.iter().map(|(v, s)| (*v, s.len())).collect();
         assert_eq!(rest, [(8, 2), (9, 1)]);
+    }
+
+    #[test]
+    fn an_acast_instance_is_small() {
+        let sizes = [
+            (std::mem::size_of::<Acast<u8>>(), 96, "u8"),
+            (std::mem::size_of::<Acast<bool>>(), 80, "bool"),
+        ];
+        for (size, budget, value) in sizes {
+            assert!(
+                size <= budget,
+                "an Acast<{value}> is {size} bytes, budget {budget} (160 with a 40-byte party \
+                 set and an inline `Vec` for the values past the first in each tally)"
+            );
+        }
+    }
+
+    mod tally_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `Tally::record` against the set of distinct (value, voter)
+            /// votes: a handful of values, so several spill, and party ids
+            /// past 64, so voter sets cross the inline word.
+            #[test]
+            fn tally_matches_a_vote_set(
+                votes in proptest::collection::vec(
+                    any::<u32>().prop_map(|x| ((x % 4) as u8, (x / 4 % 200) as usize)),
+                    0..120,
+                ),
+            ) {
+                let mut tally = Tally::<u8>::new();
+                let mut model: BTreeSet<(u8, usize)> = BTreeSet::new();
+                let mut values = Vec::new();
+                for (v, from) in votes {
+                    if !values.contains(&v) {
+                        values.push(v);
+                    }
+                    let count = model.range((v, 0)..=(v, usize::MAX)).count();
+                    let expected = model.insert((v, from)).then_some(count + 1);
+                    prop_assert_eq!(tally.record(&v, PartyId(from)), expected, "{} from {}", v, from);
+                }
+                // The first value inline, the others spilled in order of
+                // first vote, boxed only once there is a second value.
+                let first = tally.first.as_ref().map(|(v, _)| *v);
+                prop_assert_eq!(first, values.first().copied());
+                let spilled: Vec<u8> = tally.rest.iter().flat_map(|r| r.iter().map(|(v, _)| *v)).collect();
+                prop_assert_eq!(&spilled[..], values.get(1..).unwrap_or(&[]));
+                prop_assert_eq!(tally.rest.is_some(), values.len() > 1);
+            }
+        }
     }
 
     #[test]

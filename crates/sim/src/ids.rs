@@ -52,10 +52,11 @@ impl From<usize> for PartyId {
     }
 }
 
-/// A set of parties: a bitset over party ids with its size kept beside
-/// it. Parties `0..64` live in one inline word, so a set over any `n ≤ 64`
-/// never touches the allocator; ids from 64 up fall back to a `Vec` of
-/// further words, sized lazily from the highest id inserted.
+/// A set of parties: a bitset over party ids, 16 bytes. Parties `0..64`
+/// live in one inline word, so a set over any `n ≤ 64` never touches the
+/// allocator; the words for ids from 64 up sit behind one pointer, boxed
+/// on the first such id and sized lazily from the highest one inserted.
+/// No size is stored: [`len`](PartySet::len) counts the bits.
 ///
 /// This is the one collection protocol handlers key by party. A vote is
 /// an `insert`, a quorum test a `len`, and iteration is in ascending
@@ -74,15 +75,17 @@ impl From<usize> for PartyId {
 /// assert_eq!(votes.len(), 2);
 /// assert_eq!(votes.iter().collect::<Vec<_>>(), [PartyId(3), PartyId(70)]);
 /// ```
-// Nothing removes a single party, so the last word of `high` is never zero
-// and the derived equality is set equality.
-#[derive(Clone, Default, PartialEq, Eq)]
+// Nothing removes a single party and `clear` empties the `Vec`, so the
+// last high word is never zero, and comparing the words is set equality.
+#[derive(Clone, Default)]
 pub struct PartySet {
     /// Parties `0..64`.
     low: u64,
     /// Parties from 64 up: word `i` holds ids `64 (i + 1)..64 (i + 2)`.
-    high: Vec<u64>,
-    len: usize,
+    /// [`clear`](PartySet::clear) keeps the box, so an empty set may hold
+    /// an empty `Vec` here.
+    #[allow(clippy::box_collection)] // one pointer, not a 24-byte `Vec` header
+    high: Option<Box<Vec<u64>>>,
 }
 
 impl PartySet {
@@ -91,29 +94,26 @@ impl PartySet {
         Self::default()
     }
 
+    /// The words for parties from 64 up.
+    fn high(&self) -> &[u64] {
+        self.high.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     /// Inserts `p`; `false` if it was already a member.
     pub fn insert(&mut self, p: PartyId) -> bool {
-        let mask = 1u64 << (p.0 % 64);
-        // Keep both arms written out: with a shared `&mut u64` accessor in
-        // their place an -O build was reported to lose the `len` update
-        // (rustc 1.95; not reproduced since). CI runs these tests in the
-        // release profile as well.
-        let fresh = match (p.0 / 64).checked_sub(1) {
-            None => {
-                let fresh = self.low & mask == 0;
-                self.low |= mask;
-                fresh
-            }
+        let word = match (p.0 / 64).checked_sub(1) {
+            None => &mut self.low,
             Some(word) => {
-                if word >= self.high.len() {
-                    self.high.resize(word + 1, 0);
+                let high = self.high.get_or_insert_with(Box::default);
+                if word >= high.len() {
+                    high.resize(word + 1, 0);
                 }
-                let fresh = self.high[word] & mask == 0;
-                self.high[word] |= mask;
-                fresh
+                &mut high[word]
             }
         };
-        self.len += fresh as usize;
+        let mask = 1u64 << (p.0 % 64);
+        let fresh = *word & mask == 0;
+        *word |= mask;
         fresh
     }
 
@@ -121,31 +121,33 @@ impl PartySet {
     pub fn contains(&self, p: PartyId) -> bool {
         let word = match (p.0 / 64).checked_sub(1) {
             None => self.low,
-            Some(word) => self.high.get(word).copied().unwrap_or(0),
+            Some(word) => self.high().get(word).copied().unwrap_or(0),
         };
         word >> (p.0 % 64) & 1 == 1
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.len
+        let high: u32 = self.high().iter().map(|w| w.count_ones()).sum();
+        (self.low.count_ones() + high) as usize
     }
 
     /// Whether the set has no members.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.low == 0 && self.high().is_empty()
     }
 
     /// Whether every member of `other` is a member of `self`.
     pub fn is_superset(&self, other: &PartySet) -> bool {
+        let (mine, theirs) = (self.high(), other.high());
         other.low & !self.low == 0
-            && other.high.len() <= self.high.len()
-            && other.high.iter().zip(&self.high).all(|(o, s)| o & !s == 0)
+            && theirs.len() <= mine.len()
+            && theirs.iter().zip(mine).all(|(o, s)| o & !s == 0)
     }
 
     /// Members in ascending party order.
     pub fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
-        let words = std::iter::once(self.low).chain(self.high.iter().copied());
+        let words = std::iter::once(self.low).chain(self.high().iter().copied());
         words.enumerate().flat_map(|(i, word)| {
             std::iter::successors((word != 0).then_some(word), |w| {
                 let rest = w & (w - 1);
@@ -155,13 +157,25 @@ impl PartySet {
         })
     }
 
-    /// Removes every member (the capacity of the words past 64 is kept).
+    /// Removes every member (the box of the words past 64 and its
+    /// capacity are kept).
     pub fn clear(&mut self) {
         self.low = 0;
-        self.high.clear();
-        self.len = 0;
+        if let Some(high) = &mut self.high {
+            high.clear();
+        }
     }
 }
+
+/// Set equality: the words compare, so a cleared set whose high words'
+/// box is kept equals one that never had any.
+impl PartialEq for PartySet {
+    fn eq(&self, other: &PartySet) -> bool {
+        self.low == other.low && self.high() == other.high()
+    }
+}
+
+impl Eq for PartySet {}
 
 impl Extend<PartyId> for PartySet {
     fn extend<I: IntoIterator<Item = PartyId>>(&mut self, parties: I) {
@@ -885,6 +899,16 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_party_set_is_16_bytes() {
+        assert_eq!(
+            std::mem::size_of::<PartySet>(),
+            16,
+            "a party set is its inline word and one pointer to the words past 64 \
+             (40 bytes while it also kept a `Vec` header and a stored size)"
+        );
+    }
+
     /// `PartySet` and `PartyMap` against the obvious models, across the
     /// 64-bit word boundary.
     mod party_tables {
@@ -929,9 +953,23 @@ mod tests {
                 prop_assert_eq!(&rebuilt, &set);
                 prop_assert_eq!(other == set, other_model == model);
 
+                // A clone keeps the words past 64 and compares equal.
+                let copy = set.clone();
+                prop_assert_eq!(&copy, &set);
+                prop_assert_eq!(copy.len(), model.len());
+
                 set.clear();
                 prop_assert!(set.is_empty() && set.iter().next().is_none());
-                prop_assert_eq!(set, PartySet::new());
+                prop_assert_eq!(set.len(), 0);
+                prop_assert_eq!(&set, &PartySet::new());
+                prop_assert_eq!(&PartySet::new(), &set);
+                // Refilled after a clear (its high words' box kept), it
+                // equals a fresh set of the same members, both ways round.
+                set.extend(others.iter().map(|&i| PartyId(i)));
+                prop_assert_eq!(set.len(), other_model.len());
+                prop_assert_eq!(&set, &other);
+                prop_assert_eq!(&other, &set);
+                prop_assert_eq!(set.is_superset(&copy), other_model.is_superset(&model));
             }
 
             #[test]

@@ -7,8 +7,9 @@
 //! so [`SvssRec`] splits in two. What only the two tracks read — the
 //! decoder, the accepted reveals and their consistency graph — sits in one
 //! box that the output drops whole. What the shun checks read — the
-//! bundle, who revealed, the σ each party is held to — stays, 88 bytes in
-//! all (240 while the tracks were inline and merely emptied).
+//! bundle, who revealed, the σ each party is held to — stays, 64 bytes in
+//! all (88 with a 40-byte party set, 240 while the tracks were inline and
+//! merely emptied).
 
 use crate::clique::{find_clique, BitMatrix};
 use crate::msgs::{party_point, RecMsg, ShareBundle};

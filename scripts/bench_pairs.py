@@ -23,6 +23,12 @@ For every metric the pass reports it prints either
   for neither, and the medians apart by more than the distance between
   the parent's quartiles.
 
+Before the rows it prints each side's schedule identity: `first_exec`
+(execution 1's sent count, steps and fingerprint, which depend on the seed
+alone) from one shortest pass of that checkout's built
+`benchmark/target/release/aft-benchmark`, and `DIFFERS` when the sides
+disagree (not on the deployment, which has no fingerprint).
+
 Exits nonzero when a run fails or the change fails a larger share of its
 executions than the parent.
 """
@@ -30,6 +36,7 @@ executions than the parent.
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,6 +53,35 @@ def run_once(checkout, args):
     if done.returncode != 0:
         sys.exit(f"bench_pairs.py: {' '.join(argv)} exited {done.returncode}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def schedule_identity(checkout, args):
+    """`first_exec` of one shortest pass of the worker `run_once` built in
+    `checkout`: its sent count, steps and fingerprint as a line, and the
+    fingerprint (`None` when the pass failed)."""
+    release = checkout / "benchmark" / "target" / "release"
+    argv = [str(release / "aft-benchmark"), "--workload", args.workload]
+    argv += ["--seed", str(args.seed), "--partyd", str(release / "aft-partyd")]
+    # The worker takes no zero: the least positive time is one round of
+    # its seed pool, execution 1 first.
+    argv += ["--out", str(checkout / "benchmark" / "out"), "--seconds", "1e-9", "--trace", "0"]
+    # In a process group of its own, reaped whole like `run.py` does, so
+    # no daemon of a deployment workload outlives the pass.
+    proc = subprocess.Popen(argv, cwd=checkout, stdout=subprocess.PIPE,
+                            start_new_session=True, text=True)
+    try:
+        stdout, _ = proc.communicate()
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    if proc.returncode != 0:
+        return f"unknown: {' '.join(argv)} exited {proc.returncode}", None
+    first = json.loads(stdout.strip().splitlines()[-1])["first_exec"]
+    line = f"sent {first['sent']}  steps {first['steps']}  fingerprint {first['fingerprint']}"
+    return line, first["fingerprint"]
 
 
 def quartiles(values):
@@ -91,6 +127,14 @@ def main():
         failed = sum(r["failed"] for r in results)
         share[side] = failed / attempted if attempted else 1.0
         print(f"  {side:<6} {sides[side]}: {attempted} executions, {failed} failed")
+
+    identity = {side: schedule_identity(sides[side], args) for side in sides}
+    # A deployment's counts are OS-scheduled, and it reports no
+    # fingerprint (zero): there is no schedule to compare.
+    compared = all(fp and int(fp, 16) for _, fp in identity.values())
+    differs = compared and identity["parent"] != identity["change"]
+    for side, (line, _) in identity.items():
+        print(f"  {side:<6} first_exec: {line}{'  DIFFERS' if differs else ''}")
 
     equal_exact = []
     rows = []

@@ -34,15 +34,18 @@
 //! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
 //! at its deepest, so its peak heap divided by its peak in-flight count
 //! moves with every byte of the queue's layout. And it pins what the full
-//! stack holds: an n = 7 FBA peaks at 5.9 MB (6.9 MB while a finished
+//! stack holds: an n = 7 FBA peaks at 4.0 MB (4.5 MB with a 40-byte party
+//! set; 5.9 MB while every first output was kept; 6.9 MB while a finished
 //! reconstruction kept its decoding state inline and each queued run had
 //! a deque of its own; 8.7 MB with 88-byte session cells and a halted BA,
 //! a finished coin or FBA kept; 15.8 MB while every spent instance kept
-//! its state until the run was dropped), and at quiescence keeps 250 B of
-//! heap per recorded output at n = 7 and 584 B at n = 16 (292 and 683
-//! with the decoding state inline, 369 and 749 before spent instances let
-//! go). The interner, which those windows leave out, is pinned on its
-//! own: 40 bytes per new session (179 while each node kept its path).
+//! its state until the run was dropped), and at quiescence keeps 168 B of
+//! heap per recorded output at n = 7 and 494 B at n = 16 (189 and 518
+//! with a 40-byte party set, 250 and 584 while every first output was
+//! kept, 292 and 683 with the decoding state inline, 369 and 749 before
+//! spent instances let go). The interner, which those windows leave out,
+//! is pinned on its own: 40 bytes per new session (179 while each node
+//! kept its path).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -346,8 +349,10 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
         per_envelope < BA_N32_PEAK_BYTES_PER_IN_FLIGHT,
         "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
          ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
-         queue's records or side arrays, the payload, a session cell or a halted BA grew; \
-         with every first output kept in a 48-byte cell it was \
+         queue's records or side arrays, the payload, a session cell, a party set or a \
+         halted BA grew; with a 40-byte party set it was \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PARTY_SET}, \
+         with every first output kept in a 48-byte cell \
          {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS}, \
          with 88-byte cells and halted BAs kept {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL}, \
          with a 48-byte payload in 88-byte slab entries \
@@ -357,15 +362,19 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (125.7 measured — 4 158 868 bytes at 33 088 in flight — plus
-/// 5 %); what the same run cost while every session kept its first output
+/// bound (117.8 measured — 3 899 028 bytes at 33 088 in flight in a debug
+/// build, 3 890 324 in a release one — plus 2.7 %, as +5 % would pass a
+/// 40-byte party set, which measures 122.4); what the same run cost while
+/// a party set was 40 bytes and each A-Cast tally kept a `Vec` header
+/// inline (125.7); while every session kept its first output
 /// in a 48-byte arena cell (133.4); while an arena cell was 88 bytes and a
 /// halted BA kept its state (146.4); and, with the interner's growth
 /// still inside the window, what it cost while a `Payload` was 48 bytes,
 /// so a slab entry 88 (188.9), and while each batch was a 104-byte slab
 /// record in a doubling `Vec`, beside a tombstone list, a free list and a
 /// compaction scratch (each measured on the commit before it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 132.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 121.0;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PARTY_SET: f64 = 125.7;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS: f64 = 133.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL: f64 = 146.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PAYLOAD: f64 = 188.9;
@@ -408,26 +417,30 @@ fn fba_n7_peak_heap_is_pinned() {
         peak < FBA_N7_PEAK_BYTES,
         "the n=7 FBA peaked at {peak} heap bytes (bound {FBA_N7_PEAK_BYTES}) — a spent \
          instance kept its state, a finished reconstruction its tracks, the queue's run \
-         pool more than its most queued parcels, a session cell grew or kept an inner \
-         session's output; it was {FBA_N7_PEAK_BYTES_KEPT_OUTPUTS} with every first output \
-         kept in a 48-byte cell, \
+         pool more than its most queued parcels, a session cell or a party set grew or a \
+         cell kept an inner session's output; it was {FBA_N7_PEAK_BYTES_WIDE_PARTY_SET} \
+         with a 40-byte party set, {FBA_N7_PEAK_BYTES_KEPT_OUTPUTS} with every first \
+         output kept in a 48-byte cell, \
          {FBA_N7_PEAK_BYTES_INLINE_TRACKS} with the tracks kept inline and a deque per run, \
          {FBA_N7_PEAK_BYTES_WIDE_CELL} with 88-byte cells and a halted BA, a finished coin \
          or FBA kept, {FBA_N7_PEAK_BYTES_HELD} with every instance held to the end"
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (4 533 456 measured
-/// in a release build, 4 489 440 in a debug one, plus 5 %); what it peaked
-/// at while every session kept its first output in a 48-byte arena cell
-/// (5 923 056); while a finished reconstruction kept its
+/// Peak heap bytes of the n = 7 FBA above: the bound (4 040 712 measured
+/// in a release build, 3 996 696 in a debug one, plus 5 %; the peak moves
+/// by about 1 % with which tests ran first in the binary); what it peaked
+/// at while a party set was 40 bytes and each A-Cast tally kept a `Vec`
+/// header inline (4 533 288); while every session kept its first output
+/// in a 48-byte arena cell (5 923 056); while a finished reconstruction kept its
 /// emptied decoding state inline and every queued run was a deque of its
 /// own, drained ones kept in a spare list (6 888 204); while an arena cell
 /// was 88 bytes and a halted BA, a finished weak coin, `CoinFlip`,
 /// `FairChoice` and `Fba` kept their state; and while every instance kept
 /// its state until the runtime was dropped (each measured on the commit
 /// before it went; the last peak was then the live heap at quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 4_760_129;
+const FBA_N7_PEAK_BYTES: i64 = 4_242_748;
+const FBA_N7_PEAK_BYTES_WIDE_PARTY_SET: i64 = 4_533_288;
 const FBA_N7_PEAK_BYTES_KEPT_OUTPUTS: i64 = 5_923_056;
 const FBA_N7_PEAK_BYTES_INLINE_TRACKS: i64 = 6_888_204;
 const FBA_N7_PEAK_BYTES_WIDE_CELL: i64 = 8_692_918;
@@ -436,7 +449,9 @@ const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
 #[test]
 fn fba_live_heap_per_output_is_pinned() {
     let _guard = WINDOW.lock().unwrap();
-    for &(n, bound, kept_outputs, inline_tracks, wide_cell) in FBA_LIVE_BYTES_PER_OUTPUT {
+    for &(n, bound, wide_party_set, kept_outputs, inline_tracks, wide_cell) in
+        FBA_LIVE_BYTES_PER_OUTPUT
+    {
         // Seconds optimised, minutes in a debug build.
         if n > 7 && cfg!(debug_assertions) {
             continue;
@@ -457,9 +472,10 @@ fn fba_live_heap_per_output_is_pinned() {
             per_output < bound,
             "at n={n} the FBA keeps {live} heap bytes for {outputs} outputs \
              ({per_output:.1} B each, bound {bound}) — a spent instance, a finished \
-             reconstruction or a session cell holds more than it did, or an inner \
-             session's output is kept; with every first output kept in a 48-byte cell it \
-             was {kept_outputs}, with the reconstruction's tracks kept inline \
+             reconstruction, a session cell or a party set holds more than it did, or an \
+             inner session's output is kept; with a 40-byte party set it was \
+             {wide_party_set}, with every first output kept in a 48-byte cell \
+             {kept_outputs}, with the reconstruction's tracks kept inline \
              {inline_tracks}, with 88-byte cells and a halted BA, a finished coin or FBA \
              kept {wide_cell}"
         );
@@ -467,18 +483,21 @@ fn fba_live_heap_per_output_is_pinned() {
 }
 
 /// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
-/// (189.3 measured — 4 451 786 bytes for 23 517 outputs — plus 5 %) and
-/// n = 16 (517.8 — 163 431 428 bytes for 315 600 — plus 5 %); what the
-/// same runs kept while every session kept its first output in a 48-byte
-/// arena cell (249.9 and 584.2); while a finished reconstruction kept its
+/// (168.0 measured — 3 950 418 bytes for 23 517 outputs — plus 5 %) and
+/// n = 16 (493.8 — 155 847 812 bytes for 315 600 — plus 2.9 %, as +5 %
+/// would pass a 40-byte party set, which measures 509.6); what the same
+/// runs kept while a party set was 40 bytes and each A-Cast tally kept a
+/// `Vec` header inline (189.3 and 517.8); while every session kept its
+/// first output in a 48-byte arena cell (249.9 and 584.2); while a
+/// finished reconstruction kept its
 /// emptied decoding state inline (291.7 and 683.4); and what they kept while an
 /// arena cell was 88 bytes and a halted BA, a finished weak coin,
 /// `CoinFlip`, `FairChoice` and `Fba` kept their state (each measured on
 /// the commit before it went). The window leaves out the interner, so a
 /// stored path's bytes never counted here.
-const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64)] = &[
-    (7, 198.8, 249.9, 291.7, 369.1),
-    (16, 543.8, 584.2, 683.4, 748.7),
+const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64, f64)] = &[
+    (7, 176.4, 189.3, 249.9, 291.7, 369.1),
+    (16, 508.0, 517.8, 584.2, 683.4, 748.7),
 ];
 
 #[test]
