@@ -143,6 +143,8 @@ pub struct SimNetwork {
     /// clock — landing before the envelope's own arrival time and
     /// through an un-healed partition — so the fairness cap is off.
     clocked: bool,
+    /// Picks the fairness cap made instead of the scheduler.
+    cap_forced: u64,
     sched_rng: ChaCha12Rng,
     /// Where the acting party's sends wait to be numbered and queued
     /// (empty between steps).
@@ -182,6 +184,7 @@ impl SimNetwork {
             parties,
             pending: Pending::new(),
             clocked: scheduler.virtual_now().is_some(),
+            cap_forced: 0,
             scheduler,
             sched_rng: ChaCha12Rng::seed_from_u64(config.seed.wrapping_add(0xC0FF_EE00)),
             out: Vec::new(),
@@ -229,6 +232,13 @@ impl SimNetwork {
     /// The number of in-flight envelopes.
     pub fn pending_len(&self) -> usize {
         self.pending.messages()
+    }
+
+    /// How many picks the fairness cap ([`MAX_AGE`]) made instead of the
+    /// scheduler, over this network's life (diagnostics: not in
+    /// [`Metrics`] or any fingerprint).
+    pub fn cap_forced_picks(&self) -> u64 {
+        self.cap_forced
     }
 
     /// Starts the waiting spawns, then delivers the scheduler's next pick
@@ -422,6 +432,7 @@ impl SimNetwork {
         // The queue mirrors the oldest batch's birth step inline, so the
         // per-pick age check costs a field read, not a slab access.
         let slot = if !self.clocked && now.saturating_sub(self.pending.head_born_step()) > MAX_AGE {
+            self.cap_forced += 1;
             self.pending.slot_of(0)
         } else {
             self.scheduler.pick_slot(&self.pending, &mut self.sched_rng)

@@ -14,26 +14,37 @@
 //! cross-shard channels therefore move O(batches) records instead of
 //! O(messages).
 //!
-//! **Layout**: a batch is one slab record — `(from, to)` once, as `u32`s,
-//! its arrival position and the low half of its creation ordinal (16
-//! bytes), around either one inline [`Parcel`] (a 56-byte envelope
-//! without its endpoints: session, 32-byte payload, `seq`, `born_step`)
-//! or the ends and length of a run; a slab entry is 72 bytes.
-//! [`push`](Pending::push) splits an [`Envelope`] into its endpoints and
-//! its parcel and [`take`](Pending::take) puts one back together. The slab
-//! grows in bounded steps of an eighth plus 64 records, never by doubling,
-//! and a vacant entry links to the next one, so the free list costs
-//! nothing beside the slab.
+//! **Layout**: a batch is one slab entry of one 64-byte cache line
+//! (`#[repr(align(64))]`), so a random pick or a take at the head touches
+//! one line. Its 16-byte header holds `(from, to)` once, as `u16`s, its
+//! arrival position, the low half of its creation ordinal and the low
+//! half of its head envelope's birth step; the other 48 bytes hold either
+//! one inline body (session, 32-byte payload, `seq`) or the ends and
+//! length of a run. [`push`](Pending::push) splits an [`Envelope`] into
+//! its endpoints, its birth step and its body, and
+//! [`take`](Pending::take) puts one back together. A stored birth step is
+//! widened against the latest one pushed, the way a creation ordinal is
+//! against the next one: exact while every queued envelope is younger than
+//! 2³² steps, which the fairness cap ([`MAX_AGE`]) and the step budgets
+//! keep far off. A vacant entry links to the next one, so the free list
+//! costs nothing beside the slab.
 //!
-//! **Runs**: the parcels of every multi-parcel batch live in one pool of
-//! 64-byte nodes that the queue owns, each run an index-linked FIFO
-//! through it. A drained node goes on the pool's free chain and the next
-//! run's parcel takes it, so the pool is as large as the most parcels that
-//! were ever in runs at once (plus the slack of its last step — it grows
-//! like the slab), whatever shape the runs had. An n = 7 FBA has at most
-//! 2 262 parcels in runs at once; while every run was a deque of its own
-//! and drained deques waited in a spare list, 11 296 parcels of deque
-//! capacity (633 KB) stayed held.
+//! **Pages**: the slab, and the run pool below, are each a list of
+//! 64-entry pages, every page allocated at its full size once and never
+//! moved; an entry's id is `page · 64 + offset`. Growing allocates one
+//! more page and copies nothing (one `Vec` grown by an eighth plus 64
+//! entries was reallocated 36 times on the way to `ba-n32-sim`'s peak),
+//! and the slack is at most one page.
+//!
+//! **Runs**: the bodies of every multi-envelope batch live in one pool of
+//! 56-byte nodes (a body, its birth step's low half and a link) that the
+//! queue owns, each run an index-linked FIFO through it. A drained node
+//! goes on the pool's free chain and the next run's body takes it, so the
+//! pool is as large as the most bodies that were ever in runs at once
+//! (plus at most one page), whatever shape the runs had. An n = 7 FBA has
+//! at most 2 262 bodies in runs at once; while every run was a deque of
+//! its own and drained deques waited in a spare list, 11 296 parcels of
+//! deque capacity (633 KB) stayed held.
 //!
 //! **The live view** is an append-only arrival list of slot ids and a
 //! [`LiveIndex`] over its positions — one bit per position and a Fenwick
@@ -51,13 +62,15 @@
 //! deepest epoch before it; everything keeps its allocation across that
 //! reset.
 //!
-//! At the `ba-n32-sim` peak (33 088 envelopes in flight) that is 82 bytes
-//! per in-flight envelope, 2.7 MB in all: its 72-byte slab entry, the
-//! slack of the last growth step (at most an eighth of that), and up to
-//! 8.5 bytes of list and index. (It was 99 bytes while a payload was 48
+//! At the `ba-n32-sim` peak (33 088 envelopes in flight, each a batch of
+//! its own) that is at most 73 bytes per in-flight envelope, 2.4 MB in
+//! all: its 64-byte slab entry, up to 8.5 bytes of list and index, and
+//! the slack of one page. (It was 82 bytes while a slab entry was 72
+//! bytes in a `Vec` grown by an eighth, and 99 while a payload was 48
 //! bytes and a slab entry 88.)
 //!
 //! [`Scheduler`]: crate::Scheduler
+//! [`MAX_AGE`]: crate::scheduler::MAX_AGE
 
 use crate::ids::{PartyId, SessionId};
 use crate::network::Envelope;
@@ -108,28 +121,49 @@ impl Parcel {
         };
         (from, to, parcel)
     }
+}
 
-    /// The envelope this parcel is, sent from `from` to `to`.
-    fn into_envelope(self, from: u32, to: u32) -> Envelope {
+/// What the queue stores of a parcel besides its birth step, whose low
+/// half goes beside it (in the batch header or the pool node).
+struct Body {
+    session: SessionId,
+    payload: Payload,
+    seq: u64,
+}
+
+impl Body {
+    /// The envelope this body is, sent from `from` to `to` at `born_step`.
+    fn into_envelope(self, from: u16, to: u16, born_step: u64) -> Envelope {
         Envelope {
             from: widen(from),
             to: widen(to),
             session: self.session,
             payload: self.payload,
             seq: self.seq,
-            born_step: self.born_step,
+            born_step,
         }
     }
 }
 
 /// A party id as a batch record stores it.
-fn narrow(party: PartyId) -> u32 {
-    // A party id indexes `n`-sized tables, so one past `u32::MAX` was never built.
-    u32::try_from(party.0).expect("party ids fit in u32")
+fn narrow(party: PartyId) -> u16 {
+    // A refused id, not a truncated one: at n = 65 536 a single broadcast
+    // round would be 4.3·10⁹ envelopes.
+    u16::try_from(party.0).expect("party ids fit in u16")
 }
 
-fn widen(party: u32) -> PartyId {
-    PartyId(party as usize)
+fn widen(party: u16) -> PartyId {
+    PartyId(usize::from(party))
+}
+
+/// The step whose low half is `low`, at most `latest` and less than 2³²
+/// steps before it: a queued envelope's birth step, exact while it is
+/// less than 2³² steps older than the latest push. On an order-only
+/// schedule [`MAX_AGE`](crate::scheduler::MAX_AGE) forces out anything
+/// older than 4 096 steps, and the cell runner's step budget
+/// (`STEP_BUDGET`, 2·10⁹) ends a run before its steps reach 2³².
+fn widen_step(latest: u64, low: u32) -> u64 {
+    latest - u64::from((latest as u32).wrapping_sub(low))
 }
 
 /// An arrival position as a batch record stores it.
@@ -293,20 +327,97 @@ fn select_in_word(word: u64, r: u32) -> u32 {
     shift + u32::from(SELECT_IN_BYTE[byte][(r - skipped) as usize])
 }
 
+/// Entries per page of the slab and of the run pool: 4 KiB of slab a
+/// page, so the unused end of the last page stays small beside a shallow
+/// queue.
+const PAGE: usize = 64;
+
+/// A growable array in fixed pages of [`PAGE`] entries: a page is
+/// allocated at its full size once, its unused entries at their default,
+/// and never moved, so growing copies nothing. Entry `id` is at offset
+/// `id % PAGE` of page `id / PAGE`; a page is a fixed-size array, so only
+/// the page number is bounds-checked.
+struct Paged<T> {
+    pages: Vec<Box<[T; PAGE]>>,
+    /// Entries pushed; every later entry of the last page is a default.
+    len: usize,
+}
+
+impl<T> Default for Paged<T> {
+    fn default() -> Self {
+        Paged {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Default> Paged<T> {
+    /// Number of entries.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Number of entries the pages hold room for.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.pages.len() * PAGE
+    }
+
+    /// Appends `value`, on a new page if the last one is full; returns its
+    /// id.
+    fn push(&mut self, value: T) -> u32 {
+        let id = u32::try_from(self.len).expect("queue entry ids fit in u32");
+        if self.len == self.pages.len() * PAGE {
+            // Filled in place on the heap, not built on the stack and moved.
+            let page: Box<[T]> = std::iter::repeat_with(T::default).take(PAGE).collect();
+            let page = page.try_into().ok().expect("a page holds PAGE entries");
+            self.pages.push(page);
+        }
+        self.len += 1;
+        self[id] = value;
+        id
+    }
+
+    fn get(&self, id: u32) -> Option<&T> {
+        ((id as usize) < self.len).then(|| &self[id])
+    }
+}
+
+impl<T> std::ops::Index<u32> for Paged<T> {
+    type Output = T;
+
+    fn index(&self, id: u32) -> &T {
+        let id = id as usize;
+        &self.pages[id / PAGE][id % PAGE]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Paged<T> {
+    fn index_mut(&mut self, id: u32) -> &mut T {
+        let id = id as usize;
+        &mut self.pages[id / PAGE][id % PAGE]
+    }
+}
+
 /// The end of a chain of pool nodes.
 const NIL: u32 = u32::MAX;
 
-/// One pool node: a queued parcel and the next node of its run, or, while
-/// free (`parcel` is `None`), the next node of the free chain.
+/// One pool node: a queued body, the low half of its birth step and the
+/// next node of its run, or, while free (`body` is `None`), the next node
+/// of the free chain.
+#[derive(Default)]
 struct PoolNode {
-    parcel: Option<Parcel>,
+    body: Option<Body>,
+    born: u32,
     next: u32,
 }
 
 /// The nodes every multi-parcel run of one queue is linked through, with
 /// a free chain of drained nodes (see the module docs).
 struct Pool {
-    nodes: Vec<PoolNode>,
+    nodes: Paged<PoolNode>,
     /// Most recently freed node, head of the free chain (`NIL`: none).
     free: u32,
     /// Nodes taken off the free chain, and nodes added to the pool (the
@@ -318,7 +429,7 @@ struct Pool {
 impl Default for Pool {
     fn default() -> Self {
         Pool {
-            nodes: Vec::new(),
+            nodes: Paged::default(),
             free: NIL,
             reused: 0,
             added: 0,
@@ -327,73 +438,71 @@ impl Default for Pool {
 }
 
 impl Pool {
-    /// A node holding `parcel` at the end of a chain: a free one if there
-    /// is one, else a new one, the pool growing like the slab.
-    fn put(&mut self, parcel: Parcel) -> u32 {
+    /// A node holding `body`, born at low half `born`, at the end of a
+    /// chain: a free one if there is one, else a new one.
+    fn put(&mut self, body: Body, born: u32) -> u32 {
         let node = PoolNode {
-            parcel: Some(parcel),
+            body: Some(body),
+            born,
             next: NIL,
         };
         if self.free != NIL {
             let id = self.free;
-            let vacant = std::mem::replace(&mut self.nodes[id as usize], node);
-            self.free = vacant.next;
+            let slot = &mut self.nodes[id];
+            self.free = slot.next;
+            *slot = node;
             self.reused += 1;
             return id;
         }
-        if self.nodes.len() == self.nodes.capacity() {
-            self.nodes.reserve_exact(self.nodes.len() / 8 + 64);
-        }
-        self.nodes.push(node);
         self.added += 1;
-        u32::try_from(self.nodes.len() - 1).expect("pool ids fit in u32")
+        self.nodes.push(node)
     }
 
     /// Appends node `id` after node `tail`.
     fn link(&mut self, tail: u32, id: u32) {
-        self.nodes[tail as usize].next = id;
+        self.nodes[tail].next = id;
     }
 
-    /// The parcel queued in node `id`.
-    fn parcel(&self, id: u32) -> &Parcel {
-        self.nodes[id as usize]
-            .parcel
+    /// The body queued in node `id`.
+    fn body(&self, id: u32) -> &Body {
+        self.nodes[id]
+            .body
             .as_ref()
-            .expect("a run's node holds a parcel")
+            .expect("a run's node holds a body")
     }
 
-    /// Takes node `id`'s parcel and frees the node; returns the parcel and
+    /// Takes node `id`'s body and frees the node; returns the body and
     /// the node that followed it.
-    fn take(&mut self, id: u32) -> (Parcel, u32) {
-        let node = &mut self.nodes[id as usize];
-        let parcel = node.parcel.take().expect("a run's node holds a parcel");
+    fn take(&mut self, id: u32) -> (Body, u32) {
+        let node = &mut self.nodes[id];
+        let body = node.body.take().expect("a run's node holds a body");
         let next = std::mem::replace(&mut node.next, self.free);
         self.free = id;
-        (parcel, next)
+        (body, next)
     }
 }
 
-/// The parcels of one batch. Singletons — the common case on the
+/// The bodies of one batch. Singletons — the common case on the
 /// single-queue simulator — hold theirs inline; only a real run of
 /// same-pair envelopes goes through the queue's [`Pool`].
 enum Run {
-    /// Exactly one parcel, stored inline.
-    One(Parcel),
-    /// A FIFO run of two or more (until drained) parcels, from pool node
+    /// Exactly one body, stored inline.
+    One(Body),
+    /// A FIFO run of two or more (until drained) bodies, from pool node
     /// `head` to pool node `tail`.
     Many { head: u32, tail: u32, len: u32 },
 }
 
 impl Run {
-    /// The oldest (next-delivered) parcel.
-    fn head<'a>(&'a self, pool: &'a Pool) -> &'a Parcel {
+    /// The oldest (next-delivered) body.
+    fn head<'a>(&'a self, pool: &'a Pool) -> &'a Body {
         match self {
-            Run::One(parcel) => parcel,
-            Run::Many { head, .. } => pool.parcel(*head),
+            Run::One(body) => body,
+            Run::Many { head, .. } => pool.body(*head),
         }
     }
 
-    /// Parcels remaining (≥ 1).
+    /// Bodies remaining (≥ 1).
     fn len(&self) -> u32 {
         match self {
             Run::One(_) => 1,
@@ -403,40 +512,41 @@ impl Run {
 }
 
 /// One live batch: its endpoints, where it stands in arrival order, when
-/// it was opened, and its parcels. Scheduler-visible [`MsgMeta`] is
-/// *derived* from the head on demand — the random scheduler never reads
-/// it.
+/// it was opened, when its head was sent, and its bodies.
+/// Scheduler-visible [`MsgMeta`] is *derived* from the head on demand —
+/// the random scheduler never reads it.
+///
+/// Aligned to a cache line here, not on [`Slot`]: on an enum the
+/// attribute costs the niche that keeps a vacant entry inside 64 bytes.
+#[repr(align(64))]
 struct Record {
-    from: u32,
-    to: u32,
+    from: u16,
+    to: u16,
     /// Current arrival position (kept current by compaction, which is
     /// what makes [`BatchSlot`] handles stable).
     pos: u32,
     /// Low 32 bits of the batch's creation ordinal
     /// ([`Pending::ordinal_of`] widens it).
     created: u32,
+    /// Low 32 bits of the head body's birth step ([`widen_step`] widens
+    /// it).
+    born: u32,
     run: Run,
 }
 
-impl Record {
-    /// The derived scheduler-visible metadata.
-    fn meta(&self, pool: &Pool) -> MsgMeta {
-        let head = self.run.head(pool);
-        MsgMeta {
-            from: widen(self.from),
-            to: widen(self.to),
-            seq: head.seq,
-            born_step: head.born_step,
-            count: self.run.len(),
-        }
-    }
-}
-
-/// A slab entry.
+/// A slab entry: one cache line.
 enum Slot {
     Live(Record),
     /// Free; links to the next free entry.
     Vacant(Option<u32>),
+}
+
+impl Default for Slot {
+    /// A vacant entry on no free chain: what a new page holds past the
+    /// entries pushed.
+    fn default() -> Self {
+        Slot::Vacant(None)
+    }
 }
 
 /// A stable handle to one live batch record, valid until the batch's run
@@ -456,7 +566,7 @@ pub struct BatchSlot(u32);
 #[derive(Default)]
 pub struct Pending {
     /// Slab of batch records.
-    slots: Vec<Slot>,
+    slots: Paged<Slot>,
     /// Most recently vacated slab entry, head of the free chain.
     free: Option<u32>,
     /// The nodes of every multi-parcel run.
@@ -476,6 +586,9 @@ pub struct Pending {
     /// one. Ordinals grow with arrival position and, unlike positions,
     /// survive compaction — a clocked scheduler's arrival-order key.
     created: u64,
+    /// The latest birth step pushed so far: what a stored low half is
+    /// widened against ([`widen_step`]).
+    born_latest: u64,
     /// `(position, ordinal)` of the first batch appended since arrival
     /// positions were last renumbered (compaction, or the reset on a
     /// full drain). Every append takes the next position *and* the next
@@ -489,7 +602,7 @@ pub struct Pending {
     /// `tail` is `Some`): the per-push merge probe reads this field
     /// instead of chasing `tail` into the slab — a guaranteed cache miss
     /// on workloads whose consecutive sends never merge.
-    tail_pair: (u32, u32),
+    tail_pair: (u16, u16),
     /// `born_step` of the head batch's oldest envelope, mirrored inline
     /// (valid while `live > 0`): the per-pick fairness-age check reads
     /// this field instead of resolving `arrival[head]` into the slab.
@@ -519,14 +632,14 @@ impl Pending {
 
     /// The live record in slab entry `slot`.
     fn record(&self, slot: u32) -> &Record {
-        match &self.slots[slot as usize] {
+        match &self.slots[slot] {
             Slot::Live(record) => record,
             Slot::Vacant(_) => panic!("batch handle refers to a live batch"),
         }
     }
 
     fn record_mut(&mut self, slot: u32) -> &mut Record {
-        match &mut self.slots[slot as usize] {
+        match &mut self.slots[slot] {
             Slot::Live(record) => record,
             Slot::Vacant(_) => panic!("batch handle refers to a live batch"),
         }
@@ -543,19 +656,29 @@ impl Pending {
         }
     }
 
+    /// The derived scheduler-visible metadata of `record`.
+    fn meta_of(&self, record: &Record) -> MsgMeta {
+        MsgMeta {
+            from: widen(record.from),
+            to: widen(record.to),
+            seq: record.run.head(&self.pool).seq,
+            born_step: widen_step(self.born_latest, record.born),
+            count: record.run.len(),
+        }
+    }
+
     /// Metadata of the `i`-th oldest in-flight batch.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
     pub fn meta(&self, i: usize) -> MsgMeta {
-        self.record(self.arrival[self.position(i)]).meta(&self.pool)
+        self.meta_of(self.record(self.arrival[self.position(i)]))
     }
 
     /// All batch metadata in arrival order (oldest first).
     pub fn metas(&self) -> impl Iterator<Item = MsgMeta> + '_ {
-        (self.head..self.arrival.len())
-            .filter_map(|pos| Some(self.record_at(pos)?.meta(&self.pool)))
+        (self.head..self.arrival.len()).filter_map(|pos| Some(self.meta_of(self.record_at(pos)?)))
     }
 
     /// `(reused, added)` run pool nodes so far — folded into the owning
@@ -567,20 +690,39 @@ impl Pending {
     /// Whether the most recently pushed batch is live and can absorb an
     /// envelope from `from` to `to`; returns its slot id if so. Reads
     /// only the inline `tail_pair` mirror — no slab access.
-    fn mergeable_tail(&self, from: u32, to: u32) -> Option<u32> {
+    fn mergeable_tail(&self, from: u16, to: u16) -> Option<u32> {
         let slot = self.tail?;
         (self.tail_pair == (from, to)).then_some(slot)
     }
 
-    /// Extends the live tail batch in slot `slot` with one parcel,
-    /// moving an inline singleton into the pool first.
+    /// Splits `parcel` into its body and the low half of its birth step,
+    /// which from here on widens against the latest birth step pushed.
+    fn admit(&mut self, parcel: Parcel) -> (Body, u32) {
+        let Parcel {
+            session,
+            payload,
+            seq,
+            born_step,
+        } = parcel;
+        self.born_latest = self.born_latest.max(born_step);
+        let body = Body {
+            session,
+            payload,
+            seq,
+        };
+        (body, born_step as u32)
+    }
+
+    /// Extends the live tail batch in slot `slot` with one body, moving
+    /// an inline singleton into the pool first.
     fn extend_tail(&mut self, slot: u32, parcel: Parcel) {
+        let (body, born) = self.admit(parcel);
         self.total += 1;
-        let Slot::Live(record) = &mut self.slots[slot as usize] else {
+        let Slot::Live(record) = &mut self.slots[slot] else {
             unreachable!("the tail slot is live");
         };
         let pool = &mut self.pool;
-        let id = pool.put(parcel);
+        let id = pool.put(body, born);
         match &mut record.run {
             Run::Many { tail, len, .. } => {
                 pool.link(*tail, id);
@@ -596,7 +738,7 @@ impl Pending {
                 let Run::One(first) = std::mem::replace(one, empty) else {
                     unreachable!("matched above");
                 };
-                let head = pool.put(first);
+                let head = pool.put(first, record.born);
                 pool.link(head, id);
                 *one = Run::Many {
                     head,
@@ -620,7 +762,7 @@ impl Pending {
         match self.mergeable_tail(from, to) {
             Some(slot) => self.extend_tail(slot, parcel),
             None => {
-                self.insert_batch(from, to, Run::One(parcel));
+                self.insert_batch(from, to, parcel);
             }
         }
     }
@@ -641,48 +783,42 @@ impl Pending {
                 self.extend_tail(slot, first);
                 slot
             }
-            None => self.insert_batch(from, to, Run::One(first)),
+            None => self.insert_batch(from, to, first),
         };
         for parcel in parcels {
             self.extend_tail(slot, parcel);
         }
     }
 
-    /// Installs a fresh batch record at the back of the arrival order and
-    /// returns its slab entry.
-    fn insert_batch(&mut self, from: u32, to: u32, run: Run) -> u32 {
-        self.total += run.len() as usize;
+    /// Installs a fresh one-envelope batch record at the back of the
+    /// arrival order and returns its slab entry.
+    fn insert_batch(&mut self, from: u16, to: u16, parcel: Parcel) -> u32 {
+        let born_step = parcel.born_step;
+        let (body, born) = self.admit(parcel);
+        self.total += 1;
         if self.arrival.len() == self.index.capacity() {
             self.compact_and_grow();
         }
         let pos = self.arrival.len();
-        let born = run.head(&self.pool).born_step;
         let record = Slot::Live(Record {
             from,
             to,
             pos: narrow_pos(pos),
             created: self.created as u32,
-            run,
+            born,
+            run: Run::One(body),
         });
         self.created += 1;
         let slot = match self.free {
             Some(slot) => {
-                let vacant = std::mem::replace(&mut self.slots[slot as usize], record);
-                let Slot::Vacant(next) = vacant else {
+                let Slot::Vacant(next) = self.slots[slot] else {
                     unreachable!("the free chain links vacant entries");
                 };
                 self.free = next;
+                self.slots[slot] = record;
                 slot
             }
-            None => {
-                if self.slots.len() == self.slots.capacity() {
-                    // A bounded step, not a doubling: the slab is the
-                    // queue's one big allocation.
-                    self.slots.reserve_exact(self.slots.len() / 8 + 64);
-                }
-                self.slots.push(record);
-                u32::try_from(self.slots.len() - 1).expect("slab ids fit in u32")
-            }
+            None => self.slots.push(record),
         };
         // Compaction reserved room up to the index's capacity: no regrowth.
         self.arrival.push(slot);
@@ -692,7 +828,7 @@ impl Pending {
         self.tail_pair = (from, to);
         if self.live == 1 {
             // The queue was empty, so this batch is the head.
-            self.head_born = born;
+            self.head_born = born_step;
         }
         slot
     }
@@ -733,7 +869,7 @@ impl Pending {
     /// (pair with [`slot_of`](Pending::slot_of) to resolve a pick's
     /// handle and run length with a single index descent).
     pub fn meta_of_slot(&self, slot: BatchSlot) -> MsgMeta {
-        self.record(slot.0).meta(&self.pool)
+        self.meta_of(self.record(slot.0))
     }
 
     /// Remaining run length of the live batch `slot` — what a delivery
@@ -776,7 +912,7 @@ impl Pending {
     /// `(slot, ordinal)` pair names one batch for good: a holder of a
     /// stale handle finds `None` or a different ordinal here.
     pub fn ordinal_of_slot(&self, slot: BatchSlot) -> Option<u64> {
-        match self.slots.get(slot.0 as usize)? {
+        match self.slots.get(slot.0)? {
             Slot::Live(record) => Some(self.ordinal_of(record)),
             Slot::Vacant(_) => None,
         }
@@ -828,25 +964,29 @@ impl Pending {
     ///
     /// Panics if `slot` does not refer to a live batch.
     pub fn take_slot(&mut self, slot: BatchSlot) -> Envelope {
-        let Slot::Live(record) = &mut self.slots[slot.0 as usize] else {
+        let latest = self.born_latest;
+        let Slot::Live(record) = &mut self.slots[slot.0] else {
             panic!("batch handle refers to a live batch");
         };
         self.total -= 1;
+        let born_step = widen_step(latest, record.born);
         if let Run::Many { head, len, .. } = &mut record.run {
             if *len > 1 {
                 // The batch survives at its arrival position; only its
-                // run (and, at the head, the inline age mirror) moves.
-                let (parcel, next) = self.pool.take(*head);
+                // run, its head's birth step and, at the head of the
+                // queue, the inline age mirror move.
+                let (body, next) = self.pool.take(*head);
                 *head = next;
                 *len -= 1;
+                record.born = self.pool.nodes[next].born;
                 if record.pos as usize == self.head {
-                    self.head_born = self.pool.parcel(next).born_step;
+                    self.head_born = widen_step(latest, record.born);
                 }
-                return parcel.into_envelope(record.from, record.to);
+                return body.into_envelope(record.from, record.to, born_step);
             }
         }
         // Batch drained: retire the record, freeing its last pool node.
-        let vacated = std::mem::replace(&mut self.slots[slot.0 as usize], Slot::Vacant(self.free));
+        let vacated = std::mem::replace(&mut self.slots[slot.0], Slot::Vacant(self.free));
         self.free = Some(slot.0);
         let Slot::Live(Record {
             from, to, pos, run, ..
@@ -854,8 +994,8 @@ impl Pending {
         else {
             unreachable!("checked live above");
         };
-        let parcel = match run {
-            Run::One(parcel) => parcel,
+        let body = match run {
+            Run::One(body) => body,
             Run::Many { head, .. } => self.pool.take(head).0,
         };
         if self.tail == Some(slot.0) {
@@ -875,10 +1015,9 @@ impl Pending {
             while !self.index.is_live(self.head) {
                 self.head += 1;
             }
-            let head = self.record(self.arrival[self.head]);
-            self.head_born = head.run.head(&self.pool).born_step;
+            self.head_born = widen_step(latest, self.record(self.arrival[self.head]).born);
         }
-        parcel.into_envelope(from, to)
+        body.into_envelope(from, to, born_step)
     }
 
     /// Compacts `arrival` in place (retired entries dropped, survivors
@@ -928,35 +1067,38 @@ mod tests {
     }
 
     /// What one in-flight envelope costs is the queue's whole memory
-    /// story (a BA at n = 32 holds 33 088 of them at once), so its two
-    /// records have a byte budget.
+    /// story (a BA at n = 32 holds 33 088 of them at once), so its
+    /// records have a byte budget, and a slab entry is one cache line.
     #[test]
     fn records_stay_within_their_byte_budget() {
-        use std::mem::size_of;
+        use std::mem::{align_of, size_of};
         assert!(
             size_of::<Parcel>() <= 56,
             "an in-flight envelope is {} bytes, budget 56: shrink `Parcel` — \
              its session, payload, seq and born_step; the endpoints live in the batch",
             size_of::<Parcel>()
         );
-        assert!(
-            size_of::<Slot>() <= 72,
-            "a slab entry is {} bytes, budget 72: shrink `Record`'s header \
-             (from, to, pos, created) or `Run` (one inline `Parcel`, or a run's ends)",
-            size_of::<Slot>()
+        assert_eq!(
+            size_of::<Slot>(),
+            64,
+            "a slab entry is one 64-byte cache line (it was 72 bytes across two): \
+             `Record`'s 16-byte header (from, to as u16; pos, created, born as u32) \
+             and `Run` (one inline 48-byte `Body`, or a run's ends)"
         );
+        assert_eq!(align_of::<Slot>(), 64, "a slab entry starts a cache line");
         assert!(
-            size_of::<PoolNode>() <= 64,
-            "a queued parcel of a run is {} bytes, budget 64: the parcel and one link",
+            size_of::<PoolNode>() <= 56,
+            "a queued body of a run is {} bytes, budget 56: the body, its birth \
+             step's low half and one link (it was 64 with a whole parcel)",
             size_of::<PoolNode>()
         );
     }
 
     #[test]
-    #[should_panic(expected = "party ids fit in u32")]
-    fn party_ids_past_u32_are_refused_not_truncated() {
+    #[should_panic(expected = "party ids fit in u16")]
+    fn party_ids_past_u16_are_refused_not_truncated() {
         let mut q = Pending::new();
-        q.push(env(1 << 32, 0, 0));
+        q.push(env(1 << 16, 0, 0));
     }
 
     #[test]
@@ -1043,6 +1185,7 @@ mod tests {
         // The freed slot is reused without growing storage.
         q.push(env(9, 9, 99));
         assert_eq!(q.slots.len(), 4);
+        assert_eq!(q.slots.capacity(), PAGE, "one page");
         assert_eq!(q.meta(3).seq, 99);
         // Drain fully, checking meta/envelope stay aligned.
         let seqs: Vec<u64> = (0..4).map(|_| q.take(0).seq).collect();
@@ -1210,18 +1353,18 @@ mod tests {
     /// * 0–3: fills and drains alternate over three senders and two
     ///   receivers, so batches merge and the arrival list outgrows its
     ///   capacity (compaction);
-    /// * 4–5: a long fill of distinct pairs, past several slab growth
-    ///   steps; 6: a drain;
+    /// * 4–5: a long fill of distinct pairs, past several slab pages;
+    ///   6: a drain;
     /// * 7: drained to empty, then refilled to a shallow depth, which the
     ///   index follows down.
     ///
-    /// Party ids sit either side of 2¹⁶ and up to `u32::MAX`: a record
-    /// keeps its endpoints as `u32`s.
+    /// Party ids sit either side of 2⁸ and up to `u16::MAX`: a record
+    /// keeps its endpoints as `u16`s.
     #[test]
     fn matches_naive_model_under_mixed_workload() {
         use rand::{Rng, SeedableRng};
-        const FROM: [usize; 3] = [0, 1 << 16, (1 << 31) + 5];
-        const TO: [usize; 2] = [3, u32::MAX as usize];
+        const FROM: [usize; 3] = [0, 1 << 8, (1 << 15) + 5];
+        const TO: [usize; 2] = [3, u16::MAX as usize];
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(42);
         let mut q = Pending::new();
         let mut model = Model::default();
@@ -1278,10 +1421,10 @@ mod tests {
                 slab_steps.push(q.slots.capacity());
             }
         }
-        // The slab grew step by step, each step an eighth plus 64.
+        // The slab grew step by step, one page a step.
         assert!(slab_steps.len() >= 5, "slab steps {slab_steps:?}");
         for w in slab_steps.windows(2) {
-            assert_eq!(w[1], w[0] + w[0] / 8 + 64, "slab steps {slab_steps:?}");
+            assert_eq!(w[1], w[0] + PAGE, "slab steps {slab_steps:?}");
         }
         // The refill is shallow, and so is the index it descends.
         assert!((19..=20).contains(&model.batches.len()));
@@ -1314,6 +1457,39 @@ mod tests {
         assert_eq!(ordinals, [0, 2, 3, 4, 5].map(|k| start + k));
         assert_eq!(q.batches_since(start + 4).count(), 2);
         assert_eq!(q.ordinal_of_slot(q.slot_of(4)), Some(start + 5));
+    }
+
+    #[test]
+    fn birth_steps_stay_exact_across_the_u32_boundary() {
+        // Records and pool nodes keep only the low half of a birth step;
+        // born either side of 2³², the stored halves wrap mid-queue.
+        let start = (1u64 << 32) - 3;
+        let born = |k: u64| start + 2 * k;
+        let mut q = Pending::new();
+        for k in 0..4 {
+            // Distinct pairs: singleton batches, their steps in headers.
+            let mut e = env(k as usize, 9, k);
+            e.born_step = born(k);
+            q.push(e);
+        }
+        for k in 4..7 {
+            // One run: its steps in pool nodes, its head's in the header.
+            let mut e = env(7, 8, k);
+            e.born_step = born(k);
+            q.push(e);
+        }
+        let metas: Vec<u64> = (0..q.len()).map(|i| q.meta(i).born_step).collect();
+        assert_eq!(metas, [0, 1, 2, 3, 4].map(born));
+        assert_eq!(q.head_born_step(), born(0));
+        let mut taken = Vec::new();
+        // Take the run's head, then everything from the front.
+        taken.push(q.take(4).born_step);
+        assert_eq!(q.meta(4).born_step, born(5));
+        while !q.is_empty() {
+            assert_eq!(q.head_born_step(), q.meta(0).born_step);
+            taken.push(q.take(0).born_step);
+        }
+        assert_eq!(taken, [4, 0, 1, 2, 3, 5, 6].map(born));
     }
 
     /// Property test: `LiveIndex` set/select/prefix agrees with a naive

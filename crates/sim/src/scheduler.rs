@@ -34,6 +34,13 @@ use crate::queue::MsgMeta;
 /// Applies to order-only schedulers. One that keeps a virtual clock
 /// ([`Scheduler::virtual_now`]) delivers every message at a finite time
 /// of its own choosing and is never overridden.
+///
+/// Where the queue runs deeper than this many deliveries the cap, not
+/// the scheduler, makes most picks: 95.4 % of them in the benchmark's
+/// n = 32 BA under `random` (so that schedule is mostly FIFO), 33.1 % in
+/// its n = 7 FBA, none in its shallower workloads
+/// ([`SimNetwork::cap_forced_picks`](crate::SimNetwork::cap_forced_picks)
+/// counts them; `tests/full_stack.rs` pins both counts).
 pub const MAX_AGE: u64 = 4096;
 
 /// Picks the next message to deliver from the pending set.

@@ -137,7 +137,7 @@ status=0
 LD_PRELOAD=$dir/sampler.so "$@" || status=$?
 
 python3 - "$out" "$rows" <<'EOF'
-import collections, os, re, subprocess, sys
+import bisect, collections, os, re, subprocess, sys
 
 out, rows = sys.argv[1], int(sys.argv[2])
 
@@ -150,6 +150,37 @@ def load_segments(path):
         if f and f[0] == "LOAD":
             segs.append((int(f[1], 16), int(f[2], 16), int(f[4], 16)))
     return segs
+
+def sized_symbols(path):
+    """Defined code symbols of an ELF file with their sizes, from the
+    static table where the file keeps one and the dynamic one (`nm -D`):
+    their starts ascending, and for each the furthest end of it and every
+    symbol before it."""
+    spans = set()
+    for table in ([], ["-D"]):
+        text = subprocess.run(["nm", "--defined-only", "-S", *table, path],
+                              capture_output=True, text=True).stdout
+        for line in text.splitlines():
+            f = line.split()
+            if len(f) == 4 and f[2] in "tTwWiI":
+                start, size = int(f[0], 16), int(f[1], 16)
+                spans.add((start, start + size))
+    spans = sorted(spans)
+    reach, furthest = [], 0
+    for _, end in spans:
+        furthest = max(furthest, end)
+        reach.append(furthest)
+    return [start for start, _ in spans], reach
+
+def unnamed(sized, addr):
+    """Where no symbol covers `addr` though one starts before it, the end
+    of the furthest-reaching of those: the start of the unnamed span
+    `addr` is in, so that samples in one span add up. Otherwise None."""
+    starts, reach = sized
+    i = bisect.bisect_right(starts, addr)
+    if i == 0 or reach[i - 1] > addr:
+        return None
+    return reach[i - 1]
 
 # Every sample as its frames, innermost first, each a (file, file offset)
 # or the name of what it fell in outside any file; and per binary the
@@ -194,18 +225,26 @@ for path, offsets in by_file.items():
     ).stdout.splitlines()
     # `-a` heads each address's frames (innermost first) with the address;
     # a frame is two lines, function then file:line.
-    frames, current, k = {}, None, 0
+    frames, lines, current, k = {}, {}, None, 0
     for line in res:
         if re.fullmatch(r"0x[0-9a-f]+", line):
             current, k = int(line, 16), 0
-            frames[current] = []
+            frames[current], lines[current] = [], []
         elif current is not None:
-            if k % 2 == 0:
-                frames[current].append(line)
+            (frames if k % 2 == 0 else lines)[current].append(line)
             k += 1
     base = os.path.basename(path)
+    sized = sized_symbols(path)
     for off in offsets:
-        names = [n for n in frames.get(vaddrs[off], []) if n != "??"] or [f"?? ({base})"]
+        vaddr = vaddrs[off]
+        names = [n for n in frames.get(vaddr, []) if n != "??"] or [f"?? ({base})"]
+        # Without debug information addr2line names the symbol table's
+        # nearest symbol before the address; past that symbol's end the
+        # name is wrong, so the address is named by its file instead.
+        if lines.get(vaddr, ["??:0"])[0].startswith("??:"):
+            gap = unnamed(sized, vaddr)
+            if gap is not None:
+                names = [f"{base}+{gap:#x}"]
         names_at[(path, off)] = [re.sub(r"::h[0-9a-f]{16}$", "", n) for n in names]
 
 leaf, real, inclusive = collections.Counter(), collections.Counter(), collections.Counter()

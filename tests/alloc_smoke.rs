@@ -33,25 +33,31 @@
 //! The shim also keeps the bytes the window holds and their peak, which
 //! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
 //! at its deepest, so its peak heap divided by its peak in-flight count
-//! moves with every byte of the queue's layout. And it pins what the full
-//! stack holds: an n = 7 FBA peaks at 4.0 MB (4.5 MB with a 40-byte party
-//! set; 5.9 MB while every first output was kept; 6.9 MB while a finished
-//! reconstruction kept its decoding state inline and each queued run had
-//! a deque of its own; 8.7 MB with 88-byte session cells and a halted BA,
-//! a finished coin or FBA kept; 15.8 MB while every spent instance kept
-//! its state until the run was dropped), and at quiescence keeps 168 B of
-//! heap per recorded output at n = 7 and 494 B at n = 16 (189 and 518
-//! with a 40-byte party set, 250 and 584 while every first output was
-//! kept, 292 and 683 with the decoding state inline, 369 and 749 before
-//! spent instances let go). The interner, which those windows leave out,
-//! is pinned on its own: 40 bytes per new session (179 while each node
-//! kept its path).
+//! moves with every byte of the queue's layout (105.3 B with a 64-byte
+//! slab entry in fixed pages; 117.8 B with a 72-byte one in a `Vec` grown
+//! by an eighth). And it pins what the full stack holds: an n = 7 FBA
+//! peaks at 3.9 MB (4.0 MB with 72-byte slab entries; 4.5 MB with a
+//! 40-byte party set; 5.9 MB while every first output was kept; 6.9 MB
+//! while a finished reconstruction kept its decoding state inline and
+//! each queued run had a deque of its own; 8.7 MB with 88-byte session
+//! cells and a halted BA, a finished coin or FBA kept; 15.8 MB while every
+//! spent instance kept its state until the run was dropped), and at
+//! quiescence keeps 162 B of heap per recorded output at n = 7 and 457 B
+//! at n = 16 (168 and 494 with 72-byte slab entries, 189 and 518 with a
+//! 40-byte party set, 250 and 584 while every first output was kept, 292
+//! and 683 with the decoding state inline, 369 and 749 before spent
+//! instances let go). The interner, which those windows leave out, is
+//! pinned on its own: 40 bytes per new session (179 while each node kept
+//! its path).
+//!
+//! The windows share one lock; a pin that fails while holding it leaves
+//! it to the next test, so only the broken pin fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use aft::ba::{BinaryBa, OracleCoin};
 use aft::broadcast::{Acast, AcastMsg};
@@ -121,7 +127,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The counter is process-global, so windows from concurrently running
-/// tests must not interleave.
+/// tests must not interleave. It guards no data, so a test that failed
+/// while holding it leaves nothing to distrust: the next one takes it
+/// from the poison and measures, and only the broken pin fails.
 static WINDOW: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with the counter armed for this thread and returns how many
@@ -154,7 +162,7 @@ impl Instance for Echo {
 
 #[test]
 fn steady_state_delivery_allocates_nothing() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-echo", 0));
     let mut net = SimNetwork::new(NetConfig::new(4, 1, 42), Box::new(RandomScheduler));
     for p in 0..4 {
@@ -177,7 +185,7 @@ fn steady_state_delivery_allocates_nothing() {
 
 #[test]
 fn ba_episode_allocates_a_bounded_constant_per_message() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-ba", 0));
     // Intern the session tree and warm the codec tables with a throwaway
     // episode of the same shape.
@@ -219,7 +227,7 @@ const BA_ALLOCS_PER_MESSAGE: f64 = 0.333;
 
 #[test]
 fn fba_episode_allocations_per_message_are_pinned() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-fba", 0));
     let episode = || {
         let mut net = SimNetwork::new(NetConfig::new(4, 1, 1001), Box::new(RandomScheduler));
@@ -268,7 +276,7 @@ const FBA_ALLOCS_PER_MESSAGE_HASHED: f64 = 1.86;
 
 #[test]
 fn wire_fba_episode_allocations_per_message_are_pinned() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-fba-wire", 0));
     let episode = || {
         let config = NetConfig::new(4, 1, 1001);
@@ -317,7 +325,7 @@ const WIRE_FBA_ALLOCS_PER_MESSAGE_PER_RUN: f64 = 2.402;
 
 #[test]
 fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-ba32", 0));
     // The benchmark's `ba-n32-sim` execution at seed 1.
     let episode = || {
@@ -350,7 +358,8 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
         "the n=32 BA peaked at {peak} heap bytes with {deepest} envelopes in flight \
          ({per_envelope:.1} B each, bound {BA_N32_PEAK_BYTES_PER_IN_FLIGHT}) — the in-flight \
          queue's records or side arrays, the payload, a session cell, a party set or a \
-         halted BA grew; with a 40-byte party set it was \
+         halted BA grew; with 72-byte slab entries in a `Vec` grown by an eighth it was \
+         {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_72_BYTE_SLAB}, with a 40-byte party set \
          {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PARTY_SET}, \
          with every first output kept in a 48-byte cell \
          {BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS}, \
@@ -362,18 +371,22 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (117.8 measured — 3 899 028 bytes at 33 088 in flight in a debug
-/// build, 3 890 324 in a release one — plus 2.7 %, as +5 % would pass a
-/// 40-byte party set, which measures 122.4); what the same run cost while
-/// a party set was 40 bytes and each A-Cast tally kept a `Vec` header
-/// inline (125.7); while every session kept its first output
-/// in a 48-byte arena cell (133.4); while an arena cell was 88 bytes and a
-/// halted BA kept its state (146.4); and, with the interner's growth
-/// still inside the window, what it cost while a `Payload` was 48 bytes,
-/// so a slab entry 88 (188.9), and while each batch was a 104-byte slab
-/// record in a doubling `Vec`, beside a tombstone list, a free list and a
-/// compaction scratch (each measured on the commit before it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 121.0;
+/// bound (105.3 measured — 3 483 012 bytes at 33 088 in flight, in a
+/// debug build and a release one alike, 105.2 run alone — plus 4 %, as
+/// 5 % would pass a 40-byte party set, which measures 110.1; a 72-byte
+/// slab entry in these pages measures 113.3); what the same run cost
+/// while each batch was a 72-byte slab entry in one `Vec` grown by an
+/// eighth plus 64 entries (117.8); while a party set was 40 bytes and
+/// each A-Cast tally kept a `Vec` header inline (125.7); while every
+/// session kept its first output in a 48-byte arena cell (133.4); while
+/// an arena cell was 88 bytes and a halted BA kept its state (146.4);
+/// and, with the interner's growth still inside the window, what it cost
+/// while a `Payload` was 48 bytes, so a slab entry 88 (188.9), and while
+/// each batch was a 104-byte slab record in a doubling `Vec`, beside a
+/// tombstone list, a free list and a compaction scratch (each measured
+/// on the commit before it went).
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 109.5;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_72_BYTE_SLAB: f64 = 117.8;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PARTY_SET: f64 = 125.7;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS: f64 = 133.4;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_CELL: f64 = 146.4;
@@ -404,7 +417,7 @@ fn fba_episode(n: usize, sid: &SessionId) -> SimNetwork {
 
 #[test]
 fn fba_n7_peak_heap_is_pinned() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let sid = SessionId::root().child(SessionTag::new("alloc-fba7", 0));
     // Intern the session tree with a throwaway episode of the same shape,
     // then build and run the measured one inside the window, so
@@ -417,8 +430,10 @@ fn fba_n7_peak_heap_is_pinned() {
         peak < FBA_N7_PEAK_BYTES,
         "the n=7 FBA peaked at {peak} heap bytes (bound {FBA_N7_PEAK_BYTES}) — a spent \
          instance kept its state, a finished reconstruction its tracks, the queue's run \
-         pool more than its most queued parcels, a session cell or a party set grew or a \
-         cell kept an inner session's output; it was {FBA_N7_PEAK_BYTES_WIDE_PARTY_SET} \
+         pool more than its most queued parcels, a session cell, a slab entry or a party \
+         set grew or a cell kept an inner session's output; it was \
+         {FBA_N7_PEAK_BYTES_72_BYTE_SLAB} with 72-byte slab entries in a `Vec` grown by an \
+         eighth, {FBA_N7_PEAK_BYTES_WIDE_PARTY_SET} \
          with a 40-byte party set, {FBA_N7_PEAK_BYTES_KEPT_OUTPUTS} with every first \
          output kept in a 48-byte cell, \
          {FBA_N7_PEAK_BYTES_INLINE_TRACKS} with the tracks kept inline and a deque per run, \
@@ -427,11 +442,14 @@ fn fba_n7_peak_heap_is_pinned() {
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (4 040 712 measured
-/// in a release build, 3 996 696 in a debug one, plus 5 %; the peak moves
-/// by about 1 % with which tests ran first in the binary); what it peaked
-/// at while a party set was 40 bytes and each A-Cast tally kept a `Vec`
-/// header inline (4 533 288); while every session kept its first output
+/// Peak heap bytes of the n = 7 FBA above: the bound (3 892 512 measured
+/// in the full suite in a release build, 3 848 496 in a debug one,
+/// 3 845 696 run alone in either, plus 5 %); what it peaked at while each
+/// in-flight batch was a 72-byte slab entry in one `Vec` grown by an
+/// eighth plus 64 entries, the run pool likewise (4 040 712 in a release
+/// build); while a party set was 40 bytes and each A-Cast tally kept a
+/// `Vec` header inline
+/// (4 533 288); while every session kept its first output
 /// in a 48-byte arena cell (5 923 056); while a finished reconstruction kept its
 /// emptied decoding state inline and every queued run was a deque of its
 /// own, drained ones kept in a spare list (6 888 204); while an arena cell
@@ -439,7 +457,8 @@ fn fba_n7_peak_heap_is_pinned() {
 /// `FairChoice` and `Fba` kept their state; and while every instance kept
 /// its state until the runtime was dropped (each measured on the commit
 /// before it went; the last peak was then the live heap at quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 4_242_748;
+const FBA_N7_PEAK_BYTES: i64 = 4_087_138;
+const FBA_N7_PEAK_BYTES_72_BYTE_SLAB: i64 = 4_040_712;
 const FBA_N7_PEAK_BYTES_WIDE_PARTY_SET: i64 = 4_533_288;
 const FBA_N7_PEAK_BYTES_KEPT_OUTPUTS: i64 = 5_923_056;
 const FBA_N7_PEAK_BYTES_INLINE_TRACKS: i64 = 6_888_204;
@@ -448,8 +467,8 @@ const FBA_N7_PEAK_BYTES_HELD: i64 = 15_837_770;
 
 #[test]
 fn fba_live_heap_per_output_is_pinned() {
-    let _guard = WINDOW.lock().unwrap();
-    for &(n, bound, wide_party_set, kept_outputs, inline_tracks, wide_cell) in
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    for &(n, bound, slab_72, wide_party_set, kept_outputs, inline_tracks, wide_cell) in
         FBA_LIVE_BYTES_PER_OUTPUT
     {
         // Seconds optimised, minutes in a debug build.
@@ -472,8 +491,9 @@ fn fba_live_heap_per_output_is_pinned() {
             per_output < bound,
             "at n={n} the FBA keeps {live} heap bytes for {outputs} outputs \
              ({per_output:.1} B each, bound {bound}) — a spent instance, a finished \
-             reconstruction, a session cell or a party set holds more than it did, or an \
-             inner session's output is kept; with a 40-byte party set it was \
+             reconstruction, a session cell, a slab entry or a party set holds more than it \
+             did, or an inner session's output is kept; with 72-byte slab entries in a `Vec` \
+             grown by an eighth it was {slab_72}, with a 40-byte party set \
              {wide_party_set}, with every first output kept in a 48-byte cell \
              {kept_outputs}, with the reconstruction's tracks kept inline \
              {inline_tracks}, with 88-byte cells and a halted BA, a finished coin or FBA \
@@ -483,10 +503,14 @@ fn fba_live_heap_per_output_is_pinned() {
 }
 
 /// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
-/// (168.0 measured — 3 950 418 bytes for 23 517 outputs — plus 5 %) and
-/// n = 16 (493.8 — 155 847 812 bytes for 315 600 — plus 2.9 %, as +5 %
-/// would pass a 40-byte party set, which measures 509.6); what the same
-/// runs kept while a party set was 40 bytes and each A-Cast tally kept a
+/// (161.7 measured — 3 802 218 bytes for 23 517 outputs, 161.1 run
+/// alone — plus 5 %) and n = 16 (457.4 — 144 340 028 bytes for 315 600 —
+/// plus 2.9 %, as +5 % would pass a 40-byte party set, which measures
+/// 473.2); what the same
+/// runs kept while the queue's slab entries were 72 bytes in one `Vec`
+/// grown by an eighth plus 64 entries, the run pool likewise (168.0 and
+/// 493.8; the queue keeps its pages once drained); while a party set was
+/// 40 bytes and each A-Cast tally kept a
 /// `Vec` header inline (189.3 and 517.8); while every session kept its
 /// first output in a 48-byte arena cell (249.9 and 584.2); while a
 /// finished reconstruction kept its
@@ -495,14 +519,14 @@ fn fba_live_heap_per_output_is_pinned() {
 /// `CoinFlip`, `FairChoice` and `Fba` kept their state (each measured on
 /// the commit before it went). The window leaves out the interner, so a
 /// stored path's bytes never counted here.
-const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64, f64)] = &[
-    (7, 176.4, 189.3, 249.9, 291.7, 369.1),
-    (16, 508.0, 517.8, 584.2, 683.4, 748.7),
+const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64, f64, f64)] = &[
+    (7, 169.8, 168.0, 189.3, 249.9, 291.7, 369.1),
+    (16, 470.7, 493.8, 517.8, 584.2, 683.4, 748.7),
 ];
 
 #[test]
 fn interned_bytes_per_session_are_pinned() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     // The shape of the n = 4 FBA's session tree: every session its run
     // sent in, and every prefix of one, as tag paths below the episode's
     // own id.
@@ -556,7 +580,7 @@ const INTERNED_BYTES_PER_SESSION_WITH_PATHS: f64 = 179.4;
 
 #[test]
 fn an_honest_acast_instance_owns_nothing_but_its_box() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let (n, t) = (7, 2);
     let session = |i| SessionId::root().child(SessionTag::new("alloc-acast", i));
     let mut node = aft::sim::party_node(&NetConfig::new(n, t, 3), 1);
@@ -608,7 +632,7 @@ fn an_honest_acast_instance_owns_nothing_but_its_box() {
 
 #[test]
 fn small_polynomials_stay_off_the_allocator() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     // Degree 3: a row or column of a sharing with t = 3.
     let cubic = Poly::from_coeffs((1..=4).map(Fp::new).collect());
     let mut bytes = Vec::new();
@@ -629,7 +653,7 @@ fn small_polynomials_stay_off_the_allocator() {
 
 #[test]
 fn junk_votes_allocate_nothing_in_a_share_instance() {
-    let _guard = WINDOW.lock().unwrap();
+    let _guard = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let n = 4;
     let sid = SessionId::root().child(SessionTag::new("alloc-junk", 0));
     let mut node = aft::sim::party_node(&NetConfig::new(n, 1, 3), 1);

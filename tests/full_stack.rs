@@ -152,13 +152,67 @@ fn fba_n7_schedule_is_pinned() {
     assert_eq!(fingerprint, 0xefc2_f512_ab16_afcd, "{fingerprint:#018x}");
 }
 
+/// How many picks the fairness cap ([`aft::sim::MAX_AGE`]) made instead
+/// of the scheduler, on the two simulator workloads whose queues run deep
+/// enough for it to fire: 253 944 of `ba-n32-sim`'s 266 240 picks
+/// (95.4 %), so `sched=random` at n = 32 is mostly FIFO and its queue is
+/// mostly taken at the head, and 142 852 of `fba-n7-sim`'s 432 131
+/// (33.1 %).
+#[test]
+fn fairness_cap_forced_picks_are_pinned() {
+    use aft::core::scenarios::{run_episode, standard_registry, StackKind, STEP_BUDGET};
+    // `ba-n32-sim`'s execution at seed 1: the benchmark's BA cell, run by
+    // the cell runner's episode step on a network whose counter is read.
+    let scenario = aft::sim::Scenario::parse("n=32,t=10,sched=random,rt=sim").unwrap();
+    let mut net = SimNetwork::new(scenario.config(1), scheduler_by_name("random").unwrap());
+    let (episode, session) = StackKind::Ba.episodes().remove(0);
+    let (report, _) = run_episode(
+        &mut net,
+        &scenario,
+        &standard_registry(),
+        episode,
+        &session,
+        &[],
+        STEP_BUDGET,
+        |p, carry| StackKind::Ba.honest_instance(episode, p, &scenario, 1, carry),
+    )
+    .unwrap();
+    assert_eq!(report.stop, StopReason::Quiescent);
+    assert_eq!(
+        (
+            report.metrics.sent,
+            report.metrics.steps,
+            net.cap_forced_picks()
+        ),
+        (267_264, 267_264, BA_N32_CAP_FORCED)
+    );
+    // The run `fba_n7_schedule_is_pinned` pins.
+    let mut net = SimNetwork::new(
+        NetConfig::new(7, 2, 1001),
+        scheduler_by_name("random").unwrap(),
+    );
+    let (_, fingerprint) = run_benchmark_fba_on(&mut net, 7);
+    assert_eq!(fingerprint, 0xefc2_f512_ab16_afcd, "{fingerprint:#018x}");
+    assert_eq!(net.cap_forced_picks(), FBA_N7_CAP_FORCED);
+}
+
+/// Cap-forced picks of the two runs above (an exact count: a change to it
+/// is a change to what the queue is asked to do).
+const BA_N32_CAP_FORCED: u64 = 253_944;
+const FBA_N7_CAP_FORCED: u64 = 142_852;
+
 /// One execution of the benchmark's FBA workloads (`aft_bench::run_fba`
 /// as `benchmark/` calls it: inputs `v0 … v(n-1)`, `k = 1`, the
 /// `WeakShared` coin, seed 1001) on backend `rt`: its metrics and the
 /// fingerprint the benchmark's determinism guard compares.
 fn run_benchmark_fba(rt: &str, n: usize, t: usize) -> (aft::sim::Metrics, u64) {
-    aft::core::scenarios::register_standard_codecs();
     let mut net = aft::sim::runtime_by_name(rt, NetConfig::new(n, t, 1001)).unwrap();
+    run_benchmark_fba_on(net.as_mut(), n)
+}
+
+/// [`run_benchmark_fba`] on a built runtime `net` of `n` parties.
+fn run_benchmark_fba_on(net: &mut dyn Runtime, n: usize) -> (aft::sim::Metrics, u64) {
+    aft::core::scenarios::register_standard_codecs();
     for p in 0..n {
         net.spawn(
             PartyId(p),
