@@ -100,6 +100,9 @@ enum PhaseState {
     Await3,
     /// Waiting for an asynchronous coin protocol.
     AwaitCoin,
+    /// Decided, and holding this round until another voter's phase-1
+    /// vote for it is accepted.
+    Held,
 }
 
 /// How many recorded votes carry `w`.
@@ -120,9 +123,17 @@ struct RoundVotes {
     sent2: bool,
     sent3: bool,
     /// Whether the round's coin was already requested. The coin is flipped
-    /// EVERY round by EVERY party — even parties that decide without
-    /// consulting it — because a protocol coin (the SVSS-based weak coin)
-    /// only terminates when all honest parties participate.
+    /// in every round that any honest party opens undecided, by EVERY
+    /// party — even parties that decide without consulting it — because a
+    /// protocol coin (the SVSS-based weak coin) only terminates when all
+    /// honest parties participate. A party that already decided holds its
+    /// next round (see [`BinaryBa`]) and flips that round's coin only once
+    /// the round opens. That keeps the rule: an undecided honest party
+    /// A-Casts its own phase-1 vote for the round, A-Cast termination
+    /// brings that vote to every honest party, and its acceptance opens
+    /// every held round. A round no honest party opens undecided needs no
+    /// coin, because then every honest party decided and the `Decide`
+    /// gadget halts them all.
     coin_requested: bool,
 }
 
@@ -152,6 +163,21 @@ struct RoundVotes {
 /// gadget (`Decide` at `t+1` → relay, `2t+1` → halt) lets everyone stop,
 /// which gives Definition 3.3's "if some nonfaulty party completes, all
 /// do".
+///
+/// A party that has decided *holds* each round it enters afterwards: it
+/// spawns only the `n−1` phase-1 receivers, so that it still echoes the
+/// other parties' votes, and opens the round — its phase-2/3 receivers
+/// and its own `V1(est)` sender — at the first phase-1 vote of that round
+/// it accepts from another voter. When every honest party decided in the
+/// same round, nobody opens the next one and the gadget halts them all;
+/// in a unanimous run that saves the whole post-decision round. The held
+/// vote is the `V1(est)` the open round sends, so agreement and validity
+/// are untouched. Liveness: an undecided honest party A-Casts its own
+/// phase-1 vote for the round, which every honest party accepts (A-Cast
+/// termination) and which therefore opens every held round, the round's
+/// coin included; if no honest party is undecided, the gadget halts them
+/// all. A Byzantine phase-1 vote only opens the round early, as if it
+/// were never held.
 pub struct BinaryBa {
     input: bool,
     est: bool,
@@ -190,8 +216,9 @@ impl BinaryBa {
         SessionTag::new(kind, round * n as u64 + voter.0 as u64)
     }
 
-    /// Enters `round`: spawn receivers for everyone's three vote
-    /// broadcasts and the sender for my phase-1 vote.
+    /// Enters `round`: spawn receivers for everyone's phase-1 votes, then
+    /// open the round — or, once decided, hold it until another voter's
+    /// phase-1 vote for it is accepted (see [`BinaryBa`]).
     fn start_round(&mut self, ctx: &mut Context<'_>) {
         if self.halted {
             return;
@@ -203,23 +230,35 @@ impl BinaryBa {
         let n = ctx.n();
         let me = ctx.me();
         let r = self.round;
+        for p in ctx.parties().filter(|&p| p != me).collect::<Vec<_>>() {
+            ctx.spawn(
+                Self::vote_tag(V1_TAG, r, p, n),
+                Box::new(Acast::<V1>::receiver(p)),
+            );
+        }
+        if self.decided.is_some() && self.rounds.entry(r).or_default().v1.is_empty() {
+            self.state = PhaseState::Held;
+            return;
+        }
+        self.open_round(ctx);
+    }
+
+    /// Spawns the current round's phase-2/3 receivers and the sender for
+    /// my phase-1 vote, and runs [`advance`](Self::advance).
+    fn open_round(&mut self, ctx: &mut Context<'_>) {
+        let n = ctx.n();
+        let me = ctx.me();
+        let r = self.round;
         self.state = PhaseState::Await1;
-        self.rounds.entry(r).or_default();
-        for p in ctx.parties().collect::<Vec<_>>() {
-            if p != me {
-                ctx.spawn(
-                    Self::vote_tag(V1_TAG, r, p, n),
-                    Box::new(Acast::<V1>::receiver(p)),
-                );
-                ctx.spawn(
-                    Self::vote_tag(V2_TAG, r, p, n),
-                    Box::new(Acast::<V2>::receiver(p)),
-                );
-                ctx.spawn(
-                    Self::vote_tag(V3_TAG, r, p, n),
-                    Box::new(Acast::<V3>::receiver(p)),
-                );
-            }
+        for p in ctx.parties().filter(|&p| p != me).collect::<Vec<_>>() {
+            ctx.spawn(
+                Self::vote_tag(V2_TAG, r, p, n),
+                Box::new(Acast::<V2>::receiver(p)),
+            );
+            ctx.spawn(
+                Self::vote_tag(V3_TAG, r, p, n),
+                Box::new(Acast::<V3>::receiver(p)),
+            );
         }
         ctx.spawn(
             Self::vote_tag(V1_TAG, r, me, n),
@@ -326,7 +365,7 @@ impl BinaryBa {
                         }
                     }
                 }
-                PhaseState::AwaitCoin => {}
+                PhaseState::AwaitCoin | PhaseState::Held => {}
             }
             if !progressed {
                 break;
@@ -475,8 +514,13 @@ impl Instance for BinaryBa {
             }
             _ => return,
         }
-        if round == self.round {
+        if round != self.round {
+            return;
+        }
+        if self.state != PhaseState::Held {
             self.advance(ctx);
+        } else if !self.rounds.entry(round).or_default().v1.is_empty() {
+            self.open_round(ctx);
         }
     }
 }
@@ -510,8 +554,9 @@ mod codec_tests {
 mod tests {
     use super::*;
     use crate::coin::OracleCoin;
+    use aft_broadcast::AcastMsg;
     use aft_sim::wire::encode_frame;
-    use aft_sim::{Envelope, NetConfig, PartyHost, SessionId};
+    use aft_sim::{Envelope, NetConfig, Outgoing, PartyHost, SessionId};
 
     #[test]
     fn a_halted_ba_leaves_a_reader_that_views_nothing() {
@@ -551,5 +596,107 @@ mod tests {
         assert_eq!(deliver(&mut host, 3, Payload::from_wire(frame)), 0);
         assert_eq!(deliver(&mut host, 3, Payload::message(DecideMsg(true))), 0);
         assert_eq!(host.metrics().decode_misses().collect::<Vec<_>>(), misses);
+    }
+
+    #[test]
+    fn a_decided_ba_holds_its_next_round_until_another_voter_opens_it() {
+        let (n, t, me) = (4, 1, 1);
+        let sid = SessionId::root().child(SessionTag::new("ba-hold", 0));
+        let mut host = PartyHost::new(&NetConfig::new(n, t, 5), me);
+        let mut out = Vec::new();
+        host.spawn(
+            sid.clone(),
+            Box::new(BinaryBa::new(true, Box::new(OracleCoin::new(5)))),
+            &mut out,
+        );
+        let vote =
+            |kind, round, voter| sid.child(BinaryBa::vote_tag(kind, round, PartyId(voter), n));
+        let deliver = |host: &mut PartyHost, from: usize, session: SessionId, payload: Payload| {
+            let env = Envelope {
+                from: PartyId(from),
+                to: PartyId(me),
+                session,
+                payload,
+                seq: 0,
+                born_step: 0,
+            };
+            let mut out = Vec::new();
+            host.deliver(env, None, None, &mut out);
+            out
+        };
+        // n − t Readies make an A-Cast receiver (or sender) accept.
+        let accept = |host: &mut PartyHost, session: SessionId, msg: Payload| {
+            (0..n)
+                .filter(|&p| p != me)
+                .flat_map(|p| deliver(host, p, session.clone(), msg.clone()))
+                .collect::<Vec<_>>()
+        };
+        let ready = |v| Payload::message(AcastMsg::Ready(v));
+        // Round 0: three unanimous phases, then the oracle coin — decided.
+        for voter in 0..n - t {
+            out.extend(accept(&mut host, vote(V1_TAG, 0, voter), ready(V1(true))));
+        }
+        for voter in 0..n - t {
+            let msg = Payload::message(AcastMsg::Ready(V2(true)));
+            out.extend(accept(&mut host, vote(V2_TAG, 0, voter), msg));
+        }
+        for voter in 0..n - t {
+            let msg = Payload::message(AcastMsg::Ready(V3(Some(true))));
+            out.extend(accept(&mut host, vote(V3_TAG, 0, voter), msg));
+        }
+        assert_eq!(
+            host.node().output(&sid).and_then(|p| p.to_msg::<bool>()),
+            Some(true)
+        );
+        let my_round1_send = |out: &[Outgoing]| {
+            out.iter()
+                .filter(|o| o.session == vote(V1_TAG, 1, me))
+                .filter(|o| o.payload.to_msg::<AcastMsg<V1>>() == Some(AcastMsg::Send(V1(true))))
+                .count()
+        };
+        assert!(out
+            .iter()
+            .any(|o| o.payload.to_msg::<DecideMsg>() == Some(DecideMsg(true))));
+        assert_eq!(
+            my_round1_send(&out),
+            0,
+            "a decided party holds its round-1 vote"
+        );
+        // Round 1 is held: phase-1 receivers echo, phase-2/3 receivers do
+        // not exist yet, so a phase-2 `Send` buffers and draws no echo.
+        let echoes = deliver(
+            &mut host,
+            0,
+            vote(V1_TAG, 1, 0),
+            Payload::message(AcastMsg::Send(V1(true))),
+        );
+        assert_eq!(echoes.len(), n, "the held round's phase-1 receiver echoes");
+        let v2_send = Payload::message(AcastMsg::Send(V2(true)));
+        assert!(deliver(&mut host, 0, vote(V2_TAG, 1, 0), v2_send).is_empty());
+        let v3_send = Payload::message(AcastMsg::Send(V3(Some(true))));
+        assert!(deliver(&mut host, 0, vote(V3_TAG, 1, 0), v3_send).is_empty());
+        // Accepting party 0's round-1 vote opens the round: my own vote goes
+        // out, and the buffered phase-2/3 `Send`s reach their receivers.
+        let opened = accept(&mut host, vote(V1_TAG, 1, 0), ready(V1(true)));
+        assert_eq!(my_round1_send(&opened), n);
+        let echoed = |kind, is_echo: &dyn Fn(&Payload) -> bool| {
+            opened
+                .iter()
+                .filter(|o| o.session == vote(kind, 1, 0) && is_echo(&o.payload))
+                .count()
+        };
+        let v2_echo = |p: &Payload| p.to_msg::<AcastMsg<V2>>() == Some(AcastMsg::Echo(V2(true)));
+        let v3_echo =
+            |p: &Payload| p.to_msg::<AcastMsg<V3>>() == Some(AcastMsg::Echo(V3(Some(true))));
+        assert_eq!(
+            echoed(V2_TAG, &v2_echo),
+            n,
+            "phase-2 receivers spawn at the open"
+        );
+        assert_eq!(
+            echoed(V3_TAG, &v3_echo),
+            n,
+            "phase-3 receivers spawn at the open"
+        );
     }
 }

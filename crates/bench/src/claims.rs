@@ -797,10 +797,13 @@ fn coin_source(name: &str, seed: u64) -> Box<dyn CoinSource> {
     }
 }
 
-/// Estimated rounds of a binary BA among `n` parties, from its phase-1
-/// A-Cast traffic: one round is `n · (n + 2n²)` `bav1` sends.
+/// Estimated rounds of a binary BA among `n` parties, from its phase-2
+/// A-Cast traffic: one round is `n · (n + 2n²)` `bav2` sends. Phase 2 is
+/// sent only in a round that some party voted in; the phase-1 layer also
+/// counts the echoes of a round that decided parties hold and nobody
+/// opens.
 fn ba_rounds(metrics: &Metrics, n: usize) -> f64 {
-    metrics.sent_by_kind("bav1") as f64 / (n * (n + 2 * n * n)) as f64
+    metrics.sent_by_kind("bav2") as f64 / (n * (n + 2 * n * n)) as f64
 }
 
 /// One binary BA on `row` over the coin named `coin`, with split inputs
@@ -818,7 +821,7 @@ fn split_ba(trace: Option<&Path>, row: &Scenario, seed: u64, coin: &str) -> RunO
 
 /// E8: the coin-quality gap of the paper's introduction. Binary BA with
 /// local coins (Ben-Or'83) needs ever more rounds as n grows; shared
-/// coins keep them constant. Rounds are estimated from phase-1 vote
+/// coins keep them constant. Rounds are estimated from phase-2 vote
 /// traffic ([`ba_rounds`]).
 fn ba_coin_gap(run: &Run) {
     let (out, rt, n_trials) = (run.out, run.rt, run.trials);

@@ -17,9 +17,9 @@
 //! The paper's full stack gets the same treatment, tighter: an FBA over
 //! the strong coin over SVSS keeps its per-party state in inline party
 //! sets, tallies and small polynomials, and the window pins what a
-//! delivered message then costs (0.59 allocations at n=4; 1.31 while that
+//! delivered message then costs (0.63 allocations at n=4; 1.31 while that
 //! state lived in `Vec`s, 1.86 with hash tables), and what it costs on
-//! `rt=wire`, where each act's sends cross in one buffer (0.93; 2.40 at
+//! `rt=wire`, where each act's sends cross in one buffer (0.98; 2.40 at
 //! two allocations per same-receiver run). And a share-phase
 //! instance flooded with votes that name no party must not allocate at
 //! all — its state cannot grow with what a faulty peer sends.
@@ -33,17 +33,21 @@
 //! The shim also keeps the bytes the window holds and their peak, which
 //! pins what an in-flight envelope costs: a BA at n = 32 is mostly queue
 //! at its deepest, so its peak heap divided by its peak in-flight count
-//! moves with every byte of the queue's layout (105.3 B with a 64-byte
+//! moves with every byte of the queue's layout (96.2 B with a 64-byte
 //! slab entry in fixed pages; 117.8 B with a 72-byte one in a `Vec` grown
-//! by an eighth). And it pins what the full stack holds: an n = 7 FBA
-//! peaks at 3.9 MB (4.0 MB with 72-byte slab entries; 4.5 MB with a
+//! by an eighth, while a decided BA still opened its next round). And it
+//! pins what the full stack holds: an n = 7 FBA peaks at 3.5 MB (3.9 MB
+//! while a decided BA opened its next round at once; 4.0 MB with 72-byte
+//! slab entries; 4.5 MB with a
 //! 40-byte party set; 5.9 MB while every first output was kept; 6.9 MB
 //! while a finished reconstruction kept its decoding state inline and
 //! each queued run had a deque of its own; 8.7 MB with 88-byte session
 //! cells and a halted BA, a finished coin or FBA kept; 15.8 MB while every
 //! spent instance kept its state until the run was dropped), and at
-//! quiescence keeps 162 B of heap per recorded output at n = 7 and 457 B
-//! at n = 16 (168 and 494 with 72-byte slab entries, 189 and 518 with a
+//! quiescence keeps 163 B of heap per recorded output at n = 7 and 515 B
+//! at n = 16 (162 and 457 while a decided BA opened its next round and
+//! counted that round's outputs; with those outputs counted, 168 and 494
+//! with 72-byte slab entries, 189 and 518 with a
 //! 40-byte party set, 250 and 584 while every first output was kept, 292
 //! and 683 with the decoding state inline, 369 and 749 before spent
 //! instances let go). The interner, which those windows leave out, is
@@ -220,10 +224,11 @@ fn ba_episode_allocates_a_bounded_constant_per_message() {
     );
 }
 
-/// Allocations per delivered message of the n=4 BA episode above: 0.302
-/// measured (179 for 592 deliveries), plus a tenth. While A-Cast tallies
-/// lived in `Vec`s the same episode cost 0.748.
-const BA_ALLOCS_PER_MESSAGE: f64 = 0.333;
+/// Allocations per delivered message of the n=4 BA episode above: 0.223
+/// measured (100 for 448 deliveries), plus a tenth; 0.302 (179 for 592)
+/// while a decided party opened its next round at once. While A-Cast
+/// tallies lived in `Vec`s the same episode cost 0.748.
+const BA_ALLOCS_PER_MESSAGE: f64 = 0.246;
 
 #[test]
 fn fba_episode_allocations_per_message_are_pinned() {
@@ -261,16 +266,18 @@ fn fba_episode_allocations_per_message_are_pinned() {
 }
 
 /// Allocations per delivered message of the n=4 FBA episode above: the
-/// bound (0.593 measured — 23 434 for 39 512 deliveries — plus 5 %; 0.596
-/// since a payload's inline body holds 22 bytes, not 24, which an n=4
-/// `ba-gather` needs; 0.606 since a reconstruction's decoding state is a
-/// box of its own, dropped at output), what
+/// bound (0.634 measured — 22 767 for 35 904 deliveries — plus 5 %), what
 /// the same episode cost while every `PartySet`, `Tally` and `Poly` owned
 /// a `Vec` and each share bundle was copied three times (the bound then
 /// was 1.4), and what it cost while `SvssShare`, `SvssRec`, the weak coin
 /// and `BinaryBa` kept `HashMap`s / `HashSet`s keyed by party (each
-/// measured on the commit before they went).
-const FBA_ALLOCS_PER_MESSAGE: f64 = 0.623;
+/// measured on the commit before they went). The ratio was 0.593 (23 434
+/// for 39 512), 0.596 once a payload's inline body held 22 bytes, not 24,
+/// which an n=4 `ba-gather` needs, and 0.606 once a reconstruction's
+/// decoding state was a box of its own, dropped at output. It rose to
+/// 0.634 although the count fell, when a decided BA stopped opening its
+/// next round at once: the deliveries that went allocated nothing.
+const FBA_ALLOCS_PER_MESSAGE: f64 = 0.666;
 const FBA_ALLOCS_PER_MESSAGE_HEAP_STATE: f64 = 1.31;
 const FBA_ALLOCS_PER_MESSAGE_HASHED: f64 = 1.86;
 
@@ -316,11 +323,13 @@ fn wire_fba_episode_allocations_per_message_are_pinned() {
 }
 
 /// Allocations per delivered message of the n=4 FBA episode above on
-/// `rt=wire`: the bound (0.931 measured — 36 770 for 39 512 deliveries —
-/// plus 5 %), and what the same episode cost while every same-receiver
-/// run was handed over in an `Arc` around a `Vec` of its own, two
-/// allocations each (94 899, measured on the commit before it went).
-const WIRE_FBA_ALLOCS_PER_MESSAGE: f64 = 0.977;
+/// `rt=wire`: the bound (0.985 measured — 35 352 for 35 904 deliveries —
+/// plus 5 %; 0.931, 36 770 for 39 512, while a decided BA opened its next
+/// round at once), and what the same episode cost while every
+/// same-receiver run was handed over in an `Arc` around a `Vec` of its
+/// own, two allocations each (94 899, measured on the commit before it
+/// went).
+const WIRE_FBA_ALLOCS_PER_MESSAGE: f64 = 1.034;
 const WIRE_FBA_ALLOCS_PER_MESSAGE_PER_RUN: f64 = 2.402;
 
 #[test]
@@ -371,11 +380,13 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
 }
 
 /// Peak heap bytes per in-flight envelope of the n = 32 BA above: the
-/// bound (105.3 measured — 3 483 012 bytes at 33 088 in flight, in a
-/// debug build and a release one alike, 105.2 run alone — plus 4 %, as
-/// 5 % would pass a 40-byte party set, which measures 110.1; a 72-byte
-/// slab entry in these pages measures 113.3); what the same run cost
-/// while each batch was a 72-byte slab entry in one `Vec` grown by an
+/// bound (96.2 measured — 3 182 340 bytes at 33 088 in flight, in a
+/// debug build and a release one alike, run alone or not — plus 4 %, as
+/// a party set padded to 40 bytes measures 102.9 and a `Record` with one
+/// more 8-byte field and no cache-line alignment 106.5); what the same
+/// run cost while a decided BA opened its next round at once, with that
+/// round's receivers (105.3: 3 483 012 bytes, the bound then 109.5, which
+/// both of those layout mutants now pass); while each batch was a 72-byte slab entry in one `Vec` grown by an
 /// eighth plus 64 entries (117.8); while a party set was 40 bytes and
 /// each A-Cast tally kept a `Vec` header inline (125.7); while every
 /// session kept its first output in a 48-byte arena cell (133.4); while
@@ -385,7 +396,7 @@ fn ba_n32_peak_bytes_per_in_flight_envelope_are_pinned() {
 /// each batch was a 104-byte slab record in a doubling `Vec`, beside a
 /// tombstone list, a free list and a compaction scratch (each measured
 /// on the commit before it went).
-const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 109.5;
+const BA_N32_PEAK_BYTES_PER_IN_FLIGHT: f64 = 100.0;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_72_BYTE_SLAB: f64 = 117.8;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_WIDE_PARTY_SET: f64 = 125.7;
 const BA_N32_PEAK_BYTES_PER_IN_FLIGHT_KEPT_OUTPUTS: f64 = 133.4;
@@ -442,9 +453,11 @@ fn fba_n7_peak_heap_is_pinned() {
     );
 }
 
-/// Peak heap bytes of the n = 7 FBA above: the bound (3 892 512 measured
-/// in the full suite in a release build, 3 848 496 in a debug one,
-/// 3 845 696 run alone in either, plus 5 %); what it peaked at while each
+/// Peak heap bytes of the n = 7 FBA above: the bound (3 532 744 measured
+/// in the full suite in a release build, 3 496 712 in a debug one,
+/// 3 483 240 run alone in either, plus 5 %); what it peaked at while a
+/// decided BA opened its next round at once (3 892 512 in the full suite
+/// in a release build, the bound then 4 087 138); while each
 /// in-flight batch was a 72-byte slab entry in one `Vec` grown by an
 /// eighth plus 64 entries, the run pool likewise (4 040 712 in a release
 /// build); while a party set was 40 bytes and each A-Cast tally kept a
@@ -457,7 +470,7 @@ fn fba_n7_peak_heap_is_pinned() {
 /// `FairChoice` and `Fba` kept their state; and while every instance kept
 /// its state until the runtime was dropped (each measured on the commit
 /// before it went; the last peak was then the live heap at quiescence).
-const FBA_N7_PEAK_BYTES: i64 = 4_087_138;
+const FBA_N7_PEAK_BYTES: i64 = 3_709_382;
 const FBA_N7_PEAK_BYTES_72_BYTE_SLAB: i64 = 4_040_712;
 const FBA_N7_PEAK_BYTES_WIDE_PARTY_SET: i64 = 4_533_288;
 const FBA_N7_PEAK_BYTES_KEPT_OUTPUTS: i64 = 5_923_056;
@@ -503,10 +516,14 @@ fn fba_live_heap_per_output_is_pinned() {
 }
 
 /// Live heap bytes per recorded output of an FBA at quiescence, at n = 7
-/// (161.7 measured — 3 802 218 bytes for 23 517 outputs, 161.1 run
-/// alone — plus 5 %) and n = 16 (457.4 — 144 340 028 bytes for 315 600 —
-/// plus 2.9 %, as +5 % would pass a 40-byte party set, which measures
-/// 473.2); what the same
+/// (162.7 measured — 3 342 290 bytes for 20 545 outputs — plus 4.4 %) and
+/// n = 16 (514.7 — 140 174 764 bytes for 272 336 — plus 1.4 %, as a party
+/// set padded to 40 bytes measures 525.8 and 172.7). A decided BA that
+/// opened its next round at once kept more bytes for more outputs: 161.7
+/// (3 802 218 for 23 517) and 457.4 (144 340 028 for 315 600), bounded
+/// at 169.8 and 470.7; the held round's idle phase-1 receivers stay, its
+/// phase-2/3 receivers and its outputs go. The figures below were
+/// measured with those outputs counted. What the same
 /// runs kept while the queue's slab entries were 72 bytes in one `Vec`
 /// grown by an eighth plus 64 entries, the run pool likewise (168.0 and
 /// 493.8; the queue keeps its pages once drained); while a party set was
@@ -521,7 +538,7 @@ fn fba_live_heap_per_output_is_pinned() {
 /// stored path's bytes never counted here.
 const FBA_LIVE_BYTES_PER_OUTPUT: &[(usize, f64, f64, f64, f64, f64, f64)] = &[
     (7, 169.8, 168.0, 189.3, 249.9, 291.7, 369.1),
-    (16, 470.7, 493.8, 517.8, 584.2, 683.4, 748.7),
+    (16, 522.0, 493.8, 517.8, 584.2, 683.4, 748.7),
 ];
 
 #[test]

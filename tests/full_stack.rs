@@ -123,16 +123,16 @@ fn fba_wire_byte_counts_are_pinned() {
     let (m, _) = run_benchmark_fba("wire:random", 4, 1);
     assert_eq!(
         (m.sent, m.wire_frames, m.wire_bytes, m.wire_malformed),
-        (39_512, 39_512, 1_305_076, 0)
+        (35_904, 35_904, 1_209_960, 0)
     );
-    // 27.5 % of what the full form carried, 54.4 % of what full-path
+    // 25.5 % of what the full form carried, 50.4 % of what full-path
     // defines did.
-    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_FULL_PATHS, 275);
-    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_PATH_DEFINES, 543);
+    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_FULL_PATHS, 255);
+    assert_eq!(m.wire_bytes * 1000 / FBA_WIRE_BYTES_PATH_DEFINES, 504);
 }
 
 /// Schedule drift guard: execution 1 of the repo benchmark's `fba-n7-sim`
-/// (seed 1001, 502 586 deliveries). Under `random` every delivery draws
+/// (seed 1001, 457 954 deliveries). Under `random` every delivery draws
 /// from the scheduler's RNG, so one handler emitting one message more,
 /// fewer or earlier moves every count below — "the same messages in the
 /// same order" is what a change to protocol *state* (as opposed to the
@@ -147,17 +147,17 @@ fn fba_n7_schedule_is_pinned() {
             m.sent_by_kind("wc-share"),
             m.sent_by_kind("svss-core")
         ),
-        (502_586, 502_586, 197_568, 51_450)
+        (457_954, 457_954, 197_568, 51_450)
     );
-    assert_eq!(fingerprint, 0xefc2_f512_ab16_afcd, "{fingerprint:#018x}");
+    assert_eq!(fingerprint, 0x4a1e_e46f_0e94_b57d, "{fingerprint:#018x}");
 }
 
 /// How many picks the fairness cap ([`aft::sim::MAX_AGE`]) made instead
 /// of the scheduler, on the two simulator workloads whose queues run deep
-/// enough for it to fire: 253 944 of `ba-n32-sim`'s 266 240 picks
-/// (95.4 %), so `sched=random` at n = 32 is mostly FIFO and its queue is
-/// mostly taken at the head, and 142 852 of `fba-n7-sim`'s 432 131
-/// (33.1 %).
+/// enough for it to fire: 190 459 of `ba-n32-sim`'s 200 704 picks
+/// (94.9 %), so `sched=random` at n = 32 is mostly FIFO and its queue is
+/// mostly taken at the head, and 142 432 of `fba-n7-sim`'s 394 520
+/// (36.1 %).
 #[test]
 fn fairness_cap_forced_picks_are_pinned() {
     use aft::core::scenarios::{run_episode, standard_registry, StackKind, STEP_BUDGET};
@@ -184,7 +184,7 @@ fn fairness_cap_forced_picks_are_pinned() {
             report.metrics.steps,
             net.cap_forced_picks()
         ),
-        (267_264, 267_264, BA_N32_CAP_FORCED)
+        (200_704, 200_704, BA_N32_CAP_FORCED)
     );
     // The run `fba_n7_schedule_is_pinned` pins.
     let mut net = SimNetwork::new(
@@ -192,14 +192,14 @@ fn fairness_cap_forced_picks_are_pinned() {
         scheduler_by_name("random").unwrap(),
     );
     let (_, fingerprint) = run_benchmark_fba_on(&mut net, 7);
-    assert_eq!(fingerprint, 0xefc2_f512_ab16_afcd, "{fingerprint:#018x}");
+    assert_eq!(fingerprint, 0x4a1e_e46f_0e94_b57d, "{fingerprint:#018x}");
     assert_eq!(net.cap_forced_picks(), FBA_N7_CAP_FORCED);
 }
 
 /// Cap-forced picks of the two runs above (an exact count: a change to it
 /// is a change to what the queue is asked to do).
-const BA_N32_CAP_FORCED: u64 = 253_944;
-const FBA_N7_CAP_FORCED: u64 = 142_852;
+const BA_N32_CAP_FORCED: u64 = 190_459;
+const FBA_N7_CAP_FORCED: u64 = 142_432;
 
 /// One execution of the benchmark's FBA workloads (`aft_bench::run_fba`
 /// as `benchmark/` calls it: inputs `v0 … v(n-1)`, `k = 1`, the

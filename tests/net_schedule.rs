@@ -20,55 +20,55 @@ const PINS: &[Pin] = &[
         StackKind::CommonSubset,
         "n=7,t=2,corrupt=garbage:40@3;crash@5,sched=net:lat=exp:5,partition=1,heal=200,rt=sim",
         1,
-        (0xe21ec6369760cf1a, 10577, 10577, 505),
+        (0x5ffc971a2ffd4243, 8372, 8372, 476),
     ),
     (
         StackKind::CommonSubset,
         "n=7,t=2,corrupt=garbage:40@3;crash@5,sched=net:lat=exp:5,partition=1,heal=200,rt=sim",
         2,
-        (0x7b385cec7be8cade, 10031, 10031, 524),
+        (0x5ffc971a2ffd4243, 8372, 8372, 501),
     ),
     (
         StackKind::Ba,
         "n=7,t=2,sched=net:lat=1..12,partition=p50,heal=200,rt=sim",
         1,
-        (0x3d33b310681d8390, 2989, 2989, 298),
+        (0x62d359b62b742570, 2254, 2254, 278),
     ),
     (
         StackKind::Ba,
         "n=7,t=2,sched=net:lat=1..12,partition=p50,heal=200,rt=wire",
         1,
-        (0x3d33b310681d8390, 2989, 2989, 298),
+        (0x62d359b62b742570, 2254, 2254, 278),
     ),
     (
         StackKind::Ba,
         "n=7,t=2,sched=net:lat=1..12,partition=p50,heal=200,rt=sharded:2",
         1,
-        (0x3d33b310681d8390, 2989, 2989, 337),
+        (0x62d359b62b742570, 2254, 2254, 316),
     ),
     (
         StackKind::Ba,
         "n=4,t=1,sched=net:lat=exp:5,partition=3,heal=120,rt=sim",
         1,
-        (0x384d88ca68db66a8, 592, 592, 203),
+        (0x8f05f044d9e0adcf, 448, 448, 67),
     ),
     (
         StackKind::Ba,
         "n=7,t=2,sched=net:lat=1..8,partition=p100,rt=sim",
         1,
-        (0x71bf66c935055e5d, 2590, 2590, 1099511627805),
+        (0x1c66757904eb9668, 1834, 1834, 1099511627800),
     ),
     (
         StackKind::Ba,
         "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sim",
         1,
-        (0xda2725dd80ebdb7b, 384, 384, 104),
+        (0x9cfed05d9f3236fe, 300, 300, 106),
     ),
     (
         StackKind::Ba,
         "n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt=sharded:2",
         1,
-        (0x8cbe2e5b72f9bca1, 384, 384, 107),
+        (0x9cfed05d9f3236fe, 300, 300, 111),
     ),
     (
         StackKind::SvssChain,
